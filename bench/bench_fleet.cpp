@@ -1,7 +1,7 @@
 // Fleet-scale serving benchmarks (DESIGN.md §16): sustained fleet QPS as
-// the shard count grows, the harness-bottleneck knee (the shard count where
-// per-query wall-clock overhead departs from the small-fleet baseline), and
-// hard determinism / prepared-model-sharing assertions.
+// the shard count grows, the harness-bottleneck knee (the first shard count
+// past the cheapest one where per-query wall-clock overhead departs from
+// it), and hard determinism / prepared-model-sharing assertions.
 //
 // Standalone (no benchmark framework), same contract as bench_kernels:
 // adaptive wall-clock timing, a table on stdout, BENCH_fleet.json for CI.
@@ -12,12 +12,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/thread_pool.h"
 #include "fleet/fleet.h"
 #include "fleet/report.h"
@@ -25,28 +24,10 @@
 namespace {
 
 using namespace mlpm;
+using benchutil::Check;
+using benchutil::Record;
 
 bool g_smoke = false;
-
-struct BenchRecord {
-  std::string name;
-  double value = 0.0;
-  std::string unit;
-};
-
-std::vector<BenchRecord> g_records;
-
-void Record(const std::string& name, double value, const std::string& unit) {
-  g_records.push_back({name, value, unit});
-  std::printf("  %-44s %12.3f %s\n", name.c_str(), value, unit.c_str());
-}
-
-void Check(bool ok, const char* what) {
-  if (!ok) {
-    std::fprintf(stderr, "FATAL: fleet property failed: %s\n", what);
-    std::exit(1);
-  }
-}
 
 fleet::FleetOptions OptionsFor(std::size_t shards) {
   fleet::FleetOptions fo;
@@ -114,9 +95,11 @@ void BenchSustainedQps() {
   }
 }
 
-// The harness-bottleneck knee: smallest shard count whose per-query wall
-// overhead exceeds 1.25x the best observed — where coordination (workers,
-// cache, journaling-free path) stops scaling linearly.
+// The harness-bottleneck knee: the smallest shard count past the best one
+// whose per-query wall overhead exceeds 1.25x the best observed — where
+// coordination (workers, cache, journaling-free path) stops scaling
+// linearly.  Counts before the best are not searched: a small fleet is
+// slow per query because fixed costs dominate, which is not a knee.
 void BenchKnee() {
   std::printf("harness-bottleneck knee\n");
   const std::size_t counts_full[] = {1, 2, 4, 8, 16, 32, 64};
@@ -125,39 +108,23 @@ void BenchKnee() {
       g_smoke ? std::span<const std::size_t>(counts_smoke)
               : std::span<const std::size_t>(counts_full);
   std::vector<double> per_query(counts.size(), 0.0);
-  double best = 1e300;
+  std::size_t best = 0;
   for (std::size_t i = 0; i < counts.size(); ++i) {
     fleet::FleetReport r;
     const double wall_s = WallSeconds(OptionsFor(counts[i]), &r);
     per_query[i] =
         r.issued > 0 ? wall_s / static_cast<double>(r.issued) : 0.0;
-    best = std::min(best, per_query[i]);
+    if (per_query[i] < per_query[best]) best = i;
   }
   std::size_t knee = 0;  // 0: no knee in the swept range
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (per_query[i] > 1.25 * best) {
+  for (std::size_t i = best + 1; i < counts.size(); ++i) {
+    if (per_query[i] > 1.25 * per_query[best]) {
       knee = counts[i];
       break;
     }
   }
   Record("fleet_knee_shards", static_cast<double>(knee), "shards");
-  Record("fleet_best_wall_per_query", best * 1e9, "ns");
-}
-
-void WriteJson(const std::string& path) {
-  std::ofstream out(path);
-  out << "{\n  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < g_records.size(); ++i) {
-    const BenchRecord& r = g_records[i];
-    char value[64];
-    std::snprintf(value, sizeof value, "%.6g", r.value);
-    out << "    {\"name\": \"" << r.name << "\", \"value\": " << value
-        << ", \"unit\": \"" << r.unit << "\"}"
-        << (i + 1 < g_records.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("wrote %s (%zu benchmarks)\n", path.c_str(),
-              g_records.size());
+  Record("fleet_best_wall_per_query", per_query[best] * 1e9, "ns");
 }
 
 }  // namespace
@@ -182,6 +149,6 @@ int main(int argc, char** argv) {
   BenchSharing();
   BenchSustainedQps();
   BenchKnee();
-  WriteJson(json_path);
+  benchutil::WriteJson(json_path, pool.thread_count());
   return 0;
 }

@@ -1,36 +1,25 @@
-// Engineering microbenchmarks for the execution engine: optimized
-// (register-tiled, optionally threaded) GEMM kernels against the scalar
-// references, the prepacked conv path against the pack-every-call legacy
-// path, the threaded executor and the sample-level accuracy fan-out.  The
-// INT8-vs-FP32 arithmetic gap motivates the paper's numerics discussion
-// (§7.5).
+// Engineering microbenchmarks for the execution engine: the threaded
+// executor and the sample-level accuracy fan-out, trace-recorder overhead,
+// static memory plans, the transform pipeline, and tiled execution.
 //
 // Standalone (no benchmark framework): adaptive wall-clock timing, a table
 // on stdout, and a machine-readable BENCH_kernels.json for CI artifacts.
-// Every optimized-vs-reference pair is asserted correct before being timed
-// (bit-identical for integer kernels; to a documented tolerance for SIMD
-// f32, which reassociates), so a speedup can never come from a wrong
-// answer.  The dispatch section times every kernel table the runtime
-// registry reports available on this host (DESIGN.md §13).
+// Every optimized path is asserted bit-identical to its reference before
+// being timed, so a speedup can never come from a wrong answer.
 //
 // Usage: bench_kernels [--json PATH] [--smoke]
 //   --json PATH  output file (default BENCH_kernels.json)
-//   --smoke      reduced timing budget for CI; every section (including
-//                runtime kernel dispatch) and every exactness assertion
-//                still runs at full strength
-#include <chrono>
+//   --smoke      reduced timing budget for CI; every section and every
+//                exactness assertion still runs at full strength
 #include <cstdio>
-#include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include <cmath>
-
+#include "bench_util.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "infer/executor.h"
-#include "infer/int8_conv.h"
-#include "infer/int8_gemm.h"
 #include "infer/kernels/registry.h"
 #include "infer/memory_plan.h"
 #include "infer/prepared_model.h"
@@ -44,224 +33,16 @@
 namespace {
 
 using namespace mlpm;
+using benchutil::Check;
+using benchutil::Record;
 
 // Wall-clock budget per measurement; --smoke shrinks it for CI where the
 // artifact matters more than the noise floor.
 double g_time_budget_s = 0.15;
 
-// Times `fn` adaptively: repeats until the budget is spent, reports the
-// best per-iteration seconds (least-noise estimator for microbenchmarks).
 template <typename Fn>
 double TimeSeconds(Fn&& fn) {
-  using Clock = std::chrono::steady_clock;
-  fn();  // warm-up (page faults, caches)
-  double best = 1e300;
-  double total = 0.0;
-  int batch = 1;
-  while (total < g_time_budget_s) {
-    const auto t0 = Clock::now();
-    for (int i = 0; i < batch; ++i) fn();
-    const double s =
-        std::chrono::duration<double>(Clock::now() - t0).count() / batch;
-    best = std::min(best, s);
-    total += s * batch;
-    if (s * batch < 0.01) batch *= 2;  // too fast to time; grow the batch
-  }
-  return best;
-}
-
-struct BenchRecord {
-  std::string name;
-  double value = 0.0;
-  std::string unit;
-};
-
-std::vector<BenchRecord> g_records;
-
-void Record(const std::string& name, double value, const std::string& unit) {
-  g_records.push_back({name, value, unit});
-  std::printf("  %-44s %12.3f %s\n", name.c_str(), value, unit.c_str());
-}
-
-void Check(bool ok, const char* what) {
-  if (!ok) {
-    std::fprintf(stderr, "FATAL: bit-exactness check failed: %s\n", what);
-    std::exit(1);
-  }
-}
-
-void BenchGemmF32(const ThreadPool& pool) {
-  std::printf("GEMM f32 (B transposed, square n):\n");
-  for (const std::size_t n : {64u, 128u, 256u, 384u}) {
-    Rng rng(1);
-    std::vector<float> a(n * n), b(n * n), c_ref(n * n), c_opt(n * n);
-    for (auto& v : a) v = static_cast<float>(rng.NextGaussian());
-    for (auto& v : b) v = static_cast<float>(rng.NextGaussian());
-
-    infer::GemmF32Ref(a, b, n, n, n, c_ref);
-    infer::GemmF32(a, b, n, n, n, c_opt, &pool);
-    Check(c_ref == c_opt, "GemmF32 tiled != reference");
-
-    const double flops = 2.0 * static_cast<double>(n) * n * n;
-    const double s_ref =
-        TimeSeconds([&] { infer::GemmF32Ref(a, b, n, n, n, c_ref); });
-    const double s_opt =
-        TimeSeconds([&] { infer::GemmF32(a, b, n, n, n, c_opt); });
-    const double s_par =
-        TimeSeconds([&] { infer::GemmF32(a, b, n, n, n, c_opt, &pool); });
-    const std::string tag = "gemm_f32_n" + std::to_string(n);
-    Record(tag + "_ref_gflops", flops / s_ref / 1e9, "GFLOP/s");
-    Record(tag + "_opt_gflops", flops / s_opt / 1e9, "GFLOP/s");
-    Record(tag + "_threaded_gflops", flops / s_par / 1e9, "GFLOP/s");
-    Record(tag + "_opt_speedup", s_ref / s_opt, "x");
-    Record(tag + "_threaded_speedup", s_ref / s_par, "x");
-  }
-}
-
-void BenchGemmU8(const ThreadPool& pool) {
-  std::printf("GEMM u8*u8 -> i32 (zero-point 128):\n");
-  for (const std::size_t n : {64u, 128u, 256u, 384u}) {
-    Rng rng(1);
-    std::vector<std::uint8_t> a(n * n), b(n * n);
-    std::vector<std::int32_t> c_ref(n * n), c_opt(n * n);
-    for (auto& v : a) v = static_cast<std::uint8_t>(rng.NextBelow(256));
-    for (auto& v : b) v = static_cast<std::uint8_t>(rng.NextBelow(256));
-
-    infer::GemmU8U8I32Ref(a, 128, b, 128, n, n, n, c_ref);
-    infer::GemmU8U8I32(a, 128, b, 128, n, n, n, c_opt, &pool);
-    Check(c_ref == c_opt, "GemmU8U8I32 tiled != reference");
-
-    const double ops = 2.0 * static_cast<double>(n) * n * n;
-    const double s_ref = TimeSeconds(
-        [&] { infer::GemmU8U8I32Ref(a, 128, b, 128, n, n, n, c_ref); });
-    const double s_opt = TimeSeconds(
-        [&] { infer::GemmU8U8I32(a, 128, b, 128, n, n, n, c_opt); });
-    const double s_par = TimeSeconds(
-        [&] { infer::GemmU8U8I32(a, 128, b, 128, n, n, n, c_opt, &pool); });
-    const std::string tag = "gemm_u8_n" + std::to_string(n);
-    Record(tag + "_ref_gops", ops / s_ref / 1e9, "GOP/s");
-    Record(tag + "_opt_gops", ops / s_opt / 1e9, "GOP/s");
-    Record(tag + "_threaded_gops", ops / s_par / 1e9, "GOP/s");
-    Record(tag + "_opt_speedup", s_ref / s_opt, "x");
-    Record(tag + "_threaded_speedup", s_ref / s_par, "x");
-  }
-}
-
-// Runtime-dispatched kernel tables (DESIGN.md §13): every ISA the registry
-// reports available, on a square shape and on a large reference-model shape
-// (the 784x864x192 im2col GEMM of a MobileNetEdgeTPU mid-network 3x3 conv).
-// INT8 results must be bit-identical to the scalar oracle on every table;
-// f32 SIMD tables may reassociate, so they are checked to a relative
-// tolerance instead.
-void BenchGemmDispatch() {
-  const infer::kernels::KernelRegistry& reg =
-      infer::kernels::KernelRegistry::Global();
-  std::printf("dispatched GEMM kernels (host: %s):\n",
-              std::string(infer::kernels::ToString(
-                              reg.Resolve(infer::kernels::KernelIsa::kAuto)))
-                  .c_str());
-
-  struct Shape {
-    const char* tag;
-    std::size_t m, k, n;
-  };
-  // The second entry is the acceptance shape: a full-scale conv lowered to
-  // im2col, big enough that the GEMM dominates and prefetch/tile effects
-  // are visible.
-  const Shape shapes[] = {{"n256", 256, 256, 256},
-                          {"mobilenet_784x864x192", 784, 864, 192}};
-
-  for (const Shape& sh : shapes) {
-    Rng rng(1);
-    std::vector<float> a(sh.m * sh.k), b(sh.n * sh.k);
-    std::vector<float> c_ref(sh.m * sh.n), c_isa(sh.m * sh.n);
-    for (auto& v : a) v = static_cast<float>(rng.NextGaussian());
-    for (auto& v : b) v = static_cast<float>(rng.NextGaussian());
-    std::vector<std::uint8_t> qa(sh.m * sh.k), qb(sh.n * sh.k);
-    for (auto& v : qa) v = static_cast<std::uint8_t>(rng.NextBelow(256));
-    for (auto& v : qb) v = static_cast<std::uint8_t>(rng.NextBelow(256));
-    std::vector<std::int32_t> i_ref(sh.m * sh.n), i_isa(sh.m * sh.n);
-
-    infer::GemmF32Ref(a, b, sh.m, sh.n, sh.k, c_ref);
-    infer::GemmU8U8I32Ref(qa, 128, qb, 3, sh.m, sh.n, sh.k, i_ref);
-    const double flops = 2.0 * static_cast<double>(sh.m) * sh.n * sh.k;
-    const double s_f32_ref = TimeSeconds(
-        [&] { infer::GemmF32Ref(a, b, sh.m, sh.n, sh.k, c_isa); });
-    const double s_u8_ref = TimeSeconds([&] {
-      infer::GemmU8U8I32Ref(qa, 128, qb, 3, sh.m, sh.n, sh.k, i_isa);
-    });
-
-    for (const infer::kernels::KernelIsa isa : reg.AvailableIsas()) {
-      const infer::kernels::KernelTable& table = reg.Select(isa);
-      const std::string tag = std::string("dispatch_") + sh.tag + "_" +
-                              std::string(infer::kernels::ToString(isa));
-
-      infer::GemmF32(a, b, sh.m, sh.n, sh.k, c_isa, table);
-      for (std::size_t i = 0; i < c_ref.size(); ++i) {
-        // f32 SIMD kernels reassociate and contract (FMA): exactness is
-        // not required, closeness is.  |ref| ~ sqrt(k) for Gaussian data.
-        const double tol = 1e-4 * std::sqrt(static_cast<double>(sh.k));
-        Check(std::fabs(c_isa[i] - c_ref[i]) <= tol,
-              "dispatched f32 GEMM outside tolerance vs scalar oracle");
-      }
-      infer::GemmU8U8I32(qa, 128, qb, 3, sh.m, sh.n, sh.k, i_isa, table);
-      Check(i_isa == i_ref, "dispatched u8 GEMM != scalar oracle");
-
-      const double s_f32 = TimeSeconds(
-          [&] { infer::GemmF32(a, b, sh.m, sh.n, sh.k, c_isa, table); });
-      const double s_u8 = TimeSeconds([&] {
-        infer::GemmU8U8I32(qa, 128, qb, 3, sh.m, sh.n, sh.k, i_isa, table);
-      });
-      Record(tag + "_f32_gflops", flops / s_f32 / 1e9, "GFLOP/s");
-      Record(tag + "_f32_speedup", s_f32_ref / s_f32, "x");
-      Record(tag + "_u8_gops", flops / s_u8 / 1e9, "GOP/s");
-      Record(tag + "_u8_speedup", s_u8_ref / s_u8, "x");
-    }
-  }
-}
-
-void BenchConvInt8(const ThreadPool& pool) {
-  std::printf("conv int8 im2col 16x16 3x3 (legacy vs prepacked+scratch):\n");
-  for (const std::int64_t c : {16, 32, 64}) {
-    Rng rng(7);
-    infer::Tensor input(graph::TensorShape({1, 16, 16, c}));
-    infer::Tensor weights(graph::TensorShape({c, 3, 3, c}));
-    infer::Tensor bias(graph::TensorShape({c}));
-    for (auto& v : input.values())
-      v = static_cast<float>(rng.NextUniform(-1, 1));
-    for (auto& v : weights.values())
-      v = static_cast<float>(rng.NextUniform(-0.5, 0.5));
-    const infer::QuantizationParams in_q =
-        infer::ChooseQuantParams(-1.0f, 1.0f);
-    const infer::QuantizationParams w_q =
-        infer::ChooseQuantParams(-0.5f, 0.5f);
-
-    const infer::PackedConvWeights packed =
-        infer::PackConvWeights(weights, w_q);
-    infer::ConvScratch scratch;
-    const infer::Tensor legacy = infer::ConvInt8NHWC(
-        input, weights, bias, 1, graph::Padding::kSame, in_q, w_q);
-    const infer::Tensor prepacked =
-        infer::ConvInt8NHWC(input, packed, bias, 1, graph::Padding::kSame,
-                            in_q, &scratch, &pool);
-    Check(legacy.size() == prepacked.size(), "conv size mismatch");
-    for (std::size_t i = 0; i < legacy.size(); ++i)
-      Check(legacy.at(i) == prepacked.at(i), "prepacked conv != legacy");
-
-    const double s_legacy = TimeSeconds([&] {
-      auto out = infer::ConvInt8NHWC(input, weights, bias, 1,
-                                     graph::Padding::kSame, in_q, w_q);
-    });
-    const double s_packed = TimeSeconds([&] {
-      auto out = infer::ConvInt8NHWC(input, packed, bias, 1,
-                                     graph::Padding::kSame, in_q, &scratch,
-                                     &pool);
-    });
-    const std::string tag = "conv_int8_c" + std::to_string(c);
-    Record(tag + "_legacy_ms", s_legacy * 1e3, "ms");
-    Record(tag + "_prepacked_ms", s_packed * 1e3, "ms");
-    Record(tag + "_speedup", s_legacy / s_packed, "x");
-  }
+  return benchutil::TimeSeconds(g_time_budget_s, std::forward<Fn>(fn));
 }
 
 void BenchExecutor(const ThreadPool& pool) {
@@ -275,16 +56,18 @@ void BenchExecutor(const ThreadPool& pool) {
   for (auto& v : input.values()) v = static_cast<float>(rng.NextDouble());
   const std::vector<infer::Tensor> inputs{input};
 
-  const auto serial_out = exec.Run(inputs);
-  const auto threaded_out = exec.Run(inputs, infer::NodeObserver{}, &pool);
+  infer::ExecutionContext ctx = exec.CreateContext();
+  const auto serial_out = exec.Run(inputs, ctx);
+  const auto threaded_out = exec.Run(inputs, ctx, {}, &pool);
   for (std::size_t o = 0; o < serial_out.size(); ++o)
     for (std::size_t i = 0; i < serial_out[o].size(); ++i)
       Check(serial_out[o].at(i) == threaded_out[o].at(i),
             "threaded executor != serial");
 
-  const double s_serial = TimeSeconds([&] { auto out = exec.Run(inputs); });
-  const double s_thread = TimeSeconds(
-      [&] { auto out = exec.Run(inputs, infer::NodeObserver{}, &pool); });
+  const double s_serial =
+      TimeSeconds([&] { auto out = exec.Run(inputs, ctx); });
+  const double s_thread =
+      TimeSeconds([&] { auto out = exec.Run(inputs, ctx, {}, &pool); });
   Record("executor_mini_classifier_serial_ms", s_serial * 1e3, "ms");
   Record("executor_mini_classifier_threaded_ms", s_thread * 1e3, "ms");
   Record("executor_mini_classifier_speedup", s_serial / s_thread, "x");
@@ -308,64 +91,6 @@ void BenchExecutor(const ThreadPool& pool) {
   Record("accuracy_fanout_8samples_serial_ms", s_loop * 1e3, "ms");
   Record("accuracy_fanout_8samples_threaded_ms", s_fan * 1e3, "ms");
   Record("accuracy_fanout_8samples_speedup", s_loop / s_fan, "x");
-}
-
-// Single-sample latency with per-node allocation (legacy) vs the planned
-// arena context, after asserting bit-identical outputs.  Small models are
-// where per-node malloc/zero-fill is the largest fraction of the sample.
-void BenchArena(const models::BenchmarkEntry& entry,
-                models::SuiteVersion version, const std::string& tag) {
-  const graph::Graph g =
-      models::BuildReferenceGraph(entry, version, models::ModelScale::kMini);
-  const infer::WeightStore w = infer::InitializeWeights(g, 11);
-  const infer::Executor exec(g, w);
-
-  Rng rng(5);
-  std::vector<infer::Tensor> inputs;
-  for (const graph::TensorId id : g.input_ids()) {
-    infer::Tensor t(g.tensor(id).shape);
-    for (auto& v : t.values()) v = static_cast<float>(rng.NextDouble());
-    inputs.push_back(std::move(t));
-  }
-
-  infer::ExecutionContext ctx = exec.CreateContext();
-  const auto legacy_out = exec.Run(inputs);
-  const auto arena_out = exec.Run(inputs, ctx);
-  Check(legacy_out.size() == arena_out.size(), "arena output count != legacy");
-  for (std::size_t o = 0; o < legacy_out.size(); ++o)
-    for (std::size_t i = 0; i < legacy_out[o].size(); ++i)
-      Check(legacy_out[o].at(i) == arena_out[o].at(i),
-            "arena executor != legacy");
-
-  const double s_legacy = TimeSeconds([&] { auto out = exec.Run(inputs); });
-  const double s_arena =
-      TimeSeconds([&] { auto out = exec.Run(inputs, ctx); });
-  const infer::MemoryPlan& plan = exec.memory_plan();
-  Record(tag + "_legacy_ms", s_legacy * 1e3, "ms");
-  Record(tag + "_arena_ms", s_arena * 1e3, "ms");
-  Record(tag + "_arena_speedup", s_legacy / s_arena, "x");
-  Record(tag + "_arena_kib",
-         static_cast<double>(plan.peak_arena_bytes()) / 1024.0, "KiB");
-  Record(tag + "_arena_savings",
-         100.0 * plan.savings_ratio(), "%");
-}
-
-void BenchArenaExecution() {
-  std::printf("arena vs legacy execution (mini models, single sample):\n");
-  for (const auto version :
-       {models::SuiteVersion::kV1_0, models::SuiteVersion::kV0_7}) {
-    for (const models::BenchmarkEntry& entry : models::SuiteFor(version)) {
-      // v1.0 classification is MobileNetEdgeTPU; v0.7 detection is
-      // SSD-MobileNet v2 — the two small models the planner targets most.
-      const bool wanted =
-          (version == models::SuiteVersion::kV1_0 &&
-           entry.task == models::TaskType::kImageClassification) ||
-          (version == models::SuiteVersion::kV0_7 &&
-           entry.task == models::TaskType::kObjectDetection);
-      if (!wanted) continue;
-      BenchArena(entry, version, "arena_" + entry.model_name);
-    }
-  }
 }
 
 // Trace-recorder overhead on the hot arena path (DESIGN.md §11 budget):
@@ -712,23 +437,6 @@ void BenchTiledChain(const ThreadPool& pool) {
          "KiB");
 }
 
-void WriteJson(const std::string& path, const ThreadPool& pool) {
-  std::ofstream out(path);
-  out << "{\n  \"host_threads\": " << pool.thread_count()
-      << ",\n  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < g_records.size(); ++i) {
-    const BenchRecord& r = g_records[i];
-    char value[64];
-    std::snprintf(value, sizeof value, "%.6g", r.value);
-    out << "    {\"name\": \"" << r.name << "\", \"value\": " << value
-        << ", \"unit\": \"" << r.unit << "\"}"
-        << (i + 1 < g_records.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("wrote %s (%zu benchmarks)\n", path.c_str(),
-              g_records.size());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -747,12 +455,7 @@ int main(int argc, char** argv) {
 
   const ThreadPool pool;  // hardware concurrency
   std::printf("bench_kernels: %zu execution lane(s)\n", pool.thread_count());
-  BenchGemmF32(pool);
-  BenchGemmU8(pool);
-  BenchGemmDispatch();
-  BenchConvInt8(pool);
   BenchExecutor(pool);
-  BenchArenaExecution();
   BenchTraceOverhead();
   BenchMemoryPlans();
   BenchTransform();
@@ -760,6 +463,6 @@ int main(int argc, char** argv) {
   BenchTiledExecution(pool);
   BenchTileSweep();
   BenchTiledChain(pool);
-  WriteJson(json_path, pool);
+  benchutil::WriteJson(json_path, pool.thread_count());
   return 0;
 }

@@ -1,6 +1,12 @@
-// Shared helpers for the table/figure report generators.
+// Shared helpers for the table/figure report generators and the
+// engineering microbenchmarks (bench_kernels, bench_fleet).
 #pragma once
 
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -13,6 +19,76 @@
 #include "soc/chipset.h"
 
 namespace mlpm::benchutil {
+
+// ---- machine-readable records (BENCH_*.json) --------------------------------
+
+struct BenchRecord {
+  std::string name;
+  double value = 0.0;
+  std::string unit;
+};
+
+inline std::vector<BenchRecord>& Records() {
+  static std::vector<BenchRecord> records;
+  return records;
+}
+
+// Appends one record and prints it as a table row.
+inline void Record(const std::string& name, double value,
+                   const std::string& unit) {
+  Records().push_back({name, value, unit});
+  std::printf("  %-44s %12.3f %s\n", name.c_str(), value, unit.c_str());
+}
+
+// Hard failure: a number measured from a wrong answer is worthless.
+inline void Check(bool ok, const char* what) {
+  if (!ok) {
+    std::fprintf(stderr, "FATAL: check failed: %s\n", what);
+    std::exit(1);
+  }
+}
+
+// Times `fn` adaptively: repeats until `budget_s` is spent and reports the
+// best per-iteration seconds (the least-noise estimator for
+// microbenchmarks).
+template <typename Fn>
+double TimeSeconds(double budget_s, Fn&& fn) {
+  using Clock = std::chrono::steady_clock;
+  fn();  // warm-up (page faults, caches)
+  double best = 1e300;
+  double total = 0.0;
+  int batch = 1;
+  while (total < budget_s) {
+    const auto t0 = Clock::now();
+    for (int i = 0; i < batch; ++i) fn();
+    const double s =
+        std::chrono::duration<double>(Clock::now() - t0).count() / batch;
+    best = std::min(best, s);
+    total += s * batch;
+    if (s * batch < 0.01) batch *= 2;  // too fast to time; grow the batch
+  }
+  return best;
+}
+
+// Writes every record to `path` as {"host_threads": N, "benchmarks": [...]}.
+inline void WriteJson(const std::string& path, std::size_t host_threads) {
+  const std::vector<BenchRecord>& records = Records();
+  std::ofstream out(path);
+  out << "{\n  \"host_threads\": " << host_threads
+      << ",\n  \"benchmarks\": [\n";
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const BenchRecord& r = records[i];
+    char value[64];
+    std::snprintf(value, sizeof value, "%.6g", r.value);
+    out << "    {\"name\": \"" << r.name << "\", \"value\": " << value
+        << ", \"unit\": \"" << r.unit << "\"}"
+        << (i + 1 < records.size() ? "," : "") << "\n";
+  }
+  out << "  ]\n}\n";
+  std::printf("wrote %s (%zu benchmarks)\n", path.c_str(), records.size());
+}
+
+// ---- simulated performance runs ---------------------------------------------
 
 // A minimal query-sample source for performance-only runs: the simulated
 // backend never reads sample contents, so eight 1-element tensors suffice.

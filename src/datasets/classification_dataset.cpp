@@ -18,6 +18,7 @@ ClassificationDataset::ClassificationDataset(
     : cfg_(config) {
   Expects(cfg_.num_samples > 0, "dataset must be non-empty");
   const infer::Executor teacher(model, weights, infer::NumericsMode::kFp32);
+  infer::ExecutionContext teacher_ctx(teacher);
   Rng label_rng = Rng(cfg_.seed).Split(0xBEEF);
 
   labels_.reserve(cfg_.num_samples);
@@ -30,7 +31,7 @@ ClassificationDataset::ClassificationDataset(
             "min_teacher_margin too strict: candidate pool exhausted");
     const std::size_t i = gen++;
     const std::vector<infer::Tensor> in = {MakeInput(kValidationSpace, i)};
-    const std::vector<infer::Tensor> out = teacher.Run(in);
+    const std::vector<infer::Tensor> out = teacher.Run(in, teacher_ctx);
     const int teacher_label = metrics::ArgMax(out[0].values());
     if (cfg_.min_teacher_margin > 0.0) {
       // Top1-top2 logit gap.

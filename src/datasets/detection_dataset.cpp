@@ -20,12 +20,13 @@ DetectionDataset::DetectionDataset(const models::DetectionModel& model,
   Expects(cfg_.num_samples > 0, "dataset must be non-empty");
   const infer::Executor teacher(model_.graph, weights,
                                 infer::NumericsMode::kFp32);
+  infer::ExecutionContext teacher_ctx(teacher);
   Rng rng = Rng(cfg_.seed).Split(0xFACE);
 
   ground_truth_.reserve(cfg_.num_samples);
   for (std::size_t i = 0; i < cfg_.num_samples; ++i) {
     const std::vector<infer::Tensor> in = {MakeInput(kValidationSpace, i)};
-    const std::vector<infer::Tensor> out = teacher.Run(in);
+    const std::vector<infer::Tensor> out = teacher.Run(in, teacher_ctx);
     const std::vector<models::Detection> dets = models::DecodeDetections(
         out[0].values(), out[1].values(), model_.anchors, model_.num_classes,
         cfg_.decode);

@@ -37,6 +37,7 @@ QaDataset::QaDataset(const graph::Graph& model,
     : model_cfg_(model_cfg), cfg_(config) {
   Expects(cfg_.num_samples > 0, "dataset must be non-empty");
   const infer::Executor teacher(model, weights, infer::NumericsMode::kFp32);
+  infer::ExecutionContext teacher_ctx(teacher);
   Rng rng = Rng(cfg_.seed).Split(0xF1F1);
 
   truths_.reserve(cfg_.num_samples);
@@ -48,7 +49,7 @@ QaDataset::QaDataset(const graph::Graph& model,
             "min_teacher_margin too strict: candidate pool exhausted");
     const std::size_t i = gen++;
     const std::vector<infer::Tensor> in = {MakeTokens(kValidationSpace, i)};
-    const std::vector<infer::Tensor> out = teacher.Run(in);
+    const std::vector<infer::Tensor> out = teacher.Run(in, teacher_ctx);
     metrics::TokenSpan span = SpanFromLogits(out[0]);
     if (cfg_.min_teacher_margin > 0.0 &&
         SpanMargin(out[0], span) < cfg_.min_teacher_margin)

@@ -37,13 +37,14 @@ SegmentationDataset::SegmentationDataset(const graph::Graph& model,
   Expects(cfg_.num_samples > 0, "dataset must be non-empty");
   Expects(cfg_.num_classes >= 2, "need at least two classes");
   const infer::Executor teacher(model, weights, infer::NumericsMode::kFp32);
+  infer::ExecutionContext teacher_ctx(teacher);
   Rng rng = Rng(cfg_.seed).Split(0x5EC5);
   const int ignore = static_cast<int>(cfg_.num_classes) - 1;
 
   labels_.reserve(cfg_.num_samples);
   for (std::size_t i = 0; i < cfg_.num_samples; ++i) {
     const std::vector<infer::Tensor> in = {MakeInput(kValidationSpace, i)};
-    const std::vector<infer::Tensor> out = teacher.Run(in);
+    const std::vector<infer::Tensor> out = teacher.Run(in, teacher_ctx);
     std::vector<int> lab = ArgmaxMap(out[0]);
     if (cfg_.min_pixel_margin > 0.0) {
       // Relabel low-margin pixels to the catch-all class.

@@ -20,12 +20,13 @@ SpeechDataset::SpeechDataset(const graph::Graph& model,
     : model_cfg_(model_cfg), cfg_(config) {
   Expects(cfg_.num_samples > 0, "dataset must be non-empty");
   const infer::Executor teacher(model, weights, infer::NumericsMode::kFp32);
+  infer::ExecutionContext teacher_ctx(teacher);
   Rng rng = Rng(cfg_.seed).Split(0x3E);
 
   refs_.reserve(cfg_.num_samples);
   for (std::size_t i = 0; i < cfg_.num_samples; ++i) {
     const std::vector<infer::Tensor> in = {MakeFeatures(kValidationSpace, i)};
-    const std::vector<infer::Tensor> out = teacher.Run(in);
+    const std::vector<infer::Tensor> out = teacher.Run(in, teacher_ctx);
     std::vector<int> tokens = models::GreedyCtcDecode(out[0]);
 
     // Corrupt the transcript to make FP32 imperfect.

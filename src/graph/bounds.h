@@ -15,8 +15,7 @@
 //     required box of input[1] equals the crop itself.
 //   * The returned box is clamped to the input shape.  Padding (SAME conv
 //     edges, pool edge windows) is handled by the kernels skipping taps
-//     outside the clamped box, exactly as the whole-op path skips taps
-//     outside the tensor.
+//     outside the logical tensor, which the clamped box always covers.
 //   * Crops split N and H only; inference keeps W and C spans full-range
 //     in the same spirit, but the math is exact for W crops too.
 #pragma once

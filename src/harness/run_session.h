@@ -102,8 +102,8 @@ struct RunOptions {
   // Opt-in tiled, fused pipeline execution (DESIGN.md §15).  When
   // `tiling.enabled`, the accuracy-plane executors run fusable conv/dw
   // chains crop-by-crop through per-worker tile slabs instead of
-  // materializing full intermediates; results are bit-identical to the
-  // whole-op path for every numerics mode and thread count, so accuracy
+  // materializing full intermediates; results are bit-identical to
+  // untiled execution for every numerics mode and thread count, so accuracy
   // scores are unchanged.  `tiling.rows` forces the tile height (-1 = auto
   // against tiling.cache_bytes); rows == 0 is invalid and lint-gated
   // (RUN008).  The memory-plan figures reported for the full-scale graph

@@ -3,7 +3,11 @@
 // Executes a graph::Graph on the CPU with straightforward NHWC kernels.
 // This is the stand-in for the paper's poorly-optimized reference TFLite
 // implementation (§3.3): correct, simple, and the source of FP32 ground
-// truth for the teacher-labelled datasets.
+// truth for the teacher-labelled datasets.  There is one engine: every run
+// executes over an ExecutionContext's preplanned arena, and every spatial
+// op runs through the row-band kernels of tiled_ops.h — as fused tile
+// segments when the tile planner chose some, as one full-height band per
+// batch image otherwise.
 //
 // Numerics modes (paper §5.1/§7.5):
 //   kFp32 — plain float.
@@ -36,7 +40,11 @@ namespace mlpm::infer {
 
 class Executor;
 
-// Reusable execution state for the arena path: one contiguous activation
+namespace internal {
+struct NodeRunner;
+}
+
+// Reusable execution state for a run: one contiguous activation
 // arena sized by the executor's MemoryPlan, plus prebuilt view tensors for
 // every planned activation.  Create one per thread (a context is not
 // thread-safe) and reuse it across samples — every kernel fully overwrites
@@ -96,12 +104,11 @@ class Executor {
   // table reads channel-contiguous taps (a pure layout change — the scalar
   // table remains bit-identical to the pre-registry executor).
   //
-  // `tiling` (tile_planner.h) opts the arena Run overload into fused tiled
-  // segment execution: fusable conv/dw chains run crop-by-crop through
-  // per-worker slabs instead of materializing full intermediates.  Tiled
-  // execution is bit-identical to whole-op execution for every numerics
-  // mode, kernel table, and thread count (DESIGN.md §15); the legacy
-  // overloads always run whole-op and remain the oracle.
+  // `tiling` (tile_planner.h) opts every run into fused tiled segment
+  // execution: fusable conv/dw chains run crop-by-crop through per-worker
+  // slabs instead of materializing full intermediates.  Tiled execution is
+  // bit-identical to whole-op execution for every numerics mode, kernel
+  // table, and thread count (DESIGN.md §15).
   Executor(const graph::Graph& graph, const WeightStore& weights,
            NumericsMode mode = NumericsMode::kFp32,
            const QuantParams* quant = nullptr,
@@ -109,27 +116,19 @@ class Executor {
            const TileOptions& tiling = {});
 
   // Runs the graph; `inputs` must match graph.input_ids() in order and
-  // shape.  Returns one tensor per graph output.
+  // shape.  Returns one tensor per graph output.  A one-shot context: runs
+  // of many samples on one thread should pass a reused context instead.
   [[nodiscard]] std::vector<Tensor> Run(std::span<const Tensor> inputs) const;
 
-  // As Run, but invokes `observer` on every node output (pre-quantization).
-  [[nodiscard]] std::vector<Tensor> Run(std::span<const Tensor> inputs,
-                                        const NodeObserver& observer) const;
-
-  // As above, additionally parallelizing kernels over independent output
-  // elements on `pool` (may be null).  Results are bit-identical to the
-  // serial overloads for any thread count: each output element is computed
-  // by exactly one thread with the same per-element operation order, and no
-  // cross-thread reductions exist.  The observer runs on the calling thread.
-  [[nodiscard]] std::vector<Tensor> Run(std::span<const Tensor> inputs,
-                                        const NodeObserver& observer,
-                                        const ThreadPool* pool) const;
-
-  // Arena execution: activations live in `ctx`'s preplanned arena instead
-  // of per-node heap allocations; graph inputs are bound as read-only
-  // views (never copied).  Bit-identical to the legacy overloads above for
-  // every numerics mode and thread count.  `ctx` must have been created
-  // from this executor; reuse it across calls on one thread.
+  // Runs in `ctx`'s preplanned arena; graph inputs are bound as read-only
+  // views (never copied).  `ctx` must have been created from this executor;
+  // reuse it across calls on one thread.  `observer`, if set, sees every
+  // node output before output numerics (calibration); it requires an
+  // untiled executor, because tiled segments never materialize their
+  // interiors.  `pool` (may be null) parallelizes kernels over independent
+  // output elements: results are bit-identical for any thread count, as
+  // each output element is computed by exactly one thread with the same
+  // per-element operation order.  The observer runs on the calling thread.
   [[nodiscard]] std::vector<Tensor> Run(std::span<const Tensor> inputs,
                                         ExecutionContext& ctx,
                                         const NodeObserver& observer = {},
@@ -158,7 +157,10 @@ class Executor {
   [[nodiscard]] KernelDispatchCounts dispatch_counts() const;
 
  private:
+  friend struct internal::NodeRunner;
+
   [[nodiscard]] const Tensor& WeightFor(graph::TensorId id) const;
+  [[nodiscard]] const Tensor& PackedDepthwiseFor(graph::TensorId id) const;
 
   const graph::Graph& graph_;
   NumericsMode mode_;

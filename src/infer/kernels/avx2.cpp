@@ -2,19 +2,15 @@
 // only (see src/infer/CMakeLists.txt); the registry dispatches here when the
 // host CPU advertises both features.
 //
-// Exactness: the u8 kernels accumulate widened products in 32-bit lanes and
-// reduce with wrapping adds — modulo-2^32 arithmetic is associative, so any
-// lane order gives the same bits as the scalar oracle.  The f32 kernels use
-// 8-lane FMA accumulators, which reassociates the sum and fuses the
-// round step, so they match the oracle only within the documented relative
-// tolerance (DESIGN.md §13).
+// Exactness: the kernels use 8-lane FMA accumulators, which reassociates
+// the sum and fuses the round step, so they match the scalar oracle only
+// within the documented relative tolerance (DESIGN.md §13).
 #include "infer/kernels/registry.h"
 
 #if defined(MLPM_KERNELS_HAVE_AVX2)
 
 #include <immintrin.h>
 
-#include <cstddef>
 #include <cstdint>
 
 namespace mlpm::infer::kernels {
@@ -27,155 +23,6 @@ inline float Hsum256(__m256 v) {
   s = _mm_add_ps(s, _mm_movehl_ps(s, s));
   s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x55));
   return _mm_cvtss_f32(s);
-}
-
-// Wrapping (mod 2^32) horizontal sum of the eight 32-bit lanes.
-inline std::uint32_t HsumEpi32(__m256i v) {
-  __m128i lo = _mm256_castsi256_si128(v);
-  __m128i hi = _mm256_extracti128_si256(v, 1);
-  __m128i s = _mm_add_epi32(lo, hi);
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x4E));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xB1));
-  return static_cast<std::uint32_t>(_mm_cvtsi128_si32(s));
-}
-
-inline float DotF32(const float* x, const float* y, std::size_t k) {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= k; i += 8)
-    acc = _mm256_fmadd_ps(_mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i), acc);
-  float s = Hsum256(acc);
-  for (; i < k; ++i) s += x[i] * y[i];
-  return s;
-}
-
-// u8·u8 dot product mod 2^32.  16 bytes per step: widen both operands to
-// u16 (values <= 255 so i16 is exact), _mm256_madd_epi16 multiplies and adds
-// adjacent pairs into 32-bit lanes (pair sums <= 2*255*255, no overflow),
-// then wrapping 32-bit adds accumulate — bit-exact vs the scalar oracle.
-inline std::uint32_t DotU8(const std::uint8_t* x, const std::uint8_t* y,
-                           std::size_t k) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 16 <= k; i += 16) {
-    const __m256i xv = _mm256_cvtepu8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i)));
-    const __m256i yv = _mm256_cvtepu8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(y + i)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xv, yv));
-  }
-  std::uint32_t s = HsumEpi32(acc);
-  for (; i < k; ++i)
-    s += static_cast<std::uint32_t>(x[i]) * static_cast<std::uint32_t>(y[i]);
-  return s;
-}
-
-// Sum of a u8 row via psadbw (sum of absolute differences against zero),
-// which adds each group of 8 bytes into a 64-bit lane — exact.
-inline std::uint32_t RowSumU8(const std::uint8_t* row, std::size_t k) {
-  __m256i acc = _mm256_setzero_si256();
-  const __m256i zero = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 32 <= k; i += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + i));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(v, zero));
-  }
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::uint32_t s = static_cast<std::uint32_t>(lanes[0] + lanes[1] +
-                                               lanes[2] + lanes[3]);
-  for (; i < k; ++i) s += row[i];
-  return s;
-}
-
-void GemmF32RowsAvx2(const float* a, const float* b_t, std::int64_t i_begin,
-                     std::int64_t i_end, std::size_t n, std::size_t k,
-                     float* c) {
-  std::int64_t i = i_begin;
-  // 4 rows x 2 columns of outputs: 8 vector accumulators plus 6 streamed
-  // loads per k-step stay within the 16 ymm registers.
-  for (; i + 4 <= i_end; i += 4) {
-    const float* a0 = a + static_cast<std::size_t>(i) * k;
-    const float* a1 = a0 + k;
-    const float* a2 = a1 + k;
-    const float* a3 = a2 + k;
-    std::size_t j = 0;
-    for (; j + 2 <= n; j += 2) {
-      const float* b0 = b_t + j * k;
-      const float* b1 = b0 + k;
-      __m256 acc00 = _mm256_setzero_ps(), acc01 = _mm256_setzero_ps();
-      __m256 acc10 = _mm256_setzero_ps(), acc11 = _mm256_setzero_ps();
-      __m256 acc20 = _mm256_setzero_ps(), acc21 = _mm256_setzero_ps();
-      __m256 acc30 = _mm256_setzero_ps(), acc31 = _mm256_setzero_ps();
-      std::size_t kk = 0;
-      for (; kk + 8 <= k; kk += 8) {
-        const __m256 bv0 = _mm256_loadu_ps(b0 + kk);
-        const __m256 bv1 = _mm256_loadu_ps(b1 + kk);
-        const __m256 av0 = _mm256_loadu_ps(a0 + kk);
-        acc00 = _mm256_fmadd_ps(av0, bv0, acc00);
-        acc01 = _mm256_fmadd_ps(av0, bv1, acc01);
-        const __m256 av1 = _mm256_loadu_ps(a1 + kk);
-        acc10 = _mm256_fmadd_ps(av1, bv0, acc10);
-        acc11 = _mm256_fmadd_ps(av1, bv1, acc11);
-        const __m256 av2 = _mm256_loadu_ps(a2 + kk);
-        acc20 = _mm256_fmadd_ps(av2, bv0, acc20);
-        acc21 = _mm256_fmadd_ps(av2, bv1, acc21);
-        const __m256 av3 = _mm256_loadu_ps(a3 + kk);
-        acc30 = _mm256_fmadd_ps(av3, bv0, acc30);
-        acc31 = _mm256_fmadd_ps(av3, bv1, acc31);
-      }
-      float s[4][2] = {{Hsum256(acc00), Hsum256(acc01)},
-                       {Hsum256(acc10), Hsum256(acc11)},
-                       {Hsum256(acc20), Hsum256(acc21)},
-                       {Hsum256(acc30), Hsum256(acc31)}};
-      for (; kk < k; ++kk) {
-        const float bv0 = b0[kk], bv1 = b1[kk];
-        s[0][0] += a0[kk] * bv0; s[0][1] += a0[kk] * bv1;
-        s[1][0] += a1[kk] * bv0; s[1][1] += a1[kk] * bv1;
-        s[2][0] += a2[kk] * bv0; s[2][1] += a2[kk] * bv1;
-        s[3][0] += a3[kk] * bv0; s[3][1] += a3[kk] * bv1;
-      }
-      for (std::size_t r = 0; r < 4; ++r) {
-        c[(static_cast<std::size_t>(i) + r) * n + j] = s[r][0];
-        c[(static_cast<std::size_t>(i) + r) * n + j + 1] = s[r][1];
-      }
-    }
-    for (; j < n; ++j) {
-      const float* bj = b_t + j * k;
-      c[static_cast<std::size_t>(i) * n + j] = DotF32(a0, bj, k);
-      c[static_cast<std::size_t>(i + 1) * n + j] = DotF32(a1, bj, k);
-      c[static_cast<std::size_t>(i + 2) * n + j] = DotF32(a2, bj, k);
-      c[static_cast<std::size_t>(i + 3) * n + j] = DotF32(a3, bj, k);
-    }
-  }
-  for (; i < i_end; ++i) {
-    const float* ai = a + static_cast<std::size_t>(i) * k;
-    for (std::size_t j = 0; j < n; ++j)
-      c[static_cast<std::size_t>(i) * n + j] = DotF32(ai, b_t + j * k, k);
-  }
-}
-
-void GemmU8RowsAvx2(const std::uint8_t* a, const std::uint8_t* b_t,
-                    std::int64_t i_begin, std::int64_t i_end, std::size_t n,
-                    std::size_t k, std::uint32_t a_zp, std::uint32_t b_zp,
-                    const std::uint32_t* b_sums, std::int32_t* c) {
-  const std::uint32_t kzz = static_cast<std::uint32_t>(k) * a_zp * b_zp;
-  for (std::int64_t i = i_begin; i < i_end; ++i) {
-    const std::uint8_t* ai = a + static_cast<std::size_t>(i) * k;
-    const std::uint32_t base = kzz - b_zp * RowSumU8(ai, k);
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint32_t s = DotU8(ai, b_t + j * k, k);
-      c[static_cast<std::size_t>(i) * n + j] =
-          static_cast<std::int32_t>(s + base - a_zp * b_sums[j]);
-    }
-  }
-}
-
-void RowSumsU8Avx2(const std::uint8_t* b_t, std::int64_t j_begin,
-                   std::int64_t j_end, std::size_t k, std::uint32_t* sums) {
-  for (std::int64_t j = j_begin; j < j_end; ++j)
-    sums[j] = RowSumU8(b_t + static_cast<std::size_t>(j) * k, k);
 }
 
 void Dot4F32Avx2(const float* x, const float* w0, const float* w1,
@@ -220,9 +67,8 @@ void DwMaddF32Avx2(const float* x, const float* w, float* acc,
 }  // namespace
 
 const KernelTable* Avx2KernelsOrNull() {
-  static constexpr KernelTable kTable = {
-      KernelIsa::kAvx2, "avx2",      GemmF32RowsAvx2, GemmU8RowsAvx2,
-      RowSumsU8Avx2,    Dot4F32Avx2, DwMaddF32Avx2};
+  static constexpr KernelTable kTable = {KernelIsa::kAvx2, "avx2",
+                                         Dot4F32Avx2, DwMaddF32Avx2};
   return &kTable;
 }
 

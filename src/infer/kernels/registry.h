@@ -1,20 +1,16 @@
 // Runtime-dispatched SIMD microkernel registry.
 //
-// The execution engine's hot inner loops — the f32/u8 GEMM row workers, the
-// conv/FC 4-wide dot product, and the depthwise per-tap multiply-accumulate —
-// are reached through a `KernelTable` of function pointers instead of being
-// called directly.  A `KernelRegistry` probes the host CPU once (cpuid-backed
-// `__builtin_cpu_supports` on x86, HWCAP/compile-time on AArch64) and selects
-// the best table: AVX2+FMA, NEON, or the portable scalar implementation.
+// The execution engine's hot inner loops — the conv/FC 4-wide dot product
+// and the depthwise per-tap multiply-accumulate — are reached through a
+// `KernelTable` of function pointers instead of being called directly.  A
+// `KernelRegistry` probes the host CPU once (cpuid-backed
+// `__builtin_cpu_supports` on x86, HWCAP/compile-time on AArch64) and
+// selects the best table: AVX2+FMA, NEON, or the portable scalar
+// implementation.
 //
-// Exactness contract (DESIGN.md §13):
-//   * u8/int8 kernels accumulate in uint32 modular arithmetic, which is
-//     associative and commutative, so EVERY table must produce results
-//     bit-identical to the scalar oracle.  kernel_dispatch_test enforces
-//     this with randomized shapes including remainder rows/columns.
-//   * f32 kernels may reassociate and fuse (FMA), so vectorized tables are
-//     only required to match the scalar oracle within a small relative
-//     tolerance, also enforced by tests.
+// Exactness contract (DESIGN.md §13): the f32 kernels may reassociate and
+// fuse (FMA), so vectorized tables are only required to match the scalar
+// oracle within a small relative tolerance, enforced by kernel_dispatch_test.
 //
 // The scalar table is the portable fallback AND the oracle: it reproduces the
 // pre-dispatch arithmetic order exactly, so a forced `--kernel-isa scalar`
@@ -59,38 +55,21 @@ struct CpuFeatures {
 // One ISA's implementation of every dispatched microkernel.  All function
 // pointers are always non-null.  Contracts mirror the scalar originals:
 //
-//   gemm_f32_rows  C[i,:] = A[i,:] * B^T for i in [i_begin, i_end);
-//                  A is [m,k], B is stored transposed [n,k], C is [m,n].
-//                  Rows are fully overwritten (no accumulation).
-//   gemm_u8_rows   Zero-point-folded u8 GEMM rows: c = (i32)(dot_u8(a_i,b_j)
-//                  + k*az*bz - bz*rowsum(a_i) - az*b_sums[j]), all uint32
-//                  modular arithmetic — bit-exact across ISAs by contract.
-//   row_sums_u8    sums[j] = uint32 sum of B^T row j, j in [j_begin, j_end).
 //   dot4_f32       acc[r] += dot(x, w_r, len) for r in 0..3 — the conv and
 //                  fully-connected 4-output-channel inner loop.
 //   dw_madd_f32    acc[c] += x[c] * w[c] for c in [0, channels) — one
 //                  depthwise tap over a channel-contiguous weight slice.
-// Vectorized f32 kernels block their work in groups of four rows (gemm) or
-// four output features (dot4 call sites), and a row's arithmetic differs
-// between the blocked path and the remainder path.  The engine guarantees
-// bit-identical results for ANY thread count (DESIGN.md §8), so every
-// parallel caller must align its chunk boundaries to this block: otherwise
-// the same row would be blocked in one partition and remaindered in another.
+// The dot4 call sites block their work in groups of four output features,
+// and a feature's arithmetic differs between the blocked path and the
+// remainder path.  The engine guarantees bit-identical results for ANY
+// thread count (DESIGN.md §8), so every parallel caller must align its
+// chunk boundaries to this block: otherwise the same feature would be
+// blocked in one partition and remaindered in another.
 inline constexpr std::int64_t kF32RowBlock = 4;
 
 struct KernelTable {
   KernelIsa isa = KernelIsa::kScalar;
   const char* name = "scalar";
-  void (*gemm_f32_rows)(const float* a, const float* b_t,
-                        std::int64_t i_begin, std::int64_t i_end,
-                        std::size_t n, std::size_t k, float* c) = nullptr;
-  void (*gemm_u8_rows)(const std::uint8_t* a, const std::uint8_t* b_t,
-                       std::int64_t i_begin, std::int64_t i_end, std::size_t n,
-                       std::size_t k, std::uint32_t a_zp, std::uint32_t b_zp,
-                       const std::uint32_t* b_sums, std::int32_t* c) = nullptr;
-  void (*row_sums_u8)(const std::uint8_t* b_t, std::int64_t j_begin,
-                      std::int64_t j_end, std::size_t k,
-                      std::uint32_t* sums) = nullptr;
   void (*dot4_f32)(const float* x, const float* w0, const float* w1,
                    const float* w2, const float* w3, std::int64_t len,
                    float* acc) = nullptr;

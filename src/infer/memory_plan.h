@@ -13,8 +13,8 @@
 // The plan is a pure function of the graph — no execution, no weights —
 // so the linter and the harness can report planned peak activation memory
 // for the full-scale models without running them.  Execution against a
-// plan (infer::ExecutionContext) is bit-identical to the legacy
-// allocate-per-node path, which stays available as the oracle.
+// plan (infer::ExecutionContext) is bit-identical to allocating every
+// activation separately; tests/oracle.h does that as the test oracle.
 #pragma once
 
 #include <cstddef>
@@ -108,8 +108,8 @@ class MemoryPlan {
   [[nodiscard]] std::size_t planned_activation_bytes() const {
     return peak_arena_bytes() + tile_slab_bytes_;
   }
-  // What the legacy allocate-per-node path provisions over a run: one
-  // buffer per produced activation tensor, no reuse.
+  // What allocating per node would provision over a run: one buffer per
+  // produced activation tensor, no reuse.
   [[nodiscard]] std::size_t naive_bytes() const { return naive_bytes_; }
   // Tensors that reuse their input's buffer (views + in-place writes).
   [[nodiscard]] std::size_t alias_count() const { return alias_count_; }

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/fp16.h"
 #include "graph/bounds.h"
 #include "infer/op_math.h"
 
@@ -17,12 +16,13 @@ using graph::OpType;
 
 }  // namespace
 
-RowBand FullBand(const Tensor& t) {
+RowBand FullBand(const Tensor& t, std::int64_t image) {
   const graph::TensorShape& s = t.shape();
-  Expects(s.rank() == 4 && s.batch() == 1,
-          "row bands require rank-4 batch-1 tensors");
-  return RowBand{t.data(), 0, s.height(), s.height(), s.width(),
-                 s.channels()};
+  Expects(s.rank() == 4 && image >= 0 && image < s.batch(),
+          "row bands require a rank-4 tensor and an image in its batch");
+  const std::int64_t image_elems = s.height() * s.width() * s.channels();
+  return RowBand{t.data() + image * image_elems, 0, s.height(), s.height(),
+                 s.width(), s.channels()};
 }
 
 void RunConv2dRows(const graph::Conv2dAttrs& a, const RowBand& in,
@@ -41,8 +41,7 @@ void RunConv2dRows(const graph::Conv2dAttrs& a, const RowBand& in,
   float* __restrict op = out.data;
 
   // Global output rows; taps are skipped against the *logical* bounds
-  // [0, IH) exactly as the whole-op kernel skips them, and surviving taps
-  // are guaranteed in-slab by bounds inference.
+  // [0, IH), and surviving taps are guaranteed in-slab by bounds inference.
   for (std::int64_t oh = out.origin; oh < out.origin + out.rows; ++oh) {
     for (std::int64_t ow = 0; ow < OW; ++ow) {
       float* out_px = op + ((oh - out.origin) * OW + ow) * OC;
@@ -171,31 +170,28 @@ void RunPoolRows(OpType op, const graph::PoolAttrs& a, const RowBand& in,
   }
 }
 
+// Band rows are contiguous, so both elementwise runners are one flat loop
+// over the band's elements.
 void RunBinaryRows(OpType op, const RowBand& x, const RowBand& y,
                    const MutableRowBand& out) {
   const std::int64_t row_elems = out.width * out.channels;
-  const bool is_add = op == OpType::kAdd;
-  for (std::int64_t r = out.origin; r < out.origin + out.rows; ++r) {
-    const float* xr = x.data + (r - x.origin) * row_elems;
-    const float* yr = y.data + (r - y.origin) * row_elems;
-    float* orow = out.data + (r - out.origin) * row_elems;
-    if (is_add) {
-      for (std::int64_t j = 0; j < row_elems; ++j) orow[j] = xr[j] + yr[j];
-    } else {
-      for (std::int64_t j = 0; j < row_elems; ++j) orow[j] = xr[j] * yr[j];
-    }
+  const std::int64_t n = out.rows * row_elems;
+  const float* xp = x.data + (out.origin - x.origin) * row_elems;
+  const float* yp = y.data + (out.origin - y.origin) * row_elems;
+  if (op == OpType::kAdd) {
+    for (std::int64_t i = 0; i < n; ++i) out.data[i] = xp[i] + yp[i];
+  } else {
+    for (std::int64_t i = 0; i < n; ++i) out.data[i] = xp[i] * yp[i];
   }
 }
 
 void RunActivationRows(Activation act, const RowBand& in,
                        const MutableRowBand& out) {
   const std::int64_t row_elems = out.width * out.channels;
-  for (std::int64_t r = out.origin; r < out.origin + out.rows; ++r) {
-    const float* xr = in.data + (r - in.origin) * row_elems;
-    float* orow = out.data + (r - out.origin) * row_elems;
-    for (std::int64_t j = 0; j < row_elems; ++j)
-      orow[j] = ApplyActivation(xr[j], act);
-  }
+  const std::int64_t n = out.rows * row_elems;
+  const float* xp = in.data + (out.origin - in.origin) * row_elems;
+  for (std::int64_t i = 0; i < n; ++i)
+    out.data[i] = ApplyActivation(xp[i], act);
 }
 
 void RunResizeBilinearRows(const RowBand& in, const MutableRowBand& out) {
@@ -230,28 +226,6 @@ void RunResizeBilinearRows(const RowBand& in, const MutableRowBand& out) {
         op[((oh - out.origin) * OW + ow) * C + c] =
             top * (1 - wy) + bot * wy;
       }
-    }
-  }
-}
-
-void ApplyNumericsRows(NumericsMode mode, const QuantParams& quant,
-                       graph::TensorId output_id, const MutableRowBand& out) {
-  const std::int64_t n = out.rows * out.width * out.channels;
-  switch (mode) {
-    case NumericsMode::kFp32:
-      break;
-    case NumericsMode::kFp16:
-      for (std::int64_t i = 0; i < n; ++i)
-        out.data[i] = RoundToHalf(out.data[i]);
-      break;
-    case NumericsMode::kInt8: {
-      const auto it = quant.activation_ranges.find(output_id);
-      if (it != quant.activation_ranges.end())
-        for (std::int64_t i = 0; i < n; ++i)
-          out.data[i] =
-              FakeQuantActivation(out.data[i], it->second,
-                                  quant.activation_bits);
-      break;
     }
   }
 }

@@ -1,33 +1,33 @@
-// Crop-aware kernels for tiled segment execution.
+// Row-band kernels: the executor's one implementation of every spatial op.
 //
-// Each runner computes a *band of output rows* of one NHWC (batch-1) op,
-// reading inputs through RowBand views that expose global coordinates over
-// a partially-materialized buffer (a tile slab holding rows
+// Each runner computes a *band of output rows* of one NHWC image, reading
+// inputs through RowBand views that expose global coordinates over a
+// partially-materialized buffer (a tile slab holding rows
 // [origin, origin + rows) of the logical tensor, or a fully-materialized
-// tensor with origin 0).
+// image with origin 0).  The executor calls them two ways: a fused tile
+// segment walks a chain band by band through per-worker slabs, and every
+// other node runs as one full-height band per batch image, split into row
+// chunks over the thread pool.
 //
-// Bit-identity contract (DESIGN.md §15): every runner mirrors the
-// whole-op executor kernel exactly — bias-first accumulators, the same
+// Bit-identity contract (DESIGN.md §15): an output element's value depends
+// only on its global coordinates — bias-first accumulators, the same
 // (kh, kw) tap order, the same dot4/dw_madd microkernel calls keyed on the
 // same absolute output-channel index, taps skipped outside the *logical*
-// tensor bounds (not the slab bounds).  Because each output element is
-// produced by the identical sequence of operations on identical inputs,
-// tiled execution equals whole-op execution bitwise — for every kernel
-// table, including vectorized ones.
+// tensor bounds (not the slab bounds).  So any partition of the rows into
+// bands gives bitwise the same output, for every kernel table, including
+// vectorized ones.
 #pragma once
 
 #include <cstdint>
 
 #include "graph/ops.h"
-#include "infer/executor.h"
 #include "infer/kernels/registry.h"
-#include "infer/quant_params.h"
 #include "infer/tensor.h"
 
 namespace mlpm::infer {
 
-// Rows [origin, origin + rows) of a logical [1, height, width, channels]
-// tensor; data points at row `origin`.  A fully-materialized tensor is the
+// Rows [origin, origin + rows) of a logical [height, width, channels]
+// image; data points at row `origin`.  A fully-materialized image is the
 // band {data, 0, height, height, width, channels}.
 struct RowBand {
   const float* data = nullptr;
@@ -45,14 +45,10 @@ struct MutableRowBand {
   std::int64_t height = 0;
   std::int64_t width = 0;
   std::int64_t channels = 0;
-
-  [[nodiscard]] RowBand AsConst() const {
-    return RowBand{data, origin, rows, height, width, channels};
-  }
 };
 
-// Whole-tensor band over a rank-4 batch-1 tensor.
-[[nodiscard]] RowBand FullBand(const Tensor& t);
+// The whole of batch image `image` of a rank-4 NHWC tensor.
+[[nodiscard]] RowBand FullBand(const Tensor& t, std::int64_t image = 0);
 
 // Conv2d over output rows [out.origin, out.origin + out.rows).  `w` is the
 // executor's prepared [OC, KH, KW, IC] weight, `bias` its prepared bias.
@@ -70,22 +66,17 @@ void RunDepthwiseConv2dRows(const graph::DepthwiseConv2dAttrs& a,
 void RunPoolRows(graph::OpType op, const graph::PoolAttrs& a,
                  const RowBand& in, const MutableRowBand& out);
 
-// Elementwise add / mul (op is kAdd or kMul); `y` is the exterior operand,
-// read at the same global rows as the output band.
+// Elementwise add / mul (op is kAdd or kMul); `y` is the second operand,
+// read at the same global rows as the output band.  `out` may alias `x`.
 void RunBinaryRows(graph::OpType op, const RowBand& x, const RowBand& y,
                    const MutableRowBand& out);
 
-// Standalone activation.
+// Standalone activation; `out` may alias `in`.
 void RunActivationRows(graph::Activation act, const RowBand& in,
                        const MutableRowBand& out);
 
-// Bilinear resize over an output row band; half-pixel centers clamped to
-// the logical input, reproducing the whole-op kernel's tap math verbatim.
+// Bilinear resize over an output row band: half-pixel centers clamped to
+// the logical input.
 void RunResizeBilinearRows(const RowBand& in, const MutableRowBand& out);
-
-// Per-node output numerics over just the band (fp16 rounding / activation
-// fake-quant) — elementwise and identical to the whole-op post-pass.
-void ApplyNumericsRows(NumericsMode mode, const QuantParams& quant,
-                       graph::TensorId output_id, const MutableRowBand& out);
 
 }  // namespace mlpm::infer

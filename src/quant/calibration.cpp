@@ -29,26 +29,26 @@ infer::QuantParams CalibratePtq(const graph::Graph& graph,
   params.weight_bits = config.weight_bits;
 
   const infer::Executor fp32(graph, weights, infer::NumericsMode::kFp32);
-  std::unordered_map<graph::TensorId, bool> seen;
-
-  for (const CalibrationSample& sample : samples) {
-    (void)fp32.Run(sample, [&](graph::TensorId id, const infer::Tensor& t) {
-      const infer::TensorRange r = RangeOf(t);
-      auto [it, inserted] = params.activation_ranges.try_emplace(id, r);
-      if (inserted) return;
-      switch (config.method) {
-        case RangeMethod::kMinMax:
-          it->second.Merge(r);
-          break;
-        case RangeMethod::kMovingAverage: {
-          const auto d = static_cast<float>(config.ema_decay);
-          it->second.min = d * it->second.min + (1 - d) * r.min;
-          it->second.max = d * it->second.max + (1 - d) * r.max;
-          break;
-        }
+  const infer::NodeObserver record = [&](graph::TensorId id,
+                                         const infer::Tensor& t) {
+    const infer::TensorRange r = RangeOf(t);
+    auto [it, inserted] = params.activation_ranges.try_emplace(id, r);
+    if (inserted) return;
+    switch (config.method) {
+      case RangeMethod::kMinMax:
+        it->second.Merge(r);
+        break;
+      case RangeMethod::kMovingAverage: {
+        const auto d = static_cast<float>(config.ema_decay);
+        it->second.min = d * it->second.min + (1 - d) * r.min;
+        it->second.max = d * it->second.max + (1 - d) * r.max;
+        break;
       }
-    });
-  }
+    }
+  };
+  infer::ExecutionContext ctx(fp32);
+  for (const CalibrationSample& sample : samples)
+    (void)fp32.Run(sample, ctx, record);
   return params;
 }
 

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 
 #include "backends/vendor_policy.h"
 #include "models/zoo.h"
@@ -45,6 +47,11 @@ double OfflineFps(const soc::ChipsetDesc& chipset,
 // Table 3 anchors (exact paper numbers, 5% tolerance).
 struct Table3Case {
   models::TaskType task;
+  // GoogleTest names each case by the raw bytes of its parameter, so the
+  // padding after `task` is an explicit zeroed member: left implicit, it
+  // holds whatever the allocator left there and the test names change
+  // from run to run.
+  std::array<std::uint8_t, 7> zero_padding{};
   double paper_neuron_ms;
   double paper_nnapi_ms;
 };
@@ -82,9 +89,15 @@ TEST_P(Table3Anchor, NnapiIsSlowerButBounded) {
 INSTANTIATE_TEST_SUITE_P(
     PaperValues, Table3Anchor,
     ::testing::Values(
-        Table3Case{models::TaskType::kImageClassification, 2.23, 2.48},
-        Table3Case{models::TaskType::kObjectDetection, 4.77, 5.05},
-        Table3Case{models::TaskType::kImageSegmentation, 20.02, 20.56}));
+        Table3Case{.task = models::TaskType::kImageClassification,
+                   .paper_neuron_ms = 2.23,
+                   .paper_nnapi_ms = 2.48},
+        Table3Case{.task = models::TaskType::kObjectDetection,
+                   .paper_neuron_ms = 4.77,
+                   .paper_nnapi_ms = 5.05},
+        Table3Case{.task = models::TaskType::kImageSegmentation,
+                   .paper_neuron_ms = 20.02,
+                   .paper_nnapi_ms = 20.56}));
 
 TEST(OfflineAnchor, Exynos990MatchesPaper674) {
   EXPECT_NEAR(OfflineFps(soc::Exynos990(), models::SuiteVersion::kV0_7),

@@ -1,14 +1,13 @@
 // Runtime kernel dispatch (DESIGN.md §13): the registry's feature probe,
 // ISA resolution and fallback; the exactness contract of every table the
-// host can run (INT8 bit-identical to the scalar oracle, f32 within a
-// documented tolerance); and the harness-level guarantee that a forced
-// ISA flows through RunOptions into the executors, the result fields and
-// the RUN007 pre-run lint.
+// host can run (f32 within a documented tolerance of the scalar oracle);
+// and the harness-level guarantee that a forced ISA flows through
+// RunOptions into the executors, the result fields and the RUN007 pre-run
+// lint.
 //
 // The CI matrix runs this binary with MLPM_KERNEL_ISA=scalar and =auto
 // (and under an -mavx2 build); the env var picks the dispatched side of
 // the harness comparison so sanitizers sweep every table.
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -19,8 +18,6 @@
 #include "common/rng.h"
 #include "harness/run_session.h"
 #include "infer/executor.h"
-#include "infer/int8_conv.h"
-#include "infer/int8_gemm.h"
 #include "infer/kernels/registry.h"
 #include "infer/weights.h"
 #include "models/mobilenet_edgetpu.h"
@@ -33,20 +30,6 @@ using infer::kernels::CpuFeatures;
 using infer::kernels::KernelIsa;
 using infer::kernels::KernelRegistry;
 using infer::kernels::KernelTable;
-
-std::vector<float> RandomFloats(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<float> v(n);
-  for (auto& x : v) x = static_cast<float>(rng.NextUniform(-1.0, 1.0));
-  return v;
-}
-
-std::vector<std::uint8_t> RandomBytes(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::uint8_t> v(n);
-  for (auto& x : v) x = static_cast<std::uint8_t>(rng.NextBelow(256));
-  return v;
-}
 
 // --- registry ---------------------------------------------------------------
 
@@ -123,89 +106,44 @@ TEST(KernelRegistry, AvailableIsasEndsWithScalar) {
 
 // --- exactness contract -----------------------------------------------------
 
-// INT8 GEMM accumulates in uint32 (mod 2^32): associative and commutative,
-// so any SIMD reordering must reproduce the scalar oracle bit for bit —
-// across random shapes that straddle every tile and remainder path, and
-// random zero points.
-TEST(KernelDispatch, U8GemmBitIdenticalToOracleOnEveryTable) {
-  Rng rng(0xD15);
+// The vectorized f32 kernels reassociate and contract (FMA): the contract is
+// closeness to the scalar oracle, not bit-equality.  Lengths straddle every
+// SIMD width and remainder path.
+TEST(KernelDispatch, Dot4AndDwMaddWithinToleranceOnEveryTable) {
+  const KernelTable& oracle = infer::kernels::ScalarKernels();
+  Rng rng(0xD4);
+  const auto random = [&](std::size_t n) {
+    std::vector<float> v(n);
+    for (auto& x : v) x = static_cast<float>(rng.NextUniform(-1.0, 1.0));
+    return v;
+  };
   for (const KernelIsa isa : KernelRegistry::Global().AvailableIsas()) {
     const KernelTable& table = KernelRegistry::Global().Select(isa);
     for (int trial = 0; trial < 24; ++trial) {
-      const std::size_t m = 1 + rng.NextBelow(17);
-      const std::size_t n = 1 + rng.NextBelow(17);
-      const std::size_t k = 1 + rng.NextBelow(96);
-      const auto a_zp = static_cast<std::uint8_t>(rng.NextBelow(256));
-      const auto b_zp = static_cast<std::uint8_t>(rng.NextBelow(256));
-      const std::vector<std::uint8_t> a = RandomBytes(m * k, 100 + trial);
-      const std::vector<std::uint8_t> b = RandomBytes(n * k, 200 + trial);
-      std::vector<std::int32_t> ref(m * n), got(m * n);
-      infer::GemmU8U8I32Ref(a, a_zp, b, b_zp, m, n, k, ref);
-      infer::GemmU8U8I32(a, a_zp, b, b_zp, m, n, k, got, table);
-      EXPECT_EQ(ref, got)
-          << infer::kernels::ToString(isa) << " m=" << m << " n=" << n
-          << " k=" << k << " a_zp=" << int{a_zp} << " b_zp=" << int{b_zp};
+      const auto len = static_cast<std::int64_t>(1 + rng.NextBelow(200));
+      const auto n = static_cast<std::size_t>(len);
+      const std::vector<float> x = random(n);
+      const std::vector<float> w = random(4 * n);
+      const std::vector<float> bias = random(n);
+      // |x|, |w| <= 1, so each sum is bounded by len.
+      const double tol = 1e-5 * static_cast<double>(len);
+      float want[4] = {0.5f, -0.25f, 0.0f, 1.0f};
+      float got[4] = {0.5f, -0.25f, 0.0f, 1.0f};
+      oracle.dot4_f32(x.data(), &w[0], &w[n], &w[2 * n], &w[3 * n], len,
+                      want);
+      table.dot4_f32(x.data(), &w[0], &w[n], &w[2 * n], &w[3 * n], len, got);
+      for (int r = 0; r < 4; ++r)
+        EXPECT_NEAR(want[r], got[r], tol)
+            << infer::kernels::ToString(isa) << " dot4 len=" << len;
+
+      std::vector<float> acc_want = bias;
+      std::vector<float> acc_got = bias;
+      oracle.dw_madd_f32(x.data(), w.data(), acc_want.data(), len);
+      table.dw_madd_f32(x.data(), w.data(), acc_got.data(), len);
+      for (std::size_t c = 0; c < n; ++c)
+        EXPECT_NEAR(acc_want[c], acc_got[c], 1e-6)
+            << infer::kernels::ToString(isa) << " dw_madd c=" << c;
     }
-  }
-}
-
-// f32 SIMD kernels reassociate the k-loop and contract with FMA; the
-// contract is closeness, not bit-equality.  The scalar table, which keeps
-// the pre-registry arithmetic order, must stay bit-identical.
-TEST(KernelDispatch, F32GemmWithinToleranceOnEveryTable) {
-  Rng rng(0xF32);
-  for (const KernelIsa isa : KernelRegistry::Global().AvailableIsas()) {
-    const KernelTable& table = KernelRegistry::Global().Select(isa);
-    for (int trial = 0; trial < 16; ++trial) {
-      const std::size_t m = 1 + rng.NextBelow(13);
-      const std::size_t n = 1 + rng.NextBelow(13);
-      const std::size_t k = 1 + rng.NextBelow(200);
-      const std::vector<float> a = RandomFloats(m * k, 300 + trial);
-      const std::vector<float> b = RandomFloats(n * k, 400 + trial);
-      std::vector<float> ref(m * n), got(m * n);
-      infer::GemmF32Ref(a, b, m, n, k, ref);
-      infer::GemmF32(a, b, m, n, k, got, table);
-      const double tol =
-          isa == KernelIsa::kScalar
-              ? 0.0
-              : 1e-5 * static_cast<double>(k);  // |values| <= 1
-      for (std::size_t i = 0; i < ref.size(); ++i)
-        EXPECT_LE(std::fabs(static_cast<double>(ref[i]) - got[i]), tol)
-            << infer::kernels::ToString(isa) << " m=" << m << " n=" << n
-            << " k=" << k << " i=" << i;
-    }
-  }
-}
-
-// The prepacked INT8 conv lowers to the u8 GEMM, and requantization is
-// shared elementwise code — so a dispatched conv must equal the legacy
-// scalar path bit for bit on every table.
-TEST(KernelDispatch, Int8ConvBitIdenticalToLegacyOnEveryTable) {
-  Rng rng(7);
-  infer::Tensor input(graph::TensorShape({1, 9, 9, 24}));
-  infer::Tensor weights(graph::TensorShape({20, 3, 3, 24}));
-  infer::Tensor bias(graph::TensorShape({20}));
-  for (auto& v : input.values())
-    v = static_cast<float>(rng.NextUniform(-1, 1));
-  for (auto& v : weights.values())
-    v = static_cast<float>(rng.NextUniform(-0.5, 0.5));
-  const infer::QuantizationParams in_q = infer::ChooseQuantParams(-1.0f, 1.0f);
-  const infer::QuantizationParams w_q =
-      infer::ChooseQuantParams(-0.5f, 0.5f);
-  const infer::Tensor legacy = infer::ConvInt8NHWC(
-      input, weights, bias, 1, graph::Padding::kSame, in_q, w_q);
-  const infer::PackedConvWeights packed = infer::PackConvWeights(weights, w_q);
-
-  for (const KernelIsa isa : KernelRegistry::Global().AvailableIsas()) {
-    const KernelTable& table = KernelRegistry::Global().Select(isa);
-    infer::ConvScratch scratch;
-    const infer::Tensor out =
-        infer::ConvInt8NHWC(input, packed, bias, 1, graph::Padding::kSame,
-                            in_q, &scratch, nullptr, &table);
-    ASSERT_EQ(out.size(), legacy.size());
-    for (std::size_t i = 0; i < out.size(); ++i)
-      EXPECT_EQ(out.at(i), legacy.at(i))
-          << infer::kernels::ToString(isa) << " i=" << i;
   }
 }
 

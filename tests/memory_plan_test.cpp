@@ -4,9 +4,10 @@
 // whose lifetimes overlap may share arena bytes, aliases only ride on ops
 // that tolerate in-place writes, and the packed arena never exceeds the
 // naive footprint beyond alignment slack; (2) behavioural — executing
-// against the plan is bit-identical to the legacy allocate-per-node oracle
-// for every reference model, numerics mode and thread count.  Both halves
-// are checked here, the structural one over randomly generated graphs.
+// against the plan is bit-identical to the allocate-per-node oracle
+// (oracle.h) for every reference model, numerics mode and thread count.
+// Both halves are checked here, the structural one over randomly generated
+// graphs.
 #include <cstdint>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "infer/weights.h"
 #include "models/zoo.h"
 #include "quant/calibration.h"
+#include "oracle.h"
 
 namespace mlpm {
 namespace {
@@ -178,10 +180,10 @@ TEST(MemoryPlanProperty, RandomGraphsExecuteBitIdenticalToLegacy) {
     const infer::Executor exec(g, w);
     const std::vector<infer::Tensor> inputs = GraphInputs(g, seed + 100);
 
-    const auto legacy = exec.Run(inputs);
+    const auto oracle = testutil::RunOracle(exec, inputs);
     infer::ExecutionContext ctx = exec.CreateContext();
-    ExpectBitIdentical(legacy, exec.Run(inputs, ctx), g.name() + " serial");
-    ExpectBitIdentical(legacy, exec.Run(inputs, ctx, {}, &pool),
+    ExpectBitIdentical(oracle, exec.Run(inputs, ctx), g.name() + " serial");
+    ExpectBitIdentical(oracle, exec.Run(inputs, ctx, {}, &pool),
                        g.name() + " threaded");
   }
 }
@@ -233,7 +235,8 @@ TEST(MemoryPlan, NoAliasWhenProducerBufferStaysLive) {
   const infer::Executor exec(g, w);
   const auto inputs = GraphInputs(g, 5);
   infer::ExecutionContext ctx = exec.CreateContext();
-  ExpectBitIdentical(exec.Run(inputs), exec.Run(inputs, ctx), "no_alias");
+  ExpectBitIdentical(testutil::RunOracle(exec, inputs), exec.Run(inputs, ctx),
+                     "no_alias");
 }
 
 TEST(ArenaExecution, BitIdenticalToLegacyForAllModelsNumericsAndThreads) {
@@ -258,13 +261,13 @@ TEST(ArenaExecution, BitIdenticalToLegacyForAllModelsNumericsAndThreads) {
                                                                     : nullptr);
       const std::string what =
           e.id + "/" + std::string(ToString(mode));
-      const auto legacy = exec.Run(inputs);
+      const auto oracle = testutil::RunOracle(exec, inputs);
       infer::ExecutionContext ctx = exec.CreateContext();
       // Twice through the same context: a stale value surviving the first
       // run would surface in the second.
-      ExpectBitIdentical(legacy, exec.Run(inputs, ctx), what + " run1");
-      ExpectBitIdentical(legacy, exec.Run(inputs, ctx), what + " run2");
-      ExpectBitIdentical(legacy, exec.Run(inputs, ctx, {}, &pool),
+      ExpectBitIdentical(oracle, exec.Run(inputs, ctx), what + " run1");
+      ExpectBitIdentical(oracle, exec.Run(inputs, ctx), what + " run2");
+      ExpectBitIdentical(oracle, exec.Run(inputs, ctx, {}, &pool),
                          what + " threaded");
     }
   }
@@ -279,8 +282,8 @@ TEST(ArenaExecution, ContextReuseAcrossDistinctSamples) {
   infer::ExecutionContext ctx = exec.CreateContext();
   for (std::uint64_t s = 0; s < 5; ++s) {
     const auto inputs = GraphInputs(g, 500 + s);
-    ExpectBitIdentical(exec.Run(inputs), exec.Run(inputs, ctx),
-                       "sample " + std::to_string(s));
+    ExpectBitIdentical(testutil::RunOracle(exec, inputs),
+                       exec.Run(inputs, ctx), "sample " + std::to_string(s));
   }
 }
 
@@ -291,14 +294,14 @@ TEST(ArenaExecution, PreparedModelMatchesLegacyExecutor) {
   const infer::WeightStore w = infer::InitializeWeights(g, 7);
   const infer::PreparedModel prepared(g, w);
   const auto inputs = GraphInputs(g, 9);
-  const auto legacy = prepared.executor().Run(inputs);
-  ExpectBitIdentical(legacy, prepared.Run(inputs), "per-call context");
+  const auto oracle = testutil::RunOracle(prepared.executor(), inputs);
+  ExpectBitIdentical(oracle, prepared.Run(inputs), "per-call context");
   infer::ExecutionContext ctx = prepared.CreateContext();
-  ExpectBitIdentical(legacy, prepared.Run(inputs, ctx), "reused context");
+  ExpectBitIdentical(oracle, prepared.Run(inputs, ctx), "reused context");
 }
 
-// Harness level: the serial ReferenceBackend (arena path) must reproduce
-// the accuracy score of a hand-rolled legacy-executor loop bit-for-bit.
+// Harness level: the serial ReferenceBackend must reproduce the accuracy
+// score of a hand-rolled allocate-per-node oracle loop bit-for-bit.
 TEST(ArenaExecution, ReferenceBackendAccuracyMatchesLegacyOracle) {
   const auto e = models::SuiteFor(models::SuiteVersion::kV1_0)[0];
   const std::unique_ptr<harness::TaskBundle> bundle =
@@ -312,7 +315,7 @@ TEST(ArenaExecution, ReferenceBackendAccuracyMatchesLegacyOracle) {
   backends::ReferenceBackend sut("arena", exec, qsl);
   const loadgen::TestResult got = loadgen::RunTest(sut, qsl, acc, clock);
 
-  // Legacy oracle: the pre-plan execution path over the same samples.
+  // Allocate-per-node oracle over the same samples.
   std::vector<std::vector<infer::Tensor>> oracle;
   std::vector<std::size_t> indices(bundle->dataset().size());
   for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
@@ -320,7 +323,7 @@ TEST(ArenaExecution, ReferenceBackendAccuracyMatchesLegacyOracle) {
   oracle_qsl.LoadSamplesToRam(indices);
   oracle.reserve(indices.size());
   for (const std::size_t i : indices)
-    oracle.push_back(exec.Run(oracle_qsl.Loaded(i)));
+    oracle.push_back(testutil::RunOracle(exec, oracle_qsl.Loaded(i)));
 
   ASSERT_EQ(oracle.size(), got.accuracy_outputs.size());
   for (std::size_t s = 0; s < oracle.size(); ++s)

@@ -2,6 +2,9 @@
 // shapes, anchor/head consistency, and detection post-processing.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "graph/cost.h"
 #include "models/deeplab.h"
 #include "models/detection.h"
@@ -38,6 +41,11 @@ TEST(Zoo, QualityTargetsMatchTable1) {
 // Parameter fidelity: measured counts within 15% of Table 1.
 struct ParamCase {
   SuiteVersion version;
+  // GoogleTest names each case by the raw bytes of its parameter, so the
+  // padding after `version` is an explicit zeroed member: left implicit,
+  // it holds whatever the allocator left there and the test names change
+  // from run to run.
+  std::array<std::uint8_t, 7> zero_padding{};
   std::size_t index;
   double expected_millions;
 };
@@ -57,11 +65,17 @@ TEST_P(Table1Params, WithinFifteenPercent) {
 
 INSTANTIATE_TEST_SUITE_P(
     Table1, Table1Params,
-    ::testing::Values(ParamCase{SuiteVersion::kV0_7, 0, 4.0},
-                      ParamCase{SuiteVersion::kV0_7, 1, 17.0},
-                      ParamCase{SuiteVersion::kV1_0, 1, 4.0},
-                      ParamCase{SuiteVersion::kV0_7, 2, 2.0},
-                      ParamCase{SuiteVersion::kV0_7, 3, 25.0}));
+    ::testing::Values(
+        ParamCase{.version = SuiteVersion::kV0_7, .index = 0,
+                  .expected_millions = 4.0},
+        ParamCase{.version = SuiteVersion::kV0_7, .index = 1,
+                  .expected_millions = 17.0},
+        ParamCase{.version = SuiteVersion::kV1_0, .index = 1,
+                  .expected_millions = 4.0},
+        ParamCase{.version = SuiteVersion::kV0_7, .index = 2,
+                  .expected_millions = 2.0},
+        ParamCase{.version = SuiteVersion::kV0_7, .index = 3,
+                  .expected_millions = 25.0}));
 
 TEST(MobileNetEdgeTpu, FullOutputShape) {
   const graph::Graph g = BuildMobileNetEdgeTpu(ModelScale::kFull);

@@ -1,9 +1,8 @@
-// Bit-exactness of the parallel execution engine: optimized GEMM kernels
-// against the scalar references, prepacked conv against the legacy path,
-// the threaded executor against the serial executor for every reference
-// model, and the deferred ReferenceBackend / threaded harness against their
-// serial counterparts.  Every comparison is EXPECT_EQ on floats: the engine
-// promises bit-identical results for any thread count.
+// Bit-exactness of the parallel execution engine: the threaded executor
+// against the serial allocate-per-node oracle (oracle.h) for every
+// reference model, and the deferred ReferenceBackend / threaded harness
+// against their serial counterparts.  Every comparison is EXPECT_EQ on
+// floats: the engine promises bit-identical results for any thread count.
 #include <cstdint>
 #include <vector>
 
@@ -16,102 +15,13 @@
 #include "core/loadgen.h"
 #include "harness/run_session.h"
 #include "infer/executor.h"
-#include "infer/int8_conv.h"
-#include "infer/int8_gemm.h"
 #include "infer/prepared_model.h"
 #include "infer/weights.h"
 #include "models/zoo.h"
+#include "oracle.h"
 
 namespace mlpm {
 namespace {
-
-std::vector<float> RandomFloats(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<float> v(n);
-  for (auto& x : v) x = static_cast<float>(rng.NextUniform(-1.0, 1.0));
-  return v;
-}
-
-std::vector<std::uint8_t> RandomBytes(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::uint8_t> v(n);
-  for (auto& x : v)
-    x = static_cast<std::uint8_t>(rng.NextBelow(256));
-  return v;
-}
-
-TEST(GemmF32, TiledMatchesReferenceBitExactly) {
-  ThreadPool pool(3);
-  // Sizes straddle the 4x4 register tile and the k-block boundary.
-  struct Case { std::size_t m, n, k; };
-  for (const Case c : {Case{1, 1, 1}, Case{3, 5, 7}, Case{4, 4, 4},
-                       Case{17, 9, 33}, Case{32, 32, 600}, Case{5, 128, 64}}) {
-    const std::vector<float> a = RandomFloats(c.m * c.k, 11);
-    const std::vector<float> b = RandomFloats(c.n * c.k, 22);
-    std::vector<float> ref(c.m * c.n), opt(c.m * c.n), par(c.m * c.n);
-    infer::GemmF32Ref(a, b, c.m, c.n, c.k, ref);
-    infer::GemmF32(a, b, c.m, c.n, c.k, opt);
-    infer::GemmF32(a, b, c.m, c.n, c.k, par, &pool);
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(ref[i], opt[i]) << "serial mismatch at " << i;
-      EXPECT_EQ(ref[i], par[i]) << "parallel mismatch at " << i;
-    }
-  }
-}
-
-TEST(GemmU8, TiledMatchesReferenceExactly) {
-  ThreadPool pool(3);
-  struct Case { std::size_t m, n, k; std::int32_t az, bz; };
-  for (const Case c : {Case{1, 1, 1, 0, 0}, Case{3, 5, 7, 10, 200},
-                       Case{16, 16, 16, 128, 128}, Case{17, 9, 700, 255, 1},
-                       Case{6, 31, 64, 97, 45}}) {
-    const std::vector<std::uint8_t> a = RandomBytes(c.m * c.k, 33);
-    const std::vector<std::uint8_t> b = RandomBytes(c.n * c.k, 44);
-    std::vector<std::int32_t> ref(c.m * c.n), opt(c.m * c.n), par(c.m * c.n);
-    infer::GemmU8U8I32Ref(a, c.az, b, c.bz, c.m, c.n, c.k, ref);
-    infer::GemmU8U8I32(a, c.az, b, c.bz, c.m, c.n, c.k, opt);
-    infer::GemmU8U8I32(a, c.az, b, c.bz, c.m, c.n, c.k, par, &pool);
-    EXPECT_EQ(ref, opt);
-    EXPECT_EQ(ref, par);
-  }
-}
-
-TEST(ConvInt8, PrepackedMatchesLegacyBitExactly) {
-  ThreadPool pool(3);
-  const graph::TensorShape in_shape({1, 9, 9, 8});
-  const graph::TensorShape w_shape({12, 3, 3, 8});
-  infer::Tensor input(in_shape);
-  infer::Tensor weights(w_shape);
-  infer::Tensor bias(graph::TensorShape({12}));
-  {
-    Rng rng(55);
-    for (auto& v : input.values())
-      v = static_cast<float>(rng.NextUniform(-1.0, 1.0));
-    for (auto& v : weights.values())
-      v = static_cast<float>(rng.NextUniform(-0.5, 0.5));
-    for (auto& v : bias.values())
-      v = static_cast<float>(rng.NextUniform(-0.1, 0.1));
-  }
-  const infer::QuantizationParams in_p = infer::ChooseQuantParams(-1.0f, 1.0f);
-  const infer::QuantizationParams w_p =
-      infer::ChooseQuantParams(-0.5f, 0.5f);
-
-  for (const auto padding : {graph::Padding::kSame, graph::Padding::kValid}) {
-    const infer::Tensor legacy =
-        infer::ConvInt8NHWC(input, weights, bias, 2, padding, in_p, w_p);
-    const infer::PackedConvWeights packed =
-        infer::PackConvWeights(weights, w_p);
-    infer::ConvScratch scratch;
-    // Three rounds through the same scratch: reuse must not change results.
-    for (int round = 0; round < 3; ++round) {
-      const infer::Tensor got = infer::ConvInt8NHWC(
-          input, packed, bias, 2, padding, in_p, &scratch, &pool);
-      ASSERT_EQ(got.size(), legacy.size());
-      for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_EQ(legacy.at(i), got.at(i)) << "round " << round;
-    }
-  }
-}
 
 // Deterministic pseudo-random inputs for a graph (QA token ids included:
 // the embedding lookup clamps, so any float is legal).
@@ -137,9 +47,11 @@ TEST(ParallelExecutor, BitIdenticalToSerialForAllReferenceModels) {
     const infer::Executor exec(g, weights);
     const std::vector<infer::Tensor> inputs = GraphInputs(g, 99);
 
-    const std::vector<infer::Tensor> serial = exec.Run(inputs);
+    const std::vector<infer::Tensor> serial =
+        testutil::RunOracle(exec, inputs);
+    infer::ExecutionContext ctx = exec.CreateContext();
     const std::vector<infer::Tensor> threaded =
-        exec.Run(inputs, infer::NodeObserver{}, &pool);
+        exec.Run(inputs, ctx, {}, &pool);
     ASSERT_EQ(serial.size(), threaded.size()) << e.id;
     for (std::size_t o = 0; o < serial.size(); ++o) {
       ASSERT_EQ(serial[o].size(), threaded[o].size());
@@ -161,11 +73,12 @@ TEST(ParallelExecutor, BitIdenticalAcrossThreadCounts) {
   const infer::Executor exec(g, weights, infer::NumericsMode::kInt8, &qp);
   const std::vector<infer::Tensor> inputs = GraphInputs(g, 123);
 
-  const std::vector<infer::Tensor> baseline = exec.Run(inputs);
+  const std::vector<infer::Tensor> baseline =
+      testutil::RunOracle(exec, inputs);
+  infer::ExecutionContext ctx = exec.CreateContext();
   for (const std::size_t threads : {2u, 3u, 5u}) {
     ThreadPool pool(threads);
-    const std::vector<infer::Tensor> got =
-        exec.Run(inputs, infer::NodeObserver{}, &pool);
+    const std::vector<infer::Tensor> got = exec.Run(inputs, ctx, {}, &pool);
     ASSERT_EQ(baseline.size(), got.size());
     for (std::size_t o = 0; o < baseline.size(); ++o)
       for (std::size_t i = 0; i < baseline[o].size(); ++i)
@@ -189,7 +102,8 @@ TEST(ParallelExecutor, RunSamplesParallelMatchesSerialLoop) {
       infer::RunSamplesParallel(exec, kSamples, inputs_for, &pool);
   ASSERT_EQ(parallel.size(), kSamples);
   for (std::size_t s = 0; s < kSamples; ++s) {
-    const std::vector<infer::Tensor> serial = exec.Run(inputs_for(s));
+    const std::vector<infer::Tensor> serial =
+        testutil::RunOracle(exec, inputs_for(s));
     ASSERT_EQ(serial.size(), parallel[s].size());
     for (std::size_t o = 0; o < serial.size(); ++o)
       for (std::size_t i = 0; i < serial[o].size(); ++i)

@@ -101,7 +101,8 @@ TEST(Calibration, MinMaxCoversObservedValues) {
 
   // Re-run one calibration sample and verify outputs fall inside ranges.
   const infer::Executor fp32(g, w);
-  (void)fp32.Run(samples[0], [&](graph::TensorId id, const Tensor& t) {
+  infer::ExecutionContext ctx(fp32);
+  (void)fp32.Run(samples[0], ctx, [&](graph::TensorId id, const Tensor& t) {
     const auto it = qp.activation_ranges.find(id);
     ASSERT_NE(it, qp.activation_ranges.end());
     for (float v : t.values()) {

@@ -4,15 +4,19 @@
 // exactly the input box the kernels read; the planner's crops partition
 // every segment output with no gap or overlap and never outgrow their
 // slabs.  Behavioural: tiled execution is bit-identical to the whole-op
-// oracle (the legacy Run overloads) for every reference model, numerics
+// allocate-per-node oracle (oracle.h) for every reference model, numerics
 // mode, kernel table, and thread count — and the tile-aware memory plan
 // strictly shrinks the packed arena on every model with a fusable segment.
+// Untiled nodes run the same band kernels as full-height bands; a batch-2
+// case checks that form against the oracle too.
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "graph/bounds.h"
@@ -24,6 +28,7 @@
 #include "infer/tile_planner.h"
 #include "infer/weights.h"
 #include "models/zoo.h"
+#include "oracle.h"
 #include "quant/calibration.h"
 
 namespace mlpm {
@@ -348,10 +353,10 @@ TEST(TiledMemoryPlan, IntervalBytesCoverArenaBuffersAndSlabs) {
 
 // The equivalence matrix the acceptance criteria name: every v1.0 reference
 // model x {fp32, fp16, int8} x {scalar, auto ISA} x {serial, 4 threads},
-// tiled (auto band and a deliberately awkward 3-row band) vs the legacy
-// whole-op overload of the *same* executor, which ignores tiling and is the
-// oracle.  INT8 must be bitwise; fp32/fp16 are too, because tiled kernels
-// perform identical per-element operations in identical order.
+// tiled (auto band and a deliberately awkward 3-row band) vs the
+// allocate-per-node oracle over the *same* executor, which ignores tiling.
+// INT8 must be bitwise; fp32/fp16 are too, because tiled kernels perform
+// identical per-element operations in identical order.
 TEST(TiledExecution, BitIdenticalToWholeOpOracleEverywhere) {
   ThreadPool pool(4);
   for (const models::BenchmarkEntry& e :
@@ -384,7 +389,7 @@ TEST(TiledExecution, BitIdenticalToWholeOpOracleEverywhere) {
             ASSERT_TRUE(exec.tiled()) << what;
           }
 
-          const auto oracle = exec.Run(inputs);  // legacy = whole-op
+          const auto oracle = testutil::RunOracle(exec, inputs);
           infer::ExecutionContext ctx = exec.CreateContext();
           // Twice through one context: stale slab or arena state from the
           // first tiled run would surface in the second.
@@ -398,9 +403,10 @@ TEST(TiledExecution, BitIdenticalToWholeOpOracleEverywhere) {
   }
 }
 
-// Tiling plus an observer falls back to whole-op execution (calibration
-// needs full intermediates), still bit-identical and still arena-backed.
-TEST(TiledExecution, ObserverRunsFallBackToWholeOp) {
+// Tiled segments never materialize their interiors, so an observer could
+// not see every node output: asking for one on a tiled executor is an
+// error, and the context stays usable afterwards.
+TEST(TiledExecution, ObserverOnTiledExecutorIsCheckError) {
   const auto e = models::SuiteFor(models::SuiteVersion::kV1_0)[0];
   const graph::Graph g = MiniModel(e);
   const infer::WeightStore w = infer::InitializeWeights(g, 7);
@@ -410,16 +416,72 @@ TEST(TiledExecution, ObserverRunsFallBackToWholeOp) {
                              infer::kernels::KernelIsa::kAuto, opt);
   ASSERT_TRUE(exec.tiled());
   const auto inputs = GraphInputs(g, 11);
-  const auto oracle = exec.Run(inputs);
   infer::ExecutionContext ctx = exec.CreateContext();
-  std::size_t observed = 0;
-  const auto observer = [&](graph::TensorId, const infer::Tensor&) {
-    ++observed;
+  const auto observer = [](graph::TensorId, const infer::Tensor&) {};
+  EXPECT_THROW((void)exec.Run(inputs, ctx, observer), CheckError);
+  ExpectBitIdentical(testutil::RunOracle(exec, inputs), exec.Run(inputs, ctx),
+                     "after the refused observer run");
+}
+
+// --- Whole-op nodes as full-height bands ------------------------------------
+
+// Untiled nodes run every band kernel as one full-height band per batch
+// image, with row chunks that cross image boundaries at 4 threads.  A
+// batch-2 chain of conv, depthwise, both pools, resize and the elementwise
+// ops must match the oracle at 1 and 4 threads on the scalar and auto
+// tables, and each image must equal the batch-1 graph run on that image
+// alone, which pins the per-image band offsets.
+TEST(BandExecution, BatchTwoMatchesOracleAndPerImageRuns) {
+  const auto build = [](std::int64_t batch) {
+    graph::GraphBuilder b("band_batch");
+    auto x = b.Input("in", graph::TensorShape({batch, 9, 7, 5}));
+    x = b.Conv2d(x, 6, 3, 1, graph::Activation::kRelu, graph::Padding::kSame,
+                 1, "conv");
+    x = b.DepthwiseConv2d(x, 3, 2, graph::Activation::kNone,
+                          graph::Padding::kSame, 1, "dw");
+    x = b.MaxPool(x, 2, 2, "max");
+    x = b.ResizeBilinear(x, 7, 5, "resize");
+    x = b.AvgPool(x, 3, 1, "avg");
+    x = b.Add(x, b.Activate(x, graph::Activation::kRelu6, "act"), "add");
+    b.MarkOutput(x);
+    return std::move(b).Build();
   };
-  ExpectBitIdentical(oracle, exec.Run(inputs, ctx, observer), "observer");
-  // The observer saw every node, including segment interiors — proof the
-  // run went through the whole-op path.
-  EXPECT_EQ(observed, g.nodes().size());
+  const graph::Graph g2 = build(2);
+  const graph::Graph g1 = build(1);
+  const infer::WeightStore w = infer::InitializeWeights(g2, 5);
+  const std::vector<infer::Tensor> inputs = GraphInputs(g2, 17);
+  ThreadPool pool(4);
+  for (const infer::kernels::KernelIsa isa :
+       {infer::kernels::KernelIsa::kScalar,
+        infer::kernels::KernelIsa::kAuto}) {
+    const std::string what =
+        "isa " + std::string(infer::kernels::ToString(isa));
+    const infer::Executor exec2(g2, w, infer::NumericsMode::kFp32, nullptr,
+                                isa);
+    const infer::Executor exec1(g1, w, infer::NumericsMode::kFp32, nullptr,
+                                isa);
+    const auto oracle = testutil::RunOracle(exec2, inputs);
+    infer::ExecutionContext ctx = exec2.CreateContext();
+    ExpectBitIdentical(oracle, exec2.Run(inputs, ctx), what + " 1 thread");
+    ExpectBitIdentical(oracle, exec2.Run(inputs, ctx, {}, &pool),
+                       what + " 4 threads");
+    ExpectBitIdentical(oracle, testutil::RunOracle(exec2, inputs, {}, &pool),
+                       what + " oracle at 4 threads");
+
+    const std::size_t in_elems = inputs[0].size() / 2;
+    const std::size_t out_elems = oracle[0].size() / 2;
+    for (std::size_t image = 0; image < 2; ++image) {
+      std::vector<infer::Tensor> single;
+      single.emplace_back(g1.tensor(g1.input_ids()[0]).shape);
+      std::copy_n(inputs[0].data() + image * in_elems, in_elems,
+                  single[0].data());
+      const auto got = exec1.Run(single);
+      ASSERT_EQ(got[0].size(), out_elems) << what;
+      for (std::size_t i = 0; i < out_elems; ++i)
+        ASSERT_EQ(oracle[0].at(image * out_elems + i), got[0].at(i))
+            << what << " image " << image << " element " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -187,9 +187,11 @@ TEST(TransformProperty, TransformedGraphsExecuteEquivalently) {
       for (const infer::kernels::KernelIsa isa : kIsas) {
         const infer::Executor before(g, w, mode, qb, isa);
         const infer::Executor after(res.graph, res.weights, mode, qa, isa);
+        infer::ExecutionContext ctx_b(before);
+        infer::ExecutionContext ctx_a(after);
         for (const ThreadPool* p : pools) {
-          const auto out_b = before.Run(inputs, {}, p);
-          const auto out_a = after.Run(inputs, {}, p);
+          const auto out_b = before.Run(inputs, ctx_b, {}, p);
+          const auto out_a = after.Run(inputs, ctx_a, {}, p);
           const float diff = MaxAbsDiff(out_b, out_a);
           const std::string what =
               g.name() + " " + std::string(infer::ToString(mode)) + " isa=" +

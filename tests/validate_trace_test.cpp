@@ -1,16 +1,10 @@
-// Tests for graph validation, execution traces, and the true-integer
-// convolution kernel.
+// Tests for graph validation and execution traces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 
-#include "common/rng.h"
 #include "models/ssd.h"
 #include "graph/validate.h"
-#include "infer/executor.h"
-#include "infer/int8_conv.h"
-#include "infer/weights.h"
 #include "models/mobilenet_edgetpu.h"
 #include "models/zoo.h"
 #include "backends/vendor_policy.h"
@@ -137,112 +131,6 @@ TEST(Trace, ThrottleStretchesComputeOnly) {
       soc::TraceInference(cm, chip, 0.5).TotalDuration();
   EXPECT_GT(throttled, full * 1.5);
   EXPECT_NEAR(throttled, cm.LatencySeconds(0.5), 1e-9);
-}
-
-// ---- true-integer convolution ----
-
-infer::Tensor RandomTensor(graph::TensorShape shape, std::uint64_t seed,
-                           float lo = -1.0f, float hi = 1.0f) {
-  infer::Tensor t(std::move(shape));
-  Rng rng(seed);
-  for (auto& v : t.values())
-    v = static_cast<float>(rng.NextUniform(lo, hi));
-  return t;
-}
-
-// Float reference conv via the executor.
-infer::Tensor FloatConv(const infer::Tensor& input,
-                        const infer::Tensor& weights,
-                        const infer::Tensor& bias, int stride,
-                        graph::Padding pad) {
-  graph::GraphBuilder b("ref");
-  graph::TensorId x = b.Input("in", input.shape());
-  x = b.Conv2d(x, weights.shape().dim(0),
-               static_cast<int>(weights.shape().dim(1)), stride,
-               graph::Activation::kNone, pad, 1, "c");
-  b.MarkOutput(x);
-  const graph::Graph g = std::move(b).Build();
-  infer::WeightStore w;
-  w.Put("c/w", weights);
-  w.Put("c/b", bias);
-  const infer::Executor exec(g, w);
-  const std::vector<infer::Tensor> in{input};
-  return exec.Run(in)[0];
-}
-
-struct ConvCase {
-  std::int64_t h, c, oc;
-  int kernel, stride;
-  graph::Padding pad;
-};
-
-class Int8ConvEquivalence : public ::testing::TestWithParam<ConvCase> {};
-
-TEST_P(Int8ConvEquivalence, MatchesFloatWithinQuantizationError) {
-  const ConvCase& p = GetParam();
-  const infer::Tensor input =
-      RandomTensor(graph::TensorShape({1, p.h, p.h, p.c}), 11);
-  const infer::Tensor weights = RandomTensor(
-      graph::TensorShape({p.oc, p.kernel, p.kernel, p.c}), 13, -0.5f, 0.5f);
-  const infer::Tensor bias =
-      RandomTensor(graph::TensorShape({p.oc}), 17, -0.1f, 0.1f);
-
-  const infer::QuantizationParams in_q =
-      infer::ChooseQuantParams(-1.0f, 1.0f);
-  const infer::QuantizationParams w_q =
-      infer::ChooseQuantParams(-0.5f, 0.5f);
-  const infer::Tensor got = infer::ConvInt8NHWC(
-      input, weights, bias, p.stride, p.pad, in_q, w_q);
-  const infer::Tensor want =
-      FloatConv(input, weights, bias, p.stride, p.pad);
-  ASSERT_EQ(got.shape(), want.shape());
-
-  // Error budget: per-MAC quantization noise accumulates ~sqrt(K).
-  const double k =
-      static_cast<double>(p.kernel) * p.kernel * static_cast<double>(p.c);
-  const double budget = 3.0 * std::sqrt(k) * in_q.scale * w_q.scale * 128 +
-                        0.02;
-  for (std::size_t i = 0; i < got.size(); ++i)
-    EXPECT_NEAR(got.data()[i], want.data()[i], budget);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, Int8ConvEquivalence,
-    ::testing::Values(ConvCase{6, 3, 4, 3, 1, graph::Padding::kSame},
-                      ConvCase{6, 3, 4, 3, 2, graph::Padding::kSame},
-                      ConvCase{8, 4, 2, 1, 1, graph::Padding::kSame},
-                      ConvCase{8, 2, 3, 3, 1, graph::Padding::kValid},
-                      ConvCase{9, 2, 3, 3, 2, graph::Padding::kValid},
-                      ConvCase{5, 8, 8, 5, 1, graph::Padding::kSame}));
-
-TEST(Int8Conv, QuantParamChoiceCoversRangeWithExactZero) {
-  const infer::QuantizationParams p =
-      infer::ChooseQuantParams(-0.7f, 2.1f);
-  EXPECT_GT(p.scale, 0.0f);
-  // zero representable exactly
-  const float zero_back =
-      (static_cast<float>(p.zero_point) - p.zero_point) * p.scale;
-  EXPECT_EQ(zero_back, 0.0f);
-  EXPECT_GE(p.zero_point, 0);
-  EXPECT_LE(p.zero_point, 255);
-}
-
-TEST(Int8Conv, DegenerateRangeSafe) {
-  const infer::QuantizationParams p = infer::ChooseQuantParams(0.0f, 0.0f);
-  EXPECT_EQ(p.scale, 1.0f);
-  EXPECT_EQ(p.zero_point, 0);
-}
-
-TEST(Int8Conv, RejectsChannelMismatch) {
-  const infer::Tensor input =
-      RandomTensor(graph::TensorShape({1, 4, 4, 3}), 1);
-  const infer::Tensor weights =
-      RandomTensor(graph::TensorShape({2, 3, 3, 5}), 2);
-  const infer::Tensor bias = RandomTensor(graph::TensorShape({2}), 3);
-  EXPECT_THROW(
-      (void)infer::ConvInt8NHWC(input, weights, bias, 1,
-                                graph::Padding::kSame, {}, {}),
-      CheckError);
 }
 
 }  // namespace
