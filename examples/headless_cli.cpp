@@ -31,11 +31,11 @@
 //   headless_cli --fleet 64 --fleet-qps 200 --fleet-slo-ms 50 --fleet-depth 8
 //   headless_cli --fleet 64 --journal fleet.mjl   # kill -INT, then --resume
 #include <atomic>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -116,34 +116,39 @@ struct CliOptions {
   bool accuracy_explicit = false;
 };
 
-// Strict positive-integer parse for --threads: rejects empty input, trailing
-// garbage ("4x"), zero and negatives, each with a targeted message.
-std::optional<int> ParseThreadCount(const std::string& s) {
-  if (s.empty()) {
-    std::fprintf(stderr, "--threads: missing value\n");
+// Strict numeric flag value: the whole string must be a number in
+// [lo, hi].  Empty input, trailing garbage ("4x"), a sign on an unsigned
+// flag ("-1") and out-of-range values are each rejected with a message.
+template <class T>
+std::optional<T> ParseNumber(const char* flag, const std::string& s, T lo,
+                             T hi) {
+  T v{};
+  const char* const end = s.data() + s.size();
+  const auto [stop, ec] = std::from_chars(s.data(), end, v);
+  if (s.empty() || stop != end || ec == std::errc::invalid_argument) {
+    std::fprintf(stderr, "%s: '%s' is not a number\n", flag, s.c_str());
     return std::nullopt;
   }
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "--threads: '%s' is not a number\n", s.c_str());
+  if (ec == std::errc::result_out_of_range || !(v >= lo && v <= hi)) {
+    std::fprintf(stderr, "%s: %s is out of range\n", flag, s.c_str());
     return std::nullopt;
   }
-  if (v < 1 || v > 4096) {
-    std::fprintf(stderr,
-                 "--threads: %ld is out of range (need 1..4096; omit the "
-                 "flag for hardware concurrency)\n",
-                 v);
-    return std::nullopt;
-  }
-  return static_cast<int>(v);
+  return v;
 }
 
 std::optional<CliOptions> Parse(int argc, char** argv) {
+  // Bounds for the numeric flags; kTiny makes a lower bound exclusive of 0.
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  constexpr double kMaxDouble = std::numeric_limits<double>::max();
+  constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::size_t kMaxSize = std::numeric_limits<std::size_t>::max();
+  constexpr std::int64_t kMaxI64 = std::numeric_limits<std::int64_t>::max();
+  constexpr std::size_t kMaxShards = 65536;
+  constexpr std::size_t kMaxThreads = 4096;
   CliOptions o;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const char* const flag = argv[i];
     const auto value = [&]() -> std::string {
       if (i + 1 >= argc) return {};
       return argv[++i];
@@ -170,21 +175,26 @@ std::optional<CliOptions> Parse(int argc, char** argv) {
     } else if (arg == "--e2e") {
       o.end_to_end = true;
     } else if (arg == "--cooldown") {
-      o.cooldown_s = std::atof(value().c_str());
+      const auto v = ParseNumber(flag, value(), 0.0, kMaxDouble);
+      if (!v) return std::nullopt;
+      o.cooldown_s = *v;
     } else if (arg == "--csv") {
       o.csv_path = value();
     } else if (arg == "--log") {
       o.log_path = value();
     } else if (arg == "--faults") {
-      o.crash_probability = std::atof(value().c_str());
-      if (o.crash_probability <= 0.0 || o.crash_probability > 1.0)
-        return std::nullopt;
+      const auto v = ParseNumber(flag, value(), kTiny, 1.0);
+      if (!v) return std::nullopt;
+      o.crash_probability = *v;
     } else if (arg == "--fault-seed") {
-      o.fault_seed = std::strtoull(value().c_str(), nullptr, 10);
+      const auto v = ParseNumber(flag, value(), std::uint64_t{0}, kMaxU64);
+      if (!v) return std::nullopt;
+      o.fault_seed = *v;
     } else if (arg == "--threads") {
-      const std::optional<int> t = ParseThreadCount(value());
-      if (!t) return std::nullopt;
-      o.threads = *t;
+      const auto v =
+          ParseNumber(flag, value(), 1, static_cast<int>(kMaxThreads));
+      if (!v) return std::nullopt;
+      o.threads = *v;
     } else if (arg == "--kernel-isa") {
       const std::string name = value();
       const std::optional<infer::kernels::KernelIsa> isa =
@@ -213,19 +223,10 @@ std::optional<CliOptions> Parse(int argc, char** argv) {
         o.tiling.enabled = true;
         o.tiling.rows = -1;
       } else {
-        char* end = nullptr;
-        errno = 0;
-        const long long rows = std::strtoll(t.c_str(), &end, 10);
-        if (t.empty() || end == t.c_str() || *end != '\0' ||
-            errno == ERANGE || rows < 1) {
-          std::fprintf(stderr,
-                       "--tile: '%s' is not a tile height (use auto, off, "
-                       "or a positive row count)\n",
-                       t.c_str());
-          return std::nullopt;
-        }
+        const auto rows = ParseNumber(flag, t, std::int64_t{1}, kMaxI64);
+        if (!rows) return std::nullopt;
         o.tiling.enabled = true;
-        o.tiling.rows = rows;
+        o.tiling.rows = *rows;
       }
     } else if (arg == "--trace") {
       o.trace_path = value();
@@ -240,33 +241,32 @@ std::optional<CliOptions> Parse(int argc, char** argv) {
       if (o.journal_path.empty()) return std::nullopt;
       o.resume = true;
     } else if (arg == "--fleet") {
-      const long long n = std::strtoll(value().c_str(), nullptr, 10);
-      if (n < 1 || n > 65536) {
-        std::fprintf(stderr, "--fleet: shard count must be 1..65536\n");
-        return std::nullopt;
-      }
-      o.fleet_shards = static_cast<std::size_t>(n);
+      const auto v = ParseNumber(flag, value(), std::size_t{1}, kMaxShards);
+      if (!v) return std::nullopt;
+      o.fleet_shards = *v;
     } else if (arg == "--fleet-mix") {
       o.fleet_mix = value();
       if (o.fleet_mix.empty()) return std::nullopt;
     } else if (arg == "--fleet-qps") {
-      o.fleet_qps = std::atof(value().c_str());
-      if (o.fleet_qps <= 0.0) return std::nullopt;
+      const auto v = ParseNumber(flag, value(), kTiny, kMaxDouble);
+      if (!v) return std::nullopt;
+      o.fleet_qps = *v;
     } else if (arg == "--fleet-slo-ms") {
-      o.fleet_slo_ms = std::atof(value().c_str());
-      if (o.fleet_slo_ms <= 0.0) return std::nullopt;
+      const auto v = ParseNumber(flag, value(), kTiny, kMaxDouble);
+      if (!v) return std::nullopt;
+      o.fleet_slo_ms = *v;
     } else if (arg == "--fleet-queries") {
-      const long long n = std::strtoll(value().c_str(), nullptr, 10);
-      if (n < 1) return std::nullopt;
-      o.fleet_queries = static_cast<std::size_t>(n);
+      const auto v = ParseNumber(flag, value(), std::size_t{1}, kMaxSize);
+      if (!v) return std::nullopt;
+      o.fleet_queries = *v;
     } else if (arg == "--fleet-depth") {
-      const long long n = std::strtoll(value().c_str(), nullptr, 10);
-      if (n < 0) return std::nullopt;
-      o.fleet_depth = static_cast<std::size_t>(n);
+      const auto v = ParseNumber(flag, value(), std::size_t{0}, kMaxSize);
+      if (!v) return std::nullopt;
+      o.fleet_depth = *v;
     } else if (arg == "--fleet-workers") {
-      const long long n = std::strtoll(value().c_str(), nullptr, 10);
-      if (n < 0 || n > 4096) return std::nullopt;
-      o.fleet_workers = static_cast<std::size_t>(n);
+      const auto v = ParseNumber(flag, value(), std::size_t{0}, kMaxThreads);
+      if (!v) return std::nullopt;
+      o.fleet_workers = *v;
     } else {
       return std::nullopt;
     }

@@ -24,6 +24,7 @@
 
 #include "fleet/fleet.h"
 #include "harness/frame_log.h"
+#include "harness/record_schema.h"
 
 namespace mlpm::fleet {
 
@@ -46,10 +47,15 @@ struct FleetJournalMeta {
 // version, mix, LoadGen settings, seed policy, fault plan, breaker options
 // and the accuracy-plane flags.  Worker count and observability knobs are
 // excluded — they never change results.
+//
+// The settings, fault plan and breaker part is harness::CanonicalSettings,
+// shared with harness::HashRunConfig.
 [[nodiscard]] std::uint64_t HashFleetConfig(const FleetOptions& options,
                                             const std::vector<FleetMixEntry>&
                                                 mix);
 
+// Payload codecs: harness::schema::Encode/Decode over the field tables
+// declared at the end of this header.
 [[nodiscard]] std::string EncodeFleetMeta(const FleetJournalMeta& meta);
 // Throws CheckError on malformed payloads (including a submission-journal
 // meta, which lacks the shard_count key).
@@ -98,3 +104,10 @@ class FleetJournalWriter {
 };
 
 }  // namespace mlpm::fleet
+
+// Field tables defined in fleet/journal.cpp.  The shard record nests the
+// LoadGen result through the TestResult table of harness/journal.h.
+namespace mlpm::harness::schema {
+template <> Table<fleet::FleetJournalMeta> FieldsOf<fleet::FleetJournalMeta>();
+template <> Table<fleet::ShardResult> FieldsOf<fleet::ShardResult>();
+}  // namespace mlpm::harness::schema

@@ -1,25 +1,24 @@
 #include "harness/export.h"
 
+#include <optional>
+#include <ostream>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 namespace mlpm::harness {
 namespace {
 
-constexpr const char* kHeader =
-    "chipset,version,task,model,numerics,framework,accelerator,accuracy,"
-    "fp32_reference,ratio_to_fp32,quality_passed,p90_latency_ms,"
-    "mean_latency_ms,offline_fps,energy_mj_per_inference,status,"
-    "fault_count,degradation_count,dropped,timed_out,lint_errors,"
-    "lint_warnings,peak_arena_bytes,naive_activation_bytes,shed,rejected,"
-    "breaker_trips,kernel_isa,transform_applied,transform_passes,"
-    "transform_rewrites,tiling_applied,tile_segments,tile_rows,"
-    "tile_slab_bytes";
+using R = loadgen::TestResult;
+using S = SubmissionResult;
+using T = TaskRunResult;
 
 // CSV-quote a field if it contains a comma, quote or line break (RFC 4180:
 // fields containing CR or LF must be enclosed in double quotes too, or a
 // multi-line chipset/framework name silently splits one record into two).
-std::string Field(const std::string& v) {
-  if (v.find_first_of(",\"\n\r") == std::string::npos) return v;
+std::string Quote(std::string_view v) {
+  if (v.find_first_of(",\"\n\r") == std::string_view::npos)
+    return std::string(v);
   std::string quoted = "\"";
   for (char c : v) {
     if (c == '"') quoted += '"';
@@ -29,42 +28,105 @@ std::string Field(const std::string& v) {
   return quoted;
 }
 
-void AppendRows(std::ostringstream& os, const SubmissionResult& result,
+// One cell: bools as true/false, text quoted as needed, numbers at the
+// stream's precision (6 significant digits), an absent figure empty.
+template <class V>
+void Write(std::ostream& os, const V& v) {
+  if constexpr (std::is_same_v<V, bool>) os << (v ? "true" : "false");
+  else if constexpr (std::is_convertible_v<V, std::string_view>) os << Quote(v);
+  else if constexpr (!std::is_same_v<V, std::optional<double>>) os << v;
+  else if (v) os << *v;
+}
+
+// A figure of one performance test scaled to the column's unit; absent
+// when the test did not run.
+std::optional<double> Figure(const std::optional<R>& test, double R::*m,
+                             double scale = 1.0) {
+  if (!test) return std::nullopt;
+  return (*test).*m * scale;
+}
+
+struct Column {
+  std::string_view header;
+  void (*cell)(std::ostream& os, const S& s, const T& t);
+};
+
+// A column holding task member F, or F(submission, task).
+template <auto F>
+constexpr Column Col(std::string_view header) {
+  return {header, [](std::ostream& os, const S& s, const T& t) {
+            if constexpr (std::is_member_object_pointer_v<decltype(F)>)
+              Write(os, t.*F);
+            else
+              Write(os, F(s, t));
+          }};
+}
+
+// The documented column order; changing it breaks downstream consumers.
+constexpr Column kColumns[] = {
+    Col<[](auto& s, auto&) { return s.chipset_name; }>("chipset"),
+    Col<[](auto& s, auto&) { return ToString(s.version); }>("version"),
+    Col<[](auto&, auto& t) { return t.entry.id; }>("task"),
+    Col<[](auto&, auto& t) { return t.entry.model_name; }>("model"),
+    Col<[](auto&, auto& t) { return ToString(t.numerics); }>("numerics"),
+    Col<&T::framework_name>("framework"),
+    Col<&T::accelerator_label>("accelerator"),
+    Col<&T::accuracy>("accuracy"),
+    Col<&T::fp32_reference>("fp32_reference"),
+    Col<&T::ratio_to_fp32>("ratio_to_fp32"),
+    Col<&T::quality_passed>("quality_passed"),
+    Col<[](auto&, auto& t) {
+      return Figure(t.single_stream, &R::percentile_latency_s, 1e3);
+    }>("p90_latency_ms"),
+    Col<[](auto&, auto& t) {
+      return Figure(t.single_stream, &R::mean_latency_s, 1e3);
+    }>("mean_latency_ms"),
+    Col<[](auto&, auto& t) { return Figure(t.offline, &R::throughput_sps); }>(
+        "offline_fps"),
+    Col<[](auto&, auto& t) { return t.energy_per_inference_j * 1e3; }>(
+        "energy_mj_per_inference"),
+    Col<[](auto&, auto& t) { return ToString(t.status); }>("status"),
+    Col<&T::fault_count>("fault_count"),
+    Col<&T::degradation_count>("degradation_count"),
+    Col<[](auto&, auto& t) { return SumOverTests(t, &R::dropped_count); }>(
+        "dropped"),
+    Col<[](auto&, auto& t) { return SumOverTests(t, &R::timed_out_count); }>(
+        "timed_out"),
+    Col<&T::lint_error_count>("lint_errors"),
+    Col<&T::lint_warning_count>("lint_warnings"),
+    Col<&T::peak_arena_bytes>("peak_arena_bytes"),
+    Col<&T::naive_activation_bytes>("naive_activation_bytes"),
+    Col<&T::shed_count>("shed"),
+    Col<&T::rejected_count>("rejected"),
+    Col<&T::breaker_trips>("breaker_trips"),
+    Col<&T::kernel_isa>("kernel_isa"),
+    Col<&T::transform_applied>("transform_applied"),
+    Col<&T::transform_passes>("transform_passes"),
+    Col<&T::transform_rewrites>("transform_rewrites"),
+    Col<&T::tiling_applied>("tiling_applied"),
+    Col<&T::tile_segments>("tile_segments"),
+    Col<&T::tile_rows>("tile_rows"),
+    Col<&T::tile_slab_bytes>("tile_slab_bytes"),
+};
+
+void AppendHeader(std::ostream& os) {
+  for (const Column& c : kColumns) {
+    if (&c != &kColumns[0]) os << ',';
+    os << c.header;
+  }
+  os << '\n';
+}
+
+void AppendRows(std::ostream& os, const S& result,
                 const std::string& date_prefix) {
   os.precision(6);
   for (const TaskRunResult& t : result.tasks) {
-    os << date_prefix << Field(result.chipset_name) << ','
-       << ToString(result.version) << ',' << t.entry.id << ','
-       << Field(t.entry.model_name) << ',' << ToString(t.numerics) << ','
-       << Field(t.framework_name) << ',' << Field(t.accelerator_label) << ','
-       << t.accuracy << ',' << t.fp32_reference << ',' << t.ratio_to_fp32
-       << ',' << (t.quality_passed ? "true" : "false") << ',';
-    if (t.single_stream)
-      os << t.single_stream->percentile_latency_s * 1e3 << ','
-         << t.single_stream->mean_latency_s * 1e3 << ',';
-    else
-      os << ",,";
-    if (t.offline)
-      os << t.offline->throughput_sps << ',';
-    else
-      os << ',';
-    const std::size_t dropped =
-        (t.single_stream ? t.single_stream->dropped_count : 0) +
-        (t.offline ? t.offline->dropped_count : 0);
-    const std::size_t timed_out =
-        (t.single_stream ? t.single_stream->timed_out_count : 0) +
-        (t.offline ? t.offline->timed_out_count : 0);
-    os << t.energy_per_inference_j * 1e3 << ',' << ToString(t.status) << ','
-       << t.fault_count << ',' << t.degradation_count << ',' << dropped << ','
-       << timed_out << ',' << t.lint_error_count << ','
-       << t.lint_warning_count << ',' << t.peak_arena_bytes << ','
-       << t.naive_activation_bytes << ',' << t.shed_count << ','
-       << t.rejected_count << ',' << t.breaker_trips << ','
-       << Field(t.kernel_isa) << ','
-       << (t.transform_applied ? "true" : "false") << ','
-       << Field(t.transform_passes) << ',' << t.transform_rewrites << ','
-       << (t.tiling_applied ? "true" : "false") << ',' << t.tile_segments
-       << ',' << t.tile_rows << ',' << t.tile_slab_bytes << '\n';
+    os << date_prefix;
+    for (const Column& c : kColumns) {
+      if (&c != &kColumns[0]) os << ',';
+      c.cell(os, result, t);
+    }
+    os << '\n';
   }
 }
 
@@ -72,14 +134,15 @@ void AppendRows(std::ostringstream& os, const SubmissionResult& result,
 
 std::string ToCsv(const SubmissionResult& result, bool include_header) {
   std::ostringstream os;
-  if (include_header) os << kHeader << '\n';
+  if (include_header) AppendHeader(os);
   AppendRows(os, result, "");
   return os.str();
 }
 
 std::string ToCsv(const ResultStore& store) {
   std::ostringstream os;
-  os << "date," << kHeader << '\n';
+  os << "date,";
+  AppendHeader(os);
   for (const DatedSubmission& s : store.all())
     AppendRows(os, s.result, s.date_iso + ",");
   return os.str();

@@ -11,12 +11,9 @@
 
 namespace mlpm::harness {
 
-// One CSV row per (submission, task).  Columns:
-// chipset,version,task,model,numerics,framework,accelerator,accuracy,
-// fp32_reference,ratio_to_fp32,quality_passed,p90_latency_ms,
-// mean_latency_ms,offline_fps,energy_mj_per_inference,status,fault_count,
-// degradation_count,dropped,timed_out,lint_errors,lint_warnings,
-// peak_arena_bytes,naive_activation_bytes
+// One CSV row per (submission, task).  The header and every cell come from
+// one column table in export.cpp (chipset, version, task, model, numerics,
+// ..., tile_slab_bytes); export_roundtrip_test pins the column order.
 [[nodiscard]] std::string ToCsv(const SubmissionResult& result,
                                 bool include_header = true);
 

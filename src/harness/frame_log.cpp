@@ -42,79 +42,6 @@ std::string HexDouble(double v) {
   return buf;
 }
 
-void PutU(std::string& out, std::string_view key, std::uint64_t v) {
-  out += "u ";
-  out += key;
-  out += ' ';
-  out += std::to_string(v);
-  out += '\n';
-}
-
-void PutD(std::string& out, std::string_view key, double v) {
-  out += "d ";
-  out += key;
-  out += ' ';
-  out += HexDouble(v);
-  out += '\n';
-}
-
-void PutB(std::string& out, std::string_view key, bool v) {
-  out += "b ";
-  out += key;
-  out += v ? " 1\n" : " 0\n";
-}
-
-void PutS(std::string& out, std::string_view key, std::string_view bytes) {
-  out += "s ";
-  out += key;
-  out += ' ';
-  out += std::to_string(bytes.size());
-  out += '\n';
-  out += bytes;
-  out += '\n';
-}
-
-void PutDV(std::string& out, std::string_view key,
-           const std::vector<double>& v) {
-  out += "D ";
-  out += key;
-  out += ' ';
-  out += std::to_string(v.size());
-  for (const double d : v) {
-    out += ' ';
-    out += HexDouble(d);
-  }
-  out += '\n';
-}
-
-void PutUV(std::string& out, std::string_view key,
-           const std::vector<std::size_t>& v) {
-  out += "U ";
-  out += key;
-  out += ' ';
-  out += std::to_string(v.size());
-  for (const std::size_t u : v) {
-    out += ' ';
-    out += std::to_string(u);
-  }
-  out += '\n';
-}
-
-void PutL(std::string& out, std::string_view key,
-          const std::vector<std::string>& v) {
-  out += "L ";
-  out += key;
-  out += ' ';
-  out += std::to_string(v.size());
-  out += '\n';
-  for (const std::string& s : v) {
-    out += std::to_string(s.size());
-    out += '\n';
-    out += s;
-    out += '\n';
-  }
-}
-
 std::uint64_t ParseU64(const std::string& text) {
   errno = 0;
   char* end = nullptr;
@@ -157,37 +84,22 @@ bool PayloadParser::Next(Field& f) {
       f.bytes = TakeBlock(ParseU64(len_text));
       break;
     }
-    case 'D': {
-      std::string n_text;
-      ls >> n_text;
-      const std::uint64_t n = ParseU64(n_text);
-      f.doubles.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        std::string v;
-        ls >> v;
-        Expects(!ls.fail(), "journal: short double list for " + f.key);
-        f.doubles.push_back(ParseDouble(v));
-      }
-      break;
-    }
+    case 'D':
     case 'U': {
-      std::string n_text;
-      ls >> n_text;
-      const std::uint64_t n = ParseU64(n_text);
-      f.uints.reserve(n);
+      // Every listed value takes at least two bytes of the line.
+      const std::uint64_t n = TakeCount(ls, line.size() / 2);
       for (std::uint64_t i = 0; i < n; ++i) {
         std::string v;
         ls >> v;
-        Expects(!ls.fail(), "journal: short uint list for " + f.key);
-        f.uints.push_back(ParseU64(v));
+        Expects(!ls.fail(), "journal: short list for " + f.key);
+        if (f.tag == 'D') f.doubles.push_back(ParseDouble(v));
+        else f.uints.push_back(ParseU64(v));
       }
       break;
     }
     case 'L': {
-      std::string n_text;
-      ls >> n_text;
-      const std::uint64_t n = ParseU64(n_text);
-      f.strings.reserve(n);
+      // Every element takes at least three bytes: "<len>\n<bytes>\n".
+      const std::uint64_t n = TakeCount(ls, (payload_.size() - pos_) / 3);
       for (std::uint64_t i = 0; i < n; ++i) {
         const std::string len_line = TakeLine();
         f.strings.push_back(TakeBlock(ParseU64(len_line)));
@@ -209,8 +121,19 @@ std::string PayloadParser::TakeLine() {
   return line;
 }
 
+std::uint64_t PayloadParser::TakeCount(std::istream& line,
+                                       std::uint64_t limit) {
+  std::string n_text;
+  line >> n_text;
+  const std::uint64_t n = ParseU64(n_text);
+  Expects(n <= limit, "journal: list of " + n_text +
+                          " entries runs past the payload");
+  return n;
+}
+
 std::string PayloadParser::TakeBlock(std::uint64_t len) {
-  Expects(pos_ + len + 1 <= payload_.size(),
+  // len + 1 <= bytes left, written so a hostile len cannot overflow.
+  Expects(len < payload_.size() - pos_,
           "journal: block runs past the payload");
   std::string bytes = payload_.substr(pos_, len);
   pos_ += len;
@@ -343,6 +266,27 @@ FrameLogLoad LoadFrameLog(const std::string& path) {
   load.torn_bytes = data.size() - pos;
   load.torn_tail = load.torn_bytes > 0;
   return load;
+}
+
+void InterpretFrames(
+    FrameLogLoad& load,
+    const std::function<void(const RawFrame& frame, std::size_t index)>&
+        take) {
+  for (std::size_t i = 0; i < load.frames.size(); ++i) {
+    try {
+      take(load.frames[i], i);
+    } catch (const std::exception& e) {
+      const std::size_t cut = load.frames[i].offset;
+      load.notes = {"undecodable '" + load.frames[i].kind +
+                    "' frame at byte " + std::to_string(cut) + ": " +
+                    e.what()};
+      load.frames.resize(i);
+      load.valid_prefix_bytes = cut;
+      load.torn_bytes = load.file_size - cut;
+      load.torn_tail = true;
+      return;
+    }
+  }
 }
 
 // ---- writer ------------------------------------------------------------

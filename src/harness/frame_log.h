@@ -14,13 +14,16 @@
 // fsync'd before returning; the loader never throws on damage, it recovers
 // the longest physically-valid prefix and describes what it cut.
 //
-// The `wire` namespace holds the shared payload codec: line-oriented
+// The `wire` namespace holds the payload syntax: line-oriented
 // tag/key/value entries with length-prefixed byte blocks (arbitrary bytes
-// round-trip) and hexfloat doubles (bit-exact round trip).
+// round-trip) and hexfloat doubles (bit-exact round trip).  Records are
+// written and read through their field tables (harness/record_schema.h).
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <istream>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -43,18 +46,11 @@ namespace wire {
 //   D <key> <n> <hexfloat>...\n
 //   U <key> <n> <uint>...\n
 //   L <key> <n>\n  then n x  <len>\n<len bytes>\n
+//
+// schema::Put (harness/record_schema.h) writes them.
 
+// C hexfloat text of a double; ParseDouble reads it back bit-exactly.
 [[nodiscard]] std::string HexDouble(double v);
-void PutU(std::string& out, std::string_view key, std::uint64_t v);
-void PutD(std::string& out, std::string_view key, double v);
-void PutB(std::string& out, std::string_view key, bool v);
-void PutS(std::string& out, std::string_view key, std::string_view bytes);
-void PutDV(std::string& out, std::string_view key,
-           const std::vector<double>& v);
-void PutUV(std::string& out, std::string_view key,
-           const std::vector<std::size_t>& v);
-void PutL(std::string& out, std::string_view key,
-          const std::vector<std::string>& v);
 
 // ---- payload decoding --------------------------------------------------
 
@@ -73,8 +69,9 @@ struct Field {
 [[nodiscard]] double ParseDouble(const std::string& text);
 
 // Walks a payload, yielding entries.  Throws CheckError on any structural
-// damage — the caller decides whether that aborts (writer-side) or just
-// truncates the valid prefix (loader-side).
+// damage, including counts and lengths larger than the bytes left — the
+// caller decides whether that aborts (writer-side) or just truncates the
+// valid prefix (loader-side).
 class PayloadParser {
  public:
   explicit PayloadParser(const std::string& payload) : payload_(payload) {}
@@ -83,6 +80,10 @@ class PayloadParser {
 
  private:
   [[nodiscard]] std::string TakeLine();
+  // The element count of a D/U/L entry, at most `limit` (the most the
+  // remaining bytes can hold), so a hostile count never reaches reserve().
+  [[nodiscard]] std::uint64_t TakeCount(std::istream& line,
+                                        std::uint64_t limit);
   [[nodiscard]] std::string TakeBlock(std::uint64_t len);
 
   const std::string& payload_;
@@ -116,6 +117,14 @@ struct FrameLogLoad {
 // Reads every physically intact frame (header parses, payload present and
 // terminated, checksum matches).  Never throws on damaged or missing files.
 [[nodiscard]] FrameLogLoad LoadFrameLog(const std::string& path);
+
+// Passes the intact frames in order to `take(frame, index)`.  The first one
+// it throws on (misplaced, or checksum-clean but undecodable) is cut like a
+// torn tail; its note replaces the notes on bytes past the cut.
+void InterpretFrames(
+    FrameLogLoad& load,
+    const std::function<void(const RawFrame& frame, std::size_t index)>&
+        take);
 
 // Append-side handle.  Create() starts a fresh log (truncating whatever was
 // at `path` and writing the header); OpenAt() re-opens an existing one for

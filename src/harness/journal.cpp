@@ -1,378 +1,220 @@
 #include "harness/journal.h"
 
-#include <string_view>
 #include <utility>
 
 #include "common/check.h"
+#include "harness/record_schema.h"
 
 namespace mlpm::harness {
 
-using wire::Field;
-using wire::ParseDouble;
-using wire::ParseU64;
-using wire::PayloadParser;
-using wire::PutB;
-using wire::PutD;
-using wire::PutDV;
-using wire::PutL;
-using wire::PutS;
-using wire::PutU;
-using wire::PutUV;
+namespace schema {
 
-// ---- TestResult codec -------------------------------------------------
+using loadgen::TestResult;
+using loadgen::TestScenario;
+using loadgen::TestSettings;
+using T = TaskRunResult;
 
-std::string EncodeTestResult(const loadgen::TestResult& r) {
-  std::string out;
-  PutU(out, "scenario", static_cast<std::uint64_t>(r.scenario));
-  PutU(out, "mode", static_cast<std::uint64_t>(r.mode));
-  PutDV(out, "latencies_s", r.latencies_s);
-  PutD(out, "duration_s", r.duration_s);
-  PutU(out, "sample_count", r.sample_count);
-  PutD(out, "percentile_latency_s", r.percentile_latency_s);
-  PutD(out, "mean_latency_s", r.mean_latency_s);
-  PutD(out, "throughput_sps", r.throughput_sps);
-  PutB(out, "min_duration_met", r.min_duration_met);
-  PutB(out, "min_query_count_met", r.min_query_count_met);
-  PutB(out, "latency_bound_met", r.latency_bound_met);
-  PutB(out, "shed_bound_met", r.shed_bound_met);
-  PutU(out, "dropped_count", r.dropped_count);
-  PutU(out, "timed_out_count", r.timed_out_count);
-  PutU(out, "duplicate_count", r.duplicate_count);
-  PutU(out, "unknown_count", r.unknown_count);
-  PutU(out, "shed_count", r.shed_count);
-  PutU(out, "rejected_count", r.rejected_count);
-  PutU(out, "issued_count", r.issued_count);
-  PutL(out, "error_log", r.error_log);
-  PutS(out, "invalid_reason", r.invalid_reason);
-  PutS(out, "log", r.log.Serialize());
-  return out;
+template <> Table<TestResult> FieldsOf<TestResult>() {
+  // accuracy_outputs are not journaled: they are only needed transiently
+  // for scoring, and the derived score is recorded in the task record.
+  static constexpr FieldDesc<TestResult> kFields[] = {
+      Member<&TestResult::scenario, TestScenario::kMultiStream>("scenario"),
+      Member<&TestResult::mode, loadgen::TestMode::kAccuracyOnly>("mode"),
+      Member<&TestResult::latencies_s>("latencies_s"),
+      Member<&TestResult::duration_s>("duration_s"),
+      Member<&TestResult::sample_count>("sample_count"),
+      Member<&TestResult::percentile_latency_s>("percentile_latency_s"),
+      Member<&TestResult::mean_latency_s>("mean_latency_s"),
+      Member<&TestResult::throughput_sps>("throughput_sps"),
+      Member<&TestResult::min_duration_met>("min_duration_met"),
+      Member<&TestResult::min_query_count_met>("min_query_count_met"),
+      Member<&TestResult::latency_bound_met>("latency_bound_met"),
+      Member<&TestResult::shed_bound_met>("shed_bound_met"),
+      Member<&TestResult::dropped_count>("dropped_count"),
+      Member<&TestResult::timed_out_count>("timed_out_count"),
+      Member<&TestResult::duplicate_count>("duplicate_count"),
+      Member<&TestResult::unknown_count>("unknown_count"),
+      Member<&TestResult::shed_count>("shed_count"),
+      Member<&TestResult::rejected_count>("rejected_count"),
+      Member<&TestResult::issued_count>("issued_count"),
+      Member<&TestResult::error_log>("error_log"),
+      Member<&TestResult::invalid_reason>("invalid_reason"),
+      Member<&TestResult::log>("log"),
+  };
+  return kFields;
 }
 
+template <> Table<T> FieldsOf<T>() {
+  static constexpr FieldDesc<T> kFields[] = {
+      Via<T, [](auto& t) -> auto& { return t.entry.id; }>(
+          "task", /*required=*/true),
+      Member<&T::numerics, DataType::kInt32>("numerics"),
+      Member<&T::framework_name>("framework"),
+      Member<&T::accelerator_label>("accelerator"),
+      Member<&T::accuracy>("accuracy"),
+      Member<&T::fp32_reference>("fp32_reference"),
+      Member<&T::ratio_to_fp32>("ratio_to_fp32"),
+      Member<&T::quality_passed>("quality_passed"),
+      Member<&T::calibration_indices>("calibration_indices"),
+      Member<&T::accuracy_sample_count>("accuracy_sample_count"),
+      Member<&T::dataset_size>("dataset_size"),
+      Member<&T::single_stream>("single_stream"),
+      Member<&T::offline>("offline"),
+      Member<&T::energy_per_inference_j>("energy_per_inference_j"),
+      Member<&T::peak_temperature_c>("peak_temperature_c"),
+      Member<&T::peak_arena_bytes>("peak_arena_bytes"),
+      Member<&T::naive_activation_bytes>("naive_activation_bytes"),
+      Member<&T::status, TaskStatus::kErrored>("status"),
+      Member<&T::status_detail>("status_detail"),
+      Member<&T::fault_count>("fault_count"),
+      Member<&T::degradation_count>("degradation_count"),
+      Member<&T::shed_count>("shed_count"),
+      Member<&T::rejected_count>("rejected_count"),
+      Member<&T::breaker_trips>("breaker_trips"),
+      Member<&T::degraded_to_cpu>("degraded_to_cpu"),
+      Member<&T::performance_attempts>("performance_attempts"),
+      Member<&T::fault_log>("fault_log"),
+      Member<&T::lint_error_count>("lint_error_count"),
+      Member<&T::lint_warning_count>("lint_warning_count"),
+      Member<&T::lint_log>("lint_log"),
+      Member<&T::kernel_isa>("kernel_isa"),
+      Member<&T::transform_requested>("transform_requested"),
+      Member<&T::transform_applied>("transform_applied"),
+      Member<&T::transform_passes>("transform_passes"),
+      Member<&T::transform_rewrites>("transform_rewrites"),
+      Member<&T::transform_nodes_before>("transform_nodes_before"),
+      Member<&T::transform_nodes_after>("transform_nodes_after"),
+      Member<&T::transform_detail>("transform_detail"),
+      Member<&T::tiling_requested>("tiling_requested"),
+      Member<&T::tiling_applied>("tiling_applied"),
+      Member<&T::tile_segments>("tile_segments"),
+      Member<&T::tile_rows>("tile_rows"),
+      Member<&T::tile_slab_bytes>("tile_slab_bytes"),
+  };
+  return kFields;
+}
+
+template <> Table<JournalMeta> FieldsOf<JournalMeta>() {
+  static constexpr FieldDesc<JournalMeta> kFields[] = {
+      Member<&JournalMeta::chipset>("chipset", /*required=*/true),
+      Member<&JournalMeta::version>("version", /*required=*/true),
+      Member<&JournalMeta::seed>("seed"),
+      Member<&JournalMeta::config_hash>("config_hash"),
+  };
+  return kFields;
+}
+
+// The LoadGen settings: hashed by CanonicalSettings, never journaled.
+
+template <> Table<TestSettings> FieldsOf<TestSettings>() {
+  using S = TestSettings;
+  static constexpr FieldDesc<S> kFields[] = {
+      Member<&S::scenario, TestScenario::kMultiStream>("scenario"),
+      Member<&S::mode, loadgen::TestMode::kAccuracyOnly>("mode"),
+      Member<&S::seed>("seed"),
+      Member<&S::min_query_count>("min_query_count"),
+      Member<&S::min_duration>("min_duration_s"),
+      Member<&S::offline_sample_count>("offline_sample_count"),
+      Member<&S::latency_percentile>("latency_percentile"),
+      Member<&S::server_target_qps>("server_target_qps"),
+      Member<&S::server_latency_bound>("server_latency_bound_s"),
+      Member<&S::server_query_count>("server_query_count"),
+      Member<&S::server_max_queue_depth>("server_max_queue_depth"),
+      Member<&S::server_max_shed_fraction>("server_max_shed_fraction"),
+      Member<&S::multistream_samples_per_query>(
+          "multistream_samples_per_query"),
+      Member<&S::multistream_interval>("multistream_interval_s"),
+      Member<&S::multistream_query_count>("multistream_query_count"),
+      Member<&S::performance_sample_count>("performance_sample_count"),
+      Member<&S::query_timeout>("query_timeout_s"),
+  };
+  return kFields;
+}
+
+}  // namespace schema
+
+using schema::Decode;
+using schema::Encode;
+
+std::string EncodeTestResult(const loadgen::TestResult& r) { return Encode(r); }
 loadgen::TestResult DecodeTestResult(const std::string& payload) {
-  loadgen::TestResult r;
-  PayloadParser parser(payload);
-  Field f;
-  while (parser.Next(f)) {
-    if (f.key == "scenario") {
-      const std::uint64_t v = ParseU64(f.scalar);
-      Expects(v <= 3, "journal: bad scenario " + f.scalar);
-      r.scenario = static_cast<loadgen::TestScenario>(v);
-    } else if (f.key == "mode") {
-      const std::uint64_t v = ParseU64(f.scalar);
-      Expects(v <= 1, "journal: bad mode " + f.scalar);
-      r.mode = static_cast<loadgen::TestMode>(v);
-    } else if (f.key == "latencies_s") {
-      r.latencies_s = std::move(f.doubles);
-    } else if (f.key == "duration_s") {
-      r.duration_s = ParseDouble(f.scalar);
-    } else if (f.key == "sample_count") {
-      r.sample_count = ParseU64(f.scalar);
-    } else if (f.key == "percentile_latency_s") {
-      r.percentile_latency_s = ParseDouble(f.scalar);
-    } else if (f.key == "mean_latency_s") {
-      r.mean_latency_s = ParseDouble(f.scalar);
-    } else if (f.key == "throughput_sps") {
-      r.throughput_sps = ParseDouble(f.scalar);
-    } else if (f.key == "min_duration_met") {
-      r.min_duration_met = f.scalar == "1";
-    } else if (f.key == "min_query_count_met") {
-      r.min_query_count_met = f.scalar == "1";
-    } else if (f.key == "latency_bound_met") {
-      r.latency_bound_met = f.scalar == "1";
-    } else if (f.key == "shed_bound_met") {
-      r.shed_bound_met = f.scalar == "1";
-    } else if (f.key == "dropped_count") {
-      r.dropped_count = ParseU64(f.scalar);
-    } else if (f.key == "timed_out_count") {
-      r.timed_out_count = ParseU64(f.scalar);
-    } else if (f.key == "duplicate_count") {
-      r.duplicate_count = ParseU64(f.scalar);
-    } else if (f.key == "unknown_count") {
-      r.unknown_count = ParseU64(f.scalar);
-    } else if (f.key == "shed_count") {
-      r.shed_count = ParseU64(f.scalar);
-    } else if (f.key == "rejected_count") {
-      r.rejected_count = ParseU64(f.scalar);
-    } else if (f.key == "issued_count") {
-      r.issued_count = ParseU64(f.scalar);
-    } else if (f.key == "error_log") {
-      r.error_log = std::move(f.strings);
-    } else if (f.key == "invalid_reason") {
-      r.invalid_reason = std::move(f.bytes);
-    } else if (f.key == "log") {
-      r.log = loadgen::TestLog::Parse(f.bytes);
-    }
-    // Unknown keys are skipped: older binaries read newer journals.
-  }
-  return r;
+  return Decode<loadgen::TestResult>(payload);
 }
-
-// ---- task record codec ------------------------------------------------
-
-std::string EncodeTaskRecord(const TaskRunResult& tr) {
-  std::string out;
-  PutS(out, "task", tr.entry.id);
-  PutU(out, "numerics", static_cast<std::uint64_t>(tr.numerics));
-  PutS(out, "framework", tr.framework_name);
-  PutS(out, "accelerator", tr.accelerator_label);
-  PutD(out, "accuracy", tr.accuracy);
-  PutD(out, "fp32_reference", tr.fp32_reference);
-  PutD(out, "ratio_to_fp32", tr.ratio_to_fp32);
-  PutB(out, "quality_passed", tr.quality_passed);
-  PutUV(out, "calibration_indices", tr.calibration_indices);
-  PutU(out, "accuracy_sample_count", tr.accuracy_sample_count);
-  PutU(out, "dataset_size", tr.dataset_size);
-  if (tr.single_stream)
-    PutS(out, "single_stream", EncodeTestResult(*tr.single_stream));
-  if (tr.offline) PutS(out, "offline", EncodeTestResult(*tr.offline));
-  PutD(out, "energy_per_inference_j", tr.energy_per_inference_j);
-  PutD(out, "peak_temperature_c", tr.peak_temperature_c);
-  PutU(out, "peak_arena_bytes", tr.peak_arena_bytes);
-  PutU(out, "naive_activation_bytes", tr.naive_activation_bytes);
-  PutU(out, "status", static_cast<std::uint64_t>(tr.status));
-  PutS(out, "status_detail", tr.status_detail);
-  PutU(out, "fault_count", tr.fault_count);
-  PutU(out, "degradation_count", tr.degradation_count);
-  PutU(out, "shed_count", tr.shed_count);
-  PutU(out, "rejected_count", tr.rejected_count);
-  PutU(out, "breaker_trips", tr.breaker_trips);
-  PutB(out, "degraded_to_cpu", tr.degraded_to_cpu);
-  PutU(out, "performance_attempts",
-       static_cast<std::uint64_t>(tr.performance_attempts));
-  PutS(out, "fault_log", tr.fault_log);
-  PutU(out, "lint_error_count", tr.lint_error_count);
-  PutU(out, "lint_warning_count", tr.lint_warning_count);
-  PutS(out, "lint_log", tr.lint_log);
-  PutS(out, "kernel_isa", tr.kernel_isa);
-  PutB(out, "transform_requested", tr.transform_requested);
-  PutB(out, "transform_applied", tr.transform_applied);
-  PutS(out, "transform_passes", tr.transform_passes);
-  PutU(out, "transform_rewrites", tr.transform_rewrites);
-  PutU(out, "transform_nodes_before", tr.transform_nodes_before);
-  PutU(out, "transform_nodes_after", tr.transform_nodes_after);
-  PutS(out, "transform_detail", tr.transform_detail);
-  PutB(out, "tiling_requested", tr.tiling_requested);
-  PutB(out, "tiling_applied", tr.tiling_applied);
-  PutU(out, "tile_segments", tr.tile_segments);
-  PutU(out, "tile_rows", static_cast<std::uint64_t>(tr.tile_rows));
-  PutU(out, "tile_slab_bytes", tr.tile_slab_bytes);
-  // accuracy_outputs are deliberately not journaled: they are only needed
-  // transiently for scoring, and the derived score is recorded above.
-  return out;
-}
-
+std::string EncodeTaskRecord(const TaskRunResult& t) { return Encode(t); }
 TaskRunResult DecodeTaskRecord(const std::string& payload) {
-  TaskRunResult tr;
-  PayloadParser parser(payload);
-  Field f;
-  while (parser.Next(f)) {
-    if (f.key == "task") {
-      tr.entry.id = std::move(f.bytes);
-    } else if (f.key == "numerics") {
-      const std::uint64_t v = ParseU64(f.scalar);
-      Expects(v <= 4, "journal: bad numerics " + f.scalar);
-      tr.numerics = static_cast<DataType>(v);
-    } else if (f.key == "framework") {
-      tr.framework_name = std::move(f.bytes);
-    } else if (f.key == "accelerator") {
-      tr.accelerator_label = std::move(f.bytes);
-    } else if (f.key == "accuracy") {
-      tr.accuracy = ParseDouble(f.scalar);
-    } else if (f.key == "fp32_reference") {
-      tr.fp32_reference = ParseDouble(f.scalar);
-    } else if (f.key == "ratio_to_fp32") {
-      tr.ratio_to_fp32 = ParseDouble(f.scalar);
-    } else if (f.key == "quality_passed") {
-      tr.quality_passed = f.scalar == "1";
-    } else if (f.key == "calibration_indices") {
-      tr.calibration_indices.assign(f.uints.begin(), f.uints.end());
-    } else if (f.key == "accuracy_sample_count") {
-      tr.accuracy_sample_count = ParseU64(f.scalar);
-    } else if (f.key == "dataset_size") {
-      tr.dataset_size = ParseU64(f.scalar);
-    } else if (f.key == "single_stream") {
-      tr.single_stream = DecodeTestResult(f.bytes);
-    } else if (f.key == "offline") {
-      tr.offline = DecodeTestResult(f.bytes);
-    } else if (f.key == "energy_per_inference_j") {
-      tr.energy_per_inference_j = ParseDouble(f.scalar);
-    } else if (f.key == "peak_temperature_c") {
-      tr.peak_temperature_c = ParseDouble(f.scalar);
-    } else if (f.key == "peak_arena_bytes") {
-      tr.peak_arena_bytes = ParseU64(f.scalar);
-    } else if (f.key == "naive_activation_bytes") {
-      tr.naive_activation_bytes = ParseU64(f.scalar);
-    } else if (f.key == "status") {
-      const std::uint64_t v = ParseU64(f.scalar);
-      Expects(v <= 3, "journal: bad status " + f.scalar);
-      tr.status = static_cast<TaskStatus>(v);
-    } else if (f.key == "status_detail") {
-      tr.status_detail = std::move(f.bytes);
-    } else if (f.key == "fault_count") {
-      tr.fault_count = ParseU64(f.scalar);
-    } else if (f.key == "degradation_count") {
-      tr.degradation_count = ParseU64(f.scalar);
-    } else if (f.key == "shed_count") {
-      tr.shed_count = ParseU64(f.scalar);
-    } else if (f.key == "rejected_count") {
-      tr.rejected_count = ParseU64(f.scalar);
-    } else if (f.key == "breaker_trips") {
-      tr.breaker_trips = ParseU64(f.scalar);
-    } else if (f.key == "degraded_to_cpu") {
-      tr.degraded_to_cpu = f.scalar == "1";
-    } else if (f.key == "performance_attempts") {
-      tr.performance_attempts = static_cast<int>(ParseU64(f.scalar));
-    } else if (f.key == "fault_log") {
-      tr.fault_log = std::move(f.bytes);
-    } else if (f.key == "lint_error_count") {
-      tr.lint_error_count = ParseU64(f.scalar);
-    } else if (f.key == "lint_warning_count") {
-      tr.lint_warning_count = ParseU64(f.scalar);
-    } else if (f.key == "lint_log") {
-      tr.lint_log = std::move(f.bytes);
-    } else if (f.key == "kernel_isa") {
-      tr.kernel_isa = std::move(f.bytes);
-    } else if (f.key == "transform_requested") {
-      tr.transform_requested = f.scalar == "1";
-    } else if (f.key == "transform_applied") {
-      tr.transform_applied = f.scalar == "1";
-    } else if (f.key == "transform_passes") {
-      tr.transform_passes = std::move(f.bytes);
-    } else if (f.key == "transform_rewrites") {
-      tr.transform_rewrites = ParseU64(f.scalar);
-    } else if (f.key == "transform_nodes_before") {
-      tr.transform_nodes_before = ParseU64(f.scalar);
-    } else if (f.key == "transform_nodes_after") {
-      tr.transform_nodes_after = ParseU64(f.scalar);
-    } else if (f.key == "transform_detail") {
-      tr.transform_detail = std::move(f.bytes);
-    } else if (f.key == "tiling_requested") {
-      tr.tiling_requested = f.scalar == "1";
-    } else if (f.key == "tiling_applied") {
-      tr.tiling_applied = f.scalar == "1";
-    } else if (f.key == "tile_segments") {
-      tr.tile_segments = ParseU64(f.scalar);
-    } else if (f.key == "tile_rows") {
-      // Stored as the two's-complement u64 image (-1 = auto round-trips).
-      tr.tile_rows = static_cast<std::int64_t>(ParseU64(f.scalar));
-    } else if (f.key == "tile_slab_bytes") {
-      tr.tile_slab_bytes = ParseU64(f.scalar);
-    }
-  }
-  Expects(!tr.entry.id.empty(), "journal: record without a task id");
-  return tr;
+  return Decode<TaskRunResult>(payload);
 }
-
-std::string EncodeMeta(const JournalMeta& meta) {
-  std::string out;
-  PutS(out, "chipset", meta.chipset);
-  PutS(out, "version", meta.version);
-  PutU(out, "seed", meta.seed);
-  PutU(out, "config_hash", meta.config_hash);
-  return out;
-}
-
-JournalMeta DecodeMeta(const std::string& payload) {
-  JournalMeta meta;
-  PayloadParser parser(payload);
-  Field f;
-  while (parser.Next(f)) {
-    if (f.key == "chipset") meta.chipset = std::move(f.bytes);
-    else if (f.key == "version") meta.version = std::move(f.bytes);
-    else if (f.key == "seed") meta.seed = ParseU64(f.scalar);
-    else if (f.key == "config_hash") meta.config_hash = ParseU64(f.scalar);
-  }
-  Expects(!meta.chipset.empty() && !meta.version.empty(),
-          "journal: meta missing chipset/version");
-  return meta;
-}
+std::string EncodeMeta(const JournalMeta& meta) { return Encode(meta); }
+JournalMeta DecodeMeta(const std::string& p) { return Decode<JournalMeta>(p); }
 
 // ---- run-config digest ------------------------------------------------
+
+std::string CanonicalSettings(
+    const loadgen::TestSettings& settings,
+    const std::optional<soc::FaultPlan>& fault_plan,
+    const std::optional<backends::CircuitBreakerOptions>& breaker) {
+  using schema::Put;
+  std::string canon;
+  Put(canon, "settings", settings);
+  if (fault_plan) {
+    Put(canon, "fault_seed", fault_plan->seed);
+    for (const soc::FaultSpec& spec : fault_plan->specs) {
+      Put(canon, "fault_kind", spec.kind);
+      Put(canon, "fault_probability", spec.probability);
+      Put(canon, "fault_stall_scale", spec.stall_scale);
+      Put(canon, "fault_crash_latency_fraction", spec.crash_latency_fraction);
+    }
+  }
+  if (breaker) {
+    Put(canon, "cb_trip_threshold", breaker->trip_threshold);
+    Put(canon, "cb_open_duration_s", breaker->open_duration_s);
+    Put(canon, "cb_backoff_factor", breaker->backoff_factor);
+    Put(canon, "cb_max_open_duration_s", breaker->max_open_duration_s);
+    Put(canon, "cb_probe_jitter_frac", breaker->probe_jitter_frac);
+    Put(canon, "cb_seed", breaker->seed);
+    Put(canon, "cb_rejection_latency_s", breaker->rejection_latency_s);
+  }
+  return canon;
+}
 
 std::uint64_t HashRunConfig(const soc::ChipsetDesc& chipset,
                             models::SuiteVersion version,
                             const RunOptions& o) {
-  std::string canon;
-  const auto add = [&canon](std::string_view key, const std::string& value) {
-    canon += key;
-    canon += '=';
-    canon += value;
-    canon += ';';
-  };
-  const auto add_d = [&](std::string_view key, double v) {
-    add(key, wire::HexDouble(v));
-  };
-  const auto add_u = [&](std::string_view key, std::uint64_t v) {
-    add(key, std::to_string(v));
-  };
-
-  add("chipset", chipset.name);
-  add("version", std::string(ToString(version)));
-  add_u("run_accuracy", o.run_accuracy ? 1 : 0);
-  add_u("run_performance", o.run_performance ? 1 : 0);
-  add_u("run_offline", o.run_offline ? 1 : 0);
-  add_d("cooldown_s", o.cooldown_s);
-  add_u("end_to_end", o.end_to_end ? 1 : 0);
-  add_u("use_qat_weights", o.use_qat_weights ? 1 : 0);
-  add_u("max_test_retries", static_cast<std::uint64_t>(o.max_test_retries));
-  add_u("lint", static_cast<std::uint64_t>(o.lint));
+  using schema::Put;
+  std::string canon = CanonicalSettings(o.performance_settings, o.fault_plan,
+                                        o.circuit_breaker);
+  Put(canon, "chipset", chipset.name);
+  Put(canon, "version", ToString(version));
+  Put(canon, "run_accuracy", o.run_accuracy);
+  Put(canon, "run_performance", o.run_performance);
+  Put(canon, "run_offline", o.run_offline);
+  Put(canon, "cooldown_s", o.cooldown_s);
+  Put(canon, "end_to_end", o.end_to_end);
+  Put(canon, "use_qat_weights", o.use_qat_weights);
+  Put(canon, "max_test_retries", o.max_test_retries);
+  Put(canon, "lint", o.lint);
   // The *requested* ISA, not the resolved one: the hash guards against
   // mixing journals from differently-configured runs, and f32 accuracy
   // results differ across kernel tables.
-  add("kernel_isa", std::string(ToString(o.kernel_isa)));
+  Put(canon, "kernel_isa", ToString(o.kernel_isa));
   // The transform stage changes the executed graph, so resumed accuracy
   // results are only interchangeable within one setting of it.
-  add_u("transform", o.transform ? 1 : 0);
+  Put(canon, "transform", o.transform);
   // Tiling is bit-identical to whole-op execution, but the memory-plan
   // figures and applied/segment fields in each record depend on it, so
   // journals are only interchangeable within one tiling configuration.
-  add_u("tiling", o.tiling.enabled ? 1 : 0);
-  add_u("tile_rows", static_cast<std::uint64_t>(o.tiling.rows));
-  add_u("tile_cache_bytes", o.tiling.cache_bytes);
-
-  const loadgen::TestSettings& s = o.performance_settings;
-  add_u("seed", s.seed);
-  add_u("min_query_count", s.min_query_count);
-  add_d("min_duration_s", s.min_duration.count());
-  add_u("offline_sample_count", s.offline_sample_count);
-  add_d("latency_percentile", s.latency_percentile);
-  add_d("server_target_qps", s.server_target_qps);
-  add_d("server_latency_bound_s", s.server_latency_bound.count());
-  add_u("server_query_count", s.server_query_count);
-  add_u("server_max_queue_depth", s.server_max_queue_depth);
-  add_d("server_max_shed_fraction", s.server_max_shed_fraction);
-  add_u("multistream_samples_per_query", s.multistream_samples_per_query);
-  add_d("multistream_interval_s", s.multistream_interval.count());
-  add_u("multistream_query_count", s.multistream_query_count);
-  add_u("performance_sample_count", s.performance_sample_count);
-  add_d("query_timeout_s", s.query_timeout.count());
-
+  Put(canon, "tiling", o.tiling.enabled);
+  Put(canon, "tile_rows", o.tiling.rows);
+  Put(canon, "tile_cache_bytes", o.tiling.cache_bytes);
+  // Recovery options only act when faults are injected.
   if (o.fault_plan) {
-    add_u("fault_seed", o.fault_plan->seed);
-    for (const soc::FaultSpec& spec : o.fault_plan->specs) {
-      add("fault_kind", std::string(ToString(spec.kind)));
-      add_d("fault_probability", spec.probability);
-      add_d("fault_stall_scale", spec.stall_scale);
-      add_d("fault_crash_latency_fraction", spec.crash_latency_fraction);
-    }
     const backends::FaultToleranceOptions& ft = o.fault_tolerance;
-    add_u("ft_max_attempts", static_cast<std::uint64_t>(ft.max_attempts));
-    add_d("ft_backoff_base_s", ft.backoff_base_s);
-    add_u("ft_crash_fallback_threshold",
-          static_cast<std::uint64_t>(ft.crash_fallback_threshold));
-    add_d("ft_emergency_cooldown_s", ft.emergency_cooldown_s);
-    add_d("ft_backoff_jitter_frac", ft.backoff_jitter_frac);
-    add_u("ft_backoff_seed", ft.backoff_seed);
-  }
-  if (o.circuit_breaker) {
-    const backends::CircuitBreakerOptions& cb = *o.circuit_breaker;
-    add_u("cb_trip_threshold", static_cast<std::uint64_t>(cb.trip_threshold));
-    add_d("cb_open_duration_s", cb.open_duration_s);
-    add_d("cb_backoff_factor", cb.backoff_factor);
-    add_d("cb_max_open_duration_s", cb.max_open_duration_s);
-    add_d("cb_probe_jitter_frac", cb.probe_jitter_frac);
-    add_u("cb_seed", cb.seed);
-    add_d("cb_rejection_latency_s", cb.rejection_latency_s);
+    Put(canon, "ft_max_attempts", ft.max_attempts);
+    Put(canon, "ft_backoff_base_s", ft.backoff_base_s);
+    Put(canon, "ft_crash_fallback_threshold", ft.crash_fallback_threshold);
+    Put(canon, "ft_emergency_cooldown_s", ft.emergency_cooldown_s);
+    Put(canon, "ft_backoff_jitter_frac", ft.backoff_jitter_frac);
+    Put(canon, "ft_backoff_seed", ft.backoff_seed);
   }
   // threads / profile / trace_path / journal_path are excluded: they do
   // not change any result field.
@@ -382,55 +224,24 @@ std::uint64_t HashRunConfig(const soc::ChipsetDesc& chipset,
 // ---- loader -----------------------------------------------------------
 
 JournalLoad LoadJournal(const std::string& path) {
+  FrameLogLoad raw = LoadFrameLog(path);
   JournalLoad load;
-  const FrameLogLoad raw = LoadFrameLog(path);
-
-  // Interpret the physically-intact frames: the first must be the meta
-  // frame, the rest task records.  A frame that violates that — or is
-  // checksum-clean but undecodable (format bug, version skew) — cuts the
-  // valid prefix right before it, like a torn tail.
-  std::size_t pos = raw.valid_prefix_bytes;
-  bool interpreted_all = true;
-  for (const RawFrame& frame : raw.frames) {
-    const bool first_frame = !load.meta_valid && load.tasks.empty();
-    try {
-      if (first_frame) {
-        if (frame.kind != "meta") {
-          load.notes.push_back("first frame is '" + frame.kind +
-                               "', expected 'meta'");
-          pos = frame.offset;
-          interpreted_all = false;
-          break;
-        }
-        load.meta = DecodeMeta(frame.payload);
-        load.meta_valid = true;
-      } else {
-        if (frame.kind != "rec") {
-          load.notes.push_back("unexpected '" + frame.kind +
-                               "' frame after the meta frame");
-          pos = frame.offset;
-          interpreted_all = false;
-          break;
-        }
-        load.tasks.push_back(DecodeTaskRecord(frame.payload));
-        ++load.intact_records;
-      }
-    } catch (const std::exception& e) {
-      load.notes.push_back("undecodable '" + frame.kind + "' frame at byte " +
-                           std::to_string(frame.offset) + ": " + e.what());
-      pos = frame.offset;
-      interpreted_all = false;
-      break;
+  // The first frame must be the meta frame, the rest task records.
+  InterpretFrames(raw, [&load](const RawFrame& frame, std::size_t index) {
+    const std::string expected = index == 0 ? "meta" : "rec";
+    Expects(frame.kind == expected, "expected a '" + expected + "' frame");
+    if (index == 0) {
+      load.meta = DecodeMeta(frame.payload);
+      load.meta_valid = true;
+    } else {
+      load.tasks.push_back(DecodeTaskRecord(frame.payload));
     }
-  }
-  // Physical damage past the interpreted prefix only matters if the
-  // interpretation got that far; an earlier semantic cut supersedes it.
-  if (interpreted_all)
-    load.notes.insert(load.notes.end(), raw.notes.begin(), raw.notes.end());
-
-  load.valid_prefix_bytes = pos;
-  load.torn_bytes = raw.file_size - pos;
-  load.torn_tail = load.torn_bytes > 0;
+  });
+  load.intact_records = load.tasks.size();
+  load.torn_tail = raw.torn_tail;
+  load.torn_bytes = raw.torn_bytes;
+  load.valid_prefix_bytes = raw.valid_prefix_bytes;
+  load.notes = std::move(raw.notes);
   return load;
 }
 

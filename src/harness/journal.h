@@ -26,10 +26,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "harness/frame_log.h"
+#include "harness/record_schema.h"
 #include "harness/run_session.h"
 #include "models/zoo.h"
 #include "soc/chipset.h"
@@ -51,17 +53,28 @@ struct JournalMeta {
   }
 };
 
+// Canonical text of the LoadGen settings (their field table), fault plan
+// and breaker options: the part of the run identity HashRunConfig and
+// fleet::HashFleetConfig share, so a settings field added to the table
+// joins both hashes.
+[[nodiscard]] std::string CanonicalSettings(
+    const loadgen::TestSettings& settings,
+    const std::optional<soc::FaultPlan>& fault_plan,
+    const std::optional<backends::CircuitBreakerOptions>& breaker);
+
 // Deterministic digest of everything that shapes a submission's results:
-// chipset, suite version, LoadGen settings, fault plan, recovery and
-// breaker options, run flags.  Observability knobs (profile/trace) and the
-// accuracy-phase thread count are excluded — they never change results.
+// CanonicalSettings plus chipset, suite version, run flags and (with a
+// fault plan) the recovery options.  Observability knobs (profile/trace),
+// the journal path and the accuracy-phase thread count are excluded — they
+// never change results.
 [[nodiscard]] std::uint64_t HashRunConfig(const soc::ChipsetDesc& chipset,
                                           models::SuiteVersion version,
                                           const RunOptions& options);
 
-// Record payload codecs, exposed for tests and the mlpm_journal tool.
-// DecodeTaskRecord throws CheckError on malformed payloads; the decoded
-// result carries only entry.id (the caller rebinds the live suite entry).
+// Record payload codecs (schema::Encode/Decode over the field tables
+// below), exposed for tests and the mlpm_journal tool.  DecodeTaskRecord
+// throws CheckError on malformed payloads; the decoded result carries only
+// entry.id (the caller rebinds the live suite entry).
 [[nodiscard]] std::string EncodeTaskRecord(const TaskRunResult& tr);
 [[nodiscard]] TaskRunResult DecodeTaskRecord(const std::string& payload);
 [[nodiscard]] std::string EncodeMeta(const JournalMeta& meta);
@@ -112,3 +125,12 @@ class JournalWriter {
 };
 
 }  // namespace mlpm::harness
+
+// Field tables defined in journal.cpp: the journaled records, and the
+// LoadGen settings CanonicalSettings encodes.
+namespace mlpm::harness::schema {
+template <> Table<loadgen::TestResult> FieldsOf<loadgen::TestResult>();
+template <> Table<TaskRunResult> FieldsOf<TaskRunResult>();
+template <> Table<JournalMeta> FieldsOf<JournalMeta>();
+template <> Table<loadgen::TestSettings> FieldsOf<loadgen::TestSettings>();
+}  // namespace mlpm::harness::schema

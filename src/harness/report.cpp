@@ -104,16 +104,13 @@ std::string FormatSubmission(const SubmissionResult& result) {
                  "Timed out", "Shed", "Rejected", "Trips", "Attempts",
                  "Detail"});
     for (const TaskRunResult& task : result.tasks) {
-      const std::size_t dropped =
-          (task.single_stream ? task.single_stream->dropped_count : 0) +
-          (task.offline ? task.offline->dropped_count : 0);
-      const std::size_t timed_out =
-          (task.single_stream ? task.single_stream->timed_out_count : 0) +
-          (task.offline ? task.offline->timed_out_count : 0);
       f.AddRow({task.entry.id, std::string(ToString(task.status)),
                 std::to_string(task.fault_count),
                 std::to_string(task.degradation_count),
-                std::to_string(dropped), std::to_string(timed_out),
+                std::to_string(
+                    SumOverTests(task, &loadgen::TestResult::dropped_count)),
+                std::to_string(
+                    SumOverTests(task, &loadgen::TestResult::timed_out_count)),
                 std::to_string(task.shed_count),
                 std::to_string(task.rejected_count),
                 std::to_string(task.breaker_trips),

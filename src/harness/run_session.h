@@ -244,6 +244,14 @@ struct TaskRunResult {
   std::string transform_detail;            // fallback reason, if any
 };
 
+// One LoadGen counter summed over a task's performance tests (either may be
+// absent), e.g. SumOverTests(t, &loadgen::TestResult::dropped_count).
+[[nodiscard]] inline std::size_t SumOverTests(
+    const TaskRunResult& t, std::size_t loadgen::TestResult::*counter) {
+  return (t.single_stream ? (*t.single_stream).*counter : 0) +
+         (t.offline ? (*t.offline).*counter : 0);
+}
+
 struct SubmissionResult {
   std::string chipset_name;
   models::SuiteVersion version = models::SuiteVersion::kV1_0;

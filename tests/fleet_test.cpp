@@ -344,6 +344,36 @@ TEST(Fleet, ResumeIgnoresJournalOfDifferentConfiguration) {
   EXPECT_EQ(second.shards.size(), 4u);
 }
 
+TEST(Fleet, LoadCutsTheJournalAtAShardWithAnOutOfRangeEnum) {
+  const std::string path = testing::TempDir() + "/fleet_bad_enum.journal";
+  fleet::FleetJournalMeta meta;
+  meta.version = "v1.0";
+  meta.shard_count = 2;
+  fleet::ShardResult good;
+  good.numerics = DataType::kInt8;
+  fleet::ShardResult bad = good;
+  bad.shard_id = 1;
+  { fleet::FleetJournalWriter::Create(path, meta)->Append(good); }
+  const std::size_t good_end = fleet::LoadFleetJournal(path).valid_prefix_bytes;
+
+  // A checksum-clean frame whose numerics value names no DataType.
+  std::string payload = fleet::EncodeShardResult(bad);
+  const std::string int8 = "u numerics 2\n";
+  ASSERT_NE(payload.find(int8), std::string::npos);
+  payload.replace(payload.find(int8), int8.size(), "u numerics 9\n");
+  EXPECT_THROW((void)fleet::DecodeShardResult(payload), CheckError);
+  harness::FrameLogWriter::OpenAt(path, good_end).AppendFrame("shard", payload);
+
+  const fleet::FleetJournalLoad load = fleet::LoadFleetJournal(path);
+  EXPECT_TRUE(load.meta_valid);
+  ASSERT_EQ(load.shards.size(), 1u);
+  EXPECT_EQ(load.shards.begin()->first, 0u);
+  EXPECT_TRUE(load.torn_tail);
+  EXPECT_EQ(load.valid_prefix_bytes, good_end);
+  ASSERT_EQ(load.notes.size(), 1u);
+  EXPECT_NE(load.notes[0].find("numerics 9"), std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // FindMaxServerQps bisection behavior (unit)
 

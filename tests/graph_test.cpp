@@ -2,6 +2,8 @@
 // inference, structural fingerprints, and cost analysis.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "graph/cost.h"
 #include "graph/graph.h"
 
@@ -36,10 +38,13 @@ TEST(TensorShape, EqualityAndToString) {
 
 // ---- ConvOutDim ----
 
+// GoogleTest names a case by its parameter's raw bytes, so the padding
+// after `pad` is an explicit zeroed member: the names stay fixed.
 struct ConvDimCase {
   std::int64_t in;
   int kernel, stride, dilation;
   Padding pad;
+  std::array<std::uint8_t, 3> zero_padding{};
   std::int64_t expected;
 };
 
@@ -54,17 +59,17 @@ TEST_P(ConvOutDimTest, MatchesReference) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, ConvOutDimTest,
     ::testing::Values(
-        ConvDimCase{224, 3, 2, 1, Padding::kSame, 112},
-        ConvDimCase{224, 3, 1, 1, Padding::kSame, 224},
-        ConvDimCase{300, 3, 2, 1, Padding::kSame, 150},
-        ConvDimCase{5, 3, 2, 1, Padding::kSame, 3},
-        ConvDimCase{3, 3, 2, 1, Padding::kSame, 2},
-        ConvDimCase{2, 3, 2, 1, Padding::kSame, 1},
-        ConvDimCase{224, 3, 1, 1, Padding::kValid, 222},
-        ConvDimCase{224, 3, 2, 1, Padding::kValid, 111},
-        ConvDimCase{7, 7, 1, 1, Padding::kValid, 1},
-        ConvDimCase{32, 3, 1, 2, Padding::kValid, 28},
-        ConvDimCase{32, 3, 1, 2, Padding::kSame, 32}));
+        ConvDimCase{224, 3, 2, 1, Padding::kSame, {}, 112},
+        ConvDimCase{224, 3, 1, 1, Padding::kSame, {}, 224},
+        ConvDimCase{300, 3, 2, 1, Padding::kSame, {}, 150},
+        ConvDimCase{5, 3, 2, 1, Padding::kSame, {}, 3},
+        ConvDimCase{3, 3, 2, 1, Padding::kSame, {}, 2},
+        ConvDimCase{2, 3, 2, 1, Padding::kSame, {}, 1},
+        ConvDimCase{224, 3, 1, 1, Padding::kValid, {}, 222},
+        ConvDimCase{224, 3, 2, 1, Padding::kValid, {}, 111},
+        ConvDimCase{7, 7, 1, 1, Padding::kValid, {}, 1},
+        ConvDimCase{32, 3, 1, 2, Padding::kValid, {}, 28},
+        ConvDimCase{32, 3, 1, 2, Padding::kSame, {}, 32}));
 
 TEST(ConvOutDim, RejectsDegenerateInputs) {
   EXPECT_THROW(ConvOutDim(0, 3, 1, 1, Padding::kSame), CheckError);

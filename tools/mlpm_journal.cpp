@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
                 t.quality_passed ? "pass" : "FAIL");
     if (verbose) {
       std::printf("      faults=%zu shed=%zu rejected=%zu trips=%zu "
-                  "attempts=%zu\n",
+                  "attempts=%d\n",
                   t.fault_count, t.shed_count, t.rejected_count,
                   t.breaker_trips, t.performance_attempts);
     }
