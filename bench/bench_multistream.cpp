@@ -27,7 +27,7 @@ loadgen::TestResult RunMultiStream(const soc::ChipsetDesc& chip,
       chip.name, soc::SocSimulator(chip),
       backends::CompileSubmission(chip, sub, model),
       backends::CompileOfflineReplicas(chip, sub, model), clock);
-  benchutil::StubDataset stub;
+  datasets::StubDataset stub;
   loadgen::DatasetQsl qsl(stub);
   loadgen::TestSettings s;
   s.scenario = loadgen::TestScenario::kMultiStream;

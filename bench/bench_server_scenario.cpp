@@ -28,7 +28,7 @@ loadgen::TestResult RunServer(const soc::ChipsetDesc& chip, double qps,
   backends::SimulatedBackend sut(
       chip.name, soc::SocSimulator(chip),
       backends::CompileSubmission(chip, sub, model), {}, clock);
-  benchutil::StubDataset stub;
+  datasets::StubDataset stub;
   loadgen::DatasetQsl qsl(stub);
   loadgen::TestSettings s;
   s.scenario = loadgen::TestScenario::kServer;

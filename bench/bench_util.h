@@ -14,7 +14,7 @@
 #include "backends/vendor_policy.h"
 #include "core/dataset_qsl.h"
 #include "core/loadgen.h"
-#include "datasets/task_dataset.h"
+#include "datasets/stub_dataset.h"
 #include "models/zoo.h"
 #include "soc/chipset.h"
 
@@ -90,30 +90,6 @@ inline void WriteJson(const std::string& path, std::size_t host_threads) {
 
 // ---- simulated performance runs ---------------------------------------------
 
-// A minimal query-sample source for performance-only runs: the simulated
-// backend never reads sample contents, so eight 1-element tensors suffice.
-class StubDataset final : public datasets::TaskDataset {
- public:
-  [[nodiscard]] std::size_t size() const override { return 8; }
-  [[nodiscard]] std::vector<infer::Tensor> InputsFor(
-      std::size_t) const override {
-    std::vector<infer::Tensor> v;
-    v.emplace_back(graph::TensorShape({1}));
-    return v;
-  }
-  [[nodiscard]] double ScoreOutputs(
-      std::span<const std::vector<infer::Tensor>>) const override {
-    return 0.0;
-  }
-  [[nodiscard]] std::string_view metric_name() const override {
-    return "none";
-  }
-  [[nodiscard]] std::vector<infer::Tensor> CalibrationInputsFor(
-      std::size_t index) const override {
-    return InputsFor(index);
-  }
-};
-
 struct PerfOutcome {
   double p90_latency_s = 0.0;
   double mean_latency_s = 0.0;
@@ -141,7 +117,7 @@ inline PerfOutcome RunSingleStream(const soc::ChipsetDesc& chipset,
       chipset.name, soc::SocSimulator(chipset),
       backends::CompileSubmission(chipset, sub, model),
       backends::CompileOfflineReplicas(chipset, sub, model), clock);
-  StubDataset stub;
+  datasets::StubDataset stub;
   loadgen::DatasetQsl qsl(stub);
   loadgen::TestSettings settings;
   const loadgen::TestResult r = loadgen::RunTest(sut, qsl, settings, clock);
@@ -176,7 +152,7 @@ inline PerfOutcome RunOffline(const soc::ChipsetDesc& chipset,
       chipset.name, soc::SocSimulator(chipset),
       backends::CompileSubmission(chipset, sub, model),
       backends::CompileOfflineReplicas(chipset, sub, model), clock);
-  StubDataset stub;
+  datasets::StubDataset stub;
   loadgen::DatasetQsl qsl(stub);
   loadgen::TestSettings settings;
   settings.scenario = loadgen::TestScenario::kOffline;

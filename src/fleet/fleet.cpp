@@ -15,7 +15,7 @@
 #include "common/statistics.h"
 #include "common/thread_pool.h"
 #include "core/dataset_qsl.h"
-#include "datasets/task_dataset.h"
+#include "datasets/stub_dataset.h"
 #include "fleet/journal.h"
 #include "fleet/prepared.h"
 #include "infer/prepared_cache.h"
@@ -25,33 +25,6 @@
 
 namespace mlpm::fleet {
 namespace {
-
-// Performance-only query source: the simulated plane never reads sample
-// contents (latency comes from the compiled model), so tiny tensors
-// suffice.  Mirrors benchutil::StubDataset; sample indices drawn against it
-// don't affect timing, which is what makes the fleet path latency-identical
-// to the legacy RunSubmission path for the same seed and settings.
-class StubDataset final : public datasets::TaskDataset {
- public:
-  [[nodiscard]] std::size_t size() const override { return 8; }
-  [[nodiscard]] std::vector<infer::Tensor> InputsFor(
-      std::size_t) const override {
-    std::vector<infer::Tensor> v;
-    v.emplace_back(graph::TensorShape({1}));
-    return v;
-  }
-  [[nodiscard]] double ScoreOutputs(
-      std::span<const std::vector<infer::Tensor>>) const override {
-    return 0.0;
-  }
-  [[nodiscard]] std::string_view metric_name() const override {
-    return "none";
-  }
-  [[nodiscard]] std::vector<infer::Tensor> CalibrationInputsFor(
-      std::size_t index) const override {
-    return InputsFor(index);
-  }
-};
 
 // The shard-side SUT: SimulatedBackend's single-stream semantics, but the
 // compiled plan is a shared immutable PreparedShardModel from the fleet
@@ -110,18 +83,6 @@ struct ShardSpec {
   return r.NextU64();
 }
 
-[[nodiscard]] infer::NumericsMode ModeFor(DataType numerics) {
-  switch (numerics) {
-    case DataType::kInt8:
-    case DataType::kUInt8:
-      return infer::NumericsMode::kInt8;
-    case DataType::kFloat16:
-      return infer::NumericsMode::kFp16;
-    default:
-      return infer::NumericsMode::kFp32;
-  }
-}
-
 [[nodiscard]] ShardResult RunOneShard(
     const ShardSpec& spec, const FleetOptions& options,
     infer::PreparedCache<PreparedShardModel>& cache) {
@@ -161,7 +122,9 @@ struct ShardSpec {
 
   ShardSut sut(spec.chipset.name + "/" + model->sub.framework.name,
                std::move(sim), model, clock);
-  StubDataset stub;
+  // Sample contents never reach the simulated plane, so a stub source keeps
+  // the shard latency-identical to RunSubmission for the same seed.
+  const datasets::StubDataset stub;
   loadgen::DatasetQsl qsl(stub);
 
   if (options.circuit_breaker.has_value()) {
@@ -217,7 +180,8 @@ void RunAccuracyPlane(const FleetOptions& options,
     if (it == scored.end()) {
       const harness::TaskBundle& bundle =
           bundles.Get(spec.entry, options.version);
-      const infer::NumericsMode mode = ModeFor(slot->numerics);
+      const infer::NumericsMode mode =
+          harness::NumericsModeFor(slot->numerics);
       const harness::TaskBundle::PreparedModel prepared =
           bundle.Prepare(mode, false, options.kernel_isa);
       Scores s;

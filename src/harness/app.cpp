@@ -2,7 +2,6 @@
 
 #include "harness/checker.h"
 #include "harness/report.h"
-#include "obs/aggregate.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -13,32 +12,32 @@ AppRunOutput RunMobileApp(const soc::ChipsetDesc& chipset,
                           const RunOptions& options) {
   AppRunOutput out;
   out.result = RunSubmission(chipset, version, bundles, options);
-  out.report_text = FormatSubmission(out.result);
-
-  // Profiling extras (DESIGN.md §11): per-op aggregates from the trace plus
-  // the process metrics snapshot, appended to the results screen.
-  if (options.profile || !options.trace_path.empty()) {
-    const std::vector<obs::TraceEvent> events =
-        obs::TraceRecorder::Global().Snapshot();
-    const std::vector<obs::OpAggregate> host =
-        obs::AggregateSpans(events, obs::Domain::kHost, "node");
-    if (!host.empty())
-      out.report_text +=
-          "\n" + obs::RenderAggregateTable(host, "executor ops (host)");
-    const std::vector<obs::OpAggregate> sim =
-        obs::AggregateSpans(events, obs::Domain::kSim, "soc");
-    if (!sim.empty())
-      out.report_text +=
-          "\n" + obs::RenderAggregateTable(sim, "simulated IP steps");
-    out.report_text +=
-        "\n" + obs::RenderMetricsTable(obs::MetricsRegistry::Global().Snap());
-  }
+  out.report_text = FormatSubmission(out.result) + FormatProfileTables(options);
 
   const CheckReport check =
       CheckSubmission(out.result, options.performance_settings);
   out.checker_text = FormatCheckReport(check);
   out.submission_valid = check.valid;
   return out;
+}
+
+OpProfile CollectOpProfile() {
+  const std::vector<obs::TraceEvent> events =
+      obs::TraceRecorder::Global().Snapshot();
+  return {obs::AggregateSpans(events, obs::Domain::kHost, "node"),
+          obs::AggregateSpans(events, obs::Domain::kSim, "soc")};
+}
+
+std::string FormatProfileTables(const RunOptions& options) {
+  if (!options.profile && options.trace_path.empty()) return {};
+  const OpProfile ops = CollectOpProfile();
+  std::string text;
+  if (!ops.host.empty())
+    text += "\n" + obs::RenderAggregateTable(ops.host, "executor ops (host)");
+  if (!ops.sim.empty())
+    text += "\n" + obs::RenderAggregateTable(ops.sim, "simulated IP steps");
+  return text + "\n" +
+         obs::RenderMetricsTable(obs::MetricsRegistry::Global().Snap());
 }
 
 }  // namespace mlpm::harness

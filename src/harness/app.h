@@ -3,8 +3,10 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "harness/run_session.h"
+#include "obs/aggregate.h"
 
 namespace mlpm::harness {
 
@@ -21,5 +23,18 @@ struct AppRunOutput {
                                         models::SuiteVersion version,
                                         SuiteBundles& bundles,
                                         const RunOptions& options = {});
+
+// Per-op aggregates of the recorded trace (DESIGN.md §11): executor nodes
+// on the host and simulated IP steps.
+struct OpProfile {
+  std::vector<obs::OpAggregate> host;
+  std::vector<obs::OpAggregate> sim;
+};
+[[nodiscard]] OpProfile CollectOpProfile();
+
+// The profiling tables appended to the results screen: each non-empty
+// OpProfile table, then the process metrics snapshot.  Empty unless
+// `options` asked for profiling or a trace.
+[[nodiscard]] std::string FormatProfileTables(const RunOptions& options);
 
 }  // namespace mlpm::harness

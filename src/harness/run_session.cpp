@@ -16,20 +16,6 @@
 namespace mlpm::harness {
 namespace {
 
-infer::NumericsMode ModeFor(DataType numerics) {
-  switch (numerics) {
-    case DataType::kInt8:
-    case DataType::kUInt8:
-      return infer::NumericsMode::kInt8;
-    case DataType::kFloat16:
-      return infer::NumericsMode::kFp16;
-    case DataType::kFloat32:
-    case DataType::kInt32:
-      return infer::NumericsMode::kFp32;
-  }
-  return infer::NumericsMode::kFp32;
-}
-
 // Analytical pre/post-processing cost on the CPU (the "AI tax" the
 // end-to-end extension includes; paper App. E).
 backends::EndToEndCosts EstimateEndToEndCosts(
@@ -350,7 +336,7 @@ void RunTask(const soc::ChipsetDesc& chipset, models::SuiteVersion version,
   if (options.run_accuracy) {
     // Accuracy mode: the whole validation set through the LoadGen and
     // the functional reference backend at the submission numerics.
-    const infer::NumericsMode mode = ModeFor(sub.numerics);
+    const infer::NumericsMode mode = NumericsModeFor(sub.numerics);
     const TaskBundle::PreparedModel prepared =
         bundle.Prepare(mode,
                        options.use_qat_weights &&
@@ -464,10 +450,8 @@ void RunTask(const soc::ChipsetDesc& chipset, models::SuiteVersion version,
     tr.peak_temperature_c = attempt.peak_temperature_c;
     tr.fault_count = attempt.fault_count;
     tr.degradation_count = attempt.degradation_count;
-    tr.shed_count = tr.single_stream->shed_count +
-                    (tr.offline ? tr.offline->shed_count : 0);
-    tr.rejected_count = tr.single_stream->rejected_count +
-                        (tr.offline ? tr.offline->rejected_count : 0);
+    tr.shed_count = SumOverTests(tr, &loadgen::TestResult::shed_count);
+    tr.rejected_count = SumOverTests(tr, &loadgen::TestResult::rejected_count);
     tr.breaker_trips = attempt.breaker_trips;
     tr.degraded_to_cpu = attempt.degraded_to_cpu;
     tr.fault_log = std::move(attempt.fault_log);

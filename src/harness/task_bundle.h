@@ -30,6 +30,21 @@ inline constexpr std::size_t kCalibrationSetSize = 128;
 inline constexpr std::size_t kCalibrationPoolSize = 1000;
 inline constexpr std::uint64_t kCalibrationSeed = 0xCA11B;
 
+// The executor numerics a task's declared data type runs at.
+[[nodiscard]] inline infer::NumericsMode NumericsModeFor(DataType numerics) {
+  switch (numerics) {
+    case DataType::kInt8:
+    case DataType::kUInt8:
+      return infer::NumericsMode::kInt8;
+    case DataType::kFloat16:
+      return infer::NumericsMode::kFp16;
+    case DataType::kFloat32:
+    case DataType::kInt32:
+      return infer::NumericsMode::kFp32;
+  }
+  return infer::NumericsMode::kFp32;
+}
+
 class TaskBundle {
  public:
   // Builds the mini reference model + data set for a suite entry.

@@ -1,0 +1,176 @@
+// The headless_cli front end, run as the built binary:
+//   * goldens: five invocations covering both modes and every flag family
+//     reproduce stdout (and the CSV) committed from an earlier release;
+//   * bad input (malformed numbers and enums, unknown flags, a value flag
+//     given last) exits 2 with the usage, which lists every flag once;
+//   * flag semantics the goldens do not reach: the last of --accuracy and
+//     --performance-only wins, and --task keeps a traced run's profile
+//     tables.
+#include <gtest/gtest.h>
+#include <sys/wait.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <system_error>
+
+namespace {
+
+std::string Slurp(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(static_cast<bool>(in)) << "missing " << path;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+std::string Golden(const std::string& name) {
+  return Slurp(std::filesystem::path(MLPM_GOLDEN_DIR) / name);
+}
+
+// One headless_cli invocation in a scratch directory of its own (named
+// after the running test), removed again when the run goes out of scope.
+// `args` are shell words, so quoted chipset names and mix specs work.
+class CliRun {
+ public:
+  explicit CliRun(const std::string& args) {
+    const testing::TestInfo* info =
+        testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::filesystem::path(testing::TempDir()) /
+           ("cli_test_" + std::string(info->test_suite_name()) + "_" +
+            info->name());
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    const std::string command = "cd '" + dir_.string() + "' && '" +
+                                MLPM_HEADLESS_CLI + "' " + args +
+                                " > stdout.txt 2> stderr.txt";
+    const int rc = std::system(command.c_str());
+    status_ = rc != -1 && WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+    out_ = File("stdout.txt");
+    err_ = File("stderr.txt");
+  }
+  ~CliRun() {
+    std::error_code ignored;
+    std::filesystem::remove_all(dir_, ignored);
+  }
+  CliRun(const CliRun&) = delete;
+  CliRun& operator=(const CliRun&) = delete;
+
+  [[nodiscard]] int status() const { return status_; }
+  [[nodiscard]] const std::string& out() const { return out_; }
+  [[nodiscard]] const std::string& err() const { return err_; }
+  // A file the run wrote into its working directory.
+  [[nodiscard]] std::string File(const std::string& name) const {
+    return Slurp(dir_ / name);
+  }
+
+ private:
+  std::filesystem::path dir_;
+  int status_ = -1;
+  std::string out_;
+  std::string err_;
+};
+
+// ---- goldens ---------------------------------------------------------------
+
+TEST(CliGolden, PerformanceOnlyClassificationWithCsv) {
+  const CliRun run(
+      "--performance-only --cooldown 0 --kernel-isa scalar --task ic "
+      "--csv cli_ic.csv");
+  EXPECT_EQ(run.status(), 0) << run.err();
+  EXPECT_EQ(run.out(), Golden("cli_perf_ic.txt"));
+  EXPECT_EQ(run.File("cli_ic.csv"), Golden("cli_ic.csv"));
+}
+
+TEST(CliGolden, FaultedDetectionOnExynos2100) {
+  const CliRun run(
+      "--chipset \"Exynos 2100\" --performance-only --cooldown 0 "
+      "--kernel-isa scalar --task od --faults 0.2 --fault-seed 7");
+  EXPECT_EQ(run.status(), 1) << run.err();  // the checker rejects the run
+  EXPECT_EQ(run.out(), Golden("cli_faults_od.txt"));
+}
+
+TEST(CliGolden, V07SegmentationWithEveryAccuracyPlaneFlag) {
+  const CliRun run(
+      "--version v0.7 --chipset \"Snapdragon 865+\" --performance-only "
+      "--cooldown 0 --kernel-isa scalar --e2e --lint strict --tile 8 "
+      "--transform --task is");
+  EXPECT_EQ(run.status(), 0) << run.err();
+  EXPECT_EQ(run.out(), Golden("cli_v07_is.txt"));
+}
+
+TEST(CliGolden, DefaultFleet) {
+  const CliRun run("--fleet 16 --fleet-queries 512");
+  EXPECT_EQ(run.status(), 0) << run.err();
+  EXPECT_EQ(run.out(), Golden("cli_fleet.txt"));
+}
+
+TEST(CliGolden, FleetWithEveryFleetFlag) {
+  const CliRun run(
+      "--fleet 16 --fleet-queries 512 "
+      "--fleet-mix 'Snapdragon 888:ic:3;Exynos 2100:qa' --faults 0.2 "
+      "--fault-seed 7 --fleet-depth 8 --fleet-qps 150 --fleet-slo-ms 40 "
+      "--fleet-workers 2");
+  EXPECT_EQ(run.status(), 0) << run.err();
+  EXPECT_EQ(run.out(), Golden("cli_fleet_mix.txt"));
+}
+
+// ---- bad input and the usage -----------------------------------------------
+
+TEST(CliFlags, BadInputExitsTwoWithTheUsage) {
+  for (const char* args :
+       {"--fleet 4x", "--cooldown abc", "--version v9", "--tile 0",
+        "--kernel-isa foo", "--bogus", "--performance-only --csv",
+        "--fleet 4 --fleet-mix ''"}) {
+    SCOPED_TRACE(args);
+    const CliRun run(args);
+    EXPECT_EQ(run.status(), 2);
+    EXPECT_EQ(run.out(), "");
+    EXPECT_NE(run.err().find("usage: headless_cli"), std::string::npos);
+  }
+}
+
+TEST(CliFlags, UsageListsEveryFlagOnce) {
+  const CliRun run("--bogus");
+  const std::string& usage = run.err();
+  std::size_t listed = 0;
+  for (std::size_t at = usage.find("[--"); at != std::string::npos;
+       at = usage.find("[--", at + 1))
+    ++listed;
+  EXPECT_EQ(listed, 27u) << usage;
+  for (const char* flag :
+       {"--chipset", "--version", "--task", "--accuracy", "--performance-only",
+        "--e2e", "--cooldown", "--csv", "--log", "--faults", "--fault-seed",
+        "--threads", "--kernel-isa", "--lint", "--transform", "--tile",
+        "--trace", "--profile", "--journal", "--resume", "--fleet",
+        "--fleet-mix", "--fleet-qps", "--fleet-slo-ms", "--fleet-queries",
+        "--fleet-depth", "--fleet-workers"}) {
+    // 27 entries naming 27 distinct flags: each is listed exactly once.
+    const std::string entry = std::string("[") + flag;
+    EXPECT_TRUE(usage.find(entry + " ") != std::string::npos ||
+                usage.find(entry + "]") != std::string::npos)
+        << flag << " missing from\n" << usage;
+  }
+}
+
+// ---- flag semantics --------------------------------------------------------
+
+TEST(CliFlags, LastOfAccuracyAndPerformanceOnlyWinsInFleetMode) {
+  const CliRun run("--fleet 16 --fleet-queries 512 --accuracy "
+                   "--performance-only");
+  EXPECT_EQ(run.status(), 0) << run.err();
+  EXPECT_EQ(run.out(), Golden("cli_fleet.txt"));
+}
+
+TEST(CliProfile, TaskFilterKeepsTheProfileTablesOfATracedRun) {
+  const CliRun run(
+      "--performance-only --cooldown 0 --task ic --trace run.trace.json");
+  EXPECT_EQ(run.status(), 0) << run.err();
+  EXPECT_NE(run.out().find("simulated IP steps"), std::string::npos)
+      << run.out();
+  EXPECT_NE(run.File("run.trace.json").find("traceEvents"), std::string::npos);
+}
+
+}  // namespace
