@@ -2,13 +2,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "datasets/task_dataset.h"
-#include "graph/graph.h"
-#include "infer/executor.h"
-#include "infer/weights.h"
+#include "datasets/labelled_dataset.h"
 
 namespace mlpm::datasets {
 
@@ -29,7 +25,7 @@ struct ClassificationDatasetConfig {
   std::uint64_t seed = 0x1234'5678;
 };
 
-class ClassificationDataset final : public TaskDataset {
+class ClassificationDataset final : public LabelledDataset {
  public:
   // `model` must be the FP32 reference classifier; labels are derived from
   // it at construction time.  Both references must outlive the dataset.
@@ -37,27 +33,20 @@ class ClassificationDataset final : public TaskDataset {
                         const infer::WeightStore& weights,
                         ClassificationDatasetConfig config);
 
-  [[nodiscard]] std::size_t size() const override { return labels_.size(); }
-  [[nodiscard]] std::vector<infer::Tensor> InputsFor(
-      std::size_t index) const override;
   [[nodiscard]] double ScoreOutputs(
       std::span<const std::vector<infer::Tensor>> outputs) const override;
   [[nodiscard]] std::string_view metric_name() const override {
     return "Top-1";
   }
-  [[nodiscard]] std::vector<infer::Tensor> CalibrationInputsFor(
-      std::size_t index) const override;
 
   [[nodiscard]] int LabelFor(std::size_t index) const;
 
  private:
   [[nodiscard]] infer::Tensor MakeInput(std::uint64_t name_space,
-                                        std::size_t index) const;
+                                        std::size_t index) const override;
 
   ClassificationDatasetConfig cfg_;
   std::vector<int> labels_;
-  // Generator index per accepted sample (margin filtering may skip some).
-  std::vector<std::size_t> image_indices_;
 };
 
 }  // namespace mlpm::datasets

@@ -9,8 +9,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "datasets/task_dataset.h"
-#include "infer/weights.h"
+#include "datasets/labelled_dataset.h"
 #include "metrics/map.h"
 #include "models/ssd.h"
 
@@ -29,7 +28,7 @@ struct DetectionDatasetConfig {
   models::DecodeConfig decode;   // shared by teacher and evaluation
 };
 
-class DetectionDataset final : public TaskDataset {
+class DetectionDataset final : public LabelledDataset {
  public:
   // `model` must outlive the dataset (the anchor set is referenced for
   // decoding model outputs during scoring).
@@ -37,23 +36,16 @@ class DetectionDataset final : public TaskDataset {
                    const infer::WeightStore& weights,
                    DetectionDatasetConfig config);
 
-  [[nodiscard]] std::size_t size() const override {
-    return ground_truth_.size();
-  }
-  [[nodiscard]] std::vector<infer::Tensor> InputsFor(
-      std::size_t index) const override;
   [[nodiscard]] double ScoreOutputs(
       std::span<const std::vector<infer::Tensor>> outputs) const override;
   [[nodiscard]] std::string_view metric_name() const override { return "mAP"; }
-  [[nodiscard]] std::vector<infer::Tensor> CalibrationInputsFor(
-      std::size_t index) const override;
 
   [[nodiscard]] const metrics::ImageGroundTruth& GroundTruthFor(
       std::size_t index) const;
 
  private:
   [[nodiscard]] infer::Tensor MakeInput(std::uint64_t name_space,
-                                        std::size_t index) const;
+                                        std::size_t index) const override;
 
   const models::DetectionModel& model_;
   DetectionDatasetConfig cfg_;

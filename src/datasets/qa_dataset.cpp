@@ -3,13 +3,9 @@
 #include <algorithm>
 
 #include "common/rng.h"
-#include "infer/executor.h"
 
 namespace mlpm::datasets {
 namespace {
-constexpr std::uint64_t kValidationSpace = 0;
-constexpr std::uint64_t kCalibrationSpace = 1'000'000;
-
 // Score gap between the chosen span and the best span that does not overlap
 // it (a measure of how decisively the model answers).
 double SpanMargin(const infer::Tensor& logits, const metrics::TokenSpan& best) {
@@ -35,62 +31,38 @@ QaDataset::QaDataset(const graph::Graph& model,
                      models::MobileBertConfig model_cfg,
                      QaDatasetConfig config)
     : model_cfg_(model_cfg), cfg_(config) {
-  Expects(cfg_.num_samples > 0, "dataset must be non-empty");
-  const infer::Executor teacher(model, weights, infer::NumericsMode::kFp32);
-  infer::ExecutionContext teacher_ctx(teacher);
   Rng rng = Rng(cfg_.seed).Split(0xF1F1);
-
   truths_.reserve(cfg_.num_samples);
-  token_indices_.reserve(cfg_.num_samples);
-  std::size_t gen = 0;
-  const std::size_t max_candidates = cfg_.num_samples * 64;
-  while (truths_.size() < cfg_.num_samples) {
-    Expects(gen < max_candidates,
-            "min_teacher_margin too strict: candidate pool exhausted");
-    const std::size_t i = gen++;
-    const std::vector<infer::Tensor> in = {MakeTokens(kValidationSpace, i)};
-    const std::vector<infer::Tensor> out = teacher.Run(in, teacher_ctx);
-    metrics::TokenSpan span = SpanFromLogits(out[0]);
-    if (cfg_.min_teacher_margin > 0.0 &&
-        SpanMargin(out[0], span) < cfg_.min_teacher_margin)
-      continue;
-    token_indices_.push_back(i);
-    if (rng.NextDouble() >= cfg_.teacher_agreement) {
-      // Shift the truth span by a few tokens; partial overlap remains.
-      const int shift =
-          1 + static_cast<int>(rng.NextBelow(
-                  static_cast<std::uint64_t>(cfg_.max_shift)));
-      const int sign = rng.NextDouble() < 0.5 ? -1 : 1;
-      const int seq = static_cast<int>(model_cfg_.seq_len);
-      span.start = std::clamp(span.start + sign * shift, 0, seq - 1);
-      span.end = std::clamp(span.end + sign * shift, span.start, seq - 1);
-    }
-    truths_.push_back(span);
-  }
+  LabelWithTeacher(
+      model, weights, cfg_.num_samples,
+      [&](const std::vector<infer::Tensor>& out) {
+        metrics::TokenSpan span = SpanFromLogits(out[0]);
+        if (cfg_.min_teacher_margin > 0.0 &&
+            SpanMargin(out[0], span) < cfg_.min_teacher_margin)
+          return false;
+        if (rng.NextDouble() >= cfg_.teacher_agreement) {
+          // Shift the truth span by a few tokens; partial overlap remains.
+          const int shift =
+              1 + static_cast<int>(rng.NextBelow(
+                      static_cast<std::uint64_t>(cfg_.max_shift)));
+          const int sign = rng.NextDouble() < 0.5 ? -1 : 1;
+          const int seq = static_cast<int>(model_cfg_.seq_len);
+          span.start = std::clamp(span.start + sign * shift, 0, seq - 1);
+          span.end = std::clamp(span.end + sign * shift, span.start, seq - 1);
+        }
+        truths_.push_back(span);
+        return true;
+      });
 }
 
-infer::Tensor QaDataset::MakeTokens(std::uint64_t name_space,
-                                    std::size_t index) const {
+infer::Tensor QaDataset::MakeInput(std::uint64_t name_space,
+                                   std::size_t index) const {
   Rng rng = Rng(cfg_.seed + name_space).Split(index);
   infer::Tensor t(graph::TensorShape({model_cfg_.seq_len}));
   for (auto& v : t.values())
     v = static_cast<float>(rng.NextBelow(
         static_cast<std::uint64_t>(model_cfg_.vocab_size)));
   return t;
-}
-
-std::vector<infer::Tensor> QaDataset::InputsFor(std::size_t index) const {
-  Expects(index < truths_.size(), "sample index out of range");
-  std::vector<infer::Tensor> v;
-  v.push_back(MakeTokens(kValidationSpace, token_indices_[index]));
-  return v;
-}
-
-std::vector<infer::Tensor> QaDataset::CalibrationInputsFor(
-    std::size_t index) const {
-  std::vector<infer::Tensor> v;
-  v.push_back(MakeTokens(kCalibrationSpace, index));
-  return v;
 }
 
 metrics::TokenSpan QaDataset::TruthFor(std::size_t index) const {
@@ -113,14 +85,10 @@ metrics::TokenSpan QaDataset::SpanFromLogits(
 
 double QaDataset::ScoreOutputs(
     std::span<const std::vector<infer::Tensor>> outputs) const {
-  Expects(outputs.size() == truths_.size(),
-          "output count does not cover the dataset");
+  ExpectCovers(outputs);
   std::vector<metrics::TokenSpan> preds;
   preds.reserve(outputs.size());
-  for (const auto& out : outputs) {
-    Expects(!out.empty(), "missing model output");
-    preds.push_back(SpanFromLogits(out[0]));
-  }
+  for (const auto& out : outputs) preds.push_back(SpanFromLogits(out[0]));
   return metrics::MeanSpanF1(preds, truths_);
 }
 

@@ -8,9 +8,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "datasets/task_dataset.h"
-#include "graph/graph.h"
-#include "infer/weights.h"
+#include "datasets/labelled_dataset.h"
 #include "metrics/f1.h"
 #include "models/mobilebert.h"
 
@@ -32,19 +30,14 @@ struct QaDatasetConfig {
   std::uint64_t seed = 0x50AD11;
 };
 
-class QaDataset final : public TaskDataset {
+class QaDataset final : public LabelledDataset {
  public:
   QaDataset(const graph::Graph& model, const infer::WeightStore& weights,
             models::MobileBertConfig model_cfg, QaDatasetConfig config);
 
-  [[nodiscard]] std::size_t size() const override { return truths_.size(); }
-  [[nodiscard]] std::vector<infer::Tensor> InputsFor(
-      std::size_t index) const override;
   [[nodiscard]] double ScoreOutputs(
       std::span<const std::vector<infer::Tensor>> outputs) const override;
   [[nodiscard]] std::string_view metric_name() const override { return "F1"; }
-  [[nodiscard]] std::vector<infer::Tensor> CalibrationInputsFor(
-      std::size_t index) const override;
 
   [[nodiscard]] metrics::TokenSpan TruthFor(std::size_t index) const;
 
@@ -53,14 +46,12 @@ class QaDataset final : public TaskDataset {
       const infer::Tensor& logits) const;
 
  private:
-  [[nodiscard]] infer::Tensor MakeTokens(std::uint64_t name_space,
-                                         std::size_t index) const;
+  [[nodiscard]] infer::Tensor MakeInput(std::uint64_t name_space,
+                                        std::size_t index) const override;
 
   models::MobileBertConfig model_cfg_;
   QaDatasetConfig cfg_;
   std::vector<metrics::TokenSpan> truths_;
-  // Generator index per accepted sample (margin filtering may skip some).
-  std::vector<std::size_t> token_indices_;
 };
 
 }  // namespace mlpm::datasets

@@ -3,13 +3,9 @@
 #include "common/rng.h"
 #include "datasets/preprocess.h"
 #include "datasets/synthetic_image.h"
-#include "infer/executor.h"
-#include "metrics/classification.h"
 
 namespace mlpm::datasets {
 namespace {
-constexpr std::uint64_t kValidationSpace = 0;
-constexpr std::uint64_t kCalibrationSpace = 1'000'000;
 
 // Per-pixel argmax over the class dimension of [1,H,W,C] logits.
 std::vector<int> ArgmaxMap(const infer::Tensor& logits) {
@@ -34,52 +30,35 @@ SegmentationDataset::SegmentationDataset(const graph::Graph& model,
                                          const infer::WeightStore& weights,
                                          SegmentationDatasetConfig config)
     : cfg_(config) {
-  Expects(cfg_.num_samples > 0, "dataset must be non-empty");
   Expects(cfg_.num_classes >= 2, "need at least two classes");
-  const infer::Executor teacher(model, weights, infer::NumericsMode::kFp32);
-  infer::ExecutionContext teacher_ctx(teacher);
   Rng rng = Rng(cfg_.seed).Split(0x5EC5);
   const int ignore = static_cast<int>(cfg_.num_classes) - 1;
-
   labels_.reserve(cfg_.num_samples);
-  for (std::size_t i = 0; i < cfg_.num_samples; ++i) {
-    const std::vector<infer::Tensor> in = {MakeInput(kValidationSpace, i)};
-    const std::vector<infer::Tensor> out = teacher.Run(in, teacher_ctx);
-    std::vector<int> lab = ArgmaxMap(out[0]);
-    if (cfg_.min_pixel_margin > 0.0) {
-      // Relabel low-margin pixels to the catch-all class.
-      const auto& s = out[0].shape();
-      const std::int64_t pixels = s.height() * s.width();
-      const std::int64_t c = s.channels();
-      const float* p = out[0].data();
-      for (std::int64_t px = 0; px < pixels; ++px) {
-        float top1 = -1e30f, top2 = -1e30f;
-        for (std::int64_t k = 0; k < c; ++k) {
-          const float v = p[px * c + k];
-          if (v > top1) {
-            top2 = top1;
-            top1 = v;
-          } else if (v > top2) {
-            top2 = v;
+  LabelWithTeacher(
+      model, weights, cfg_.num_samples,
+      [&](const std::vector<infer::Tensor>& out) {
+        std::vector<int> lab = ArgmaxMap(out[0]);
+        if (cfg_.min_pixel_margin > 0.0) {
+          // Relabel low-margin pixels to the catch-all class.
+          const auto c = static_cast<std::size_t>(out[0].shape().channels());
+          for (std::size_t px = 0; px < lab.size(); ++px)
+            if (TopTwoGap({out[0].data() + px * c, c}) < cfg_.min_pixel_margin)
+              lab[px] = ignore;
+        }
+        for (int& v : lab) {
+          const double u = rng.NextDouble();
+          if (u < cfg_.ignore_rate) {
+            v = ignore;
+          } else if (u < cfg_.ignore_rate + cfg_.pixel_flip_rate) {
+            auto other = static_cast<int>(rng.NextBelow(
+                static_cast<std::uint64_t>(cfg_.num_classes - 1)));
+            if (other >= v) ++other;
+            v = other;
           }
         }
-        if (top1 - top2 < cfg_.min_pixel_margin)
-          lab[static_cast<std::size_t>(px)] = ignore;
-      }
-    }
-    for (int& v : lab) {
-      const double u = rng.NextDouble();
-      if (u < cfg_.ignore_rate) {
-        v = ignore;
-      } else if (u < cfg_.ignore_rate + cfg_.pixel_flip_rate) {
-        auto other = static_cast<int>(
-            rng.NextBelow(static_cast<std::uint64_t>(cfg_.num_classes - 1)));
-        if (other >= v) ++other;
-        v = other;
-      }
-    }
-    labels_.push_back(std::move(lab));
-  }
+        labels_.push_back(std::move(lab));
+        return true;
+      });
 }
 
 infer::Tensor SegmentationDataset::MakeInput(std::uint64_t name_space,
@@ -92,21 +71,6 @@ infer::Tensor SegmentationDataset::MakeInput(std::uint64_t name_space,
   return DirectResizePreprocess(raw, cfg_.input_size);
 }
 
-std::vector<infer::Tensor> SegmentationDataset::InputsFor(
-    std::size_t index) const {
-  Expects(index < labels_.size(), "sample index out of range");
-  std::vector<infer::Tensor> v;
-  v.push_back(MakeInput(kValidationSpace, index));
-  return v;
-}
-
-std::vector<infer::Tensor> SegmentationDataset::CalibrationInputsFor(
-    std::size_t index) const {
-  std::vector<infer::Tensor> v;
-  v.push_back(MakeInput(kCalibrationSpace, index));
-  return v;
-}
-
 const std::vector<int>& SegmentationDataset::LabelMapFor(
     std::size_t index) const {
   Expects(index < labels_.size(), "sample index out of range");
@@ -115,17 +79,13 @@ const std::vector<int>& SegmentationDataset::LabelMapFor(
 
 double SegmentationDataset::ScoreOutputs(
     std::span<const std::vector<infer::Tensor>> outputs) const {
-  Expects(outputs.size() == labels_.size(),
-          "output count does not cover the dataset");
+  ExpectCovers(outputs);
   // The catch-all class is scored per the paper: ground truth restricted to
   // the 31 frequent classes -> ignore the last class.
   metrics::MIoUAccumulator acc(static_cast<int>(cfg_.num_classes),
                                static_cast<int>(cfg_.num_classes) - 1);
-  for (std::size_t i = 0; i < outputs.size(); ++i) {
-    Expects(!outputs[i].empty(), "missing model output");
-    const std::vector<int> pred = ArgmaxMap(outputs[i][0]);
-    acc.Add(pred, labels_[i]);
-  }
+  for (std::size_t i = 0; i < outputs.size(); ++i)
+    acc.Add(ArgmaxMap(outputs[i][0]), labels_[i]);
   return acc.MeanIoU();
 }
 

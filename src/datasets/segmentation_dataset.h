@@ -8,9 +8,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "datasets/task_dataset.h"
-#include "graph/graph.h"
-#include "infer/weights.h"
+#include "datasets/labelled_dataset.h"
 #include "metrics/miou.h"
 
 namespace mlpm::datasets {
@@ -28,28 +26,23 @@ struct SegmentationDatasetConfig {
   std::uint64_t seed = 0xADE20Aull;
 };
 
-class SegmentationDataset final : public TaskDataset {
+class SegmentationDataset final : public LabelledDataset {
  public:
   SegmentationDataset(const graph::Graph& model,
                       const infer::WeightStore& weights,
                       SegmentationDatasetConfig config);
 
-  [[nodiscard]] std::size_t size() const override { return labels_.size(); }
-  [[nodiscard]] std::vector<infer::Tensor> InputsFor(
-      std::size_t index) const override;
   [[nodiscard]] double ScoreOutputs(
       std::span<const std::vector<infer::Tensor>> outputs) const override;
   [[nodiscard]] std::string_view metric_name() const override {
     return "mIoU";
   }
-  [[nodiscard]] std::vector<infer::Tensor> CalibrationInputsFor(
-      std::size_t index) const override;
 
   [[nodiscard]] const std::vector<int>& LabelMapFor(std::size_t index) const;
 
  private:
   [[nodiscard]] infer::Tensor MakeInput(std::uint64_t name_space,
-                                        std::size_t index) const;
+                                        std::size_t index) const override;
 
   SegmentationDatasetConfig cfg_;
   std::vector<std::vector<int>> labels_;  // per-sample pixel label maps

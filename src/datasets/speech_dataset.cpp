@@ -4,51 +4,41 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "infer/executor.h"
 #include "metrics/wer.h"
 
 namespace mlpm::datasets {
-namespace {
-constexpr std::uint64_t kValidationSpace = 0;
-constexpr std::uint64_t kCalibrationSpace = 1'000'000;
-}  // namespace
 
 SpeechDataset::SpeechDataset(const graph::Graph& model,
                              const infer::WeightStore& weights,
                              models::RnntConfig model_cfg,
                              SpeechDatasetConfig config)
     : model_cfg_(model_cfg), cfg_(config) {
-  Expects(cfg_.num_samples > 0, "dataset must be non-empty");
-  const infer::Executor teacher(model, weights, infer::NumericsMode::kFp32);
-  infer::ExecutionContext teacher_ctx(teacher);
   Rng rng = Rng(cfg_.seed).Split(0x3E);
-
   refs_.reserve(cfg_.num_samples);
-  for (std::size_t i = 0; i < cfg_.num_samples; ++i) {
-    const std::vector<infer::Tensor> in = {MakeFeatures(kValidationSpace, i)};
-    const std::vector<infer::Tensor> out = teacher.Run(in, teacher_ctx);
-    std::vector<int> tokens = models::GreedyCtcDecode(out[0]);
-
-    // Corrupt the transcript to make FP32 imperfect.
-    std::vector<int> ref;
-    for (int tok : tokens) {
-      const double u = rng.NextDouble();
-      if (u < cfg_.token_drop_rate) continue;
-      if (u < cfg_.token_drop_rate + cfg_.token_substitution_rate) {
-        auto other = static_cast<int>(rng.NextBelow(
-            static_cast<std::uint64_t>(model_cfg_.vocab_size - 2)));
-        if (other + 1 >= tok) ++other;
-        ref.push_back(other + 1);  // never the blank
-      } else {
-        ref.push_back(tok);
-      }
-    }
-    refs_.push_back(std::move(ref));
-  }
+  LabelWithTeacher(
+      model, weights, cfg_.num_samples,
+      [&](const std::vector<infer::Tensor>& out) {
+        // Corrupt the teacher's transcript to make FP32 imperfect.
+        std::vector<int> ref;
+        for (int tok : models::GreedyCtcDecode(out[0])) {
+          const double u = rng.NextDouble();
+          if (u < cfg_.token_drop_rate) continue;
+          if (u < cfg_.token_drop_rate + cfg_.token_substitution_rate) {
+            auto other = static_cast<int>(rng.NextBelow(
+                static_cast<std::uint64_t>(model_cfg_.vocab_size - 2)));
+            if (other + 1 >= tok) ++other;
+            ref.push_back(other + 1);  // never the blank
+          } else {
+            ref.push_back(tok);
+          }
+        }
+        refs_.push_back(std::move(ref));
+        return true;
+      });
 }
 
-infer::Tensor SpeechDataset::MakeFeatures(std::uint64_t name_space,
-                                          std::size_t index) const {
+infer::Tensor SpeechDataset::MakeInput(std::uint64_t name_space,
+                                       std::size_t index) const {
   // Smooth per-feature trajectories: control points every 8 frames,
   // linearly interpolated, plus mild noise — spectrogram-like structure.
   Rng rng = Rng(cfg_.seed + name_space).Split(index);
@@ -79,20 +69,6 @@ infer::Tensor SpeechDataset::MakeFeatures(std::uint64_t name_space,
   return t;
 }
 
-std::vector<infer::Tensor> SpeechDataset::InputsFor(std::size_t index) const {
-  Expects(index < refs_.size(), "sample index out of range");
-  std::vector<infer::Tensor> v;
-  v.push_back(MakeFeatures(kValidationSpace, index));
-  return v;
-}
-
-std::vector<infer::Tensor> SpeechDataset::CalibrationInputsFor(
-    std::size_t index) const {
-  std::vector<infer::Tensor> v;
-  v.push_back(MakeFeatures(kCalibrationSpace, index));
-  return v;
-}
-
 const std::vector<int>& SpeechDataset::ReferenceFor(std::size_t index) const {
   Expects(index < refs_.size(), "sample index out of range");
   return refs_[index];
@@ -100,14 +76,11 @@ const std::vector<int>& SpeechDataset::ReferenceFor(std::size_t index) const {
 
 double SpeechDataset::ScoreOutputs(
     std::span<const std::vector<infer::Tensor>> outputs) const {
-  Expects(outputs.size() == refs_.size(),
-          "output count does not cover the dataset");
+  ExpectCovers(outputs);
   std::vector<std::vector<int>> preds;
   preds.reserve(outputs.size());
-  for (const auto& out : outputs) {
-    Expects(!out.empty(), "missing model output");
+  for (const auto& out : outputs)
     preds.push_back(models::GreedyCtcDecode(out[0]));
-  }
   return std::max(0.0, 1.0 - metrics::WordErrorRate(preds, refs_));
 }
 

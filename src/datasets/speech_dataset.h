@@ -9,8 +9,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "datasets/task_dataset.h"
-#include "infer/weights.h"
+#include "datasets/labelled_dataset.h"
 #include "models/rnnt.h"
 
 namespace mlpm::datasets {
@@ -22,27 +21,22 @@ struct SpeechDatasetConfig {
   std::uint64_t seed = 0x5BEECB;
 };
 
-class SpeechDataset final : public TaskDataset {
+class SpeechDataset final : public LabelledDataset {
  public:
   SpeechDataset(const graph::Graph& model, const infer::WeightStore& weights,
                 models::RnntConfig model_cfg, SpeechDatasetConfig config);
 
-  [[nodiscard]] std::size_t size() const override { return refs_.size(); }
-  [[nodiscard]] std::vector<infer::Tensor> InputsFor(
-      std::size_t index) const override;
   [[nodiscard]] double ScoreOutputs(
       std::span<const std::vector<infer::Tensor>> outputs) const override;
   [[nodiscard]] std::string_view metric_name() const override {
     return "1-WER";
   }
-  [[nodiscard]] std::vector<infer::Tensor> CalibrationInputsFor(
-      std::size_t index) const override;
 
   [[nodiscard]] const std::vector<int>& ReferenceFor(std::size_t index) const;
 
  private:
-  [[nodiscard]] infer::Tensor MakeFeatures(std::uint64_t name_space,
-                                           std::size_t index) const;
+  [[nodiscard]] infer::Tensor MakeInput(std::uint64_t name_space,
+                                        std::size_t index) const override;
 
   models::RnntConfig model_cfg_;
   SpeechDatasetConfig cfg_;

@@ -7,14 +7,10 @@
 #include "metrics/psnr.h"
 
 namespace mlpm::datasets {
-namespace {
-constexpr std::uint64_t kValidationSpace = 0;
-constexpr std::uint64_t kCalibrationSpace = 1'000'000;
-}  // namespace
 
 SuperResDataset::SuperResDataset(SuperResDatasetConfig config)
     : cfg_(config) {
-  Expects(cfg_.num_samples > 0, "dataset must be non-empty");
+  UseFirst(cfg_.num_samples);
   Expects(cfg_.upscale == 2, "only 2x is implemented");
 }
 
@@ -28,30 +24,17 @@ infer::Tensor SuperResDataset::HighResFor(std::uint64_t name_space,
                        static_cast<std::uint64_t>(index));
 }
 
-std::vector<infer::Tensor> SuperResDataset::InputsFor(
-    std::size_t index) const {
-  Expects(index < cfg_.num_samples, "sample index out of range");
-  std::vector<infer::Tensor> v;
-  v.push_back(ResizeBilinear(HighResFor(kValidationSpace, index),
-                             cfg_.lr_size, cfg_.lr_size));
-  return v;
-}
-
-std::vector<infer::Tensor> SuperResDataset::CalibrationInputsFor(
-    std::size_t index) const {
-  std::vector<infer::Tensor> v;
-  v.push_back(ResizeBilinear(HighResFor(kCalibrationSpace, index),
-                             cfg_.lr_size, cfg_.lr_size));
-  return v;
+infer::Tensor SuperResDataset::MakeInput(std::uint64_t name_space,
+                                         std::size_t index) const {
+  return ResizeBilinear(HighResFor(name_space, index), cfg_.lr_size,
+                        cfg_.lr_size);
 }
 
 double SuperResDataset::MeanPsnrDb(
     std::span<const std::vector<infer::Tensor>> outputs) const {
-  Expects(outputs.size() == cfg_.num_samples,
-          "output count does not cover the dataset");
+  ExpectCovers(outputs);
   double sum = 0.0;
   for (std::size_t i = 0; i < outputs.size(); ++i) {
-    Expects(!outputs[i].empty(), "missing model output");
     const double psnr =
         metrics::Psnr(outputs[i][0], HighResFor(kValidationSpace, i));
     sum += std::min(psnr, 60.0);  // cap infinities for the mean

@@ -7,7 +7,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "datasets/task_dataset.h"
+#include "datasets/labelled_dataset.h"
 
 namespace mlpm::datasets {
 
@@ -18,22 +18,15 @@ struct SuperResDatasetConfig {
   std::uint64_t seed = 0x5B;
 };
 
-class SuperResDataset final : public TaskDataset {
+class SuperResDataset final : public LabelledDataset {
  public:
   explicit SuperResDataset(SuperResDatasetConfig config);
 
-  [[nodiscard]] std::size_t size() const override {
-    return cfg_.num_samples;
-  }
-  [[nodiscard]] std::vector<infer::Tensor> InputsFor(
-      std::size_t index) const override;
   [[nodiscard]] double ScoreOutputs(
       std::span<const std::vector<infer::Tensor>> outputs) const override;
   [[nodiscard]] std::string_view metric_name() const override {
     return "PSNR/50";
   }
-  [[nodiscard]] std::vector<infer::Tensor> CalibrationInputsFor(
-      std::size_t index) const override;
 
   // Mean PSNR in dB (the un-normalized metric).
   [[nodiscard]] double MeanPsnrDb(
@@ -43,6 +36,10 @@ class SuperResDataset final : public TaskDataset {
                                          std::size_t index) const;
 
  private:
+  // The bilinear downsample of HighResFor.
+  [[nodiscard]] infer::Tensor MakeInput(std::uint64_t name_space,
+                                        std::size_t index) const override;
+
   SuperResDatasetConfig cfg_;
 };
 

@@ -9,6 +9,7 @@
 #include <set>
 #include <utility>
 
+#include "backends/simulated_backend.h"
 #include "backends/vendor_policy.h"
 #include "common/check.h"
 #include "common/rng.h"
@@ -25,48 +26,6 @@
 
 namespace mlpm::fleet {
 namespace {
-
-// The shard-side SUT: SimulatedBackend's single-stream semantics, but the
-// compiled plan is a shared immutable PreparedShardModel from the fleet
-// cache instead of a per-device copy — N shards of one config hold one
-// plan.  The simulator (thermal/DVFS state) stays per-shard: devices share
-// weights, not temperature.
-class ShardSut final : public loadgen::SystemUnderTest {
- public:
-  ShardSut(std::string name, soc::SocSimulator simulator,
-           std::shared_ptr<const PreparedShardModel> model,
-           loadgen::VirtualClock& clock)
-      : name_(std::move(name)),
-        simulator_(std::move(simulator)),
-        model_(std::move(model)),
-        clock_(clock) {}
-
-  [[nodiscard]] std::string_view name() const override { return name_; }
-
-  void IssueQuery(std::span<const loadgen::QuerySample> samples,
-                  loadgen::ResponseSink& sink) override {
-    Expects(samples.size() == 1,
-            "fleet shards serve single-sample queries only");
-    const soc::InferenceResult r =
-        simulator_.RunInference(model_->single_stream);
-    total_energy_j_ += r.energy_j;
-    clock_.Advance(loadgen::Seconds{r.latency_s});
-    if (r.completed)
-      sink.Complete(loadgen::QuerySampleResponse{samples[0].id, {}});
-  }
-
-  [[nodiscard]] const soc::SocSimulator& simulator() const {
-    return simulator_;
-  }
-  [[nodiscard]] double total_energy_j() const { return total_energy_j_; }
-
- private:
-  std::string name_;
-  soc::SocSimulator simulator_;
-  std::shared_ptr<const PreparedShardModel> model_;
-  loadgen::VirtualClock& clock_;
-  double total_energy_j_ = 0.0;
-};
 
 // One shard's static identity, fixed before any worker runs.
 struct ShardSpec {
@@ -120,8 +79,12 @@ struct ShardSpec {
     sim.InjectFaults(std::move(plan));
   }
 
-  ShardSut sut(spec.chipset.name + "/" + model->sub.framework.name,
-               std::move(sim), model, clock);
+  // Each shard runs its own copy of the cached plan (a few KB of segment
+  // records) on its own simulator: shards share the compile, not the
+  // thermal/DVFS state.
+  backends::SimulatedBackend sut(
+      spec.chipset.name + "/" + model->sub.framework.name, std::move(sim),
+      model->single_stream, {}, clock);
   // Sample contents never reach the simulated plane, so a stub source keeps
   // the shard latency-identical to RunSubmission for the same seed.
   const datasets::StubDataset stub;

@@ -1,9 +1,11 @@
 #include "graph/serialize.h"
 
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <variant>
 
+#include "common/line_tokens.h"
 #include "graph/validate.h"
 
 namespace mlpm::graph {
@@ -146,24 +148,30 @@ void WriteAttrs(std::ostream& os, const Node& n) {
 // Key=value attribute scanner.
 class AttrScanner {
  public:
-  explicit AttrScanner(std::istream& is) : is_(is) {}
+  explicit AttrScanner(LineTokens& attrs) : attrs_(attrs) {}
 
   // Reads "key=value"; throws if the key differs.
   std::int64_t Expect(const std::string& key) {
-    std::string tok;
-    Expects(static_cast<bool>(is_ >> tok), "missing attr " + key);
+    const std::string_view tok = attrs_.Next("attr " + key);
     const auto eq = tok.find('=');
-    Expects(eq != std::string::npos && tok.substr(0, eq) == key,
-            "expected attr " + key + ", got " + tok);
-    return std::stoll(tok.substr(eq + 1));
+    Expects(eq != std::string_view::npos && tok.substr(0, eq) == key,
+            "expected attr " + key + ", got " + std::string(tok));
+    return ParseInteger<std::int64_t>(tok.substr(eq + 1), "attr " + key);
+  }
+
+  // Reads "key=n" where n counts the attrs that follow.
+  std::size_t Count(const std::string& key) {
+    const std::int64_t n = Expect(key);
+    Expects(n >= 0, "negative attr " + key);
+    return attrs_.Bound(static_cast<std::size_t>(n), "attr " + key);
   }
 
  private:
-  std::istream& is_;
+  LineTokens& attrs_;
 };
 
-OpAttrs ReadAttrs(OpType op, std::istream& is) {
-  AttrScanner scan(is);
+OpAttrs ReadAttrs(OpType op, LineTokens& attrs) {
+  AttrScanner scan(attrs);
   switch (op) {
     case OpType::kConv2d: {
       Conv2dAttrs a;
@@ -207,8 +215,8 @@ OpAttrs ReadAttrs(OpType op, std::istream& is) {
       return ConcatAttrs{static_cast<int>(scan.Expect("axis"))};
     case OpType::kReshape: {
       ReshapeAttrs a;
-      const std::int64_t rank = scan.Expect("rank");
-      for (std::int64_t i = 0; i < rank; ++i)
+      const std::size_t rank = scan.Count("rank");
+      for (std::size_t i = 0; i < rank; ++i)
         a.new_dims.push_back(scan.Expect("dim"));
       return a;
     }
@@ -279,70 +287,58 @@ Graph ParseGraphUnchecked(const std::string& text) {
 
   Graph g;
   while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
+    LineTokens ls(line);
+    if (ls.left() == 0) continue;
+    const std::string_view tag = ls.Next("line tag");
     if (tag == "name") {
-      ls >> g.name_;
+      if (ls.left() > 0) g.name_ = ls.Next("graph name");
     } else if (tag == "tensor") {
-      std::size_t id = 0;
-      char kind = 'a';
-      std::size_t rank = 0;
-      ls >> id >> kind >> rank;
-      Expects(!ls.fail(), "malformed tensor line: " + line);
-      Expects(id == g.tensors_.size(), "tensor ids must be dense");
-      std::vector<std::int64_t> dims(rank);
-      for (auto& d : dims) ls >> d;
+      Expects(ls.Int<std::size_t>("tensor id") == g.tensors_.size(),
+              "tensor ids must be dense");
+      const std::string_view kind = ls.Next("tensor kind");
+      Expects(kind == "w" || kind == "a", "malformed tensor line: " + line);
+      std::vector<std::int64_t> dims(ls.Count("tensor rank"));
+      for (auto& d : dims) d = ls.Int<std::int64_t>("tensor dim");
       TensorInfo info;
-      ls >> info.name;
-      Expects(!ls.fail(), "malformed tensor line: " + line);
+      info.name = ls.Next("tensor name");
       info.shape = TensorShape(std::move(dims));
-      info.kind = kind == 'w' ? TensorKind::kWeight : TensorKind::kActivation;
+      info.kind = kind == "w" ? TensorKind::kWeight : TensorKind::kActivation;
       g.tensors_.push_back(std::move(info));
     } else if (tag == "node") {
       Node n;
-      std::string op_token;
-      ls >> n.name >> op_token;
-      n.op = OpFromToken(op_token);
+      n.name = ls.Next("node name");
+      const std::string_view op = ls.Next("op");
+      n.op = OpFromToken(std::string(op));
       // Attrs live between the brackets; splice them out.
-      std::string rest;
-      std::getline(ls, rest);
+      const std::string_view rest =
+          std::string_view(line).substr(op.data() + op.size() - line.data());
       const auto open = rest.find('[');
       const auto close = rest.find(']');
-      Expects(open != std::string::npos && close != std::string::npos &&
-                  open < close,
+      Expects(open != std::string_view::npos &&
+                  close != std::string_view::npos && open < close,
               "malformed node line: " + line);
-      std::istringstream attrs(rest.substr(open + 1, close - open - 1));
+      LineTokens attrs(rest.substr(open + 1, close - open - 1));
       n.attrs = ReadAttrs(n.op, attrs);
-      std::istringstream tail(rest.substr(close + 1));
-      std::string kw;
-      std::size_t count = 0;
-      tail >> kw >> count;
-      Expects(kw == "in", "malformed node inputs");
-      n.inputs.resize(count);
-      for (auto& id : n.inputs) tail >> id;
-      tail >> kw >> count;
-      Expects(kw == "w", "malformed node weights");
-      n.weights.resize(count);
-      for (auto& id : n.weights) tail >> id;
-      tail >> kw >> n.output;
-      Expects(kw == "out" && !tail.fail(), "malformed node output");
+      LineTokens tail(rest.substr(close + 1));
+      Expects(tail.Next("node inputs") == "in", "malformed node inputs");
+      n.inputs.resize(tail.Count("node input count"));
+      for (auto& id : n.inputs) id = tail.Int<TensorId>("node input");
+      Expects(tail.Next("node weights") == "w", "malformed node weights");
+      n.weights.resize(tail.Count("node weight count"));
+      for (auto& id : n.weights) id = tail.Int<TensorId>("node weight");
+      Expects(tail.Next("node output") == "out", "malformed node output");
+      n.output = tail.Int<TensorId>("node output");
       if (n.output >= 0 &&
           static_cast<std::size_t>(n.output) < g.tensors_.size())
         g.tensors_[static_cast<std::size_t>(n.output)].producer =
             static_cast<std::int32_t>(g.nodes_.size());
       g.nodes_.push_back(std::move(n));
     } else if (tag == "graph_input") {
-      TensorId id = kInvalidTensor;
-      ls >> id;
-      g.inputs_.push_back(id);
+      g.inputs_.push_back(ls.Int<TensorId>("graph input"));
     } else if (tag == "graph_output") {
-      TensorId id = kInvalidTensor;
-      ls >> id;
-      g.outputs_.push_back(id);
+      g.outputs_.push_back(ls.Int<TensorId>("graph output"));
     } else {
-      Expects(false, "unknown line tag: " + tag);
+      Expects(false, "unknown line tag: " + std::string(tag));
     }
   }
   return g;

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <sstream>
 
+#include "common/line_tokens.h"
 #include "common/rng.h"
 
 namespace mlpm::infer {
@@ -94,32 +96,31 @@ WeightStore ParseWeights(const std::string& text) {
           "unknown weights format");
   WeightStore store;
   while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream header(line);
-    std::string tag;
-    std::size_t rank = 0;
-    header >> tag >> rank;
-    Expects(tag == "tensor" && !header.fail(),
+    LineTokens header(line);
+    if (header.left() == 0) continue;
+    Expects(header.Next("weight header") == "tensor",
             "malformed weight header: " + line);
-    std::vector<std::int64_t> dims(rank);
-    for (auto& d : dims) header >> d;
-    std::string name;
-    header >> name;
-    Expects(!header.fail() && !name.empty(),
-            "malformed weight header: " + line);
+    std::vector<std::int64_t> dims(header.Count("weight rank"));
+    // Element count, checked for overflow before anything is allocated.
+    std::size_t count = 1;
+    for (auto& d : dims) {
+      d = header.Int<std::int64_t>("weight dim");
+      const auto extent = static_cast<std::size_t>(d);
+      Expects(d >= 0 && (extent == 0 || count <= SIZE_MAX / extent),
+              "weight shape out of range: " + line);
+      count *= extent;
+    }
+    const std::string name(header.Next("weight name"));
 
-    Tensor t{graph::TensorShape(std::move(dims))};
     Expects(static_cast<bool>(std::getline(is, line)),
             "missing values for weight " + name);
-    std::istringstream values(line);
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      std::string tok;
-      Expects(static_cast<bool>(values >> tok),
-              "too few values for weight " + name);
-      t.data()[i] = std::strtof(tok.c_str(), nullptr);
-    }
-    std::string extra;
-    Expects(!(values >> extra), "too many values for weight " + name);
+    LineTokens values(line);
+    Expects(values.left() >= count, "too few values for weight " + name);
+    Expects(values.left() == count, "too many values for weight " + name);
+    Tensor t{graph::TensorShape(std::move(dims))};
+    for (float& v : t.values())
+      v = std::strtof(std::string(values.Next("weight value")).c_str(),
+                      nullptr);
     store.Put(name, std::move(t));
   }
   return store;

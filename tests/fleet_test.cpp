@@ -15,7 +15,7 @@
 #include "common/check.h"
 #include "core/dataset_qsl.h"
 #include "core/loadgen.h"
-#include "datasets/task_dataset.h"
+#include "datasets/stub_dataset.h"
 #include "fleet/fleet.h"
 #include "fleet/journal.h"
 #include "fleet/mix.h"
@@ -192,30 +192,6 @@ TEST(Fleet, OverloadAccountingIdentityHolds) {
 // ---------------------------------------------------------------------------
 // Fleet path vs legacy single-stream path (property)
 
-// Mirrors the fleet's internal performance-only stub QSL so the oracle run
-// draws sample indices from an identically-sized library.
-class OracleStubDataset final : public datasets::TaskDataset {
- public:
-  [[nodiscard]] std::size_t size() const override { return 8; }
-  [[nodiscard]] std::vector<infer::Tensor> InputsFor(
-      std::size_t) const override {
-    std::vector<infer::Tensor> v;
-    v.emplace_back(graph::TensorShape({1}));
-    return v;
-  }
-  [[nodiscard]] double ScoreOutputs(
-      std::span<const std::vector<infer::Tensor>>) const override {
-    return 0.0;
-  }
-  [[nodiscard]] std::string_view metric_name() const override {
-    return "none";
-  }
-  [[nodiscard]] std::vector<infer::Tensor> CalibrationInputsFor(
-      std::size_t index) const override {
-    return InputsFor(index);
-  }
-};
-
 TEST(Fleet, SingleShardMatchesLegacySingleStreamPath) {
   const models::SuiteVersion version = models::SuiteVersion::kV1_0;
   const std::string chipset_name = "Dimensity 1100";
@@ -245,7 +221,7 @@ TEST(Fleet, SingleShardMatchesLegacySingleStreamPath) {
       backends::GetSubmission(chipset, entry.task, version);
   const graph::Graph full =
       models::BuildReferenceGraph(entry, version, models::ModelScale::kFull);
-  const OracleStubDataset stub;
+  const datasets::StubDataset stub;
   const loadgen::TestResult oracle = harness::RunSingleStreamPerformance(
       chipset, config, full, stub, fo.settings);
 

@@ -2,6 +2,8 @@
 // flow, the submission checker, the audit, the result store, and the app.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "harness/app.h"
 #include "harness/audit.h"
 #include "harness/checker.h"
@@ -365,6 +367,23 @@ TEST(Package, TamperedModelFileRejected) {
   const CheckReport r =
       AuditPackage(pkg, Bundles(), FastOptions().performance_settings);
   EXPECT_FALSE(r.valid);
+}
+
+TEST(Package, UnparseableModelFileRejected) {
+  harness::SubmissionPackage pkg =
+      PackageSubmission(CachedD1100Run(), Bundles());
+  std::string& model = pkg.files["models/image_classification.graph"];
+  const auto pos = model.find("oc=");
+  ASSERT_NE(pos, std::string::npos);
+  model.replace(pos, model.find(' ', pos) - pos, "oc=abc");
+  const CheckReport r =
+      AuditPackage(pkg, Bundles(), FastOptions().performance_settings);
+  EXPECT_FALSE(r.valid);
+  EXPECT_TRUE(std::any_of(r.problems.begin(), r.problems.end(),
+                          [](const std::string& p) {
+                            return p.find("unparseable model file") !=
+                                   std::string::npos;
+                          }));
 }
 
 TEST(Package, EditedLogRejectedBySizeOrContent) {

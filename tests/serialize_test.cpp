@@ -85,6 +85,27 @@ TEST(GraphSerialize, RejectsTamperedStructure) {
   EXPECT_THROW((void)graph::ParseGraph(text), CheckError);
 }
 
+// A hostile or damaged model file must fail as a CheckError (the audit's
+// rejection path), never as a library exception or an unbounded allocation.
+TEST(GraphSerialize, HostileInputsThrowCheckError) {
+  for (const char* body : {
+           "node n act [a=abc] in 0 w 0 out 0",          // non-numeric attr
+           "node n fc [of=99999999999999999999 a=0] in 0 w 0 out 0",
+           "tensor 0 a 1000000000000 x",                 // rank > line
+           "tensor 0 a -1 x",                            // negative rank
+           "node n add [] in 100000000000 w 0 out 0",    // count > line
+           "node n reshape [rank=1000000000000] in 0 w 0 out 0",
+           "node n reshape [rank=-1] in 0 w 0 out 0",
+           "tensor 0 a 1 5x x",                          // trailing garbage
+           "graph_input 2147483648",                     // overflows TensorId
+       }) {
+    EXPECT_THROW((void)graph::ParseGraphUnchecked(
+                     std::string("mlpm_graph v1\n") + body + "\n"),
+                 CheckError)
+        << body;
+  }
+}
+
 TEST(GraphSerialize, DetectsPrunedSubmission) {
   // End-to-end audit flow: serialize reference, serialize a pruned variant,
   // parse both, fingerprint-compare.
@@ -145,6 +166,20 @@ TEST(WeightSerialize, RejectsMalformed) {
   EXPECT_THROW(
       (void)infer::ParseWeights("mlpm_weights v1\ntensor 1 2 t\n0x1p+0"),
       CheckError);  // too few values
+}
+
+TEST(WeightSerialize, HostileHeadersThrowCheckErrorBeforeAllocating) {
+  for (const char* text : {
+           "mlpm_weights v1\ntensor 1000000000000 w\n0x1p+0",  // rank > line
+           // 10^12 elements against one value: rejected by count, not by
+           // allocating 4 TB first.
+           "mlpm_weights v1\ntensor 2 1000000 1000000 w\n0x1p+0",
+           "mlpm_weights v1\ntensor 2 4294967296 4294967296 w\n0x1p+0",
+           "mlpm_weights v1\ntensor 1 -2 w\n0x1p+0",
+           "mlpm_weights v1\ntensor 1 2 w\n0x1p+0 0x1p+0 0x1p+0",  // too many
+       }) {
+    EXPECT_THROW((void)infer::ParseWeights(text), CheckError) << text;
+  }
 }
 
 }  // namespace
