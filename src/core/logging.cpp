@@ -1,16 +1,116 @@
 #include "core/logging.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <charconv>
-#include <sstream>
+#include <cmath>
+#include <limits>
+#include <system_error>
 
 #include "common/check.h"
 
 namespace mlpm::loadgen {
+namespace {
+
+constexpr std::string_view kHeader = "mlpm_loadgen_log v1";
+constexpr std::string_view kFieldTag = "field";
+
+// One table serves the writer (indexed by kind) and the reader (scanned by
+// tag), so the two sides cannot disagree on a spelling.
+struct EventTag {
+  LogEventKind kind;
+  std::string_view tag;
+};
+constexpr std::array<EventTag, 4> kEventTags = {{
+    {LogEventKind::kQueryIssued, "issue"},
+    {LogEventKind::kQueryCompleted, "complete"},
+    {LogEventKind::kQueryShed, "shed"},
+    {LogEventKind::kQueryRejected, "rejected"},
+}};
+static_assert(std::ranges::all_of(kEventTags, [](const EventTag& t) {
+  return kEventTags[static_cast<std::size_t>(t.kind)].kind == t.kind;
+}));
+
+constexpr int kTimestampDecimals = 9;
+// A typical event line ("complete 12345 61.234567890\n") is under 32 bytes;
+// longer ones just grow the buffer.
+constexpr std::size_t kTypicalEventBytes = 32;
+
+// Writes `v` exactly as printf("%.9f") does.  Non-negative values below
+// 2^33 s (every timestamp a run produces) take an exact integer path:
+// v = m * 2^-s with s >= 20, so v * 1e9 rounded half to even is
+// (m * 1e9) >> s, rounded on the shifted-out bits, in 128-bit arithmetic.
+// std::to_chars, which is exact but several times slower, writes the rest.
+char* WriteTimestamp(char* p, char* last, double v) {
+  if (std::signbit(v) || !(v < 0x1p33)) {
+    const auto r = std::to_chars(p, last, v, std::chars_format::fixed,
+                                 kTimestampDecimals);
+    Ensures(r.ec == std::errc{}, "log timestamp does not fit its buffer");
+    return r.ptr;
+  }
+  constexpr std::uint64_t kScale = 1'000'000'000;
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  const auto biased = static_cast<int>(bits >> 52);
+  const std::uint64_t m =
+      (bits & ((std::uint64_t{1} << 52) - 1)) |
+      (biased == 0 ? 0 : std::uint64_t{1} << 52);
+  const int shift = 1075 - std::max(biased, 1);
+  std::uint64_t n = 0;  // m * 1e9 < 2^83: a shift past 83 rounds to 0
+  if (shift < 84) {
+    const unsigned __int128 scaled =
+        static_cast<unsigned __int128>(m) * kScale;
+    const unsigned __int128 q = scaled >> shift;
+    const unsigned __int128 rem = scaled - (q << shift);
+    const unsigned __int128 half = static_cast<unsigned __int128>(1)
+                                   << (shift - 1);
+    n = static_cast<std::uint64_t>(q) +
+        ((rem > half || (rem == half && (q & 1) != 0)) ? 1 : 0);
+  }
+  p = std::to_chars(p, last, n / kScale).ptr;
+  *p++ = '.';
+  std::uint64_t frac = n % kScale;
+  for (int i = kTimestampDecimals; i > 0; --i, frac /= 10)
+    p[i - 1] = static_cast<char>('0' + frac % 10);
+  return p + kTimestampDecimals;
+}
+
+std::string_view TagOf(LogEventKind kind) {
+  return kEventTags[static_cast<std::size_t>(kind)].tag;
+}
+
+const EventTag* FindEventTag(std::string_view tag) {
+  for (const EventTag& t : kEventTags)
+    if (t.tag == tag) return &t;
+  return nullptr;
+}
+
+// Removes and returns the next line of `text`, without its '\n'.
+std::string_view TakeLine(std::string_view& text) {
+  const std::size_t eol = std::min(text.find('\n'), text.size());
+  const std::string_view line = text.substr(0, eol);
+  text.remove_prefix(std::min(eol + 1, text.size()));
+  return line;
+}
+
+// Matches `<u64> <fixed>` in full: no sign or padding on the id, exactly
+// one separating space, a finite fixed-notation timestamp and no trailing
+// bytes.
+bool ParseEventBody(std::string_view body, std::uint64_t& id, double& t) {
+  const char* const end = body.data() + body.size();
+  const auto [id_end, id_ec] = std::from_chars(body.data(), end, id);
+  if (id_ec != std::errc{} || id_end == end || *id_end != ' ') return false;
+  const auto [t_end, t_ec] =
+      std::from_chars(id_end + 1, end, t, std::chars_format::fixed);
+  return t_ec == std::errc{} && t_end == end && std::isfinite(t);
+}
+
+}  // namespace
 
 void TestLog::SetField(const std::string& key, std::string value) {
-  Expects(key.find(' ') == std::string::npos &&
+  Expects(!key.empty() && key.find(' ') == std::string::npos &&
               key.find('\n') == std::string::npos,
-          "log field keys must not contain whitespace");
+          "log field keys must be non-empty and contain no whitespace");
   Expects(value.find('\n') == std::string::npos,
           "log field values must be single-line");
   fields_[key] = std::move(value);
@@ -26,54 +126,68 @@ void TestLog::Record(LogEventKind kind, std::uint64_t query_id, Seconds t) {
 }
 
 std::string TestLog::Serialize() const {
-  std::ostringstream os;
-  os.precision(9);
-  os << "mlpm_loadgen_log v1\n";
-  for (const auto& [k, v] : fields_) os << "field " << k << ' ' << v << '\n';
-  for (const auto& e : events_) {
-    switch (e.kind) {
-      case LogEventKind::kQueryIssued: os << "issue "; break;
-      case LogEventKind::kQueryCompleted: os << "complete "; break;
-      case LogEventKind::kQueryShed: os << "shed "; break;
-      case LogEventKind::kQueryRejected: os << "rejected "; break;
-    }
-    os << e.query_id << ' ' << std::fixed << e.timestamp.count() << '\n';
+  std::size_t reserve = kHeader.size() + 1 + events_.size() * kTypicalEventBytes;
+  for (const auto& [k, v] : fields_)
+    reserve += kFieldTag.size() + k.size() + v.size() + 3;
+  std::string out;
+  out.reserve(reserve);
+  out.append(kHeader).push_back('\n');
+  for (const auto& [k, v] : fields_) {
+    out.append(kFieldTag).append(" ").append(k).append(" ").append(v);
+    out.push_back('\n');
   }
-  return os.str();
+  // One event line: the longest tag, a space, a 20-digit id, a space, any
+  // double in fixed notation (sign, up to 309 integer digits, a point and
+  // 9 decimals) and the newline.
+  std::array<char, 8 + 1 + 20 + 1 +
+                       std::numeric_limits<double>::max_exponent10 + 12 + 1>
+      buf{};
+  char* const last = buf.data() + buf.size();
+  for (const LogEvent& e : events_) {
+    const std::string_view tag = TagOf(e.kind);
+    char* p = std::copy(tag.begin(), tag.end(), buf.data());
+    *p++ = ' ';
+    p = std::to_chars(p, last, e.query_id).ptr;
+    *p++ = ' ';
+    p = WriteTimestamp(p, last, e.timestamp.count());
+    *p++ = '\n';
+    out.append(buf.data(), p);
+  }
+  return out;
 }
 
-TestLog TestLog::Parse(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  Expects(static_cast<bool>(std::getline(is, line)), "empty log");
-  Expects(line == "mlpm_loadgen_log v1", "unknown log format: " + line);
-
+TestLog TestLog::Parse(std::string_view text) {
+  Expects(!text.empty(), "empty log");
+  if (const std::string_view header = TakeLine(text); header != kHeader)
+    Expects(false, "unknown log format: " + std::string(header));
   TestLog log;
-  while (std::getline(is, line)) {
+  // At most one event per line: the reservation is bounded by the input.
+  log.events_.reserve(
+      static_cast<std::size_t>(std::ranges::count(text, '\n')) + 1);
+  while (!text.empty()) {
+    const std::string_view line = TakeLine(text);
     if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
-    if (tag == "field") {
-      std::string key;
-      ls >> key;
-      std::string value;
-      std::getline(ls, value);
-      if (!value.empty() && value.front() == ' ') value.erase(0, 1);
-      log.fields_[key] = value;
-    } else if (tag == "issue" || tag == "complete" || tag == "shed" ||
-               tag == "rejected") {
+
+    const std::size_t sp = line.find(' ');
+    const std::string_view tag = line.substr(0, sp);
+    const std::string_view body =
+        sp == std::string_view::npos ? std::string_view{} : line.substr(sp + 1);
+    if (const EventTag* event = FindEventTag(tag); event != nullptr) {
       std::uint64_t id = 0;
       double t = 0.0;
-      ls >> id >> t;
-      Expects(!ls.fail(), "malformed log event: " + line);
-      LogEventKind kind = LogEventKind::kQueryCompleted;
-      if (tag == "issue") kind = LogEventKind::kQueryIssued;
-      else if (tag == "shed") kind = LogEventKind::kQueryShed;
-      else if (tag == "rejected") kind = LogEventKind::kQueryRejected;
-      log.events_.push_back(LogEvent{kind, id, Seconds{t}});
+      if (!ParseEventBody(body, id, t)) [[unlikely]]
+        Expects(false, "malformed log event: " + std::string(line));
+      log.events_.push_back(LogEvent{event->kind, id, Seconds{t}});
+    } else if (tag == kFieldTag) {
+      // `field <key> <value>`: the key is non-empty and space-free, the
+      // value is the rest of the line verbatim (possibly empty).
+      const std::size_t key_end = body.find(' ');
+      if (key_end == 0 || key_end == std::string_view::npos) [[unlikely]]
+        Expects(false, "malformed log field: " + std::string(line));
+      log.fields_.insert_or_assign(std::string(body.substr(0, key_end)),
+                                   std::string(body.substr(key_end + 1)));
     } else {
-      Expects(false, "unknown log line tag: " + tag);
+      Expects(false, "unknown log line tag: " + std::string(tag));
     }
   }
   return log;

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/clock.h"
@@ -30,7 +31,10 @@ struct LogEvent {
 
 // Header fields + per-query event trace.  Serializes to a line-oriented
 // text format; the submission checker parses it back and cross-checks the
-// summary against the raw events.
+// summary against the raw events.  Grammar (DESIGN.md §5), one line each:
+//   mlpm_loadgen_log v1
+//   field <key> <value>
+//   <issue|complete|shed|rejected> <u64 id> <fixed timestamp, 9 decimals>
 class TestLog {
  public:
   void SetField(const std::string& key, std::string value);
@@ -43,8 +47,8 @@ class TestLog {
   [[nodiscard]] const std::vector<LogEvent>& events() const { return events_; }
 
   [[nodiscard]] std::string Serialize() const;
-  // Throws CheckError on malformed input.
-  [[nodiscard]] static TestLog Parse(const std::string& text);
+  // Throws CheckError on any line that does not match the grammar in full.
+  [[nodiscard]] static TestLog Parse(std::string_view text);
 
  private:
   std::map<std::string, std::string> fields_;

@@ -1,8 +1,10 @@
 #include "harness/checker.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <unordered_map>
 
 #include "common/statistics.h"
@@ -16,6 +18,15 @@ namespace {
 bool Near(double a, double b, double rel_tol) {
   const double scale = std::max(std::abs(a), std::abs(b));
   return scale == 0.0 || std::abs(a - b) <= rel_tol * scale;
+}
+
+// The whole of `text` as a finite double, or nothing.
+std::optional<double> ParseFinite(std::string_view text) {
+  double v = 0.0;
+  const char* const end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || stop != end || !std::isfinite(v)) return {};
+  return v;
 }
 
 }  // namespace
@@ -54,6 +65,7 @@ CheckReport CheckPerformanceLog(const std::string& serialized_log,
   // neither may be double-counted as never-completed.
   std::unordered_map<std::uint64_t, double> issued;
   std::vector<double> latencies;
+  latencies.reserve(log.events().size() / 2);
   std::size_t shed_events = 0, rejected_events = 0;
   double first_issue = -1.0, last_complete = 0.0;
   double last_issue_time = -1.0;
@@ -62,13 +74,14 @@ CheckReport CheckPerformanceLog(const std::string& serialized_log,
   for (const loadgen::LogEvent& e : log.events()) {
     const double t = e.timestamp.count();
     if (e.kind == loadgen::LogEventKind::kQueryIssued) {
-      if (issued.contains(e.query_id)) {
+      if (const auto [it, inserted] = issued.try_emplace(e.query_id, t);
+          !inserted) {
         report.Problem("query " + std::to_string(e.query_id) +
                        " issued twice");
+        it->second = t;
       }
       if (outstanding) serialized = false;
       outstanding = true;
-      issued[e.query_id] = t;
       if (first_issue < 0) first_issue = t;
       if (t < last_issue_time)
         report.Problem("issue timestamps are not monotonic");
@@ -171,8 +184,9 @@ CheckReport CheckPerformanceLog(const std::string& serialized_log,
       for (const loadgen::LogEvent& e : log.events()) {
         if (e.kind == loadgen::LogEventKind::kQueryIssued) {
           issue_at[e.query_id] = e.timestamp.count();
-        } else if (issue_at.contains(e.query_id)) {
-          const double sched = issue_at[e.query_id];
+        } else if (const auto at = issue_at.find(e.query_id);
+                   at != issue_at.end()) {
+          const double sched = at->second;
           auto [it, inserted] =
               per_query.try_emplace(sched, e.timestamp.count());
           if (!inserted)
@@ -193,20 +207,26 @@ CheckReport CheckPerformanceLog(const std::string& serialized_log,
 
   // Cross-check the reported summary against the raw events.
   // (Multi-stream reports a per-query percentile, recomputed above.)
-  if (const std::string* rep = log.FieldOrNull("result_percentile_latency_s");
-      rep != nullptr &&
-      (expected.scenario == loadgen::TestScenario::kSingleStream ||
-       expected.scenario == loadgen::TestScenario::kServer)) {
-    const double recomputed =
-        Percentile(latencies, expected.latency_percentile);
-    if (!Near(std::stod(*rep), recomputed, 1e-3))
+  // A summary field that is not one finite number in full is a problem of
+  // its own, never an exception out of the checker.
+  const auto reported = [&](const std::string& key) -> std::optional<double> {
+    const std::string* rep = log.FieldOrNull(key);
+    if (rep == nullptr) return {};
+    const std::optional<double> v = ParseFinite(*rep);
+    if (!v) report.Problem("unparseable log field: " + key);
+    return v;
+  };
+  if (expected.scenario == loadgen::TestScenario::kSingleStream ||
+      expected.scenario == loadgen::TestScenario::kServer) {
+    if (const auto rep = reported("result_percentile_latency_s");
+        rep && !Near(*rep, Percentile(latencies, expected.latency_percentile),
+                     1e-3))
       report.Problem("reported percentile latency does not match events");
   }
-  if (const std::string* rep = log.FieldOrNull("result_throughput_sps");
-      rep != nullptr) {
+  if (const auto rep = reported("result_throughput_sps")) {
     const double recomputed =
         duration > 0 ? static_cast<double>(latencies.size()) / duration : 0;
-    if (!Near(std::stod(*rep), recomputed, 1e-3))
+    if (!Near(*rep, recomputed, 1e-3))
       report.Problem("reported throughput does not match events");
   }
   return report;

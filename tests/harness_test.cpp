@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 
 #include "harness/app.h"
 #include "harness/audit.h"
@@ -405,6 +406,95 @@ TEST(Package, MissingLogRejected) {
   const CheckReport r =
       AuditPackage(pkg, Bundles(), FastOptions().performance_settings);
   EXPECT_FALSE(r.valid);
+}
+
+// Rewrites the MANIFEST so every file's listed size is its current size:
+// the edit then shows only to the content checks.
+void ResealManifest(harness::SubmissionPackage& pkg) {
+  std::string manifest;
+  for (const auto& [path, contents] : pkg.files)
+    if (path != "MANIFEST")
+      manifest += path + ' ' + std::to_string(contents.size()) + '\n';
+  pkg.files["MANIFEST"] = manifest;
+}
+
+TEST(Package, UnparseableSummaryFieldRejected) {
+  harness::SubmissionPackage pkg =
+      PackageSubmission(CachedD1100Run(), Bundles());
+  std::string& log = pkg.files["logs/image_classification.single_stream.log"];
+  const std::string key = "field result_throughput_sps ";
+  const auto pos = log.find(key);
+  ASSERT_NE(pos, std::string::npos);
+  const auto begin = pos + key.size();
+  const auto eol = log.find('\n', begin);
+  ASSERT_GT(eol, begin);
+  // Same byte length, so the MANIFEST still agrees with the file.
+  log.replace(begin, eol - begin, std::string(eol - begin, 'x'));
+  const CheckReport r =
+      AuditPackage(pkg, Bundles(), FastOptions().performance_settings);
+  EXPECT_FALSE(r.valid);
+  EXPECT_TRUE(std::any_of(r.problems.begin(), r.problems.end(),
+                          [](const std::string& p) {
+                            return p.find("unparseable log field: "
+                                          "result_throughput_sps") !=
+                                   std::string::npos;
+                          }))
+      << FormatCheckReport(r);
+}
+
+TEST(Package, SeededLogMutationsAlwaysYieldAReport) {
+  // Hostile-input property for the LoadGen log boundary: 2,000 seeded
+  // 1-4 byte edits of a real single-stream log (overwrite, insert or
+  // delete; bytes biased toward the grammar's own separators, digits and
+  // number spellings).  Each edited log goes to the checker directly and
+  // to the package audit with its MANIFEST resealed; both must return a
+  // report, and a log the checker rejects must fail the audit too.
+  const std::string path = "logs/image_classification.single_stream.log";
+  harness::SubmissionPackage pkg =
+      PackageSubmission(CachedD1100Run(), Bundles());
+  const std::string original = pkg.files.at(path);
+  loadgen::TestSettings ss = FastOptions().performance_settings;
+  ss.scenario = loadgen::TestScenario::kSingleStream;
+  ss.mode = loadgen::TestMode::kPerformanceOnly;
+  ASSERT_TRUE(CheckPerformanceLog(original, ss).valid);
+
+  constexpr std::string_view kAlphabet = "0123456789 \n\r\t.-+eEnaif\0x";
+  std::mt19937_64 rng(20221);
+  const auto pick = [&rng](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  const auto random_byte = [&]() -> char {
+    return pick(2) == 0 ? kAlphabet[pick(kAlphabet.size())]
+                        : static_cast<char>(pick(256));
+  };
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string log = original;
+    for (std::size_t edits = 1 + pick(4); edits > 0; --edits) {
+      const std::size_t at = pick(log.size());
+      switch (pick(3)) {
+        case 0: log[at] = random_byte(); break;
+        case 1: log.insert(log.begin() + static_cast<std::ptrdiff_t>(at),
+                           random_byte()); break;
+        default: log.erase(at, 1); break;
+      }
+    }
+    CheckReport direct;
+    ASSERT_NO_THROW(direct = CheckPerformanceLog(log, ss)) << trial;
+    pkg.files[path] = log;
+    ResealManifest(pkg);
+    CheckReport audit;
+    ASSERT_NO_THROW(
+        audit = AuditPackage(pkg, Bundles(), FastOptions().performance_settings))
+        << trial;
+    if (!direct.valid) {
+      ++rejected;
+      EXPECT_FALSE(audit.valid) << trial;
+    }
+  }
+  // Most edits land in event lines and must be caught (1,858 of 2,000
+  // at this seed).
+  EXPECT_GT(rejected, 1500u);
 }
 
 TEST(Package, GarbageModelFileRejectedGracefully) {

@@ -4,6 +4,15 @@
 // query async spans).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <limits>
+#include <random>
+#include <sstream>
+
 #include "core/dataset_qsl.h"
 #include "core/loadgen.h"
 #include "core/logging.h"
@@ -684,12 +693,113 @@ TEST(TestLog, ParseRejectsGarbage) {
   EXPECT_THROW((void)TestLog::Parse(""), CheckError);
   EXPECT_THROW((void)TestLog::Parse("mlpm_loadgen_log v1\nbogus line here"),
                CheckError);
+  // Every event line must match `<tag> <u64> <fixed>` in full: trailing
+  // bytes, doubled spaces, a signed id, a carriage return, a non-finite or
+  // exponent-form timestamp and a missing timestamp are all malformed.
+  for (const char* line :
+       {"issue 5 0.1x", "issue 5 0.1 junk", "issue  5 0.1", "issue -1 0.1",
+        "issue 5 0.5\r", "issue 5 nan", "issue 5 inf", "issue 5 1e999",
+        "issue 5", "issue 5 ", "issue +5 0.1", "issue 5 -inf",
+        "issue 18446744073709551616 0.1", "issue", "issue 5  0.1"}) {
+    EXPECT_THROW((void)TestLog::Parse(std::string("mlpm_loadgen_log v1\n") +
+                                      line + "\n"),
+                 CheckError)
+        << line;
+  }
+  // Field lines need a non-empty key and the separating space.
+  for (const char* line : {"field", "field seed", "field  12345"}) {
+    EXPECT_THROW((void)TestLog::Parse(std::string("mlpm_loadgen_log v1\n") +
+                                      line + "\n"),
+                 CheckError)
+        << line;
+  }
+  EXPECT_EQ(TestLog::Parse("mlpm_loadgen_log v1\nissue 5 0.1\n")
+                .events()
+                .size(),
+            1u);
+}
+
+// The bytes of tests/golden/loadgen_log.txt were written by the original
+// iostream writer (std::fixed, precision 9); they pin the format itself,
+// which a round trip alone cannot, since it would pass a change made to
+// the writer and the reader alike.
+TEST(TestLog, SerializeMatchesGoldenBytes) {
+  std::ifstream in(std::string(MLPM_GOLDEN_DIR) + "/loadgen_log.txt",
+                   std::ios::binary);
+  ASSERT_TRUE(static_cast<bool>(in)) << "missing golden loadgen_log.txt";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  TestLog log;
+  log.SetField("seed", "1234");
+  log.SetField("scenario", "single_stream");
+  log.SetField("mode", "performance_only");
+  log.SetField("result_throughput_sps", "12.5");
+  log.SetField("note", "spaces  inside value");
+  log.SetField("empty", "");
+  log.Record(LogEventKind::kQueryIssued, 0, Seconds{0.0});
+  log.Record(LogEventKind::kQueryCompleted, 0, Seconds{1e-10});
+  log.Record(LogEventKind::kQueryIssued, 1, Seconds{0.1234567895});
+  log.Record(LogEventKind::kQueryRejected, 1, Seconds{7.0000000005});
+  log.Record(LogEventKind::kQueryShed, kMax, Seconds{123456789.123456789});
+  log.Record(LogEventKind::kQueryIssued, kMax - 1, Seconds{1e15});
+  log.Record(LogEventKind::kQueryCompleted, kMax - 1, Seconds{1e15});
+  // Exact binary ties at the ninth decimal: round half to even.
+  log.Record(LogEventKind::kQueryShed, 2, Seconds{0.0009765625});
+  log.Record(LogEventKind::kQueryShed, 3, Seconds{0.0029296875});
+
+  EXPECT_EQ(log.Serialize(), golden.str());
+  EXPECT_EQ(TestLog::Parse(golden.str()).Serialize(), golden.str());
+}
+
+TEST(TestLog, TimestampsMatchPrintfFixed9) {
+  // The writer's integer fast path must agree with printf("%.9f") — the
+  // original iostream format — on every double: random bit patterns over
+  // the fast range and past it, exact ties at the ninth decimal, signed
+  // zeros, subnormals and the extremes.
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                1e-10,
+                                5e-10,
+                                0x1p33,
+                                std::nextafter(0x1p33, 0.0),
+                                -1e-12,
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::lowest()};
+  std::mt19937_64 rng(7);
+  std::uniform_int_distribution<std::uint64_t> bits(
+      0, std::bit_cast<std::uint64_t>(0x1p40));
+  std::uniform_int_distribution<std::uint64_t> ticks(0, std::uint64_t{1}
+                                                            << 40);
+  for (int i = 0; i < 100'000; ++i) {
+    values.push_back(std::bit_cast<double>(bits(rng)));
+    // Multiples of 2^-10 s end in ...0625 / ...5625: half of them tie.
+    values.push_back(std::ldexp(static_cast<double>(ticks(rng)), -10));
+    values.push_back(std::uniform_real_distribution<double>(0, 1e4)(rng));
+  }
+  TestLog log;
+  std::string expected = "mlpm_loadgen_log v1\n";
+  std::array<char, 400> line{};
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    log.Record(LogEventKind::kQueryIssued, i, Seconds{values[i]});
+    std::snprintf(line.data(), line.size(), "issue %zu %.9f\n", i, values[i]);
+    expected += line.data();
+  }
+  const std::string got = log.Serialize();
+  const auto diff = std::ranges::mismatch(got, expected).in1 - got.begin();
+  EXPECT_TRUE(got == expected)
+      << "first difference at byte " << diff << ": '" << got.substr(diff, 40)
+      << "' vs '" << expected.substr(diff, 40) << "'";
 }
 
 TEST(TestLog, FieldKeysValidated) {
   TestLog log;
   EXPECT_THROW(log.SetField("bad key", "v"), CheckError);
   EXPECT_THROW(log.SetField("key", "multi\nline"), CheckError);
+  EXPECT_THROW(log.SetField("", "v"), CheckError);
 }
 
 TEST(TestLog, TimestampPrecisionSurvivesRoundTrip) {
