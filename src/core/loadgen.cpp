@@ -75,7 +75,6 @@ class Collector final : public ResponseSink {
                      {obs::Arg("query", s.id),
                       obs::Arg("sample", static_cast<std::uint64_t>(s.index))},
                      "admission");
-    obs::MetricsRegistry::Global().Increment("loadgen.queries_shed");
   }
 
   // SUT-side fast-fail (open circuit breaker): the query was issued but the
@@ -103,7 +102,6 @@ class Collector final : public ResponseSink {
                       AsyncId(id), now.count() * 1e6,
                       {obs::Arg("outcome", "rejected"),
                        obs::Arg("reason", std::string(reason))});
-    obs::MetricsRegistry::Global().Increment("loadgen.queries_rejected");
   }
 
   void Complete(QuerySampleResponse response) override {
@@ -287,6 +285,12 @@ void FinalizeErrors(TestResult& r, Collector& collector) {
   metrics.Increment("loadgen.queries_completed",
                     collector.completed_count());
   metrics.Increment("loadgen.queries_errored", r.AnomalyCount());
+  // Shed and rejected queries are per-event outcomes; only a test that had
+  // some creates the counter.
+  if (r.shed_count != 0)
+    metrics.Increment("loadgen.queries_shed", r.shed_count);
+  if (r.rejected_count != 0)
+    metrics.Increment("loadgen.queries_rejected", r.rejected_count);
 }
 
 }  // namespace

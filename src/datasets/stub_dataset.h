@@ -1,7 +1,8 @@
 // A query-sample source for performance-only runs: the simulated plane
 // never reads sample contents (latency comes from the compiled model), so
-// eight 1-element tensors suffice.  Sample indices drawn against it do not
-// affect timing.
+// each sample is one 1-element tensor.  Only the sample count matters: the
+// LoadGen draws sample indices below it and logs them, so a stub standing
+// in for a real data set must have exactly that set's size.
 #pragma once
 
 #include <span>
@@ -14,7 +15,9 @@ namespace mlpm::datasets {
 
 class StubDataset final : public TaskDataset {
  public:
-  [[nodiscard]] std::size_t size() const override { return 8; }
+  explicit StubDataset(std::size_t size = 8) : size_(size) {}
+
+  [[nodiscard]] std::size_t size() const override { return size_; }
   [[nodiscard]] std::vector<infer::Tensor> InputsFor(
       std::size_t) const override {
     std::vector<infer::Tensor> v;
@@ -32,6 +35,9 @@ class StubDataset final : public TaskDataset {
       std::size_t index) const override {
     return InputsFor(index);
   }
+
+ private:
+  std::size_t size_;
 };
 
 }  // namespace mlpm::datasets

@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "core/dataset_qsl.h"
+#include "datasets/stub_dataset.h"
 #include "harness/journal.h"
 #include "infer/memory_plan.h"
 #include "obs/metrics.h"
@@ -395,7 +396,10 @@ void RunTask(const soc::ChipsetDesc& chipset, models::SuiteVersion version,
     const std::string sut_name = chipset.name + "/" + sub.framework.name;
     const bool has_offline =
         options.run_offline && !sub.offline_replicas.empty();
-    loadgen::DatasetQsl qsl(bundle.dataset());
+    // The simulated plane never reads sample contents, so the tests stage
+    // a stub of the validation set's size and nothing is labelled.
+    const datasets::StubDataset samples(bundle.dataset_size());
+    loadgen::DatasetQsl qsl(samples);
 
     // The run rules allow re-running a test; an errored run (stalled SUT,
     // nothing completed) is retried on a fresh simulator before the task

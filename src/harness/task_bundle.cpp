@@ -59,14 +59,21 @@ std::unique_ptr<TaskBundle> TaskBundle::Create(
   b->entry_ = e;
   b->version_ = version;
 
+  // Each case builds the graph and weights now and leaves the labelling to
+  // dataset(); the size comes from the same config the labelling uses.
+  const TaskBundle* self = b.get();
   switch (e.task) {
     case models::TaskType::kImageClassification: {
       b->owned_graph_ = std::make_unique<graph::Graph>(
           models::BuildMobileNetEdgeTpu(models::ModelScale::kMini));
       b->graph_ = b->owned_graph_.get();
       b->weights_ = infer::InitializeWeights(*b->graph_, weight_seed);
-      b->dataset_ = std::make_unique<datasets::ClassificationDataset>(
-          *b->graph_, b->weights_, datasets::ClassificationDatasetConfig{});
+      const datasets::ClassificationDatasetConfig cfg;
+      b->dataset_size_ = cfg.num_samples;
+      b->make_dataset_ = [self, cfg] {
+        return std::make_unique<datasets::ClassificationDataset>(
+            *self->graph_, self->weights_, cfg);
+      };
       break;
     }
     case models::TaskType::kObjectDetection: {
@@ -76,9 +83,12 @@ std::unique_ptr<TaskBundle> TaskBundle::Create(
               : models::BuildMobileDetSsd(models::ModelScale::kMini));
       b->graph_ = &b->detection_model_->graph;
       b->weights_ = infer::InitializeWeights(*b->graph_, weight_seed);
-      b->dataset_ = std::make_unique<datasets::DetectionDataset>(
-          *b->detection_model_, b->weights_,
-          datasets::DetectionDatasetConfig{});
+      const datasets::DetectionDatasetConfig cfg;
+      b->dataset_size_ = cfg.num_samples;
+      b->make_dataset_ = [self, cfg] {
+        return std::make_unique<datasets::DetectionDataset>(
+            *self->detection_model_, self->weights_, cfg);
+      };
       break;
     }
     case models::TaskType::kImageSegmentation: {
@@ -86,22 +96,40 @@ std::unique_ptr<TaskBundle> TaskBundle::Create(
           models::BuildDeepLabV3Plus(models::ModelScale::kMini));
       b->graph_ = b->owned_graph_.get();
       b->weights_ = infer::InitializeWeights(*b->graph_, weight_seed);
-      b->dataset_ = std::make_unique<datasets::SegmentationDataset>(
-          *b->graph_, b->weights_, datasets::SegmentationDatasetConfig{});
+      const datasets::SegmentationDatasetConfig cfg;
+      b->dataset_size_ = cfg.num_samples;
+      b->make_dataset_ = [self, cfg] {
+        return std::make_unique<datasets::SegmentationDataset>(
+            *self->graph_, self->weights_, cfg);
+      };
       break;
     }
     case models::TaskType::kQuestionAnswering: {
-      const models::MobileBertConfig cfg = models::MiniMobileBertConfig();
+      const models::MobileBertConfig model_cfg =
+          models::MiniMobileBertConfig();
       b->owned_graph_ = std::make_unique<graph::Graph>(
-          models::BuildMobileBert(cfg));
+          models::BuildMobileBert(model_cfg));
       b->graph_ = b->owned_graph_.get();
       b->weights_ = infer::InitializeWeights(*b->graph_, weight_seed);
-      b->dataset_ = std::make_unique<datasets::QaDataset>(
-          *b->graph_, b->weights_, cfg, datasets::QaDatasetConfig{});
+      const datasets::QaDatasetConfig cfg;
+      b->dataset_size_ = cfg.num_samples;
+      b->make_dataset_ = [self, model_cfg, cfg] {
+        return std::make_unique<datasets::QaDataset>(
+            *self->graph_, self->weights_, model_cfg, cfg);
+      };
       break;
     }
   }
   return b;
+}
+
+const datasets::TaskDataset& TaskBundle::dataset() const {
+  if (!dataset_) {
+    dataset_ = make_dataset_();
+    Ensures(dataset_->size() == dataset_size_,
+            entry_.id + ": labelled data set size differs from its config");
+  }
+  return *dataset_;
 }
 
 TaskBundle::PreparedModel TaskBundle::Prepare(
@@ -132,7 +160,7 @@ TaskBundle::PreparedModel TaskBundle::Prepare(
     p.calibration_indices = datasets::ApprovedCalibrationIndices(
         kCalibrationPoolSize, kCalibrationSetSize, kCalibrationSeed);
     const std::vector<quant::CalibrationSample> samples =
-        datasets::GatherCalibrationSamples(*dataset_, p.calibration_indices);
+        datasets::GatherCalibrationSamples(dataset(), p.calibration_indices);
     const infer::QuantParams qp =
         quant::CalibratePtq(*graph_, *weights, samples);
     p.model = std::make_shared<infer::PreparedModel>(*graph_, *weights, mode,
@@ -189,7 +217,7 @@ TaskBundle::PreparedModel TaskBundle::PrepareTransformed(
     // untransformed ranges no longer line up one-to-one.
     p.calibration_indices = base.calibration_indices;
     const std::vector<quant::CalibrationSample> samples =
-        datasets::GatherCalibrationSamples(*dataset_, p.calibration_indices);
+        datasets::GatherCalibrationSamples(dataset(), p.calibration_indices);
     const infer::QuantParams qp =
         quant::CalibratePtq(tr->graph, tr->weights, samples);
     p.model = std::make_shared<infer::PreparedModel>(tr->graph, tr->weights,
@@ -203,10 +231,11 @@ TaskBundle::PreparedModel TaskBundle::PrepareTransformed(
   p.transformed = tr;  // keeps the graph/weights alive for p.model
   p.transform = info;
 
+  const datasets::TaskDataset& ds = dataset();
   const std::size_t probes =
-      std::min<std::size_t>(kTransformProbeSamples, dataset_->size());
+      std::min<std::size_t>(kTransformProbeSamples, ds.size());
   for (std::size_t i = 0; i < probes; ++i) {
-    const std::vector<infer::Tensor> inputs = dataset_->InputsFor(i);
+    const std::vector<infer::Tensor> inputs = ds.InputsFor(i);
     const std::string mismatch = CompareProbeOutputs(
         base.executor->Run(inputs), p.executor->Run(inputs), mode);
     if (!mismatch.empty()) {
@@ -223,10 +252,12 @@ TaskBundle::PreparedModel TaskBundle::PrepareTransformed(
 
 double TaskBundle::ScoreAccuracy(const infer::Executor& executor,
                                  const ThreadPool* pool) const {
+  // Labels (on first use) here, before the samples fan out over the pool.
+  const datasets::TaskDataset& ds = dataset();
   std::vector<std::vector<infer::Tensor>> outputs = infer::RunSamplesParallel(
-      executor, dataset_->size(),
-      [&](std::size_t i) { return dataset_->InputsFor(i); }, pool);
-  return dataset_->ScoreOutputs(outputs);
+      executor, ds.size(), [&](std::size_t i) { return ds.InputsFor(i); },
+      pool);
+  return ds.ScoreOutputs(outputs);
 }
 
 double TaskBundle::Fp32Score(const ThreadPool* pool,

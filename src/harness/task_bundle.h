@@ -4,6 +4,7 @@
 // approved calibration set, FP16 rounding, optional QAT-agreed weights).
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -47,8 +48,9 @@ inline constexpr std::uint64_t kCalibrationSeed = 0xCA11B;
 
 class TaskBundle {
  public:
-  // Builds the mini reference model + data set for a suite entry.
-  // `weight_seed` is the frozen-checkpoint seed (fixed per suite release).
+  // Builds the mini reference model for a suite entry; its data set is
+  // labelled on the first dataset() call.  `weight_seed` is the
+  // frozen-checkpoint seed (fixed per suite release).
   static std::unique_ptr<TaskBundle> Create(const models::BenchmarkEntry& e,
                                             models::SuiteVersion version,
                                             std::uint64_t weight_seed = 7);
@@ -58,9 +60,13 @@ class TaskBundle {
     return *NotNull(graph_, "task bundle has no model graph");
   }
   [[nodiscard]] const infer::WeightStore& weights() const { return weights_; }
-  [[nodiscard]] const datasets::TaskDataset& dataset() const {
-    return *NotNull(dataset_.get(), "task bundle has no data set");
-  }
+  // The teacher-labelled validation set.  Labelling runs the FP32 teacher
+  // over the candidates, so it happens on the first call, on the calling
+  // thread; like Prepare(), not safe to race with itself.
+  [[nodiscard]] const datasets::TaskDataset& dataset() const;
+  // The validation set's size, from the data set's config: what the
+  // performance plane sizes its sample source by, without labelling.
+  [[nodiscard]] std::size_t dataset_size() const { return dataset_size_; }
 
   // Outcome of the opt-in transform stage for one prepared model.
   struct TransformInfo {
@@ -147,7 +153,9 @@ class TaskBundle {
   const graph::Graph* graph_ = nullptr;
   infer::WeightStore weights_;
   mutable std::optional<infer::WeightStore> qat_weights_;  // lazy
-  std::unique_ptr<datasets::TaskDataset> dataset_;
+  std::size_t dataset_size_ = 0;
+  std::function<std::unique_ptr<datasets::TaskDataset>()> make_dataset_;
+  mutable std::unique_ptr<datasets::TaskDataset> dataset_;  // lazy
   // FP32 reference scores keyed by kernel ISA.
   mutable std::map<int, double> fp32_scores_;
   // Prepack cache, keyed by ((mode, use_qat_weights, isa, transform),

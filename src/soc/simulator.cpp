@@ -24,6 +24,26 @@ double& TraceTimelineEnd() {
 
 }  // namespace
 
+SocSimulator::Counters& SocSimulator::Counters::operator=(
+    Counters&& other) noexcept {
+  if (this != &other) {
+    Flush();
+    counts_ = std::exchange(other.counts_, {});
+  }
+  return *this;
+}
+
+void SocSimulator::Counters::Flush() noexcept {
+  static constexpr std::array<std::string_view, kNameCount> kMetric = {
+      "soc.inferences",      "soc.throttled_inferences",
+      "soc.faults_injected", "soc.thermal_emergencies",
+      "soc.batches",         "soc.batch_samples"};
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  for (std::size_t i = 0; i < kNameCount; ++i)
+    if (counts_[i] != 0) metrics.Increment(kMetric[i], counts_[i]);
+  counts_ = {};
+}
+
 SocSimulator::SocSimulator(ChipsetDesc chipset)
     : chipset_(std::move(chipset)), thermal_(chipset_.thermal) {}
 
@@ -109,13 +129,12 @@ InferenceResult SocSimulator::RunInference(const CompiledModel& model) {
     thermal_.ForceTemperature(thermal_.throttle_limit_c());
   r.temperature_c = thermal_.temperature_c();
 
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  metrics.Increment("soc.inferences");
-  if (r.throttle_factor < 1.0) metrics.Increment("soc.throttled_inferences");
+  counters_.Add(Counters::kInferences);
+  if (r.throttle_factor < 1.0) counters_.Add(Counters::kThrottledInferences);
   if (r.outcome != InferenceOutcome::kOk)
-    metrics.Increment("soc.faults_injected");
+    counters_.Add(Counters::kFaultsInjected);
   if (r.outcome == InferenceOutcome::kThermalEmergency)
-    metrics.Increment("soc.thermal_emergencies");
+    counters_.Add(Counters::kThermalEmergencies);
 
   if (obs::TraceRecorder& rec = obs::TraceRecorder::Global();
       rec.enabled()) {
@@ -236,9 +255,8 @@ BatchResult SocSimulator::RunBatch(std::span<const CompiledModel> replicas,
   r.makespan_s = r.completion_times_s.back();
   r.final_temperature_c = thermal_.temperature_c();
 
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  metrics.Increment("soc.batches");
-  metrics.Increment("soc.batch_samples", sample_count);
+  counters_.Add(Counters::kBatches);
+  counters_.Add(Counters::kBatchSamples, sample_count);
   if (traced) {
     rec.AddComplete(obs::Domain::kSim, Lane("batch"), "offline batch",
                     batch_base_s * 1e6, now * 1e6,

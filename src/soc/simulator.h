@@ -9,10 +9,13 @@
 // exactly as before: the fault machinery is a no-op.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "soc/chipset.h"
@@ -146,8 +149,39 @@ class SocSimulator {
   // The given lane with this simulator's prefix applied.
   [[nodiscard]] std::string Lane(std::string_view lane) const;
 
+  // Plain per-simulator counts of the six soc.* metrics.  RunInference
+  // runs once per simulated query, on every fleet worker at once, so the
+  // counts reach the shared registry once, when the simulator is destroyed
+  // — only the non-zero ones, so the registry's key set is what per-event
+  // updates would have made.  A moved-from simulator holds none.
+  class Counters {
+   public:
+    enum Name : std::size_t {
+      kInferences,
+      kThrottledInferences,
+      kFaultsInjected,
+      kThermalEmergencies,
+      kBatches,
+      kBatchSamples,
+      kNameCount
+    };
+
+    Counters() = default;
+    Counters(Counters&& other) noexcept
+        : counts_(std::exchange(other.counts_, {})) {}
+    Counters& operator=(Counters&& other) noexcept;
+    ~Counters() { Flush(); }
+
+    void Add(Name name, std::uint64_t delta = 1) { counts_[name] += delta; }
+
+   private:
+    void Flush() noexcept;
+    std::array<std::uint64_t, kNameCount> counts_{};
+  };
+
   ChipsetDesc chipset_;
   ThermalModel thermal_;
+  Counters counters_;
   std::optional<FaultInjector> injector_;
   double busy_time_s_ = 0.0;
   double trace_epoch_s_ = -1.0;  // <0: not claimed yet

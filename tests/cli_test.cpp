@@ -170,6 +170,9 @@ TEST(CliProfile, TaskFilterKeepsTheProfileTablesOfATracedRun) {
   EXPECT_EQ(run.status(), 0) << run.err();
   EXPECT_NE(run.out().find("simulated IP steps"), std::string::npos)
       << run.out();
+  // A performance-only run labels no data set, so no executor ran.
+  EXPECT_EQ(run.out().find("executor ops (host)"), std::string::npos)
+      << run.out();
   EXPECT_NE(run.File("run.trace.json").find("traceEvents"), std::string::npos);
 }
 

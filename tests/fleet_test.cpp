@@ -23,6 +23,7 @@
 #include "harness/run_session.h"
 #include "infer/prepared_cache.h"
 #include "models/zoo.h"
+#include "obs/metrics.h"
 #include "soc/chipset.h"
 
 namespace mlpm {
@@ -187,6 +188,47 @@ TEST(Fleet, OverloadAccountingIdentityHolds) {
   EXPECT_EQ(r.offered, r.issued + r.shed);
   EXPECT_EQ(r.issued,
             r.completed + r.timed_out + r.dropped + r.rejected);
+}
+
+// Counters are sums, so an overloaded fleet that sheds, crashes drivers and
+// trips breakers leaves the same counter snapshot at 1 and at 4 workers.
+// The pinned values are what one registry update per event gives.
+TEST(Fleet, CounterSnapshotInvariantUnderWorkerCount) {
+  fleet::FleetOptions fo;
+  fo.shard_count = 8;
+  fo.mix = fleet::ParseFleetMix("Dimensity 1100:ic;Exynos 2100:od");
+  fo.settings.server_query_count = 512;
+  fo.settings.server_target_qps = 2000.0;
+  fo.settings.server_max_queue_depth = 8;
+  fo.settings.server_max_shed_fraction = 1.0;
+  fo.settings.query_timeout = loadgen::Seconds{0.200};
+  fo.fault_plan =
+      soc::FaultPlan{}.DriverCrashes(0.2).ThermalEmergencies(0.02);
+  fo.circuit_breaker = backends::CircuitBreakerOptions{};
+  const auto counters = [&](std::size_t workers) {
+    obs::MetricsRegistry::Global().Reset();
+    fo.workers = workers;
+    static_cast<void>(fleet::RunFleet(fo));
+    return obs::MetricsRegistry::Global().Snap().counters;
+  };
+  const std::vector<std::pair<std::string, std::uint64_t>> serial =
+      counters(1);
+  EXPECT_EQ(serial, counters(4));
+  const std::vector<std::pair<std::string, std::uint64_t>> per_event = {
+      {"backend.breaker_transitions", 2},
+      {"loadgen.queries_completed", 431},
+      {"loadgen.queries_errored", 3665},
+      {"loadgen.queries_issued", 977},
+      {"loadgen.queries_rejected", 443},
+      {"loadgen.queries_shed", 3119},
+      {"loadgen.tests", 8},
+      {"soc.faults_injected", 111},
+      {"soc.inferences", 534},
+      {"soc.thermal_emergencies", 8},
+      {"soc.throttled_inferences", 196},
+  };
+  EXPECT_EQ(serial, per_event);
+  obs::MetricsRegistry::Global().Reset();
 }
 
 // ---------------------------------------------------------------------------

@@ -11,8 +11,11 @@
 #include "harness/report.h"
 #include "backends/vendor_policy.h"
 #include "core/dataset_qsl.h"
+#include "datasets/stub_dataset.h"
 #include "harness/package.h"
 #include "harness/result_store.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace mlpm::harness {
 namespace {
@@ -69,6 +72,86 @@ TEST(TaskBundle, Fp16PreparationHasNoCalibration) {
   const TaskBundle& b = Bundles().Get(e, models::SuiteVersion::kV1_0);
   EXPECT_TRUE(b.Prepare(infer::NumericsMode::kFp16)
                   .calibration_indices.empty());
+}
+
+// ---- the performance plane's sample source ----
+
+TEST(TaskBundle, ConfiguredSizeIsTheLabelledSize) {
+  for (const models::SuiteVersion version :
+       {models::SuiteVersion::kV0_7, models::SuiteVersion::kV1_0})
+    for (const auto& e : models::SuiteFor(version)) {
+      const TaskBundle& b = Bundles().Get(e, version);
+      EXPECT_EQ(b.dataset_size(), b.dataset().size())
+          << ToString(version) << "/" << e.id;
+    }
+}
+
+// One traced single-stream test: its log, its latencies, and the sample
+// index of every query the LoadGen issued (from the trace's `sample` args).
+struct SampledRun {
+  std::string log;
+  std::vector<double> latencies_s;
+  std::vector<std::string> samples;
+};
+
+SampledRun RunSampled(const models::BenchmarkEntry& e,
+                      const datasets::TaskDataset& source) {
+  const soc::ChipsetDesc chip = soc::Dimensity1100();
+  const graph::Graph full = models::BuildReferenceGraph(
+      e, models::SuiteVersion::kV1_0, models::ModelScale::kFull);
+  obs::TraceRecorder& rec = obs::TraceRecorder::Global();
+  rec.Enable();
+  const loadgen::TestResult r = RunSingleStreamPerformance(
+      chip,
+      backends::GetSubmission(chip, e.task, models::SuiteVersion::kV1_0),
+      full, source, FastOptions().performance_settings);
+  rec.Disable();
+  SampledRun out{r.log.Serialize(), r.latencies_s, {}};
+  for (const obs::TraceEvent& ev : rec.Snapshot())
+    if (ev.domain == obs::Domain::kLoadGen)
+      for (const obs::TraceArg& arg : ev.args)
+        if (arg.key == "sample") out.samples.push_back(arg.value);
+  return out;
+}
+
+TEST(RunSingleStreamPerformance, SizedStubStandsInForTheLabelledSet) {
+  for (const auto& e : models::SuiteFor(models::SuiteVersion::kV1_0)) {
+    const TaskBundle& b = Bundles().Get(e, models::SuiteVersion::kV1_0);
+    const SampledRun labelled = RunSampled(e, b.dataset());
+    const SampledRun stub =
+        RunSampled(e, datasets::StubDataset(b.dataset_size()));
+    EXPECT_EQ(labelled.log, stub.log) << e.id;
+    EXPECT_EQ(labelled.latencies_s, stub.latencies_s) << e.id;
+    ASSERT_FALSE(labelled.samples.empty()) << e.id;
+    EXPECT_EQ(labelled.samples, stub.samples) << e.id;
+    // The size is what matters: one sample more draws other indices.
+    EXPECT_NE(labelled.samples,
+              RunSampled(e, datasets::StubDataset(b.dataset_size() + 1))
+                  .samples)
+        << e.id;
+  }
+}
+
+TEST(RunSubmission, PerformanceOnlyRunCreatesNoExecutor) {
+  // Every ExecutionContext records the infer.arena_bytes gauge, and the
+  // teacher that labels a data set runs through one.  A performance-only
+  // submission, its package and the package audit need neither.
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  metrics.Reset();
+  SuiteBundles fresh;
+  RunOptions o = FastOptions();
+  o.run_accuracy = false;
+  const SubmissionResult r = RunSubmission(
+      soc::Dimensity1100(), models::SuiteVersion::kV1_0, fresh, o);
+  const SubmissionPackage pkg = PackageSubmission(r, fresh);
+  const CheckReport audit =
+      AuditPackage(pkg, fresh, o.performance_settings);
+  EXPECT_TRUE(audit.valid) << FormatCheckReport(audit);
+  const obs::MetricsRegistry::Snapshot snap = metrics.Snap();
+  for (const auto& gauge : snap.gauges)
+    EXPECT_NE(gauge.first, "infer.arena_bytes");
+  EXPECT_GT(metrics.counter("soc.inferences"), 0u);
+  metrics.Reset();
 }
 
 TEST(RunSubmission, ProducesAllTasksWithResults) {

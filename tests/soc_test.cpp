@@ -2,7 +2,11 @@
 // compilation (segments, partitions, fallbacks), and batch execution.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "graph/cost.h"
+#include "obs/metrics.h"
 #include "soc/chipset.h"
 #include "soc/compile.h"
 #include "soc/simulator.h"
@@ -420,6 +424,78 @@ TEST(Simulator, BatchEnergyPositiveAndTdpBounded) {
   const BatchResult r = sim.RunBatch({&m, 1}, 200);
   EXPECT_GT(r.energy_j, 0.0);
   EXPECT_LE(r.energy_j, sim.chipset().tdp_w * r.makespan_s + 1e-9);
+}
+
+// ---- metrics ----
+
+// The names of the counters the registry holds.
+std::vector<std::string> CounterNames() {
+  const obs::MetricsRegistry::Snapshot snap =
+      obs::MetricsRegistry::Global().Snap();
+  std::vector<std::string> names;
+  for (const auto& counter : snap.counters) names.push_back(counter.first);
+  return names;
+}
+
+TEST(SimulatorCounters, LandOnceWhenTheSimulatorIsDestroyed) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  metrics.Reset();
+  const ChipsetDesc chip = Exynos990();
+  ExecutionPolicy p;
+  p.engines = {"npu"};
+  const graph::Graph g = FourConvNet();
+  const CompiledModel m = Compile(g, DataType::kInt8, chip, p,
+                                  RuntimeOverheads{}, /*batched=*/true);
+  {
+    SocSimulator local(chip);
+    for (int i = 0; i < 5; ++i) (void)local.RunInference(m);
+    (void)local.RunBatch({&m, 1}, 40);
+    EXPECT_TRUE(CounterNames().empty());  // nothing until destruction
+  }
+  EXPECT_EQ(metrics.counter("soc.inferences"), 5u);
+  EXPECT_EQ(metrics.counter("soc.batches"), 1u);
+  EXPECT_EQ(metrics.counter("soc.batch_samples"), 40u);
+  // Zero counts add no key: a cool, fault-free run has no throttle or
+  // fault counter.
+  EXPECT_EQ(CounterNames(),
+            (std::vector<std::string>{"soc.batch_samples", "soc.batches",
+                                      "soc.inferences"}));
+
+  // A simulator that injected faults adds those too, once.
+  {
+    SocSimulator faulty(chip);
+    faulty.InjectFaults(FaultPlan{}.ThermalEmergencies(1.0));
+    for (int i = 0; i < 3; ++i) (void)faulty.RunInference(m);
+  }
+  EXPECT_EQ(metrics.counter("soc.inferences"), 8u);
+  EXPECT_EQ(metrics.counter("soc.faults_injected"), 3u);
+  EXPECT_EQ(metrics.counter("soc.thermal_emergencies"), 3u);
+  metrics.Reset();
+}
+
+TEST(SimulatorCounters, MovedFromSimulatorAddsNothing) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  metrics.Reset();
+  const ChipsetDesc chip = Dimensity1100();
+  ExecutionPolicy p;
+  p.engines = {"apu"};
+  const graph::Graph g = FourConvNet();
+  const CompiledModel m =
+      Compile(g, DataType::kInt8, chip, p, RuntimeOverheads{});
+  {
+    SocSimulator a(chip);
+    for (int i = 0; i < 3; ++i) (void)a.RunInference(m);
+    SocSimulator b(std::move(a));
+    for (int i = 0; i < 2; ++i) (void)b.RunInference(m);
+    SocSimulator c(chip);
+    (void)c.RunInference(m);
+    // Assigning over `c` adds c's own count now; b's five move with it.
+    c = std::move(b);
+    EXPECT_EQ(metrics.counter("soc.inferences"), 1u);
+  }
+  // a, b and c are destroyed: 3 + 2 carried into c, plus c's earlier 1.
+  EXPECT_EQ(metrics.counter("soc.inferences"), 6u);
+  metrics.Reset();
 }
 
 // ---- catalog ----
