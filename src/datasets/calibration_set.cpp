@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace mlpm::datasets {
 
@@ -17,11 +18,17 @@ std::vector<std::size_t> ApprovedCalibrationIndices(std::size_t pool_size,
 }
 
 std::vector<quant::CalibrationSample> GatherCalibrationSamples(
-    const TaskDataset& dataset, std::span<const std::size_t> indices) {
-  std::vector<quant::CalibrationSample> samples;
-  samples.reserve(indices.size());
-  for (std::size_t i : indices)
-    samples.push_back(dataset.CalibrationInputsFor(i));
+    const TaskDataset& dataset, std::span<const std::size_t> indices,
+    const ThreadPool* pool) {
+  std::vector<quant::CalibrationSample> samples(indices.size());
+  ParallelForRange(pool, 0, static_cast<std::int64_t>(indices.size()),
+                   [&](std::int64_t lo, std::int64_t hi) {
+                     for (std::int64_t s = lo; s < hi; ++s) {
+                       const auto slot = static_cast<std::size_t>(s);
+                       samples[slot] =
+                           dataset.CalibrationInputsFor(indices[slot]);
+                     }
+                   });
   return samples;
 }
 

@@ -15,8 +15,12 @@ namespace mlpm::datasets {
 [[nodiscard]] std::vector<std::size_t> ApprovedCalibrationIndices(
     std::size_t pool_size, std::size_t count, std::uint64_t official_seed);
 
-// Materializes calibration samples from a dataset for the given indices.
+// Materializes calibration samples from a dataset for the given indices,
+// filling the slots on `pool`'s threads when given (the samples are the
+// same for any pool size; CalibrationInputsFor must be safe to call
+// concurrently).
 [[nodiscard]] std::vector<quant::CalibrationSample> GatherCalibrationSamples(
-    const TaskDataset& dataset, std::span<const std::size_t> indices);
+    const TaskDataset& dataset, std::span<const std::size_t> indices,
+    const ThreadPool* pool = nullptr);
 
 }  // namespace mlpm::datasets

@@ -9,7 +9,7 @@ namespace mlpm::datasets {
 
 ClassificationDataset::ClassificationDataset(
     const graph::Graph& model, const infer::WeightStore& weights,
-    ClassificationDatasetConfig config)
+    ClassificationDatasetConfig config, const ThreadPool* pool)
     : cfg_(config) {
   Rng label_rng = Rng(cfg_.seed).Split(0xBEEF);
   labels_.reserve(cfg_.num_samples);
@@ -30,7 +30,8 @@ ClassificationDataset::ClassificationDataset(
           labels_.push_back(other);
         }
         return true;
-      });
+      },
+      pool);
 }
 
 infer::Tensor ClassificationDataset::MakeInput(std::uint64_t name_space,

@@ -31,7 +31,8 @@ class ClassificationDataset final : public LabelledDataset {
   // it at construction time.  Both references must outlive the dataset.
   ClassificationDataset(const graph::Graph& model,
                         const infer::WeightStore& weights,
-                        ClassificationDatasetConfig config);
+                        ClassificationDatasetConfig config,
+                        const ThreadPool* pool = nullptr);
 
   [[nodiscard]] double ScoreOutputs(
       std::span<const std::vector<infer::Tensor>> outputs) const override;

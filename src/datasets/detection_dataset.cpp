@@ -10,7 +10,8 @@ namespace mlpm::datasets {
 
 DetectionDataset::DetectionDataset(const models::DetectionModel& model,
                                    const infer::WeightStore& weights,
-                                   DetectionDatasetConfig config)
+                                   DetectionDatasetConfig config,
+                                   const ThreadPool* pool)
     : model_(model), cfg_(config) {
   Rng rng = Rng(cfg_.seed).Split(0xFACE);
   ground_truth_.reserve(cfg_.num_samples);
@@ -48,7 +49,8 @@ DetectionDataset::DetectionDataset(const models::DetectionModel& model,
         }
         ground_truth_.push_back(std::move(gt));
         return true;
-      });
+      },
+      pool);
 }
 
 infer::Tensor DetectionDataset::MakeInput(std::uint64_t name_space,

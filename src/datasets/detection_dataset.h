@@ -34,7 +34,8 @@ class DetectionDataset final : public LabelledDataset {
   // decoding model outputs during scoring).
   DetectionDataset(const models::DetectionModel& model,
                    const infer::WeightStore& weights,
-                   DetectionDatasetConfig config);
+                   DetectionDatasetConfig config,
+                   const ThreadPool* pool = nullptr);
 
   [[nodiscard]] double ScoreOutputs(
       std::span<const std::vector<infer::Tensor>> outputs) const override;

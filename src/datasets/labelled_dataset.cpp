@@ -1,6 +1,10 @@
 #include "datasets/labelled_dataset.h"
 
-#include "infer/executor.h"
+#include <algorithm>
+
+#include "common/thread_pool.h"
+#include "infer/prepared_model.h"
+#include "obs/trace.h"
 
 namespace mlpm::datasets {
 
@@ -23,18 +27,35 @@ float TopTwoGap(std::span<const float> logits) {
 void LabelledDataset::LabelWithTeacher(const graph::Graph& graph,
                                        const infer::WeightStore& weights,
                                        std::size_t count,
-                                       const Accept& accept) {
+                                       const Accept& accept,
+                                       const ThreadPool* pool) {
   Expects(count > 0, "dataset must be non-empty");
+  const obs::TraceRecorder::Span span(obs::TraceRecorder::Global(),
+                                      "datasets.label", {}, "phase");
   const infer::Executor teacher(graph, weights, infer::NumericsMode::kFp32);
-  infer::ExecutionContext ctx(teacher);
+  const std::size_t lanes = pool != nullptr ? pool->thread_count() : 1;
   indices_.reserve(count);
   // Cap candidate generation so a too-strict filter cannot loop forever.
   const std::size_t max_candidates = count * 64;
-  for (std::size_t i = 0; indices_.size() < count; ++i) {
+  for (std::size_t i = 0; indices_.size() < count;) {
     Expects(i < max_candidates,
             "teacher filter too strict: candidate pool exhausted");
-    const std::vector<infer::Tensor> in = {MakeInput(kValidationSpace, i)};
-    if (accept(teacher.Run(in, ctx))) indices_.push_back(i);
+    // Every candidate up to the number still needed is evaluated by the
+    // serial loop too; only the lanes beyond it are speculative.
+    const std::size_t chunk = std::min(
+        std::max(count - indices_.size(), lanes), max_candidates - i);
+    const std::vector<std::vector<infer::Tensor>> outputs =
+        infer::RunSamplesParallel(
+            teacher, chunk,
+            [&](std::size_t k) {
+              std::vector<infer::Tensor> in;
+              in.push_back(MakeInput(kValidationSpace, i + k));
+              return in;
+            },
+            pool);
+    for (std::size_t k = 0; k < chunk && indices_.size() < count; ++k)
+      if (accept(outputs[k])) indices_.push_back(i + k);
+    i += chunk;
   }
 }
 

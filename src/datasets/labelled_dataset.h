@@ -3,7 +3,9 @@
 // validation and calibration — and keeps, per accepted validation sample,
 // the generator index that backs it.  Teacher-labelled datasets run the
 // FP32 reference model over candidates 0, 1, 2, ... and let a per-task
-// rule accept each one (recording its label) or skip it.
+// rule accept each one (recording its label) or skip it.  The teacher may
+// run ahead on a thread pool; the rule still sees candidates one by one,
+// in order, so the labelled set is the same for every pool size.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +16,10 @@
 #include "datasets/task_dataset.h"
 #include "graph/graph.h"
 #include "infer/weights.h"
+
+namespace mlpm {
+class ThreadPool;
+}
 
 namespace mlpm::datasets {
 
@@ -41,11 +47,15 @@ class LabelledDataset : public TaskDataset {
   // `accept` has taken `count` of them.  `accept` sees each candidate's
   // outputs on the calling thread, in candidate order, and returns whether
   // the candidate enters the set (recording its ground truth if so).
-  // Throws CheckError after 64 x `count` candidates.
+  // Throws CheckError after 64 x `count` candidates.  With `pool`, the
+  // teacher (and MakeInput) evaluate chunks of candidates on the pool's
+  // threads, so MakeInput must be safe to call concurrently; a chunk is at
+  // most max(still needed, lanes) candidates, which bounds the speculative
+  // work to lanes - 1 candidates.
   using Accept = std::function<bool(const std::vector<infer::Tensor>&)>;
   void LabelWithTeacher(const graph::Graph& graph,
                         const infer::WeightStore& weights, std::size_t count,
-                        const Accept& accept);
+                        const Accept& accept, const ThreadPool* pool);
 
   // Validation samples 0..count-1, for ground truth that needs no teacher.
   void UseFirst(std::size_t count);

@@ -29,7 +29,7 @@ double SpanMargin(const infer::Tensor& logits, const metrics::TokenSpan& best) {
 QaDataset::QaDataset(const graph::Graph& model,
                      const infer::WeightStore& weights,
                      models::MobileBertConfig model_cfg,
-                     QaDatasetConfig config)
+                     QaDatasetConfig config, const ThreadPool* pool)
     : model_cfg_(model_cfg), cfg_(config) {
   Rng rng = Rng(cfg_.seed).Split(0xF1F1);
   truths_.reserve(cfg_.num_samples);
@@ -52,7 +52,8 @@ QaDataset::QaDataset(const graph::Graph& model,
         }
         truths_.push_back(span);
         return true;
-      });
+      },
+      pool);
 }
 
 infer::Tensor QaDataset::MakeInput(std::uint64_t name_space,

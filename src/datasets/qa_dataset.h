@@ -33,7 +33,8 @@ struct QaDatasetConfig {
 class QaDataset final : public LabelledDataset {
  public:
   QaDataset(const graph::Graph& model, const infer::WeightStore& weights,
-            models::MobileBertConfig model_cfg, QaDatasetConfig config);
+            models::MobileBertConfig model_cfg, QaDatasetConfig config,
+            const ThreadPool* pool = nullptr);
 
   [[nodiscard]] double ScoreOutputs(
       std::span<const std::vector<infer::Tensor>> outputs) const override;

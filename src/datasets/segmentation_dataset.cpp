@@ -28,7 +28,8 @@ std::vector<int> ArgmaxMap(const infer::Tensor& logits) {
 
 SegmentationDataset::SegmentationDataset(const graph::Graph& model,
                                          const infer::WeightStore& weights,
-                                         SegmentationDatasetConfig config)
+                                         SegmentationDatasetConfig config,
+                                         const ThreadPool* pool)
     : cfg_(config) {
   Expects(cfg_.num_classes >= 2, "need at least two classes");
   Rng rng = Rng(cfg_.seed).Split(0x5EC5);
@@ -58,7 +59,8 @@ SegmentationDataset::SegmentationDataset(const graph::Graph& model,
         }
         labels_.push_back(std::move(lab));
         return true;
-      });
+      },
+      pool);
 }
 
 infer::Tensor SegmentationDataset::MakeInput(std::uint64_t name_space,

@@ -30,7 +30,8 @@ class SegmentationDataset final : public LabelledDataset {
  public:
   SegmentationDataset(const graph::Graph& model,
                       const infer::WeightStore& weights,
-                      SegmentationDatasetConfig config);
+                      SegmentationDatasetConfig config,
+                      const ThreadPool* pool = nullptr);
 
   [[nodiscard]] double ScoreOutputs(
       std::span<const std::vector<infer::Tensor>> outputs) const override;

@@ -11,7 +11,8 @@ namespace mlpm::datasets {
 SpeechDataset::SpeechDataset(const graph::Graph& model,
                              const infer::WeightStore& weights,
                              models::RnntConfig model_cfg,
-                             SpeechDatasetConfig config)
+                             SpeechDatasetConfig config,
+                             const ThreadPool* pool)
     : model_cfg_(model_cfg), cfg_(config) {
   Rng rng = Rng(cfg_.seed).Split(0x3E);
   refs_.reserve(cfg_.num_samples);
@@ -34,7 +35,8 @@ SpeechDataset::SpeechDataset(const graph::Graph& model,
         }
         refs_.push_back(std::move(ref));
         return true;
-      });
+      },
+      pool);
 }
 
 infer::Tensor SpeechDataset::MakeInput(std::uint64_t name_space,

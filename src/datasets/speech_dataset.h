@@ -24,7 +24,8 @@ struct SpeechDatasetConfig {
 class SpeechDataset final : public LabelledDataset {
  public:
   SpeechDataset(const graph::Graph& model, const infer::WeightStore& weights,
-                models::RnntConfig model_cfg, SpeechDatasetConfig config);
+                models::RnntConfig model_cfg, SpeechDatasetConfig config,
+                const ThreadPool* pool = nullptr);
 
   [[nodiscard]] double ScoreOutputs(
       std::span<const std::vector<infer::Tensor>> outputs) const override;

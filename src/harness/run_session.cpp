@@ -342,7 +342,7 @@ void RunTask(const soc::ChipsetDesc& chipset, models::SuiteVersion version,
         bundle.Prepare(mode,
                        options.use_qat_weights &&
                            mode == infer::NumericsMode::kInt8,
-                       options.kernel_isa, options.transform, tile_opt);
+                       options.kernel_isa, options.transform, tile_opt, pool);
     tr.calibration_indices = prepared.calibration_indices;
     tr.tiling_applied = prepared.executor != nullptr &&
                         prepared.executor->tiled();
@@ -354,7 +354,7 @@ void RunTask(const soc::ChipsetDesc& chipset, models::SuiteVersion version,
     tr.transform_nodes_after = prepared.transform.nodes_after;
     tr.transform_detail = prepared.transform.detail;
 
-    loadgen::DatasetQsl qsl(bundle.dataset());
+    loadgen::DatasetQsl qsl(bundle.dataset(pool));
     loadgen::RealClock clock;
     backends::ReferenceBackend ref_sut(
         "reference/" + entry.id,

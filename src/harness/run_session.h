@@ -77,7 +77,8 @@ struct RunOptions {
   std::optional<backends::CircuitBreakerOptions> circuit_breaker;
 
   // Worker threads for the accuracy phase (sample-level fan-out through the
-  // reference executor).  0 = hardware concurrency, 1 = serial.  Accuracy
+  // reference executor, plus teacher labelling and PTQ calibration with an
+  // ordered fold).  0 = hardware concurrency, 1 = serial.  Accuracy
   // results are bit-identical for any value; the performance phase's
   // virtual-clock simulation is unaffected.
   int threads = 1;

@@ -70,9 +70,9 @@ std::unique_ptr<TaskBundle> TaskBundle::Create(
       b->weights_ = infer::InitializeWeights(*b->graph_, weight_seed);
       const datasets::ClassificationDatasetConfig cfg;
       b->dataset_size_ = cfg.num_samples;
-      b->make_dataset_ = [self, cfg] {
+      b->make_dataset_ = [self, cfg](const ThreadPool* pool) {
         return std::make_unique<datasets::ClassificationDataset>(
-            *self->graph_, self->weights_, cfg);
+            *self->graph_, self->weights_, cfg, pool);
       };
       break;
     }
@@ -85,9 +85,9 @@ std::unique_ptr<TaskBundle> TaskBundle::Create(
       b->weights_ = infer::InitializeWeights(*b->graph_, weight_seed);
       const datasets::DetectionDatasetConfig cfg;
       b->dataset_size_ = cfg.num_samples;
-      b->make_dataset_ = [self, cfg] {
+      b->make_dataset_ = [self, cfg](const ThreadPool* pool) {
         return std::make_unique<datasets::DetectionDataset>(
-            *self->detection_model_, self->weights_, cfg);
+            *self->detection_model_, self->weights_, cfg, pool);
       };
       break;
     }
@@ -98,9 +98,9 @@ std::unique_ptr<TaskBundle> TaskBundle::Create(
       b->weights_ = infer::InitializeWeights(*b->graph_, weight_seed);
       const datasets::SegmentationDatasetConfig cfg;
       b->dataset_size_ = cfg.num_samples;
-      b->make_dataset_ = [self, cfg] {
+      b->make_dataset_ = [self, cfg](const ThreadPool* pool) {
         return std::make_unique<datasets::SegmentationDataset>(
-            *self->graph_, self->weights_, cfg);
+            *self->graph_, self->weights_, cfg, pool);
       };
       break;
     }
@@ -113,9 +113,9 @@ std::unique_ptr<TaskBundle> TaskBundle::Create(
       b->weights_ = infer::InitializeWeights(*b->graph_, weight_seed);
       const datasets::QaDatasetConfig cfg;
       b->dataset_size_ = cfg.num_samples;
-      b->make_dataset_ = [self, model_cfg, cfg] {
+      b->make_dataset_ = [self, model_cfg, cfg](const ThreadPool* pool) {
         return std::make_unique<datasets::QaDataset>(
-            *self->graph_, self->weights_, model_cfg, cfg);
+            *self->graph_, self->weights_, model_cfg, cfg, pool);
       };
       break;
     }
@@ -123,9 +123,10 @@ std::unique_ptr<TaskBundle> TaskBundle::Create(
   return b;
 }
 
-const datasets::TaskDataset& TaskBundle::dataset() const {
+const datasets::TaskDataset& TaskBundle::dataset(
+    const ThreadPool* pool) const {
   if (!dataset_) {
-    dataset_ = make_dataset_();
+    dataset_ = make_dataset_(pool);
     Ensures(dataset_->size() == dataset_size_,
             entry_.id + ": labelled data set size differs from its config");
   }
@@ -135,7 +136,7 @@ const datasets::TaskDataset& TaskBundle::dataset() const {
 TaskBundle::PreparedModel TaskBundle::Prepare(
     infer::NumericsMode mode, bool use_qat_weights,
     infer::kernels::KernelIsa isa, bool transform,
-    const infer::TileOptions& tiling) const {
+    const infer::TileOptions& tiling, const ThreadPool* pool) const {
   const std::pair<int, std::int64_t> key{
       (static_cast<int>(mode) * 2 + (use_qat_weights ? 1 : 0)) * 8 +
           static_cast<int>(isa) + (transform ? 64 : 0),
@@ -144,7 +145,8 @@ TaskBundle::PreparedModel TaskBundle::Prepare(
     return it->second;
 
   if (transform) {
-    PreparedModel p = PrepareTransformed(mode, use_qat_weights, isa, tiling);
+    PreparedModel p =
+        PrepareTransformed(mode, use_qat_weights, isa, tiling, pool);
     prepared_cache_.emplace(key, p);
     return p;
   }
@@ -160,9 +162,10 @@ TaskBundle::PreparedModel TaskBundle::Prepare(
     p.calibration_indices = datasets::ApprovedCalibrationIndices(
         kCalibrationPoolSize, kCalibrationSetSize, kCalibrationSeed);
     const std::vector<quant::CalibrationSample> samples =
-        datasets::GatherCalibrationSamples(dataset(), p.calibration_indices);
+        datasets::GatherCalibrationSamples(dataset(pool),
+                                           p.calibration_indices, pool);
     const infer::QuantParams qp =
-        quant::CalibratePtq(*graph_, *weights, samples);
+        quant::CalibratePtq(*graph_, *weights, samples, {}, pool);
     p.model = std::make_shared<infer::PreparedModel>(*graph_, *weights, mode,
                                                      &qp, isa, tiling);
   } else {
@@ -176,12 +179,13 @@ TaskBundle::PreparedModel TaskBundle::Prepare(
 
 TaskBundle::PreparedModel TaskBundle::PrepareTransformed(
     infer::NumericsMode mode, bool use_qat_weights,
-    infer::kernels::KernelIsa isa, const infer::TileOptions& tiling) const {
+    infer::kernels::KernelIsa isa, const infer::TileOptions& tiling,
+    const ThreadPool* pool) const {
   // The untransformed model at identical numerics is both the equivalence
   // baseline and the fallback if any gate trips; the regular cache shares
   // its prepack with non-transform runs.
   PreparedModel base = Prepare(mode, use_qat_weights, isa,
-                               /*transform=*/false, tiling);
+                               /*transform=*/false, tiling, pool);
   base.transform.requested = true;
 
   // Base Prepare() materialized qat_weights_ when requested.
@@ -217,9 +221,10 @@ TaskBundle::PreparedModel TaskBundle::PrepareTransformed(
     // untransformed ranges no longer line up one-to-one.
     p.calibration_indices = base.calibration_indices;
     const std::vector<quant::CalibrationSample> samples =
-        datasets::GatherCalibrationSamples(dataset(), p.calibration_indices);
+        datasets::GatherCalibrationSamples(dataset(pool),
+                                           p.calibration_indices, pool);
     const infer::QuantParams qp =
-        quant::CalibratePtq(tr->graph, tr->weights, samples);
+        quant::CalibratePtq(tr->graph, tr->weights, samples, {}, pool);
     p.model = std::make_shared<infer::PreparedModel>(tr->graph, tr->weights,
                                                      mode, &qp, isa, tiling);
   } else {
@@ -231,7 +236,7 @@ TaskBundle::PreparedModel TaskBundle::PrepareTransformed(
   p.transformed = tr;  // keeps the graph/weights alive for p.model
   p.transform = info;
 
-  const datasets::TaskDataset& ds = dataset();
+  const datasets::TaskDataset& ds = dataset(pool);
   const std::size_t probes =
       std::min<std::size_t>(kTransformProbeSamples, ds.size());
   for (std::size_t i = 0; i < probes; ++i) {
@@ -253,7 +258,7 @@ TaskBundle::PreparedModel TaskBundle::PrepareTransformed(
 double TaskBundle::ScoreAccuracy(const infer::Executor& executor,
                                  const ThreadPool* pool) const {
   // Labels (on first use) here, before the samples fan out over the pool.
-  const datasets::TaskDataset& ds = dataset();
+  const datasets::TaskDataset& ds = dataset(pool);
   std::vector<std::vector<infer::Tensor>> outputs = infer::RunSamplesParallel(
       executor, ds.size(), [&](std::size_t i) { return ds.InputsFor(i); },
       pool);

@@ -61,9 +61,11 @@ class TaskBundle {
   }
   [[nodiscard]] const infer::WeightStore& weights() const { return weights_; }
   // The teacher-labelled validation set.  Labelling runs the FP32 teacher
-  // over the candidates, so it happens on the first call, on the calling
-  // thread; like Prepare(), not safe to race with itself.
-  [[nodiscard]] const datasets::TaskDataset& dataset() const;
+  // over the candidates, so it happens on the first call, fanned out over
+  // `pool` when given (the labelled set is the same for any pool; the pool
+  // is not kept); like Prepare(), not safe to race with itself.
+  [[nodiscard]] const datasets::TaskDataset& dataset(
+      const ThreadPool* pool = nullptr) const;
   // The validation set's size, from the data set's config: what the
   // performance plane sizes its sample source by, without labelling.
   [[nodiscard]] std::size_t dataset_size() const { return dataset_size_; }
@@ -117,10 +119,15 @@ class TaskBundle {
   // (DESIGN.md §15) — bit-identical to whole-op execution, so accuracy
   // scores are unchanged; only memory footprint and locality differ.  The
   // FP32 reference (Fp32Score) always runs untiled as the oracle.
+  //
+  // `pool` (may be null) runs the FP32 passes a first Prepare() makes —
+  // labelling the data set, gathering the calibration inputs, PTQ — on its
+  // threads; the prepared model is byte-identical for any pool.
   [[nodiscard]] PreparedModel Prepare(
       infer::NumericsMode mode, bool use_qat_weights = false,
       infer::kernels::KernelIsa isa = infer::kernels::KernelIsa::kAuto,
-      bool transform = false, const infer::TileOptions& tiling = {}) const;
+      bool transform = false, const infer::TileOptions& tiling = {},
+      const ThreadPool* pool = nullptr) const;
 
   // Runs the full validation set through `executor` and scores it, fanning
   // samples out over `pool` when given (bit-identical to the serial path).
@@ -143,7 +150,8 @@ class TaskBundle {
   // disagreement.
   [[nodiscard]] PreparedModel PrepareTransformed(
       infer::NumericsMode mode, bool use_qat_weights,
-      infer::kernels::KernelIsa isa, const infer::TileOptions& tiling) const;
+      infer::kernels::KernelIsa isa, const infer::TileOptions& tiling,
+      const ThreadPool* pool) const;
 
   models::BenchmarkEntry entry_;
   models::SuiteVersion version_ = models::SuiteVersion::kV1_0;
@@ -154,7 +162,8 @@ class TaskBundle {
   infer::WeightStore weights_;
   mutable std::optional<infer::WeightStore> qat_weights_;  // lazy
   std::size_t dataset_size_ = 0;
-  std::function<std::unique_ptr<datasets::TaskDataset>()> make_dataset_;
+  std::function<std::unique_ptr<datasets::TaskDataset>(const ThreadPool*)>
+      make_dataset_;
   mutable std::unique_ptr<datasets::TaskDataset> dataset_;  // lazy
   // FP32 reference scores keyed by kernel ISA.
   mutable std::map<int, double> fp32_scores_;

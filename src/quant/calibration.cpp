@@ -4,6 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <unordered_map>
+#include <utility>
+
+#include "common/thread_pool.h"
+#include "obs/trace.h"
 
 namespace mlpm::quant {
 namespace {
@@ -21,34 +25,54 @@ infer::TensorRange RangeOf(const infer::Tensor& t) {
 infer::QuantParams CalibratePtq(const graph::Graph& graph,
                                 const infer::WeightStore& weights,
                                 std::span<const CalibrationSample> samples,
-                                const CalibrationConfig& config) {
+                                const CalibrationConfig& config,
+                                const ThreadPool* pool) {
   Expects(!samples.empty(), "calibration requires at least one sample");
+  const obs::TraceRecorder::Span span(obs::TraceRecorder::Global(),
+                                      "quant.calibrate", {}, "phase");
   infer::QuantParams params;
   params.per_channel_weights = config.per_channel_weights;
   params.activation_bits = config.activation_bits;
   params.weight_bits = config.weight_bits;
 
+  // Each sample's node-output ranges, in the order the executor observed
+  // them.  Samples are independent, so they run on any thread.
+  using Observed = std::vector<std::pair<graph::TensorId, infer::TensorRange>>;
+  std::vector<Observed> observed(samples.size());
   const infer::Executor fp32(graph, weights, infer::NumericsMode::kFp32);
-  const infer::NodeObserver record = [&](graph::TensorId id,
-                                         const infer::Tensor& t) {
-    const infer::TensorRange r = RangeOf(t);
-    auto [it, inserted] = params.activation_ranges.try_emplace(id, r);
-    if (inserted) return;
-    switch (config.method) {
-      case RangeMethod::kMinMax:
-        it->second.Merge(r);
-        break;
-      case RangeMethod::kMovingAverage: {
-        const auto d = static_cast<float>(config.ema_decay);
-        it->second.min = d * it->second.min + (1 - d) * r.min;
-        it->second.max = d * it->second.max + (1 - d) * r.max;
-        break;
+  ParallelForRange(pool, 0, static_cast<std::int64_t>(samples.size()),
+                   [&](std::int64_t lo, std::int64_t hi) {
+                     infer::ExecutionContext ctx(fp32);
+                     for (auto s = static_cast<std::size_t>(lo);
+                          s < static_cast<std::size_t>(hi); ++s) {
+                       Observed& out = observed[s];
+                       (void)fp32.Run(samples[s], ctx,
+                                      [&](graph::TensorId id,
+                                          const infer::Tensor& t) {
+                                        out.emplace_back(id, RangeOf(t));
+                                      });
+                     }
+                   });
+
+  // The fold runs in sample order on this thread, exactly as a serial
+  // pass would have applied each observation.
+  for (const Observed& sample : observed) {
+    for (const auto& [id, r] : sample) {
+      auto [it, inserted] = params.activation_ranges.try_emplace(id, r);
+      if (inserted) continue;
+      switch (config.method) {
+        case RangeMethod::kMinMax:
+          it->second.Merge(r);
+          break;
+        case RangeMethod::kMovingAverage: {
+          const auto d = static_cast<float>(config.ema_decay);
+          it->second.min = d * it->second.min + (1 - d) * r.min;
+          it->second.max = d * it->second.max + (1 - d) * r.max;
+          break;
+        }
       }
     }
-  };
-  infer::ExecutionContext ctx(fp32);
-  for (const CalibrationSample& sample : samples)
-    (void)fp32.Run(sample, ctx, record);
+  }
   return params;
 }
 

@@ -18,6 +18,10 @@
 #include "infer/executor.h"
 #include "infer/weights.h"
 
+namespace mlpm {
+class ThreadPool;
+}
+
 namespace mlpm::quant {
 
 enum class RangeMethod : std::uint8_t {
@@ -38,11 +42,14 @@ using CalibrationSample = std::vector<infer::Tensor>;
 
 // Derives QuantParams by running the FP32 reference executor over the
 // calibration set and recording activation ranges.  `samples` is typically
-// the approved 500-sample subset of the training/validation data.
+// the approved 500-sample subset of the training/validation data.  With
+// `pool`, samples run on the pool's threads; each records its ranges and
+// the ranges fold in sample order, so the result is byte-identical to the
+// serial pass for either method and any pool size.
 [[nodiscard]] infer::QuantParams CalibratePtq(
     const graph::Graph& graph, const infer::WeightStore& weights,
     std::span<const CalibrationSample> samples,
-    const CalibrationConfig& config = {});
+    const CalibrationConfig& config = {}, const ThreadPool* pool = nullptr);
 
 // "QAT-equivalent" weight refinement: returns a copy of `weights` whose
 // weight tensors are re-clipped to the MSE-optimal symmetric range before

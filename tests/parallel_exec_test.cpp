@@ -13,11 +13,14 @@
 #include "common/thread_pool.h"
 #include "core/dataset_qsl.h"
 #include "core/loadgen.h"
+#include "harness/export.h"
+#include "harness/report.h"
 #include "harness/run_session.h"
 #include "infer/executor.h"
 #include "infer/prepared_model.h"
 #include "infer/weights.h"
 #include "models/zoo.h"
+#include "obs/trace.h"
 #include "oracle.h"
 
 namespace mlpm {
@@ -150,17 +153,21 @@ TEST(ReferenceBackend, DeferredAccuracyMatchesSerial) {
 }
 
 TEST(ParallelHarness, AccuracyIdenticalAcrossThreadCounts) {
-  // Full accuracy phase through RunSubmission at 1 vs 4 threads: every
-  // reported accuracy number must match to the last bit.
-  harness::SuiteBundles bundles;
+  // Full accuracy phase through RunSubmission at 1 vs 4 threads, each with
+  // fresh bundles so the 4-thread run labels its data sets and calibrates
+  // its INT8 models on the pool: every reported number, and the report and
+  // CSV bytes, must match to the last bit.
   harness::RunOptions options;
   options.run_performance = false;
-  options.threads = 1;
-  const harness::SubmissionResult serial = harness::RunSubmission(
-      soc::Dimensity1100(), models::SuiteVersion::kV1_0, bundles, options);
-  options.threads = 4;
-  const harness::SubmissionResult threaded = harness::RunSubmission(
-      soc::Dimensity1100(), models::SuiteVersion::kV1_0, bundles, options);
+  const auto run = [&](int threads) {
+    harness::SuiteBundles bundles;
+    options.threads = threads;
+    return harness::RunSubmission(soc::Dimensity1100(),
+                                  models::SuiteVersion::kV1_0, bundles,
+                                  options);
+  };
+  const harness::SubmissionResult serial = run(1);
+  const harness::SubmissionResult threaded = run(4);
 
   ASSERT_EQ(serial.tasks.size(), threaded.tasks.size());
   for (std::size_t t = 0; t < serial.tasks.size(); ++t) {
@@ -170,8 +177,43 @@ TEST(ParallelHarness, AccuracyIdenticalAcrossThreadCounts) {
               threaded.tasks[t].fp32_reference);
     EXPECT_EQ(serial.tasks[t].accuracy_sample_count,
               threaded.tasks[t].accuracy_sample_count);
+    EXPECT_EQ(serial.tasks[t].calibration_indices,
+              threaded.tasks[t].calibration_indices);
     EXPECT_EQ(serial.tasks[t].status, threaded.tasks[t].status);
   }
+  EXPECT_EQ(harness::ToCsv(serial), harness::ToCsv(threaded));
+  EXPECT_EQ(harness::FormatSubmission(serial),
+            harness::FormatSubmission(threaded));
+}
+
+TEST(ParallelHarness, TracedRunSpansEachLabelAndCalibratePass) {
+  // One datasets.label span per task whose data set the run labels (all
+  // four v1.0 tasks) and one quant.calibrate span per INT8/UINT8 task.
+  harness::SuiteBundles bundles;
+  harness::RunOptions options;
+  options.run_performance = false;
+  options.threads = 4;
+  options.profile = true;
+  const harness::SubmissionResult result = harness::RunSubmission(
+      soc::Dimensity1100(), models::SuiteVersion::kV1_0, bundles, options);
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  recorder.Disable();
+
+  std::size_t quantized = 0;
+  for (const harness::TaskRunResult& t : result.tasks)
+    quantized += t.numerics == DataType::kInt8 || t.numerics == DataType::kUInt8;
+  std::size_t label_spans = 0;
+  std::size_t calibrate_spans = 0;
+  for (const obs::TraceEvent& e : recorder.Snapshot()) {
+    if (e.domain != obs::Domain::kHost ||
+        e.phase != obs::EventPhase::kComplete)
+      continue;
+    label_spans += e.name == "datasets.label";
+    calibrate_spans += e.name == "quant.calibrate";
+  }
+  EXPECT_EQ(label_spans, result.tasks.size());
+  EXPECT_GT(quantized, 0u);
+  EXPECT_EQ(calibrate_spans, quantized);
 }
 
 }  // namespace

@@ -2,9 +2,13 @@
 // legality checks (paper §5.1).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "datasets/calibration_set.h"
+#include "datasets/superres_dataset.h"
 #include "infer/executor.h"
 #include "infer/weights.h"
 #include "quant/calibration.h"
@@ -169,6 +173,60 @@ TEST(Calibration, Int8OutputsDifferFromFp32ButTrack) {
   }
   EXPECT_GT(max_err, 0.0);           // quantization does something
   EXPECT_LT(max_err, 0.3 * scale + 0.05);  // but stays in the same ballpark
+}
+
+TEST(Calibration, BitIdenticalAtEveryPoolSize) {
+  // EMA folds are order-sensitive: a pool that merged ranges in completion
+  // order would move the low bits.  29 samples split unevenly over 2-4 lanes.
+  const graph::Graph g = TinyNet();
+  const infer::WeightStore w = infer::InitializeWeights(g, 3);
+  const auto samples = MakeSamples(g, 29, 11);
+  for (const RangeMethod method :
+       {RangeMethod::kMinMax, RangeMethod::kMovingAverage}) {
+    CalibrationConfig cc;
+    cc.method = method;
+    const infer::QuantParams serial = CalibratePtq(g, w, samples, cc);
+    for (std::size_t lanes = 1; lanes <= 4; ++lanes) {
+      SCOPED_TRACE("method " + std::to_string(static_cast<int>(method)) +
+                   ", pool of " + std::to_string(lanes) + " lanes");
+      const ThreadPool pool(lanes);
+      const infer::QuantParams pooled = CalibratePtq(g, w, samples, cc, &pool);
+      ASSERT_EQ(pooled.activation_ranges.size(),
+                serial.activation_ranges.size());
+      for (const auto& [id, r] : serial.activation_ranges) {
+        const auto it = pooled.activation_ranges.find(id);
+        ASSERT_NE(it, pooled.activation_ranges.end()) << "tensor " << id;
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(it->second.min),
+                  std::bit_cast<std::uint32_t>(r.min))
+            << "tensor " << id;
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(it->second.max),
+                  std::bit_cast<std::uint32_t>(r.max))
+            << "tensor " << id;
+      }
+    }
+  }
+}
+
+TEST(Calibration, GatherOnAPoolMatchesSerial) {
+  const datasets::SuperResDataset ds(datasets::SuperResDatasetConfig{});
+  const std::vector<std::size_t> indices =
+      datasets::ApprovedCalibrationIndices(1000, 37, 0xCA11B);
+  const std::vector<CalibrationSample> serial =
+      datasets::GatherCalibrationSamples(ds, indices);
+  const ThreadPool pool(4);
+  const std::vector<CalibrationSample> pooled =
+      datasets::GatherCalibrationSamples(ds, indices, &pool);
+  ASSERT_EQ(pooled.size(), serial.size());
+  for (std::size_t s = 0; s < serial.size(); ++s) {
+    ASSERT_EQ(pooled[s].size(), serial[s].size());
+    for (std::size_t t = 0; t < serial[s].size(); ++t) {
+      ASSERT_EQ(pooled[s][t].shape(), serial[s][t].shape());
+      for (std::size_t i = 0; i < serial[s][t].size(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(pooled[s][t].at(i)),
+                  std::bit_cast<std::uint32_t>(serial[s][t].at(i)))
+            << "sample " << s << " tensor " << t << " value " << i;
+    }
+  }
 }
 
 TEST(QatRefinement, ReducesWeightQuantizationMse) {
