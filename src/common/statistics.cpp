@@ -14,15 +14,26 @@ double PercentileOfSorted(std::span<const double> sorted, double p) {
   const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
   const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= sorted.size()) return sorted.back();
+  // The top order statistic.  `+ 0.0` reads a tie of -0.0 and +0.0 as
+  // +0.0, whichever of the two the sort (or a selection) put last; the
+  // interpolation below already does.
+  if (lo + 1 >= sorted.size()) return sorted.back() + 0.0;
   return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
 }
 
 double Percentile(std::span<const double> values, double p) {
   Expects(!values.empty(), "Percentile of empty sample set");
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  return PercentileOfSorted(sorted, p);
+  Expects(p >= 0.0 && p <= 100.0, "percentile must be in [0,100]");
+  // PercentileOfSorted reads only the order statistics at `lo` and
+  // `lo + 1`: select those two into place instead of sorting the copy.
+  std::vector<double> v(values.begin(), values.end());
+  const auto lo =
+      static_cast<std::size_t>(p / 100.0 * static_cast<double>(v.size() - 1));
+  const auto at_lo = v.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(v.begin(), at_lo, v.end());
+  if (at_lo + 1 != v.end())
+    std::iter_swap(at_lo + 1, std::min_element(at_lo + 1, v.end()));
+  return PercentileOfSorted(v, p);
 }
 
 std::vector<double> Percentiles(std::span<const double> values,

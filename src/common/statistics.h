@@ -23,7 +23,9 @@ struct SampleStats {
 };
 
 // Percentile with linear interpolation between closest ranks; `p` in [0,100].
-// The input need not be sorted.  Empty input throws CheckError.
+// The input need not be sorted: a copy is partitioned around the two order
+// statistics the interpolation reads (O(n)), never fully sorted.  Empty
+// input throws CheckError.
 [[nodiscard]] double Percentile(std::span<const double> values, double p);
 
 // As Percentile, but `sorted` must already be in ascending order — no copy,

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <deque>
 #include <numeric>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/rng.h"
@@ -17,10 +15,11 @@
 namespace mlpm::loadgen {
 namespace {
 
-// Distinguishes queries of successive tests on the shared recorder: query
+// Distinguishes queries of different tests on the shared recorder: query
 // ids restart at 1 every RunTest, so the async (cat, id) pairing namespaces
-// them by a process-wide test sequence number (deterministic — tests run in
-// submission order on one thread).
+// them by a process-wide test sequence number.  A submission runs its tests
+// in order on one thread, so its numbers are deterministic; fleet shards
+// call RunTest concurrently and draw them in whatever order they start.
 std::atomic<std::uint64_t> g_test_sequence{0};
 
 // Collects completions and pairs them with issue timestamps.  Hostile or
@@ -28,24 +27,34 @@ std::atomic<std::uint64_t> g_test_sequence{0};
 // were never issued, completions past the watchdog deadline, completions
 // that never arrive) is counted and logged rather than thrown: one bad
 // inference must not kill the whole submission (paper App. D).
+//
+// RunTest numbers the queries of a test 1, 2, 3, ... (a shed query uses up
+// its id too), so the collector keeps them in a table indexed by id - 1;
+// ids that come back from the SUT are bounds-checked against it.
 class Collector final : public ResponseSink {
  public:
+  // `expected_queries` sizes the table up front: the test's query count,
+  // or its floor when the count depends on the run.
   Collector(const Clock& clock, TestLog& log, bool keep_outputs,
-            Seconds query_timeout, std::uint64_t test_sequence)
+            Seconds query_timeout, std::uint64_t test_sequence,
+            std::size_t expected_queries)
       : clock_(clock),
         log_(log),
         keep_outputs_(keep_outputs),
         timeout_(query_timeout),
-        test_sequence_(test_sequence) {}
+        test_sequence_(test_sequence) {
+    queries_.reserve(expected_queries);
+  }
 
   void ExpectSample(const QuerySample& s) { ExpectSampleAt(s, clock_.Now()); }
 
   // Server scenario: latency counts from the scheduled (Poisson) arrival,
   // which includes any time the query spent queued behind earlier work.
   void ExpectSampleAt(const QuerySample& s, Seconds scheduled) {
-    issue_time_[s.id] = scheduled;
-    sample_index_[s.id] = s.index;
-    if (issue_time_.size() == 1 || scheduled < first_issue_)
+    Slot& q = NewSlot(s.id);
+    q.issued_at = scheduled;
+    q.state = Slot::kIssued;
+    if (++issued_count_ == 1 || scheduled < first_issue_)
       first_issue_ = scheduled;
     log_.Record(LogEventKind::kQueryIssued, s.id, scheduled);
     if (obs::TraceRecorder& rec = obs::TraceRecorder::Global();
@@ -64,6 +73,7 @@ class Collector final : public ResponseSink {
   // `shed` taxonomy class.  The sample never reaches the SUT, so there is
   // nothing for the watchdog to wait on.
   void Shed(const QuerySample& s, Seconds scheduled) {
+    (void)NewSlot(s.id);
     ++shed_count_;
     log_.Record(LogEventKind::kQueryShed, s.id, scheduled);
     Error("query " + std::to_string(s.id) +
@@ -83,15 +93,14 @@ class Collector final : public ResponseSink {
   // arrive.
   void Reject(std::uint64_t id, std::string_view reason) override {
     const Seconds now = clock_.Now();
-    const auto it = issue_time_.find(id);
-    if (it == issue_time_.end() || completed_.contains(id) ||
-        rejected_.contains(id)) {
+    Slot* const q = Find(id);
+    if (q == nullptr || q->state != Slot::kIssued) {
       ++unknown_count_;
       Error("rejection for query " + std::to_string(id) +
             " that is not outstanding (ignored)");
       return;
     }
-    rejected_.insert(id);
+    q->state = Slot::kRejected;
     ++rejected_count_;
     log_.Record(LogEventKind::kQueryRejected, id, now);
     Error("query " + std::to_string(id) + " rejected by SUT: " +
@@ -106,28 +115,29 @@ class Collector final : public ResponseSink {
 
   void Complete(QuerySampleResponse response) override {
     const Seconds now = clock_.Now();
-    const auto it = issue_time_.find(response.id);
-    if (it == issue_time_.end()) {
+    Slot* const q = Find(response.id);
+    if (q == nullptr) {
       ++unknown_count_;
       Error("completion for query " + std::to_string(response.id) +
             ", which was never issued (ignored)");
       return;
     }
-    if (rejected_.contains(response.id)) {
+    if (q->state == Slot::kRejected) {
       ++duplicate_count_;
       Error("query " + std::to_string(response.id) +
             " completed after being rejected (ignored)");
       return;
     }
-    if (completed_.contains(response.id)) {
+    if (q->state == Slot::kCompleted) {
       ++duplicate_count_;
       Error("query " + std::to_string(response.id) +
             " completed more than once (ignored)");
       return;
     }
-    completed_.insert(response.id);
+    q->state = Slot::kCompleted;
+    ++completed_count_;
     log_.Record(LogEventKind::kQueryCompleted, response.id, now);
-    const Seconds latency = now - it->second;
+    const Seconds latency = now - q->issued_at;
     last_completion_ = std::max(last_completion_, now);
     const bool expired = timeout_.count() > 0.0 && latency > timeout_;
     if (obs::TraceRecorder& rec = obs::TraceRecorder::Global();
@@ -147,16 +157,16 @@ class Collector final : public ResponseSink {
     }
     latencies_s_.push_back(latency.count());
     if (keep_outputs_)
-      outputs_.emplace_back(sample_index_[response.id],
-                            std::move(response.outputs));
+      outputs_.emplace_back(response.id, std::move(response.outputs));
   }
 
-  // End of test: expire every query whose completion never arrived.  With
-  // the watchdog configured they count as timed out (the deadline has
-  // passed — the test is over); without it they are dropped.
+  // End of test: expire every query whose completion never arrived, in id
+  // order.  With the watchdog configured they count as timed out (the
+  // deadline has passed — the test is over); without it they are dropped.
   void ExpireOutstanding() {
-    for (const auto& [id, issued_at] : issue_time_) {
-      if (completed_.contains(id) || rejected_.contains(id)) continue;
+    for (std::size_t i = 0; i < queries_.size(); ++i) {
+      if (queries_[i].state != Slot::kIssued) continue;
+      const std::uint64_t id = i + 1;
       if (timeout_.count() > 0.0) {
         ++timed_out_count_;
         Error("query " + std::to_string(id) +
@@ -170,20 +180,21 @@ class Collector final : public ResponseSink {
   }
 
   [[nodiscard]] std::size_t completed_count() const {
-    return completed_.size();
+    return completed_count_;
   }
   // Queries that reached a terminal state through the sink (completed or
   // rejected) — the progress measure the stall detector watches, since a
   // breaker that fast-fails every query is making (degenerate) progress.
   [[nodiscard]] std::size_t resolved_count() const {
-    return completed_.size() + rejected_.size();
+    return completed_count_ + rejected_count_;
   }
-  [[nodiscard]] std::size_t issued_count() const { return issue_time_.size(); }
-  [[nodiscard]] const std::vector<double>& latencies() const {
-    return latencies_s_;
+  [[nodiscard]] std::size_t issued_count() const { return issued_count_; }
+  [[nodiscard]] std::vector<double>&& TakeLatencies() {
+    return std::move(latencies_s_);
   }
   [[nodiscard]] Seconds last_completion() const { return last_completion_; }
-  [[nodiscard]] std::vector<std::pair<std::size_t,
+  // Accuracy mode: each on-time completion's outputs, by query id.
+  [[nodiscard]] std::vector<std::pair<std::uint64_t,
                                       std::vector<infer::Tensor>>>&&
   TakeOutputs() {
     return std::move(outputs_);
@@ -204,6 +215,28 @@ class Collector final : public ResponseSink {
   }
 
  private:
+  // One query of the test; a shed query's slot stays kNone.
+  struct Slot {
+    enum State : std::uint8_t { kNone, kIssued, kCompleted, kRejected };
+    Seconds issued_at{0.0};
+    State state = kNone;
+  };
+
+  // The slot of a query RunTest is about to issue or shed.  Ids come in
+  // ascending order, so this only ever appends.
+  Slot& NewSlot(std::uint64_t id) {
+    if (id > queries_.size()) queries_.resize(id);
+    return queries_[id - 1];
+  }
+
+  // The slot of an issued query, or nullptr for an id the SUT made up or
+  // one that was shed.
+  [[nodiscard]] Slot* Find(std::uint64_t id) {
+    if (id == 0 || id > queries_.size()) return nullptr;
+    Slot& q = queries_[id - 1];
+    return q.state == Slot::kNone ? nullptr : &q;
+  }
+
   void Error(std::string what) { errors_.push_back(std::move(what)); }
 
   // Process-unique async-event id for a query of this test.
@@ -216,14 +249,13 @@ class Collector final : public ResponseSink {
   bool keep_outputs_;
   Seconds timeout_;
   std::uint64_t test_sequence_;
-  std::unordered_map<std::uint64_t, Seconds> issue_time_;
-  std::unordered_map<std::uint64_t, std::size_t> sample_index_;
+  std::vector<Slot> queries_;  // index id - 1
+  std::size_t issued_count_ = 0;
+  std::size_t completed_count_ = 0;
   Seconds first_issue_{0.0};
-  std::unordered_set<std::uint64_t> completed_;
-  std::unordered_set<std::uint64_t> rejected_;
   std::vector<double> latencies_s_;
   Seconds last_completion_{0.0};
-  std::vector<std::pair<std::size_t, std::vector<infer::Tensor>>> outputs_;
+  std::vector<std::pair<std::uint64_t, std::vector<infer::Tensor>>> outputs_;
   std::size_t dropped_count_ = 0;
   std::size_t timed_out_count_ = 0;
   std::size_t duplicate_count_ = 0;
@@ -234,8 +266,8 @@ class Collector final : public ResponseSink {
 };
 
 void FillSummary(TestResult& r, const TestSettings& settings,
-                 const Collector& collector, Seconds start, Seconds end) {
-  r.latencies_s = collector.latencies();
+                 Collector& collector, Seconds start, Seconds end) {
+  r.latencies_s = collector.TakeLatencies();
   r.sample_count = r.latencies_s.size();
   r.duration_s = (end - start).count();
   if (!r.latencies_s.empty()) {
@@ -293,6 +325,26 @@ void FinalizeErrors(TestResult& r, Collector& collector) {
     metrics.Increment("loadgen.queries_rejected", r.rejected_count);
 }
 
+// How many query ids a test will use: exact for accuracy mode, offline,
+// multi-stream and server (shed queries included), the query floor for
+// single-stream, which runs on until its duration floor is met too.
+std::size_t ExpectedQueryCount(const TestSettings& settings,
+                               std::size_t total_samples) {
+  if (settings.mode == TestMode::kAccuracyOnly) return total_samples;
+  switch (settings.scenario) {
+    case TestScenario::kSingleStream:
+      return settings.min_query_count;
+    case TestScenario::kOffline:
+      return settings.offline_sample_count;
+    case TestScenario::kMultiStream:
+      return settings.multistream_query_count *
+             settings.multistream_samples_per_query;
+    case TestScenario::kServer:
+      return settings.server_query_count;
+  }
+  return 0;
+}
+
 }  // namespace
 
 TestResult RunTest(SystemUnderTest& sut, QuerySampleLibrary& qsl,
@@ -329,7 +381,8 @@ TestResult RunTest(SystemUnderTest& sut, QuerySampleLibrary& qsl,
 
   const bool accuracy = settings.mode == TestMode::kAccuracyOnly;
   Collector collector(clock, log, accuracy, settings.query_timeout,
-                      g_test_sequence.fetch_add(1) + 1);
+                      g_test_sequence.fetch_add(1) + 1,
+                      ExpectedQueryCount(settings, qsl.TotalSampleCount()));
   std::uint64_t next_id = 1;
 
   // Scenario phase marks on the test-clock timeline; their order is part of
@@ -370,12 +423,12 @@ TestResult RunTest(SystemUnderTest& sut, QuerySampleLibrary& qsl,
           std::to_string(collector.completed_count()) + " of " +
           std::to_string(total) + " samples completed";
     FinalizeErrors(result, collector);
-    // Order outputs by dataset index.
+    // Order outputs by dataset index: query i + 1 carried sample i.
     auto outs = collector.TakeOutputs();
     std::sort(outs.begin(), outs.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     result.accuracy_outputs.reserve(outs.size());
-    for (auto& [idx, tensors] : outs)
+    for (auto& [id, tensors] : outs)
       result.accuracy_outputs.push_back(std::move(tensors));
     result.min_duration_met = true;
     result.min_query_count_met = true;

@@ -5,11 +5,9 @@
 #include <cmath>
 #include <map>
 #include <optional>
-#include <unordered_map>
 
 #include "common/statistics.h"
 #include "common/table.h"
-#include "datasets/calibration_set.h"
 #include "harness/task_bundle.h"
 
 namespace mlpm::harness {
@@ -28,6 +26,13 @@ std::optional<double> ParseFinite(std::string_view text) {
   if (ec != std::errc{} || stop != end || !std::isfinite(v)) return {};
   return v;
 }
+
+// One query of the log being checked, indexed by its id.
+struct QuerySlot {
+  enum State : std::uint8_t { kNone, kOpen, kClosed };
+  double issued_at = 0.0;
+  State state = kNone;
+};
 
 }  // namespace
 
@@ -63,61 +68,73 @@ CheckReport CheckPerformanceLog(const std::string& serialized_log,
   // were never issued to the SUT at all, rejected ones were fast-failed
   // by an open breaker — neither contributes a latency sample, and
   // neither may be double-counted as never-completed.
-  std::unordered_map<std::uint64_t, double> issued;
+  //
+  // LoadGen ids are dense from 1 and every id has at least one event, so a
+  // table indexed by id covers every query of a well-formed log; an id
+  // outside [1, events] is a problem of its own.
+  const std::vector<loadgen::LogEvent>& events = log.events();
+  std::vector<QuerySlot> queries(events.size() + 1);
+  const auto slot = [&](std::uint64_t id) -> QuerySlot* {
+    return id == 0 || id > events.size() ? nullptr : &queries[id];
+  };
+  std::size_t open_queries = 0;
   std::vector<double> latencies;
-  latencies.reserve(log.events().size() / 2);
+  latencies.reserve(events.size() / 2);
   std::size_t shed_events = 0, rejected_events = 0;
   double first_issue = -1.0, last_complete = 0.0;
   double last_issue_time = -1.0;
-  bool outstanding = false;
   bool serialized = true;
-  for (const loadgen::LogEvent& e : log.events()) {
+  for (const loadgen::LogEvent& e : events) {
     const double t = e.timestamp.count();
+    QuerySlot* const q = slot(e.query_id);
+    if (q == nullptr) {
+      report.Problem("query " + std::to_string(e.query_id) + " out of range");
+      continue;
+    }
     if (e.kind == loadgen::LogEventKind::kQueryIssued) {
-      if (const auto [it, inserted] = issued.try_emplace(e.query_id, t);
-          !inserted) {
+      if (open_queries > 0) serialized = false;
+      if (q->state == QuerySlot::kOpen) {
         report.Problem("query " + std::to_string(e.query_id) +
                        " issued twice");
-        it->second = t;
+      } else {
+        q->state = QuerySlot::kOpen;
+        ++open_queries;
       }
-      if (outstanding) serialized = false;
-      outstanding = true;
+      q->issued_at = t;
       if (first_issue < 0) first_issue = t;
       if (t < last_issue_time)
         report.Problem("issue timestamps are not monotonic");
       last_issue_time = t;
     } else if (e.kind == loadgen::LogEventKind::kQueryShed) {
-      if (issued.contains(e.query_id))
+      if (q->state == QuerySlot::kOpen)
         report.Problem("query " + std::to_string(e.query_id) +
                        " both issued and shed");
       ++shed_events;
     } else if (e.kind == loadgen::LogEventKind::kQueryRejected) {
-      const auto it = issued.find(e.query_id);
-      if (it == issued.end()) {
+      if (q->state != QuerySlot::kOpen) {
         report.Problem("rejection for unknown query " +
                        std::to_string(e.query_id));
         continue;
       }
       ++rejected_events;
-      issued.erase(it);
-      if (issued.empty()) outstanding = false;
+      q->state = QuerySlot::kClosed;
+      --open_queries;
     } else {
-      const auto it = issued.find(e.query_id);
-      if (it == issued.end()) {
+      if (q->state != QuerySlot::kOpen) {
         report.Problem("completion for unknown query " +
                        std::to_string(e.query_id));
         continue;
       }
-      if (t < it->second)
+      if (t < q->issued_at)
         report.Problem("query " + std::to_string(e.query_id) +
                        " completed before it was issued");
-      latencies.push_back(t - it->second);
+      latencies.push_back(t - q->issued_at);
       last_complete = std::max(last_complete, t);
-      issued.erase(it);
-      if (issued.empty()) outstanding = false;
+      q->state = QuerySlot::kClosed;
+      --open_queries;
     }
   }
-  const std::size_t never_completed = issued.size();
+  const std::size_t never_completed = open_queries;
   if (never_completed > 0)
     report.Problem(std::to_string(never_completed) +
                    " queries were never completed");
@@ -179,16 +196,19 @@ CheckReport CheckPerformanceLog(const std::string& serialized_log,
                        std::to_string(expected_samples));
       // Re-derive per-query latency: samples of one query share the
       // scheduled issue timestamp; the query finishes with its last sample.
+      // A second walk over the same table: an event of a query issued
+      // earlier in the log counts at the query's latest issue time.
       std::map<double, double> per_query;  // scheduled -> max completion
-      std::unordered_map<std::uint64_t, double> issue_at;
-      for (const loadgen::LogEvent& e : log.events()) {
+      std::fill(queries.begin(), queries.end(), QuerySlot{});
+      for (const loadgen::LogEvent& e : events) {
+        QuerySlot* const q = slot(e.query_id);
+        if (q == nullptr) continue;
         if (e.kind == loadgen::LogEventKind::kQueryIssued) {
-          issue_at[e.query_id] = e.timestamp.count();
-        } else if (const auto at = issue_at.find(e.query_id);
-                   at != issue_at.end()) {
-          const double sched = at->second;
+          q->state = QuerySlot::kOpen;
+          q->issued_at = e.timestamp.count();
+        } else if (q->state != QuerySlot::kNone) {
           auto [it, inserted] =
-              per_query.try_emplace(sched, e.timestamp.count());
+              per_query.try_emplace(q->issued_at, e.timestamp.count());
           if (!inserted)
             it->second = std::max(it->second, e.timestamp.count());
         }
@@ -255,11 +275,8 @@ CheckReport CheckTaskRun(const TaskRunResult& task,
 
   // Calibration legality (INT8 submissions only).
   if (IsQuantized(task.numerics)) {
-    const std::vector<std::size_t> approved =
-        datasets::ApprovedCalibrationIndices(
-            kCalibrationPoolSize, kCalibrationSetSize, kCalibrationSeed);
-    const quant::LegalityReport cal =
-        quant::CheckCalibrationSet(approved, task.calibration_indices);
+    const quant::LegalityReport cal = quant::CheckCalibrationSet(
+        OfficialCalibrationIndices(), task.calibration_indices);
     for (const std::string& v : cal.violations) report.Problem(v);
   }
 

@@ -25,6 +25,7 @@ struct CheckReport {
 
 // Validates one performance log against the run rules:
 //   * official seed, matching scenario/mode fields;
+//   * every query id in [1, number of events] (LoadGen ids are dense);
 //   * every issued query completed exactly once, completions not before
 //     issues, single-stream strictly serialized;
 //   * minimum query count and duration met (single-stream);

@@ -52,6 +52,13 @@ std::string CompareProbeOutputs(const std::vector<infer::Tensor>& want,
 
 }  // namespace
 
+const std::vector<std::size_t>& OfficialCalibrationIndices() {
+  static const std::vector<std::size_t> indices =
+      datasets::ApprovedCalibrationIndices(
+          kCalibrationPoolSize, kCalibrationSetSize, kCalibrationSeed);
+  return indices;
+}
+
 std::unique_ptr<TaskBundle> TaskBundle::Create(
     const models::BenchmarkEntry& e, models::SuiteVersion version,
     std::uint64_t weight_seed) {
@@ -159,8 +166,7 @@ TaskBundle::PreparedModel TaskBundle::Prepare(
     weights = &*qat_weights_;
   }
   if (mode == infer::NumericsMode::kInt8) {
-    p.calibration_indices = datasets::ApprovedCalibrationIndices(
-        kCalibrationPoolSize, kCalibrationSetSize, kCalibrationSeed);
+    p.calibration_indices = OfficialCalibrationIndices();
     const std::vector<quant::CalibrationSample> samples =
         datasets::GatherCalibrationSamples(dataset(pool),
                                            p.calibration_indices, pool);

@@ -31,6 +31,10 @@ inline constexpr std::size_t kCalibrationSetSize = 128;
 inline constexpr std::size_t kCalibrationPoolSize = 1000;
 inline constexpr std::uint64_t kCalibrationSeed = 0xCA11B;
 
+// The approved calibration indices at the three constants above, drawn once
+// per process and shared by TaskBundle::Prepare and the checker.
+[[nodiscard]] const std::vector<std::size_t>& OfficialCalibrationIndices();
+
 // The executor numerics a task's declared data type runs at.
 [[nodiscard]] inline infer::NumericsMode NumericsModeFor(DataType numerics) {
   switch (numerics) {

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "common/check.h"
@@ -252,6 +253,37 @@ TEST(Statistics, PercentilesMatchIndividualCalls) {
   ASSERT_EQ(got.size(), 6u);
   for (std::size_t i = 0; i < got.size(); ++i)
     EXPECT_DOUBLE_EQ(got[i], Percentile(v, ps[i])) << "p" << ps[i];
+}
+
+TEST(Statistics, PercentileSelectionMatchesSortedBitwise) {
+  // Percentile selects its two order statistics instead of sorting; the
+  // result must be the very bits PercentileOfSorted reads off a full sort,
+  // also for heavy duplicates and mixed-sign zeros.
+  Rng rng(0x5E1EC7);
+  const double kPool[] = {-0.0, 0.0, 1.0, -1.0, 0.25, 3.5};
+  const double ps[] = {0.0, 0.5, 50.0, 90.0, 99.0, 100.0};
+  for (const std::size_t n : {1u, 2u, 3u, 1000u, 15000u}) {
+    for (int kind = 0; kind < 4; ++kind) {
+      std::vector<double> v(n);
+      for (double& x : v) {
+        switch (kind) {
+          case 0: x = rng.NextDouble() * 2.0 - 1.0; break;  // distinct
+          case 1: x = kPool[rng.NextBelow(std::size(kPool))]; break;
+          case 2: x = rng.NextBelow(2) == 0 ? -0.0 : 0.0; break;
+          default: x = std::floor(rng.NextDouble() * 8.0) * 1e-3; break;
+        }
+      }
+      std::vector<double> sorted = v;
+      std::sort(sorted.begin(), sorted.end());
+      for (const double p : ps) {
+        const double got = Percentile(v, p);
+        const double want = PercentileOfSorted(sorted, p);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+            << "n=" << n << " kind=" << kind << " p=" << p << ": " << got
+            << " vs " << want;
+      }
+    }
+  }
 }
 
 TEST(Statistics, PercentilesRejectEmptyInput) {

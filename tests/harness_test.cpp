@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 
 #include "harness/app.h"
@@ -11,6 +12,7 @@
 #include "harness/report.h"
 #include "backends/vendor_policy.h"
 #include "core/dataset_qsl.h"
+#include "datasets/calibration_set.h"
 #include "datasets/stub_dataset.h"
 #include "harness/package.h"
 #include "harness/result_store.h"
@@ -65,6 +67,16 @@ TEST(TaskBundle, Int8PreparationUsesApprovedCalibration) {
   const TaskBundle::PreparedModel p = b.Prepare(infer::NumericsMode::kInt8);
   EXPECT_EQ(p.calibration_indices.size(), kCalibrationSetSize);
   EXPECT_NE(p.executor, nullptr);
+}
+
+TEST(TaskBundle, OfficialCalibrationIndicesMatchAFreshDraw) {
+  // Drawn once per process and shared by Prepare and the checker; the
+  // shared set is the one a fresh draw at the official constants gives.
+  const std::vector<std::size_t>& shared = OfficialCalibrationIndices();
+  EXPECT_EQ(shared, datasets::ApprovedCalibrationIndices(
+                        kCalibrationPoolSize, kCalibrationSetSize,
+                        kCalibrationSeed));
+  EXPECT_EQ(&shared, &OfficialCalibrationIndices());
 }
 
 TEST(TaskBundle, Fp16PreparationHasNoCalibration) {
@@ -356,6 +368,53 @@ TEST(Checker, AccountsForShedQueriesInServerLogs) {
   loadgen::TestSettings strict = s;
   strict.server_max_shed_fraction = 0.01;
   EXPECT_FALSE(CheckPerformanceLog(r.log.Serialize(), strict).valid);
+}
+
+TEST(Checker, OutOfRangeQueryIdIsAProblem) {
+  // LoadGen ids run 1..N and every id has an event, so an id of 0 or one
+  // past the log's event count cannot come from the LoadGen.  Each such id,
+  // in each kind of event line, is reported — never thrown, and never
+  // passed, as an in-order issue/complete pair once was.
+  loadgen::TestSettings s;
+  s.min_query_count = 2;
+  s.min_duration = loadgen::Seconds{0.0};
+  loadgen::TestLog base;
+  base.SetField("seed", std::to_string(s.seed));
+  base.SetField("scenario", std::string(ToString(s.scenario)));
+  base.SetField("mode", std::string(ToString(s.mode)));
+  for (std::uint64_t id = 1; id <= 2; ++id) {
+    base.Record(loadgen::LogEventKind::kQueryIssued, id,
+                loadgen::Seconds{0.002 * static_cast<double>(id)});
+    base.Record(loadgen::LogEventKind::kQueryCompleted, id,
+                loadgen::Seconds{0.002 * static_cast<double>(id) + 0.001});
+  }
+  const CheckReport ok = CheckPerformanceLog(base.Serialize(), s);
+  ASSERT_TRUE(ok.valid) << FormatCheckReport(ok);
+
+  using Kind = loadgen::LogEventKind;
+  for (const Kind kind : {Kind::kQueryIssued, Kind::kQueryCompleted,
+                          Kind::kQueryShed, Kind::kQueryRejected}) {
+    // An issue comes with its completion, so that pair adds two events.
+    const std::size_t added = kind == Kind::kQueryIssued ? 2 : 1;
+    const std::uint64_t past_end = base.events().size() + added + 1;
+    for (const std::uint64_t id :
+         {std::uint64_t{0}, past_end,
+          std::numeric_limits<std::uint64_t>::max()}) {
+      SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)) +
+                   " id " + std::to_string(id));
+      loadgen::TestLog log = base;
+      log.Record(kind, id, loadgen::Seconds{0.01});
+      if (kind == Kind::kQueryIssued)
+        log.Record(Kind::kQueryCompleted, id, loadgen::Seconds{0.011});
+      CheckReport r;
+      ASSERT_NO_THROW(r = CheckPerformanceLog(log.Serialize(), s));
+      EXPECT_FALSE(r.valid);
+      const std::string want = "query " + std::to_string(id) + " out of range";
+      EXPECT_NE(std::find(r.problems.begin(), r.problems.end(), want),
+                r.problems.end())
+          << FormatCheckReport(r);
+    }
+  }
 }
 
 TEST(QualityAnchors, EveryNumericsModeClearsItsTable1Target) {

@@ -335,6 +335,204 @@ TEST(LoadGen, WatchdogExpiresLateCompletions) {
 }
 
 
+// The query ids of an error log's "never completed" lines, in log order.
+std::vector<std::uint64_t> NeverCompletedIds(const TestResult& r) {
+  std::vector<std::uint64_t> ids;
+  for (const std::string& line : r.error_log)
+    if (line.find(" never completed ") != std::string::npos)
+      ids.push_back(std::stoull(line.substr(std::string("query ").size())));
+  return ids;
+}
+
+TEST(LoadGen, ExpiredQueriesAreReportedInIdOrder) {
+  // Every third completion never arrives.  End-of-test expiry reports the
+  // outstanding queries in ascending id order: dropped without a watchdog,
+  // timed out with one.
+  struct Case {
+    TestScenario scenario;
+    double timeout_s;
+    std::size_t dropped, timed_out;
+  };
+  const Case kCases[] = {
+      {TestScenario::kSingleStream, 0.0, 166, 0},
+      {TestScenario::kSingleStream, 0.5, 0, 166},
+      {TestScenario::kOffline, 0.0, 33, 0},
+      {TestScenario::kOffline, 0.5, 0, 33},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(std::string(ToString(c.scenario)) + " timeout " +
+                 std::to_string(c.timeout_s));
+    VirtualClock clock;
+    DroppySut sut(clock, 3);
+    FakeQsl qsl(8);
+    TestSettings s = FastSettings();
+    s.scenario = c.scenario;
+    s.query_timeout = Seconds{c.timeout_s};
+    const TestResult r = RunTest(sut, qsl, s, clock);
+    EXPECT_EQ(r.dropped_count, c.dropped);
+    EXPECT_EQ(r.timed_out_count, c.timed_out);
+    const std::vector<std::uint64_t> ids = NeverCompletedIds(r);
+    ASSERT_EQ(ids.size(), c.dropped + c.timed_out);
+    for (std::size_t k = 0; k < ids.size(); ++k)
+      EXPECT_EQ(ids[k], 3 * (k + 1)) << "line " << k;
+  }
+}
+
+// Calls `act` for every issued query, with the id of the query issued
+// before it (0 for the first); `act` decides what the sink hears.
+class ScriptedSut final : public SystemUnderTest {
+ public:
+  using Act = void (*)(std::uint64_t id, std::uint64_t previous_id,
+                       ResponseSink& sink);
+  ScriptedSut(VirtualClock& clock, Act act) : clock_(clock), act_(act) {}
+  [[nodiscard]] std::string_view name() const override { return "scripted"; }
+  void IssueQuery(std::span<const QuerySample> samples,
+                  ResponseSink& sink) override {
+    for (const QuerySample& s : samples) {
+      clock_.Advance(Seconds{0.001});
+      act_(s.id, previous_, sink);
+      previous_ = s.id;
+    }
+  }
+
+ private:
+  VirtualClock& clock_;
+  Act act_;
+  std::uint64_t previous_ = 0;
+};
+
+void Done(std::uint64_t id, ResponseSink& sink) {
+  sink.Complete(QuerySampleResponse{id, {}});
+}
+
+TEST(LoadGen, HostileCompletionsAndRejectionsCountedAsBefore) {
+  // Each row makes the SUT misreport one query (in the server rows, each
+  // shed query it can infer from a gap in the ids) and pins the anomaly
+  // counts and the error log the collector produces for it.
+  struct Case {
+    const char* what;
+    bool server;
+    ScriptedSut::Act act;
+    std::size_t unknown, duplicate, rejected;
+    std::vector<std::string> errors;
+  };
+  const Case kCases[] = {
+      {"completion for id 0", false,
+       [](std::uint64_t id, std::uint64_t, ResponseSink& sink) {
+         Done(id, sink);
+         if (id == 2) Done(0, sink);
+       },
+       1, 0, 0,
+       {"completion for query 0, which was never issued (ignored)"}},
+      {"completion past the last issued id", false,
+       [](std::uint64_t id, std::uint64_t, ResponseSink& sink) {
+         Done(id, sink);
+         if (id == 2) Done(3, sink);
+       },
+       1, 0, 0,
+       {"completion for query 3, which was never issued (ignored)"}},
+      {"completion for id UINT64_MAX", false,
+       [](std::uint64_t id, std::uint64_t, ResponseSink& sink) {
+         Done(id, sink);
+         if (id == 2) Done(std::numeric_limits<std::uint64_t>::max(), sink);
+       },
+       1, 0, 0,
+       {"completion for query 18446744073709551615, which was never "
+        "issued (ignored)"}},
+      {"completion for a shed id", true,
+       [](std::uint64_t id, std::uint64_t previous, ResponseSink& sink) {
+         Done(id, sink);
+         if (id > previous + 1) Done(previous + 1, sink);
+       },
+       3, 0, 0,
+       {"query 2 shed by admission control (issue queue full)",
+        "query 3 shed by admission control (issue queue full)",
+        "completion for query 2, which was never issued (ignored)",
+        "query 5 shed by admission control (issue queue full)",
+        "query 6 shed by admission control (issue queue full)",
+        "completion for query 5, which was never issued (ignored)",
+        "query 8 shed by admission control (issue queue full)",
+        "query 9 shed by admission control (issue queue full)",
+        "completion for query 8, which was never issued (ignored)",
+        "query 11 shed by admission control (issue queue full)",
+        "query 12 shed by admission control (issue queue full)"}},
+      {"rejection for a shed id", true,
+       [](std::uint64_t id, std::uint64_t previous, ResponseSink& sink) {
+         Done(id, sink);
+         if (id > previous + 1) sink.Reject(previous + 1, "breaker open");
+       },
+       3, 0, 0,
+       {"query 2 shed by admission control (issue queue full)",
+        "query 3 shed by admission control (issue queue full)",
+        "rejection for query 2 that is not outstanding (ignored)",
+        "query 5 shed by admission control (issue queue full)",
+        "query 6 shed by admission control (issue queue full)",
+        "rejection for query 5 that is not outstanding (ignored)",
+        "query 8 shed by admission control (issue queue full)",
+        "query 9 shed by admission control (issue queue full)",
+        "rejection for query 8 that is not outstanding (ignored)",
+        "query 11 shed by admission control (issue queue full)",
+        "query 12 shed by admission control (issue queue full)"}},
+      {"double completion", false,
+       [](std::uint64_t id, std::uint64_t, ResponseSink& sink) {
+         Done(id, sink);
+         if (id == 2) Done(id, sink);
+       },
+       0, 1, 0,
+       {"query 2 completed more than once (ignored)"}},
+      {"completion after a reject", false,
+       [](std::uint64_t id, std::uint64_t, ResponseSink& sink) {
+         if (id == 2) sink.Reject(id, "breaker open");
+         Done(id, sink);
+       },
+       0, 1, 1,
+       {"query 2 rejected by SUT: breaker open",
+        "query 2 completed after being rejected (ignored)"}},
+      {"reject after a completion", false,
+       [](std::uint64_t id, std::uint64_t, ResponseSink& sink) {
+         Done(id, sink);
+         if (id == 2) sink.Reject(id, "breaker open");
+       },
+       1, 0, 0,
+       {"rejection for query 2 that is not outstanding (ignored)"}},
+      {"double reject", false,
+       [](std::uint64_t id, std::uint64_t, ResponseSink& sink) {
+         if (id != 2) return Done(id, sink);
+         sink.Reject(id, "breaker open");
+         sink.Reject(id, "breaker open");
+       },
+       1, 0, 1,
+       {"query 2 rejected by SUT: breaker open",
+        "rejection for query 2 that is not outstanding (ignored)"}},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.what);
+    VirtualClock clock;
+    ScriptedSut sut(clock, c.act);
+    FakeQsl qsl(8);
+    TestSettings s = FastSettings();
+    s.min_query_count = 4;
+    s.min_duration = Seconds{0.0};
+    if (c.server) {
+      // Arrivals every 0.67 ms on average against 1 ms of service behind
+      // a one-deep queue: an arrival while a query is in flight is shed.
+      s.scenario = TestScenario::kServer;
+      s.server_target_qps = 1500.0;
+      s.server_query_count = 12;
+      s.server_max_queue_depth = 1;
+      s.server_max_shed_fraction = 1.0;
+    }
+    const TestResult r = RunTest(sut, qsl, s, clock);
+    EXPECT_EQ(r.unknown_count, c.unknown);
+    EXPECT_EQ(r.duplicate_count, c.duplicate);
+    EXPECT_EQ(r.rejected_count, c.rejected);
+    EXPECT_EQ(r.error_log, c.errors);
+    EXPECT_EQ(r.issued_count, r.sample_count + r.timed_out_count +
+                                  r.dropped_count + r.rejected_count);
+  }
+}
+
+
 // ---- server scenario ----
 
 TEST(LoadGen, ServerLowLoadLatencyNearServiceTime) {
