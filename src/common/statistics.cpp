@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "common/check.h"
 
@@ -22,52 +23,50 @@ double PercentileOfSorted(std::span<const double> sorted, double p) {
 }
 
 double Percentile(std::span<const double> values, double p) {
-  Expects(!values.empty(), "Percentile of empty sample set");
-  Expects(p >= 0.0 && p <= 100.0, "percentile must be in [0,100]");
-  // PercentileOfSorted reads only the order statistics at `lo` and
-  // `lo + 1`: select those two into place instead of sorting the copy.
-  std::vector<double> v(values.begin(), values.end());
-  const auto lo =
-      static_cast<std::size_t>(p / 100.0 * static_cast<double>(v.size() - 1));
-  const auto at_lo = v.begin() + static_cast<std::ptrdiff_t>(lo);
-  std::nth_element(v.begin(), at_lo, v.end());
-  if (at_lo + 1 != v.end())
-    std::iter_swap(at_lo + 1, std::min_element(at_lo + 1, v.end()));
-  return PercentileOfSorted(v, p);
+  return Percentiles(values, std::span<const double>(&p, 1)).front();
 }
 
 std::vector<double> Percentiles(std::span<const double> values,
                                 std::span<const double> ps) {
-  Expects(!values.empty(), "Percentiles of empty sample set");
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<double> out;
-  out.reserve(ps.size());
-  for (double p : ps) out.push_back(PercentileOfSorted(sorted, p));
-  return out;
+  std::vector<double> v(values.begin(), values.end());
+  return PercentilesInPlace(v, ps);
 }
 
-SampleStats Summarize(std::span<const double> values) {
-  Expects(!values.empty(), "Summarize of empty sample set");
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
+std::vector<double> PercentilesInPlace(std::span<double> values,
+                                       std::span<const double> ps) {
+  Expects(!values.empty(), "Percentiles of empty sample set");
+  // The ranks PercentileOfSorted reads: `lo` and, below the top, `lo + 1`.
+  std::vector<std::size_t> ranks;
+  ranks.reserve(2 * ps.size());
+  const std::size_t n = values.size();
+  for (const double p : ps) {
+    Expects(p >= 0.0 && p <= 100.0, "percentile must be in [0,100]");
+    const auto lo =
+        static_cast<std::size_t>(p / 100.0 * static_cast<double>(n - 1));
+    ranks.push_back(lo);
+    if (lo + 1 < n) ranks.push_back(lo + 1);
+  }
+  std::sort(ranks.begin(), ranks.end());
+  ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
 
-  SampleStats s;
-  s.count = sorted.size();
-  s.min = sorted.front();
-  s.max = sorted.back();
-  double sum = 0.0;
-  for (double v : sorted) sum += v;
-  s.mean = sum / static_cast<double>(s.count);
-  double var = 0.0;
-  for (double v : sorted) var += (v - s.mean) * (v - s.mean);
-  s.stddev = std::sqrt(var / static_cast<double>(s.count));
+  // Everything from `first` on is >= every order statistic placed so far,
+  // so each selection only needs the rest of the range.  A rank right
+  // after the previous one is the minimum of the rest.
+  auto first = values.begin();
+  for (const std::size_t r : ranks) {
+    const auto at = values.begin() + static_cast<std::ptrdiff_t>(r);
+    if (at == first)
+      std::iter_swap(at, std::min_element(at, values.end()));
+    else
+      std::nth_element(first, at, values.end());
+    first = at + 1;
+  }
 
-  s.p50 = PercentileOfSorted(sorted, 50.0);
-  s.p90 = PercentileOfSorted(sorted, 90.0);
-  s.p97 = PercentileOfSorted(sorted, 97.0);
-  s.p99 = PercentileOfSorted(sorted, 99.0);
-  return s;
+  // Every position PercentileOfSorted reads now holds its order statistic.
+  std::vector<double> out;
+  out.reserve(ps.size());
+  for (const double p : ps) out.push_back(PercentileOfSorted(values, p));
+  return out;
 }
 
 double GeometricMean(std::span<const double> values) {

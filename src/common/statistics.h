@@ -3,24 +3,10 @@
 // single-stream metric, §6.1).
 #pragma once
 
-#include <cstddef>
 #include <span>
 #include <vector>
 
 namespace mlpm {
-
-// Summary of a latency (or any scalar) sample set.
-struct SampleStats {
-  std::size_t count = 0;
-  double min = 0.0;
-  double max = 0.0;
-  double mean = 0.0;
-  double stddev = 0.0;  // population standard deviation
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p97 = 0.0;
-  double p99 = 0.0;
-};
 
 // Percentile with linear interpolation between closest ranks; `p` in [0,100].
 // The input need not be sorted: a copy is partitioned around the two order
@@ -33,15 +19,18 @@ struct SampleStats {
 [[nodiscard]] double PercentileOfSorted(std::span<const double> sorted,
                                         double p);
 
-// Several percentiles from one sort: copies and sorts `values` once, then
-// reads each requested percentile off the sorted data.  Returns one value
-// per entry of `ps`, in order.  Report tables want p50/p90/p97/p99 of the
-// same latency vector; calling Percentile four times would sort four times.
+// Several percentiles of one sample set, one value per entry of `ps`, in
+// order; `ps` may be unsorted and may repeat a p.  Bit-identical to
+// PercentileOfSorted on a sorted copy, but nothing is sorted: the order
+// statistics the interpolations read (`lo` and `lo + 1` of each p) are
+// selected in ascending rank order, each selection confined to the part
+// above the previous one.  Percentiles works on a copy of `values`;
+// PercentilesInPlace permutes `values` itself and allocates no copy, for a
+// caller that owns a large scratch buffer (the fleet's merged latencies).
 [[nodiscard]] std::vector<double> Percentiles(std::span<const double> values,
                                               std::span<const double> ps);
-
-// Full summary in one pass over a copy (values need not be sorted).
-[[nodiscard]] SampleStats Summarize(std::span<const double> values);
+[[nodiscard]] std::vector<double> PercentilesInPlace(
+    std::span<double> values, std::span<const double> ps);
 
 // Geometric mean; all values must be positive.
 [[nodiscard]] double GeometricMean(std::span<const double> values);

@@ -303,18 +303,20 @@ FleetReport RunFleet(const FleetOptions& options) {
   }
 
   // Aggregate from the sorted shard vector; a resumed run aggregates
-  // identically to an uninterrupted one.
+  // identically to an uninterrupted one.  Each finished slot moves into the
+  // report (the journal above was its last reader), so the report owns the
+  // only copy of every shard's log, latencies and error log.
   std::set<std::string> distinct;
   for (const ShardSpec& spec : specs) distinct.insert(spec.config_key);
   report.distinct_configs = distinct.size();
   report.prepared_models_built = cache.builds();
 
-  std::vector<double> merged_latencies;
   std::size_t slo_met = 0;
-  for (const std::optional<ShardResult>& slot : slots) {
+  std::size_t latency_count = 0;
+  report.shards.reserve(slots.size());
+  for (std::optional<ShardResult>& slot : slots) {
     if (!slot.has_value()) continue;
-    const ShardResult& s = *slot;
-    report.shards.push_back(s);
+    const ShardResult& s = report.shards.emplace_back(std::move(*slot));
     const loadgen::TestResult& r = s.result;
     report.offered += r.issued_count + r.shed_count;
     report.issued += r.issued_count;
@@ -325,6 +327,7 @@ FleetReport RunFleet(const FleetOptions& options) {
     report.dropped += r.dropped_count;
     report.breaker_trips += s.breaker_trips;
     report.fleet_qps += r.throughput_sps;
+    latency_count += r.latencies_s.size();
     if (s.slo_met) ++slo_met;
     switch (s.state) {
       case harness::TaskStatus::kValid: ++report.valid_count; break;
@@ -333,15 +336,22 @@ FleetReport RunFleet(const FleetOptions& options) {
         break;
       default: ++report.invalid_count; break;
     }
-    merged_latencies.insert(merged_latencies.end(), r.latencies_s.begin(),
-                            r.latencies_s.end());
   }
   if (!report.shards.empty())
     report.slo_met_fraction = static_cast<double>(slo_met) /
                               static_cast<double>(report.shards.size());
-  if (!merged_latencies.empty()) {
+  if (latency_count > 0) {
+    // The fleet's own buffer, so the percentiles are selected in place.
+    // Sized from the latencies themselves, not from `sample_count`, which
+    // a replayed journal record carries as a separate field.
+    std::vector<double> merged_latencies;
+    merged_latencies.reserve(latency_count);
+    for (const ShardResult& s : report.shards)
+      merged_latencies.insert(merged_latencies.end(),
+                              s.result.latencies_s.begin(),
+                              s.result.latencies_s.end());
     const double ps[] = {50.0, 90.0, 99.0};
-    const std::vector<double> v = Percentiles(merged_latencies, ps);
+    const std::vector<double> v = PercentilesInPlace(merged_latencies, ps);
     report.p50_ms = v[0] * 1e3;
     report.p90_ms = v[1] * 1e3;
     report.p99_ms = v[2] * 1e3;

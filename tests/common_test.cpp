@@ -256,12 +256,18 @@ TEST(Statistics, PercentilesMatchIndividualCalls) {
 }
 
 TEST(Statistics, PercentileSelectionMatchesSortedBitwise) {
-  // Percentile selects its two order statistics instead of sorting; the
-  // result must be the very bits PercentileOfSorted reads off a full sort,
-  // also for heavy duplicates and mixed-sign zeros.
+  // Percentile and Percentiles select the order statistics they read
+  // instead of sorting; every result must be the very bits
+  // PercentileOfSorted reads off a full sort, also for heavy duplicates
+  // and mixed-sign zeros, and for a p list that is unsorted and repeats.
   Rng rng(0x5E1EC7);
   const double kPool[] = {-0.0, 0.0, 1.0, -1.0, 0.25, 3.5};
   const double ps[] = {0.0, 0.5, 50.0, 90.0, 99.0, 100.0};
+  const double shuffled_ps[] = {99.0, 0.5, 50.0, 100.0, 50.0, 0.0, 90.0,
+                                99.0, 97.0, 0.5};
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
   for (const std::size_t n : {1u, 2u, 3u, 1000u, 15000u}) {
     for (int kind = 0; kind < 4; ++kind) {
       std::vector<double> v(n);
@@ -278,10 +284,26 @@ TEST(Statistics, PercentileSelectionMatchesSortedBitwise) {
       for (const double p : ps) {
         const double got = Percentile(v, p);
         const double want = PercentileOfSorted(sorted, p);
-        EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+        EXPECT_TRUE(same_bits(got, want))
             << "n=" << n << " kind=" << kind << " p=" << p << ": " << got
             << " vs " << want;
       }
+      const std::vector<double> copied = Percentiles(v, shuffled_ps);
+      std::vector<double> permuted = v;
+      const std::vector<double> in_place =
+          PercentilesInPlace(permuted, shuffled_ps);
+      ASSERT_EQ(copied.size(), std::size(shuffled_ps));
+      ASSERT_EQ(in_place.size(), std::size(shuffled_ps));
+      for (std::size_t i = 0; i < std::size(shuffled_ps); ++i) {
+        const double want = PercentileOfSorted(sorted, shuffled_ps[i]);
+        EXPECT_TRUE(same_bits(copied[i], want))
+            << "n=" << n << " kind=" << kind << " p=" << shuffled_ps[i];
+        EXPECT_TRUE(same_bits(in_place[i], want))
+            << "n=" << n << " kind=" << kind << " p=" << shuffled_ps[i];
+      }
+      // Selecting in place only reorders: the same multiset remains.
+      std::sort(permuted.begin(), permuted.end());
+      EXPECT_EQ(permuted, sorted) << "n=" << n << " kind=" << kind;
     }
   }
 }
@@ -290,19 +312,6 @@ TEST(Statistics, PercentilesRejectEmptyInput) {
   const std::vector<double> empty;
   const double ps[] = {50.0};
   EXPECT_THROW((void)Percentiles(empty, ps), CheckError);
-}
-
-TEST(Statistics, SummaryMatchesManualComputation) {
-  const double v[] = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  const SampleStats s = Summarize(v);
-  EXPECT_EQ(s.count, 8u);
-  EXPECT_DOUBLE_EQ(s.min, 2.0);
-  EXPECT_DOUBLE_EQ(s.max, 9.0);
-  EXPECT_DOUBLE_EQ(s.mean, 5.0);
-  EXPECT_DOUBLE_EQ(s.stddev, 2.0);
-  EXPECT_DOUBLE_EQ(s.p50, Percentile(v, 50.0));
-  EXPECT_DOUBLE_EQ(s.p97, Percentile(v, 97.0));
-  EXPECT_DOUBLE_EQ(s.p99, Percentile(v, 99.0));
 }
 
 TEST(Statistics, GeometricMeanOfPowers) {

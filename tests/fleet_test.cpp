@@ -4,7 +4,9 @@
 // path, and crash-safe journal resume.  Also pins loadgen::FindMaxServerQps
 // bisection behavior (monotone convergence, errored probes, the shed
 // bound).
+#include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +15,7 @@
 
 #include "backends/vendor_policy.h"
 #include "common/check.h"
+#include "common/statistics.h"
 #include "core/dataset_qsl.h"
 #include "core/loadgen.h"
 #include "datasets/stub_dataset.h"
@@ -229,6 +232,48 @@ TEST(Fleet, CounterSnapshotInvariantUnderWorkerCount) {
   };
   EXPECT_EQ(serial, per_event);
   obs::MetricsRegistry::Global().Reset();
+}
+
+// The coordinator moves each shard's result into the report and selects the
+// fleet percentiles in place: the aggregate must be the bits a sort of the
+// reported shards' latencies gives, and no reported shard may be a
+// moved-from husk (latencies, log and error log all present).
+TEST(Fleet, AggregatePercentilesMatchSortedMergedLatencies) {
+  fleet::FleetOptions fo = SmallFleet(16);
+  fo.settings.server_max_queue_depth = 8;  // heavy shards shed and log it
+  std::vector<std::size_t> serial_error_lines;
+  for (const std::size_t workers : {1u, 4u}) {
+    fo.workers = workers;
+    const fleet::FleetReport r = fleet::RunFleet(fo);
+    ASSERT_EQ(r.shards.size(), 16u);
+    std::vector<double> merged;
+    std::size_t error_lines = 0;
+    for (std::size_t i = 0; i < r.shards.size(); ++i) {
+      const loadgen::TestResult& t = r.shards[i].result;
+      EXPECT_EQ(t.latencies_s.size(), t.sample_count) << "shard " << i;
+      EXPECT_FALSE(t.log.events().empty()) << "shard " << i;
+      // One error line per anomaly the counters (never moved) record.
+      EXPECT_EQ(t.error_log.size(), t.AnomalyCount()) << "shard " << i;
+      if (workers == 1)
+        serial_error_lines.push_back(t.error_log.size());
+      else
+        EXPECT_EQ(t.error_log.size(), serial_error_lines[i]) << "shard " << i;
+      error_lines += t.error_log.size();
+      merged.insert(merged.end(), t.latencies_s.begin(), t.latencies_s.end());
+    }
+    EXPECT_GT(error_lines, 0u) << "overload should shed and log queries";
+    ASSERT_EQ(merged.size(), r.completed);
+    std::sort(merged.begin(), merged.end());
+    const auto same_bits = [](double a, double b) {
+      return std::memcmp(&a, &b, sizeof a) == 0;
+    };
+    EXPECT_TRUE(same_bits(r.p50_ms, PercentileOfSorted(merged, 50.0) * 1e3))
+        << "workers " << workers;
+    EXPECT_TRUE(same_bits(r.p90_ms, PercentileOfSorted(merged, 90.0) * 1e3))
+        << "workers " << workers;
+    EXPECT_TRUE(same_bits(r.p99_ms, PercentileOfSorted(merged, 99.0) * 1e3))
+        << "workers " << workers;
+  }
 }
 
 // ---------------------------------------------------------------------------
