@@ -35,6 +35,7 @@ void LabelledDataset::LabelWithTeacher(const graph::Graph& graph,
   const infer::Executor teacher(graph, weights, infer::NumericsMode::kFp32);
   const std::size_t lanes = pool != nullptr ? pool->thread_count() : 1;
   indices_.reserve(count);
+  teacher_outputs_.reserve(count);
   // Cap candidate generation so a too-strict filter cannot loop forever.
   const std::size_t max_candidates = count * 64;
   for (std::size_t i = 0; indices_.size() < count;) {
@@ -44,7 +45,7 @@ void LabelledDataset::LabelWithTeacher(const graph::Graph& graph,
     // serial loop too; only the lanes beyond it are speculative.
     const std::size_t chunk = std::min(
         std::max(count - indices_.size(), lanes), max_candidates - i);
-    const std::vector<std::vector<infer::Tensor>> outputs =
+    std::vector<std::vector<infer::Tensor>> outputs =
         infer::RunSamplesParallel(
             teacher, chunk,
             [&](std::size_t k) {
@@ -54,7 +55,10 @@ void LabelledDataset::LabelWithTeacher(const graph::Graph& graph,
             },
             pool);
     for (std::size_t k = 0; k < chunk && indices_.size() < count; ++k)
-      if (accept(outputs[k])) indices_.push_back(i + k);
+      if (accept(outputs[k])) {
+        indices_.push_back(i + k);
+        teacher_outputs_.push_back(std::move(outputs[k]));
+      }
     i += chunk;
   }
 }
@@ -71,6 +75,14 @@ std::vector<infer::Tensor> LabelledDataset::InputsFor(
   std::vector<infer::Tensor> v;
   v.push_back(MakeInput(kValidationSpace, indices_[index]));
   return v;
+}
+
+std::optional<double> LabelledDataset::teacher_score() const {
+  if (!teacher_score_ && !teacher_outputs_.empty()) {
+    teacher_score_ = ScoreOutputs(teacher_outputs_);
+    teacher_outputs_ = {};
+  }
+  return teacher_score_;
 }
 
 std::vector<infer::Tensor> LabelledDataset::CalibrationInputsFor(

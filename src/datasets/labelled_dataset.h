@@ -37,16 +37,21 @@ class LabelledDataset : public TaskDataset {
       std::size_t index) const final;
   [[nodiscard]] std::vector<infer::Tensor> CalibrationInputsFor(
       std::size_t index) const final;
+  // On the first call, scores the outputs LabelWithTeacher kept and frees
+  // them; nullopt for a set built by UseFirst.
+  [[nodiscard]] std::optional<double> teacher_score() const final;
 
  protected:
   // The graph input for generator sample `index` of `name_space`.
   [[nodiscard]] virtual infer::Tensor MakeInput(std::uint64_t name_space,
                                                 std::size_t index) const = 0;
 
-  // Runs the FP32 teacher over validation candidates in order until
-  // `accept` has taken `count` of them.  `accept` sees each candidate's
-  // outputs on the calling thread, in candidate order, and returns whether
-  // the candidate enters the set (recording its ground truth if so).
+  // Runs the FP32 teacher (kernel ISA kAuto, untiled) over validation
+  // candidates in order until `accept` has taken `count` of them.  `accept`
+  // sees each candidate's outputs on the calling thread, in candidate
+  // order, and returns whether the candidate enters the set (recording its
+  // ground truth if so); the outputs of accepted candidates are kept for
+  // teacher_score().
   // Throws CheckError after 64 x `count` candidates.  With `pool`, the
   // teacher (and MakeInput) evaluate chunks of candidates on the pool's
   // threads, so MakeInput must be safe to call concurrently; a chunk is at
@@ -66,6 +71,9 @@ class LabelledDataset : public TaskDataset {
 
  private:
   std::vector<std::size_t> indices_;  // generator index per sample
+  // The teacher's outputs per sample, until teacher_score() scores them.
+  mutable std::vector<std::vector<infer::Tensor>> teacher_outputs_;
+  mutable std::optional<double> teacher_score_;
 };
 
 }  // namespace mlpm::datasets

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -34,6 +35,14 @@ class TaskDataset {
       std::span<const std::vector<infer::Tensor>> outputs) const = 0;
 
   [[nodiscard]] virtual std::string_view metric_name() const = 0;
+
+  // The FP32 teacher's own score on this set: ScoreOutputs over the outputs
+  // the labelling pass produced, so no second FP32 pass is needed when the
+  // reference runs on the teacher's kernel table.  nullopt for a set built
+  // without a teacher.  Not safe to race with itself.
+  [[nodiscard]] virtual std::optional<double> teacher_score() const {
+    return std::nullopt;
+  }
 
   // Samples from the *training* split used for PTQ calibration (disjoint
   // seed namespace from validation; paper §5.1's approved ~500-sample set).

@@ -145,14 +145,16 @@ void RunAccuracyPlane(const FleetOptions& options,
           bundles.Get(spec.entry, options.version);
       const infer::NumericsMode mode =
           harness::NumericsModeFor(slot->numerics);
+      Scores s;
+      // First, as in RunSubmission: labelling's kept teacher outputs are
+      // freed before Prepare calibrates.
+      s.fp32 = bundle.Fp32Score(nullptr, options.kernel_isa);
       const harness::TaskBundle::PreparedModel prepared =
           bundle.Prepare(mode, false, options.kernel_isa);
-      Scores s;
       s.accuracy = bundle.ScoreAccuracy(
           *NotNull(prepared.executor,
                    "TaskBundle::Prepare returned no executor"),
           nullptr);
-      s.fp32 = bundle.Fp32Score(nullptr, options.kernel_isa);
       s.ratio = s.fp32 > 0 ? s.accuracy / s.fp32 : 0.0;
       s.passed = s.ratio >= spec.entry.quality_target;
       it = scored.emplace(key, s).first;

@@ -338,6 +338,9 @@ void RunTask(const soc::ChipsetDesc& chipset, models::SuiteVersion version,
     // Accuracy mode: the whole validation set through the LoadGen and
     // the functional reference backend at the submission numerics.
     const infer::NumericsMode mode = NumericsModeFor(sub.numerics);
+    // First, so the teacher outputs labelling keeps for the FP32 score are
+    // scored and freed before calibration and the accuracy run allocate.
+    tr.fp32_reference = bundle.Fp32Score(pool, options.kernel_isa);
     const TaskBundle::PreparedModel prepared =
         bundle.Prepare(mode,
                        options.use_qat_weights &&
@@ -368,7 +371,6 @@ void RunTask(const soc::ChipsetDesc& chipset, models::SuiteVersion version,
     tr.accuracy = bundle.dataset().ScoreOutputs(acc_result.accuracy_outputs);
     tr.accuracy_sample_count = acc_result.sample_count;
     tr.dataset_size = bundle.dataset().size();
-    tr.fp32_reference = bundle.Fp32Score(pool, options.kernel_isa);
     tr.ratio_to_fp32 =
         tr.fp32_reference > 0 ? tr.accuracy / tr.fp32_reference : 0.0;
     tr.quality_passed = tr.ratio_to_fp32 >= entry.quality_target;

@@ -50,7 +50,31 @@ std::string CompareProbeOutputs(const std::vector<infer::Tensor>& want,
   return {};
 }
 
+double ScoreOn(const datasets::TaskDataset& ds,
+               const infer::Executor& executor, const ThreadPool* pool) {
+  std::vector<std::vector<infer::Tensor>> outputs = infer::RunSamplesParallel(
+      executor, ds.size(), [&](std::size_t i) { return ds.InputsFor(i); },
+      pool);
+  return ds.ScoreOutputs(outputs);
+}
+
 }  // namespace
+
+double Fp32ReferenceScore(const datasets::TaskDataset& ds,
+                          const graph::Graph& graph,
+                          const infer::WeightStore& weights,
+                          const ThreadPool* pool,
+                          infer::kernels::KernelIsa isa) {
+  const infer::kernels::KernelRegistry& reg =
+      infer::kernels::KernelRegistry::Global();
+  if (reg.Resolve(isa) == reg.Resolve(infer::kernels::KernelIsa::kAuto)) {
+    if (const std::optional<double> teacher = ds.teacher_score())
+      return *teacher;
+  }
+  const infer::Executor fp32(graph, weights, infer::NumericsMode::kFp32,
+                             nullptr, isa);
+  return ScoreOn(ds, fp32, pool);
+}
 
 const std::vector<std::size_t>& OfficialCalibrationIndices() {
   static const std::vector<std::size_t> indices =
@@ -264,11 +288,7 @@ TaskBundle::PreparedModel TaskBundle::PrepareTransformed(
 double TaskBundle::ScoreAccuracy(const infer::Executor& executor,
                                  const ThreadPool* pool) const {
   // Labels (on first use) here, before the samples fan out over the pool.
-  const datasets::TaskDataset& ds = dataset(pool);
-  std::vector<std::vector<infer::Tensor>> outputs = infer::RunSamplesParallel(
-      executor, ds.size(), [&](std::size_t i) { return ds.InputsFor(i); },
-      pool);
-  return ds.ScoreOutputs(outputs);
+  return ScoreOn(dataset(pool), executor, pool);
 }
 
 double TaskBundle::Fp32Score(const ThreadPool* pool,
@@ -276,9 +296,8 @@ double TaskBundle::Fp32Score(const ThreadPool* pool,
   const int key = static_cast<int>(isa);
   if (const auto it = fp32_scores_.find(key); it != fp32_scores_.end())
     return it->second;
-  const infer::Executor fp32(*graph_, weights_, infer::NumericsMode::kFp32,
-                             nullptr, isa);
-  const double score = ScoreAccuracy(fp32, pool);
+  const double score =
+      Fp32ReferenceScore(dataset(pool), *graph_, weights_, pool, isa);
   fp32_scores_.emplace(key, score);
   return score;
 }

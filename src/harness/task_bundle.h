@@ -50,6 +50,18 @@ inline constexpr std::uint64_t kCalibrationSeed = 0xCA11B;
   return infer::NumericsMode::kFp32;
 }
 
+// The FP32 reference score of `ds` for `graph` and `weights` at kernel
+// `isa`.  When `isa` resolves to the labelling teacher's table (kAuto) and
+// `ds` has a teacher score, that score is returned: the teacher ran the
+// same graph, weights, numerics, table and inputs, and results do not
+// depend on the thread count or tiling, so it is the same number.
+// Otherwise a fresh untiled FP32 executor scores `ds` over `pool`.
+[[nodiscard]] double Fp32ReferenceScore(const datasets::TaskDataset& ds,
+                                        const graph::Graph& graph,
+                                        const infer::WeightStore& weights,
+                                        const ThreadPool* pool,
+                                        infer::kernels::KernelIsa isa);
+
 class TaskBundle {
  public:
   // Builds the mini reference model for a suite entry; its data set is
@@ -140,7 +152,8 @@ class TaskBundle {
 
   // FP32 reference score, computed with the same kernel ISA as the run
   // under test so the ratio compares numerics, not kernels (cached per ISA
-  // after first call).
+  // after first call).  On the teacher's table it is the labelling pass's
+  // own score (Fp32ReferenceScore), with no second FP32 pass.
   [[nodiscard]] double Fp32Score(
       const ThreadPool* pool = nullptr,
       infer::kernels::KernelIsa isa = infer::kernels::KernelIsa::kAuto) const;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <variant>
 
 #include "common/fp16.h"
@@ -192,84 +194,77 @@ void RunEmbedding(const graph::EmbeddingAttrs& a, const Tensor& ids,
   }
 }
 
+// Multi-head self-attention over [S, D].  The four projections and both
+// per-head products run on the table's matmul_f32, which sums every output
+// in the scalar order; softmax and exp stay scalar.  The projection weights
+// arrive prepacked as [in, out] (Executor::PackedWeightFor).
 void RunAttention(const graph::AttentionAttrs& a, const Tensor& in,
                   const Tensor& wq, const Tensor& wk, const Tensor& wv,
-                  const Tensor& wo, Tensor& out, const ThreadPool* pool) {
+                  const Tensor& wo, Tensor& out,
+                  const kernels::KernelTable& kt, const ThreadPool* pool) {
   const std::int64_t S = in.shape().dim(0);
   const std::int64_t D = in.shape().dim(1);
   const std::int64_t H = a.num_heads;
   const std::int64_t hd = a.head_dim;
 
-  const auto project = [&](const Tensor& w) {
-    std::vector<float> r(static_cast<std::size_t>(S * D));
-    const float* ip = in.data();
-    const float* wp = w.data();  // [D, D] as [out, in]
+  // r = x . W over row chunks of the [S, D] input.
+  const auto project = [&](const float* x, const Tensor& w, float* r) {
     ParallelForRange(pool, 0, S, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t s = lo; s < hi; ++s)
-        for (std::int64_t o = 0; o < D; ++o) {
-          float acc = 0.0f;
-          const float* row = ip + s * D;
-          const float* wrow = wp + o * D;
-          for (std::int64_t i = 0; i < D; ++i) acc += row[i] * wrow[i];
-          r[static_cast<std::size_t>(s * D + o)] = acc;
-        }
+      kt.matmul_f32(x + lo * D, D, w.data(), D, r + lo * D, D, hi - lo, D, D);
     });
-    return r;
   };
-  const std::vector<float> q = project(wq);
-  const std::vector<float> k = project(wk);
-  const std::vector<float> v = project(wv);
+  const auto size = static_cast<std::size_t>(S * D);
+  std::vector<float> q(size), k(size), v(size);
+  project(in.data(), wq, q.data());
+  project(in.data(), wk, k.data());
+  project(in.data(), wv, v.data());
+  // K transposed to [D, S]: head h's K^T is rows [h * hd, (h + 1) * hd).
+  std::vector<float> k_t(size);
+  for (std::int64_t j = 0; j < S; ++j)
+    for (std::int64_t c = 0; c < D; ++c)
+      k_t[static_cast<std::size_t>(c * S + j)] =
+          k[static_cast<std::size_t>(j * D + c)];
 
   // Flattened (head, query-row) pairs are independent: each writes a
-  // disjoint ctx slice.  Each chunk owns a local scores buffer.
-  std::vector<float> ctx(static_cast<std::size_t>(S * D), 0.0f);
+  // disjoint ctx slice.  A chunk takes its rows head by head, with local
+  // scores and normalizer buffers.
+  std::vector<float> ctx(size);
   const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(hd));
   ParallelForRange(pool, 0, H * S, [&](std::int64_t lo, std::int64_t hi) {
-    std::vector<float> scores(static_cast<std::size_t>(S));
-    for (std::int64_t f = lo; f < hi; ++f) {
-      const std::int64_t h = f / S;
-      const std::int64_t i = f % S;
-      const std::int64_t off = h * hd;
-      // scores_j = q_i . k_j / sqrt(hd), softmaxed over j.
-      float m = -std::numeric_limits<float>::infinity();
-      for (std::int64_t j = 0; j < S; ++j) {
-        float acc = 0.0f;
+    const std::int64_t max_rows = std::min(hi - lo, S);
+    std::vector<float> scores(static_cast<std::size_t>(max_rows * S));
+    std::vector<float> inv(static_cast<std::size_t>(max_rows));
+    while (lo < hi) {
+      const std::int64_t off = (lo / S) * hd;
+      const std::int64_t i0 = lo % S;
+      const std::int64_t rows = std::min(S - i0, hi - lo);
+      // scores_ij = q_i . k_j / sqrt(hd), softmaxed over j.
+      kt.matmul_f32(q.data() + i0 * D + off, D, k_t.data() + off * S, S,
+                    scores.data(), S, rows, S, hd);
+      for (std::int64_t r = 0; r < rows; ++r) {
+        float* row = scores.data() + r * S;
+        float m = -std::numeric_limits<float>::infinity();
+        for (std::int64_t j = 0; j < S; ++j) {
+          row[j] *= inv_sqrt;
+          m = std::max(m, row[j]);
+        }
+        double sum = 0.0;
+        for (std::int64_t j = 0; j < S; ++j) {
+          row[j] = std::exp(row[j] - m);
+          sum += row[j];
+        }
+        inv[static_cast<std::size_t>(r)] = static_cast<float>(1.0 / sum);
+      }
+      float* c = ctx.data() + i0 * D + off;
+      kt.matmul_f32(scores.data(), S, v.data() + off, D, c, D, rows, hd, S);
+      for (std::int64_t r = 0; r < rows; ++r)
         for (std::int64_t d = 0; d < hd; ++d)
-          acc += q[static_cast<std::size_t>(i * D + off + d)] *
-                 k[static_cast<std::size_t>(j * D + off + d)];
-        scores[static_cast<std::size_t>(j)] = acc * inv_sqrt;
-        m = std::max(m, scores[static_cast<std::size_t>(j)]);
-      }
-      double sum = 0.0;
-      for (std::int64_t j = 0; j < S; ++j) {
-        auto& sj = scores[static_cast<std::size_t>(j)];
-        sj = std::exp(sj - m);
-        sum += sj;
-      }
-      const auto inv = static_cast<float>(1.0 / sum);
-      for (std::int64_t d = 0; d < hd; ++d) {
-        float acc = 0.0f;
-        for (std::int64_t j = 0; j < S; ++j)
-          acc += scores[static_cast<std::size_t>(j)] *
-                 v[static_cast<std::size_t>(j * D + off + d)];
-        ctx[static_cast<std::size_t>(i * D + off + d)] = acc * inv;
-      }
+          c[r * D + d] *= inv[static_cast<std::size_t>(r)];
+      lo += rows;
     }
   });
 
-  // Output projection.
-  const float* wop = wo.data();
-  float* op = out.data();
-  ParallelForRange(pool, 0, S, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t s = lo; s < hi; ++s)
-      for (std::int64_t o = 0; o < D; ++o) {
-        float acc = 0.0f;
-        const float* row = ctx.data() + s * D;
-        const float* wrow = wop + o * D;
-        for (std::int64_t i = 0; i < D; ++i) acc += row[i] * wrow[i];
-        op[s * D + o] = acc;
-      }
-  });
+  project(ctx.data(), wo, out.data());
 }
 
 void RunLstm(const graph::LstmAttrs& a, const Tensor& in, const Tensor& wx,
@@ -336,19 +331,34 @@ void FakeQuantWeights(Tensor& t, bool per_channel, int bits) {
   }
 }
 
+// The asymmetric uint grid FakeQuantActivation rounds onto, nudged so zero
+// is exactly representable (TFLite requirement; keeps zero-padding exact).
+// nullopt for a degenerate range, which passes values through unchanged.
+struct ActivationGrid {
+  float scale = 1.0f;
+  float zp = 0.0f;
+  float qmax = 0.0f;
+};
+
+std::optional<ActivationGrid> ActivationGridFor(const TensorRange& r,
+                                                int bits) {
+  const float lo = std::min(r.min, 0.0f);
+  const float hi = std::max(r.max, 0.0f);
+  if (hi - lo < 1e-12f) return std::nullopt;
+  ActivationGrid g;
+  g.qmax = static_cast<float>((1 << bits) - 1);  // 255
+  g.scale = (hi - lo) / g.qmax;
+  g.zp = std::round(-lo / g.scale);
+  return g;
+}
+
 }  // namespace
 
 float FakeQuantActivation(float v, const TensorRange& r, int bits) {
-  // Asymmetric uint grid nudged so zero is exactly representable (TFLite
-  // requirement; keeps zero-padding exact).
-  float lo = std::min(r.min, 0.0f);
-  float hi = std::max(r.max, 0.0f);
-  if (hi - lo < 1e-12f) return v;
-  const float qmax = static_cast<float>((1 << bits) - 1);  // 255
-  const float scale = (hi - lo) / qmax;
-  const float zp = std::round(-lo / scale);
-  const float q = std::clamp(std::round(v / scale) + zp, 0.0f, qmax);
-  return (q - zp) * scale;
+  const std::optional<ActivationGrid> g = ActivationGridFor(r, bits);
+  if (!g) return v;
+  const float q = std::clamp(std::round(v / g->scale) + g->zp, 0.0f, g->qmax);
+  return (q - g->zp) * g->scale;
 }
 
 Executor::Executor(const Graph& graph, const WeightStore& weights,
@@ -385,27 +395,39 @@ Executor::Executor(const Graph& graph, const WeightStore& weights,
     }
     prepared_weights_[static_cast<std::size_t>(id)] = std::move(t);
   }
-  // Prepack depthwise weights for the selected table: [C,KH,KW] ->
-  // [KH,KW,C], after the numerics transform so values are the prepared
-  // ones.  A pure layout change — every table reads the same values.
-  dw_packed_weights_.resize(graph_.tensors().size());
-  for (const Node& n : graph_.nodes()) {
-    if (n.op != OpType::kDepthwiseConv2d) continue;
-    const TensorId wid = n.weights[0];
-    if (dw_packed_weights_[static_cast<std::size_t>(wid)] != nullptr) continue;
+  // Prepack after the numerics transform, so values are the prepared ones;
+  // a pure layout change — every table reads the same values.  Depthwise
+  // weights go [C,KH,KW] -> [KH,KW,C] (channel-contiguous taps); attention
+  // projections go [out, in] -> [in, out] (matmul_f32's row-major b).
+  packed_weights_.resize(graph_.tensors().size());
+  const auto pack = [&](TensorId wid, const TensorShape& packed_shape,
+                        std::int64_t rows, std::int64_t cols,
+                        const auto& index) {
+    auto& slot = packed_weights_[static_cast<std::size_t>(wid)];
+    if (slot != nullptr) return;
     const Tensor& src = WeightFor(wid);
-    const auto& a = std::get<graph::DepthwiseConv2dAttrs>(n.attrs);
-    const std::int64_t kh = a.kernel_h, kw = a.kernel_w;
-    const std::int64_t c = static_cast<std::int64_t>(src.size()) / (kh * kw);
-    auto packed =
-        std::make_unique<Tensor>(graph::TensorShape({kh, kw, c}));
+    slot = std::make_unique<Tensor>(packed_shape);
     const float* sp = src.data();
-    float* dp = packed->data();
-    for (std::int64_t ch = 0; ch < c; ++ch)
-      for (std::int64_t y = 0; y < kh; ++y)
-        for (std::int64_t x = 0; x < kw; ++x)
-          dp[(y * kw + x) * c + ch] = sp[(ch * kh + y) * kw + x];
-    dw_packed_weights_[static_cast<std::size_t>(wid)] = std::move(packed);
+    float* dp = slot->data();
+    for (std::int64_t r = 0; r < rows; ++r)
+      for (std::int64_t c = 0; c < cols; ++c)
+        dp[index(r, c)] = sp[r * cols + c];
+  };
+  for (const Node& n : graph_.nodes()) {
+    if (n.op == OpType::kDepthwiseConv2d) {
+      const auto& a = std::get<graph::DepthwiseConv2dAttrs>(n.attrs);
+      const std::int64_t taps = a.kernel_h * a.kernel_w;
+      const std::int64_t c =
+          static_cast<std::int64_t>(WeightFor(n.weights[0]).size()) / taps;
+      pack(n.weights[0], TensorShape({a.kernel_h, a.kernel_w, c}), c, taps,
+           [&](std::int64_t ch, std::int64_t t) { return t * c + ch; });
+    } else if (n.op == OpType::kMultiHeadAttention) {
+      for (const TensorId wid : n.weights) {
+        const std::int64_t d = WeightFor(wid).shape().dim(0);
+        pack(wid, TensorShape({d, d}), d, d,
+             [&](std::int64_t o, std::int64_t i) { return i * d + o; });
+      }
+    }
   }
 }
 
@@ -423,9 +445,9 @@ const Tensor& Executor::WeightFor(TensorId id) const {
   return *p;
 }
 
-const Tensor& Executor::PackedDepthwiseFor(TensorId id) const {
-  const auto& p = dw_packed_weights_[static_cast<std::size_t>(id)];
-  Expects(p != nullptr, "missing packed depthwise weight");
+const Tensor& Executor::PackedWeightFor(TensorId id) const {
+  const auto& p = packed_weights_[static_cast<std::size_t>(id)];
+  Expects(p != nullptr, "missing packed weight");
   return *p;
 }
 
@@ -467,28 +489,30 @@ RowBand FlatBand(const Tensor& t) {
 
 // Simulates a node's output numerics in place over `vals` — a whole tensor
 // or one tile band: fp16 rounding, or activation fake-quantization where
-// calibration recorded a range.  Both are elementwise, so any split of the
-// tensor gives the same values.
+// calibration recorded a range, on the table's scalar-order entries (the
+// same bits as RoundToHalf / FakeQuantActivation on every table).  Both are
+// elementwise, so any split of the tensor gives the same values.
 void ApplyOutputNumerics(NumericsMode mode, const QuantParams& quant,
                          TensorId output_id, std::span<float> vals,
+                         const kernels::KernelTable& kt,
                          const ThreadPool* pool) {
   if (mode == NumericsMode::kFp32) return;
-  const TensorRange* range = nullptr;
+  std::optional<ActivationGrid> grid;
   if (mode == NumericsMode::kInt8) {
     const auto it = quant.activation_ranges.find(output_id);
     if (it == quant.activation_ranges.end()) return;
-    range = &it->second;
+    grid = ActivationGridFor(it->second, quant.activation_bits);
+    if (!grid) return;
   }
   ParallelForRange(
       vals.size() >= kElementwiseCutoff ? pool : nullptr, 0,
       static_cast<std::int64_t>(vals.size()),
       [&](std::int64_t lo, std::int64_t hi) {
-        float* v = vals.data();
-        if (range == nullptr) {
-          for (std::int64_t i = lo; i < hi; ++i) v[i] = RoundToHalf(v[i]);
+        float* v = vals.data() + lo;
+        if (grid) {
+          kt.fake_quant_f32(v, hi - lo, grid->scale, grid->zp, grid->qmax);
         } else {
-          for (std::int64_t i = lo; i < hi; ++i)
-            v[i] = FakeQuantActivation(v[i], *range, quant.activation_bits);
+          kt.round_half_f32(v, hi - lo);
         }
       });
 }
@@ -540,7 +564,7 @@ void NodeRunner::RunBand(const Executor& exec, const Node& n,
       break;
     case OpType::kDepthwiseConv2d:
       RunDepthwiseConv2dRows(std::get<graph::DepthwiseConv2dAttrs>(n.attrs),
-                             in, exec.PackedDepthwiseFor(n.weights[0]),
+                             in, exec.PackedWeightFor(n.weights[0]),
                              exec.WeightFor(n.weights[1]), out, kt);
       break;
     case OpType::kAvgPool:
@@ -642,8 +666,11 @@ void NodeRunner::Run(const Executor& exec, const Node& n,
       break;
     case OpType::kMultiHeadAttention:
       RunAttention(std::get<graph::AttentionAttrs>(n.attrs),
-                   fetch(n.inputs[0]), weight(0), weight(1), weight(2),
-                   weight(3), out, pool);
+                   fetch(n.inputs[0]), exec.PackedWeightFor(n.weights[0]),
+                   exec.PackedWeightFor(n.weights[1]),
+                   exec.PackedWeightFor(n.weights[2]),
+                   exec.PackedWeightFor(n.weights[3]), out, *exec.kernels_,
+                   pool);
       break;
     case OpType::kLstm:
       RunLstm(std::get<graph::LstmAttrs>(n.attrs), fetch(n.inputs[0]),
@@ -658,7 +685,8 @@ void NodeRunner::Run(const Executor& exec, const Node& n,
     }
   }
   if (observer) observer(n.output, out);
-  ApplyOutputNumerics(exec.mode_, exec.quant_, n.output, out.values(), pool);
+  ApplyOutputNumerics(exec.mode_, exec.quant_, n.output, out.values(),
+                      *exec.kernels_, pool);
 }
 
 // The segment's output rows are cut into row bands (the ThreadPool
@@ -742,7 +770,7 @@ void NodeRunner::RunSegment(const Executor& exec, std::size_t seg_idx,
             exec.mode_, exec.quant_, n.output,
             {out_band.data, static_cast<std::size_t>(
                                 out_band.rows * osh.width() * osh.channels())},
-            nullptr);
+            *exec.kernels_, nullptr);
       }
       if (traced) {
         std::vector<obs::TraceArg> args;

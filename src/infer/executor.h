@@ -100,9 +100,10 @@ class Executor {
   // `quant` must be non-null and is copied.  `isa` selects the SIMD kernel
   // table (kernels/registry.h): kAuto resolves to the best table the host
   // supports; an unavailable forced ISA falls back to scalar.  Depthwise
-  // weights are repacked [C,KH,KW] -> [KH,KW,C] at construction so every
-  // table reads channel-contiguous taps (a pure layout change — the scalar
-  // table remains bit-identical to the pre-registry executor).
+  // weights are repacked [C,KH,KW] -> [KH,KW,C] and attention projections
+  // [out, in] -> [in, out] at construction, so every table reads them in
+  // its kernels' order (a pure layout change — the scalar table remains
+  // bit-identical to the pre-registry executor).
   //
   // `tiling` (tile_planner.h) opts every run into fused tiled segment
   // execution: fusable conv/dw chains run crop-by-crop through per-worker
@@ -160,7 +161,7 @@ class Executor {
   friend struct internal::NodeRunner;
 
   [[nodiscard]] const Tensor& WeightFor(graph::TensorId id) const;
-  [[nodiscard]] const Tensor& PackedDepthwiseFor(graph::TensorId id) const;
+  [[nodiscard]] const Tensor& PackedWeightFor(graph::TensorId id) const;
 
   const graph::Graph& graph_;
   NumericsMode mode_;
@@ -173,9 +174,9 @@ class Executor {
   std::vector<std::unique_ptr<Tensor>> prepared_weights_;
   // The runtime-selected kernel table (points at registry-owned statics).
   const kernels::KernelTable* kernels_;
-  // Depthwise weights repacked to the table's channel-contiguous [KH,KW,C]
-  // layout, indexed by weight TensorId (nullptr elsewhere).
-  std::vector<std::unique_ptr<Tensor>> dw_packed_weights_;
+  // Weights repacked for their kernel, indexed by weight TensorId (nullptr
+  // elsewhere): depthwise [KH,KW,C], attention projections [in, out].
+  std::vector<std::unique_ptr<Tensor>> packed_weights_;
   // conv2d / depthwise / fully-connected node executions, in that order.
   mutable std::array<std::atomic<std::uint64_t>, 3> dispatch_counts_{};
 };

@@ -1,11 +1,14 @@
 // AVX2 + FMA microkernel table.  Compiled with -mavx2 -mfma on x86 builds
 // only (see src/infer/CMakeLists.txt); the registry dispatches here when the
-// host CPU advertises both features.
+// host CPU advertises AVX2, FMA and F16C.
 //
-// Exactness: the kernels use 8-lane FMA accumulators, which reassociates
-// the sum and fuses the round step, so they match the scalar oracle only
-// within the documented relative tolerance (DESIGN.md §13).
+// Exactness: the kernels in this file use 8-lane FMA accumulators, which
+// reassociates the sum and fuses the round step, so they match the scalar
+// oracle only within the documented relative tolerance (DESIGN.md §13).
+// The table's scalar-order entries live in avx2_scalar_order.cpp, which is
+// built without FMA and returns the scalar bits.
 #include "infer/kernels/registry.h"
+#include "infer/kernels/scalar_order.h"
 
 #if defined(MLPM_KERNELS_HAVE_AVX2)
 
@@ -67,8 +70,14 @@ void DwMaddF32Avx2(const float* x, const float* w, float* acc,
 }  // namespace
 
 const KernelTable* Avx2KernelsOrNull() {
-  static constexpr KernelTable kTable = {KernelIsa::kAvx2, "avx2",
-                                         Dot4F32Avx2, DwMaddF32Avx2};
+  static constexpr KernelTable kTable = {
+      .isa = KernelIsa::kAvx2,
+      .name = "avx2",
+      .dot4_f32 = Dot4F32Avx2,
+      .dw_madd_f32 = DwMaddF32Avx2,
+      .matmul_f32 = MatmulF32Avx2,
+      .round_half_f32 = RoundHalfF32Avx2,
+      .fake_quant_f32 = FakeQuantF32Avx2};
   return &kTable;
 }
 

@@ -4,8 +4,10 @@
 //
 // Exactness mirrors avx2.cpp: the kernels reassociate across 4 lanes and
 // fuse with vfmaq, so they match the scalar oracle within the documented
-// tolerance only.
+// tolerance only.  The scalar-order entries point at the portable bodies
+// (scalar_order.h) until NEON versions that keep the scalar order exist.
 #include "infer/kernels/registry.h"
+#include "infer/kernels/scalar_order.h"
 
 #if defined(MLPM_KERNELS_HAVE_NEON) && defined(__aarch64__)
 
@@ -57,8 +59,14 @@ void DwMaddF32Neon(const float* x, const float* w, float* acc,
 }  // namespace
 
 const KernelTable* NeonKernelsOrNull() {
-  static constexpr KernelTable kTable = {KernelIsa::kNeon, "neon",
-                                         Dot4F32Neon, DwMaddF32Neon};
+  static constexpr KernelTable kTable = {
+      .isa = KernelIsa::kNeon,
+      .name = "neon",
+      .dot4_f32 = Dot4F32Neon,
+      .dw_madd_f32 = DwMaddF32Neon,
+      .matmul_f32 = MatmulF32Portable,
+      .round_half_f32 = RoundHalfF32Portable,
+      .fake_quant_f32 = FakeQuantF32Portable};
   return &kTable;
 }
 

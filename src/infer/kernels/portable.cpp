@@ -1,10 +1,17 @@
 // Portable scalar microkernels — the fallback table and the bit-exactness
 // oracle.  dot4_f32 and dw_madd_f32 reproduce the executor's original
 // conv/FC/depthwise accumulation order element for element, so a forced
-// scalar run matches the pre-registry engine bit for bit.
+// scalar run matches the pre-registry engine bit for bit.  The scalar-order
+// entries (scalar_order.h) are the definitions every table must reproduce
+// exactly; this file is built with -ffp-contract=off so they stay unfused
+// even when the whole tree is compiled with -mfma.
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
+#include "common/fp16.h"
 #include "infer/kernels/registry.h"
+#include "infer/kernels/scalar_order.h"
 
 namespace mlpm::infer::kernels {
 namespace {
@@ -35,9 +42,39 @@ void DwMaddF32Portable(const float* x, const float* w, float* acc,
 
 }  // namespace
 
+void MatmulF32Portable(const float* a, std::int64_t lda, const float* b,
+                       std::int64_t ldb, float* c, std::int64_t ldc,
+                       std::int64_t m, std::int64_t n, std::int64_t k) {
+  for (std::int64_t i = 0; i < m; ++i)
+    for (std::int64_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (std::int64_t p = 0; p < k; ++p)
+        acc += a[i * lda + p] * b[p * ldb + j];
+      c[i * ldc + j] = acc;
+    }
+}
+
+void RoundHalfF32Portable(float* v, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) v[i] = RoundToHalf(v[i]);
+}
+
+void FakeQuantF32Portable(float* v, std::int64_t n, float scale, float zp,
+                          float qmax) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float q = std::clamp(std::round(v[i] / scale) + zp, 0.0f, qmax);
+    v[i] = (q - zp) * scale;
+  }
+}
+
 const KernelTable& ScalarKernels() {
-  static constexpr KernelTable kTable = {KernelIsa::kScalar, "scalar",
-                                         Dot4F32Portable, DwMaddF32Portable};
+  static constexpr KernelTable kTable = {
+      .isa = KernelIsa::kScalar,
+      .name = "scalar",
+      .dot4_f32 = Dot4F32Portable,
+      .dw_madd_f32 = DwMaddF32Portable,
+      .matmul_f32 = MatmulF32Portable,
+      .round_half_f32 = RoundHalfF32Portable,
+      .fake_quant_f32 = FakeQuantF32Portable};
   return kTable;
 }
 

@@ -21,9 +21,10 @@ CpuFeatures DetectCpuFeatures() {
   CpuFeatures f;
 #if defined(__x86_64__) || defined(__i386__)
 #if defined(__GNUC__) || defined(__clang__)
-  // cpuid-backed: both AVX2 and FMA3 must be present (the avx2 table
-  // assumes fused multiply-add).
-  f.avx2 = __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  // cpuid-backed: AVX2, FMA3 and F16C must all be present (the avx2 table
+  // assumes fused multiply-add and rounds FP16 with vcvtps2ph).
+  f.avx2 = __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+           __builtin_cpu_supports("f16c");
 #endif
 #elif defined(__aarch64__)
 #if defined(MLPM_KERNELS_USE_HWCAP)

@@ -1,16 +1,22 @@
 // Runtime-dispatched SIMD microkernel registry.
 //
-// The execution engine's hot inner loops — the conv/FC 4-wide dot product
-// and the depthwise per-tap multiply-accumulate — are reached through a
-// `KernelTable` of function pointers instead of being called directly.  A
-// `KernelRegistry` probes the host CPU once (cpuid-backed
-// `__builtin_cpu_supports` on x86, HWCAP/compile-time on AArch64) and
-// selects the best table: AVX2+FMA, NEON, or the portable scalar
-// implementation.
+// The execution engine's hot inner loops — the conv/FC 4-wide dot product,
+// the depthwise per-tap multiply-accumulate, the attention matmuls and the
+// FP16 / INT8 output numerics — are reached through a `KernelTable` of
+// function pointers instead of being called directly.  A `KernelRegistry`
+// probes the host CPU once (cpuid-backed `__builtin_cpu_supports` on x86,
+// HWCAP/compile-time on AArch64) and selects the best table: AVX2+FMA+F16C,
+// NEON, or the portable scalar implementation.
 //
-// Exactness contract (DESIGN.md §13): the f32 kernels may reassociate and
-// fuse (FMA), so vectorized tables are only required to match the scalar
-// oracle within a small relative tolerance, enforced by kernel_dispatch_test.
+// Exactness contract (DESIGN.md §13) — two kinds of entries:
+//   * entries that reassociate (`dot4_f32`, `dw_madd_f32`) may sum across
+//     lanes and fuse (FMA), so vectorized tables are only required to match
+//     the scalar oracle within a small relative tolerance;
+//   * entries that keep the scalar order (`matmul_f32`, `round_half_f32`,
+//     `fake_quant_f32`) put their lanes across independent outputs and do
+//     each output's arithmetic in the scalar order, one multiply and one add
+//     per term, so every table returns the scalar table's exact bits.
+// kernel_dispatch_test enforces both.
 //
 // The scalar table is the portable fallback AND the oracle: it reproduces the
 // pre-dispatch arithmetic order exactly, so a forced `--kernel-isa scalar`
@@ -45,7 +51,7 @@ enum class KernelIsa : std::uint8_t { kAuto = 0, kScalar, kAvx2, kNeon };
 // What the host CPU can execute (independent of what this binary was
 // compiled with; `KernelRegistry::Available` intersects the two).
 struct CpuFeatures {
-  bool avx2 = false;  // AVX2 and FMA3 both present
+  bool avx2 = false;  // AVX2, FMA3 and F16C all present
   bool neon = false;  // AArch64 Advanced SIMD
 };
 
@@ -59,6 +65,13 @@ struct CpuFeatures {
 //                  fully-connected 4-output-channel inner loop.
 //   dw_madd_f32    acc[c] += x[c] * w[c] for c in [0, channels) — one
 //                  depthwise tap over a channel-contiguous weight slice.
+//   matmul_f32     c[i][j] = sum_p a[i][p] * b[p][j] over row-major [m,k] a
+//                  and [k,n] b with leading dimensions lda/ldb/ldc; each sum
+//                  starts at 0.0f and takes p ascending (scalar order).
+//   round_half_f32 v[i] = RoundToHalf(v[i]) for i in [0, n) (common/fp16.h).
+//   fake_quant_f32 v[i] = (clamp(round(v[i] / scale) + zp, 0, qmax) - zp)
+//                  * scale for i in [0, n) — FakeQuantActivation's per-
+//                  element step on a grid computed once per tensor.
 // The dot4 call sites block their work in groups of four output features,
 // and a feature's arithmetic differs between the blocked path and the
 // remainder path.  The engine guarantees bit-identical results for ANY
@@ -75,6 +88,12 @@ struct KernelTable {
                    float* acc) = nullptr;
   void (*dw_madd_f32)(const float* x, const float* w, float* acc,
                       std::int64_t channels) = nullptr;
+  void (*matmul_f32)(const float* a, std::int64_t lda, const float* b,
+                     std::int64_t ldb, float* c, std::int64_t ldc,
+                     std::int64_t m, std::int64_t n, std::int64_t k) = nullptr;
+  void (*round_half_f32)(float* v, std::int64_t n) = nullptr;
+  void (*fake_quant_f32)(float* v, std::int64_t n, float scale, float zp,
+                         float qmax) = nullptr;
 };
 
 // The portable table — always present, the bit-exactness oracle.

@@ -1,21 +1,27 @@
 // Runtime kernel dispatch (DESIGN.md §13): the registry's feature probe,
 // ISA resolution and fallback; the exactness contract of every table the
-// host can run (f32 within a documented tolerance of the scalar oracle);
-// and the harness-level guarantee that a forced ISA flows through
-// RunOptions into the executors, the result fields and the RUN007 pre-run
-// lint.
+// host can run (the reassociating f32 entries within a documented tolerance
+// of the scalar oracle, the scalar-order entries bit for bit); and the
+// harness-level guarantee that a forced ISA flows through RunOptions into
+// the executors, the result fields and the RUN007 pre-run lint.
 //
 // The CI matrix runs this binary with MLPM_KERNEL_ISA=scalar and =auto
 // (and under an -mavx2 build); the env var picks the dispatched side of
 // the harness comparison so sanitizers sweep every table.
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/fp16.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "graph/graph.h"
 #include "harness/run_session.h"
 #include "infer/executor.h"
 #include "infer/kernels/registry.h"
@@ -143,6 +149,195 @@ TEST(KernelDispatch, Dot4AndDwMaddWithinToleranceOnEveryTable) {
       for (std::size_t c = 0; c < n; ++c)
         EXPECT_NEAR(acc_want[c], acc_got[c], 1e-6)
             << infer::kernels::ToString(isa) << " dw_madd c=" << c;
+    }
+  }
+}
+
+// --- scalar-order entries ---------------------------------------------------
+
+float FromBits(std::uint32_t bits) { return std::bit_cast<float>(bits); }
+std::uint32_t Bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+// Elementwise-entry inputs: the edge cases of FP16 rounding and of the
+// fake-quant grid, then seeded values (random bit patterns included, so
+// every exponent and NaN class shows up).
+std::vector<float> ElementwiseEdgeInputs(std::uint64_t seed) {
+  std::vector<float> v = {
+      0.0f, -0.0f,
+      FromBits(0x00000001u), FromBits(0x80000001u),  // f32 subnormals
+      FromBits(0x007FFFFFu), FromBits(0x80400000u),
+      std::ldexp(1.0f, -25), -std::ldexp(1.0f, -25),  // 2^-25 and neighbours
+      std::nextafter(std::ldexp(1.0f, -25), 0.0f),
+      std::nextafter(std::ldexp(1.0f, -25), 1.0f),
+      3.0f * std::ldexp(1.0f, -25),                    // subnormal halfway
+      1.0f + std::ldexp(1.0f, -11),                    // RNE ties to even
+      1.0f + 3.0f * std::ldexp(1.0f, -11),
+      -(1.0f + std::ldexp(1.0f, -11)),
+      2048.0f + 1.0f, 2048.0f + 3.0f,                  // ties at ulp 2
+      65504.0f, -65504.0f, 65519.99f, 65520.0f, -65520.0f, 1e6f,
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      FromBits(0x7FC00000u), FromBits(0xFFC00000u),    // quiet NaNs
+      FromBits(0x7FC12345u), FromBits(0xFFD00001u),    // ... with payloads
+      FromBits(0x7F800001u), FromBits(0xFF812345u),    // signalling NaNs
+      FromBits(0x7FA00000u)};
+  Rng rng(seed);
+  for (int i = 0; i < 2048; ++i)
+    v.push_back(
+        FromBits(static_cast<std::uint32_t>(rng.NextBelow(1ull << 32))));
+  for (int i = 0; i < 2048; ++i)
+    v.push_back(static_cast<float>(rng.NextUniform(-70000.0, 70000.0)));
+  for (int i = 0; i < 1027; ++i)
+    v.push_back(static_cast<float>(rng.NextUniform(-4.0, 4.0)));
+  return v;
+}
+
+// Runs `entry` of `table` and of the scalar table on `in` — whole, and at
+// every short length (so each vector tail path runs) — and compares bits.
+template <typename Entry>
+void ExpectSameBitsAsScalar(const KernelTable& table,
+                            const std::vector<float>& in, const Entry& entry,
+                            const char* what) {
+  const KernelTable& oracle = infer::kernels::ScalarKernels();
+  const auto check = [&](std::size_t offset, std::size_t n) {
+    std::vector<float> want(in.begin() + static_cast<std::ptrdiff_t>(offset),
+                            in.begin() +
+                                static_cast<std::ptrdiff_t>(offset + n));
+    std::vector<float> got = want;
+    entry(oracle, want.data(), static_cast<std::int64_t>(n));
+    entry(table, got.data(), static_cast<std::int64_t>(n));
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(Bits(want[i]), Bits(got[i]))
+          << table.name << " " << what << " input bits 0x" << std::hex
+          << Bits(in[offset + i]) << std::dec << " (n=" << n << ")";
+  };
+  check(0, in.size());
+  for (std::size_t n = 0; n <= 19; ++n)
+    for (std::size_t offset = 0; offset + n <= 40; offset += 7)
+      check(offset, n);
+}
+
+TEST(KernelDispatch, RoundHalfIsBitExactOnEveryTable) {
+  const std::vector<float> in = ElementwiseEdgeInputs(0xF16);
+  // The scalar entry is RoundToHalf, element for element.
+  std::vector<float> v = in;
+  infer::kernels::ScalarKernels().round_half_f32(
+      v.data(), static_cast<std::int64_t>(v.size()));
+  for (std::size_t i = 0; i < in.size(); ++i)
+    ASSERT_EQ(Bits(v[i]), Bits(RoundToHalf(in[i]))) << i;
+  for (const KernelIsa isa : KernelRegistry::Global().AvailableIsas())
+    ExpectSameBitsAsScalar(
+        KernelRegistry::Global().Select(isa), in,
+        [](const KernelTable& t, float* p, std::int64_t n) {
+          t.round_half_f32(p, n);
+        },
+        "round_half_f32");
+}
+
+TEST(KernelDispatch, FakeQuantIsBitExactOnEveryTable) {
+  struct Grid {
+    float scale, zp, qmax;
+  };
+  // A power-of-two scale makes quotients of exactly +-k.5; zp -0.0 is what
+  // a range with min 0 produces; 4-bit and 8-bit qmax.
+  const Grid grids[] = {{0.25f, 0.0f, 255.0f},
+                        {0.25f, -0.0f, 255.0f},
+                        {0.25f, 128.0f, 255.0f},
+                        {0.0117647f, 37.0f, 255.0f},
+                        {0.3f, 5.0f, 15.0f},
+                        {1e-30f, 0.0f, 255.0f}};
+  std::vector<float> in = ElementwiseEdgeInputs(0xFA4E);
+  for (int k = -300; k <= 300; ++k) {
+    in.push_back((static_cast<float>(k) + 0.5f) * 0.25f);   // quotient k.5
+    in.push_back(static_cast<float>(k) * 0.25f);            // exact ints
+  }
+  for (const Grid& g : grids)
+    for (const KernelIsa isa : KernelRegistry::Global().AvailableIsas())
+      ExpectSameBitsAsScalar(
+          KernelRegistry::Global().Select(isa), in,
+          [&](const KernelTable& t, float* p, std::int64_t n) {
+            t.fake_quant_f32(p, n, g.scale, g.zp, g.qmax);
+          },
+          "fake_quant_f32");
+}
+
+TEST(KernelDispatch, MatmulIsBitExactOnEveryTable) {
+  const KernelTable& oracle = infer::kernels::ScalarKernels();
+  Rng rng(0x3A7);
+  const auto fill = [&](std::vector<float>& v) {
+    for (auto& x : v) {
+      const std::uint64_t pick = rng.NextBelow(16);
+      x = pick == 0   ? -0.0f
+          : pick == 1 ? FromBits(0x00000003u)
+          : pick == 2 ? static_cast<float>(rng.NextUniform(-1e4, 1e4))
+                      : static_cast<float>(rng.NextUniform(-1.0, 1.0));
+    }
+  };
+  // m % 4 != 0, n % 8 != 0 and k = 1 all appear, and leading dimensions
+  // wider than the row so strided operands are read correctly.
+  for (const std::int64_t m : {1, 3, 4, 5, 8, 13})
+    for (const std::int64_t n : {1, 7, 8, 9, 16, 23})
+      for (const std::int64_t k : {1, 2, 7, 16, 48}) {
+        const std::int64_t lda = k + 3, ldb = n + 5, ldc = n + 2;
+        std::vector<float> a(static_cast<std::size_t>(m * lda));
+        std::vector<float> b(static_cast<std::size_t>(k * ldb));
+        fill(a);
+        fill(b);
+        std::vector<float> want(static_cast<std::size_t>(m * ldc), 7.0f);
+        oracle.matmul_f32(a.data(), lda, b.data(), ldb, want.data(), ldc, m,
+                          n, k);
+        for (const KernelIsa isa : KernelRegistry::Global().AvailableIsas()) {
+          const KernelTable& table = KernelRegistry::Global().Select(isa);
+          std::vector<float> got(want.size(), 7.0f);
+          table.matmul_f32(a.data(), lda, b.data(), ldb, got.data(), ldc, m,
+                           n, k);
+          for (std::size_t i = 0; i < want.size(); ++i)
+            ASSERT_EQ(Bits(want[i]), Bits(got[i]))
+                << table.name << " matmul m=" << m << " n=" << n
+                << " k=" << k << " at " << i;
+        }
+      }
+}
+
+// A one-node attention graph runs every matmul shape the op makes (four
+// projections, Q.K^T, P.V) plus softmax; every table and pool size must
+// give the scalar table's bits, at each numerics mode.
+TEST(KernelDispatch, AttentionNodeIsBitIdenticalAtScalarAndAuto) {
+  constexpr std::int64_t kSeq = 19, kHeads = 3, kHeadDim = 12;
+  graph::GraphBuilder b("attention");
+  const graph::TensorId x = b.Input("x", {kSeq, kHeads * kHeadDim});
+  const graph::TensorId y = b.MultiHeadAttention(x, kHeads, kHeadDim, "att");
+  b.MarkOutput(y);
+  const graph::Graph g = std::move(b).Build();
+  const infer::WeightStore w = infer::InitializeWeights(g, 11);
+  infer::Tensor input(g.tensor(x).shape);
+  Rng rng(17);
+  for (auto& v : input.values())
+    v = static_cast<float>(rng.NextUniform(-2.0, 2.0));
+  const std::vector<infer::Tensor> inputs{input};
+  infer::QuantParams qp;
+  qp.activation_ranges[y] = infer::TensorRange{-0.7f, 1.3f};
+
+  ThreadPool four(4);
+  for (const infer::NumericsMode mode :
+       {infer::NumericsMode::kFp32, infer::NumericsMode::kFp16,
+        infer::NumericsMode::kInt8}) {
+    const infer::Executor scalar(g, w, mode, &qp, KernelIsa::kScalar);
+    const infer::Executor autod(g, w, mode, &qp, KernelIsa::kAuto);
+    infer::ExecutionContext sctx(scalar);
+    const std::vector<infer::Tensor> want =
+        scalar.Run(inputs, sctx, {}, nullptr);
+    for (const ThreadPool* pool : {static_cast<const ThreadPool*>(nullptr),
+                                   static_cast<const ThreadPool*>(&four)}) {
+      for (const infer::Executor* e : {&scalar, &autod}) {
+        infer::ExecutionContext ctx(*e);
+        const std::vector<infer::Tensor> got = e->Run(inputs, ctx, {}, pool);
+        ASSERT_EQ(want.size(), got.size());
+        for (std::size_t i = 0; i < want[0].size(); ++i)
+          ASSERT_EQ(Bits(want[0].at(i)), Bits(got[0].at(i)))
+              << infer::ToString(mode) << " " << e->kernels().name
+              << " pool=" << (pool == nullptr ? 1 : 4) << " at " << i;
+      }
     }
   }
 }
