@@ -181,8 +181,9 @@ constexpr Flag kFlags[] = {
        c.fault_seed = Number(v, std::uint64_t{0},
                              std::numeric_limits<std::uint64_t>::max());
      }},
-    // Accuracy-phase worker threads; results are bit-identical for any
-    // value.
+    // Worker threads: the accuracy phase's inference, labelling and
+    // calibration, or a performance-only run's tasks and their checks.
+    // Every output is byte-identical for any value.
     {"--threads", "N",
      [](Cli& c, const Flag&, const std::string& v) {
        c.run.threads = Number(v, 1, static_cast<int>(kMaxThreads));

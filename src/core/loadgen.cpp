@@ -379,10 +379,16 @@ TestResult RunTest(SystemUnderTest& sut, QuerySampleLibrary& qsl,
                  std::to_string(settings.server_max_shed_fraction));
   }
 
+  // A query logs at most two events (its issue, then its completion or
+  // rejection; a shed query logs one), so twice the query count bounds
+  // every test's log but single-stream's, where it is a floor.
+  const std::size_t expected_queries =
+      ExpectedQueryCount(settings, qsl.TotalSampleCount());
+  log.Reserve(2 * expected_queries);
+
   const bool accuracy = settings.mode == TestMode::kAccuracyOnly;
   Collector collector(clock, log, accuracy, settings.query_timeout,
-                      g_test_sequence.fetch_add(1) + 1,
-                      ExpectedQueryCount(settings, qsl.TotalSampleCount()));
+                      g_test_sequence.fetch_add(1) + 1, expected_queries);
   std::uint64_t next_id = 1;
 
   // Scenario phase marks on the test-clock timeline; their order is part of

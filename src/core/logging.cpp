@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 #include <system_error>
+#include <utility>
 
 #include "common/check.h"
 
@@ -33,9 +34,12 @@ static_assert(std::ranges::all_of(kEventTags, [](const EventTag& t) {
 }));
 
 constexpr int kTimestampDecimals = 9;
-// A typical event line ("complete 12345 61.234567890\n") is under 32 bytes;
-// longer ones just grow the buffer.
-constexpr std::size_t kTypicalEventBytes = 32;
+// One event line: the longest tag, a space, a 20-digit id, a space, any
+// double in fixed notation (sign, up to 309 integer digits, a point and 9
+// decimals) and the newline.
+constexpr std::size_t kMaxEventLineBytes =
+    8 + 1 + 20 + 1 + std::numeric_limits<double>::max_exponent10 + 12 + 1;
+static_assert(kMaxEventLineBytes < TestLog::kPieceBytes);
 
 // Writes `v` exactly as printf("%.9f") does.  Non-negative values below
 // 2^33 s (every timestamp a run produces) take an exact integer path:
@@ -125,47 +129,89 @@ void TestLog::Record(LogEventKind kind, std::uint64_t query_id, Seconds t) {
   events_.push_back(LogEvent{kind, query_id, t});
 }
 
-std::string TestLog::Serialize() const {
-  std::size_t reserve = kHeader.size() + 1 + events_.size() * kTypicalEventBytes;
-  for (const auto& [k, v] : fields_)
-    reserve += kFieldTag.size() + k.size() + v.size() + 3;
-  std::string out;
-  out.reserve(reserve);
-  out.append(kHeader).push_back('\n');
+void TestLog::Write(const std::function<void(std::string_view)>& piece) const {
+  std::string buf(kPieceBytes, '\0');
+  std::size_t used = 0;
+  const auto flush = [&] {
+    if (used > 0) piece({buf.data(), used});
+    used = 0;
+  };
+  // Room for `n` more bytes in the current piece, which is flushed first
+  // when they would not fit.
+  const auto room = [&](std::size_t n) {
+    if (used + n > buf.size()) flush();
+    return buf.data() + used;
+  };
+  const auto text_line = [&](const std::string& line) {
+    if (line.size() > buf.size()) {
+      flush();
+      piece(line);
+    } else {
+      char* const p = room(line.size());
+      used = static_cast<std::size_t>(
+          std::copy(line.begin(), line.end(), p) - buf.data());
+    }
+  };
+
+  text_line(std::string(kHeader) + "\n");
   for (const auto& [k, v] : fields_) {
-    out.append(kFieldTag).append(" ").append(k).append(" ").append(v);
-    out.push_back('\n');
+    std::string line(kFieldTag);
+    line.append(" ").append(k).append(" ").append(v).push_back('\n');
+    text_line(line);
   }
-  // One event line: the longest tag, a space, a 20-digit id, a space, any
-  // double in fixed notation (sign, up to 309 integer digits, a point and
-  // 9 decimals) and the newline.
-  std::array<char, 8 + 1 + 20 + 1 +
-                       std::numeric_limits<double>::max_exponent10 + 12 + 1>
-      buf{};
-  char* const last = buf.data() + buf.size();
   for (const LogEvent& e : events_) {
+    char* p = room(kMaxEventLineBytes);
+    char* const last = p + kMaxEventLineBytes;
     const std::string_view tag = TagOf(e.kind);
-    char* p = std::copy(tag.begin(), tag.end(), buf.data());
+    p = std::copy(tag.begin(), tag.end(), p);
     *p++ = ' ';
     p = std::to_chars(p, last, e.query_id).ptr;
     *p++ = ' ';
     p = WriteTimestamp(p, last, e.timestamp.count());
     *p++ = '\n';
-    out.append(buf.data(), p);
+    used = static_cast<std::size_t>(p - buf.data());
   }
+  flush();
+}
+
+std::string TestLog::Serialize() const {
+  std::string out;
+  Write([&out](std::string_view piece) { out.append(piece); });
   return out;
 }
 
 TestLog TestLog::Parse(std::string_view text) {
-  Expects(!text.empty(), "empty log");
-  if (const std::string_view header = TakeLine(text); header != kHeader)
-    Expects(false, "unknown log format: " + std::string(header));
-  TestLog log;
+  // A local class has the member function's access: it fills the log's
+  // private members directly, as the grammar allows (no SetField checks).
+  struct Collect final : LogSink {
+    TestLog log;
+    void Field(std::string_view key, std::string_view value) override {
+      log.fields_.insert_or_assign(std::string(key), std::string(value));
+    }
+    void Event(const LogEvent& event) override {
+      log.events_.push_back(event);
+    }
+  } collect;
   // At most one event per line: the reservation is bounded by the input.
-  log.events_.reserve(
+  collect.log.events_.reserve(
       static_cast<std::size_t>(std::ranges::count(text, '\n')) + 1);
-  while (!text.empty()) {
-    const std::string_view line = TakeLine(text);
+  LogReader reader(collect);
+  reader.Feed(text);
+  reader.Finish();
+  return std::move(collect.log);
+}
+
+void LogReader::Feed(std::string_view piece) {
+  if (piece.empty()) return;
+  Expects(!ended_, "log piece after an unterminated last line");
+  ended_ = piece.back() != '\n';
+  if (!header_read_) {
+    header_read_ = true;
+    if (const std::string_view header = TakeLine(piece); header != kHeader)
+      Expects(false, "unknown log format: " + std::string(header));
+  }
+  while (!piece.empty()) {
+    const std::string_view line = TakeLine(piece);
     if (line.empty()) continue;
 
     const std::size_t sp = line.find(' ');
@@ -177,20 +223,20 @@ TestLog TestLog::Parse(std::string_view text) {
       double t = 0.0;
       if (!ParseEventBody(body, id, t)) [[unlikely]]
         Expects(false, "malformed log event: " + std::string(line));
-      log.events_.push_back(LogEvent{event->kind, id, Seconds{t}});
+      sink_.Event(LogEvent{event->kind, id, Seconds{t}});
     } else if (tag == kFieldTag) {
       // `field <key> <value>`: the key is non-empty and space-free, the
       // value is the rest of the line verbatim (possibly empty).
       const std::size_t key_end = body.find(' ');
       if (key_end == 0 || key_end == std::string_view::npos) [[unlikely]]
         Expects(false, "malformed log field: " + std::string(line));
-      log.fields_.insert_or_assign(std::string(body.substr(0, key_end)),
-                                   std::string(body.substr(key_end + 1)));
+      sink_.Field(body.substr(0, key_end), body.substr(key_end + 1));
     } else {
       Expects(false, "unknown log line tag: " + std::string(tag));
     }
   }
-  return log;
 }
+
+void LogReader::Finish() const { Expects(header_read_, "empty log"); }
 
 }  // namespace mlpm::loadgen

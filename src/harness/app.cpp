@@ -1,5 +1,6 @@
 #include "harness/app.h"
 
+#include "common/thread_pool.h"
 #include "harness/checker.h"
 #include "harness/report.h"
 #include "obs/metrics.h"
@@ -10,12 +11,14 @@ namespace mlpm::harness {
 AppRunOutput RunMobileApp(const soc::ChipsetDesc& chipset,
                           models::SuiteVersion version, SuiteBundles& bundles,
                           const RunOptions& options) {
+  // One pool serves the run and the check.
+  const std::unique_ptr<ThreadPool> pool = MakeRunPool(options.threads);
   AppRunOutput out;
-  out.result = RunSubmission(chipset, version, bundles, options);
+  out.result = RunSubmission(chipset, version, bundles, options, pool.get());
   out.report_text = FormatSubmission(out.result) + FormatProfileTables(options);
 
   const CheckReport check =
-      CheckSubmission(out.result, options.performance_settings);
+      CheckSubmission(out.result, options.performance_settings, pool.get());
   out.checker_text = FormatCheckReport(check);
   out.submission_valid = check.valid;
   return out;

@@ -7,6 +7,7 @@
 #include <optional>
 
 #include "common/statistics.h"
+#include "common/thread_pool.h"
 #include "common/table.h"
 #include "harness/task_bundle.h"
 
@@ -34,222 +35,272 @@ struct QuerySlot {
   State state = kNone;
 };
 
+// One walk over a log's records in line order: fields, then events, in
+// any interleaving, then Finish().  Both the text path (a parsed log) and
+// the recorded path (a log streamed through the reader) feed it.
+//
+// Shed and rejected queries (DESIGN.md §12) resolve without a completion:
+// shed queries were never issued to the SUT at all, rejected ones were
+// fast-failed by an open breaker — neither contributes a latency sample,
+// and neither may be double-counted as never-completed.
+//
+// LoadGen ids are dense from 1 and every id has at least one event, so a
+// table indexed by id covers every query of a well-formed log; an id
+// outside [1, events] is a problem of its own.
+class LogCheck final : public loadgen::LogSink {
+ public:
+  // `events` is the log's event count, which sizes the slot table.
+  LogCheck(const loadgen::TestSettings& expected, std::size_t events)
+      : expected_(expected),
+        events_(events),
+        multi_stream_(expected.scenario ==
+                      loadgen::TestScenario::kMultiStream),
+        queries_(events + 1) {
+    latencies_.reserve(events / 2);
+  }
+
+  void Field(std::string_view key, std::string_view value) override {
+    fields_.insert_or_assign(std::string(key), std::string(value));
+  }
+
+  void Event(const loadgen::LogEvent& e) override {
+    ++delivered_;
+    const double t = e.timestamp.count();
+    if (e.query_id == 0 || e.query_id > events_) {
+      Problem("query " + std::to_string(e.query_id) + " out of range");
+      return;
+    }
+    QuerySlot& q = queries_[e.query_id];
+    if (e.kind == loadgen::LogEventKind::kQueryIssued) {
+      if (open_queries_ > 0) serialized_ = false;
+      if (q.state == QuerySlot::kOpen) {
+        Problem("query " + std::to_string(e.query_id) + " issued twice");
+      } else {
+        q.state = QuerySlot::kOpen;
+        ++open_queries_;
+      }
+      q.issued_at = t;
+      if (first_issue_ < 0) first_issue_ = t;
+      if (t < last_issue_time_)
+        Problem("issue timestamps are not monotonic");
+      last_issue_time_ = t;
+      return;
+    }
+    // Multi-stream: every later event of a query issued earlier in the log
+    // counts at the query's latest issue time.  Only issue events change
+    // "ever issued" and issued_at, so this is read before the state moves.
+    if (multi_stream_ && q.state != QuerySlot::kNone) {
+      auto [it, inserted] = per_query_.try_emplace(q.issued_at, t);
+      if (!inserted) it->second = std::max(it->second, t);
+    }
+    if (e.kind == loadgen::LogEventKind::kQueryShed) {
+      if (q.state == QuerySlot::kOpen)
+        Problem("query " + std::to_string(e.query_id) +
+                " both issued and shed");
+      ++shed_events_;
+    } else if (e.kind == loadgen::LogEventKind::kQueryRejected) {
+      if (q.state != QuerySlot::kOpen) {
+        Problem("rejection for unknown query " + std::to_string(e.query_id));
+        return;
+      }
+      ++rejected_events_;
+      q.state = QuerySlot::kClosed;
+      --open_queries_;
+    } else {
+      if (q.state != QuerySlot::kOpen) {
+        Problem("completion for unknown query " +
+                std::to_string(e.query_id));
+        return;
+      }
+      if (t < q.issued_at)
+        Problem("query " + std::to_string(e.query_id) +
+                " completed before it was issued");
+      latencies_.push_back(t - q.issued_at);
+      last_complete_ = std::max(last_complete_, t);
+      q.state = QuerySlot::kClosed;
+      --open_queries_;
+    }
+  }
+
+  // The verdict: field problems first, then the events' in log order, then
+  // the run rules and the summary cross-check.
+  CheckReport Finish() {
+    CheckReport report;
+    const auto field = [&](const std::string& key) -> std::string {
+      const auto it = fields_.find(key);
+      if (it == fields_.end()) {
+        report.Problem("missing log field: " + key);
+        return {};
+      }
+      return it->second;
+    };
+    if (field("seed") != std::to_string(expected_.seed))
+      report.Problem("seed differs from the official seed");
+    if (field("scenario") != std::string(ToString(expected_.scenario)))
+      report.Problem("scenario mismatch");
+    if (field("mode") != std::string(ToString(expected_.mode)))
+      report.Problem("mode mismatch");
+    for (std::string& p : event_problems_) report.Problem(std::move(p));
+    if (delivered_ != events_)
+      report.Problem("the reader delivered " + std::to_string(delivered_) +
+                     " of the log's " + std::to_string(events_) + " events");
+
+    const std::size_t never_completed = open_queries_;
+    if (never_completed > 0)
+      report.Problem(std::to_string(never_completed) +
+                     " queries were never completed");
+    if (latencies_.empty()) {
+      report.Problem("log contains no completed queries");
+      return report;
+    }
+
+    const double duration = last_complete_ - first_issue_;
+    switch (expected_.scenario) {
+      case loadgen::TestScenario::kSingleStream:
+        if (!serialized_)
+          report.Problem("single-stream queries overlapped in flight");
+        if (latencies_.size() < expected_.min_query_count)
+          report.Problem("fewer than " +
+                         std::to_string(expected_.min_query_count) +
+                         " samples");
+        if (duration + 1e-9 < expected_.min_duration.count())
+          report.Problem("run shorter than the 60 s minimum");
+        break;
+      case loadgen::TestScenario::kOffline:
+        if (latencies_.size() != expected_.offline_sample_count)
+          report.Problem("offline sample count is not " +
+                         std::to_string(expected_.offline_sample_count));
+        break;
+      case loadgen::TestScenario::kServer: {
+        // Every offered query must be accounted for exactly once:
+        // completed, shed by admission control, rejected by the breaker,
+        // or flagged above as never completed (DESIGN.md §12).
+        const std::size_t accounted = latencies_.size() + shed_events_ +
+                                      rejected_events_ + never_completed;
+        if (accounted != expected_.server_query_count)
+          report.Problem("server query accounting is " +
+                         std::to_string(accounted) + ", not " +
+                         std::to_string(expected_.server_query_count));
+        if (expected_.server_max_queue_depth > 0 &&
+            static_cast<double>(shed_events_ + rejected_events_) >
+                expected_.server_max_shed_fraction *
+                        static_cast<double>(expected_.server_query_count) +
+                    1e-9)
+          report.Problem(
+              "server shed/rejected more than the allowed " +
+              FormatDouble(expected_.server_max_shed_fraction * 100, 1) +
+              "% of offered queries");
+        // The latency SLO applies to the accepted queries only; shed
+        // queries were refused precisely so the accepted ones could meet
+        // it.
+        const double pct =
+            Percentile(latencies_, expected_.latency_percentile);
+        if (pct > expected_.server_latency_bound.count() + 1e-9)
+          report.Problem("server percentile latency exceeds the bound");
+        break;
+      }
+      case loadgen::TestScenario::kMultiStream: {
+        const std::size_t expected_samples =
+            expected_.multistream_query_count *
+            expected_.multistream_samples_per_query;
+        if (latencies_.size() != expected_samples)
+          report.Problem("multi-stream sample count is not " +
+                         std::to_string(expected_samples));
+        // Per-query latency: samples of one query share the scheduled
+        // issue timestamp; the query finishes with its last sample.
+        std::vector<double> query_lat;
+        query_lat.reserve(per_query_.size());
+        for (const auto& [sched, done] : per_query_)
+          query_lat.push_back(done - sched);
+        if (!query_lat.empty() &&
+            Percentile(query_lat, expected_.latency_percentile) >
+                expected_.multistream_interval.count() + 1e-9)
+          report.Problem("multi-stream queries overflow the frame interval");
+        break;
+      }
+    }
+
+    // Cross-check the reported summary against the raw events.
+    // (Multi-stream reports a per-query percentile, recomputed above.)
+    // A summary field that is not one finite number in full is a problem
+    // of its own, never an exception out of the checker.
+    const auto reported = [&](const std::string& key) -> std::optional<double> {
+      const auto it = fields_.find(key);
+      if (it == fields_.end()) return {};
+      const std::optional<double> v = ParseFinite(it->second);
+      if (!v) report.Problem("unparseable log field: " + key);
+      return v;
+    };
+    if (expected_.scenario == loadgen::TestScenario::kSingleStream ||
+        expected_.scenario == loadgen::TestScenario::kServer) {
+      if (const auto rep = reported("result_percentile_latency_s");
+          rep &&
+          !Near(*rep, Percentile(latencies_, expected_.latency_percentile),
+                1e-3))
+        report.Problem("reported percentile latency does not match events");
+    }
+    if (const auto rep = reported("result_throughput_sps")) {
+      const double recomputed =
+          duration > 0 ? static_cast<double>(latencies_.size()) / duration
+                       : 0;
+      if (!Near(*rep, recomputed, 1e-3))
+        report.Problem("reported throughput does not match events");
+    }
+    return report;
+  }
+
+ private:
+  void Problem(std::string what) { event_problems_.push_back(std::move(what)); }
+
+  const loadgen::TestSettings& expected_;
+  const std::size_t events_;
+  const bool multi_stream_;
+  std::map<std::string, std::string> fields_;
+  std::vector<QuerySlot> queries_;
+  std::vector<std::string> event_problems_;
+  std::size_t delivered_ = 0;
+  std::size_t open_queries_ = 0;
+  std::vector<double> latencies_;
+  std::size_t shed_events_ = 0, rejected_events_ = 0;
+  double first_issue_ = -1.0, last_complete_ = 0.0;
+  double last_issue_time_ = -1.0;
+  bool serialized_ = true;
+  std::map<double, double> per_query_;  // scheduled -> max completion
+};
+
+// The recorded path: the writer's pieces go through the strict reader into
+// the check, so neither the whole text nor a parsed copy is ever held.
+CheckReport CheckRecordedLog(const loadgen::TestLog& log,
+                             const loadgen::TestSettings& expected) {
+  LogCheck check(expected, log.events().size());
+  try {
+    loadgen::LogReader reader(check);
+    log.Write([&reader](std::string_view piece) { reader.Feed(piece); });
+    reader.Finish();
+  } catch (const CheckError& e) {
+    CheckReport report;
+    report.Problem(std::string("unparseable log: ") + e.what());
+    return report;
+  }
+  return check.Finish();
+}
+
 }  // namespace
 
 CheckReport CheckPerformanceLog(const std::string& serialized_log,
                                 const loadgen::TestSettings& expected) {
-  CheckReport report;
   loadgen::TestLog log;
   try {
     log = loadgen::TestLog::Parse(serialized_log);
   } catch (const CheckError& e) {
+    CheckReport report;
     report.Problem(std::string("unparseable log: ") + e.what());
     return report;
   }
-
-  const auto field = [&](const std::string& key) -> std::string {
-    const std::string* v = log.FieldOrNull(key);
-    if (v == nullptr) {
-      report.Problem("missing log field: " + key);
-      return {};
-    }
-    return *v;
-  };
-
-  if (field("seed") != std::to_string(expected.seed))
-    report.Problem("seed differs from the official seed");
-  if (field("scenario") != std::string(ToString(expected.scenario)))
-    report.Problem("scenario mismatch");
-  if (field("mode") != std::string(ToString(expected.mode)))
-    report.Problem("mode mismatch");
-
-  // Reconstruct per-query latencies from raw events.  Shed and rejected
-  // queries (DESIGN.md §12) resolve without a completion: shed queries
-  // were never issued to the SUT at all, rejected ones were fast-failed
-  // by an open breaker — neither contributes a latency sample, and
-  // neither may be double-counted as never-completed.
-  //
-  // LoadGen ids are dense from 1 and every id has at least one event, so a
-  // table indexed by id covers every query of a well-formed log; an id
-  // outside [1, events] is a problem of its own.
-  const std::vector<loadgen::LogEvent>& events = log.events();
-  std::vector<QuerySlot> queries(events.size() + 1);
-  const auto slot = [&](std::uint64_t id) -> QuerySlot* {
-    return id == 0 || id > events.size() ? nullptr : &queries[id];
-  };
-  std::size_t open_queries = 0;
-  std::vector<double> latencies;
-  latencies.reserve(events.size() / 2);
-  std::size_t shed_events = 0, rejected_events = 0;
-  double first_issue = -1.0, last_complete = 0.0;
-  double last_issue_time = -1.0;
-  bool serialized = true;
-  for (const loadgen::LogEvent& e : events) {
-    const double t = e.timestamp.count();
-    QuerySlot* const q = slot(e.query_id);
-    if (q == nullptr) {
-      report.Problem("query " + std::to_string(e.query_id) + " out of range");
-      continue;
-    }
-    if (e.kind == loadgen::LogEventKind::kQueryIssued) {
-      if (open_queries > 0) serialized = false;
-      if (q->state == QuerySlot::kOpen) {
-        report.Problem("query " + std::to_string(e.query_id) +
-                       " issued twice");
-      } else {
-        q->state = QuerySlot::kOpen;
-        ++open_queries;
-      }
-      q->issued_at = t;
-      if (first_issue < 0) first_issue = t;
-      if (t < last_issue_time)
-        report.Problem("issue timestamps are not monotonic");
-      last_issue_time = t;
-    } else if (e.kind == loadgen::LogEventKind::kQueryShed) {
-      if (q->state == QuerySlot::kOpen)
-        report.Problem("query " + std::to_string(e.query_id) +
-                       " both issued and shed");
-      ++shed_events;
-    } else if (e.kind == loadgen::LogEventKind::kQueryRejected) {
-      if (q->state != QuerySlot::kOpen) {
-        report.Problem("rejection for unknown query " +
-                       std::to_string(e.query_id));
-        continue;
-      }
-      ++rejected_events;
-      q->state = QuerySlot::kClosed;
-      --open_queries;
-    } else {
-      if (q->state != QuerySlot::kOpen) {
-        report.Problem("completion for unknown query " +
-                       std::to_string(e.query_id));
-        continue;
-      }
-      if (t < q->issued_at)
-        report.Problem("query " + std::to_string(e.query_id) +
-                       " completed before it was issued");
-      latencies.push_back(t - q->issued_at);
-      last_complete = std::max(last_complete, t);
-      q->state = QuerySlot::kClosed;
-      --open_queries;
-    }
-  }
-  const std::size_t never_completed = open_queries;
-  if (never_completed > 0)
-    report.Problem(std::to_string(never_completed) +
-                   " queries were never completed");
-  if (latencies.empty()) {
-    report.Problem("log contains no completed queries");
-    return report;
-  }
-
-  const double duration = last_complete - first_issue;
-  switch (expected.scenario) {
-    case loadgen::TestScenario::kSingleStream:
-      if (!serialized)
-        report.Problem("single-stream queries overlapped in flight");
-      if (latencies.size() < expected.min_query_count)
-        report.Problem("fewer than " +
-                       std::to_string(expected.min_query_count) +
-                       " samples");
-      if (duration + 1e-9 < expected.min_duration.count())
-        report.Problem("run shorter than the 60 s minimum");
-      break;
-    case loadgen::TestScenario::kOffline:
-      if (latencies.size() != expected.offline_sample_count)
-        report.Problem("offline sample count is not " +
-                       std::to_string(expected.offline_sample_count));
-      break;
-    case loadgen::TestScenario::kServer: {
-      // Every offered query must be accounted for exactly once: completed,
-      // shed by admission control, rejected by the breaker, or flagged
-      // above as never completed (DESIGN.md §12).
-      const std::size_t accounted =
-          latencies.size() + shed_events + rejected_events + never_completed;
-      if (accounted != expected.server_query_count)
-        report.Problem("server query accounting is " +
-                       std::to_string(accounted) + ", not " +
-                       std::to_string(expected.server_query_count));
-      if (expected.server_max_queue_depth > 0 &&
-          static_cast<double>(shed_events + rejected_events) >
-              expected.server_max_shed_fraction *
-                      static_cast<double>(expected.server_query_count) +
-                  1e-9)
-        report.Problem("server shed/rejected more than the allowed " +
-                       FormatDouble(expected.server_max_shed_fraction * 100,
-                                    1) +
-                       "% of offered queries");
-      // The latency SLO applies to the accepted queries only; shed
-      // queries were refused precisely so the accepted ones could meet it.
-      const double pct =
-          Percentile(latencies, expected.latency_percentile);
-      if (pct > expected.server_latency_bound.count() + 1e-9)
-        report.Problem("server percentile latency exceeds the bound");
-      break;
-    }
-    case loadgen::TestScenario::kMultiStream: {
-      const std::size_t expected_samples =
-          expected.multistream_query_count *
-          expected.multistream_samples_per_query;
-      if (latencies.size() != expected_samples)
-        report.Problem("multi-stream sample count is not " +
-                       std::to_string(expected_samples));
-      // Re-derive per-query latency: samples of one query share the
-      // scheduled issue timestamp; the query finishes with its last sample.
-      // A second walk over the same table: an event of a query issued
-      // earlier in the log counts at the query's latest issue time.
-      std::map<double, double> per_query;  // scheduled -> max completion
-      std::fill(queries.begin(), queries.end(), QuerySlot{});
-      for (const loadgen::LogEvent& e : events) {
-        QuerySlot* const q = slot(e.query_id);
-        if (q == nullptr) continue;
-        if (e.kind == loadgen::LogEventKind::kQueryIssued) {
-          q->state = QuerySlot::kOpen;
-          q->issued_at = e.timestamp.count();
-        } else if (q->state != QuerySlot::kNone) {
-          auto [it, inserted] =
-              per_query.try_emplace(q->issued_at, e.timestamp.count());
-          if (!inserted)
-            it->second = std::max(it->second, e.timestamp.count());
-        }
-      }
-      std::vector<double> query_lat;
-      query_lat.reserve(per_query.size());
-      for (const auto& [sched, done] : per_query)
-        query_lat.push_back(done - sched);
-      if (!query_lat.empty() &&
-          Percentile(query_lat, expected.latency_percentile) >
-              expected.multistream_interval.count() + 1e-9)
-        report.Problem("multi-stream queries overflow the frame interval");
-      break;
-    }
-  }
-
-  // Cross-check the reported summary against the raw events.
-  // (Multi-stream reports a per-query percentile, recomputed above.)
-  // A summary field that is not one finite number in full is a problem of
-  // its own, never an exception out of the checker.
-  const auto reported = [&](const std::string& key) -> std::optional<double> {
-    const std::string* rep = log.FieldOrNull(key);
-    if (rep == nullptr) return {};
-    const std::optional<double> v = ParseFinite(*rep);
-    if (!v) report.Problem("unparseable log field: " + key);
-    return v;
-  };
-  if (expected.scenario == loadgen::TestScenario::kSingleStream ||
-      expected.scenario == loadgen::TestScenario::kServer) {
-    if (const auto rep = reported("result_percentile_latency_s");
-        rep && !Near(*rep, Percentile(latencies, expected.latency_percentile),
-                     1e-3))
-      report.Problem("reported percentile latency does not match events");
-  }
-  if (const auto rep = reported("result_throughput_sps")) {
-    const double recomputed =
-        duration > 0 ? static_cast<double>(latencies.size()) / duration : 0;
-    if (!Near(*rep, recomputed, 1e-3))
-      report.Problem("reported throughput does not match events");
-  }
-  return report;
+  LogCheck check(expected, log.events().size());
+  for (const auto& [key, value] : log.fields()) check.Field(key, value);
+  for (const loadgen::LogEvent& e : log.events()) check.Event(e);
+  return check.Finish();
 }
 
 CheckReport CheckTaskRun(const TaskRunResult& task,
@@ -284,8 +335,7 @@ CheckReport CheckTaskRun(const TaskRunResult& task,
     loadgen::TestSettings ss = expected;
     ss.scenario = loadgen::TestScenario::kSingleStream;
     ss.mode = loadgen::TestMode::kPerformanceOnly;
-    CheckReport log_report =
-        CheckPerformanceLog(task.single_stream->log.Serialize(), ss);
+    CheckReport log_report = CheckRecordedLog(task.single_stream->log, ss);
     for (std::string& p : log_report.problems)
       report.Problem(task.entry.id + ": " + p);
   }
@@ -293,8 +343,7 @@ CheckReport CheckTaskRun(const TaskRunResult& task,
     loadgen::TestSettings off = expected;
     off.scenario = loadgen::TestScenario::kOffline;
     off.mode = loadgen::TestMode::kPerformanceOnly;
-    CheckReport log_report =
-        CheckPerformanceLog(task.offline->log.Serialize(), off);
+    CheckReport log_report = CheckRecordedLog(task.offline->log, off);
     for (std::string& p : log_report.problems)
       report.Problem(task.entry.id + " (offline): " + p);
   }
@@ -302,13 +351,23 @@ CheckReport CheckTaskRun(const TaskRunResult& task,
 }
 
 CheckReport CheckSubmission(const SubmissionResult& submission,
-                            const loadgen::TestSettings& expected) {
+                            const loadgen::TestSettings& expected,
+                            const ThreadPool* pool) {
   CheckReport report;
   if (submission.tasks.empty()) report.Problem("submission has no tasks");
-  for (const TaskRunResult& t : submission.tasks) {
-    CheckReport task_report = CheckTaskRun(t, expected);
+  // Tasks are checked independently, into their own slots, and folded in
+  // task order: the report is the same for any pool.
+  std::vector<CheckReport> task_reports(submission.tasks.size());
+  ParallelForRange(pool, 0, static_cast<std::int64_t>(task_reports.size()),
+                   [&](std::int64_t begin, std::int64_t end) {
+                     for (std::int64_t i = begin; i < end; ++i) {
+                       const auto k = static_cast<std::size_t>(i);
+                       task_reports[k] =
+                           CheckTaskRun(submission.tasks[k], expected);
+                     }
+                   });
+  for (CheckReport& task_report : task_reports)
     for (std::string& p : task_report.problems) report.Problem(std::move(p));
-  }
   return report;
 }
 

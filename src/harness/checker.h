@@ -36,13 +36,16 @@ struct CheckReport {
     const std::string& serialized_log, const loadgen::TestSettings& expected);
 
 // Validates a full task run: performance log(s), quality threshold, and
-// the calibration set (must be a subset of the approved indices).
+// the calibration set (must be a subset of the approved indices).  Each
+// recorded log is checked as the stream of its serialized bytes, with the
+// same verdict CheckPerformanceLog gives that text.
 [[nodiscard]] CheckReport CheckTaskRun(const TaskRunResult& task,
                                        const loadgen::TestSettings& expected);
 
-// Validates a whole submission; aggregates per-task reports.
+// Validates a whole submission; aggregates per-task reports.  With a
+// pool the tasks are checked concurrently; the report is the same.
 [[nodiscard]] CheckReport CheckSubmission(
-    const SubmissionResult& submission,
-    const loadgen::TestSettings& expected);
+    const SubmissionResult& submission, const loadgen::TestSettings& expected,
+    const ThreadPool* pool = nullptr);
 
 }  // namespace mlpm::harness

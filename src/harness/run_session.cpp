@@ -1,5 +1,6 @@
 #include "harness/run_session.h"
 
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -131,15 +132,44 @@ PerformanceAttempt RunPerformanceWith(Backend& backend,
 }
 
 void RunTask(const soc::ChipsetDesc& chipset, models::SuiteVersion version,
-             SuiteBundles& bundles, const RunOptions& options,
+             const TaskBundle& bundle, const RunOptions& options,
              const ThreadPool* pool, TaskRunResult& tr);
 
+// One task blowing up must not take the submission down with it: a throw
+// from `step` marks the task errored while the rest of the suite proceeds.
+template <typename Step>
+void Isolated(TaskRunResult& tr, const Step& step) {
+  try {
+    step();
+  } catch (const std::exception& e) {
+    tr.status = TaskStatus::kErrored;
+    tr.status_detail = e.what();
+  }
+}
+
 }  // namespace
+
+std::unique_ptr<ThreadPool> MakeRunPool(int threads) {
+  if (threads == 1) return nullptr;
+  auto pool = std::make_unique<ThreadPool>(
+      static_cast<std::size_t>(std::max(0, threads)));
+  if (pool->thread_count() <= 1) return nullptr;
+  return pool;
+}
 
 SubmissionResult RunSubmission(const soc::ChipsetDesc& chipset,
                                models::SuiteVersion version,
                                SuiteBundles& bundles,
                                const RunOptions& options) {
+  const std::unique_ptr<ThreadPool> pool = MakeRunPool(options.threads);
+  return RunSubmission(chipset, version, bundles, options, pool.get());
+}
+
+SubmissionResult RunSubmission(const soc::ChipsetDesc& chipset,
+                               models::SuiteVersion version,
+                               SuiteBundles& bundles,
+                               const RunOptions& options,
+                               const ThreadPool* pool) {
   SubmissionResult result;
   result.chipset_name = chipset.name;
   result.version = version;
@@ -150,16 +180,15 @@ SubmissionResult RunSubmission(const soc::ChipsetDesc& chipset,
   if (options.profile || !options.trace_path.empty())
     obs::TraceRecorder::Global().Enable();
 
-  // Pool for the accuracy phase.  Scoped to this submission: cached
-  // executors in `bundles` outlive it, so nothing below may retain the
-  // pointer past RunTask.
-  std::optional<ThreadPool> pool_storage;
-  const ThreadPool* pool = nullptr;
-  if (options.run_accuracy && options.threads != 1) {
-    pool_storage.emplace(static_cast<std::size_t>(
-        std::max(0, options.threads)));
-    if (pool_storage->thread_count() > 1) pool = &*pool_storage;
-  }
+  // The pool serves one of two fan-outs.  An accuracy run keeps it busy
+  // inside each task (sample-level inference, labelling, calibration), so
+  // its tasks run one at a time.  A performance-only run runs its tasks on
+  // it instead.  Under tracing they run inline, in suite order: the trace,
+  // the LoadGen's test sequence numbers and the simulators' trace epochs
+  // are drawn in start order.  Cached executors in `bundles` outlive the
+  // pool, so nothing below may retain it past RunTask.
+  const ThreadPool* const task_pool =
+      obs::TraceRecorder::Global().enabled() ? nullptr : pool;
 
   // Crash-safe journaling + resume (DESIGN.md §12).  With a journal path
   // set, every finished task is fsync'd to the write-ahead log before the
@@ -185,10 +214,37 @@ SubmissionResult RunSubmission(const soc::ChipsetDesc& chipset,
         JournalWriter::Open(options.journal_path, meta, options.resume));
   }
 
-  // The prescribed task order is the suite order (§6.1).  One task blowing
-  // up must not take the submission down with it: each task is isolated,
-  // and a throw marks it errored while the rest of the suite proceeds.
-  for (const models::BenchmarkEntry& entry : models::SuiteFor(version)) {
+  // The prescribed task order is the suite order (§6.1).  The calling
+  // thread walks it: cancellation, replay and the bundle lookup happen
+  // here, in order, and each task to run gets its slot in `result.tasks`.
+  // A batch of pending tasks then runs on `task_pool`, each into its own
+  // slot, and the journal takes their records in task order after the
+  // join, so its bytes do not depend on the pool.
+  const std::vector<models::BenchmarkEntry> suite = models::SuiteFor(version);
+  result.tasks.reserve(suite.size());
+  struct Pending {
+    std::size_t slot;
+    const TaskBundle* bundle;  // null when the lookup threw
+  };
+  std::vector<Pending> pending;
+  const auto run_pending = [&] {
+    ParallelForRange(
+        task_pool, 0, static_cast<std::int64_t>(pending.size()),
+        [&](std::int64_t begin, std::int64_t end) {
+          for (std::int64_t i = begin; i < end; ++i) {
+            const Pending& p = pending[static_cast<std::size_t>(i)];
+            TaskRunResult& tr = result.tasks[p.slot];
+            if (p.bundle != nullptr)
+              Isolated(tr, [&] {
+                RunTask(chipset, version, *p.bundle, options, pool, tr);
+              });
+          }
+        });
+    if (journal)
+      for (const Pending& p : pending) journal->Append(result.tasks[p.slot]);
+    pending.clear();
+  };
+  for (const models::BenchmarkEntry& entry : suite) {
     if (options.cancel && options.cancel()) {
       // Cooperative interruption: stop cleanly between tasks.  Everything
       // finished so far is already durable in the journal.
@@ -204,28 +260,26 @@ SubmissionResult RunSubmission(const soc::ChipsetDesc& chipset,
       result.tasks.push_back(std::move(tr));
       continue;
     }
-    TaskRunResult tr;
+    TaskRunResult& tr = result.tasks.emplace_back();
     tr.entry = entry;
-    try {
-      RunTask(chipset, version, bundles, options, pool, tr);
-    } catch (const std::exception& e) {
-      tr.status = TaskStatus::kErrored;
-      tr.status_detail = e.what();
-    }
-    if (journal) journal->Append(tr);
-    result.tasks.push_back(std::move(tr));
+    const TaskBundle* bundle = nullptr;
+    Isolated(tr, [&] { bundle = &bundles.Get(entry, version); });
+    pending.push_back({result.tasks.size() - 1, bundle});
+    if (options.run_accuracy) run_pending();
   }
+  run_pending();
 
   // Snapshot the worker pool's counters into the metrics registry (pool
   // queue depth analog for the report).  Gauges so repeated submissions
   // keep the high-water mark.
-  if (pool != nullptr) {
+  if (const ThreadPool* used = options.run_accuracy ? pool : task_pool;
+      used != nullptr) {
     obs::MetricsRegistry& mr = obs::MetricsRegistry::Global();
-    mr.MaxGauge("threadpool.lanes", static_cast<double>(pool->thread_count()));
+    mr.MaxGauge("threadpool.lanes", static_cast<double>(used->thread_count()));
     mr.MaxGauge("threadpool.jobs_dispatched",
-                static_cast<double>(pool->jobs_dispatched()));
+                static_cast<double>(used->jobs_dispatched()));
     mr.MaxGauge("threadpool.peak_chunks",
-                static_cast<double>(pool->peak_chunks()));
+                static_cast<double>(used->peak_chunks()));
   }
   return result;
 }
@@ -279,10 +333,9 @@ analysis::DiagnosticEngine LintTask(const soc::ChipsetDesc& chipset,
 }
 
 void RunTask(const soc::ChipsetDesc& chipset, models::SuiteVersion version,
-             SuiteBundles& bundles, const RunOptions& options,
+             const TaskBundle& bundle, const RunOptions& options,
              const ThreadPool* pool, TaskRunResult& tr) {
   const models::BenchmarkEntry& entry = tr.entry;
-  const TaskBundle& bundle = bundles.Get(entry, version);
   const backends::SubmissionConfig sub =
       backends::GetSubmission(chipset, entry.task, version);
 
@@ -359,11 +412,11 @@ void RunTask(const soc::ChipsetDesc& chipset, models::SuiteVersion version,
 
     loadgen::DatasetQsl qsl(bundle.dataset(pool));
     loadgen::RealClock clock;
-    backends::ReferenceBackend ref_sut(
-        "reference/" + entry.id,
-        *NotNull(prepared.executor,
-                 "TaskBundle::Prepare returned no executor"),
-        qsl, pool);
+    const infer::Executor& exec = *NotNull(
+        prepared.executor, "TaskBundle::Prepare returned no executor");
+    const infer::KernelDispatchCounts before = exec.dispatch_counts();
+    backends::ReferenceBackend ref_sut("reference/" + entry.id, exec, qsl,
+                                       pool);
     loadgen::TestSettings acc;
     acc.mode = loadgen::TestMode::kAccuracyOnly;
     const loadgen::TestResult acc_result =
@@ -375,20 +428,19 @@ void RunTask(const soc::ChipsetDesc& chipset, models::SuiteVersion version,
         tr.fp32_reference > 0 ? tr.accuracy / tr.fp32_reference : 0.0;
     tr.quality_passed = tr.ratio_to_fp32 >= entry.quality_target;
 
-    // Per-kernel dispatch counters for the profile report.  MaxGauge, not
-    // Increment: cached executors accumulate across tasks and submissions,
-    // so the gauge tracks the executor's cumulative high-water mark.
-    const infer::Executor& exec = *prepared.executor;
-    const infer::KernelDispatchCounts counts = exec.dispatch_counts();
+    // Per-kernel dispatch counters for the profile report: this task's
+    // share of the cached executor's counts, which accumulate across tasks
+    // and submissions, so the counter sums over the run.
+    const infer::KernelDispatchCounts after = exec.dispatch_counts();
     const std::string isa_prefix =
         "kernels.dispatch." +
         std::string(infer::kernels::ToString(exec.kernel_isa())) + ".";
     obs::MetricsRegistry& mr = obs::MetricsRegistry::Global();
-    mr.MaxGauge(isa_prefix + "conv2d", static_cast<double>(counts.conv2d));
-    mr.MaxGauge(isa_prefix + "depthwise_conv2d",
-                static_cast<double>(counts.depthwise_conv2d));
-    mr.MaxGauge(isa_prefix + "fully_connected",
-                static_cast<double>(counts.fully_connected));
+    mr.Increment(isa_prefix + "conv2d", after.conv2d - before.conv2d);
+    mr.Increment(isa_prefix + "depthwise_conv2d",
+                 after.depthwise_conv2d - before.depthwise_conv2d);
+    mr.Increment(isa_prefix + "fully_connected",
+                 after.fully_connected - before.fully_connected);
   }
 
   if (options.run_performance) {

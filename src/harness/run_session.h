@@ -76,11 +76,12 @@ struct RunOptions {
   // fault_plan (a fault-free backend never trips the breaker).
   std::optional<backends::CircuitBreakerOptions> circuit_breaker;
 
-  // Worker threads for the accuracy phase (sample-level fan-out through the
-  // reference executor, plus teacher labelling and PTQ calibration with an
-  // ordered fold).  0 = hardware concurrency, 1 = serial.  Accuracy
-  // results are bit-identical for any value; the performance phase's
-  // virtual-clock simulation is unaffected.
+  // Worker threads.  An accuracy run uses them inside each task
+  // (sample-level fan-out through the reference executor, plus teacher
+  // labelling and PTQ calibration with an ordered fold); a
+  // performance-only run runs its tasks on them, and RunMobileApp checks
+  // the tasks on them.  0 = hardware concurrency, 1 = serial.  Results,
+  // reports and journal bytes are identical for any value.
   int threads = 1;
 
   // Kernel ISA for the accuracy-plane executors (kernels/registry.h).
@@ -270,6 +271,17 @@ struct SubmissionResult {
                                              models::SuiteVersion version,
                                              SuiteBundles& bundles,
                                              const RunOptions& options = {});
+
+// The same run on a caller-owned pool (null = serial) in place of one made
+// from `options.threads`.
+[[nodiscard]] SubmissionResult RunSubmission(const soc::ChipsetDesc& chipset,
+                                             models::SuiteVersion version,
+                                             SuiteBundles& bundles,
+                                             const RunOptions& options,
+                                             const ThreadPool* pool);
+
+// The pool for RunOptions::threads: null when it would have one lane.
+[[nodiscard]] std::unique_ptr<ThreadPool> MakeRunPool(int threads);
 
 // Performance-only single-task run (used by the delegate-comparison and
 // ablation benches).  Returns the LoadGen result for the compiled plan.

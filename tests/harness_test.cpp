@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <random>
 
@@ -223,6 +224,59 @@ TEST(RunSubmission, OfflineOnlyWhereSubmitted) {
       soc::Exynos2100(), models::SuiteVersion::kV1_0, Bundles(), o);
   ASSERT_TRUE(samsung.tasks[0].offline.has_value());
   EXPECT_EQ(samsung.tasks[0].offline->sample_count, 2048u);
+}
+
+TEST(RunSubmission, KernelDispatchCountersSumOverTasks) {
+  // Each task adds its share of its cached executor's dispatch counts, so
+  // kernels.dispatch.* is the run's sum over tasks, not one executor's
+  // running total.  The first run builds the executors; the second reuses
+  // them and is the one measured.
+  RunOptions o = FastOptions();
+  o.run_performance = false;
+  const soc::ChipsetDesc chip = soc::Dimensity1100();
+  constexpr models::SuiteVersion kV = models::SuiteVersion::kV1_0;
+  (void)RunSubmission(chip, kV, Bundles(), o);
+  std::vector<const infer::Executor*> executors;
+  for (const models::BenchmarkEntry& e : models::SuiteFor(kV))
+    executors.push_back(
+        Bundles()
+            .Get(e, kV)
+            .Prepare(NumericsModeFor(
+                backends::GetSubmission(chip, e.task, kV).numerics))
+            .executor);
+  const auto task_counts = [&] {
+    std::vector<infer::KernelDispatchCounts> counts;
+    for (const infer::Executor* exec : executors)
+      counts.push_back(exec->dispatch_counts());
+    return counts;
+  };
+  const std::string prefix =
+      "kernels.dispatch." +
+      std::string(infer::kernels::ToString(executors[0]->kernel_isa())) + ".";
+  obs::MetricsRegistry& mr = obs::MetricsRegistry::Global();
+  const auto registry_counts = [&] {
+    return std::array<std::uint64_t, 3>{
+        mr.counter(prefix + "conv2d"), mr.counter(prefix + "depthwise_conv2d"),
+        mr.counter(prefix + "fully_connected")};
+  };
+
+  const std::vector<infer::KernelDispatchCounts> before = task_counts();
+  const std::array<std::uint64_t, 3> registry_before = registry_counts();
+  (void)RunSubmission(chip, kV, Bundles(), o);
+  const std::vector<infer::KernelDispatchCounts> after = task_counts();
+  const std::array<std::uint64_t, 3> registry_after = registry_counts();
+
+  std::array<std::uint64_t, 3> sum{};
+  std::size_t tasks_with_conv = 0;
+  for (std::size_t i = 0; i < executors.size(); ++i) {
+    sum[0] += after[i].conv2d - before[i].conv2d;
+    sum[1] += after[i].depthwise_conv2d - before[i].depthwise_conv2d;
+    sum[2] += after[i].fully_connected - before[i].fully_connected;
+    tasks_with_conv += after[i].conv2d > before[i].conv2d ? 1 : 0;
+  }
+  EXPECT_GE(tasks_with_conv, 2u);  // a sum, not one task's count
+  for (std::size_t k = 0; k < 3; ++k)
+    EXPECT_EQ(registry_after[k] - registry_before[k], sum[k]) << k;
 }
 
 // ---- checker ----

@@ -299,18 +299,24 @@ RunOptions FastPerfOptions() {
   return o;
 }
 
-TEST(JournalResume, KilledRunResumesToAByteIdenticalReport) {
+// Kills a run after two tasks, resumes it, and returns the interrupted
+// run's journal bytes.  A performance-only run with a pool runs its tasks
+// concurrently and journals them after the join, in task order.
+std::string ExpectKilledRunResumesIdentically(int threads) {
+  RunOptions options = FastPerfOptions();
+  options.threads = threads;
   // Baseline: an uninterrupted run.
   const SubmissionResult baseline =
       RunSubmission(soc::Exynos2100(), models::SuiteVersion::kV1_0, Bundles(),
-                    FastPerfOptions());
-  ASSERT_EQ(baseline.tasks.size(), 4u);
+                    options);
+  EXPECT_EQ(baseline.tasks.size(), 4u);
 
   // "Kill" the run after two tasks via cooperative cancellation (the CLI's
   // SIGINT handler drives the same RunOptions::cancel hook).
-  const std::string path = TmpPath("journal_resume.mjl");
+  const std::string path =
+      TmpPath("journal_resume_" + std::to_string(threads) + ".mjl");
   std::remove(path.c_str());
-  RunOptions interrupted_opts = FastPerfOptions();
+  RunOptions interrupted_opts = options;
   interrupted_opts.journal_path = path;
   int checks = 0;
   interrupted_opts.cancel = [&checks] { return ++checks > 2; };
@@ -318,14 +324,15 @@ TEST(JournalResume, KilledRunResumesToAByteIdenticalReport) {
       RunSubmission(soc::Exynos2100(), models::SuiteVersion::kV1_0, Bundles(),
                     interrupted_opts);
   EXPECT_TRUE(interrupted.interrupted);
-  ASSERT_EQ(interrupted.tasks.size(), 2u);
+  EXPECT_EQ(interrupted.tasks.size(), 2u);
   // The partial report says so explicitly.
   EXPECT_NE(FormatSubmission(interrupted).find("run state: interrupted"),
             std::string::npos);
+  const std::string journal = ReadFile(path);
 
   // Resume from the journal: the two finished tasks replay from disk, the
   // other two run now.
-  RunOptions resume_opts = FastPerfOptions();
+  RunOptions resume_opts = options;
   resume_opts.journal_path = path;
   resume_opts.resume = true;
   const SubmissionResult resumed =
@@ -333,13 +340,24 @@ TEST(JournalResume, KilledRunResumesToAByteIdenticalReport) {
                     resume_opts);
   EXPECT_FALSE(resumed.interrupted);
   EXPECT_EQ(resumed.resumed_tasks, 2u);
-  ASSERT_EQ(resumed.tasks.size(), 4u);
+  EXPECT_EQ(resumed.tasks.size(), 4u);
 
   // The headline contract: report and CSV are byte-identical to the
   // uninterrupted run.
   EXPECT_EQ(FormatSubmission(resumed), FormatSubmission(baseline));
   EXPECT_EQ(ToCsv(resumed), ToCsv(baseline));
   std::remove(path.c_str());
+  return journal;
+}
+
+TEST(JournalResume, KilledRunResumesToAByteIdenticalReport) {
+  (void)ExpectKilledRunResumesIdentically(1);
+}
+
+TEST(JournalResume, KilledRunResumesToAByteIdenticalReportOnFourThreads) {
+  // The interrupted journal is the serial run's, byte for byte.
+  EXPECT_EQ(ExpectKilledRunResumesIdentically(4),
+            ExpectKilledRunResumesIdentically(1));
 }
 
 TEST(JournalResume, ResumeIgnoresJournalFromDifferentConfig) {

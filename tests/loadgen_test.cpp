@@ -788,6 +788,64 @@ TEST(LoadGen, ShedEventsRoundTripThroughTheLog) {
 
 // ---- multi-stream scenario ----
 
+TEST(LoadGen, LogReservationBoundsEveryTestButSingleStream) {
+  // RunTest reserves two events per expected query: an issue, then a
+  // completion or a rejection (a shed query logs one event).  That bounds
+  // the log of every test but single-stream, whose query count is a floor.
+  struct Case {
+    const char* name;
+    TestSettings settings;
+    std::size_t expected_queries;
+    ScriptedSut::Act act;  // null: every query completes after 1 ms
+  };
+  const auto with = [](TestScenario scenario, TestMode mode) {
+    TestSettings s = OverloadSettings();
+    s.scenario = scenario;
+    s.mode = mode;
+    s.multistream_samples_per_query = 4;
+    s.multistream_query_count = 16;
+    return s;
+  };
+  TestSettings shedding = with(TestScenario::kServer, TestMode::kPerformanceOnly);
+  shedding.server_max_queue_depth = 8;
+  const std::vector<Case> cases = {
+      {"offline", with(TestScenario::kOffline, TestMode::kPerformanceOnly),
+       100, nullptr},
+      {"server", with(TestScenario::kServer, TestMode::kPerformanceOnly), 512,
+       nullptr},
+      {"server with shedding", shedding, 512, nullptr},
+      {"server with rejections",
+       with(TestScenario::kServer, TestMode::kPerformanceOnly), 512,
+       [](std::uint64_t id, std::uint64_t, ResponseSink& sink) {
+         if (id % 3 == 0) sink.Reject(id, "breaker open");
+         else Done(id, sink);
+       }},
+      {"multi-stream",
+       with(TestScenario::kMultiStream, TestMode::kPerformanceOnly), 64,
+       nullptr},
+      {"accuracy", with(TestScenario::kSingleStream, TestMode::kAccuracyOnly),
+       16, nullptr},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    VirtualClock clock;
+    FakeQsl qsl(16);
+    FixedLatencySut fixed(clock, 0.001);
+    ScriptedSut scripted(clock, c.act);
+    SystemUnderTest& sut =
+        c.act == nullptr ? static_cast<SystemUnderTest&>(fixed) : scripted;
+    const TestResult r = RunTest(sut, qsl, c.settings, clock);
+    EXPECT_LE(r.log.events().size(), 2 * c.expected_queries);
+    EXPECT_GE(r.log.events().capacity(), 2 * c.expected_queries);
+    if (c.settings.server_max_queue_depth > 0) {
+      EXPECT_GT(r.shed_count, 0u);
+    }
+    if (c.act != nullptr) {
+      EXPECT_GT(r.rejected_count, 0u);
+    }
+  }
+}
+
 TEST(LoadGen, MultiStreamIssuesNSamplesPerQuery) {
   VirtualClock clock;
   FixedLatencySut sut(clock, 0.0005);
