@@ -40,6 +40,9 @@ constexpr int kTimestampDecimals = 9;
 constexpr std::size_t kMaxEventLineBytes =
     8 + 1 + 20 + 1 + std::numeric_limits<double>::max_exponent10 + 12 + 1;
 static_assert(kMaxEventLineBytes < TestLog::kPieceBytes);
+// A typical event line ("complete 12345 61.234567890\n") is under 32 bytes;
+// longer ones just grow Serialize()'s buffer.
+constexpr std::size_t kTypicalEventBytes = 32;
 
 // Writes `v` exactly as printf("%.9f") does.  Non-negative values below
 // 2^33 s (every timestamp a run produces) take an exact integer path:
@@ -175,7 +178,11 @@ void TestLog::Write(const std::function<void(std::string_view)>& piece) const {
 }
 
 std::string TestLog::Serialize() const {
+  std::size_t reserve = kHeader.size() + 1 + events_.size() * kTypicalEventBytes;
+  for (const auto& [k, v] : fields_)
+    reserve += kFieldTag.size() + k.size() + v.size() + 3;
   std::string out;
+  out.reserve(reserve);
   Write([&out](std::string_view piece) { out.append(piece); });
   return out;
 }

@@ -1,6 +1,8 @@
 #include "harness/run_session.h"
 
+#include <algorithm>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -188,13 +190,15 @@ SubmissionResult RunSubmission(const soc::ChipsetDesc& chipset,
   // are drawn in start order.  Cached executors in `bundles` outlive the
   // pool, so nothing below may retain it past RunTask.
   const ThreadPool* const task_pool =
-      obs::TraceRecorder::Global().enabled() ? nullptr : pool;
+      options.run_accuracy || obs::TraceRecorder::Global().enabled()
+          ? nullptr
+          : pool;
 
   // Crash-safe journaling + resume (DESIGN.md §12).  With a journal path
-  // set, every finished task is fsync'd to the write-ahead log before the
-  // next one starts; with `resume`, intact records from a prior run of the
-  // identical configuration are replayed instead of re-run.  An errored
-  // record is never replayed — a resumed run retries it.
+  // set, every finished task is fsync'd to the write-ahead log as soon as
+  // every task before it is; with `resume`, intact records from a prior
+  // run of the identical configuration are replayed instead of re-run.  An
+  // errored record is never replayed — a resumed run retries it.
   std::map<std::string, TaskRunResult> replayable;
   std::optional<JournalWriter> journal;
   if (!options.journal_path.empty()) {
@@ -214,60 +218,76 @@ SubmissionResult RunSubmission(const soc::ChipsetDesc& chipset,
         JournalWriter::Open(options.journal_path, meta, options.resume));
   }
 
-  // The prescribed task order is the suite order (§6.1).  The calling
-  // thread walks it: cancellation, replay and the bundle lookup happen
-  // here, in order, and each task to run gets its slot in `result.tasks`.
-  // A batch of pending tasks then runs on `task_pool`, each into its own
-  // slot, and the journal takes their records in task order after the
-  // join, so its bytes do not depend on the pool.
+  // The prescribed task order is the suite order (§6.1), and tasks are
+  // claimed in it.  A claim polls `cancel`, then replays the task's record
+  // or looks up its bundle, under `claim_mu`; the claiming lane runs the
+  // task into its slot outside the lock.  Without a task pool the calling
+  // thread claims and runs every task in turn.  A finished task is
+  // journaled once every task before it is, so the journal holds the
+  // finished prefix in task order, durable while the run goes on, and its
+  // bytes do not depend on the pool.
   const std::vector<models::BenchmarkEntry> suite = models::SuiteFor(version);
-  result.tasks.reserve(suite.size());
-  struct Pending {
-    std::size_t slot;
-    const TaskBundle* bundle;  // null when the lookup threw
+  result.tasks.resize(suite.size());
+  enum class Slot : unsigned char { kOpen, kRan, kReplayed };
+  std::vector<Slot> finished(suite.size(), Slot::kOpen);  // journal_mu
+  std::size_t claimed = 0;                                 // claim_mu
+  std::size_t journaled = 0;                               // journal_mu
+  std::mutex claim_mu;
+  std::mutex journal_mu;
+  const auto finish = [&](std::size_t i, Slot how) {
+    std::scoped_lock lock(journal_mu);
+    finished[i] = how;
+    for (; journaled < suite.size() && finished[journaled] != Slot::kOpen;
+         ++journaled)
+      if (journal && finished[journaled] == Slot::kRan)
+        journal->Append(result.tasks[journaled]);
   };
-  std::vector<Pending> pending;
-  const auto run_pending = [&] {
-    ParallelForRange(
-        task_pool, 0, static_cast<std::int64_t>(pending.size()),
-        [&](std::int64_t begin, std::int64_t end) {
-          for (std::int64_t i = begin; i < end; ++i) {
-            const Pending& p = pending[static_cast<std::size_t>(i)];
-            TaskRunResult& tr = result.tasks[p.slot];
-            if (p.bundle != nullptr)
-              Isolated(tr, [&] {
-                RunTask(chipset, version, *p.bundle, options, pool, tr);
-              });
-          }
+  const auto claim_and_run = [&] {
+    for (;;) {
+      std::size_t i = 0;
+      bool replayed = false;
+      const TaskBundle* bundle = nullptr;  // null: replayed or lookup threw
+      {
+        std::scoped_lock lock(claim_mu);
+        if (claimed == suite.size() || result.interrupted) return;
+        if (options.cancel && options.cancel()) {
+          // Cooperative interruption: stop cleanly between tasks.  Tasks
+          // already running finish and are journaled.
+          result.interrupted = true;
+          return;
+        }
+        i = claimed++;
+        const models::BenchmarkEntry& entry = suite[i];
+        TaskRunResult& tr = result.tasks[i];
+        if (const auto it = replayable.find(entry.id);
+            it != replayable.end()) {
+          tr = std::move(it->second);
+          replayable.erase(it);
+          // Journal records carry only the task id; rebind the live entry.
+          tr.entry = entry;
+          ++result.resumed_tasks;
+          replayed = true;
+        } else {
+          tr.entry = entry;
+          Isolated(tr, [&] { bundle = &bundles.Get(entry, version); });
+        }
+      }
+      if (bundle != nullptr)
+        Isolated(result.tasks[i], [&] {
+          RunTask(chipset, version, *bundle, options, pool, result.tasks[i]);
         });
-    if (journal)
-      for (const Pending& p : pending) journal->Append(result.tasks[p.slot]);
-    pending.clear();
+      finish(i, replayed ? Slot::kReplayed : Slot::kRan);
+    }
   };
-  for (const models::BenchmarkEntry& entry : suite) {
-    if (options.cancel && options.cancel()) {
-      // Cooperative interruption: stop cleanly between tasks.  Everything
-      // finished so far is already durable in the journal.
-      result.interrupted = true;
-      break;
-    }
-    if (const auto it = replayable.find(entry.id); it != replayable.end()) {
-      TaskRunResult tr = std::move(it->second);
-      replayable.erase(it);
-      // Journal records carry only the task id; rebind the live entry.
-      tr.entry = entry;
-      ++result.resumed_tasks;
-      result.tasks.push_back(std::move(tr));
-      continue;
-    }
-    TaskRunResult& tr = result.tasks.emplace_back();
-    tr.entry = entry;
-    const TaskBundle* bundle = nullptr;
-    Isolated(tr, [&] { bundle = &bundles.Get(entry, version); });
-    pending.push_back({result.tasks.size() - 1, bundle});
-    if (options.run_accuracy) run_pending();
-  }
-  run_pending();
+  const std::size_t lanes =
+      task_pool == nullptr ? 1 : std::min(task_pool->thread_count(),
+                                          suite.size());
+  ParallelForRange(task_pool, 0, static_cast<std::int64_t>(lanes),
+                   [&](std::int64_t begin, std::int64_t end) {
+                     for (std::int64_t l = begin; l < end; ++l)
+                       claim_and_run();
+                   });
+  result.tasks.resize(claimed);
 
   // Snapshot the worker pool's counters into the metrics registry (pool
   // queue depth analog for the report).  Gauges so repeated submissions

@@ -136,9 +136,11 @@ struct RunOptions {
   std::string journal_path;
   bool resume = false;
 
-  // Cooperative cancellation: checked between tasks.  When it returns
-  // true the submission stops early with SubmissionResult::interrupted
-  // set (already-journaled tasks survive for a later --resume).
+  // Cooperative cancellation: checked before each task starts.  When it
+  // returns true no further task starts, tasks already under way finish,
+  // and the submission returns early with SubmissionResult::interrupted
+  // set (already-journaled tasks survive for a later --resume).  A run on
+  // a pool calls it from the pool's lanes, one call at a time.
   std::function<bool()> cancel;
 };
 

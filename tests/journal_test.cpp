@@ -6,10 +6,12 @@
 // is byte-identical to an uninterrupted same-seed run.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "harness/app.h"
 #include "harness/export.h"
@@ -301,7 +303,7 @@ RunOptions FastPerfOptions() {
 
 // Kills a run after two tasks, resumes it, and returns the interrupted
 // run's journal bytes.  A performance-only run with a pool runs its tasks
-// concurrently and journals them after the join, in task order.
+// concurrently, claims them in task order and journals them in task order.
 std::string ExpectKilledRunResumesIdentically(int threads) {
   RunOptions options = FastPerfOptions();
   options.threads = threads;
@@ -358,6 +360,49 @@ TEST(JournalResume, KilledRunResumesToAByteIdenticalReportOnFourThreads) {
   // The interrupted journal is the serial run's, byte for byte.
   EXPECT_EQ(ExpectKilledRunResumesIdentically(4),
             ExpectKilledRunResumesIdentically(1));
+}
+
+// The cancel hook turns true once the journal holds its first record: its
+// second poll waits for that record (up to a minute).  `cancel` is polled
+// before each task starts, and a finished task is journaled while the run
+// goes on, so the run stops after exactly one task at any thread count.
+TEST(JournalResume, CancelStopsTheRunOnceTheFirstRecordIsDurable) {
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const std::string path =
+        TmpPath("journal_first_record_" + std::to_string(threads) + ".mjl");
+    std::remove(path.c_str());
+    RunOptions options = FastPerfOptions();
+    options.threads = threads;
+    options.journal_path = path;
+    int polls = 0;
+    bool waited_out = false;
+    options.cancel = [&] {
+      if (++polls < 2) return false;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::minutes(1);
+      while (LoadJournal(path).tasks.empty()) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          waited_out = true;
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+      return true;
+    };
+    const SubmissionResult r = RunSubmission(
+        soc::Exynos2100(), models::SuiteVersion::kV1_0, Bundles(), options);
+    EXPECT_FALSE(waited_out) << "no record was journaled during the run";
+    EXPECT_TRUE(r.interrupted);
+    EXPECT_EQ(polls, 2);
+    ASSERT_EQ(r.tasks.size(), 1u);
+    EXPECT_EQ(r.tasks[0].entry.id, "image_classification");
+    const JournalLoad load = LoadJournal(path);
+    ASSERT_EQ(load.tasks.size(), 1u);
+    EXPECT_EQ(load.tasks[0].entry.id, "image_classification");
+    EXPECT_FALSE(load.torn_tail);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(JournalResume, ResumeIgnoresJournalFromDifferentConfig) {
