@@ -258,10 +258,11 @@ constexpr Flag kFlags[] = {
        c.fleet.settings.server_latency_bound =
            loadgen::Seconds{Number(v, kTiny, kMaxDouble) * 1e-3};
      }},
+    // Queries per shard, at most the LoadGen's per-test limit.
     {"--fleet-queries", "N",
      [](Cli& c, const Flag&, const std::string& v) {
        c.fleet.settings.server_query_count =
-           Number(v, std::size_t{1}, kMaxSize);
+           Number(v, std::size_t{1}, loadgen::kMaxQueryCount);
      }},
     // Admission queue depth (0 = unbounded).
     {"--fleet-depth", "N",

@@ -4,9 +4,13 @@
 #include <atomic>
 #include <cmath>
 #include <deque>
+#include <limits>
+#include <new>
 #include <numeric>
+#include <string>
 #include <utility>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "common/statistics.h"
 #include "obs/metrics.h"
@@ -31,18 +35,24 @@ std::atomic<std::uint64_t> g_test_sequence{0};
 // RunTest numbers the queries of a test 1, 2, 3, ... (a shed query uses up
 // its id too), so the collector keeps them in a table indexed by id - 1;
 // ids that come back from the SUT are bounds-checked against it.
+//
+// With QueryRecord::kNone it keeps the same counters, latencies and trace
+// events, but records no log event and builds no error line.
 class Collector final : public ResponseSink {
  public:
-  // `expected_queries` sizes the table up front: the test's query count,
-  // or its floor when the count depends on the run.
-  Collector(const Clock& clock, TestLog& log, bool keep_outputs,
-            Seconds query_timeout, std::uint64_t test_sequence,
-            std::size_t expected_queries)
+  Collector(const Clock& clock, TestLog& log, QueryRecord record,
+            bool keep_outputs, Seconds query_timeout,
+            std::uint64_t test_sequence)
       : clock_(clock),
         log_(log),
+        keep_record_(record == QueryRecord::kKeep),
         keep_outputs_(keep_outputs),
         timeout_(query_timeout),
-        test_sequence_(test_sequence) {
+        test_sequence_(test_sequence) {}
+
+  // Sizes the table up front: the test's query count, or its floor when
+  // the count depends on the run.
+  void Reserve(std::size_t expected_queries) {
     queries_.reserve(expected_queries);
   }
 
@@ -56,7 +66,7 @@ class Collector final : public ResponseSink {
     q.state = Slot::kIssued;
     if (++issued_count_ == 1 || scheduled < first_issue_)
       first_issue_ = scheduled;
-    log_.Record(LogEventKind::kQueryIssued, s.id, scheduled);
+    Record(LogEventKind::kQueryIssued, s.id, scheduled);
     if (obs::TraceRecorder& rec = obs::TraceRecorder::Global();
         rec.enabled())
       rec.AddAsyncBegin(obs::Domain::kLoadGen, "queries", "query", "query",
@@ -75,9 +85,11 @@ class Collector final : public ResponseSink {
   void Shed(const QuerySample& s, Seconds scheduled) {
     (void)NewSlot(s.id);
     ++shed_count_;
-    log_.Record(LogEventKind::kQueryShed, s.id, scheduled);
-    Error("query " + std::to_string(s.id) +
-          " shed by admission control (issue queue full)");
+    Record(LogEventKind::kQueryShed, s.id, scheduled);
+    Error([&] {
+      return "query " + std::to_string(s.id) +
+             " shed by admission control (issue queue full)";
+    });
     if (obs::TraceRecorder& rec = obs::TraceRecorder::Global();
         rec.enabled())
       rec.AddInstant(obs::Domain::kLoadGen, "admission", "shed",
@@ -96,15 +108,19 @@ class Collector final : public ResponseSink {
     Slot* const q = Find(id);
     if (q == nullptr || q->state != Slot::kIssued) {
       ++unknown_count_;
-      Error("rejection for query " + std::to_string(id) +
-            " that is not outstanding (ignored)");
+      Error([&] {
+        return "rejection for query " + std::to_string(id) +
+               " that is not outstanding (ignored)";
+      });
       return;
     }
     q->state = Slot::kRejected;
     ++rejected_count_;
-    log_.Record(LogEventKind::kQueryRejected, id, now);
-    Error("query " + std::to_string(id) + " rejected by SUT: " +
-          std::string(reason));
+    Record(LogEventKind::kQueryRejected, id, now);
+    Error([&] {
+      return "query " + std::to_string(id) + " rejected by SUT: " +
+             std::string(reason);
+    });
     if (obs::TraceRecorder& rec = obs::TraceRecorder::Global();
         rec.enabled())
       rec.AddAsyncEnd(obs::Domain::kLoadGen, "queries", "query", "query",
@@ -118,25 +134,31 @@ class Collector final : public ResponseSink {
     Slot* const q = Find(response.id);
     if (q == nullptr) {
       ++unknown_count_;
-      Error("completion for query " + std::to_string(response.id) +
-            ", which was never issued (ignored)");
+      Error([&] {
+        return "completion for query " + std::to_string(response.id) +
+               ", which was never issued (ignored)";
+      });
       return;
     }
     if (q->state == Slot::kRejected) {
       ++duplicate_count_;
-      Error("query " + std::to_string(response.id) +
-            " completed after being rejected (ignored)");
+      Error([&] {
+        return "query " + std::to_string(response.id) +
+               " completed after being rejected (ignored)";
+      });
       return;
     }
     if (q->state == Slot::kCompleted) {
       ++duplicate_count_;
-      Error("query " + std::to_string(response.id) +
-            " completed more than once (ignored)");
+      Error([&] {
+        return "query " + std::to_string(response.id) +
+               " completed more than once (ignored)";
+      });
       return;
     }
     q->state = Slot::kCompleted;
     ++completed_count_;
-    log_.Record(LogEventKind::kQueryCompleted, response.id, now);
+    Record(LogEventKind::kQueryCompleted, response.id, now);
     const Seconds latency = now - q->issued_at;
     last_completion_ = std::max(last_completion_, now);
     const bool expired = timeout_.count() > 0.0 && latency > timeout_;
@@ -150,9 +172,11 @@ class Collector final : public ResponseSink {
       // Watchdog: the deadline passed before the completion arrived; the
       // query already counts as expired, the late result is discarded.
       ++timed_out_count_;
-      Error("query " + std::to_string(response.id) + " completed " +
-            std::to_string(latency.count()) + " s after issue, past the " +
-            std::to_string(timeout_.count()) + " s deadline (expired)");
+      Error([&] {
+        return "query " + std::to_string(response.id) + " completed " +
+               std::to_string(latency.count()) + " s after issue, past the " +
+               std::to_string(timeout_.count()) + " s deadline (expired)";
+      });
       return;
     }
     latencies_s_.push_back(latency.count());
@@ -169,12 +193,16 @@ class Collector final : public ResponseSink {
       const std::uint64_t id = i + 1;
       if (timeout_.count() > 0.0) {
         ++timed_out_count_;
-        Error("query " + std::to_string(id) +
-              " never completed (watchdog deadline " +
-              std::to_string(timeout_.count()) + " s)");
+        Error([&] {
+          return "query " + std::to_string(id) +
+                 " never completed (watchdog deadline " +
+                 std::to_string(timeout_.count()) + " s)";
+        });
       } else {
         ++dropped_count_;
-        Error("query " + std::to_string(id) + " never completed (dropped)");
+        Error([&] {
+          return "query " + std::to_string(id) + " never completed (dropped)";
+        });
       }
     }
   }
@@ -237,7 +265,16 @@ class Collector final : public ResponseSink {
     return q.state == Slot::kNone ? nullptr : &q;
   }
 
-  void Error(std::string what) { errors_.push_back(std::move(what)); }
+  void Record(LogEventKind kind, std::uint64_t id, Seconds t) {
+    if (keep_record_) log_.Record(kind, id, t);
+  }
+
+  // Appends the error line `what()` builds; with QueryRecord::kNone the
+  // line is never built.
+  template <class What>
+  void Error(const What& what) {
+    if (keep_record_) errors_.push_back(what());
+  }
 
   // Process-unique async-event id for a query of this test.
   [[nodiscard]] std::uint64_t AsyncId(std::uint64_t query_id) const {
@@ -246,6 +283,7 @@ class Collector final : public ResponseSink {
 
   const Clock& clock_;
   TestLog& log_;
+  bool keep_record_;
   bool keep_outputs_;
   Seconds timeout_;
   std::uint64_t test_sequence_;
@@ -327,7 +365,8 @@ void FinalizeErrors(TestResult& r, Collector& collector) {
 
 // How many query ids a test will use: exact for accuracy mode, offline,
 // multi-stream and server (shed queries included), the query floor for
-// single-stream, which runs on until its duration floor is met too.
+// single-stream, which runs on until its duration floor is met too.  A
+// multi-stream product too large for size_t saturates.
 std::size_t ExpectedQueryCount(const TestSettings& settings,
                                std::size_t total_samples) {
   if (settings.mode == TestMode::kAccuracyOnly) return total_samples;
@@ -336,9 +375,14 @@ std::size_t ExpectedQueryCount(const TestSettings& settings,
       return settings.min_query_count;
     case TestScenario::kOffline:
       return settings.offline_sample_count;
-    case TestScenario::kMultiStream:
-      return settings.multistream_query_count *
-             settings.multistream_samples_per_query;
+    case TestScenario::kMultiStream: {
+      const std::size_t per_query = settings.multistream_samples_per_query;
+      if (per_query != 0 && settings.multistream_query_count >
+                                std::numeric_limits<std::size_t>::max() /
+                                    per_query)
+        return std::numeric_limits<std::size_t>::max();
+      return settings.multistream_query_count * per_query;
+    }
     case TestScenario::kServer:
       return settings.server_query_count;
   }
@@ -348,8 +392,17 @@ std::size_t ExpectedQueryCount(const TestSettings& settings,
 }  // namespace
 
 TestResult RunTest(SystemUnderTest& sut, QuerySampleLibrary& qsl,
-                   const TestSettings& settings, Clock& clock) {
+                   const TestSettings& settings, Clock& clock,
+                   QueryRecord record) {
   Expects(qsl.TotalSampleCount() > 0, "QSL is empty");
+  // Refused before the per-query tables below are sized from it.
+  const std::size_t expected_queries =
+      ExpectedQueryCount(settings, qsl.TotalSampleCount());
+  if (expected_queries > kMaxQueryCount)
+    throw CheckError("a " + std::string(ToString(settings.scenario)) +
+                     " test of " + std::to_string(expected_queries) +
+                     " queries exceeds the LoadGen's limit of " +
+                     std::to_string(kMaxQueryCount));
   TestResult result;
   result.scenario = settings.scenario;
   result.mode = settings.mode;
@@ -379,16 +432,20 @@ TestResult RunTest(SystemUnderTest& sut, QuerySampleLibrary& qsl,
                  std::to_string(settings.server_max_shed_fraction));
   }
 
+  const bool accuracy = settings.mode == TestMode::kAccuracyOnly;
+  Collector collector(clock, log, record, accuracy, settings.query_timeout,
+                      g_test_sequence.fetch_add(1) + 1);
   // A query logs at most two events (its issue, then its completion or
   // rejection; a shed query logs one), so twice the query count bounds
-  // every test's log but single-stream's, where it is a floor.
-  const std::size_t expected_queries =
-      ExpectedQueryCount(settings, qsl.TotalSampleCount());
-  log.Reserve(2 * expected_queries);
-
-  const bool accuracy = settings.mode == TestMode::kAccuracyOnly;
-  Collector collector(clock, log, accuracy, settings.query_timeout,
-                      g_test_sequence.fetch_add(1) + 1, expected_queries);
+  // every test's log but single-stream's, where it is a floor.  A table
+  // the allocator refuses fails the test before anything runs.
+  try {
+    if (record == QueryRecord::kKeep) log.Reserve(2 * expected_queries);
+    collector.Reserve(expected_queries);
+  } catch (const std::bad_alloc&) {
+    throw CheckError("cannot reserve the per-query tables of a " +
+                     std::to_string(expected_queries) + "-query test");
+  }
   std::uint64_t next_id = 1;
 
   // Scenario phase marks on the test-clock timeline; their order is part of

@@ -7,6 +7,8 @@
 // component — nothing in it is backend- or vendor-specific.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -56,6 +58,7 @@ struct TestResult {
   //                   + rejected_count
   // holds for every run (fleet conformance tests pin this identity).
   std::size_t issued_count = 0;
+  // One line per anomaly, with QueryRecord::kKeep; empty with kNone.
   std::vector<std::string> error_log;
   // Empty for a structurally valid run.  Nonempty means the run produced
   // no usable measurement (no completions, stalled SUT, incomplete
@@ -73,15 +76,34 @@ struct TestResult {
   // harness to score against the data set.
   std::vector<std::vector<infer::Tensor>> accuracy_outputs;
 
+  // Header and summary fields, plus every query's events with
+  // QueryRecord::kKeep.
   TestLog log;
 };
 
+// Whether RunTest builds the per-query record: the log's issue,
+// completion, shed and rejection events plus one error_log line per
+// anomaly.  The submission checker, the package and the submission journal
+// read it; a caller that reads none of it (fleet shards) passes kNone, and
+// gets a result whose log holds only its header and summary fields and
+// whose error_log is empty.  Counters, latencies, summary fields, metrics
+// and trace events are the same either way.
+enum class QueryRecord : std::uint8_t { kKeep, kNone };
+
+// The most query ids one test may use.  The trace's per-query async ids
+// keep a query id in their low 32 bits, and RunTest sizes its per-query
+// tables up front, so a larger count is refused before anything is
+// allocated.
+inline constexpr std::size_t kMaxQueryCount = 0xFFFFFFFF;
+
 // Runs one test.  The clock must be the same one the SUT uses to report
 // completions (wall clock for functional backends, the simulator's virtual
-// clock otherwise).
+// clock otherwise).  Throws CheckError if the settings ask for more than
+// kMaxQueryCount queries.
 [[nodiscard]] TestResult RunTest(SystemUnderTest& sut,
                                  QuerySampleLibrary& qsl,
-                                 const TestSettings& settings, Clock& clock);
+                                 const TestSettings& settings, Clock& clock,
+                                 QueryRecord record = QueryRecord::kKeep);
 
 // Binary-searches the highest server QPS whose run still meets the latency
 // bound and the shed bound (a rate "served" only by refusing offered load

@@ -91,6 +91,9 @@ struct ShardResult {
   // Prepared-model cache key this shard shares ("v1.0|task|chipset").
   std::string config_key;
 
+  // The shard's LoadGen result, run with loadgen::QueryRecord::kNone: its
+  // log holds no events and its error_log is empty (a shard replayed from
+  // an older journal may still carry both; nothing reads them).
   loadgen::TestResult result;
   harness::TaskStatus state = harness::TaskStatus::kValid;
   // Latency bound + shed bound met on a structurally valid run.

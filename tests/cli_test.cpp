@@ -132,6 +132,22 @@ TEST(CliFlags, BadInputExitsTwoWithTheUsage) {
   }
 }
 
+TEST(CliFlags, FleetQueriesAboveTheLoadGenLimitIsAUsageError) {
+  // The LoadGen's per-test limit is 2^32 - 1 query ids; a count above it
+  // is refused at the flag, before any shard reserves its query tables.
+  for (const char* count : {"4294967296", "1000000000000"}) {
+    SCOPED_TRACE(count);
+    const CliRun run(std::string("--fleet 1 --fleet-queries ") + count);
+    EXPECT_EQ(run.status(), 2);
+    EXPECT_EQ(run.out(), "");
+    EXPECT_NE(run.err().find(std::string("--fleet-queries: ") + count +
+                             " is out of range"),
+              std::string::npos)
+        << run.err();
+    EXPECT_NE(run.err().find("usage: headless_cli"), std::string::npos);
+  }
+}
+
 TEST(CliFlags, UsageListsEveryFlagOnce) {
   const CliRun run("--bogus");
   const std::string& usage = run.err();

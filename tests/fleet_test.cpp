@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -237,31 +238,33 @@ TEST(Fleet, CounterSnapshotInvariantUnderWorkerCount) {
 // The coordinator moves each shard's result into the report and selects the
 // fleet percentiles in place: the aggregate must be the bits a sort of the
 // reported shards' latencies gives, and no reported shard may be a
-// moved-from husk (latencies, log and error log all present).
+// moved-from husk (latencies and log fields present).  Shards run the
+// LoadGen without the per-query record, so none carries log events or
+// error lines; loadgen_test holds the record itself to one line per anomaly.
 TEST(Fleet, AggregatePercentilesMatchSortedMergedLatencies) {
   fleet::FleetOptions fo = SmallFleet(16);
-  fo.settings.server_max_queue_depth = 8;  // heavy shards shed and log it
-  std::vector<std::size_t> serial_error_lines;
+  fo.settings.server_max_queue_depth = 8;  // heavy shards shed
+  std::vector<std::size_t> serial_anomalies;
   for (const std::size_t workers : {1u, 4u}) {
     fo.workers = workers;
     const fleet::FleetReport r = fleet::RunFleet(fo);
     ASSERT_EQ(r.shards.size(), 16u);
     std::vector<double> merged;
-    std::size_t error_lines = 0;
+    std::size_t anomalies = 0;
     for (std::size_t i = 0; i < r.shards.size(); ++i) {
       const loadgen::TestResult& t = r.shards[i].result;
       EXPECT_EQ(t.latencies_s.size(), t.sample_count) << "shard " << i;
-      EXPECT_FALSE(t.log.events().empty()) << "shard " << i;
-      // One error line per anomaly the counters (never moved) record.
-      EXPECT_EQ(t.error_log.size(), t.AnomalyCount()) << "shard " << i;
+      EXPECT_FALSE(t.log.fields().empty()) << "shard " << i;
+      EXPECT_TRUE(t.log.events().empty()) << "shard " << i;
+      EXPECT_TRUE(t.error_log.empty()) << "shard " << i;
       if (workers == 1)
-        serial_error_lines.push_back(t.error_log.size());
+        serial_anomalies.push_back(t.AnomalyCount());
       else
-        EXPECT_EQ(t.error_log.size(), serial_error_lines[i]) << "shard " << i;
-      error_lines += t.error_log.size();
+        EXPECT_EQ(t.AnomalyCount(), serial_anomalies[i]) << "shard " << i;
+      anomalies += t.AnomalyCount();
       merged.insert(merged.end(), t.latencies_s.begin(), t.latencies_s.end());
     }
-    EXPECT_GT(error_lines, 0u) << "overload should shed and log queries";
+    EXPECT_GT(anomalies, 0u) << "overload should shed queries";
     ASSERT_EQ(merged.size(), r.completed);
     std::sort(merged.begin(), merged.end());
     const auto same_bits = [](double a, double b) {
@@ -389,6 +392,83 @@ TEST(Fleet, KillAndResumeReplaysIntactShardsToIdenticalReport) {
   EXPECT_FALSE(full.interrupted);
   EXPECT_EQ(full.resumed_shards, partial.shards.size());
   EXPECT_EQ(fleet::FormatFleetReport(full), reference);
+}
+
+TEST(Fleet, ResumesJournalWhoseShardFramesCarryTheQueryRecord) {
+  // Shard frames written before shards dropped the per-query record carry
+  // log events and one error line per anomaly.  Such a journal still
+  // decodes and resumes to the report of an uninterrupted run; frames
+  // written now carry neither.
+  const std::string fresh = testing::TempDir() + "/fleet_fresh.journal";
+  const std::string old = testing::TempDir() + "/fleet_old.journal";
+  fleet::FleetOptions fo = SmallFleet(8);
+  fo.settings.server_max_queue_depth = 8;  // heavy shards shed
+  fo.workers = 1;
+  fo.journal_path = fresh;
+  const std::string reference =
+      fleet::FormatFleetReport(fleet::RunFleet(fo));
+
+  const fleet::FleetJournalLoad load = fleet::LoadFleetJournal(fresh);
+  ASSERT_TRUE(load.meta_valid);
+  ASSERT_EQ(load.shards.size(), 8u);
+  std::size_t anomalies = 0;
+  for (const auto& [id, shard] : load.shards) {
+    EXPECT_TRUE(shard.result.log.events().empty()) << "shard " << id;
+    EXPECT_TRUE(shard.result.error_log.empty()) << "shard " << id;
+    anomalies += shard.result.AnomalyCount();
+  }
+  EXPECT_GT(anomalies, 0u) << "overload should shed queries";
+
+  // The first five shards as an older build journaled them: an issue and
+  // a completion per completed query, a shed event per shed one, and an
+  // error line per anomaly.
+  {
+    const std::unique_ptr<fleet::FleetJournalWriter> writer =
+        fleet::FleetJournalWriter::Create(old, load.meta);
+    for (const auto& [id, shard] : load.shards) {
+      if (id >= 5) break;
+      fleet::ShardResult with_record = shard;
+      loadgen::TestResult& t = with_record.result;
+      std::uint64_t query = 0;
+      for (const double latency : t.latencies_s) {
+        t.log.Record(loadgen::LogEventKind::kQueryIssued, ++query,
+                     loadgen::Seconds{0.0});
+        t.log.Record(loadgen::LogEventKind::kQueryCompleted, query,
+                     loadgen::Seconds{latency});
+      }
+      for (std::size_t k = 0; k < t.shed_count; ++k)
+        t.log.Record(loadgen::LogEventKind::kQueryShed, ++query,
+                     loadgen::Seconds{0.0});
+      for (std::size_t k = 0; k < t.AnomalyCount(); ++k)
+        t.error_log.push_back("query " + std::to_string(k + 1) +
+                              " shed by admission control (issue queue "
+                              "full)");
+      writer->Append(with_record);
+    }
+  }
+  const fleet::FleetJournalLoad old_load = fleet::LoadFleetJournal(old);
+  ASSERT_EQ(old_load.shards.size(), 5u);
+  EXPECT_FALSE(old_load.torn_tail);
+  for (const auto& [id, shard] : old_load.shards) {
+    EXPECT_FALSE(shard.result.log.events().empty()) << "shard " << id;
+    EXPECT_EQ(shard.result.error_log.size(), shard.result.AnomalyCount())
+        << "shard " << id;
+  }
+
+  fleet::FleetOptions resumed = fo;
+  resumed.journal_path = old;
+  resumed.resume = true;
+  const fleet::FleetReport full = fleet::RunFleet(resumed);
+  EXPECT_EQ(full.resumed_shards, 5u);
+  EXPECT_EQ(fleet::FormatFleetReport(full), reference);
+  // The three shards run on resume are journaled without the record.
+  const fleet::FleetJournalLoad after = fleet::LoadFleetJournal(old);
+  ASSERT_EQ(after.shards.size(), 8u);
+  for (const auto& [id, shard] : after.shards) {
+    if (id < 5) continue;
+    EXPECT_TRUE(shard.result.log.events().empty()) << "shard " << id;
+    EXPECT_TRUE(shard.result.error_log.empty()) << "shard " << id;
+  }
 }
 
 TEST(Fleet, ResumeIgnoresJournalOfDifferentConfiguration) {

@@ -8,10 +8,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <random>
 #include <sstream>
+#include <tuple>
+#include <utility>
 
 #include "core/dataset_qsl.h"
 #include "core/loadgen.h"
@@ -405,18 +408,19 @@ void Done(std::uint64_t id, ResponseSink& sink) {
   sink.Complete(QuerySampleResponse{id, {}});
 }
 
-TEST(LoadGen, HostileCompletionsAndRejectionsCountedAsBefore) {
-  // Each row makes the SUT misreport one query (in the server rows, each
-  // shed query it can infer from a gap in the ids) and pins the anomaly
-  // counts and the error log the collector produces for it.
-  struct Case {
-    const char* what;
-    bool server;
-    ScriptedSut::Act act;
-    std::size_t unknown, duplicate, rejected;
-    std::vector<std::string> errors;
-  };
-  const Case kCases[] = {
+// Each row makes the SUT misreport one query (in the server rows, each
+// shed query it can infer from a gap in the ids), with the anomaly counts
+// and the error log the collector produces for it.
+struct HostileCase {
+  const char* what;
+  bool server;
+  ScriptedSut::Act act;
+  std::size_t unknown, duplicate, rejected;
+  std::vector<std::string> errors;
+};
+
+std::vector<HostileCase> HostileCases() {
+  return {
       {"completion for id 0", false,
        [](std::uint64_t id, std::uint64_t, ResponseSink& sink) {
          Done(id, sink);
@@ -505,24 +509,33 @@ TEST(LoadGen, HostileCompletionsAndRejectionsCountedAsBefore) {
        {"query 2 rejected by SUT: breaker open",
         "rejection for query 2 that is not outstanding (ignored)"}},
   };
-  for (const Case& c : kCases) {
+}
+
+// Four single-stream queries, or in the server rows twelve arrivals
+// against a one-deep queue.
+TestSettings HostileSettings(const HostileCase& c) {
+  TestSettings s = FastSettings();
+  s.min_query_count = 4;
+  s.min_duration = Seconds{0.0};
+  if (c.server) {
+    // Arrivals every 0.67 ms on average against 1 ms of service behind
+    // a one-deep queue: an arrival while a query is in flight is shed.
+    s.scenario = TestScenario::kServer;
+    s.server_target_qps = 1500.0;
+    s.server_query_count = 12;
+    s.server_max_queue_depth = 1;
+    s.server_max_shed_fraction = 1.0;
+  }
+  return s;
+}
+
+TEST(LoadGen, HostileCompletionsAndRejectionsCountedAsBefore) {
+  for (const HostileCase& c : HostileCases()) {
     SCOPED_TRACE(c.what);
     VirtualClock clock;
     ScriptedSut sut(clock, c.act);
     FakeQsl qsl(8);
-    TestSettings s = FastSettings();
-    s.min_query_count = 4;
-    s.min_duration = Seconds{0.0};
-    if (c.server) {
-      // Arrivals every 0.67 ms on average against 1 ms of service behind
-      // a one-deep queue: an arrival while a query is in flight is shed.
-      s.scenario = TestScenario::kServer;
-      s.server_target_qps = 1500.0;
-      s.server_query_count = 12;
-      s.server_max_queue_depth = 1;
-      s.server_max_shed_fraction = 1.0;
-    }
-    const TestResult r = RunTest(sut, qsl, s, clock);
+    const TestResult r = RunTest(sut, qsl, HostileSettings(c), clock);
     EXPECT_EQ(r.unknown_count, c.unknown);
     EXPECT_EQ(r.duplicate_count, c.duplicate);
     EXPECT_EQ(r.rejected_count, c.rejected);
@@ -842,6 +855,139 @@ TEST(LoadGen, LogReservationBoundsEveryTestButSingleStream) {
     }
     if (c.act != nullptr) {
       EXPECT_GT(r.rejected_count, 0u);
+    }
+  }
+}
+
+// The LoadGen's trace events of the last traced test, with each query's
+// async id cut to its query id (the high bits number the test).
+std::vector<std::tuple<obs::EventPhase, std::string, std::string, double,
+                       std::uint64_t>>
+LoadGenTraceEvents() {
+  std::vector<std::tuple<obs::EventPhase, std::string, std::string, double,
+                         std::uint64_t>>
+      events;
+  for (const obs::TraceEvent& e : obs::TraceRecorder::Global().Snapshot())
+    if (e.domain == obs::Domain::kLoadGen)
+      events.emplace_back(e.phase, e.name, e.category, e.ts_us,
+                          e.async_id & 0xFFFFFFFF);
+  return events;
+}
+
+TEST(LoadGen, QueryRecordNoneChangesOnlyTheRecord) {
+  // Every scenario twice, on fresh SUTs: keeping the per-query record and
+  // with QueryRecord::kNone.  Without the record, the result differs only
+  // in its log events and error log; everything else, the log's fields and
+  // the trace included, is the same to the bit.
+  struct Case {
+    std::string what;
+    TestSettings settings;
+    ScriptedSut::Act act;  // null: DroppySut drops every `drop_every`-th
+    std::size_t drop_every;
+  };
+  TestSettings single_stream = FastSettings();
+  TestSettings offline = FastSettings();
+  offline.scenario = TestScenario::kOffline;
+  TestSettings shedding = OverloadSettings();
+  shedding.server_max_queue_depth = 8;
+  TestSettings watchdog = FastSettings();
+  watchdog.query_timeout = Seconds{0.5};
+  TestSettings multi_stream = FastSettings();
+  multi_stream.scenario = TestScenario::kMultiStream;
+  multi_stream.multistream_samples_per_query = 2;
+  multi_stream.multistream_query_count = 8;
+  TestSettings accuracy = FastSettings();
+  accuracy.mode = TestMode::kAccuracyOnly;
+  std::vector<Case> cases = {
+      {"single-stream", single_stream, nullptr, 1000000},
+      {"offline", offline, nullptr, 1000000},
+      {"server shedding", shedding, nullptr, 1000000},
+      {"single-stream dropping", single_stream, nullptr, 3},
+      {"watchdog", watchdog, nullptr, 3},
+      {"multi-stream dropping", multi_stream, nullptr, 3},
+      {"accuracy dropping", accuracy, nullptr, 3},
+  };
+  for (const HostileCase& c : HostileCases())
+    cases.push_back({c.what, HostileSettings(c), c.act, 0});
+
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  obs::TraceRecorder& rec = obs::TraceRecorder::Global();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const auto run = [&](QueryRecord record) {
+      VirtualClock clock;
+      DroppySut droppy(clock, c.drop_every);
+      ScriptedSut scripted(clock, c.act);
+      SystemUnderTest& sut = c.act == nullptr
+                                 ? static_cast<SystemUnderTest&>(droppy)
+                                 : scripted;
+      FakeQsl qsl(16);
+      rec.Enable();
+      TestResult r = RunTest(sut, qsl, c.settings, clock, record);
+      rec.Disable();
+      return std::pair(std::move(r), LoadGenTraceEvents());
+    };
+    const auto [keep, keep_trace] = run(QueryRecord::kKeep);
+    const auto [none, none_trace] = run(QueryRecord::kNone);
+
+    EXPECT_EQ(keep.error_log.size(), keep.AnomalyCount());
+    EXPECT_FALSE(keep.log.events().empty());
+    EXPECT_TRUE(none.log.events().empty());
+    EXPECT_TRUE(none.error_log.empty());
+    EXPECT_EQ(none.log.fields(), keep.log.fields());
+    EXPECT_EQ(none_trace, keep_trace);
+
+    EXPECT_EQ(none.scenario, keep.scenario);
+    EXPECT_EQ(none.mode, keep.mode);
+    ASSERT_EQ(none.latencies_s.size(), keep.latencies_s.size());
+    EXPECT_EQ(std::memcmp(none.latencies_s.data(), keep.latencies_s.data(),
+                          keep.latencies_s.size() * sizeof(double)),
+              0);
+    EXPECT_TRUE(same_bits(none.duration_s, keep.duration_s));
+    EXPECT_EQ(none.sample_count, keep.sample_count);
+    EXPECT_TRUE(
+        same_bits(none.percentile_latency_s, keep.percentile_latency_s));
+    EXPECT_TRUE(same_bits(none.mean_latency_s, keep.mean_latency_s));
+    EXPECT_TRUE(same_bits(none.throughput_sps, keep.throughput_sps));
+    EXPECT_EQ(none.min_duration_met, keep.min_duration_met);
+    EXPECT_EQ(none.min_query_count_met, keep.min_query_count_met);
+    EXPECT_EQ(none.latency_bound_met, keep.latency_bound_met);
+    EXPECT_EQ(none.shed_bound_met, keep.shed_bound_met);
+    EXPECT_EQ(none.dropped_count, keep.dropped_count);
+    EXPECT_EQ(none.timed_out_count, keep.timed_out_count);
+    EXPECT_EQ(none.duplicate_count, keep.duplicate_count);
+    EXPECT_EQ(none.unknown_count, keep.unknown_count);
+    EXPECT_EQ(none.shed_count, keep.shed_count);
+    EXPECT_EQ(none.rejected_count, keep.rejected_count);
+    EXPECT_EQ(none.issued_count, keep.issued_count);
+    EXPECT_EQ(none.invalid_reason, keep.invalid_reason);
+    EXPECT_EQ(none.accuracy_outputs.size(), keep.accuracy_outputs.size());
+  }
+}
+
+TEST(LoadGen, UnreservableQueryCountIsRefusedBeforeTheTestRuns) {
+  // A count past the per-test limit throws before the QSL loads a sample
+  // or the SUT sees a query, whether or not the record is kept; the
+  // multi-stream product is checked without wrapping.
+  TestSettings server = OverloadSettings();
+  server.server_query_count = 1'000'000'000'000;
+  TestSettings single_stream = FastSettings();
+  single_stream.min_query_count = kMaxQueryCount + 1;
+  TestSettings multi_stream = FastSettings();
+  multi_stream.scenario = TestScenario::kMultiStream;
+  multi_stream.multistream_query_count = std::size_t{1} << 33;
+  multi_stream.multistream_samples_per_query = std::size_t{1} << 31;
+  for (const TestSettings& s : {server, single_stream, multi_stream}) {
+    for (const QueryRecord record : {QueryRecord::kKeep, QueryRecord::kNone}) {
+      SCOPED_TRACE(std::string(ToString(s.scenario)));
+      VirtualClock clock;
+      FixedLatencySut sut(clock, 0.001);
+      FakeQsl qsl(16);
+      EXPECT_THROW((void)RunTest(sut, qsl, s, clock, record), CheckError);
+      EXPECT_EQ(qsl.loaded_, 0u);
+      EXPECT_EQ(sut.issued_, 0u);
     }
   }
 }
