@@ -136,6 +136,22 @@ void ThreadPool::ParallelFor(std::int64_t begin, std::int64_t end,
   if (job.first_error) std::rethrow_exception(job.first_error);
 }
 
+void ParallelForEachItem(const ThreadPool* pool, std::size_t count,
+                         const std::function<void(ItemClaims&)>& lane_body) {
+  if (count == 0) return;
+  const std::size_t lanes =
+      pool == nullptr || ThreadPool::InParallelRegion()
+          ? 1
+          : std::min(pool->thread_count(), count);
+  ItemClaims next(count);
+  // Each chunk of [0, lanes) is one lane.  A lane that starts after the
+  // others drained the items makes no per-lane state.
+  ParallelForRange(pool, 0, static_cast<std::int64_t>(lanes),
+                   [&](std::int64_t, std::int64_t) {
+                     if (!next.exhausted()) lane_body(next);
+                   });
+}
+
 ThreadPool& ThreadPool::Global() {
   std::scoped_lock lock(GlobalMutex());
   auto& slot = GlobalSlot();

@@ -2,11 +2,12 @@
 //
 // The execution engine parallelizes over *independent* output elements
 // (GEMM row blocks, conv output rows, accuracy samples), so results are
-// bit-identical regardless of thread count: ParallelFor statically
-// partitions the index range into contiguous chunks and every element is
-// computed by exactly one thread with the same serial code and the same
-// per-element operation order.  No cross-thread reductions exist anywhere
-// in the engine.
+// bit-identical regardless of thread count: every element is computed by
+// exactly one thread with the same serial code and the same per-element
+// operation order.  No cross-thread reductions exist anywhere in the
+// engine.  Kernels use ParallelFor, which statically partitions the index
+// range into contiguous chunks; sample-level fan-outs use
+// ParallelForEachItem, whose lanes claim one item at a time.
 //
 // Guarantees:
 //   - Exceptions thrown by the body are captured and rethrown on the
@@ -23,6 +24,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -109,5 +111,37 @@ inline void ParallelForRange(const ThreadPool* pool, std::int64_t begin,
   }
   pool->ParallelFor(begin, end, body);
 }
+
+// The item indices of one ParallelForEachItem call, handed out one per
+// call from a counter every lane shares.
+class ItemClaims {
+ public:
+  explicit ItemClaims(std::size_t count) : count_(count) {}
+
+  // The next unclaimed index, or nullopt once every item is claimed.
+  [[nodiscard]] std::optional<std::size_t> operator()() {
+    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= count_) return std::nullopt;
+    return i;
+  }
+  [[nodiscard]] bool exhausted() const {
+    return next_.load(std::memory_order_relaxed) >= count_;
+  }
+
+ private:
+  const std::size_t count_;
+  std::atomic<std::size_t> next_{0};
+};
+
+// Runs every item in [0, count) exactly once.  Up to min(lanes, count)
+// lanes each call `lane_body(next)` once: the body makes its per-lane state
+// (an ExecutionContext, say) and then loops `while (auto i = next())`.  A
+// slow item holds up only its own lane, so the lanes stay busy where a
+// static split would leave them waiting on the slowest slice.  Items write
+// into their own slots and callers fold in index order, so results do not
+// depend on the pool.  A null or one-lane pool, or a call inside a parallel
+// region, runs one lane inline.  The first exception reaches the caller.
+void ParallelForEachItem(const ThreadPool* pool, std::size_t count,
+                         const std::function<void(ItemClaims&)>& lane_body);
 
 }  // namespace mlpm

@@ -1,6 +1,7 @@
 #include "datasets/calibration_set.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -21,14 +22,10 @@ std::vector<quant::CalibrationSample> GatherCalibrationSamples(
     const TaskDataset& dataset, std::span<const std::size_t> indices,
     const ThreadPool* pool) {
   std::vector<quant::CalibrationSample> samples(indices.size());
-  ParallelForRange(pool, 0, static_cast<std::int64_t>(indices.size()),
-                   [&](std::int64_t lo, std::int64_t hi) {
-                     for (std::int64_t s = lo; s < hi; ++s) {
-                       const auto slot = static_cast<std::size_t>(s);
-                       samples[slot] =
-                           dataset.CalibrationInputsFor(indices[slot]);
-                     }
-                   });
+  ParallelForEachItem(pool, indices.size(), [&](ItemClaims& next) {
+    while (const std::optional<std::size_t> slot = next())
+      samples[*slot] = dataset.CalibrationInputsFor(indices[*slot]);
+  });
   return samples;
 }
 

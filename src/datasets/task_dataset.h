@@ -25,7 +25,8 @@ class TaskDataset {
   // Number of validation samples.
   [[nodiscard]] virtual std::size_t size() const = 0;
 
-  // Full set of graph inputs for sample `index` (deterministic).
+  // Full set of graph inputs for sample `index` (deterministic).  Must be
+  // safe to call concurrently: DatasetQsl stages samples on a pool.
   [[nodiscard]] virtual std::vector<infer::Tensor> InputsFor(
       std::size_t index) const = 0;
 
@@ -46,6 +47,8 @@ class TaskDataset {
 
   // Samples from the *training* split used for PTQ calibration (disjoint
   // seed namespace from validation; paper §5.1's approved ~500-sample set).
+  // Must be safe to call concurrently: GatherCalibrationSamples builds
+  // them on a pool.
   [[nodiscard]] virtual std::vector<infer::Tensor> CalibrationInputsFor(
       std::size_t index) const = 0;
 };

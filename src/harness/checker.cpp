@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 #include <optional>
+#include <utility>
 
 #include "common/statistics.h"
 #include "common/thread_pool.h"
@@ -285,26 +286,19 @@ CheckReport CheckRecordedLog(const loadgen::TestLog& log,
   return check.Finish();
 }
 
-}  // namespace
+// A task's check is three independent parts, reported in this order; a
+// log part is empty when the task recorded no such log.
+enum class TaskPart { kRules, kSingleStream, kOffline };
+constexpr TaskPart kTaskParts[] = {TaskPart::kRules, TaskPart::kSingleStream,
+                                   TaskPart::kOffline};
 
-CheckReport CheckPerformanceLog(const std::string& serialized_log,
-                                const loadgen::TestSettings& expected) {
-  loadgen::TestLog log;
-  try {
-    log = loadgen::TestLog::Parse(serialized_log);
-  } catch (const CheckError& e) {
-    CheckReport report;
-    report.Problem(std::string("unparseable log: ") + e.what());
-    return report;
-  }
-  LogCheck check(expected, log.events().size());
-  for (const auto& [key, value] : log.fields()) check.Field(key, value);
-  for (const loadgen::LogEvent& e : log.events()) check.Event(e);
-  return check.Finish();
+bool HasPart(const TaskRunResult& task, TaskPart part) {
+  if (part == TaskPart::kSingleStream) return task.single_stream.has_value();
+  if (part == TaskPart::kOffline) return task.offline.has_value();
+  return true;
 }
 
-CheckReport CheckTaskRun(const TaskRunResult& task,
-                         const loadgen::TestSettings& expected) {
+CheckReport CheckRules(const TaskRunResult& task) {
   CheckReport report;
 
   // Quality gate: performance results only count above the threshold.
@@ -330,23 +324,52 @@ CheckReport CheckTaskRun(const TaskRunResult& task,
         OfficialCalibrationIndices(), task.calibration_indices);
     for (const std::string& v : cal.violations) report.Problem(v);
   }
+  return report;
+}
 
-  if (task.single_stream) {
-    loadgen::TestSettings ss = expected;
-    ss.scenario = loadgen::TestScenario::kSingleStream;
-    ss.mode = loadgen::TestMode::kPerformanceOnly;
-    CheckReport log_report = CheckRecordedLog(task.single_stream->log, ss);
-    for (std::string& p : log_report.problems)
-      report.Problem(task.entry.id + ": " + p);
+CheckReport CheckTaskPart(const TaskRunResult& task, TaskPart part,
+                          const loadgen::TestSettings& expected) {
+  if (part == TaskPart::kRules) return CheckRules(task);
+  if (!HasPart(task, part)) return {};
+  const bool offline = part == TaskPart::kOffline;
+  loadgen::TestSettings s = expected;
+  s.scenario = offline ? loadgen::TestScenario::kOffline
+                       : loadgen::TestScenario::kSingleStream;
+  s.mode = loadgen::TestMode::kPerformanceOnly;
+  CheckReport report = CheckRecordedLog(
+      offline ? task.offline->log : task.single_stream->log, s);
+  const std::string prefix = task.entry.id + (offline ? " (offline): " : ": ");
+  for (std::string& p : report.problems) p.insert(0, prefix);
+  return report;
+}
+
+void Append(CheckReport& into, CheckReport&& part) {
+  for (std::string& p : part.problems) into.Problem(std::move(p));
+}
+
+}  // namespace
+
+CheckReport CheckPerformanceLog(const std::string& serialized_log,
+                                const loadgen::TestSettings& expected) {
+  loadgen::TestLog log;
+  try {
+    log = loadgen::TestLog::Parse(serialized_log);
+  } catch (const CheckError& e) {
+    CheckReport report;
+    report.Problem(std::string("unparseable log: ") + e.what());
+    return report;
   }
-  if (task.offline) {
-    loadgen::TestSettings off = expected;
-    off.scenario = loadgen::TestScenario::kOffline;
-    off.mode = loadgen::TestMode::kPerformanceOnly;
-    CheckReport log_report = CheckRecordedLog(task.offline->log, off);
-    for (std::string& p : log_report.problems)
-      report.Problem(task.entry.id + " (offline): " + p);
-  }
+  LogCheck check(expected, log.events().size());
+  for (const auto& [key, value] : log.fields()) check.Field(key, value);
+  for (const loadgen::LogEvent& e : log.events()) check.Event(e);
+  return check.Finish();
+}
+
+CheckReport CheckTaskRun(const TaskRunResult& task,
+                         const loadgen::TestSettings& expected) {
+  CheckReport report;
+  for (const TaskPart part : kTaskParts)
+    Append(report, CheckTaskPart(task, part, expected));
   return report;
 }
 
@@ -355,19 +378,22 @@ CheckReport CheckSubmission(const SubmissionResult& submission,
                             const ThreadPool* pool) {
   CheckReport report;
   if (submission.tasks.empty()) report.Problem("submission has no tasks");
-  // Tasks are checked independently, into their own slots, and folded in
-  // task order: the report is the same for any pool.
-  std::vector<CheckReport> task_reports(submission.tasks.size());
-  ParallelForRange(pool, 0, static_cast<std::int64_t>(task_reports.size()),
-                   [&](std::int64_t begin, std::int64_t end) {
-                     for (std::int64_t i = begin; i < end; ++i) {
-                       const auto k = static_cast<std::size_t>(i);
-                       task_reports[k] =
-                           CheckTaskRun(submission.tasks[k], expected);
-                     }
-                   });
-  for (CheckReport& task_report : task_reports)
-    for (std::string& p : task_report.problems) report.Problem(std::move(p));
+  // Each task's rules and each recorded log is one item, so a task's two
+  // logs run on different lanes.  Items are checked into their own slots
+  // and folded in task order, then part order: the report is the same for
+  // any pool.
+  std::vector<std::pair<const TaskRunResult*, TaskPart>> items;
+  for (const TaskRunResult& task : submission.tasks)
+    for (const TaskPart part : kTaskParts)
+      if (HasPart(task, part)) items.emplace_back(&task, part);
+  std::vector<CheckReport> item_reports(items.size());
+  ParallelForEachItem(pool, items.size(), [&](ItemClaims& next) {
+    while (const std::optional<std::size_t> i = next())
+      item_reports[*i] =
+          CheckTaskPart(*items[*i].first, items[*i].second, expected);
+  });
+  for (CheckReport& item_report : item_reports)
+    Append(report, std::move(item_report));
   return report;
 }
 

@@ -43,7 +43,8 @@ struct CheckReport {
                                        const loadgen::TestSettings& expected);
 
 // Validates a whole submission; aggregates per-task reports.  With a
-// pool the tasks are checked concurrently; the report is the same.
+// pool each task's rules and each of its recorded logs are checked
+// concurrently; the report is the same.
 [[nodiscard]] CheckReport CheckSubmission(
     const SubmissionResult& submission, const loadgen::TestSettings& expected,
     const ThreadPool* pool = nullptr);

@@ -430,7 +430,8 @@ void RunTask(const soc::ChipsetDesc& chipset, models::SuiteVersion version,
     tr.transform_nodes_after = prepared.transform.nodes_after;
     tr.transform_detail = prepared.transform.detail;
 
-    loadgen::DatasetQsl qsl(bundle.dataset(pool));
+    // The whole validation set is staged before the run, on the pool.
+    loadgen::DatasetQsl qsl(bundle.dataset(pool), 0, pool);
     loadgen::RealClock clock;
     const infer::Executor& exec = *NotNull(
         prepared.executor, "TaskBundle::Prepare returned no executor");

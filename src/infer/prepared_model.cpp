@@ -1,5 +1,7 @@
 #include "infer/prepared_model.h"
 
+#include <optional>
+
 #include "common/thread_pool.h"
 
 namespace mlpm::infer {
@@ -9,18 +11,16 @@ std::vector<std::vector<Tensor>> RunSamplesParallel(
     const std::function<std::vector<Tensor>(std::size_t)>& inputs_for,
     const ThreadPool* pool) {
   std::vector<std::vector<Tensor>> results(count);
-  // One arena context per chunk: each worker allocates its arena once and
-  // reuses it for every sample in its range, so the steady state does no
+  // One arena context per lane: each lane allocates its arena once and
+  // reuses it for every sample it claims, so the steady state does no
   // per-sample activation allocation.
-  ParallelForRange(pool, 0, static_cast<std::int64_t>(count),
-                   [&](std::int64_t lo, std::int64_t hi) {
-                     ExecutionContext ctx = executor.CreateContext();
-                     for (std::int64_t i = lo; i < hi; ++i) {
-                       const auto idx = static_cast<std::size_t>(i);
-                       const std::vector<Tensor> inputs = inputs_for(idx);
-                       results[idx] = executor.Run(inputs, ctx);
-                     }
-                   });
+  ParallelForEachItem(pool, count, [&](ItemClaims& next) {
+    ExecutionContext ctx = executor.CreateContext();
+    while (const std::optional<std::size_t> i = next()) {
+      const std::vector<Tensor> inputs = inputs_for(*i);
+      results[*i] = executor.Run(inputs, ctx);
+    }
+  });
   return results;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -40,19 +41,16 @@ infer::QuantParams CalibratePtq(const graph::Graph& graph,
   using Observed = std::vector<std::pair<graph::TensorId, infer::TensorRange>>;
   std::vector<Observed> observed(samples.size());
   const infer::Executor fp32(graph, weights, infer::NumericsMode::kFp32);
-  ParallelForRange(pool, 0, static_cast<std::int64_t>(samples.size()),
-                   [&](std::int64_t lo, std::int64_t hi) {
-                     infer::ExecutionContext ctx(fp32);
-                     for (auto s = static_cast<std::size_t>(lo);
-                          s < static_cast<std::size_t>(hi); ++s) {
-                       Observed& out = observed[s];
-                       (void)fp32.Run(samples[s], ctx,
-                                      [&](graph::TensorId id,
-                                          const infer::Tensor& t) {
-                                        out.emplace_back(id, RangeOf(t));
-                                      });
-                     }
-                   });
+  ParallelForEachItem(pool, samples.size(), [&](ItemClaims& next) {
+    infer::ExecutionContext ctx(fp32);
+    while (const std::optional<std::size_t> s = next()) {
+      Observed& out = observed[*s];
+      (void)fp32.Run(samples[*s], ctx,
+                     [&](graph::TensorId id, const infer::Tensor& t) {
+                       out.emplace_back(id, RangeOf(t));
+                     });
+    }
+  });
 
   // The fold runs in sample order on this thread, exactly as a serial
   // pass would have applied each observation.

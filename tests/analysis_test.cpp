@@ -761,7 +761,9 @@ TEST(HarnessGate, ReportModeRecordsButRuns) {
       chipset, models::SuiteVersion::kV1_0, bundles, options);
   for (const harness::TaskRunResult& t : result.tasks) {
     EXPECT_NE(t.status, harness::TaskStatus::kInvalid) << t.entry.id;
-    if (!IsQuantized(t.numerics)) EXPECT_GT(t.lint_error_count, 0u);
+    if (!IsQuantized(t.numerics)) {
+      EXPECT_GT(t.lint_error_count, 0u);
+    }
   }
 }
 

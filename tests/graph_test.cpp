@@ -72,9 +72,9 @@ INSTANTIATE_TEST_SUITE_P(
         ConvDimCase{32, 3, 1, 2, Padding::kSame, {}, 32}));
 
 TEST(ConvOutDim, RejectsDegenerateInputs) {
-  EXPECT_THROW(ConvOutDim(0, 3, 1, 1, Padding::kSame), CheckError);
-  EXPECT_THROW(ConvOutDim(4, 3, 0, 1, Padding::kSame), CheckError);
-  EXPECT_THROW(ConvOutDim(2, 3, 1, 1, Padding::kValid), CheckError);
+  EXPECT_THROW((void)ConvOutDim(0, 3, 1, 1, Padding::kSame), CheckError);
+  EXPECT_THROW((void)ConvOutDim(4, 3, 0, 1, Padding::kSame), CheckError);
+  EXPECT_THROW((void)ConvOutDim(2, 3, 1, 1, Padding::kValid), CheckError);
 }
 
 // ---- builder ----

@@ -1,14 +1,18 @@
 // Bit-exactness of the parallel execution engine: the threaded executor
 // against the serial allocate-per-node oracle (oracle.h) for every
-// reference model, and the deferred ReferenceBackend / threaded harness
-// against their serial counterparts.  Every comparison is EXPECT_EQ on
-// floats: the engine promises bit-identical results for any thread count.
+// reference model, and the deferred ReferenceBackend, pooled QSL staging
+// and threaded harness against their serial counterparts.  Every
+// comparison is EXPECT_EQ on floats (or bytes): the engine promises
+// bit-identical results for any thread count.
 #include <cstdint>
+#include <cstring>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "backends/reference_backend.h"
+#include "common/check.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/dataset_qsl.h"
@@ -16,6 +20,7 @@
 #include "harness/export.h"
 #include "harness/report.h"
 #include "harness/run_session.h"
+#include "harness/task_bundle.h"
 #include "infer/executor.h"
 #include "infer/prepared_model.h"
 #include "infer/weights.h"
@@ -150,6 +155,68 @@ TEST(ReferenceBackend, DeferredAccuracyMatchesSerial) {
   }
   EXPECT_EQ(bundle->dataset().ScoreOutputs(serial.accuracy_outputs),
             bundle->dataset().ScoreOutputs(parallel.accuracy_outputs));
+}
+
+// True when `got` holds the same tensors as `want`, byte for byte.
+bool SameBytes(const std::vector<infer::Tensor>& got,
+               const std::vector<infer::Tensor>& want) {
+  if (got.size() != want.size()) return false;
+  for (std::size_t o = 0; o < got.size(); ++o)
+    if (got[o].shape() != want[o].shape() ||
+        std::memcmp(got[o].data(), want[o].data(),
+                    got[o].size() * sizeof(float)) != 0)
+      return false;
+  return true;
+}
+
+std::vector<std::size_t> Indices(std::size_t begin, std::size_t end) {
+  std::vector<std::size_t> v(end - begin);
+  std::iota(v.begin(), v.end(), begin);
+  return v;
+}
+
+TEST(DatasetQslStaging, PooledStagingEqualsInputsFor) {
+  // Image classification and object detection: the two largest staged
+  // sets of an accuracy submission.
+  const auto& suite = models::SuiteFor(models::SuiteVersion::kV1_0);
+  for (const std::size_t task : {0u, 1u}) {
+    const std::unique_ptr<harness::TaskBundle> bundle =
+        harness::TaskBundle::Create(suite[task], models::SuiteVersion::kV1_0);
+    const datasets::TaskDataset& ds = bundle->dataset();
+    const std::vector<std::size_t> all = Indices(0, ds.size());
+    for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+      ThreadPool pool(threads);
+      loadgen::DatasetQsl qsl(ds, 0, &pool);
+      qsl.LoadSamplesToRam(all);
+      for (const std::size_t i : all)
+        ASSERT_TRUE(SameBytes(qsl.Loaded(i), ds.InputsFor(i)))
+            << suite[task].id << ", " << threads << " threads, sample " << i;
+    }
+  }
+}
+
+TEST(DatasetQslStaging, RestagingKeepsStagedTensors) {
+  const std::unique_ptr<harness::TaskBundle> bundle =
+      harness::TaskBundle::Create(
+          models::SuiteFor(models::SuiteVersion::kV1_0)[0],
+          models::SuiteVersion::kV1_0);
+  const datasets::TaskDataset& ds = bundle->dataset();
+  ThreadPool pool(4);
+  loadgen::DatasetQsl qsl(ds, 0, &pool);
+  qsl.LoadSamplesToRam(Indices(0, 10));
+  std::vector<const float*> first;
+  for (std::size_t i = 0; i < 10; ++i) first.push_back(qsl.Loaded(i)[0].data());
+
+  qsl.LoadSamplesToRam(Indices(5, 15));
+  for (std::size_t i = 0; i < 10; ++i)
+    EXPECT_EQ(qsl.Loaded(i)[0].data(), first[i]) << "sample " << i;
+  for (std::size_t i = 0; i < 15; ++i)
+    EXPECT_TRUE(SameBytes(qsl.Loaded(i), ds.InputsFor(i))) << "sample " << i;
+  EXPECT_THROW((void)qsl.Loaded(15), CheckError);
+
+  qsl.UnloadSamplesFromRam(Indices(0, 5));
+  EXPECT_THROW((void)qsl.Loaded(0), CheckError);
+  EXPECT_NO_THROW((void)qsl.Loaded(5));
 }
 
 TEST(ParallelHarness, AccuracyIdenticalAcrossThreadCounts) {

@@ -199,8 +199,9 @@ TEST(NmsProperty, OutputIsSubsetAndNonOverlapping) {
     // Pairwise same-class IoU below the threshold.
     for (std::size_t i = 0; i < kept.size(); ++i)
       for (std::size_t j = i + 1; j < kept.size(); ++j)
-        if (kept[i].class_id == kept[j].class_id)
+        if (kept[i].class_id == kept[j].class_id) {
           EXPECT_LE(kept[i].box.IoU(kept[j].box), 0.4f + 1e-6f);
+        }
   }
 }
 

@@ -191,25 +191,46 @@ TEST(TaskFanOut, ProfiledRunTracesTheSameAtOneAndFourThreads) {
   EXPECT_EQ(TracedRunInAChild(4), serial);
 }
 
+bool HasProblemStartingWith(const CheckReport& report,
+                            const std::string& prefix) {
+  for (const std::string& p : report.problems)
+    if (p.starts_with(prefix)) return true;
+  return false;
+}
+
 TEST(TaskFanOut, CheckSubmissionOnAPoolEqualsTheSerialCheck) {
-  // A submission with problems in several tasks: the pooled check folds
-  // them in task order.
+  // A submission with problems in several tasks, and in both logs of one
+  // task: the pooled check claims each task's rules and each log as an
+  // item of its own and folds them in task order, rules first, then the
+  // single-stream log, then the offline log.
   SuiteBundles bundles;
   SubmissionResult r = RunSubmission(soc::Exynos2100(),
                                      models::SuiteVersion::kV1_0, bundles,
                                      FastPerfOptions(1));
   ASSERT_EQ(r.tasks.size(), 4u);
+  const std::string ic = r.tasks[0].entry.id;
+  ASSERT_TRUE(r.tasks[0].offline.has_value());
+  r.tasks[0].offline->log.SetField("seed", "1");  // the offline log fails
   r.tasks[1].dataset_size = 10;  // accuracy coverage and quality problems
   r.tasks[3].offline.reset();
   loadgen::TestSettings expected = FastPerfOptions(1).performance_settings;
   expected.min_query_count = 1'000'000;  // every single-stream log fails
   const CheckReport serial = CheckSubmission(r, expected);
   ASSERT_GT(serial.problems.size(), 4u);
-  for (const int threads : {2, 3, 4}) {
-    const std::unique_ptr<ThreadPool> pool = MakeRunPool(threads);
-    ASSERT_NE(pool, nullptr);
-    const CheckReport pooled = CheckSubmission(r, expected, pool.get());
-    EXPECT_EQ(pooled.problems, serial.problems);
+  EXPECT_TRUE(HasProblemStartingWith(serial, ic + ": "));
+  EXPECT_TRUE(HasProblemStartingWith(serial, ic + " (offline): "));
+  EXPECT_TRUE(HasProblemStartingWith(serial, r.tasks[1].entry.id +
+                                                 ": accuracy 0.0"));
+  // The serial check is the per-task checks, concatenated in task order.
+  std::vector<std::string> concatenated;
+  for (const TaskRunResult& task : r.tasks)
+    for (const std::string& p : CheckTaskRun(task, expected).problems)
+      concatenated.push_back(p);
+  EXPECT_EQ(serial.problems, concatenated);
+  for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+    const ThreadPool pool(threads);
+    const CheckReport pooled = CheckSubmission(r, expected, &pool);
+    EXPECT_EQ(pooled.problems, serial.problems) << threads << " threads";
     EXPECT_EQ(pooled.valid, serial.valid);
   }
 }

@@ -1,11 +1,13 @@
 // ThreadPool contract tests: startup/shutdown, full-coverage static
 // partitioning, exception propagation, nested-submit safety, concurrent
-// callers, and determinism of chunk boundaries across thread counts.
+// callers, determinism of chunk boundaries across thread counts, and the
+// one-item-per-claim fan-out (ParallelForEachItem).
 #include "common/thread_pool.h"
 
 #include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -165,6 +167,71 @@ TEST(ThreadPool, StressManySmallSubmits) {
       total.fetch_add(hi - lo);
     });
   EXPECT_EQ(total.load(), 500 * 7);
+}
+
+// Runs ParallelForEachItem over `count` items and returns how many times
+// each item ran; `lanes` receives how many times lane_body ran.
+std::vector<int> ItemHits(const ThreadPool* pool, std::size_t count,
+                          int& lanes) {
+  std::vector<std::atomic<int>> hits(count);
+  std::atomic<int> lane_calls{0};
+  ParallelForEachItem(pool, count, [&](ItemClaims& next) {
+    lane_calls.fetch_add(1);
+    while (const std::optional<std::size_t> i = next()) hits[*i].fetch_add(1);
+  });
+  lanes = lane_calls.load();
+  std::vector<int> out;
+  for (const std::atomic<int>& h : hits) out.push_back(h.load());
+  return out;
+}
+
+TEST(ParallelForEachItem, RunsEveryItemOnceOnAtMostMinLanesCountLanes) {
+  for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+    ThreadPool pool(threads);
+    for (const std::size_t count : {0u, 1u, 2u, 3u, 1000u}) {
+      int lanes = 0;
+      const std::vector<int> hits = ItemHits(&pool, count, lanes);
+      EXPECT_EQ(hits, std::vector<int>(count, 1))
+          << threads << " threads, " << count << " items";
+      EXPECT_LE(static_cast<std::size_t>(lanes), std::min(threads, count))
+          << threads << " threads, " << count << " items";
+      EXPECT_EQ(lanes > 0, count > 0);
+    }
+  }
+  int lanes = 0;
+  EXPECT_EQ(ItemHits(nullptr, 5, lanes), std::vector<int>(5, 1));
+  EXPECT_EQ(lanes, 1);
+}
+
+TEST(ParallelForEachItem, ExceptionReachesCallerAndPoolStaysUsable) {
+  ThreadPool pool(4);
+  EXPECT_THROW(ParallelForEachItem(&pool, 100,
+                                   [&](ItemClaims& next) {
+                                     while (const auto i = next())
+                                       if (*i == 37)
+                                         throw std::runtime_error("boom");
+                                   }),
+               std::runtime_error);
+  int lanes = 0;
+  EXPECT_EQ(ItemHits(&pool, 100, lanes), std::vector<int>(100, 1));
+}
+
+TEST(ParallelForEachItem, NestedCallRunsOneLaneInline) {
+  ThreadPool pool(4);
+  std::atomic<int> outer_chunks{0};
+  std::atomic<int> inner_lanes{0};
+  std::atomic<int> inner_items{0};
+  pool.ParallelFor(0, 4, [&](std::int64_t, std::int64_t) {
+    outer_chunks.fetch_add(1);
+    const std::thread::id caller = std::this_thread::get_id();
+    ParallelForEachItem(&pool, 10, [&](ItemClaims& next) {
+      inner_lanes.fetch_add(1);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      while (next()) inner_items.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(inner_lanes.load(), outer_chunks.load());
+  EXPECT_EQ(inner_items.load(), outer_chunks.load() * 10);
 }
 
 TEST(ThreadPool, GlobalPoolIsConfigurable) {
