@@ -12,6 +12,7 @@
 //   --smoke      reduced timing budget for CI; every section and every
 //                exactness assertion still runs at full strength
 #include <cstdio>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,7 +80,9 @@ void BenchExecutor(const ThreadPool& pool) {
     for (auto& v : t.values()) v = static_cast<float>(rng.NextDouble());
     sample_inputs.push_back({std::move(t)});
   }
-  const auto inputs_for = [&](std::size_t i) { return sample_inputs[i]; };
+  const auto inputs_for = [&](std::size_t i) -> infer::SampleInputs {
+    return std::span<const infer::Tensor>(sample_inputs[i]);
+  };
   const double s_loop = TimeSeconds([&] {
     auto out = infer::RunSamplesParallel(exec, sample_inputs.size(),
                                          inputs_for, nullptr);

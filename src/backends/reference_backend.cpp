@@ -1,5 +1,7 @@
 #include "backends/reference_backend.h"
 
+#include <span>
+
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "infer/prepared_model.h"
@@ -34,7 +36,9 @@ void ReferenceBackend::FlushQueries() {
   if (pending_.empty()) return;
   std::vector<std::vector<infer::Tensor>> outputs = infer::RunSamplesParallel(
       executor_, pending_.size(),
-      [&](std::size_t i) { return qsl_.Loaded(pending_[i].index); },
+      [&](std::size_t i) -> infer::SampleInputs {
+        return std::span<const infer::Tensor>(qsl_.Loaded(pending_[i].index));
+      },
       pool_);
   // The sink is not thread-safe; complete sequentially in issue order.
   loadgen::ResponseSink& sink =

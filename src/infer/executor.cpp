@@ -41,44 +41,49 @@ void RunFullyConnected(const graph::FullyConnectedAttrs& a, const Tensor& in,
   const float* __restrict wp = w.data();  // [out_f, in_f]
   const float* __restrict bp = bias.data();
   float* __restrict op = out.data();
-  // Four output features share each input load through the dispatched dot4
-  // microkernel; the scalar table keeps the original per-element order
-  // (bias first, then i ascending).
-  const auto run_rows = [&](std::int64_t r, std::int64_t o_lo,
-                            std::int64_t o_hi) {
-    const float* row = ip + r * in_f;
-    std::int64_t o = o_lo;
-    for (; o + 4 <= o_hi; o += 4) {
-      const float* w0 = wp + o * in_f;
-      float acc[4] = {bp[o], bp[o + 1], bp[o + 2], bp[o + 3]};
-      kt.dot4_f32(row, w0, w0 + in_f, w0 + 2 * in_f, w0 + 3 * in_f, in_f,
-                  acc);
-      op[r * out_f + o] = ApplyActivation(acc[0], a.activation);
-      op[r * out_f + o + 1] = ApplyActivation(acc[1], a.activation);
-      op[r * out_f + o + 2] = ApplyActivation(acc[2], a.activation);
-      op[r * out_f + o + 3] = ApplyActivation(acc[3], a.activation);
-    }
-    for (; o < o_hi; ++o) {
-      const float* wrow = wp + o * in_f;
-      float acc = bp[o];
-      for (std::int64_t i = 0; i < in_f; ++i) acc += row[i] * wrow[i];
-      op[r * out_f + o] = ApplyActivation(acc, a.activation);
+  // Rows go in pairs through the table's conv block entry (one tap at
+  // offset 0), so four features share each input load and two rows each
+  // weight load; the scalar table keeps the original per-element order
+  // (bias first, then i ascending).  Runs `count` (1 or 2) rows from `r`
+  // over features [o_lo, o_hi).
+  const auto run_rows = [&](std::int64_t r, std::int64_t count,
+                            std::int64_t o_lo, std::int64_t o_hi) {
+    static constexpr std::int64_t kNoOffset = 0;
+    const float* x0 = ip + r * in_f;
+    const float* x1 = x0 + in_f;
+    const std::int64_t o_mid =
+        o_lo + (o_hi - o_lo) / kernels::kF32RowBlock * kernels::kF32RowBlock;
+    kt.conv_block_f32(&x0, count == 2 ? &x1 : nullptr, &kNoOffset, 1,
+                      wp + o_lo * in_f, in_f, in_f, o_mid - o_lo, bp + o_lo,
+                      op + r * out_f + o_lo,
+                      count == 2 ? op + (r + 1) * out_f + o_lo : nullptr);
+    for (std::int64_t q = r; q < r + count; ++q) {
+      const float* row = ip + q * in_f;
+      float* out_row = op + q * out_f;
+      ApplyActivationInPlace(out_row + o_lo, o_mid - o_lo, a.activation);
+      for (std::int64_t o = o_mid; o < o_hi; ++o) {
+        const float* wrow = wp + o * in_f;
+        float acc = bp[o];
+        for (std::int64_t i = 0; i < in_f; ++i) acc += row[i] * wrow[i];
+        out_row[o] = ApplyActivation(acc, a.activation);
+      }
     }
   };
   if (rows > 1) {
     // Batched / sequence input: parallel over rows.
     ParallelForRange(pool, 0, rows, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t r = lo; r < hi; ++r) run_rows(r, 0, out_f);
+      for (std::int64_t r = lo; r < hi; r += 2)
+        run_rows(r, std::min<std::int64_t>(2, hi - r), 0, out_f);
     });
   } else {
     // Single row (classifier heads): parallel over output features, chunked
-    // in dot4-sized quads so a feature's dot4-vs-remainder path depends only
-    // on its absolute index — required for bit-identical results across
-    // thread counts (DESIGN.md §8).
+    // in block-sized quads so a feature's block-vs-remainder path depends
+    // only on its absolute index — required for bit-identical results
+    // across thread counts (DESIGN.md §8).
     constexpr std::int64_t kB = kernels::kF32RowBlock;
     ParallelForRange(pool, 0, (out_f + kB - 1) / kB,
                      [&](std::int64_t lo, std::int64_t hi) {
-                       run_rows(0, lo * kB, std::min(hi * kB, out_f));
+                       run_rows(0, 1, lo * kB, std::min(hi * kB, out_f));
                      });
   }
 }

@@ -6,6 +6,7 @@
 // fuse with vfmaq, so they match the scalar oracle within the documented
 // tolerance only.  The scalar-order entries point at the portable bodies
 // (scalar_order.h) until NEON versions that keep the scalar order exist.
+#include "infer/kernels/conv_block.h"
 #include "infer/kernels/registry.h"
 #include "infer/kernels/scalar_order.h"
 
@@ -63,6 +64,7 @@ const KernelTable* NeonKernelsOrNull() {
       .isa = KernelIsa::kNeon,
       .name = "neon",
       .dot4_f32 = Dot4F32Neon,
+      .conv_block_f32 = ConvBlockPerTap<Dot4F32Neon>,
       .dw_madd_f32 = DwMaddF32Neon,
       .matmul_f32 = MatmulF32Portable,
       .round_half_f32 = RoundHalfF32Portable,

@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "common/fp16.h"
+#include "infer/kernels/conv_block.h"
 #include "infer/kernels/registry.h"
 #include "infer/kernels/scalar_order.h"
 
@@ -71,6 +72,7 @@ const KernelTable& ScalarKernels() {
       .isa = KernelIsa::kScalar,
       .name = "scalar",
       .dot4_f32 = Dot4F32Portable,
+      .conv_block_f32 = ConvBlockPerTap<Dot4F32Portable>,
       .dw_madd_f32 = DwMaddF32Portable,
       .matmul_f32 = MatmulF32Portable,
       .round_half_f32 = RoundHalfF32Portable,

@@ -1,22 +1,26 @@
 // Runtime-dispatched SIMD microkernel registry.
 //
-// The execution engine's hot inner loops — the conv/FC 4-wide dot product,
-// the depthwise per-tap multiply-accumulate, the attention matmuls and the
-// FP16 / INT8 output numerics — are reached through a `KernelTable` of
-// function pointers instead of being called directly.  A `KernelRegistry`
+// The execution engine's hot inner loops — the conv/FC tap loop over
+// blocks of two output positions × four channels, the depthwise per-tap
+// multiply-accumulate, the attention matmuls and the FP16 / INT8 output
+// numerics — are reached through a `KernelTable` of function pointers
+// instead of being called directly.  A `KernelRegistry`
 // probes the host CPU once (cpuid-backed `__builtin_cpu_supports` on x86,
 // HWCAP/compile-time on AArch64) and selects the best table: AVX2+FMA+F16C,
 // NEON, or the portable scalar implementation.
 //
-// Exactness contract (DESIGN.md §13) — two kinds of entries:
+// Exactness contract (DESIGN.md §13) — two kinds of entries, plus one
+// defined by another entry of the same table:
 //   * entries that reassociate (`dot4_f32`, `dw_madd_f32`) may sum across
 //     lanes and fuse (FMA), so vectorized tables are only required to match
 //     the scalar oracle within a small relative tolerance;
 //   * entries that keep the scalar order (`matmul_f32`, `round_half_f32`,
 //     `fake_quant_f32`) put their lanes across independent outputs and do
 //     each output's arithmetic in the scalar order, one multiply and one add
-//     per term, so every table returns the scalar table's exact bits.
-// kernel_dispatch_test enforces both.
+//     per term, so every table returns the scalar table's exact bits;
+//   * `conv_block_f32`, what conv and FC call, returns the same bits as
+//     this table's `dot4_f32` call sequence (one call per present tap).
+// kernel_dispatch_test enforces all three.
 //
 // The scalar table is the portable fallback AND the oracle: it reproduces the
 // pre-dispatch arithmetic order exactly, so a forced `--kernel-isa scalar`
@@ -61,8 +65,18 @@ struct CpuFeatures {
 // One ISA's implementation of every dispatched microkernel.  All function
 // pointers are always non-null.  Contracts mirror the scalar originals:
 //
-//   dot4_f32       acc[r] += dot(x, w_r, len) for r in 0..3 — the conv and
-//                  fully-connected 4-output-channel inner loop.
+//   dot4_f32       acc[r] += dot(x, w_r, len) for r in 0..3 — the
+//                  definition of conv_block_f32's bits; no engine code
+//                  calls it directly.
+//   conv_block_f32 conv/FC outputs for two positions p (x1 == nullptr:
+//                  position 0 only, out1 unused) and channels [0, oc4),
+//                  oc4 a multiple of 4.  For each block at oc: acc =
+//                  bias[oc..oc+3]; for t in [0, ntaps) ascending, when
+//                  x_p[t] != nullptr (null: the tap is outside the image),
+//                  dot4_f32(x_p[t], w_r, len, acc) with w_r = w + (oc + r)
+//                  * wstride + woff[t]; then out_p[oc..oc+3] = acc (raw
+//                  sums: the caller applies the activation and computes the
+//                  oc4..OC remainder).
 //   dw_madd_f32    acc[c] += x[c] * w[c] for c in [0, channels) — one
 //                  depthwise tap over a channel-contiguous weight slice.
 //   matmul_f32     c[i][j] = sum_p a[i][p] * b[p][j] over row-major [m,k] a
@@ -72,7 +86,7 @@ struct CpuFeatures {
 //   fake_quant_f32 v[i] = (clamp(round(v[i] / scale) + zp, 0, qmax) - zp)
 //                  * scale for i in [0, n) — FakeQuantActivation's per-
 //                  element step on a grid computed once per tensor.
-// The dot4 call sites block their work in groups of four output features,
+// The conv/FC call sites block their work in groups of four output features,
 // and a feature's arithmetic differs between the blocked path and the
 // remainder path.  The engine guarantees bit-identical results for ANY
 // thread count (DESIGN.md §8), so every parallel caller must align its
@@ -86,6 +100,12 @@ struct KernelTable {
   void (*dot4_f32)(const float* x, const float* w0, const float* w1,
                    const float* w2, const float* w3, std::int64_t len,
                    float* acc) = nullptr;
+  void (*conv_block_f32)(const float* const* x0, const float* const* x1,
+                         const std::int64_t* woff, std::int64_t ntaps,
+                         const float* w, std::int64_t wstride,
+                         std::int64_t len, std::int64_t oc4,
+                         const float* bias, float* out0,
+                         float* out1) = nullptr;
   void (*dw_madd_f32)(const float* x, const float* w, float* acc,
                       std::int64_t channels) = nullptr;
   void (*matmul_f32)(const float* a, std::int64_t lda, const float* b,

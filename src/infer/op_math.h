@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "graph/ops.h"
 
@@ -33,6 +34,31 @@ inline float ApplyActivation(float v, graph::Activation a) {
     }
   }
   return v;
+}
+
+// ApplyActivation over v[0, n) in place, with the switch outside the loop
+// so each case's loop can vectorize; every element gets the same operation.
+template <graph::Activation A>
+void ApplyActivationInPlace(float* v, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) v[i] = ApplyActivation(v[i], A);
+}
+
+inline void ApplyActivationInPlace(float* v, std::int64_t n,
+                                   graph::Activation a) {
+  using graph::Activation;
+  switch (a) {
+    case Activation::kNone: return;
+    case Activation::kRelu:
+      return ApplyActivationInPlace<Activation::kRelu>(v, n);
+    case Activation::kRelu6:
+      return ApplyActivationInPlace<Activation::kRelu6>(v, n);
+    case Activation::kSigmoid:
+      return ApplyActivationInPlace<Activation::kSigmoid>(v, n);
+    case Activation::kTanh:
+      return ApplyActivationInPlace<Activation::kTanh>(v, n);
+    case Activation::kGelu:
+      return ApplyActivationInPlace<Activation::kGelu>(v, n);
+  }
 }
 
 }  // namespace mlpm::infer

@@ -8,7 +8,7 @@ namespace mlpm::infer {
 
 std::vector<std::vector<Tensor>> RunSamplesParallel(
     const Executor& executor, std::size_t count,
-    const std::function<std::vector<Tensor>(std::size_t)>& inputs_for,
+    const std::function<SampleInputs(std::size_t)>& inputs_for,
     const ThreadPool* pool) {
   std::vector<std::vector<Tensor>> results(count);
   // One arena context per lane: each lane allocates its arena once and
@@ -17,8 +17,12 @@ std::vector<std::vector<Tensor>> RunSamplesParallel(
   ParallelForEachItem(pool, count, [&](ItemClaims& next) {
     ExecutionContext ctx = executor.CreateContext();
     while (const std::optional<std::size_t> i = next()) {
-      const std::vector<Tensor> inputs = inputs_for(*i);
-      results[*i] = executor.Run(inputs, ctx);
+      const SampleInputs inputs = inputs_for(*i);
+      results[*i] = executor.Run(
+          std::visit(
+              [](const auto& v) { return std::span<const Tensor>(v); },
+              inputs),
+          ctx);
     }
   });
   return results;

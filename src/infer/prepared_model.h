@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <functional>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "infer/executor.h"
@@ -66,14 +67,20 @@ class PreparedModel {
   Executor executor_;
 };
 
+// A sample's input tensors as RunSamplesParallel's callback hands them
+// over: built for the call (owned), or a view of tensors staged elsewhere
+// that outlive the run (a QSL's staged samples), so those are not copied.
+using SampleInputs =
+    std::variant<std::vector<Tensor>, std::span<const Tensor>>;
+
 // Evaluates `count` independent samples, parallelized over samples when
 // `pool` is non-null.  `inputs_for(i)` must be safe to call concurrently
-// and returns the sample's input tensors by value.  Output order matches
-// sample order and every tensor is bit-identical to a serial loop (samples
-// are independent; no shared mutable state).
+// and returns the sample's input tensors, owned or as a view.  Output order
+// matches sample order and every tensor is bit-identical to a serial loop
+// (samples are independent; no shared mutable state).
 [[nodiscard]] std::vector<std::vector<Tensor>> RunSamplesParallel(
     const Executor& executor, std::size_t count,
-    const std::function<std::vector<Tensor>(std::size_t)>& inputs_for,
+    const std::function<SampleInputs(std::size_t)>& inputs_for,
     const ThreadPool* pool);
 
 }  // namespace mlpm::infer

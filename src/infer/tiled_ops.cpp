@@ -35,64 +35,74 @@ void RunConv2dRows(const graph::Conv2dAttrs& a, const RowBand& in,
                                               a.stride, a.dilation, a.padding);
   const std::int64_t pw = graph::SamePadBegin(IW, out.width, a.kernel_w,
                                               a.stride, a.dilation, a.padding);
-  const float* __restrict wp = w.data();
+  const float* __restrict wp = w.data();  // [OC, KH, KW, IC]
   const float* __restrict bp = bias.data();
   const float* __restrict ip = in.data;
   float* __restrict op = out.data;
 
-  // Global output rows; taps are skipped against the *logical* bounds
-  // [0, IH), and surviving taps are guaranteed in-slab by bounds inference.
-  for (std::int64_t oh = out.origin; oh < out.origin + out.rows; ++oh) {
-    for (std::int64_t ow = 0; ow < OW; ++ow) {
-      float* out_px = op + ((oh - out.origin) * OW + ow) * OC;
-      std::int64_t oc = 0;
-      for (; oc + 4 <= OC; oc += 4) {
-        float acc[4] = {bp[oc], bp[oc + 1], bp[oc + 2], bp[oc + 3]};
-        for (int kh = 0; kh < a.kernel_h; ++kh) {
-          const std::int64_t ih =
-              oh * a.stride - ph + static_cast<std::int64_t>(kh) * a.dilation;
-          if (ih < 0 || ih >= IH) continue;
-          for (int kw = 0; kw < a.kernel_w; ++kw) {
-            const std::int64_t iw =
-                ow * a.stride - pw + static_cast<std::int64_t>(kw) *
-                                         a.dilation;
-            if (iw < 0 || iw >= IW) continue;
-            const float* in_px = ip + ((ih - in.origin) * IW + iw) * IC;
-            const std::int64_t woff =
-                (static_cast<std::int64_t>(kh) * a.kernel_w + kw) * IC;
-            const std::int64_t wstride =
-                static_cast<std::int64_t>(a.kernel_h) * a.kernel_w * IC;
-            const float* w0 = wp + oc * wstride + woff;
-            kt.dot4_f32(in_px, w0, w0 + wstride, w0 + 2 * wstride,
-                        w0 + 3 * wstride, IC, acc);
-          }
-        }
-        out_px[oc] = ApplyActivation(acc[0], a.activation);
-        out_px[oc + 1] = ApplyActivation(acc[1], a.activation);
-        out_px[oc + 2] = ApplyActivation(acc[2], a.activation);
-        out_px[oc + 3] = ApplyActivation(acc[3], a.activation);
-      }
-      for (; oc < OC; ++oc) {
-        float acc = bp[oc];
-        for (int kh = 0; kh < a.kernel_h; ++kh) {
-          const std::int64_t ih =
-              oh * a.stride - ph + static_cast<std::int64_t>(kh) * a.dilation;
-          if (ih < 0 || ih >= IH) continue;
-          for (int kw = 0; kw < a.kernel_w; ++kw) {
-            const std::int64_t iw =
-                ow * a.stride - pw + static_cast<std::int64_t>(kw) *
-                                         a.dilation;
-            if (iw < 0 || iw >= IW) continue;
-            const float* in_px = ip + ((ih - in.origin) * IW + iw) * IC;
-            const float* w_px =
-                wp + ((oc * a.kernel_h + kh) * a.kernel_w + kw) * IC;
-            for (std::int64_t ic = 0; ic < IC; ++ic)
-              acc += in_px[ic] * w_px[ic];
-          }
-        }
-        out_px[oc] = ApplyActivation(acc, a.activation);
+  // Taps in (kh, kw) order; weight offsets are the same for every pixel.
+  const std::int64_t ntaps = static_cast<std::int64_t>(a.kernel_h) *
+                             a.kernel_w;
+  const std::int64_t wstride = ntaps * IC;
+  const std::int64_t oc4 = OC - OC % kernels::kF32RowBlock;
+  std::vector<std::int64_t> woff(static_cast<std::size_t>(ntaps));
+  for (std::int64_t t = 0; t < ntaps; ++t)
+    woff[static_cast<std::size_t>(t)] = t * IC;
+  // One pixel pair's input pointers per tap: [0, ntaps) for the first,
+  // [ntaps, 2 * ntaps) for the second.
+  std::vector<const float*> taps(static_cast<std::size_t>(2 * ntaps));
+
+  // Gathers the taps of the band's next pixel, row-major from global row
+  // out.origin.  Taps are null outside the *logical* bounds [0, IH) x
+  // [0, IW); surviving taps are guaranteed in-slab by bounds inference.
+  std::int64_t oh = out.origin, ow = 0;
+  const auto gather_next = [&](const float** x) {
+    for (int kh = 0; kh < a.kernel_h; ++kh) {
+      const std::int64_t ih =
+          oh * a.stride - ph + static_cast<std::int64_t>(kh) * a.dilation;
+      for (int kw = 0; kw < a.kernel_w; ++kw) {
+        const std::int64_t iw =
+            ow * a.stride - pw + static_cast<std::int64_t>(kw) * a.dilation;
+        *x++ = ih < 0 || ih >= IH || iw < 0 || iw >= IW
+                   ? nullptr
+                   : ip + ((ih - in.origin) * IW + iw) * IC;
       }
     }
+    if (++ow == OW) {
+      ow = 0;
+      ++oh;
+    }
+  };
+  // The block entry leaves raw sums in [0, oc4); the activation and the
+  // OC % 4 remainder channels finish the pixel here.
+  const auto finish = [&](const float* const* x, float* out_px) {
+    ApplyActivationInPlace(out_px, oc4, a.activation);
+    for (std::int64_t oc = oc4; oc < OC; ++oc) {
+      float acc = bp[oc];
+      for (std::int64_t t = 0; t < ntaps; ++t) {
+        const float* in_px = x[t];
+        if (in_px == nullptr) continue;
+        const float* w_px = wp + oc * wstride + t * IC;
+        for (std::int64_t ic = 0; ic < IC; ++ic) acc += in_px[ic] * w_px[ic];
+      }
+      out_px[oc] = ApplyActivation(acc, a.activation);
+    }
+  };
+
+  // The band's pixels in pairs, row-major; a pair may span two rows.
+  const std::int64_t pixels = out.rows * OW;
+  const float** x0 = taps.data();
+  const float** x1 = x0 + ntaps;
+  for (std::int64_t p = 0; p < pixels; p += 2) {
+    const bool pair = p + 1 < pixels;
+    float* px0 = op + p * OC;
+    float* px1 = pair ? px0 + OC : nullptr;
+    gather_next(x0);
+    if (pair) gather_next(x1);
+    kt.conv_block_f32(x0, pair ? x1 : nullptr, woff.data(), ntaps, wp,
+                      wstride, IC, oc4, bp, px0, px1);
+    finish(x0, px0);
+    if (pair) finish(x1, px1);
   }
 }
 

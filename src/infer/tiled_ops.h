@@ -11,11 +11,12 @@
 //
 // Bit-identity contract (DESIGN.md §15): an output element's value depends
 // only on its global coordinates — bias-first accumulators, the same
-// (kh, kw) tap order, the same dot4/dw_madd microkernel calls keyed on the
-// same absolute output-channel index, taps skipped outside the *logical*
-// tensor bounds (not the slab bounds).  So any partition of the rows into
-// bands gives bitwise the same output, for every kernel table, including
-// vectorized ones.
+// (kh, kw) tap order, the same per-tap arithmetic (conv_block_f32's, which
+// is one dot4 per tap whatever pixel it is paired with, and dw_madd's)
+// keyed on the same absolute output-channel index, taps skipped outside the
+// *logical* tensor bounds (not the slab bounds).  So any partition of the
+// rows into bands gives bitwise the same output, for every kernel table,
+// including vectorized ones.
 #pragma once
 
 #include <cstdint>

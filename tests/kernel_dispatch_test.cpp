@@ -1,17 +1,20 @@
 // Runtime kernel dispatch (DESIGN.md §13): the registry's feature probe,
 // ISA resolution and fallback; the exactness contract of every table the
 // host can run (the reassociating f32 entries within a documented tolerance
-// of the scalar oracle, the scalar-order entries bit for bit); and the
+// of the scalar oracle, the scalar-order entries bit for bit, the conv
+// block entry bit for bit against its own table's dot4); and the
 // harness-level guarantee that a forced ISA flows through RunOptions into
 // the executors, the result fields and the RUN007 pre-run lint.
 //
 // The CI matrix runs this binary with MLPM_KERNEL_ISA=scalar and =auto
 // (and under an -mavx2 build); the env var picks the dispatched side of
 // the harness comparison so sanitizers sweep every table.
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -297,6 +300,109 @@ TEST(KernelDispatch, MatmulIsBitExactOnEveryTable) {
                 << " k=" << k << " at " << i;
         }
       }
+}
+
+// conv_block_f32 is defined by its own table's dot4_f32: on every table its
+// outputs are the bits of one dot4 call per present tap, in tap order, on
+// an accumulator that starts at the bias.  Lengths straddle the 8-lane
+// width (the AVX2 body pairs positions only at len % 8 == 0), tap counts
+// reach a 5x5 kernel, either position may miss taps (all of them, too) or
+// be absent.  A quarter of the cases mix in +-0, subnormals and +-inf, and
+// a quarter NaNs with payloads too.  An output that is NaN must be NaN on
+// both sides, but its payload is not compared: where two NaNs meet, x86
+// keeps the first source operand's, and GCC commutes the operands of a
+// vector add or an FMA's factors as register allocation suits it (the
+// compiled Dot4F32Avx2 itself orders its four sums differently), so no
+// source order pins it.  Outputs past oc4, and position 1's when it is
+// absent, must stay untouched.
+TEST(KernelDispatch, ConvBlockIsBitExactToItsTablesDot4) {
+  const float kEdges[] = {0.0f,
+                          -0.0f,
+                          FromBits(0x00000001u),
+                          FromBits(0x807FFFFFu),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          FromBits(0x7FC12345u),
+                          FromBits(0xFFD00001u),
+                          FromBits(0x7F800001u),
+                          FromBits(0xFFA00000u)};
+  constexpr float kUntouched = 7.0f;
+  Rng rng(0xC0B1);
+  for (int trial = 0; trial < 560; ++trial) {
+    const std::int64_t len = 1 + trial % 40;
+    const std::int64_t ntaps = 1 + trial % 25;
+    const std::int64_t oc4 = 4 * (1 + trial % 8);
+    const int nulls = trial % 7;  // the null pattern, below
+    // How many of kEdges may appear: none, the non-NaN ones, all.
+    const std::size_t edges = trial < 280   ? 0
+                              : trial < 420 ? 6
+                                            : std::size(kEdges);
+    const auto value = [&] {
+      const std::uint64_t pick = rng.NextBelow(48);
+      return pick < edges ? kEdges[pick]
+                          : static_cast<float>(rng.NextUniform(-1.0, 1.0));
+    };
+    // A weight row per channel: ntaps slices of len, then some padding.
+    const std::int64_t wstride =
+        ntaps * len + static_cast<std::int64_t>(rng.NextBelow(4));
+    std::vector<std::int64_t> woff(static_cast<std::size_t>(ntaps));
+    for (std::int64_t t = 0; t < ntaps; ++t)
+      woff[static_cast<std::size_t>(t)] = t * len;
+    std::vector<float> w(static_cast<std::size_t>(oc4 * wstride));
+    std::vector<float> bias(static_cast<std::size_t>(oc4));
+    std::vector<float> xs(static_cast<std::size_t>(2 * ntaps * len));
+    for (auto* v : {&w, &bias, &xs})
+      for (float& f : *v) f = value();
+    // 0: every tap present; 1/2/3: random nulls on position 0/1/both;
+    // 4/5: position 0/1 all null; 6: position 1 absent.
+    std::vector<const float*> taps[2];
+    for (int p = 0; p < 2; ++p)
+      for (std::int64_t t = 0; t < ntaps; ++t) {
+        const bool random_null = (nulls == 1 + p || nulls == 3) &&
+                                 rng.NextBelow(3) == 0;
+        const bool all_null = nulls == 4 + p;
+        taps[p].push_back(random_null || all_null
+                              ? nullptr
+                              : &xs[static_cast<std::size_t>(
+                                    (p * ntaps + t) * len)]);
+      }
+    const float* const* x1 = nulls == 6 ? nullptr : taps[1].data();
+
+    for (const KernelIsa isa : KernelRegistry::Global().AvailableIsas()) {
+      const KernelTable& table = KernelRegistry::Global().Select(isa);
+      std::vector<float> got[2];
+      for (auto& g : got)
+        g.assign(static_cast<std::size_t>(oc4 + 4), kUntouched);
+      table.conv_block_f32(taps[0].data(), x1, woff.data(), ntaps, w.data(),
+                           wstride, len, oc4, bias.data(), got[0].data(),
+                           got[1].data());
+      for (int p = 0; p < 2; ++p) {
+        std::vector<float> want(got[p].size(), kUntouched);
+        if (p == 0 || x1 != nullptr)
+          for (std::int64_t oc = 0; oc < oc4; oc += 4) {
+            float acc[4];
+            std::copy_n(&bias[static_cast<std::size_t>(oc)], 4, acc);
+            for (std::int64_t t = 0; t < ntaps; ++t) {
+              const float* x = taps[p][static_cast<std::size_t>(t)];
+              if (x == nullptr) continue;
+              const float* w0 = &w[static_cast<std::size_t>(
+                  oc * wstride + woff[static_cast<std::size_t>(t)])];
+              table.dot4_f32(x, w0, w0 + wstride, w0 + 2 * wstride,
+                             w0 + 3 * wstride, len, acc);
+            }
+            std::copy_n(acc, 4, &want[static_cast<std::size_t>(oc)]);
+          }
+        for (std::size_t i = 0; i < want.size(); ++i)
+          if (!std::isnan(want[i]) || !std::isnan(got[p][i])) {
+            ASSERT_EQ(Bits(want[i]), Bits(got[p][i]))
+                << table.name << " conv_block len=" << len << " ntaps=" << ntaps
+                << " oc4=" << oc4 << " nulls=" << nulls
+                << " edges=" << edges << " position " << p << " output "
+                << i;
+          }
+      }
+    }
+  }
 }
 
 // A one-node attention graph runs every matmul shape the op makes (four

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -116,6 +117,24 @@ TEST(ParallelExecutor, RunSamplesParallelMatchesSerialLoop) {
     for (std::size_t o = 0; o < serial.size(); ++o)
       for (std::size_t i = 0; i < serial[o].size(); ++i)
         EXPECT_EQ(serial[o].at(i), parallel[s][o].at(i)) << "sample " << s;
+  }
+
+  // Inputs staged beforehand and handed over as views (what the deferred
+  // ReferenceBackend does with its QSL) give the same outputs.
+  std::vector<std::vector<infer::Tensor>> staged;
+  for (std::size_t s = 0; s < kSamples; ++s) staged.push_back(inputs_for(s));
+  const auto viewed = infer::RunSamplesParallel(
+      exec, kSamples,
+      [&](std::size_t i) -> infer::SampleInputs {
+        return std::span<const infer::Tensor>(staged[i]);
+      },
+      &pool);
+  ASSERT_EQ(viewed.size(), kSamples);
+  for (std::size_t s = 0; s < kSamples; ++s) {
+    ASSERT_EQ(viewed[s].size(), parallel[s].size());
+    for (std::size_t o = 0; o < viewed[s].size(); ++o)
+      for (std::size_t i = 0; i < viewed[s][o].size(); ++i)
+        EXPECT_EQ(viewed[s][o].at(i), parallel[s][o].at(i)) << "sample " << s;
   }
 }
 
