@@ -6,6 +6,7 @@
 #include <charconv>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <system_error>
 #include <utility>
 
@@ -34,49 +35,30 @@ static_assert(std::ranges::all_of(kEventTags, [](const EventTag& t) {
 }));
 
 constexpr int kTimestampDecimals = 9;
+constexpr std::uint64_t kNanosPerSecond = 1'000'000'000;
 // One event line: the longest tag, a space, a 20-digit id, a space, any
 // double in fixed notation (sign, up to 309 integer digits, a point and 9
 // decimals) and the newline.
 constexpr std::size_t kMaxEventLineBytes =
     8 + 1 + 20 + 1 + std::numeric_limits<double>::max_exponent10 + 12 + 1;
-static_assert(kMaxEventLineBytes < TestLog::kPieceBytes);
 // A typical event line ("complete 12345 61.234567890\n") is under 32 bytes;
-// longer ones just grow Serialize()'s buffer.
+// longer ones just grow Serialize()'s string.
 constexpr std::size_t kTypicalEventBytes = 32;
 
-// Writes `v` exactly as printf("%.9f") does.  Non-negative values below
-// 2^33 s (every timestamp a run produces) take an exact integer path:
-// v = m * 2^-s with s >= 20, so v * 1e9 rounded half to even is
-// (m * 1e9) >> s, rounded on the shifted-out bits, in 128-bit arithmetic.
-// std::to_chars, which is exact but several times slower, writes the rest.
+// Writes `v` exactly as printf("%.9f") does: from its whole nanoseconds
+// where TimestampNanoseconds gives them, else through std::to_chars, which
+// is exact but several times slower.
 char* WriteTimestamp(char* p, char* last, double v) {
-  if (std::signbit(v) || !(v < 0x1p33)) {
+  const std::optional<std::uint64_t> n = TimestampNanoseconds(v);
+  if (!n) {
     const auto r = std::to_chars(p, last, v, std::chars_format::fixed,
                                  kTimestampDecimals);
     Ensures(r.ec == std::errc{}, "log timestamp does not fit its buffer");
     return r.ptr;
   }
-  constexpr std::uint64_t kScale = 1'000'000'000;
-  const auto bits = std::bit_cast<std::uint64_t>(v);
-  const auto biased = static_cast<int>(bits >> 52);
-  const std::uint64_t m =
-      (bits & ((std::uint64_t{1} << 52) - 1)) |
-      (biased == 0 ? 0 : std::uint64_t{1} << 52);
-  const int shift = 1075 - std::max(biased, 1);
-  std::uint64_t n = 0;  // m * 1e9 < 2^83: a shift past 83 rounds to 0
-  if (shift < 84) {
-    const unsigned __int128 scaled =
-        static_cast<unsigned __int128>(m) * kScale;
-    const unsigned __int128 q = scaled >> shift;
-    const unsigned __int128 rem = scaled - (q << shift);
-    const unsigned __int128 half = static_cast<unsigned __int128>(1)
-                                   << (shift - 1);
-    n = static_cast<std::uint64_t>(q) +
-        ((rem > half || (rem == half && (q & 1) != 0)) ? 1 : 0);
-  }
-  p = std::to_chars(p, last, n / kScale).ptr;
+  p = std::to_chars(p, last, *n / kNanosPerSecond).ptr;
   *p++ = '.';
-  std::uint64_t frac = n % kScale;
+  std::uint64_t frac = *n % kNanosPerSecond;
   for (int i = kTimestampDecimals; i > 0; --i, frac /= 10)
     p[i - 1] = static_cast<char>('0' + frac % 10);
   return p + kTimestampDecimals;
@@ -114,6 +96,29 @@ bool ParseEventBody(std::string_view body, std::uint64_t& id, double& t) {
 
 }  // namespace
 
+// Non-negative values below 2^33 s (every timestamp a run produces) have
+// an exact integer path: t = m * 2^-s with s >= 20, so t * 1e9 rounded half
+// to even is (m * 1e9) >> s, rounded on the shifted-out bits, in 128-bit
+// arithmetic.
+std::optional<std::uint64_t> TimestampNanoseconds(double t) {
+  if (std::signbit(t) || !(t < 0x1p33)) return std::nullopt;
+  const auto bits = std::bit_cast<std::uint64_t>(t);
+  const auto biased = static_cast<int>(bits >> 52);
+  const std::uint64_t m =
+      (bits & ((std::uint64_t{1} << 52) - 1)) |
+      (biased == 0 ? 0 : std::uint64_t{1} << 52);
+  const int shift = 1075 - std::max(biased, 1);
+  if (shift >= 84) return 0;  // m * 1e9 < 2^83: a shift past 83 rounds to 0
+  const unsigned __int128 scaled =
+      static_cast<unsigned __int128>(m) * kNanosPerSecond;
+  const unsigned __int128 q = scaled >> shift;
+  const unsigned __int128 rem = scaled - (q << shift);
+  const unsigned __int128 half = static_cast<unsigned __int128>(1)
+                                 << (shift - 1);
+  return static_cast<std::uint64_t>(q) +
+         ((rem > half || (rem == half && (q & 1) != 0)) ? 1 : 0);
+}
+
 void TestLog::SetField(const std::string& key, std::string value) {
   Expects(!key.empty() && key.find(' ') == std::string::npos &&
               key.find('\n') == std::string::npos,
@@ -132,39 +137,21 @@ void TestLog::Record(LogEventKind kind, std::uint64_t query_id, Seconds t) {
   events_.push_back(LogEvent{kind, query_id, t});
 }
 
-void TestLog::Write(const std::function<void(std::string_view)>& piece) const {
-  std::string buf(kPieceBytes, '\0');
-  std::size_t used = 0;
-  const auto flush = [&] {
-    if (used > 0) piece({buf.data(), used});
-    used = 0;
-  };
-  // Room for `n` more bytes in the current piece, which is flushed first
-  // when they would not fit.
-  const auto room = [&](std::size_t n) {
-    if (used + n > buf.size()) flush();
-    return buf.data() + used;
-  };
-  const auto text_line = [&](const std::string& line) {
-    if (line.size() > buf.size()) {
-      flush();
-      piece(line);
-    } else {
-      char* const p = room(line.size());
-      used = static_cast<std::size_t>(
-          std::copy(line.begin(), line.end(), p) - buf.data());
-    }
-  };
-
-  text_line(std::string(kHeader) + "\n");
-  for (const auto& [k, v] : fields_) {
-    std::string line(kFieldTag);
-    line.append(" ").append(k).append(" ").append(v).push_back('\n');
-    text_line(line);
-  }
+std::string TestLog::Serialize() const {
+  std::string out(kHeader);
+  out.push_back('\n');
+  for (const auto& [k, v] : fields_)
+    out.append(kFieldTag).append(" ").append(k).append(" ").append(v).push_back(
+        '\n');
+  // Event lines are written in place: the string is sized for typical
+  // lines, doubled whenever the longest line would not fit, and cut to the
+  // bytes written at the end.
+  std::size_t used = out.size();
+  out.resize(used + events_.size() * kTypicalEventBytes + kMaxEventLineBytes);
   for (const LogEvent& e : events_) {
-    char* p = room(kMaxEventLineBytes);
-    char* const last = p + kMaxEventLineBytes;
+    if (out.size() - used < kMaxEventLineBytes) out.resize(2 * out.size());
+    char* p = out.data() + used;
+    char* const last = p + kMaxEventLineBytes - 1;  // room for the newline
     const std::string_view tag = TagOf(e.kind);
     p = std::copy(tag.begin(), tag.end(), p);
     *p++ = ' ';
@@ -172,53 +159,22 @@ void TestLog::Write(const std::function<void(std::string_view)>& piece) const {
     *p++ = ' ';
     p = WriteTimestamp(p, last, e.timestamp.count());
     *p++ = '\n';
-    used = static_cast<std::size_t>(p - buf.data());
+    used = static_cast<std::size_t>(p - out.data());
   }
-  flush();
-}
-
-std::string TestLog::Serialize() const {
-  std::size_t reserve = kHeader.size() + 1 + events_.size() * kTypicalEventBytes;
-  for (const auto& [k, v] : fields_)
-    reserve += kFieldTag.size() + k.size() + v.size() + 3;
-  std::string out;
-  out.reserve(reserve);
-  Write([&out](std::string_view piece) { out.append(piece); });
+  out.resize(used);
   return out;
 }
 
 TestLog TestLog::Parse(std::string_view text) {
-  // A local class has the member function's access: it fills the log's
-  // private members directly, as the grammar allows (no SetField checks).
-  struct Collect final : LogSink {
-    TestLog log;
-    void Field(std::string_view key, std::string_view value) override {
-      log.fields_.insert_or_assign(std::string(key), std::string(value));
-    }
-    void Event(const LogEvent& event) override {
-      log.events_.push_back(event);
-    }
-  } collect;
+  Expects(!text.empty(), "empty log");
+  if (const std::string_view header = TakeLine(text); header != kHeader)
+    Expects(false, "unknown log format: " + std::string(header));
+  TestLog log;
   // At most one event per line: the reservation is bounded by the input.
-  collect.log.events_.reserve(
+  log.events_.reserve(
       static_cast<std::size_t>(std::ranges::count(text, '\n')) + 1);
-  LogReader reader(collect);
-  reader.Feed(text);
-  reader.Finish();
-  return std::move(collect.log);
-}
-
-void LogReader::Feed(std::string_view piece) {
-  if (piece.empty()) return;
-  Expects(!ended_, "log piece after an unterminated last line");
-  ended_ = piece.back() != '\n';
-  if (!header_read_) {
-    header_read_ = true;
-    if (const std::string_view header = TakeLine(piece); header != kHeader)
-      Expects(false, "unknown log format: " + std::string(header));
-  }
-  while (!piece.empty()) {
-    const std::string_view line = TakeLine(piece);
+  while (!text.empty()) {
+    const std::string_view line = TakeLine(text);
     if (line.empty()) continue;
 
     const std::size_t sp = line.find(' ');
@@ -230,20 +186,20 @@ void LogReader::Feed(std::string_view piece) {
       double t = 0.0;
       if (!ParseEventBody(body, id, t)) [[unlikely]]
         Expects(false, "malformed log event: " + std::string(line));
-      sink_.Event(LogEvent{event->kind, id, Seconds{t}});
+      log.events_.push_back(LogEvent{event->kind, id, Seconds{t}});
     } else if (tag == kFieldTag) {
       // `field <key> <value>`: the key is non-empty and space-free, the
       // value is the rest of the line verbatim (possibly empty).
       const std::size_t key_end = body.find(' ');
       if (key_end == 0 || key_end == std::string_view::npos) [[unlikely]]
         Expects(false, "malformed log field: " + std::string(line));
-      sink_.Field(body.substr(0, key_end), body.substr(key_end + 1));
+      log.fields_.insert_or_assign(std::string(body.substr(0, key_end)),
+                                   std::string(body.substr(key_end + 1)));
     } else {
       Expects(false, "unknown log line tag: " + std::string(tag));
     }
   }
+  return log;
 }
-
-void LogReader::Finish() const { Expects(header_read_, "empty log"); }
 
 }  // namespace mlpm::loadgen

@@ -5,8 +5,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,17 +32,14 @@ struct LogEvent {
 };
 
 // Header fields + per-query event trace.  Serializes to a line-oriented
-// text format; the submission checker parses it back and cross-checks the
-// summary against the raw events.  Grammar (DESIGN.md §5), one line each:
+// text format wherever the log leaves the process; the submission checker
+// cross-checks the summary against the raw events.  Grammar (DESIGN.md §5),
+// one line each:
 //   mlpm_loadgen_log v1
 //   field <key> <value>
 //   <issue|complete|shed|rejected> <u64 id> <fixed timestamp, 9 decimals>
 class TestLog {
  public:
-  // The writer's piece size: every piece it emits is at most this long,
-  // unless a single line is longer.
-  static constexpr std::size_t kPieceBytes = std::size_t{64} << 10;
-
   void SetField(const std::string& key, std::string value);
   [[nodiscard]] const std::string* FieldOrNull(const std::string& key) const;
   [[nodiscard]] const std::map<std::string, std::string>& fields() const {
@@ -53,10 +50,7 @@ class TestLog {
   void Record(LogEventKind kind, std::uint64_t query_id, Seconds t);
   [[nodiscard]] const std::vector<LogEvent>& events() const { return events_; }
 
-  // The one writer: calls `piece` with consecutive pieces of the text, each
-  // made of whole lines.  A piece's bytes are valid only during the call.
-  void Write(const std::function<void(std::string_view)>& piece) const;
-  // The concatenation of Write()'s pieces.
+  // The one writer.
   [[nodiscard]] std::string Serialize() const;
   // Throws CheckError on any line that does not match the grammar in full.
   [[nodiscard]] static TestLog Parse(std::string_view text);
@@ -66,31 +60,11 @@ class TestLog {
   std::vector<LogEvent> events_;
 };
 
-// Receives a log's records from a LogReader, in line order.
-class LogSink {
- public:
-  virtual ~LogSink() = default;
-  virtual void Field(std::string_view key, std::string_view value) = 0;
-  virtual void Event(const LogEvent& event) = 0;
-};
-
-// The strict reader (DESIGN.md §5) as a stream: it holds no text and no
-// records, only its place in the grammar.  Each piece must end at a line
-// boundary or at the end of the log; TestLog::Write's pieces do.
-class LogReader {
- public:
-  explicit LogReader(LogSink& sink) : sink_(sink) {}
-
-  // Reads the piece's lines into the sink; throws CheckError on the first
-  // line that does not match the grammar.
-  void Feed(std::string_view piece);
-  // Ends the log; throws CheckError if no byte was fed.
-  void Finish() const;
-
- private:
-  LogSink& sink_;
-  bool header_read_ = false;
-  bool ended_ = false;  // the last piece ended without a '\n'
-};
+// A timestamp as the log's text writes it: `t` in whole nanoseconds,
+// rounded half to even.  Nothing when `t` has its sign bit set, is not
+// finite or is at least 2^33 s; the writer prints those through
+// std::to_chars.  Below 2^53, double(n) / 1e9 is exactly the double that
+// TestLog::Parse reads back from the written text.
+[[nodiscard]] std::optional<std::uint64_t> TimestampNanoseconds(double t);
 
 }  // namespace mlpm::loadgen

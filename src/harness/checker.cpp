@@ -36,9 +36,10 @@ struct QuerySlot {
   State state = kNone;
 };
 
-// One walk over a log's records in line order: fields, then events, in
-// any interleaving, then Finish().  Both the text path (a parsed log) and
-// the recorded path (a log streamed through the reader) feed it.
+// One walk over a log's events in log order, then Finish(), which also
+// reads the log's fields.  The text path feeds it a parsed log; the
+// recorded path feeds it the recorded events, each timestamp rounded as
+// the text would write it.
 //
 // Shed and rejected queries (DESIGN.md §12) resolve without a completion:
 // shed queries were never issued to the SUT at all, rejected ones were
@@ -48,11 +49,15 @@ struct QuerySlot {
 // LoadGen ids are dense from 1 and every id has at least one event, so a
 // table indexed by id covers every query of a well-formed log; an id
 // outside [1, events] is a problem of its own.
-class LogCheck final : public loadgen::LogSink {
+class LogCheck {
  public:
-  // `events` is the log's event count, which sizes the slot table.
-  LogCheck(const loadgen::TestSettings& expected, std::size_t events)
+  // `fields` must outlive the check; `events` is the log's event count,
+  // which sizes the slot table.
+  LogCheck(const loadgen::TestSettings& expected,
+           const std::map<std::string, std::string>& fields,
+           std::size_t events)
       : expected_(expected),
+        fields_(fields),
         events_(events),
         multi_stream_(expected.scenario ==
                       loadgen::TestScenario::kMultiStream),
@@ -60,12 +65,7 @@ class LogCheck final : public loadgen::LogSink {
     latencies_.reserve(events / 2);
   }
 
-  void Field(std::string_view key, std::string_view value) override {
-    fields_.insert_or_assign(std::string(key), std::string(value));
-  }
-
-  void Event(const loadgen::LogEvent& e) override {
-    ++delivered_;
+  void Event(const loadgen::LogEvent& e) {
     const double t = e.timestamp.count();
     if (e.query_id == 0 || e.query_id > events_) {
       Problem("query " + std::to_string(e.query_id) + " out of range");
@@ -142,9 +142,6 @@ class LogCheck final : public loadgen::LogSink {
     if (field("mode") != std::string(ToString(expected_.mode)))
       report.Problem("mode mismatch");
     for (std::string& p : event_problems_) report.Problem(std::move(p));
-    if (delivered_ != events_)
-      report.Problem("the reader delivered " + std::to_string(delivered_) +
-                     " of the log's " + std::to_string(events_) + " events");
 
     const std::size_t never_completed = open_queries_;
     if (never_completed > 0)
@@ -254,12 +251,11 @@ class LogCheck final : public loadgen::LogSink {
   void Problem(std::string what) { event_problems_.push_back(std::move(what)); }
 
   const loadgen::TestSettings& expected_;
+  const std::map<std::string, std::string>& fields_;
   const std::size_t events_;
   const bool multi_stream_;
-  std::map<std::string, std::string> fields_;
   std::vector<QuerySlot> queries_;
   std::vector<std::string> event_problems_;
-  std::size_t delivered_ = 0;
   std::size_t open_queries_ = 0;
   std::vector<double> latencies_;
   std::size_t shed_events_ = 0, rejected_events_ = 0;
@@ -269,19 +265,22 @@ class LogCheck final : public loadgen::LogSink {
   std::map<double, double> per_query_;  // scheduled -> max completion
 };
 
-// The recorded path: the writer's pieces go through the strict reader into
-// the check, so neither the whole text nor a parsed copy is ever held.
+// The recorded path: the check reads the recorded events, each timestamp
+// as the double that Parse reads from its text, double(n) / 1e9 for the
+// written nanosecond count n (exact below 2^53, and IEEE division rounds
+// correctly).  A log with any timestamp off that path is checked through
+// its text, so the verdict is the text check's either way.
 CheckReport CheckRecordedLog(const loadgen::TestLog& log,
                              const loadgen::TestSettings& expected) {
-  LogCheck check(expected, log.events().size());
-  try {
-    loadgen::LogReader reader(check);
-    log.Write([&reader](std::string_view piece) { reader.Feed(piece); });
-    reader.Finish();
-  } catch (const CheckError& e) {
-    CheckReport report;
-    report.Problem(std::string("unparseable log: ") + e.what());
-    return report;
+  constexpr std::uint64_t kExactNanos = std::uint64_t{1} << 53;
+  LogCheck check(expected, log.fields(), log.events().size());
+  for (const loadgen::LogEvent& e : log.events()) {
+    const std::optional<std::uint64_t> n =
+        loadgen::TimestampNanoseconds(e.timestamp.count());
+    if (!n || *n >= kExactNanos)
+      return CheckPerformanceLog(log.Serialize(), expected);
+    check.Event({e.kind, e.query_id,
+                 loadgen::Seconds{static_cast<double>(*n) / 1e9}});
   }
   return check.Finish();
 }
@@ -359,8 +358,7 @@ CheckReport CheckPerformanceLog(const std::string& serialized_log,
     report.Problem(std::string("unparseable log: ") + e.what());
     return report;
   }
-  LogCheck check(expected, log.events().size());
-  for (const auto& [key, value] : log.fields()) check.Field(key, value);
+  LogCheck check(expected, log.fields(), log.events().size());
   for (const loadgen::LogEvent& e : log.events()) check.Event(e);
   return check.Finish();
 }

@@ -37,8 +37,10 @@ struct CheckReport {
 
 // Validates a full task run: performance log(s), quality threshold, and
 // the calibration set (must be a subset of the approved indices).  Each
-// recorded log is checked as the stream of its serialized bytes, with the
-// same verdict CheckPerformanceLog gives that text.
+// recorded log is checked from its events, with every timestamp rounded to
+// the nanosecond as the text writes it, and a log with a timestamp that
+// rounding cannot carry exactly is checked through its text: the verdict
+// is the one CheckPerformanceLog gives the log's serialized text.
 [[nodiscard]] CheckReport CheckTaskRun(const TaskRunResult& task,
                                        const loadgen::TestSettings& expected);
 

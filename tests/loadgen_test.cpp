@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <tuple>
@@ -1091,11 +1092,45 @@ TEST(TestLog, SerializeParseRoundTrip) {
   EXPECT_NEAR(parsed.events()[1].timestamp.count(), 0.75, 1e-9);
 }
 
+// The CheckError text Parse throws on `text`, or "" when it parses.
+std::string ParseError(const std::string& text) {
+  try {
+    (void)TestLog::Parse(text);
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(TestLog, ParseRejectsGarbage) {
   EXPECT_THROW((void)TestLog::Parse("not a log"), CheckError);
   EXPECT_THROW((void)TestLog::Parse(""), CheckError);
+  EXPECT_THROW((void)TestLog::Parse("\n"), CheckError);
   EXPECT_THROW((void)TestLog::Parse("mlpm_loadgen_log v1\nbogus line here"),
                CheckError);
+  // Each kind of error names itself and the offending text: these messages
+  // reach the problem lists of packaged logs.
+  const auto says = [](const std::string& text, const std::string& what) {
+    const std::string error = ParseError(text);
+    EXPECT_NE(error.find(what), std::string::npos)
+        << "'" << text << "' threw '" << error << "'";
+  };
+  says("", "empty log");
+  says("not a log", "unknown log format: not a log");
+  says("\n", "unknown log format: ");
+  says("mlpm_loadgen_log v1\nissue 1 0.5\nissue -1 0.5\n",
+       "malformed log event: issue -1 0.5");
+  says("mlpm_loadgen_log v1\ncomplete 1 nan\n",
+       "malformed log event: complete 1 nan");
+  says("mlpm_loadgen_log v1\nfield novalue\n",
+       "malformed log field: field novalue");
+  says("mlpm_loadgen_log v1\nbogus line here", "unknown log line tag: bogus");
+  // Blank lines after the header are skipped.
+  const TestLog blanks =
+      TestLog::Parse("mlpm_loadgen_log v1\n\nfield k v\n\n\nissue 1 0.5");
+  EXPECT_EQ(*blanks.FieldOrNull("k"), "v");
+  ASSERT_EQ(blanks.events().size(), 1u);
+  EXPECT_EQ(blanks.events()[0].query_id, 1u);
   // Every event line must match `<tag> <u64> <fixed>` in full: trailing
   // bytes, doubled spaces, a signed id, a carriage return, a non-finite or
   // exponent-form timestamp and a missing timestamp are all malformed.
@@ -1156,11 +1191,10 @@ TEST(TestLog, SerializeMatchesGoldenBytes) {
   EXPECT_EQ(TestLog::Parse(golden.str()).Serialize(), golden.str());
 }
 
-TEST(TestLog, TimestampsMatchPrintfFixed9) {
-  // The writer's integer fast path must agree with printf("%.9f") — the
-  // original iostream format — on every double: random bit patterns over
-  // the fast range and past it, exact ties at the ninth decimal, signed
-  // zeros, subnormals and the extremes.
+// Timestamps at every edge of the writer's integer path: random bit
+// patterns over the path's range and past it, exact ties at the ninth
+// decimal, signed zeros, subnormals, the 2^53 ns boundary and the extremes.
+std::vector<double> TimestampProbes() {
   std::vector<double> values = {0.0,
                                 -0.0,
                                 1e-10,
@@ -1171,7 +1205,10 @@ TEST(TestLog, TimestampsMatchPrintfFixed9) {
                                 std::numeric_limits<double>::denorm_min(),
                                 std::numeric_limits<double>::min(),
                                 std::numeric_limits<double>::max(),
-                                std::numeric_limits<double>::lowest()};
+                                std::numeric_limits<double>::lowest(),
+                                9007199.254740992,  // 2^53 ns
+                                std::nextafter(9007199.254740992, 0.0),
+                                std::nextafter(9007199.254740992, 1e7)};
   std::mt19937_64 rng(7);
   std::uniform_int_distribution<std::uint64_t> bits(
       0, std::bit_cast<std::uint64_t>(0x1p40));
@@ -1183,6 +1220,13 @@ TEST(TestLog, TimestampsMatchPrintfFixed9) {
     values.push_back(std::ldexp(static_cast<double>(ticks(rng)), -10));
     values.push_back(std::uniform_real_distribution<double>(0, 1e4)(rng));
   }
+  return values;
+}
+
+TEST(TestLog, TimestampsMatchPrintfFixed9) {
+  // The writer's integer fast path must agree with printf("%.9f") — the
+  // original iostream format — on every double.
+  const std::vector<double> values = TimestampProbes();
   TestLog log;
   std::string expected = "mlpm_loadgen_log v1\n";
   std::array<char, 400> line{};
@@ -1196,6 +1240,39 @@ TEST(TestLog, TimestampsMatchPrintfFixed9) {
   EXPECT_TRUE(got == expected)
       << "first difference at byte " << diff << ": '" << got.substr(diff, 40)
       << "' vs '" << expected.substr(diff, 40) << "'";
+}
+
+TEST(TestLog, NanosecondCountReadsBackAsTheText) {
+  // The checker reads a recorded timestamp as double(n) / 1e9 for the
+  // writer's nanosecond count n.  Below 2^53 that must be, bit for bit, the
+  // double Parse reads from the written text; above it double(n) rounds
+  // first, and some reads differ, which is why the checker sends such a
+  // log through its text.  The count exists exactly for finite values below
+  // 2^33 s with the sign bit clear.
+  const std::vector<double> values = TimestampProbes();
+  TestLog log;
+  for (std::size_t i = 0; i < values.size(); ++i)
+    log.Record(LogEventKind::kQueryIssued, i, Seconds{values[i]});
+  const TestLog parsed = TestLog::Parse(log.Serialize());
+  std::size_t exact = 0, differs_above = 0;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const std::optional<std::uint64_t> n = TimestampNanoseconds(values[i]);
+    ASSERT_EQ(n.has_value(), !std::signbit(values[i]) && values[i] < 0x1p33)
+        << values[i];
+    if (!n) continue;
+    const auto read =
+        std::bit_cast<std::uint64_t>(static_cast<double>(*n) / 1e9);
+    const auto text =
+        std::bit_cast<std::uint64_t>(parsed.events()[i].timestamp.count());
+    if (*n >= (std::uint64_t{1} << 53)) {
+      differs_above += read != text;
+      continue;
+    }
+    ++exact;
+    EXPECT_EQ(read, text) << i << ": " << values[i];
+  }
+  EXPECT_GT(exact, values.size() / 2);
+  EXPECT_GT(differs_above, 0u);
 }
 
 TEST(TestLog, FieldKeysValidated) {

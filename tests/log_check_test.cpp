@@ -1,14 +1,15 @@
-// The streamed log check against its text oracle.  The checker judges a
-// recorded log by streaming the writer's pieces through the strict reader
-// (CheckTaskRun), never holding the text or a parsed copy; a packaged log
-// is parsed from its text (CheckPerformanceLog).  Both must give the same
-// problems, in the same order, for every scenario's log and for hostile
-// edits of it.  Also pinned: the writer's pieces, the reader fed line by
-// line, and the multi-stream check's single walk against the former
-// two-walk derivation kept here.
+// The recorded-log check against its text oracle.  The checker judges a
+// recorded log from its events (CheckTaskRun), reading each timestamp as
+// the double its written text parses to, and sends a log with a timestamp
+// off that exact path through its text; a packaged log is parsed from its
+// text (CheckPerformanceLog).  Both must give the same problems, in the
+// same order, for every scenario's log, for hostile edits of it and for
+// timestamps on either side of the exact path's edges.  Also pinned: the
+// multi-stream check's single walk against the former two-walk derivation
+// kept here.
 #include <gtest/gtest.h>
 
-#include <bit>
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <map>
@@ -101,8 +102,29 @@ struct Edit {
   std::function<void(TestLog&)> apply;
 };
 
+// Issues one more query at `issue` and completes it at `complete`.
+Edit Query(std::string name, double issue, double complete) {
+  return {std::move(name), [issue, complete](TestLog& l) {
+            const std::uint64_t id = NextId(l);
+            l.Record(LogEventKind::kQueryIssued, id, Seconds{issue});
+            l.Record(LogEventKind::kQueryCompleted, id, Seconds{complete});
+          }};
+}
+
+// The last double whose nanosecond count is below 2^53, where reading
+// the recorded timestamp exactly ends.
+double LastExactTimestamp() {
+  constexpr std::uint64_t kExactNanos = std::uint64_t{1} << 53;
+  double t = 9007199.254740992;  // 2^53 ns
+  while (*loadgen::TimestampNanoseconds(t) >= kExactNanos)
+    t = std::nextafter(t, 0.0);
+  return t;
+}
+
 std::vector<Edit> Edits() {
   using K = LogEventKind;
+  const double last_exact = LastExactTimestamp();
+  const double first_inexact = std::nextafter(last_exact, 1e7);
   return {
       {"none", [](TestLog&) {}},
       {"id 0",
@@ -196,6 +218,30 @@ std::vector<Edit> Edits() {
          l.Record(K::kQueryIssued, NextId(l),
                   Seconds{std::numeric_limits<double>::quiet_NaN()});
        }},
+      // Timestamps at the edges of the exact path: 2^33 s and 2^53 ns,
+      // each side; signed and infinite values; a subnormal; exact binary
+      // ties at the ninth decimal.
+      Query("at 2^33 s", 0x1p33, 0x1p33),
+      Query("below 2^33 s", std::nextafter(0x1p33, 0.0),
+            std::nextafter(0x1p33, 0.0)),
+      Query("below 2^53 ns", last_exact, last_exact),
+      Query("at or past 2^53 ns", first_inexact, first_inexact),
+      Query("-0.0", -0.0, -0.0),
+      Query("-1 ns", -1e-9, -1e-9),
+      Query("+inf", std::numeric_limits<double>::infinity(),
+            std::numeric_limits<double>::infinity()),
+      Query("subnormal", std::numeric_limits<double>::denorm_min(),
+            std::numeric_limits<double>::denorm_min()),
+      Query("ties at the ninth decimal", 0.0009765625, 0.0029296875),
+      // Issued 0.4 ns and completed 0.1 ns past a whole nanosecond: both
+      // are written as that nanosecond, so the text holds no inversion.
+      {"sub-nanosecond order",
+       [](TestLog& l) {
+         const double base = std::ceil(LastTime(l)) + 1.0;
+         const std::uint64_t id = NextId(l);
+         l.Record(K::kQueryIssued, id, Seconds{base + 0.4e-9});
+         l.Record(K::kQueryCompleted, id, Seconds{base + 0.1e-9});
+       }},
   };
 }
 
@@ -219,7 +265,7 @@ std::vector<std::string> TextOracle(const TestLog& log,
   return want;
 }
 
-TEST(StreamedCheck, EqualsTheTextCheckOnEveryScenarioAndEdit) {
+TEST(RecordedCheck, EqualsTheTextCheckOnEveryScenarioAndEdit) {
   const TestSettings expected = BaseSettings();
   for (const auto& [scenario, recorded] : RecordedLogs()) {
     for (const Edit& edit : Edits()) {
@@ -237,7 +283,7 @@ TEST(StreamedCheck, EqualsTheTextCheckOnEveryScenarioAndEdit) {
   }
 }
 
-TEST(StreamedCheck, HostileEditsYieldTheirProblems) {
+TEST(RecordedCheck, HostileEditsYieldTheirProblems) {
   // Spot checks that the edits above reach the problems they aim at, so
   // the equality test compares non-trivial lists.
   const TestLog base = Record(TestScenario::kOffline);
@@ -281,6 +327,12 @@ TEST(StreamedCheck, HostileEditsYieldTheirProblems) {
   EXPECT_EQ(nan[0].rfind("t (offline): unparseable log: ", 0), 0u) << nan[0];
   EXPECT_NE(nan[0].find("malformed log event: issue "), std::string::npos)
       << nan[0];
+  const std::vector<std::string> inf = problems("+inf");
+  ASSERT_EQ(inf.size(), 1u);
+  EXPECT_NE(inf[0].find("malformed log event: issue "), std::string::npos)
+      << inf[0];
+  EXPECT_FALSE(has(problems("sub-nanosecond order"),
+                   "completed before it was issued"));
 }
 
 // The per-query latencies of the checker's former second walk over a
@@ -317,7 +369,7 @@ bool Overflows(const CheckReport& r) {
   return false;
 }
 
-TEST(StreamedCheck, MultiStreamSingleWalkEqualsTheTwoWalks) {
+TEST(RecordedCheck, MultiStreamSingleWalkEqualsTheTwoWalks) {
   // The frame interval is set just below and at the two-walk percentile:
   // the single walk must flag the first and pass the second, which pins
   // its percentile to the two-walk value within 1e-8 s.  The minimum, the
@@ -328,7 +380,8 @@ TEST(StreamedCheck, MultiStreamSingleWalkEqualsTheTwoWalks) {
     s.scenario = TestScenario::kMultiStream;
     s.latency_percentile = percentile;
     for (const Edit& edit : Edits()) {
-      if (edit.name == "non-finite timestamp") continue;  // unparseable
+      if (edit.name == "non-finite timestamp" || edit.name == "+inf")
+        continue;  // unparseable
       SCOPED_TRACE(edit.name + " at p" + std::to_string(percentile));
       TestLog log = recorded;
       edit.apply(log);
@@ -346,158 +399,6 @@ TEST(StreamedCheck, MultiStreamSingleWalkEqualsTheTwoWalks) {
       EXPECT_FALSE(Overflows(CheckPerformanceLog(text, at)));
     }
   }
-}
-
-// ---- the writer's pieces and the streamed reader ----
-
-// Collects what a LogReader delivers.
-struct Collected final : loadgen::LogSink {
-  std::map<std::string, std::string> fields;
-  std::vector<LogEvent> events;
-  void Field(std::string_view key, std::string_view value) override {
-    fields.insert_or_assign(std::string(key), std::string(value));
-  }
-  void Event(const LogEvent& e) override { events.push_back(e); }
-};
-
-void ExpectSameLog(const Collected& got, const TestLog& want) {
-  EXPECT_EQ(got.fields, want.fields());
-  ASSERT_EQ(got.events.size(), want.events().size());
-  for (std::size_t i = 0; i < got.events.size(); ++i) {
-    EXPECT_EQ(got.events[i].kind, want.events()[i].kind) << i;
-    EXPECT_EQ(got.events[i].query_id, want.events()[i].query_id) << i;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.events[i].timestamp.count()),
-              std::bit_cast<std::uint64_t>(
-                  want.events()[i].timestamp.count()))
-        << i;
-  }
-}
-
-std::vector<std::string> Pieces(const TestLog& log) {
-  std::vector<std::string> pieces;
-  log.Write([&](std::string_view p) { pieces.emplace_back(p); });
-  return pieces;
-}
-
-TEST(LogWriter, PiecesAreWholeLinesAndConcatenateToSerialize) {
-  TestSettings s = BaseSettings();
-  s.scenario = TestScenario::kOffline;
-  s.offline_sample_count = 8192;  // about 230 KB of text
-  loadgen::VirtualClock clock;
-  StepSut sut(clock, 0);
-  const datasets::StubDataset samples(16);
-  loadgen::DatasetQsl qsl(samples);
-  const TestLog log = loadgen::RunTest(sut, qsl, s, clock).log;
-
-  const std::vector<std::string> pieces = Pieces(log);
-  ASSERT_GT(pieces.size(), 2u);
-  std::string joined;
-  for (const std::string& p : pieces) {
-    ASSERT_FALSE(p.empty());
-    EXPECT_EQ(p.back(), '\n');
-    EXPECT_LE(p.size(), TestLog::kPieceBytes);
-    joined += p;
-  }
-  EXPECT_EQ(joined, log.Serialize());
-  // Every piece but the last is nearly full: a fixed size, not a line.
-  for (std::size_t i = 0; i + 1 < pieces.size(); ++i)
-    EXPECT_GT(pieces[i].size(), TestLog::kPieceBytes - 400) << i;
-}
-
-TEST(LogWriter, ALineLongerThanAPieceIsAPieceOfItsOwn) {
-  TestLog log;
-  log.SetField("a", "short");
-  log.SetField("b", std::string(TestLog::kPieceBytes + 10, 'x'));
-  log.SetField("c", "short");
-  log.Record(LogEventKind::kQueryIssued, 1, Seconds{0.25});
-  const std::vector<std::string> pieces = Pieces(log);
-  ASSERT_EQ(pieces.size(), 3u);
-  EXPECT_EQ(pieces[1], "field b " + std::string(TestLog::kPieceBytes + 10, 'x') +
-                           "\n");
-  std::string joined;
-  for (const std::string& p : pieces) joined += p;
-  EXPECT_EQ(joined, log.Serialize());
-  EXPECT_EQ(*TestLog::Parse(joined).FieldOrNull("b"), *log.FieldOrNull("b"));
-}
-
-TEST(LogReader, LineByLineAndPieceByPieceEqualParse) {
-  for (const auto& [scenario, log] : RecordedLogs()) {
-    SCOPED_TRACE(scenario);
-    const std::string text = log.Serialize();
-    const TestLog parsed = TestLog::Parse(text);
-
-    Collected by_line;
-    loadgen::LogReader line_reader(by_line);
-    for (std::size_t pos = 0; pos < text.size();) {
-      const std::size_t eol = text.find('\n', pos);
-      const std::size_t end = eol == std::string::npos ? text.size() : eol + 1;
-      line_reader.Feed(std::string_view(text).substr(pos, end - pos));
-      pos = end;
-    }
-    line_reader.Finish();
-    ExpectSameLog(by_line, parsed);
-
-    Collected by_piece;
-    loadgen::LogReader piece_reader(by_piece);
-    log.Write([&](std::string_view p) { piece_reader.Feed(p); });
-    piece_reader.Finish();
-    ExpectSameLog(by_piece, parsed);
-  }
-}
-
-TEST(LogReader, LineByLineFailsAsParseDoes) {
-  // The same CheckError text, whichever way the bytes arrive.
-  const std::vector<std::string> inputs = {
-      "",
-      "not a log",
-      "\n",
-      "mlpm_loadgen_log v1\nbogus line here",
-      "mlpm_loadgen_log v1\nissue 1 0.5\nissue -1 0.5\n",
-      "mlpm_loadgen_log v1\nfield novalue\n",
-      "mlpm_loadgen_log v1\nissue 1 0.5\r\n",
-      "mlpm_loadgen_log v1\ncomplete 1 nan\n",
-  };
-  for (const std::string& text : inputs) {
-    SCOPED_TRACE(text);
-    std::string want;
-    try {
-      (void)TestLog::Parse(text);
-    } catch (const CheckError& e) {
-      want = e.what();
-    }
-    ASSERT_FALSE(want.empty());
-    std::string got;
-    try {
-      Collected sink;
-      loadgen::LogReader reader(sink);
-      for (std::size_t pos = 0; pos < text.size();) {
-        const std::size_t eol = text.find('\n', pos);
-        const std::size_t end =
-            eol == std::string::npos ? text.size() : eol + 1;
-        reader.Feed(std::string_view(text).substr(pos, end - pos));
-        pos = end;
-      }
-      reader.Finish();
-    } catch (const CheckError& e) {
-      got = e.what();
-    }
-    EXPECT_EQ(got, want);
-  }
-  // Blank lines after the header are skipped either way.
-  Collected sink;
-  loadgen::LogReader reader(sink);
-  reader.Feed("mlpm_loadgen_log v1\n");
-  reader.Feed("\n");
-  reader.Feed("issue 1 0.5");
-  reader.Finish();
-  ExpectSameLog(sink, TestLog::Parse("mlpm_loadgen_log v1\n\nissue 1 0.5"));
-}
-
-TEST(LogReader, APieceAfterAnUnterminatedLineIsRefused) {
-  Collected sink;
-  loadgen::LogReader reader(sink);
-  reader.Feed("mlpm_loadgen_log v1\nissue 1 0.5");
-  EXPECT_THROW(reader.Feed("\n"), CheckError);
 }
 
 }  // namespace
