@@ -1,6 +1,6 @@
-// Engineering microbenchmarks for the execution engine: the threaded
-// executor and the sample-level accuracy fan-out, trace-recorder overhead,
-// static memory plans, the transform pipeline, and tiled execution.
+// Engineering microbenchmarks for the execution engine: one inference and
+// the sample-level accuracy fan-out, trace-recorder overhead, static memory
+// plans, the transform pipeline, and tiled execution.
 //
 // Standalone (no benchmark framework): adaptive wall-clock timing, a table
 // on stdout, and a machine-readable BENCH_kernels.json for CI artifacts.
@@ -98,7 +98,7 @@ PairedTimes TimePaired(A&& a, B&& b) {
 }
 
 void BenchExecutor(const ThreadPool& pool) {
-  std::printf("mini MobileNetEdgeTPU inference (serial vs threaded):\n");
+  std::printf("mini MobileNetEdgeTPU inference (one vs a fan-out):\n");
   const graph::Graph g =
       models::BuildMobileNetEdgeTpu(models::ModelScale::kMini);
   const infer::WeightStore w = infer::InitializeWeights(g, 7);
@@ -109,20 +109,9 @@ void BenchExecutor(const ThreadPool& pool) {
   const std::vector<infer::Tensor> inputs{input};
 
   infer::ExecutionContext ctx = exec.CreateContext();
-  const auto serial_out = exec.Run(inputs, ctx);
-  const auto threaded_out = exec.Run(inputs, ctx, {}, &pool);
-  for (std::size_t o = 0; o < serial_out.size(); ++o)
-    for (std::size_t i = 0; i < serial_out[o].size(); ++i)
-      Check(serial_out[o].at(i) == threaded_out[o].at(i),
-            "threaded executor != serial");
-
   const double s_serial =
       TimeSeconds([&] { auto out = exec.Run(inputs, ctx); });
-  const double s_thread =
-      TimeSeconds([&] { auto out = exec.Run(inputs, ctx, {}, &pool); });
   Record("executor_mini_classifier_serial_ms", s_serial * 1e3, "ms");
-  Record("executor_mini_classifier_threaded_ms", s_thread * 1e3, "ms");
-  Record("executor_mini_classifier_speedup", s_serial / s_thread, "x");
 
   // Sample-level fan-out (the accuracy-mode regime): 8 samples per batch.
   std::vector<std::vector<infer::Tensor>> sample_inputs;
@@ -332,7 +321,7 @@ void BenchTiledPlans() {
   }
 }
 
-void BenchTiledExecution(const ThreadPool& pool) {
+void BenchTiledExecution() {
   std::printf("tiled vs whole-op execution (mini models, single sample):\n");
   infer::TileOptions on;
   on.enabled = true;
@@ -367,15 +356,12 @@ void BenchTiledExecution(const ThreadPool& pool) {
     const PairedTimes t =
         TimePaired([&] { auto out = whole.Run(inputs, ctx_whole); },
                    [&] { auto out = tiled.Run(inputs, ctx_tiled); });
-    const double s_tiled_thr = TimeSeconds(
-        [&] { auto out = tiled.Run(inputs, ctx_tiled, {}, &pool); });
     Check(t.ratio <= 1.5,
           "tiled execution grossly slower than the whole-op arena path");
     const std::string tag = "tile_exec_" + entry.model_name;
     Record(tag + "_whole_ms", t.a_s * 1e3, "ms");
     Record(tag + "_tiled_ms", t.b_s * 1e3, "ms");
     Record(tag + "_speedup", 1.0 / t.ratio, "x");
-    Record(tag + "_threaded_speedup", t.a_s / s_tiled_thr, "x");
   }
 }
 
@@ -429,7 +415,7 @@ void BenchTileSweep() {
 // bands eliminate every intermediate's round trip to outer cache levels
 // at no recompute cost; with 4 MiB intermediates against a 1.5 MiB slab
 // budget that is a measured speedup, and the headline tile_* record.
-void BenchTiledChain(const ThreadPool& pool) {
+void BenchTiledChain() {
   std::printf("tiled dw/pw chain (2048x64x8, 7-node segment):\n");
   graph::GraphBuilder b("deep_chain");
   const auto in = b.Input("in", graph::TensorShape({1, 2048, 64, 8}));
@@ -465,10 +451,6 @@ void BenchTiledChain(const ThreadPool& pool) {
   const PairedTimes t =
       TimePaired([&] { auto r = whole.Run(inputs, ctx_whole); },
                  [&] { auto r = tiled.Run(inputs, ctx_tiled); });
-  const double s_whole_thr =
-      TimeSeconds([&] { auto r = whole.Run(inputs, ctx_whole, {}, &pool); });
-  const double s_tiled_thr =
-      TimeSeconds([&] { auto r = tiled.Run(inputs, ctx_tiled, {}, &pool); });
   // Zero-halo interiors mean tiling has no recompute downside here; the
   // small slack only absorbs timer noise.  Anything slower is a real
   // regression in the tiled path.
@@ -476,7 +458,6 @@ void BenchTiledChain(const ThreadPool& pool) {
   Record("tile_chain_whole_ms", t.a_s * 1e3, "ms");
   Record("tile_chain_tiled_ms", t.b_s * 1e3, "ms");
   Record("tile_chain_speedup", 1.0 / t.ratio, "x");
-  Record("tile_chain_threaded_speedup", s_whole_thr / s_tiled_thr, "x");
   Record("tile_chain_slab_kib",
          static_cast<double>(tiled.memory_plan().tile_slab_bytes()) / 1024.0,
          "KiB");
@@ -511,9 +492,9 @@ int main(int argc, char** argv) {
   BenchMemoryPlans();
   BenchTransform();
   BenchTiledPlans();
-  BenchTiledExecution(pool);
+  BenchTiledExecution();
   BenchTileSweep();
-  BenchTiledChain(pool);
+  BenchTiledChain();
   benchutil::WriteJson(json_path, pool.thread_count());
   return 0;
 }

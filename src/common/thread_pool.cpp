@@ -1,25 +1,11 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <memory>
 
 namespace mlpm {
 namespace {
 
 thread_local bool t_in_parallel_region = false;
-
-std::mutex& GlobalMutex() {
-  static std::mutex mu;
-  return mu;
-}
-std::unique_ptr<ThreadPool>& GlobalSlot() {
-  static std::unique_ptr<ThreadPool> pool;
-  return pool;
-}
-std::size_t& GlobalThreadCount() {
-  static std::size_t count = 0;  // 0 = hardware concurrency
-  return count;
-}
 
 }  // namespace
 
@@ -150,19 +136,6 @@ void ParallelForEachItem(const ThreadPool* pool, std::size_t count,
                    [&](std::int64_t, std::int64_t) {
                      if (!next.exhausted()) lane_body(next);
                    });
-}
-
-ThreadPool& ThreadPool::Global() {
-  std::scoped_lock lock(GlobalMutex());
-  auto& slot = GlobalSlot();
-  if (!slot) slot = std::make_unique<ThreadPool>(GlobalThreadCount());
-  return *slot;
-}
-
-void ThreadPool::SetGlobalThreadCount(std::size_t thread_count) {
-  std::scoped_lock lock(GlobalMutex());
-  GlobalThreadCount() = thread_count;
-  GlobalSlot().reset();
 }
 
 }  // namespace mlpm

@@ -1,19 +1,20 @@
 // Fixed-size worker pool with a deterministic parallel-for.
 //
-// The execution engine parallelizes over *independent* output elements
-// (GEMM row blocks, conv output rows, accuracy samples), so results are
-// bit-identical regardless of thread count: every element is computed by
-// exactly one thread with the same serial code and the same per-element
-// operation order.  No cross-thread reductions exist anywhere in the
-// engine.  Kernels use ParallelFor, which statically partitions the index
-// range into contiguous chunks; sample-level fan-outs use
+// There is one level of parallelism: independent work items (accuracy
+// samples, calibration and staging inputs, tasks, checker items, fleet
+// shards) run on the pool's lanes, and each inference runs whole on the
+// lane that took it.  Every item writes its own slot with the same serial
+// code and callers fold in index order, so results are bit-identical
+// regardless of thread count; no cross-thread reductions exist.
+// ParallelFor statically partitions an index range into contiguous chunks
+// (fleet shards, the lanes of a task fan-out); sample-level fan-outs use
 // ParallelForEachItem, whose lanes claim one item at a time.
 //
 // Guarantees:
 //   - Exceptions thrown by the body are captured and rethrown on the
 //     calling thread (first one wins); the pool stays usable afterwards.
-//   - Nested ParallelFor calls (a kernel inside an already-parallel
-//     region, e.g. per-op parallelism under per-sample parallelism) run
+//   - Nested ParallelFor calls (a fan-out inside an already-parallel
+//     region, e.g. a task's accuracy samples under the task fan-out) run
 //     inline on the calling thread, so they can never deadlock.
 //   - Concurrent ParallelFor calls from different threads serialize.
 #pragma once
@@ -63,12 +64,6 @@ class ThreadPool {
   // pool).  Nested calls detect this and run inline.
   [[nodiscard]] static bool InParallelRegion();
 
-  // Process-wide shared pool (lazily created).  SetGlobalThreadCount
-  // replaces it at the next Global() call; configure before parallel work
-  // starts (e.g. CLI flag parsing), not while a run is in flight.
-  [[nodiscard]] static ThreadPool& Global();
-  static void SetGlobalThreadCount(std::size_t thread_count);
-
  private:
   struct Job {
     const RangeBody* body = nullptr;
@@ -99,7 +94,7 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-// Convenience wrapper used by kernels: runs inline when `pool` is null,
+// ParallelFor on an optional pool: runs inline when `pool` is null,
 // single-threaded, or the range is trivial.
 inline void ParallelForRange(const ThreadPool* pool, std::int64_t begin,
                              std::int64_t end,

@@ -103,10 +103,10 @@ struct RunOptions {
 
   // Opt-in tiled, fused pipeline execution (DESIGN.md §15).  When
   // `tiling.enabled`, the accuracy-plane executors run fusable conv/dw
-  // chains crop-by-crop through per-worker tile slabs instead of
-  // materializing full intermediates; results are bit-identical to
-  // untiled execution for every numerics mode and thread count, so accuracy
-  // scores are unchanged.  `tiling.rows` forces the tile height (-1 = auto
+  // chains crop-by-crop through a tile slab instead of materializing full
+  // intermediates; results are bit-identical to untiled execution for
+  // every numerics mode and kernel table, so accuracy scores are
+  // unchanged.  `tiling.rows` forces the tile height (-1 = auto
   // against tiling.cache_bytes); rows == 0 is invalid and lint-gated
   // (RUN008).  The memory-plan figures reported for the full-scale graph
   // become tile-aware.  Off by default: byte-identical to prior runs.

@@ -7,7 +7,6 @@
 #include <variant>
 
 #include "common/fp16.h"
-#include "common/thread_pool.h"
 #include "graph/bounds.h"
 #include "infer/node_runner.h"
 #include "infer/op_math.h"
@@ -25,14 +24,9 @@ using graph::OpType;
 using graph::TensorId;
 using graph::TensorShape;
 
-// Elementwise ops smaller than this run inline; the fork/join handshake
-// costs more than the loop below it.
-constexpr std::size_t kElementwiseCutoff = 1024;
-
 void RunFullyConnected(const graph::FullyConnectedAttrs& a, const Tensor& in,
                        const Tensor& w, const Tensor& bias, Tensor& out,
-                       const kernels::KernelTable& kt,
-                       const ThreadPool* pool) {
+                       const kernels::KernelTable& kt) {
   const TensorShape& is = in.shape();
   const std::int64_t in_f = is.dim(is.rank() - 1);
   const std::int64_t out_f = a.out_features;
@@ -44,67 +38,47 @@ void RunFullyConnected(const graph::FullyConnectedAttrs& a, const Tensor& in,
   // Rows go in pairs through the table's conv block entry (one tap at
   // offset 0), so four features share each input load and two rows each
   // weight load; the scalar table keeps the original per-element order
-  // (bias first, then i ascending).  Runs `count` (1 or 2) rows from `r`
-  // over features [o_lo, o_hi).
-  const auto run_rows = [&](std::int64_t r, std::int64_t count,
-                            std::int64_t o_lo, std::int64_t o_hi) {
-    static constexpr std::int64_t kNoOffset = 0;
+  // (bias first, then i ascending).  The out_f % 4 remainder features run
+  // in the per-element loop below.
+  static constexpr std::int64_t kNoOffset = 0;
+  const std::int64_t o_mid =
+      out_f / kernels::kF32RowBlock * kernels::kF32RowBlock;
+  for (std::int64_t r = 0; r < rows; r += 2) {
+    const std::int64_t count = std::min<std::int64_t>(2, rows - r);
     const float* x0 = ip + r * in_f;
     const float* x1 = x0 + in_f;
-    const std::int64_t o_mid =
-        o_lo + (o_hi - o_lo) / kernels::kF32RowBlock * kernels::kF32RowBlock;
-    kt.conv_block_f32(&x0, count == 2 ? &x1 : nullptr, &kNoOffset, 1,
-                      wp + o_lo * in_f, in_f, in_f, o_mid - o_lo, bp + o_lo,
-                      op + r * out_f + o_lo,
-                      count == 2 ? op + (r + 1) * out_f + o_lo : nullptr);
+    kt.conv_block_f32(&x0, count == 2 ? &x1 : nullptr, &kNoOffset, 1, wp,
+                      in_f, in_f, o_mid, bp, op + r * out_f,
+                      count == 2 ? op + (r + 1) * out_f : nullptr);
     for (std::int64_t q = r; q < r + count; ++q) {
       const float* row = ip + q * in_f;
       float* out_row = op + q * out_f;
-      ApplyActivationInPlace(out_row + o_lo, o_mid - o_lo, a.activation);
-      for (std::int64_t o = o_mid; o < o_hi; ++o) {
+      ApplyActivationInPlace(out_row, o_mid, a.activation);
+      for (std::int64_t o = o_mid; o < out_f; ++o) {
         const float* wrow = wp + o * in_f;
         float acc = bp[o];
         for (std::int64_t i = 0; i < in_f; ++i) acc += row[i] * wrow[i];
         out_row[o] = ApplyActivation(acc, a.activation);
       }
     }
-  };
-  if (rows > 1) {
-    // Batched / sequence input: parallel over rows.
-    ParallelForRange(pool, 0, rows, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t r = lo; r < hi; r += 2)
-        run_rows(r, std::min<std::int64_t>(2, hi - r), 0, out_f);
-    });
-  } else {
-    // Single row (classifier heads): parallel over output features, chunked
-    // in block-sized quads so a feature's block-vs-remainder path depends
-    // only on its absolute index — required for bit-identical results
-    // across thread counts (DESIGN.md §8).
-    constexpr std::int64_t kB = kernels::kF32RowBlock;
-    ParallelForRange(pool, 0, (out_f + kB - 1) / kB,
-                     [&](std::int64_t lo, std::int64_t hi) {
-                       run_rows(0, 1, lo * kB, std::min(hi * kB, out_f));
-                     });
   }
 }
 
-void RunGlobalAvgPool(const Tensor& in, Tensor& out, const ThreadPool* pool) {
+void RunGlobalAvgPool(const Tensor& in, Tensor& out) {
   const TensorShape& is = in.shape();
   const std::int64_t N = is.batch(), H = is.height(), W = is.width(),
                      C = is.channels();
   const float* ip = in.data();
   float* op = out.data();
-  ParallelForRange(pool, 0, N * C, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t f = lo; f < hi; ++f) {
-      const std::int64_t b = f / C;
-      const std::int64_t c = f % C;
+  for (std::int64_t b = 0; b < N; ++b) {
+    for (std::int64_t c = 0; c < C; ++c) {
       double acc = 0.0;
       for (std::int64_t h = 0; h < H; ++h)
         for (std::int64_t w = 0; w < W; ++w)
           acc += ip[((b * H + h) * W + w) * C + c];
       op[b * C + c] = static_cast<float>(acc / static_cast<double>(H * W));
     }
-  });
+  }
 }
 
 void RunConcat(const Node& n, const std::vector<const Tensor*>& ins,
@@ -134,32 +108,29 @@ void RunConcat(const Node& n, const std::vector<const Tensor*>& ins,
   }
 }
 
-void RunSoftmaxLastDim(const Tensor& in, Tensor& out, const ThreadPool* pool) {
+void RunSoftmaxLastDim(const Tensor& in, Tensor& out) {
   const TensorShape& s = in.shape();
   const std::int64_t d = s.dim(s.rank() - 1);
   const std::int64_t rows = s.elements() / d;
   const float* ip = in.data();
   float* op = out.data();
-  ParallelForRange(pool, 0, rows, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t r = lo; r < hi; ++r) {
-      const float* row = ip + r * d;
-      float* orow = op + r * d;
-      float m = row[0];
-      for (std::int64_t i = 1; i < d; ++i) m = std::max(m, row[i]);
-      double sum = 0.0;
-      for (std::int64_t i = 0; i < d; ++i) {
-        orow[i] = std::exp(row[i] - m);
-        sum += orow[i];
-      }
-      const auto inv = static_cast<float>(1.0 / sum);
-      for (std::int64_t i = 0; i < d; ++i) orow[i] *= inv;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const float* row = ip + r * d;
+    float* orow = op + r * d;
+    float m = row[0];
+    for (std::int64_t i = 1; i < d; ++i) m = std::max(m, row[i]);
+    double sum = 0.0;
+    for (std::int64_t i = 0; i < d; ++i) {
+      orow[i] = std::exp(row[i] - m);
+      sum += orow[i];
     }
-  });
+    const auto inv = static_cast<float>(1.0 / sum);
+    for (std::int64_t i = 0; i < d; ++i) orow[i] *= inv;
+  }
 }
 
 void RunLayerNorm(const graph::LayerNormAttrs& a, const Tensor& in,
-                  const Tensor& gamma, const Tensor& beta, Tensor& out,
-                  const ThreadPool* pool) {
+                  const Tensor& gamma, const Tensor& beta, Tensor& out) {
   const TensorShape& s = in.shape();
   const std::int64_t d = s.dim(s.rank() - 1);
   const std::int64_t rows = s.elements() / d;
@@ -167,24 +138,22 @@ void RunLayerNorm(const graph::LayerNormAttrs& a, const Tensor& in,
   const float* gp = gamma.data();
   const float* bp = beta.data();
   float* op = out.data();
-  ParallelForRange(pool, 0, rows, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t r = lo; r < hi; ++r) {
-      const float* row = ip + r * d;
-      double mean = 0.0;
-      for (std::int64_t i = 0; i < d; ++i) mean += row[i];
-      mean /= static_cast<double>(d);
-      double var = 0.0;
-      for (std::int64_t i = 0; i < d; ++i) {
-        const double x = row[i] - mean;
-        var += x * x;
-      }
-      var /= static_cast<double>(d);
-      const double inv = 1.0 / std::sqrt(var + a.epsilon);
-      float* orow = op + r * d;
-      for (std::int64_t i = 0; i < d; ++i)
-        orow[i] = static_cast<float>((row[i] - mean) * inv) * gp[i] + bp[i];
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const float* row = ip + r * d;
+    double mean = 0.0;
+    for (std::int64_t i = 0; i < d; ++i) mean += row[i];
+    mean /= static_cast<double>(d);
+    double var = 0.0;
+    for (std::int64_t i = 0; i < d; ++i) {
+      const double x = row[i] - mean;
+      var += x * x;
     }
-  });
+    var /= static_cast<double>(d);
+    const double inv = 1.0 / std::sqrt(var + a.epsilon);
+    float* orow = op + r * d;
+    for (std::int64_t i = 0; i < d; ++i)
+      orow[i] = static_cast<float>((row[i] - mean) * inv) * gp[i] + bp[i];
+  }
 }
 
 void RunEmbedding(const graph::EmbeddingAttrs& a, const Tensor& ids,
@@ -206,17 +175,15 @@ void RunEmbedding(const graph::EmbeddingAttrs& a, const Tensor& ids,
 void RunAttention(const graph::AttentionAttrs& a, const Tensor& in,
                   const Tensor& wq, const Tensor& wk, const Tensor& wv,
                   const Tensor& wo, Tensor& out,
-                  const kernels::KernelTable& kt, const ThreadPool* pool) {
+                  const kernels::KernelTable& kt) {
   const std::int64_t S = in.shape().dim(0);
   const std::int64_t D = in.shape().dim(1);
   const std::int64_t H = a.num_heads;
   const std::int64_t hd = a.head_dim;
 
-  // r = x . W over row chunks of the [S, D] input.
+  // r = x . W over the [S, D] input.
   const auto project = [&](const float* x, const Tensor& w, float* r) {
-    ParallelForRange(pool, 0, S, [&](std::int64_t lo, std::int64_t hi) {
-      kt.matmul_f32(x + lo * D, D, w.data(), D, r + lo * D, D, hi - lo, D, D);
-    });
+    kt.matmul_f32(x, D, w.data(), D, r, D, S, D, D);
   };
   const auto size = static_cast<std::size_t>(S * D);
   std::vector<float> q(size), k(size), v(size);
@@ -230,44 +197,37 @@ void RunAttention(const graph::AttentionAttrs& a, const Tensor& in,
       k_t[static_cast<std::size_t>(c * S + j)] =
           k[static_cast<std::size_t>(j * D + c)];
 
-  // Flattened (head, query-row) pairs are independent: each writes a
-  // disjoint ctx slice.  A chunk takes its rows head by head, with local
-  // scores and normalizer buffers.
+  // Head by head, each writing its own ctx columns, through one S-row
+  // scores and normalizer buffer.
   std::vector<float> ctx(size);
   const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(hd));
-  ParallelForRange(pool, 0, H * S, [&](std::int64_t lo, std::int64_t hi) {
-    const std::int64_t max_rows = std::min(hi - lo, S);
-    std::vector<float> scores(static_cast<std::size_t>(max_rows * S));
-    std::vector<float> inv(static_cast<std::size_t>(max_rows));
-    while (lo < hi) {
-      const std::int64_t off = (lo / S) * hd;
-      const std::int64_t i0 = lo % S;
-      const std::int64_t rows = std::min(S - i0, hi - lo);
-      // scores_ij = q_i . k_j / sqrt(hd), softmaxed over j.
-      kt.matmul_f32(q.data() + i0 * D + off, D, k_t.data() + off * S, S,
-                    scores.data(), S, rows, S, hd);
-      for (std::int64_t r = 0; r < rows; ++r) {
-        float* row = scores.data() + r * S;
-        float m = -std::numeric_limits<float>::infinity();
-        for (std::int64_t j = 0; j < S; ++j) {
-          row[j] *= inv_sqrt;
-          m = std::max(m, row[j]);
-        }
-        double sum = 0.0;
-        for (std::int64_t j = 0; j < S; ++j) {
-          row[j] = std::exp(row[j] - m);
-          sum += row[j];
-        }
-        inv[static_cast<std::size_t>(r)] = static_cast<float>(1.0 / sum);
+  std::vector<float> scores(static_cast<std::size_t>(S * S));
+  std::vector<float> inv(static_cast<std::size_t>(S));
+  for (std::int64_t h = 0; h < H; ++h) {
+    const std::int64_t off = h * hd;
+    // scores_ij = q_i . k_j / sqrt(hd), softmaxed over j.
+    kt.matmul_f32(q.data() + off, D, k_t.data() + off * S, S, scores.data(), S,
+                  S, S, hd);
+    for (std::int64_t r = 0; r < S; ++r) {
+      float* row = scores.data() + r * S;
+      float m = -std::numeric_limits<float>::infinity();
+      for (std::int64_t j = 0; j < S; ++j) {
+        row[j] *= inv_sqrt;
+        m = std::max(m, row[j]);
       }
-      float* c = ctx.data() + i0 * D + off;
-      kt.matmul_f32(scores.data(), S, v.data() + off, D, c, D, rows, hd, S);
-      for (std::int64_t r = 0; r < rows; ++r)
-        for (std::int64_t d = 0; d < hd; ++d)
-          c[r * D + d] *= inv[static_cast<std::size_t>(r)];
-      lo += rows;
+      double sum = 0.0;
+      for (std::int64_t j = 0; j < S; ++j) {
+        row[j] = std::exp(row[j] - m);
+        sum += row[j];
+      }
+      inv[static_cast<std::size_t>(r)] = static_cast<float>(1.0 / sum);
     }
-  });
+    float* c = ctx.data() + off;
+    kt.matmul_f32(scores.data(), S, v.data() + off, D, c, D, S, hd, S);
+    for (std::int64_t r = 0; r < S; ++r)
+      for (std::int64_t d = 0; d < hd; ++d)
+        c[r * D + d] *= inv[static_cast<std::size_t>(r)];
+  }
 
   project(ctx.data(), wo, out.data());
 }
@@ -459,34 +419,19 @@ const Tensor& Executor::PackedWeightFor(TensorId id) const {
 namespace {
 
 // The whole-op form of a row-band kernel: every batch image of the output
-// shape `s` is one full-height band, cut into row chunks over the pool (a
-// chunk boundary never changes a value — tiled_ops.h).  `kernel(image,
-// band)` fills output rows [band.origin, band.origin + band.rows) of that
-// image.
+// shape `s` is one full-height band.  `kernel(image, band)` fills output
+// rows [band.origin, band.origin + band.rows) of that image.
 template <typename Kernel>
-void RunBands(float* out, const TensorShape& s, const ThreadPool* pool,
-              const Kernel& kernel) {
+void RunBands(float* out, const TensorShape& s, const Kernel& kernel) {
   const std::int64_t h = s.height();
-  const std::int64_t row_elems = s.width() * s.channels();
-  ParallelForRange(pool, 0, s.batch() * h,
-                   [&](std::int64_t lo, std::int64_t hi) {
-                     while (lo < hi) {
-                       const std::int64_t r0 = lo % h;
-                       const std::int64_t rows = std::min(h - r0, hi - lo);
-                       kernel(lo / h,
-                              MutableRowBand{out + lo * row_elems, r0, rows, h,
-                                             s.width(), s.channels()});
-                       lo += rows;
-                     }
-                   });
+  const std::int64_t image_elems = h * s.width() * s.channels();
+  for (std::int64_t b = 0; b < s.batch(); ++b)
+    kernel(b, MutableRowBand{out + b * image_elems, 0, h, h, s.width(),
+                             s.channels()});
 }
 
 // A tensor of any rank viewed as one image of single-element rows, so the
-// elementwise band kernels split it as finely as a flat loop would.
-TensorShape FlatShape(const Tensor& t) {
-  return TensorShape({1, static_cast<std::int64_t>(t.size()), 1, 1});
-}
-
+// elementwise band kernels run over it as one flat loop.
 RowBand FlatBand(const Tensor& t) {
   const auto n = static_cast<std::int64_t>(t.size());
   return RowBand{t.data(), 0, n, n, 1, 1};
@@ -496,11 +441,10 @@ RowBand FlatBand(const Tensor& t) {
 // or one tile band: fp16 rounding, or activation fake-quantization where
 // calibration recorded a range, on the table's scalar-order entries (the
 // same bits as RoundToHalf / FakeQuantActivation on every table).  Both are
-// elementwise, so any split of the tensor gives the same values.
+// elementwise, so a tile band gets the values the whole tensor would.
 void ApplyOutputNumerics(NumericsMode mode, const QuantParams& quant,
                          TensorId output_id, std::span<float> vals,
-                         const kernels::KernelTable& kt,
-                         const ThreadPool* pool) {
+                         const kernels::KernelTable& kt) {
   if (mode == NumericsMode::kFp32) return;
   std::optional<ActivationGrid> grid;
   if (mode == NumericsMode::kInt8) {
@@ -509,17 +453,12 @@ void ApplyOutputNumerics(NumericsMode mode, const QuantParams& quant,
     grid = ActivationGridFor(it->second, quant.activation_bits);
     if (!grid) return;
   }
-  ParallelForRange(
-      vals.size() >= kElementwiseCutoff ? pool : nullptr, 0,
-      static_cast<std::int64_t>(vals.size()),
-      [&](std::int64_t lo, std::int64_t hi) {
-        float* v = vals.data() + lo;
-        if (grid) {
-          kt.fake_quant_f32(v, hi - lo, grid->scale, grid->zp, grid->qmax);
-        } else {
-          kt.round_half_f32(v, hi - lo);
-        }
-      });
+  const auto n = static_cast<std::int64_t>(vals.size());
+  if (grid) {
+    kt.fake_quant_f32(vals.data(), n, grid->scale, grid->zp, grid->qmax);
+  } else {
+    kt.round_half_f32(vals.data(), n);
+  }
 }
 
 // Per-node tracing: one complete span per executed node on the calling
@@ -594,7 +533,7 @@ void NodeRunner::RunBand(const Executor& exec, const Node& n,
 
 void NodeRunner::Run(const Executor& exec, const Node& n,
                      const TensorFetch& fetch, Tensor& out,
-                     const NodeObserver& observer, const ThreadPool* pool) {
+                     const NodeObserver& observer) {
   CountDispatch(exec, n.op);
   const auto weight = [&](std::size_t k) -> const Tensor& {
     return exec.WeightFor(n.weights[k]);
@@ -609,7 +548,7 @@ void NodeRunner::Run(const Executor& exec, const Node& n,
     case OpType::kMaxPool:
     case OpType::kResizeBilinear: {
       const Tensor& in = fetch(n.inputs[0]);
-      RunBands(out.data(), out.shape(), pool,
+      RunBands(out.data(), out.shape(),
                [&](std::int64_t image, const MutableRowBand& band) {
                  RunBand(exec, n, FullBand(in, image), {}, band);
                });
@@ -622,22 +561,17 @@ void NodeRunner::Run(const Executor& exec, const Node& n,
       const RowBand y = n.op == OpType::kActivation
                             ? RowBand{}
                             : FlatBand(fetch(n.inputs[1]));
-      // Elementwise loops only fork when the tensor is large enough to pay
-      // for the handshake.
-      RunBands(out.data(), FlatShape(out),
-               out.size() >= kElementwiseCutoff ? pool : nullptr,
-               [&](std::int64_t, const MutableRowBand& band) {
-                 RunBand(exec, n, x, y, band);
-               });
+      const auto size = static_cast<std::int64_t>(out.size());
+      RunBand(exec, n, x, y, MutableRowBand{out.data(), 0, size, size, 1, 1});
       break;
     }
     case OpType::kFullyConnected:
       RunFullyConnected(std::get<graph::FullyConnectedAttrs>(n.attrs),
                         fetch(n.inputs[0]), weight(0), weight(1), out,
-                        *exec.kernels_, pool);
+                        *exec.kernels_);
       break;
     case OpType::kGlobalAvgPool:
-      RunGlobalAvgPool(fetch(n.inputs[0]), out, pool);
+      RunGlobalAvgPool(fetch(n.inputs[0]), out);
       break;
     case OpType::kConcat: {
       std::vector<const Tensor*> ins;
@@ -658,12 +592,12 @@ void NodeRunner::Run(const Executor& exec, const Node& n,
       const auto rank = static_cast<int>(out.shape().rank());
       Expects(a.axis == -1 || a.axis == rank - 1,
               "softmax supported on last axis only");
-      RunSoftmaxLastDim(fetch(n.inputs[0]), out, pool);
+      RunSoftmaxLastDim(fetch(n.inputs[0]), out);
       break;
     }
     case OpType::kLayerNorm:
       RunLayerNorm(std::get<graph::LayerNormAttrs>(n.attrs),
-                   fetch(n.inputs[0]), weight(0), weight(1), out, pool);
+                   fetch(n.inputs[0]), weight(0), weight(1), out);
       break;
     case OpType::kEmbeddingLookup:
       RunEmbedding(std::get<graph::EmbeddingAttrs>(n.attrs),
@@ -674,8 +608,7 @@ void NodeRunner::Run(const Executor& exec, const Node& n,
                    fetch(n.inputs[0]), exec.PackedWeightFor(n.weights[0]),
                    exec.PackedWeightFor(n.weights[1]),
                    exec.PackedWeightFor(n.weights[2]),
-                   exec.PackedWeightFor(n.weights[3]), out, *exec.kernels_,
-                   pool);
+                   exec.PackedWeightFor(n.weights[3]), out, *exec.kernels_);
       break;
     case OpType::kLstm:
       RunLstm(std::get<graph::LstmAttrs>(n.attrs), fetch(n.inputs[0]),
@@ -691,20 +624,18 @@ void NodeRunner::Run(const Executor& exec, const Node& n,
   }
   if (observer) observer(n.output, out);
   ApplyOutputNumerics(exec.mode_, exec.quant_, n.output, out.values(),
-                      *exec.kernels_, pool);
+                      *exec.kernels_);
 }
 
-// The segment's output rows are cut into row bands (the ThreadPool
-// parallel grain), and each band is produced by walking the chain
-// front-to-back through a per-worker slab that holds only the tile-sized
-// slice of every interior tensor.  Input row ranges come from
-// graph::InferInputBounds walked tail-to-head, so every band reads exactly
-// the rows it needs — bit-identical to untiled execution because each
-// output element sees the identical kernel calls on identical data
-// (tiled_ops.h).
+// The segment's output rows are cut into row bands, and each band is
+// produced by walking the chain front-to-back through one slab that holds
+// only the tile-sized slice of every interior tensor.  Input row ranges
+// come from graph::InferInputBounds walked tail-to-head, so every band
+// reads exactly the rows it needs — bit-identical to untiled execution
+// because each output element sees the identical kernel calls on identical
+// data (tiled_ops.h).
 void NodeRunner::RunSegment(const Executor& exec, std::size_t seg_idx,
-                            const TensorFetch& fetch, Tensor& seg_out,
-                            const ThreadPool* pool) {
+                            const TensorFetch& fetch, Tensor& seg_out) {
   const Graph& g = exec.graph_;
   const TileSegment& s = exec.tile_plan_.segments[seg_idx];
   const int n_nodes = static_cast<int>(s.last_node - s.first_node + 1);
@@ -714,80 +645,77 @@ void NodeRunner::RunSegment(const Executor& exec, std::size_t seg_idx,
     CountDispatch(exec, g.nodes()[static_cast<std::size_t>(m)].op);
 
   obs::TraceRecorder& rec = obs::TraceRecorder::Global();
-  ParallelForRange(pool, 0, s.tile_count(), [&](std::int64_t lo,
-                                                std::int64_t hi) {
-    // One slab per chunk: every interior tensor's tile slice, packed at
-    // the planner's aligned offsets.
-    std::vector<float> slab(s.slab_elements);
-    std::vector<graph::Interval> out_rows(static_cast<std::size_t>(n_nodes));
-    for (std::int64_t t = lo; t < hi; ++t) {
-      const bool traced = rec.enabled();
-      const double t0_us = traced ? rec.NowUs() : 0.0;
-      const std::int64_t r0 = t * s.tile_rows;
-      const std::int64_t r1 = std::min(r0 + s.tile_rows, s.out_rows);
-      // Tail-to-head bounds inference: node j must produce the rows node
-      // j+1 consumes.
-      out_rows[static_cast<std::size_t>(n_nodes - 1)] = {r0, r1};
-      for (int j = n_nodes - 1; j > 0; --j) {
-        const Node& n = g.nodes()[static_cast<std::size_t>(s.first_node + j)];
-        const graph::TensorShape& ish = g.tensor(n.inputs[0]).shape;
-        const graph::TensorShape& osh = g.tensor(n.output).shape;
-        graph::Box crop = graph::Box::FromShape(osh);
-        crop.dims[1] = out_rows[static_cast<std::size_t>(j)];
-        out_rows[static_cast<std::size_t>(j - 1)] =
-            graph::InferInputBounds(n, ish, osh, crop).dims[1];
-      }
-      // Head-to-tail execution over the inferred bands.
-      for (int j = 0; j < n_nodes; ++j) {
-        const Node& n = g.nodes()[static_cast<std::size_t>(s.first_node + j)];
-        const graph::TensorShape& osh = g.tensor(n.output).shape;
-        const graph::Interval rows = out_rows[static_cast<std::size_t>(j)];
-        RowBand in_band;
-        if (j == 0) {
-          in_band = FullBand(fetch(n.inputs[0]));
-        } else {
-          const graph::TensorShape& ish = g.tensor(n.inputs[0]).shape;
-          const graph::Interval in_rows =
-              out_rows[static_cast<std::size_t>(j - 1)];
-          in_band = RowBand{slab.data() + s.slab_offsets[j - 1],
-                            in_rows.begin, in_rows.length(), ish.height(),
-                            ish.width(), ish.channels()};
-        }
-        MutableRowBand out_band;
-        if (j == n_nodes - 1) {
-          out_band = MutableRowBand{
-              seg_out.data() + rows.begin * osh.width() * osh.channels(),
-              rows.begin, rows.length(), osh.height(), osh.width(),
-              osh.channels()};
-        } else {
-          Expects(rows.length() <= s.slab_rows[static_cast<std::size_t>(j)],
-                  "tile band exceeds planned slab rows");
-          out_band = MutableRowBand{slab.data() + s.slab_offsets[j],
-                                    rows.begin, rows.length(), osh.height(),
-                                    osh.width(), osh.channels()};
-        }
-        // A binary node's second operand is exterior to the segment and
-        // fully materialized.
-        const bool binary = n.op == OpType::kAdd || n.op == OpType::kMul;
-        RunBand(exec, n, in_band,
-                binary ? FullBand(fetch(n.inputs[1])) : RowBand{}, out_band);
-        ApplyOutputNumerics(
-            exec.mode_, exec.quant_, n.output,
-            {out_band.data, static_cast<std::size_t>(
-                                out_band.rows * osh.width() * osh.channels())},
-            *exec.kernels_, nullptr);
-      }
-      if (traced) {
-        std::vector<obs::TraceArg> args;
-        args.reserve(2);
-        args.push_back(obs::Arg("segment", static_cast<int>(seg_idx)));
-        args.push_back(
-            obs::Arg("rows", std::to_string(r0) + ":" + std::to_string(r1)));
-        rec.AddComplete(obs::Domain::kHost, {}, "tile", t0_us,
-                        rec.NowUs() - t0_us, std::move(args), "tile");
-      }
+  // One slab for every tile: each interior tensor's tile slice, packed at
+  // the planner's aligned offsets.
+  std::vector<float> slab(s.slab_elements);
+  std::vector<graph::Interval> out_rows(static_cast<std::size_t>(n_nodes));
+  for (std::int64_t t = 0; t < s.tile_count(); ++t) {
+    const bool traced = rec.enabled();
+    const double t0_us = traced ? rec.NowUs() : 0.0;
+    const std::int64_t r0 = t * s.tile_rows;
+    const std::int64_t r1 = std::min(r0 + s.tile_rows, s.out_rows);
+    // Tail-to-head bounds inference: node j must produce the rows node
+    // j+1 consumes.
+    out_rows[static_cast<std::size_t>(n_nodes - 1)] = {r0, r1};
+    for (int j = n_nodes - 1; j > 0; --j) {
+      const Node& n = g.nodes()[static_cast<std::size_t>(s.first_node + j)];
+      const graph::TensorShape& ish = g.tensor(n.inputs[0]).shape;
+      const graph::TensorShape& osh = g.tensor(n.output).shape;
+      graph::Box crop = graph::Box::FromShape(osh);
+      crop.dims[1] = out_rows[static_cast<std::size_t>(j)];
+      out_rows[static_cast<std::size_t>(j - 1)] =
+          graph::InferInputBounds(n, ish, osh, crop).dims[1];
     }
-  });
+    // Head-to-tail execution over the inferred bands.
+    for (int j = 0; j < n_nodes; ++j) {
+      const Node& n = g.nodes()[static_cast<std::size_t>(s.first_node + j)];
+      const graph::TensorShape& osh = g.tensor(n.output).shape;
+      const graph::Interval rows = out_rows[static_cast<std::size_t>(j)];
+      RowBand in_band;
+      if (j == 0) {
+        in_band = FullBand(fetch(n.inputs[0]));
+      } else {
+        const graph::TensorShape& ish = g.tensor(n.inputs[0]).shape;
+        const graph::Interval in_rows =
+            out_rows[static_cast<std::size_t>(j - 1)];
+        in_band = RowBand{slab.data() + s.slab_offsets[j - 1],
+                          in_rows.begin, in_rows.length(), ish.height(),
+                          ish.width(), ish.channels()};
+      }
+      MutableRowBand out_band;
+      if (j == n_nodes - 1) {
+        out_band = MutableRowBand{
+            seg_out.data() + rows.begin * osh.width() * osh.channels(),
+            rows.begin, rows.length(), osh.height(), osh.width(),
+            osh.channels()};
+      } else {
+        Expects(rows.length() <= s.slab_rows[static_cast<std::size_t>(j)],
+                "tile band exceeds planned slab rows");
+        out_band = MutableRowBand{slab.data() + s.slab_offsets[j],
+                                  rows.begin, rows.length(), osh.height(),
+                                  osh.width(), osh.channels()};
+      }
+      // A binary node's second operand is exterior to the segment and
+      // fully materialized.
+      const bool binary = n.op == OpType::kAdd || n.op == OpType::kMul;
+      RunBand(exec, n, in_band,
+              binary ? FullBand(fetch(n.inputs[1])) : RowBand{}, out_band);
+      ApplyOutputNumerics(
+          exec.mode_, exec.quant_, n.output,
+          {out_band.data, static_cast<std::size_t>(
+                              out_band.rows * osh.width() * osh.channels())},
+          *exec.kernels_);
+    }
+    if (traced) {
+      std::vector<obs::TraceArg> args;
+      args.reserve(2);
+      args.push_back(obs::Arg("segment", static_cast<int>(seg_idx)));
+      args.push_back(
+          obs::Arg("rows", std::to_string(r0) + ":" + std::to_string(r1)));
+      rec.AddComplete(obs::Domain::kHost, {}, "tile", t0_us,
+                      rec.NowUs() - t0_us, std::move(args), "tile");
+    }
+  }
 }
 
 }  // namespace internal
@@ -803,7 +731,7 @@ ExecutionContext::ExecutionContext(const Executor& executor)
   for (std::size_t id = 0; id < slots_.size(); ++id) {
     const TensorPlacement& p = plan_->placements()[id];
     // Tile-slab tensors have no arena storage: the tiled executor
-    // materializes them band-by-band in per-worker slabs.
+    // materializes them band-by-band in a per-run slab.
     if (p.kind == PlacementKind::kUnplanned ||
         p.kind == PlacementKind::kTileSlab)
       continue;
@@ -819,8 +747,7 @@ std::vector<Tensor> Executor::Run(std::span<const Tensor> inputs) const {
 
 std::vector<Tensor> Executor::Run(std::span<const Tensor> inputs,
                                   ExecutionContext& ctx,
-                                  const NodeObserver& observer,
-                                  const ThreadPool* pool) const {
+                                  const NodeObserver& observer) const {
   Expects(ctx.plan_ == &plan_,
           "execution context belongs to a different executor");
   Expects(inputs.size() == graph_.input_ids().size(),
@@ -862,7 +789,7 @@ std::vector<Tensor> Executor::Run(std::span<const Tensor> inputs,
       const Node& tail = nodes[static_cast<std::size_t>(s.last_node)];
       internal::NodeRunner::RunSegment(
           *this, static_cast<std::size_t>(seg), fetch,
-          ctx.slots_[static_cast<std::size_t>(tail.output)], pool);
+          ctx.slots_[static_cast<std::size_t>(tail.output)]);
       if (traced) {
         std::vector<obs::TraceArg> args;
         args.reserve(3);
@@ -877,7 +804,7 @@ std::vector<Tensor> Executor::Run(std::span<const Tensor> inputs,
       continue;
     }
     Tensor& out = ctx.slots_[static_cast<std::size_t>(n.output)];
-    internal::NodeRunner::Run(*this, n, fetch, out, observer, pool);
+    internal::NodeRunner::Run(*this, n, fetch, out, observer);
     if (traced) TraceNode(rec, graph_, n, out, t0_us, rec.NowUs(), plan_);
   }
 

@@ -7,7 +7,8 @@
 // executes over an ExecutionContext's preplanned arena, and every spatial
 // op runs through the row-band kernels of tiled_ops.h — as fused tile
 // segments when the tile planner chose some, as one full-height band per
-// batch image otherwise.
+// batch image otherwise.  A run executes entirely on its calling thread;
+// parallelism lives above it, one sample per lane (RunSamplesParallel).
 //
 // Numerics modes (paper §5.1/§7.5):
 //   kFp32 — plain float.
@@ -31,10 +32,6 @@
 #include "infer/tensor.h"
 #include "infer/tile_planner.h"
 #include "infer/weights.h"
-
-namespace mlpm {
-class ThreadPool;
-}
 
 namespace mlpm::infer {
 
@@ -106,10 +103,10 @@ class Executor {
   // bit-identical to the pre-registry executor).
   //
   // `tiling` (tile_planner.h) opts every run into fused tiled segment
-  // execution: fusable conv/dw chains run crop-by-crop through per-worker
-  // slabs instead of materializing full intermediates.  Tiled execution is
-  // bit-identical to whole-op execution for every numerics mode, kernel
-  // table, and thread count (DESIGN.md §15).
+  // execution: fusable conv/dw chains run crop-by-crop through a tile slab
+  // instead of materializing full intermediates.  Tiled execution is
+  // bit-identical to whole-op execution for every numerics mode and kernel
+  // table (DESIGN.md §15).
   Executor(const graph::Graph& graph, const WeightStore& weights,
            NumericsMode mode = NumericsMode::kFp32,
            const QuantParams* quant = nullptr,
@@ -126,14 +123,10 @@ class Executor {
   // reuse it across calls on one thread.  `observer`, if set, sees every
   // node output before output numerics (calibration); it requires an
   // untiled executor, because tiled segments never materialize their
-  // interiors.  `pool` (may be null) parallelizes kernels over independent
-  // output elements: results are bit-identical for any thread count, as
-  // each output element is computed by exactly one thread with the same
-  // per-element operation order.  The observer runs on the calling thread.
-  [[nodiscard]] std::vector<Tensor> Run(std::span<const Tensor> inputs,
-                                        ExecutionContext& ctx,
-                                        const NodeObserver& observer = {},
-                                        const ThreadPool* pool = nullptr) const;
+  // interiors.  Every node, and the observer, runs on the calling thread.
+  [[nodiscard]] std::vector<Tensor> Run(
+      std::span<const Tensor> inputs, ExecutionContext& ctx,
+      const NodeObserver& observer = {}) const;
 
   [[nodiscard]] ExecutionContext CreateContext() const {
     return ExecutionContext(*this);

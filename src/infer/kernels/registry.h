@@ -88,10 +88,10 @@ struct CpuFeatures {
 //                  element step on a grid computed once per tensor.
 // The conv/FC call sites block their work in groups of four output features,
 // and a feature's arithmetic differs between the blocked path and the
-// remainder path.  The engine guarantees bit-identical results for ANY
-// thread count (DESIGN.md §8), so every parallel caller must align its
-// chunk boundaries to this block: otherwise the same feature would be
-// blocked in one partition and remaindered in another.
+// remainder path.  Every call site runs a node's features from 0, so a
+// feature's path depends only on its index; a caller that split the
+// features would have to align the split to this block, or the same
+// feature would be blocked in one split and remaindered in another.
 inline constexpr std::int64_t kF32RowBlock = 4;
 
 struct KernelTable {

@@ -85,7 +85,7 @@ MemoryPlan MemoryPlan::Build(const Graph& g, const TilePlan* tiling) {
     const std::int32_t out_last = std::max(live[out].last_use, i);
 
     // Segment-interior tensors never touch the arena: the tiled executor
-    // materializes them tile-by-tile in per-worker slabs, so their full-size
+    // materializes them tile-by-tile in a per-run slab, so their full-size
     // live interval disappears from packing entirely.  The naive footprint
     // still counts them at full size — that is exactly the saving.
     if (tiling != nullptr && tiling->interior[out]) {

@@ -97,12 +97,12 @@ class MemoryPlan {
   [[nodiscard]] std::size_t peak_arena_bytes() const {
     return arena_elements_ * sizeof(float);
   }
-  // One worker's peak tile-slab footprint (0 for untiled plans).  Each
-  // concurrent worker holds one slab block while executing a tile.
+  // One run's peak tile-slab footprint (0 for untiled plans).  Each
+  // concurrent run holds one slab block while executing a segment.
   [[nodiscard]] std::size_t tile_slab_bytes() const {
     return tile_slab_bytes_;
   }
-  // The plan's total planned activation footprint for one worker: the
+  // The plan's total planned activation footprint for one run: the
   // packed arena plus one tile-slab block.  This — not peak_arena_bytes()
   // alone — is what "Act. saved" compares against the naive footprint.
   [[nodiscard]] std::size_t planned_activation_bytes() const {
@@ -138,7 +138,7 @@ class MemoryPlan {
 
 // True if `op` may write its output in place over its first input (all
 // reads of element i happen before the write of element i, in every kernel
-// and for every thread partition).  Reshape additionally degenerates to a
+// and for every row band).  Reshape additionally degenerates to a
 // no-op view when aliased.
 [[nodiscard]] bool SupportsInPlace(graph::OpType op);
 

@@ -9,10 +9,6 @@
 #include "infer/executor.h"
 #include "infer/tensor.h"
 
-namespace mlpm {
-class ThreadPool;
-}
-
 namespace mlpm::infer {
 struct RowBand;
 struct MutableRowBand;
@@ -28,16 +24,15 @@ struct NodeRunner {
   // may alias the node's first input for in-place ops), hands the raw
   // output to `observer` if set, then applies the executor's output
   // numerics.  Spatial ops run as one full-height row band per batch
-  // image, split into row chunks over `pool`.
+  // image.
   static void Run(const Executor& exec, const graph::Node& n,
                   const TensorFetch& fetch, Tensor& out,
-                  const NodeObserver& observer, const ThreadPool* pool);
+                  const NodeObserver& observer);
 
   // Runs fused tile segment `seg` of `exec`'s tile plan into `seg_out`, the
   // segment tail's full output tensor.
   static void RunSegment(const Executor& exec, std::size_t seg,
-                         const TensorFetch& fetch, Tensor& seg_out,
-                         const ThreadPool* pool);
+                         const TensorFetch& fetch, Tensor& seg_out);
 
  private:
   // Ticks the executor's dispatch counter for `op`'s microkernel family.

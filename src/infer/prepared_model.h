@@ -9,10 +9,9 @@
 // amortize the arena allocation.
 //
 // RunSamplesParallel is the sample-level fan-out used by the accuracy
-// harness: independent samples evaluate on pool threads while per-op
-// parallelism inside each sample collapses to inline execution (nested
-// ParallelFor), so the same pool serves both regimes without deadlock and
-// results stay bit-identical to a serial loop.
+// harness: independent samples evaluate on pool lanes, each inference on
+// the lane that claimed it, so results stay bit-identical to a serial
+// loop.
 #pragma once
 
 #include <cstddef>
@@ -45,18 +44,16 @@ class PreparedModel {
 
   [[nodiscard]] const Executor& executor() const { return executor_; }
 
-  [[nodiscard]] std::vector<Tensor> Run(std::span<const Tensor> inputs,
-                                        const ThreadPool* pool = nullptr) const {
+  [[nodiscard]] std::vector<Tensor> Run(std::span<const Tensor> inputs) const {
     ExecutionContext ctx = executor_.CreateContext();
-    return executor_.Run(inputs, ctx, NodeObserver{}, pool);
+    return executor_.Run(inputs, ctx);
   }
 
   // Arena-context overload: reuses `ctx`'s arena across calls (one context
   // per thread; a context is not thread-safe).
   [[nodiscard]] std::vector<Tensor> Run(std::span<const Tensor> inputs,
-                                        ExecutionContext& ctx,
-                                        const ThreadPool* pool = nullptr) const {
-    return executor_.Run(inputs, ctx, NodeObserver{}, pool);
+                                        ExecutionContext& ctx) const {
+    return executor_.Run(inputs, ctx);
   }
 
   [[nodiscard]] ExecutionContext CreateContext() const {

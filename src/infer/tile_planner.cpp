@@ -16,7 +16,8 @@ using graph::OpType;
 using graph::TensorId;
 
 // A segment must split into at least this many tiles (when its output has
-// that many rows) so tiles can serve as the thread pool's parallel grain.
+// that many rows).  The cap holds auto plans, and the tile_* figures
+// reported from them, fixed until the planner itself is deleted.
 constexpr std::int64_t kMinTilesPerSegment = 8;
 
 std::size_t AlignUp(std::size_t n) {
@@ -209,11 +210,10 @@ TilePlan BuildTilePlan(const Graph& g, const TileOptions& opt) {
       PackSlabs(g, s, s.tile_rows);
     } else {
       // Auto: the largest band whose slab block fits the cache budget.
-      // Big outputs are additionally capped so the segment yields enough
-      // tiles to feed the pool; outputs with fewer rows than that target
-      // get one band — slicing them buys no parallel grain and only pays
-      // per-tile overhead.  Band size never changes results, only
-      // locality.
+      // Big outputs are additionally capped at kMinTilesPerSegment tiles;
+      // outputs with fewer rows than that get one band, as slicing them
+      // only pays per-tile overhead.  Band size never changes results,
+      // only locality.
       std::int64_t rows = s.out_rows <= kMinTilesPerSegment
                               ? s.out_rows
                               : s.out_rows / kMinTilesPerSegment;

@@ -24,9 +24,10 @@
 // Tile-size selection back-propagates a candidate output band through the
 // chain (rows_in = (rows_out - 1) * stride + effective_kernel, clamped) and
 // takes the largest band whose summed slab bytes fit the cache budget,
-// additionally capped so a segment still yields enough tiles to serve as
-// the thread pool's parallel grain.  Results are bit-identical for every
-// band size — the band only moves the compute/locality trade-off.
+// additionally capped at a fixed minimum tile count per segment, which
+// holds today's plans (and the tile_* report figures) fixed until the
+// planner itself goes.  Results are bit-identical for every band size —
+// the band only moves the compute/locality trade-off.
 #pragma once
 
 #include <cstddef>
@@ -56,10 +57,10 @@ struct TileSegment {
   // row slabs instead of whole tensors.
   std::vector<graph::TensorId> interior;
   // Worst-case rows each interior slab holds for one tile, and its element
-  // offset inside a worker's slab block (both parallel to `interior`).
+  // offset inside the segment's slab block (both parallel to `interior`).
   std::vector<std::int64_t> slab_rows;
   std::vector<std::size_t> slab_offsets;
-  // One worker's slab block for this segment, in elements (aligned).
+  // One run's slab block for this segment, in elements (aligned).
   std::size_t slab_elements = 0;
   std::int64_t tile_rows = 0;  // selected output-row band, >= 1
   std::int64_t out_rows = 0;   // H of the segment's final output
@@ -77,8 +78,8 @@ struct TilePlan {
   std::vector<std::int32_t> segment_of_node;
 
   [[nodiscard]] bool empty() const { return segments.empty(); }
-  // One worker's peak slab footprint: the largest segment block (segments
-  // execute one at a time; concurrent workers each hold one block).
+  // One run's peak slab footprint: the largest segment block (segments
+  // execute one at a time; concurrent runs each hold one block).
   [[nodiscard]] std::size_t slab_bytes() const;
 };
 

@@ -5,9 +5,8 @@
 // partially-materialized buffer (a tile slab holding rows
 // [origin, origin + rows) of the logical tensor, or a fully-materialized
 // image with origin 0).  The executor calls them two ways: a fused tile
-// segment walks a chain band by band through per-worker slabs, and every
-// other node runs as one full-height band per batch image, split into row
-// chunks over the thread pool.
+// segment walks a chain band by band through one slab, and every other
+// node runs as one full-height band per batch image.
 //
 // Bit-identity contract (DESIGN.md §15): an output element's value depends
 // only on its global coordinates — bias-first accumulators, the same

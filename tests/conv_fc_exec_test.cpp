@@ -4,7 +4,7 @@
 // channels and per tap, with the OC % 4 remainder in scalar order.  The
 // entry promises exactly those bits (DESIGN.md §13), so every case below
 // compares bit patterns, on the scalar table and on the host's best one,
-// untiled and tiled, at one lane and on pools of 1 and 4 threads.
+// untiled and tiled.
 //
 // CI also runs this binary from a tree built whole with -mavx2 -mfma, where
 // the reference below is compiled with other code than the engine's own.
@@ -18,7 +18,6 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "graph/bounds.h"
 #include "graph/graph.h"
 #include "infer/executor.h"
@@ -183,15 +182,8 @@ void ExpectSameBits(const Tensor& want, const Tensor& got,
         << what << " element " << i;
 }
 
-// Pools of 1 and 4 threads, shared by every case.
-const ThreadPool& Pool(std::size_t threads) {
-  static const ThreadPool one(1);
-  static const ThreadPool four(4);
-  return threads == 1 ? one : four;
-}
-
-// Runs `g` at kScalar and kAuto: one lane, then on each pool, against the
-// reference on the executor's own table.
+// Runs `g` at kScalar and kAuto against the reference on the executor's
+// own table.
 void ExpectExecutorMatchesReference(const graph::Graph& g,
                                     std::uint64_t seed,
                                     const infer::TileOptions& tiling,
@@ -208,10 +200,7 @@ void ExpectExecutorMatchesReference(const graph::Graph& g,
     const std::string at = what + " on " + exec.kernels().name;
     const Tensor want = RunReference(g, ws, input, exec.kernels());
     infer::ExecutionContext ctx = exec.CreateContext();
-    ExpectSameBits(want, exec.Run(inputs, ctx)[0], at + " one lane");
-    for (const std::size_t threads : {1, 4})
-      ExpectSameBits(want, exec.Run(inputs, ctx, {}, &Pool(threads))[0],
-                     at + " pool of " + std::to_string(threads));
+    ExpectSameBits(want, exec.Run(inputs, ctx)[0], at);
   }
 }
 
@@ -276,9 +265,8 @@ TEST(ConvFcExecution, TiledConvChainMatchesPerTapReference) {
   }
 }
 
-// FC: a single-row head (split across the pool in quads), and 2, 3 and 48
-// row sequences (split in rows, then paired), with out_f a multiple of 4
-// and not, and in_f a multiple of 8 and not.
+// FC: a single-row head, and 2, 3 and 48 row sequences (run in row pairs),
+// with out_f a multiple of 4 and not, and in_f a multiple of 8 and not.
 TEST(ConvFcExecution, FullyConnectedMatchesPerRowReference) {
   int index = 0;
   for (const std::int64_t rows : {1, 2, 3, 48})

@@ -23,7 +23,6 @@
 
 #include "common/fp16.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "graph/graph.h"
 #include "harness/run_session.h"
 #include "infer/executor.h"
@@ -406,8 +405,8 @@ TEST(KernelDispatch, ConvBlockIsBitExactToItsTablesDot4) {
 }
 
 // A one-node attention graph runs every matmul shape the op makes (four
-// projections, Q.K^T, P.V) plus softmax; every table and pool size must
-// give the scalar table's bits, at each numerics mode.
+// projections, Q.K^T, P.V) plus softmax; every table must give the scalar
+// table's bits, at each numerics mode.
 TEST(KernelDispatch, AttentionNodeIsBitIdenticalAtScalarAndAuto) {
   constexpr std::int64_t kSeq = 19, kHeads = 3, kHeadDim = 12;
   graph::GraphBuilder b("attention");
@@ -424,26 +423,21 @@ TEST(KernelDispatch, AttentionNodeIsBitIdenticalAtScalarAndAuto) {
   infer::QuantParams qp;
   qp.activation_ranges[y] = infer::TensorRange{-0.7f, 1.3f};
 
-  ThreadPool four(4);
   for (const infer::NumericsMode mode :
        {infer::NumericsMode::kFp32, infer::NumericsMode::kFp16,
         infer::NumericsMode::kInt8}) {
     const infer::Executor scalar(g, w, mode, &qp, KernelIsa::kScalar);
     const infer::Executor autod(g, w, mode, &qp, KernelIsa::kAuto);
     infer::ExecutionContext sctx(scalar);
-    const std::vector<infer::Tensor> want =
-        scalar.Run(inputs, sctx, {}, nullptr);
-    for (const ThreadPool* pool : {static_cast<const ThreadPool*>(nullptr),
-                                   static_cast<const ThreadPool*>(&four)}) {
-      for (const infer::Executor* e : {&scalar, &autod}) {
-        infer::ExecutionContext ctx(*e);
-        const std::vector<infer::Tensor> got = e->Run(inputs, ctx, {}, pool);
-        ASSERT_EQ(want.size(), got.size());
-        for (std::size_t i = 0; i < want[0].size(); ++i)
-          ASSERT_EQ(Bits(want[0].at(i)), Bits(got[0].at(i)))
-              << infer::ToString(mode) << " " << e->kernels().name
-              << " pool=" << (pool == nullptr ? 1 : 4) << " at " << i;
-      }
+    const std::vector<infer::Tensor> want = scalar.Run(inputs, sctx);
+    for (const infer::Executor* e : {&scalar, &autod}) {
+      infer::ExecutionContext ctx(*e);
+      const std::vector<infer::Tensor> got = e->Run(inputs, ctx);
+      ASSERT_EQ(want.size(), got.size());
+      for (std::size_t i = 0; i < want[0].size(); ++i)
+        ASSERT_EQ(Bits(want[0].at(i)), Bits(got[0].at(i)))
+            << infer::ToString(mode) << " " << e->kernels().name << " at "
+            << i;
     }
   }
 }

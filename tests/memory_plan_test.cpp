@@ -15,7 +15,6 @@
 
 #include "backends/reference_backend.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/dataset_qsl.h"
 #include "core/loadgen.h"
 #include "graph/graph.h"
@@ -173,7 +172,6 @@ TEST(MemoryPlanProperty, RandomGraphsNeverOverlapLiveBuffers) {
 }
 
 TEST(MemoryPlanProperty, RandomGraphsExecuteBitIdenticalToLegacy) {
-  ThreadPool pool(3);
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const graph::Graph g = RandomGraph(seed);
     const infer::WeightStore w = infer::InitializeWeights(g, seed);
@@ -182,9 +180,7 @@ TEST(MemoryPlanProperty, RandomGraphsExecuteBitIdenticalToLegacy) {
 
     const auto oracle = testutil::RunOracle(exec, inputs);
     infer::ExecutionContext ctx = exec.CreateContext();
-    ExpectBitIdentical(oracle, exec.Run(inputs, ctx), g.name() + " serial");
-    ExpectBitIdentical(oracle, exec.Run(inputs, ctx, {}, &pool),
-                       g.name() + " threaded");
+    ExpectBitIdentical(oracle, exec.Run(inputs, ctx), g.name());
   }
 }
 
@@ -239,8 +235,7 @@ TEST(MemoryPlan, NoAliasWhenProducerBufferStaysLive) {
                      "no_alias");
 }
 
-TEST(ArenaExecution, BitIdenticalToLegacyForAllModelsNumericsAndThreads) {
-  ThreadPool pool(3);
+TEST(ArenaExecution, BitIdenticalToLegacyForAllModelsAndNumerics) {
   for (const models::BenchmarkEntry& e :
        models::SuiteFor(models::SuiteVersion::kV1_0)) {
     const graph::Graph g = models::BuildReferenceGraph(
@@ -267,8 +262,6 @@ TEST(ArenaExecution, BitIdenticalToLegacyForAllModelsNumericsAndThreads) {
       // run would surface in the second.
       ExpectBitIdentical(oracle, exec.Run(inputs, ctx), what + " run1");
       ExpectBitIdentical(oracle, exec.Run(inputs, ctx), what + " run2");
-      ExpectBitIdentical(oracle, exec.Run(inputs, ctx, {}, &pool),
-                         what + " threaded");
     }
   }
 }

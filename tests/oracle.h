@@ -2,8 +2,7 @@
 // the executor against.  Every node gets a fresh output tensor (no arena,
 // no aliasing, no tile segments — the executor's tile plan is ignored) and
 // runs through the engine's own per-node step, so a difference from
-// Executor::Run isolates the arena plan, in-place aliasing, tiling or the
-// thread partition.
+// Executor::Run isolates the arena plan, in-place aliasing or tiling.
 #pragma once
 
 #include <span>
@@ -17,8 +16,7 @@ namespace mlpm::testutil {
 
 inline std::vector<infer::Tensor> RunOracle(
     const infer::Executor& exec, std::span<const infer::Tensor> inputs,
-    const infer::NodeObserver& observer = {},
-    const ThreadPool* pool = nullptr) {
+    const infer::NodeObserver& observer = {}) {
   const graph::Graph& g = exec.graph();
   Expects(inputs.size() == g.input_ids().size(),
           "wrong number of graph inputs");
@@ -39,7 +37,7 @@ inline std::vector<infer::Tensor> RunOracle(
     if (n.op == graph::OpType::kInput) continue;
     infer::Tensor& out = slots[static_cast<std::size_t>(n.output)];
     out = infer::Tensor(g.tensor(n.output).shape);
-    infer::internal::NodeRunner::Run(exec, n, fetch, out, observer, pool);
+    infer::internal::NodeRunner::Run(exec, n, fetch, out, observer);
     ready[static_cast<std::size_t>(n.output)] = &out;
   }
   std::vector<infer::Tensor> outputs;

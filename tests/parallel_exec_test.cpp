@@ -1,9 +1,8 @@
-// Bit-exactness of the parallel execution engine: the threaded executor
-// against the serial allocate-per-node oracle (oracle.h) for every
-// reference model, and the deferred ReferenceBackend, pooled QSL staging
-// and threaded harness against their serial counterparts.  Every
-// comparison is EXPECT_EQ on floats (or bytes): the engine promises
-// bit-identical results for any thread count.
+// Bit-exactness of the sample-level fan-outs: samples run in parallel
+// against the serial allocate-per-node oracle (oracle.h), and the deferred
+// ReferenceBackend, pooled QSL staging and threaded harness against their
+// serial counterparts.  Every comparison is EXPECT_EQ on floats (or
+// bytes): the engine promises bit-identical results for any thread count.
 #include <cstdint>
 #include <cstring>
 #include <numeric>
@@ -44,55 +43,6 @@ std::vector<infer::Tensor> GraphInputs(const graph::Graph& g,
     inputs.push_back(std::move(t));
   }
   return inputs;
-}
-
-TEST(ParallelExecutor, BitIdenticalToSerialForAllReferenceModels) {
-  ThreadPool pool(4);
-  for (const models::BenchmarkEntry& e :
-       models::SuiteFor(models::SuiteVersion::kV1_0)) {
-    const graph::Graph g = models::BuildReferenceGraph(
-        e, models::SuiteVersion::kV1_0, models::ModelScale::kMini);
-    const infer::WeightStore weights = infer::InitializeWeights(g, 7);
-    const infer::Executor exec(g, weights);
-    const std::vector<infer::Tensor> inputs = GraphInputs(g, 99);
-
-    const std::vector<infer::Tensor> serial =
-        testutil::RunOracle(exec, inputs);
-    infer::ExecutionContext ctx = exec.CreateContext();
-    const std::vector<infer::Tensor> threaded =
-        exec.Run(inputs, ctx, {}, &pool);
-    ASSERT_EQ(serial.size(), threaded.size()) << e.id;
-    for (std::size_t o = 0; o < serial.size(); ++o) {
-      ASSERT_EQ(serial[o].size(), threaded[o].size());
-      for (std::size_t i = 0; i < serial[o].size(); ++i)
-        EXPECT_EQ(serial[o].at(i), threaded[o].at(i))
-            << e.id << " output " << o << " element " << i;
-    }
-  }
-}
-
-TEST(ParallelExecutor, BitIdenticalAcrossThreadCounts) {
-  // INT8 numerics (fake-quant path) with several pool widths against the
-  // null-pool baseline.
-  const auto e = models::SuiteFor(models::SuiteVersion::kV1_0)[0];
-  const graph::Graph g = models::BuildReferenceGraph(
-      e, models::SuiteVersion::kV1_0, models::ModelScale::kMini);
-  const infer::WeightStore weights = infer::InitializeWeights(g, 7);
-  const infer::QuantParams qp;  // weight fake-quant only
-  const infer::Executor exec(g, weights, infer::NumericsMode::kInt8, &qp);
-  const std::vector<infer::Tensor> inputs = GraphInputs(g, 123);
-
-  const std::vector<infer::Tensor> baseline =
-      testutil::RunOracle(exec, inputs);
-  infer::ExecutionContext ctx = exec.CreateContext();
-  for (const std::size_t threads : {2u, 3u, 5u}) {
-    ThreadPool pool(threads);
-    const std::vector<infer::Tensor> got = exec.Run(inputs, ctx, {}, &pool);
-    ASSERT_EQ(baseline.size(), got.size());
-    for (std::size_t o = 0; o < baseline.size(); ++o)
-      for (std::size_t i = 0; i < baseline[o].size(); ++i)
-        EXPECT_EQ(baseline[o].at(i), got[o].at(i)) << threads << " threads";
-  }
 }
 
 TEST(ParallelExecutor, RunSamplesParallelMatchesSerialLoop) {

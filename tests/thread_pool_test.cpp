@@ -234,12 +234,5 @@ TEST(ParallelForEachItem, NestedCallRunsOneLaneInline) {
   EXPECT_EQ(inner_items.load(), outer_chunks.load() * 10);
 }
 
-TEST(ThreadPool, GlobalPoolIsConfigurable) {
-  ThreadPool::SetGlobalThreadCount(2);
-  EXPECT_EQ(ThreadPool::Global().thread_count(), 2u);
-  ThreadPool::SetGlobalThreadCount(0);  // back to hardware concurrency
-  EXPECT_GE(ThreadPool::Global().thread_count(), 1u);
-}
-
 }  // namespace
 }  // namespace mlpm

