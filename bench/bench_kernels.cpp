@@ -1,6 +1,7 @@
 // Engineering microbenchmarks for the execution engine: one inference and
-// the sample-level accuracy fan-out, trace-recorder overhead, static memory
-// plans, the transform pipeline, and tiled execution.
+// the sample-level accuracy fan-out, the GELU table entry, trace-recorder
+// overhead, static memory plans, the transform pipeline, and tiled
+// execution.
 //
 // Standalone (no benchmark framework): adaptive wall-clock timing, a table
 // on stdout, and a machine-readable BENCH_kernels.json for CI artifacts.
@@ -14,7 +15,9 @@
 //   --smoke      reduced timing budget for CI; every section and every
 //                exactness assertion still runs at full strength
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <span>
 #include <string>
@@ -134,6 +137,42 @@ void BenchExecutor(const ThreadPool& pool) {
   Record("accuracy_fanout_8samples_serial_ms", s_loop * 1e3, "ms");
   Record("accuracy_fanout_8samples_threaded_ms", s_fan * 1e3, "ms");
   Record("accuracy_fanout_8samples_speedup", s_loop / s_fan, "x");
+}
+
+// gelu_f32 over one mini MobileBERT FFN "up" output (48 rows x 64
+// features), on the scalar table and on the dispatched one.  Each call
+// refills the buffer first (a 12 KiB copy, included in the time), since
+// GELU runs in place.  The dispatched table must return the scalar bits.
+void BenchGelu() {
+  std::printf("gelu_f32 over one FFN activation (48 x 64):\n");
+  constexpr std::size_t kElems = 48 * 64;
+  std::vector<float> src(kElems);
+  Rng rng(0x6E1);
+  for (float& v : src) v = static_cast<float>(3.0 * rng.NextGaussian());
+  const infer::kernels::KernelTable& scalar = infer::kernels::ScalarKernels();
+  const infer::kernels::KernelTable& best =
+      infer::kernels::KernelRegistry::Global().Select(
+          infer::kernels::KernelIsa::kAuto);
+  std::vector<float> want = src, got = src;
+  scalar.gelu_f32(want.data(), kElems);
+  best.gelu_f32(got.data(), kElems);
+  for (std::size_t i = 0; i < kElems; ++i)
+    Check(std::bit_cast<std::uint32_t>(want[i]) ==
+              std::bit_cast<std::uint32_t>(got[i]),
+          "dispatched gelu_f32 != scalar gelu_f32");
+  const auto ns_per_elem = [&](const infer::kernels::KernelTable& t) {
+    std::vector<float> buf(kElems);
+    return TimeSeconds([&] {
+             std::copy(src.begin(), src.end(), buf.begin());
+             t.gelu_f32(buf.data(), kElems);
+           }) *
+           1e9 / kElems;
+  };
+  const double ns_scalar = ns_per_elem(scalar);
+  const double ns_best = ns_per_elem(best);
+  Record("gelu_f32_scalar_ns_per_elem", ns_scalar, "ns");
+  Record(std::string("gelu_f32_") + best.name + "_ns_per_elem", ns_best,
+         "ns");
 }
 
 // Trace-recorder overhead on the hot arena path (DESIGN.md §11 budget):
@@ -488,6 +527,7 @@ int main(int argc, char** argv) {
   const ThreadPool pool;  // hardware concurrency
   std::printf("bench_kernels: %zu execution lane(s)\n", pool.thread_count());
   BenchExecutor(pool);
+  BenchGelu();
   BenchTraceOverhead();
   BenchMemoryPlans();
   BenchTransform();

@@ -39,7 +39,8 @@ void RunFullyConnected(const graph::FullyConnectedAttrs& a, const Tensor& in,
   // offset 0), so four features share each input load and two rows each
   // weight load; the scalar table keeps the original per-element order
   // (bias first, then i ascending).  The out_f % 4 remainder features run
-  // in the per-element loop below.
+  // in the per-element loop below, and then the activation runs over the
+  // pair's two contiguous rows at once.
   static constexpr std::int64_t kNoOffset = 0;
   const std::int64_t o_mid =
       out_f / kernels::kF32RowBlock * kernels::kF32RowBlock;
@@ -53,14 +54,14 @@ void RunFullyConnected(const graph::FullyConnectedAttrs& a, const Tensor& in,
     for (std::int64_t q = r; q < r + count; ++q) {
       const float* row = ip + q * in_f;
       float* out_row = op + q * out_f;
-      ApplyActivationInPlace(out_row, o_mid, a.activation);
       for (std::int64_t o = o_mid; o < out_f; ++o) {
         const float* wrow = wp + o * in_f;
         float acc = bp[o];
         for (std::int64_t i = 0; i < in_f; ++i) acc += row[i] * wrow[i];
-        out_row[o] = ApplyActivation(acc, a.activation);
+        out_row[o] = acc;
       }
     }
+    ApplyActivationInPlace(op + r * out_f, count * out_f, a.activation, kt);
   }
 }
 
@@ -263,11 +264,12 @@ void RunLstm(const graph::LstmAttrs& a, const Tensor& in, const Tensor& wx,
     for (std::int64_t i = 0; i < h; ++i) {
       const float ig = sigmoid(gates[static_cast<std::size_t>(i)]);
       const float fg = sigmoid(gates[static_cast<std::size_t>(h + i)]);
-      const float gg = std::tanh(gates[static_cast<std::size_t>(2 * h + i)]);
+      const float gg =
+          kernels::TanhF32(gates[static_cast<std::size_t>(2 * h + i)]);
       const float og = sigmoid(gates[static_cast<std::size_t>(3 * h + i)]);
       auto& c = cell[static_cast<std::size_t>(i)];
       c = fg * c + ig * gg;
-      const float hv = og * std::tanh(c);
+      const float hv = og * kernels::TanhF32(c);
       hidden[static_cast<std::size_t>(i)] = hv;
       op[t * h + i] = hv;
     }
@@ -521,7 +523,7 @@ void NodeRunner::RunBand(const Executor& exec, const Node& n,
       break;
     case OpType::kActivation:
       RunActivationRows(std::get<graph::ActivationAttrs>(n.attrs).activation,
-                        in, out);
+                        in, out, kt);
       break;
     case OpType::kResizeBilinear:
       RunResizeBilinearRows(in, out);

@@ -181,6 +181,7 @@ const KernelTable* Avx2KernelsOrNull() {
       .conv_block_f32 = ConvBlockF32Avx2,
       .dw_madd_f32 = DwMaddF32Avx2,
       .matmul_f32 = MatmulF32Avx2,
+      .gelu_f32 = GeluF32Avx2,
       .round_half_f32 = RoundHalfF32Avx2,
       .fake_quant_f32 = FakeQuantF32Avx2};
   return &kTable;

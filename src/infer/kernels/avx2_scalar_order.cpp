@@ -8,6 +8,7 @@
 // output sees the portable body's operations in the portable body's order
 // and every result is bit-identical to the scalar table.
 #include "infer/kernels/scalar_order.h"
+#include "infer/kernels/tanh_f32.h"
 
 #if defined(MLPM_KERNELS_HAVE_AVX2)
 
@@ -25,6 +26,139 @@ float DotColumn(const float* a, const float* b, std::int64_t ldb,
   float acc = 0.0f;
   for (std::int64_t p = 0; p < k; ++p) acc += a[p] * b[p * ldb];
   return acc;
+}
+
+__m256 Select(__m256i mask, __m256 if_set, __m256 otherwise) {
+  return _mm256_blendv_ps(otherwise, if_set, _mm256_castsi256_ps(mask));
+}
+
+__m256i Splat(std::uint32_t bits) {
+  return _mm256_set1_epi32(static_cast<int>(bits));
+}
+
+// Adds k to each lane's exponent: tanh_f32::Expm1's `scale`.
+__m256 AddToExponent(__m256 y, __m256i k) {
+  return _mm256_castsi256_ps(
+      _mm256_add_epi32(_mm256_castps_si256(y), _mm256_slli_epi32(k, 23)));
+}
+
+// tanh_f32::Expm1 on eight lanes.  Each lane computes every branch's value
+// with that branch's operations and keeps the one its own k and |x| pick,
+// so a lane's result is the scalar function's bits.
+__m256 Expm1Avx2(__m256 x) {
+  using namespace tanh_f32;
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 xsign = _mm256_and_ps(x, sign);
+  const __m256i hx = _mm256_castps_si256(_mm256_andnot_ps(sign, x));
+  const __m256i reduce = _mm256_cmpgt_epi32(hx, Splat(kHalfLn2));
+  const __m256i k_is_pm1 = _mm256_cmpgt_epi32(Splat(kThreeHalvesLn2), hx);
+  const __m256i tiny = _mm256_cmpgt_epi32(Splat(kExpm1Tiny), hx);
+
+  // Range reduction.  k = +-1: hi = x -+ ln2_hi, lo = +-ln2_lo (x + ln2_hi
+  // is x - (-ln2_hi), the same IEEE operation).  Otherwise k = (int)(x /
+  // ln2 +- 0.5), truncated as C converts.
+  const __m256 hi_pm1 =
+      _mm256_sub_ps(x, _mm256_xor_ps(_mm256_set1_ps(kLn2Hi), xsign));
+  const __m256 lo_pm1 = _mm256_xor_ps(_mm256_set1_ps(kLn2Lo), xsign);
+  const __m256i k_pm1 = _mm256_or_si256(
+      _mm256_srai_epi32(_mm256_castps_si256(x), 31), _mm256_set1_epi32(1));
+  const __m256i k_far = _mm256_cvttps_epi32(_mm256_add_ps(
+      _mm256_mul_ps(_mm256_set1_ps(kInvLn2), x), _mm256_xor_ps(half, xsign)));
+  const __m256 t_far = _mm256_cvtepi32_ps(k_far);
+  const __m256 hi_far =
+      _mm256_sub_ps(x, _mm256_mul_ps(t_far, _mm256_set1_ps(kLn2Hi)));
+  const __m256 lo_far = _mm256_mul_ps(t_far, _mm256_set1_ps(kLn2Lo));
+  const __m256 hi = Select(k_is_pm1, hi_pm1, hi_far);
+  const __m256 lo = Select(k_is_pm1, lo_pm1, lo_far);
+  const __m256 reduced = _mm256_sub_ps(hi, lo);
+  const __m256i k = _mm256_and_si256(
+      reduce, _mm256_blendv_epi8(k_far, k_pm1, k_is_pm1));
+  const __m256 r = Select(reduce, reduced, x);
+  const __m256 c = Select(
+      reduce, _mm256_sub_ps(_mm256_sub_ps(hi, reduced), lo),
+      _mm256_setzero_ps());
+
+  // The primary range.
+  const __m256 hfx = _mm256_mul_ps(half, r);
+  const __m256 hxs = _mm256_mul_ps(r, hfx);
+  __m256 p = _mm256_mul_ps(hxs, _mm256_set1_ps(kQ5));
+  p = _mm256_mul_ps(hxs, _mm256_add_ps(_mm256_set1_ps(kQ4), p));
+  p = _mm256_mul_ps(hxs, _mm256_add_ps(_mm256_set1_ps(kQ3), p));
+  p = _mm256_mul_ps(hxs, _mm256_add_ps(_mm256_set1_ps(kQ2), p));
+  p = _mm256_mul_ps(hxs, _mm256_add_ps(_mm256_set1_ps(kQ1), p));
+  const __m256 r1 = _mm256_add_ps(one, p);
+  const __m256 t =
+      _mm256_sub_ps(_mm256_set1_ps(3.0f), _mm256_mul_ps(r1, hfx));
+  const __m256 e0 = _mm256_mul_ps(
+      hxs, _mm256_div_ps(_mm256_sub_ps(r1, t),
+                         _mm256_sub_ps(_mm256_set1_ps(6.0f),
+                                       _mm256_mul_ps(r, t))));
+  const __m256 y_k0 =
+      _mm256_sub_ps(r, _mm256_sub_ps(_mm256_mul_ps(r, e0), hxs));
+  const __m256 e = _mm256_sub_ps(
+      _mm256_sub_ps(_mm256_mul_ps(r, _mm256_sub_ps(e0, c)), c), hxs);
+  const __m256 y_km1 =
+      _mm256_sub_ps(_mm256_mul_ps(half, _mm256_sub_ps(r, e)), half);
+  const __m256 y_k1 = _mm256_blendv_ps(
+      _mm256_add_ps(one, _mm256_mul_ps(_mm256_set1_ps(2.0f),
+                                       _mm256_sub_ps(r, e))),
+      _mm256_mul_ps(_mm256_set1_ps(-2.0f),
+                    _mm256_sub_ps(e, _mm256_add_ps(r, half))),
+      _mm256_cmp_ps(r, _mm256_set1_ps(-0.25f), _CMP_LT_OQ));
+  const __m256 y_wide = _mm256_sub_ps(
+      AddToExponent(_mm256_sub_ps(one, _mm256_sub_ps(e, r)), k), one);
+  const __m256 one_minus_2_neg_k = _mm256_castsi256_ps(_mm256_sub_epi32(
+      Splat(0x3f800000u), _mm256_srlv_epi32(Splat(0x1000000u), k)));
+  const __m256 y_lt23 = AddToExponent(
+      _mm256_sub_ps(one_minus_2_neg_k, _mm256_sub_ps(e, r)), k);
+  const __m256 two_neg_k = _mm256_castsi256_ps(
+      _mm256_slli_epi32(_mm256_sub_epi32(Splat(0x7f), k), 23));
+  const __m256 y_ge23 = AddToExponent(
+      _mm256_add_ps(_mm256_sub_ps(r, _mm256_add_ps(e, two_neg_k)), one), k);
+
+  // The scalar function's returns, last-checked first.
+  const __m256i wide = _mm256_or_si256(
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(-1), k),
+      _mm256_cmpgt_epi32(k, _mm256_set1_epi32(56)));
+  __m256 y = Select(_mm256_cmpgt_epi32(_mm256_set1_epi32(23), k), y_lt23,
+                    y_ge23);
+  y = Select(wide, y_wide, y);
+  y = Select(_mm256_cmpeq_epi32(k, _mm256_set1_epi32(1)), y_k1, y);
+  y = Select(_mm256_cmpeq_epi32(k, _mm256_set1_epi32(-1)), y_km1, y);
+  y = Select(_mm256_cmpeq_epi32(k, _mm256_setzero_si256()), y_k0, y);
+  return Select(tiny, x, y);
+}
+
+// TanhF32 on eight lanes.  One division serves both |x| < 1 and |x| >= 1:
+// the numerator is -t there and 2 here.  NaN lanes return x + x, which is
+// the quieted NaN that the scalar 1 / x +- 1 returns; infinities fall in
+// the |x| >= 22 lanes, whose +-(1 - 1e-30f) is +-1 as 1 / x +- 1 is.
+__m256 TanhAvx2(__m256 x) {
+  using namespace tanh_f32;
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 two = _mm256_set1_ps(2.0f);
+  const __m256 xsign = _mm256_and_ps(x, sign);
+  const __m256 ax = _mm256_andnot_ps(sign, x);
+  const __m256i ix = _mm256_castps_si256(ax);
+  const __m256i at_least_one = _mm256_cmpgt_epi32(ix, Splat(kTanhOne - 1));
+  // expm1(2|x|) for |x| >= 1, expm1(-2|x|) below.
+  const __m256 arg = _mm256_xor_ps(
+      _mm256_mul_ps(two, ax),
+      _mm256_andnot_ps(_mm256_castsi256_ps(at_least_one), sign));
+  const __m256 t = Expm1Avx2(arg);
+  const __m256 q = _mm256_div_ps(Select(at_least_one, two,
+                                        _mm256_xor_ps(t, sign)),
+                                 _mm256_add_ps(t, two));
+  __m256 z = _mm256_xor_ps(Select(at_least_one, _mm256_sub_ps(one, q), q),
+                           xsign);
+  z = Select(_mm256_cmpgt_epi32(ix, Splat(kTanhHuge - 1)),
+             _mm256_xor_ps(_mm256_set1_ps(1.0f - kTiny), xsign), z);
+  z = Select(_mm256_cmpgt_epi32(Splat(kTanhTiny), ix),
+             _mm256_mul_ps(x, _mm256_add_ps(one, x)), z);
+  return Select(_mm256_cmpgt_epi32(ix, Splat(kInf)), _mm256_add_ps(x, x), z);
 }
 
 }  // namespace
@@ -75,6 +209,26 @@ void MatmulF32Avx2(const float* a, std::int64_t lda, const float* b,
     }
     for (; j < n; ++j) c[i * ldc + j] = DotColumn(arow, b + j, ldb, k);
   }
+}
+
+
+// GeluF32's expression, lane for lane.
+void GeluF32Avx2(float* v, std::int64_t n) {
+  const __m256 c = _mm256_set1_ps(0.7978845608f);
+  const __m256 k = _mm256_set1_ps(0.044715f);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 x = _mm256_loadu_ps(v + i);
+    const __m256 cube =
+        _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(k, x), x), x);
+    const __m256 inner = _mm256_mul_ps(c, _mm256_add_ps(x, cube));
+    _mm256_storeu_ps(v + i,
+                     _mm256_mul_ps(_mm256_mul_ps(half, x),
+                                   _mm256_add_ps(one, TanhAvx2(inner))));
+  }
+  GeluF32Portable(v + i, n - i);
 }
 
 // F16C rounds to nearest even, which is FloatToHalfBits on every non-NaN

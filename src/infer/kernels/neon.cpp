@@ -67,6 +67,7 @@ const KernelTable* NeonKernelsOrNull() {
       .conv_block_f32 = ConvBlockPerTap<Dot4F32Neon>,
       .dw_madd_f32 = DwMaddF32Neon,
       .matmul_f32 = MatmulF32Portable,
+      .gelu_f32 = GeluF32Portable,
       .round_half_f32 = RoundHalfF32Portable,
       .fake_quant_f32 = FakeQuantF32Portable};
   return &kTable;

@@ -13,6 +13,7 @@
 #include "infer/kernels/conv_block.h"
 #include "infer/kernels/registry.h"
 #include "infer/kernels/scalar_order.h"
+#include "infer/kernels/tanh_f32.h"
 
 namespace mlpm::infer::kernels {
 namespace {
@@ -55,6 +56,10 @@ void MatmulF32Portable(const float* a, std::int64_t lda, const float* b,
     }
 }
 
+void GeluF32Portable(float* v, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) v[i] = GeluF32(v[i]);
+}
+
 void RoundHalfF32Portable(float* v, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) v[i] = RoundToHalf(v[i]);
 }
@@ -75,6 +80,7 @@ const KernelTable& ScalarKernels() {
       .conv_block_f32 = ConvBlockPerTap<Dot4F32Portable>,
       .dw_madd_f32 = DwMaddF32Portable,
       .matmul_f32 = MatmulF32Portable,
+      .gelu_f32 = GeluF32Portable,
       .round_half_f32 = RoundHalfF32Portable,
       .fake_quant_f32 = FakeQuantF32Portable};
   return kTable;

@@ -2,8 +2,9 @@
 //
 // The execution engine's hot inner loops — the conv/FC tap loop over
 // blocks of two output positions × four channels, the depthwise per-tap
-// multiply-accumulate, the attention matmuls and the FP16 / INT8 output
-// numerics — are reached through a `KernelTable` of function pointers
+// multiply-accumulate, the attention matmuls, the GELU activation and the
+// FP16 / INT8 output numerics — are reached through a `KernelTable` of
+// function pointers
 // instead of being called directly.  A `KernelRegistry`
 // probes the host CPU once (cpuid-backed `__builtin_cpu_supports` on x86,
 // HWCAP/compile-time on AArch64) and selects the best table: AVX2+FMA+F16C,
@@ -14,10 +15,11 @@
 //   * entries that reassociate (`dot4_f32`, `dw_madd_f32`) may sum across
 //     lanes and fuse (FMA), so vectorized tables are only required to match
 //     the scalar oracle within a small relative tolerance;
-//   * entries that keep the scalar order (`matmul_f32`, `round_half_f32`,
-//     `fake_quant_f32`) put their lanes across independent outputs and do
-//     each output's arithmetic in the scalar order, one multiply and one add
-//     per term, so every table returns the scalar table's exact bits;
+//   * entries that keep the scalar order (`matmul_f32`, `gelu_f32`,
+//     `round_half_f32`, `fake_quant_f32`) put their lanes across independent
+//     outputs and do each output's arithmetic in the scalar order, one
+//     multiply and one add per term, so every table returns the scalar
+//     table's exact bits;
 //   * `conv_block_f32`, what conv and FC call, returns the same bits as
 //     this table's `dot4_f32` call sequence (one call per present tap).
 // kernel_dispatch_test enforces all three.
@@ -82,6 +84,9 @@ struct CpuFeatures {
 //   matmul_f32     c[i][j] = sum_p a[i][p] * b[p][j] over row-major [m,k] a
 //                  and [k,n] b with leading dimensions lda/ldb/ldc; each sum
 //                  starts at 0.0f and takes p ascending (scalar order).
+//   gelu_f32       v[i] = GeluF32(v[i]) for i in [0, n) (tanh_f32.h) — the
+//                  tanh approximation of GELU on a port of fdlibm's tanhf,
+//                  for every FC, conv and activation node that names kGelu.
 //   round_half_f32 v[i] = RoundToHalf(v[i]) for i in [0, n) (common/fp16.h).
 //   fake_quant_f32 v[i] = (clamp(round(v[i] / scale) + zp, 0, qmax) - zp)
 //                  * scale for i in [0, n) — FakeQuantActivation's per-
@@ -111,6 +116,7 @@ struct KernelTable {
   void (*matmul_f32)(const float* a, std::int64_t lda, const float* b,
                      std::int64_t ldb, float* c, std::int64_t ldc,
                      std::int64_t m, std::int64_t n, std::int64_t k) = nullptr;
+  void (*gelu_f32)(float* v, std::int64_t n) = nullptr;
   void (*round_half_f32)(float* v, std::int64_t n) = nullptr;
   void (*fake_quant_f32)(float* v, std::int64_t n, float scale, float zp,
                          float qmax) = nullptr;

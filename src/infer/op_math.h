@@ -10,6 +10,8 @@
 #include <cstdint>
 
 #include "graph/ops.h"
+#include "infer/kernels/registry.h"
+#include "infer/kernels/tanh_f32.h"
 
 namespace mlpm::infer {
 
@@ -25,13 +27,9 @@ inline float ApplyActivation(float v, graph::Activation a) {
     case graph::Activation::kSigmoid:
       return 1.0f / (1.0f + std::exp(-v));
     case graph::Activation::kTanh:
-      return std::tanh(v);
-    case graph::Activation::kGelu: {
-      // tanh approximation of GELU.
-      const float c = 0.7978845608f;  // sqrt(2/pi)
-      const float inner = c * (v + 0.044715f * v * v * v);
-      return 0.5f * v * (1.0f + std::tanh(inner));
-    }
+      return kernels::TanhF32(v);
+    case graph::Activation::kGelu:
+      return kernels::GeluF32(v);
   }
   return v;
 }
@@ -43,8 +41,11 @@ void ApplyActivationInPlace(float* v, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) v[i] = ApplyActivation(v[i], A);
 }
 
+// GELU goes through the kernel table's `gelu_f32`, which returns
+// ApplyActivation's bits on every table.
 inline void ApplyActivationInPlace(float* v, std::int64_t n,
-                                   graph::Activation a) {
+                                   graph::Activation a,
+                                   const kernels::KernelTable& kt) {
   using graph::Activation;
   switch (a) {
     case Activation::kNone: return;
@@ -57,7 +58,7 @@ inline void ApplyActivationInPlace(float* v, std::int64_t n,
     case Activation::kTanh:
       return ApplyActivationInPlace<Activation::kTanh>(v, n);
     case Activation::kGelu:
-      return ApplyActivationInPlace<Activation::kGelu>(v, n);
+      return kt.gelu_f32(v, n);
   }
 }
 

@@ -73,10 +73,10 @@ void RunConv2dRows(const graph::Conv2dAttrs& a, const RowBand& in,
       ++oh;
     }
   };
-  // The block entry leaves raw sums in [0, oc4); the activation and the
-  // OC % 4 remainder channels finish the pixel here.
-  const auto finish = [&](const float* const* x, float* out_px) {
-    ApplyActivationInPlace(out_px, oc4, a.activation);
+  // The block entry leaves raw sums in [0, oc4); the OC % 4 remainder
+  // channels are summed here, and then the activation runs over the pair's
+  // two contiguous pixels at once.
+  const auto remainder = [&](const float* const* x, float* out_px) {
     for (std::int64_t oc = oc4; oc < OC; ++oc) {
       float acc = bp[oc];
       for (std::int64_t t = 0; t < ntaps; ++t) {
@@ -85,7 +85,7 @@ void RunConv2dRows(const graph::Conv2dAttrs& a, const RowBand& in,
         const float* w_px = wp + oc * wstride + t * IC;
         for (std::int64_t ic = 0; ic < IC; ++ic) acc += in_px[ic] * w_px[ic];
       }
-      out_px[oc] = ApplyActivation(acc, a.activation);
+      out_px[oc] = acc;
     }
   };
 
@@ -101,8 +101,9 @@ void RunConv2dRows(const graph::Conv2dAttrs& a, const RowBand& in,
     if (pair) gather_next(x1);
     kt.conv_block_f32(x0, pair ? x1 : nullptr, woff.data(), ntaps, wp,
                       wstride, IC, oc4, bp, px0, px1);
-    finish(x0, px0);
-    if (pair) finish(x1, px1);
+    remainder(x0, px0);
+    if (pair) remainder(x1, px1);
+    ApplyActivationInPlace(px0, (pair ? 2 : 1) * OC, a.activation, kt);
   }
 }
 
@@ -121,10 +122,12 @@ void RunDepthwiseConv2dRows(const graph::DepthwiseConv2dAttrs& a,
   const float* __restrict ip = in.data;
   float* __restrict op = out.data;
 
-  std::vector<float> acc(static_cast<std::size_t>(C));
+  // Each pixel accumulates in its own output slot, which never aliases the
+  // input.
   for (std::int64_t oh = out.origin; oh < out.origin + out.rows; ++oh) {
     for (std::int64_t ow = 0; ow < OW; ++ow) {
-      std::copy_n(bp, C, acc.data());
+      float* out_px = op + ((oh - out.origin) * OW + ow) * C;
+      std::copy_n(bp, C, out_px);
       for (int kh = 0; kh < a.kernel_h; ++kh) {
         const std::int64_t ih =
             oh * a.stride - ph + static_cast<std::int64_t>(kh) * a.dilation;
@@ -136,13 +139,10 @@ void RunDepthwiseConv2dRows(const graph::DepthwiseConv2dAttrs& a,
           kt.dw_madd_f32(
               ip + ((ih - in.origin) * IW + iw) * C,
               wp + (static_cast<std::int64_t>(kh) * a.kernel_w + kw) * C,
-              acc.data(), C);
+              out_px, C);
         }
       }
-      float* out_px = op + ((oh - out.origin) * OW + ow) * C;
-      for (std::int64_t c = 0; c < C; ++c)
-        out_px[c] =
-            ApplyActivation(acc[static_cast<std::size_t>(c)], a.activation);
+      ApplyActivationInPlace(out_px, C, a.activation, kt);
     }
   }
 }
@@ -180,8 +180,8 @@ void RunPoolRows(OpType op, const graph::PoolAttrs& a, const RowBand& in,
   }
 }
 
-// Band rows are contiguous, so both elementwise runners are one flat loop
-// over the band's elements.
+// Band rows are contiguous, so both elementwise runners treat the band as
+// one flat range of elements.
 void RunBinaryRows(OpType op, const RowBand& x, const RowBand& y,
                    const MutableRowBand& out) {
   const std::int64_t row_elems = out.width * out.channels;
@@ -196,12 +196,13 @@ void RunBinaryRows(OpType op, const RowBand& x, const RowBand& y,
 }
 
 void RunActivationRows(Activation act, const RowBand& in,
-                       const MutableRowBand& out) {
+                       const MutableRowBand& out,
+                       const kernels::KernelTable& kt) {
   const std::int64_t row_elems = out.width * out.channels;
   const std::int64_t n = out.rows * row_elems;
   const float* xp = in.data + (out.origin - in.origin) * row_elems;
-  for (std::int64_t i = 0; i < n; ++i)
-    out.data[i] = ApplyActivation(xp[i], act);
+  if (out.data != xp) std::copy(xp, xp + n, out.data);
+  ApplyActivationInPlace(out.data, n, act, kt);
 }
 
 void RunResizeBilinearRows(const RowBand& in, const MutableRowBand& out) {

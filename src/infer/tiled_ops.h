@@ -73,7 +73,8 @@ void RunBinaryRows(graph::OpType op, const RowBand& x, const RowBand& y,
 
 // Standalone activation; `out` may alias `in`.
 void RunActivationRows(graph::Activation act, const RowBand& in,
-                       const MutableRowBand& out);
+                       const MutableRowBand& out,
+                       const kernels::KernelTable& kt);
 
 // Bilinear resize over an output row band: half-pixel centers clamped to
 // the logical input.

@@ -165,11 +165,12 @@ Tensor RunReference(const graph::Graph& g, const infer::WeightStore& ws,
   return std::move(values[static_cast<std::size_t>(g.output_ids()[0])]);
 }
 
-Tensor RandomInput(const graph::Graph& g, std::uint64_t seed) {
+Tensor RandomInput(const graph::Graph& g, std::uint64_t seed,
+                   double range) {
   Tensor t(g.tensor(g.input_ids()[0]).shape);
   Rng rng(seed);
   for (float& v : t.values())
-    v = static_cast<float>(rng.NextUniform(-1.0, 1.0));
+    v = static_cast<float>(rng.NextUniform(-range, range));
   return t;
 }
 
@@ -183,13 +184,14 @@ void ExpectSameBits(const Tensor& want, const Tensor& got,
 }
 
 // Runs `g` at kScalar and kAuto against the reference on the executor's
-// own table.
+// own table, on inputs drawn from [-input_range, input_range].
 void ExpectExecutorMatchesReference(const graph::Graph& g,
                                     std::uint64_t seed,
                                     const infer::TileOptions& tiling,
-                                    const std::string& what) {
+                                    const std::string& what,
+                                    double input_range = 1.0) {
   const infer::WeightStore ws = infer::InitializeWeights(g, seed);
-  const Tensor input = RandomInput(g, seed + 1);
+  const Tensor input = RandomInput(g, seed + 1, input_range);
   const std::vector<Tensor> inputs = {input.Clone()};
   for (const KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAuto}) {
     const infer::Executor exec(g, ws, infer::NumericsMode::kFp32, nullptr,
@@ -283,6 +285,29 @@ TEST(ConvFcExecution, FullyConnectedMatchesPerRowReference) {
             "rows" + std::to_string(rows) + " in" + std::to_string(in_f) +
                 " out" + std::to_string(out_f)));
       }
+}
+
+// FC with GELU, the mini MobileBERT FFN's activation: the table's gelu_f32
+// runs over each row pair after the out_f % 4 remainder is summed, and it
+// must give the scalar GELU of the per-row reference on both tables.  Rows
+// 1, 2 and 3 (a lone row, a pair, a pair and a lone row); out_f with
+// remainders 1-3 and widths that leave gelu_f32 a ragged 8-lane tail.
+// Inputs span [-8, 8], so the sums reach every tanh branch: |x| < 1,
+// |x| >= 1 and saturation at |x| >= 22.
+TEST(ConvFcExecution, GeluFullyConnectedIsBitExactAtScalarAndAuto) {
+  int index = 0;
+  for (const std::int64_t rows : {1, 2, 3})
+    for (const std::int64_t out_f : {5, 13, 30, 67}) {
+      ++index;
+      graph::GraphBuilder b("fc_gelu");
+      const auto in = b.Input("in", graph::TensorShape({1, rows, 24}));
+      b.MarkOutput(b.FullyConnected(in, out_f, Activation::kGelu));
+      ASSERT_NO_FATAL_FAILURE(ExpectExecutorMatchesReference(
+          std::move(b).Build(), static_cast<std::uint64_t>(100 + index), {},
+          "gelu rows" + std::to_string(rows) + " out" +
+              std::to_string(out_f),
+          8.0));
+    }
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // of the scalar oracle, the scalar-order entries bit for bit, the conv
 // block entry bit for bit against its own table's dot4); and the
 // harness-level guarantee that a forced ISA flows through RunOptions into
-// the executors, the result fields and the RUN007 pre-run lint.
+// the executors, the result fields and the RUN007 pre-run lint.  TanhF32,
+// the tanh under gelu_f32, is pinned to golden bits of fdlibm's tanhf.
 //
 // The CI matrix runs this binary with MLPM_KERNEL_ISA=scalar and =auto
 // (and under an -mavx2 build); the env var picks the dispatched side of
@@ -17,6 +18,7 @@
 #include <iterator>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,6 +29,7 @@
 #include "harness/run_session.h"
 #include "infer/executor.h"
 #include "infer/kernels/registry.h"
+#include "infer/kernels/tanh_f32.h"
 #include "infer/weights.h"
 #include "models/mobilenet_edgetpu.h"
 #include "models/zoo.h"
@@ -261,6 +264,163 @@ TEST(KernelDispatch, FakeQuantIsBitExactOnEveryTable) {
             t.fake_quant_f32(p, n, g.scale, g.zp, g.qmax);
           },
           "fake_quant_f32");
+}
+
+// fdlibm's branch points as tanhf arguments: its own (2^-55, 1, 22), and
+// expm1f's reached through expm1f(-+2|x|) — 2^-25, 0.5 ln2 and 1.5 ln2
+// halved, 27 ln2 / 2 (where glibc's overflow filter starts) and the
+// |x| where k = (int)(2|x| / ln2 + 0.5) reaches 23 and 57, which switch
+// the exponent-add reconstruction.
+std::vector<float> TanhThresholds() {
+  const double ln2 = 0.69314718055994530942;
+  return {FromBits(0x24000000u), FromBits(0x32800000u),
+          FromBits(0x3e317218u), FromBits(0x3f051592u),
+          1.0f,                  static_cast<float>(22.5 * ln2 / 2),
+          static_cast<float>(27.0 * ln2 / 2),
+          static_cast<float>(56.5 * ln2 / 2), 22.0f};
+}
+
+// Bits of fdlibm's tanhf (glibc 2.36's tanhf returns the same on all 2^32
+// inputs): every threshold above +-2 ulp, then +-0, subnormals, +-inf,
+// quiet and signalling NaNs with payloads, and a few plain values.
+constexpr std::uint32_t kTanhGolden[][2] = {
+    {0x23fffffeu, 0x23fffffeu}, {0x23ffffffu, 0x23ffffffu},
+    {0x24000000u, 0x24000000u}, {0x24000001u, 0x24000001u},
+    {0x24000002u, 0x24000002u}, {0x327ffffeu, 0x327ffffeu},
+    {0x327fffffu, 0x327fffffu}, {0x32800000u, 0x32800000u},
+    {0x32800001u, 0x32800001u}, {0x32800002u, 0x32800002u},
+    {0x3e317216u, 0x3e2fb0cbu}, {0x3e317217u, 0x3e2fb0ccu},
+    {0x3e317218u, 0x3e2fb0cdu}, {0x3e317219u, 0x3e2fb0cdu},
+    {0x3e31721au, 0x3e2fb0cfu}, {0x3f051590u, 0x3ef486f5u},
+    {0x3f051591u, 0x3ef486f8u}, {0x3f051592u, 0x3ef486f8u},
+    {0x3f051593u, 0x3ef486fbu}, {0x3f051594u, 0x3ef486fcu},
+    {0x3f7ffffeu, 0x3f42f7d5u}, {0x3f7fffffu, 0x3f42f7d5u},
+    {0x3f800000u, 0x3f42f7d6u}, {0x3f800001u, 0x3f42f7d6u},
+    {0x3f800002u, 0x3f42f7d7u}, {0x40f98870u, 0x3f7ffffau},
+    {0x40f98871u, 0x3f7ffffau}, {0x40f98872u, 0x3f7ffffau},
+    {0x40f98873u, 0x3f7ffffau}, {0x40f98874u, 0x3f7ffffau},
+    {0x4115b842u, 0x3f800000u}, {0x4115b846u, 0x3f800000u},
+    {0x419ca6b7u, 0x3f800000u}, {0x419ca6bbu, 0x3f800000u},
+    {0x41affffeu, 0x3f800000u}, {0x41b00002u, 0x3f800000u},
+    {0x00000000u, 0x00000000u}, {0x80000000u, 0x80000000u},
+    {0x00000001u, 0x00000001u}, {0x807fffffu, 0x807fffffu},
+    {0x7f800000u, 0x3f800000u}, {0xff800000u, 0xbf800000u},
+    {0x7fc00000u, 0x7fc00000u}, {0xffc12345u, 0xffc12345u},
+    {0x7f800001u, 0x7fc00001u}, {0xff812345u, 0xffc12345u},
+    {0x3f000000u, 0x3eec9a9fu}, {0x3fc00000u, 0x3f67b7ccu},
+    {0x40400000u, 0x3f7ebbe9u}, {0x41200000u, 0x3f800000u},
+    {0xc0a00000u, 0xbf7ffa0du}, {0x7f7fffffu, 0x3f800000u}};
+
+TEST(KernelDispatch, TanhMatchesFdlibmGoldenBits) {
+  using infer::kernels::TanhF32;
+  for (const auto& [in, want] : kTanhGolden) {
+    EXPECT_EQ(Bits(TanhF32(FromBits(in))), want)
+        << "tanh input bits 0x" << std::hex << in;
+    // tanh is odd; a NaN keeps its own sign.
+    if (!std::isnan(FromBits(in))) {
+      EXPECT_EQ(Bits(TanhF32(FromBits(in ^ 0x80000000u))),
+                want ^ 0x80000000u)
+          << "tanh input bits 0x" << std::hex << (in ^ 0x80000000u);
+    }
+  }
+  // Every 4093rd bit pattern, folded by FNV-1a over the output bytes.
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  for (std::uint64_t i = 0; i < (1ull << 32); i += 4093) {
+    const std::uint32_t out =
+        Bits(TanhF32(FromBits(static_cast<std::uint32_t>(i))));
+    for (int byte = 0; byte < 4; ++byte) {
+      digest ^= (out >> (8 * byte)) & 0xFFu;
+      digest *= 0x100000001b3ull;
+    }
+  }
+  EXPECT_EQ(digest, 0x1178d3e229be8b0dull);
+}
+
+// The GELU input whose tanh argument first reaches `t`: the argument
+// c * (v + 0.044715 v^3) grows with v, so a bisection over the positive
+// bit patterns finds it.  The expression is GeluF32's, built like it
+// without FP contraction (tests/CMakeLists.txt).
+float GeluInputAt(float t) {
+  const auto inner = [](float v) {
+    return 0.7978845608f * (v + 0.044715f * v * v * v);
+  };
+  std::uint32_t lo = 0, hi = 0x7f800000u;
+  while (lo < hi) {
+    const std::uint32_t mid = lo + (hi - lo) / 2;
+    if (inner(FromBits(mid)) < t)
+      lo = mid + 1;
+    else
+      hi = mid;
+  }
+  return FromBits(lo);
+}
+
+// gelu_f32 on every table against the scalar table: the elementwise edge
+// cases, each tanh threshold +-2 ulp both as a GELU input and as GELU's
+// tanh argument, ragged n (ExpectSameBitsAsScalar runs n = 0..19), and
+// every 65537th bit pattern (65536 inputs spread over every exponent and
+// NaN class, quick enough for a sanitizer build).
+TEST(KernelDispatch, GeluIsBitExactOnEveryTable) {
+  std::vector<float> in = ElementwiseEdgeInputs(0x6E1);
+  for (const float t : TanhThresholds())
+    for (const float at : {t, GeluInputAt(t)})
+      for (std::uint32_t d = 0; d <= 4; ++d) {
+        const std::uint32_t bits = Bits(at) - 2 + d;
+        in.push_back(FromBits(bits));
+        in.push_back(FromBits(bits ^ 0x80000000u));
+      }
+  for (std::uint64_t i = 0; i < (1ull << 32); i += 65537)
+    in.push_back(FromBits(static_cast<std::uint32_t>(i)));
+
+  // The scalar entry is GeluF32, element for element.
+  std::vector<float> v = in;
+  infer::kernels::ScalarKernels().gelu_f32(
+      v.data(), static_cast<std::int64_t>(v.size()));
+  for (std::size_t i = 0; i < in.size(); ++i)
+    ASSERT_EQ(Bits(v[i]), Bits(infer::kernels::GeluF32(in[i]))) << i;
+  for (const KernelIsa isa : KernelRegistry::Global().AvailableIsas())
+    ExpectSameBitsAsScalar(
+        KernelRegistry::Global().Select(isa), in,
+        [](const KernelTable& t, float* p, std::int64_t n) {
+          t.gelu_f32(p, n);
+        },
+        "gelu_f32");
+}
+
+// All 2^32 inputs through every vectorized table's gelu_f32, on four
+// threads (about 30 s on a 4-core x86 host).  Run with
+// --gtest_also_run_disabled_tests --gtest_filter='*Exhaustive*'.
+TEST(KernelDispatch, DISABLED_GeluExhaustiveOnEveryTable) {
+  const KernelTable& oracle = infer::kernels::ScalarKernels();
+  constexpr std::uint64_t kChunk = 1 << 16;
+  constexpr std::uint64_t kThreads = 4;
+  for (const KernelIsa isa : KernelRegistry::Global().AvailableIsas()) {
+    const KernelTable& table = KernelRegistry::Global().Select(isa);
+    if (&table == &oracle) continue;
+    std::vector<std::uint64_t> mismatches(kThreads, 0);
+    std::vector<std::uint32_t> first(kThreads, 0);
+    std::vector<std::thread> workers;
+    for (std::uint64_t w = 0; w < kThreads; ++w)
+      workers.emplace_back([&, w] {
+        std::vector<float> want(kChunk), got(kChunk);
+        for (std::uint64_t base = w * kChunk; base < (1ull << 32);
+             base += kThreads * kChunk) {
+          for (std::uint64_t i = 0; i < kChunk; ++i)
+            want[i] = FromBits(static_cast<std::uint32_t>(base + i));
+          got = want;
+          oracle.gelu_f32(want.data(), kChunk);
+          table.gelu_f32(got.data(), kChunk);
+          for (std::uint64_t i = 0; i < kChunk; ++i)
+            if (Bits(want[i]) != Bits(got[i]) && mismatches[w]++ == 0)
+              first[w] = static_cast<std::uint32_t>(base + i);
+        }
+      });
+    for (std::thread& t : workers) t.join();
+    for (std::uint64_t w = 0; w < kThreads; ++w)
+      EXPECT_EQ(mismatches[w], 0u)
+          << table.name << " gelu_f32 differs first at input bits 0x"
+          << std::hex << first[w];
+  }
 }
 
 TEST(KernelDispatch, MatmulIsBitExactOnEveryTable) {
