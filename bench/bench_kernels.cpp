@@ -1,5 +1,6 @@
 // Engineering microbenchmarks for the execution engine: one inference and
-// the sample-level accuracy fan-out, the GELU table entry, trace-recorder
+// the sample-level accuracy fan-out, the GELU table entry, the Gaussian
+// input-noise fill, trace-recorder
 // overhead, static memory plans, the transform pipeline, and tiled
 // execution.
 //
@@ -17,6 +18,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <span>
@@ -173,6 +175,36 @@ void BenchGelu() {
   Record("gelu_f32_scalar_ns_per_elem", ns_scalar, "ns");
   Record(std::string("gelu_f32_") + best.name + "_ns_per_elem", ns_best,
          "ns");
+}
+
+// Rng::FillGaussianF32 against the NextGaussian loop it replaces in input
+// synthesis, over one mini image's noise (3 x 64 x 64 values) at the He
+// scale of a 3x3x3 stem.  The fill must return the loop's bits.  Both are
+// recorded; there is no ratio gate.
+void BenchGaussian() {
+  std::printf("Gaussian input noise (3 x 64 x 64 floats):\n");
+  constexpr std::size_t kValues = 3 * 64 * 64;
+  const double scale = std::sqrt(2.0 / 27.0);
+  const Rng base(0x6A55);
+  const auto loop = [&](std::vector<float>& out) {
+    Rng rng = base;
+    for (float& v : out) v = static_cast<float>(rng.NextGaussian() * scale);
+  };
+  const auto fill = [&](std::vector<float>& out) {
+    Rng rng = base;
+    rng.FillGaussianF32(out, scale);
+  };
+  std::vector<float> want(kValues), got(kValues);
+  loop(want);
+  fill(got);
+  for (std::size_t i = 0; i < kValues; ++i)
+    Check(std::bit_cast<std::uint32_t>(want[i]) ==
+              std::bit_cast<std::uint32_t>(got[i]),
+          "FillGaussianF32 != the NextGaussian loop");
+  Record("gaussian_f32_loop_ns_per_value",
+         TimeSeconds([&] { loop(want); }) * 1e9 / kValues, "ns");
+  Record("gaussian_f32_fill_ns_per_value",
+         TimeSeconds([&] { fill(got); }) * 1e9 / kValues, "ns");
 }
 
 // Trace-recorder overhead on the hot arena path (DESIGN.md §11 budget):
@@ -528,6 +560,7 @@ int main(int argc, char** argv) {
   std::printf("bench_kernels: %zu execution lane(s)\n", pool.thread_count());
   BenchExecutor(pool);
   BenchGelu();
+  BenchGaussian();
   BenchTraceOverhead();
   BenchMemoryPlans();
   BenchTransform();

@@ -1,10 +1,8 @@
 #include "common/rng.h"
 
-#include <algorithm>
-#include <cmath>
-#include <numbers>
 #include <unordered_set>
 
+#include "common/box_muller.h"
 #include "common/check.h"
 
 namespace mlpm {
@@ -66,11 +64,27 @@ double Rng::NextGaussian() {
   // Box-Muller; u1 in (0,1] to avoid log(0).
   const double u1 = 1.0 - NextDouble();
   const double u2 = NextDouble();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * std::numbers::pi * u2;
-  cached_gaussian_ = r * std::sin(theta);
+  const box_muller::Pair p = box_muller::Libm(u1, u2);
+  cached_gaussian_ = p.sin;
   has_cached_gaussian_ = true;
-  return r * std::cos(theta);
+  return p.cos;
+}
+
+void Rng::FillGaussianF32(std::span<float> out, double scale) {
+  constexpr std::size_t kPairs = box_muller::kPairs;
+  std::size_t i = 0;
+  if (has_cached_gaussian_ && !out.empty())
+    out[i++] = static_cast<float>(NextGaussian() * scale);
+  for (; out.size() - i >= 2 * kPairs; i += 2 * kPairs) {
+    double u1[kPairs], u2[kPairs];
+    for (std::size_t l = 0; l < kPairs; ++l) {
+      u1[l] = 1.0 - NextDouble();
+      u2[l] = NextDouble();
+    }
+    box_muller::BlockF32(u1, u2, scale, out.subspan(i).first<2 * kPairs>());
+  }
+  for (; i < out.size(); ++i)
+    out[i] = static_cast<float>(NextGaussian() * scale);
 }
 
 Rng Rng::Split(std::uint64_t tag) const {

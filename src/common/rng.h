@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace mlpm {
@@ -32,6 +33,14 @@ class Rng {
 
   // Standard normal via Box-Muller (cached second value).
   double NextGaussian();
+
+  // out[i] = static_cast<float>(NextGaussian() * scale) for each i in turn,
+  // bit for bit, and the generator (cached value included) ends where that
+  // loop leaves it.  Only the float has to match, not the double, so whole
+  // blocks of pairs take a vector Box-Muller whose value is used only where
+  // its error bound cannot change the float; the rest, and any tail, go
+  // through NextGaussian's libm chain (box_muller.h, DESIGN.md §1).
+  void FillGaussianF32(std::span<float> out, double scale);
 
   // A child generator whose stream is independent of this one; `tag`
   // distinguishes children of the same parent.

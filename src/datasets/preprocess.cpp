@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace mlpm::datasets {
 
@@ -15,6 +16,40 @@ infer::Tensor ResizeBilinear(const infer::Tensor& image, std::int64_t out_h,
   const double sw = static_cast<double>(iw) / static_cast<double>(out_w);
   const float* ip = image.data();
   float* op = out.data();
+
+  // Column taps, the same for every row.
+  struct XTap {
+    std::int64_t x0, x1;
+    float wx;
+  };
+  std::vector<XTap> taps(static_cast<std::size_t>(out_w));
+  for (std::int64_t x = 0; x < out_w; ++x) {
+    const double fx =
+        std::max(0.0, (static_cast<double>(x) + 0.5) * sw - 0.5);
+    const auto x0 = std::min<std::int64_t>(static_cast<std::int64_t>(fx),
+                                           iw - 1);
+    const auto x1 = std::min<std::int64_t>(x0 + 1, iw - 1);
+    taps[static_cast<std::size_t>(x)] = {
+        x0, x1, static_cast<float>(fx - static_cast<double>(x0))};
+  }
+
+  // Each input row an output row reads is interpolated along x once, into
+  // out_w x c floats; an output row is then a blend of two of them.  Rows
+  // are read in ascending order, so two buffers hold every row in use.
+  const auto row_len = static_cast<std::size_t>(out_w * c);
+  std::vector<float> top(row_len), bot(row_len);
+  std::int64_t top_row = -1, bot_row = -1;
+  const auto interpolate = [&](std::int64_t yy, std::vector<float>& dst) {
+    const float* src = ip + yy * iw * c;
+    float* d = dst.data();
+    for (const XTap& t : taps) {
+      const float* a = src + t.x0 * c;
+      const float* b = src + t.x1 * c;
+      for (std::int64_t ch = 0; ch < c; ++ch)
+        *d++ = a[ch] * (1 - t.wx) + b[ch] * t.wx;
+    }
+  };
+
   for (std::int64_t y = 0; y < out_h; ++y) {
     const double fy =
         std::max(0.0, (static_cast<double>(y) + 0.5) * sh - 0.5);
@@ -22,22 +57,22 @@ infer::Tensor ResizeBilinear(const infer::Tensor& image, std::int64_t out_h,
                                            ih - 1);
     const auto y1 = std::min<std::int64_t>(y0 + 1, ih - 1);
     const float wy = static_cast<float>(fy - static_cast<double>(y0));
-    for (std::int64_t x = 0; x < out_w; ++x) {
-      const double fx =
-          std::max(0.0, (static_cast<double>(x) + 0.5) * sw - 0.5);
-      const auto x0 = std::min<std::int64_t>(static_cast<std::int64_t>(fx),
-                                             iw - 1);
-      const auto x1 = std::min<std::int64_t>(x0 + 1, iw - 1);
-      const float wx = static_cast<float>(fx - static_cast<double>(x0));
-      for (std::int64_t ch = 0; ch < c; ++ch) {
-        const auto px = [&](std::int64_t yy, std::int64_t xx) {
-          return ip[(yy * iw + xx) * c + ch];
-        };
-        const float top = px(y0, x0) * (1 - wx) + px(y0, x1) * wx;
-        const float bot = px(y1, x0) * (1 - wx) + px(y1, x1) * wx;
-        op[(y * out_w + x) * c + ch] = top * (1 - wy) + bot * wy;
+    if (y0 != top_row) {
+      if (y0 == bot_row) {
+        std::swap(top, bot);
+        std::swap(top_row, bot_row);
+      } else {
+        interpolate(y0, top);
+        top_row = y0;
       }
     }
+    if (y1 != bot_row) {
+      interpolate(y1, bot);
+      bot_row = y1;
+    }
+    float* dst = op + static_cast<std::size_t>(y) * row_len;
+    for (std::size_t i = 0; i < row_len; ++i)
+      dst[i] = top[i] * (1 - wy) + bot[i] * wy;
   }
   return out;
 }

@@ -53,6 +53,7 @@ infer::Tensor SpeechDataset::MakeInput(std::uint64_t name_space,
   for (auto& v : ctrl) v = static_cast<float>(rng.NextUniform(-1.0, 1.0));
 
   infer::Tensor t(graph::TensorShape({frames, dim}));
+  rng.FillGaussianF32(t.values(), 1.0);  // the noise, in element order
   for (std::int64_t f = 0; f < frames; ++f) {
     const double pos = static_cast<double>(f) /
                        static_cast<double>(frames - 1) *
@@ -63,9 +64,8 @@ infer::Tensor SpeechDataset::MakeInput(std::uint64_t name_space,
     for (std::int64_t k = 0; k < dim; ++k) {
       const float a = ctrl[static_cast<std::size_t>(lo * dim + k)];
       const float b = ctrl[static_cast<std::size_t>(hi * dim + k)];
-      t.data()[f * dim + k] =
-          a * (1 - w) + b * w +
-          0.05f * static_cast<float>(rng.NextGaussian());
+      float& v = t.data()[f * dim + k];
+      v = a * (1 - w) + b * w + 0.05f * v;
     }
   }
   return t;

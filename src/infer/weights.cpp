@@ -47,8 +47,7 @@ WeightStore InitializeWeights(const graph::Graph& g, std::uint64_t seed) {
     }
     if (is_bias) {
       // Small biases; zero-mean so quantization zero-points stay sane.
-      for (auto& x : t.values())
-        x = static_cast<float>(rng.NextGaussian() * 0.01);
+      rng.FillGaussianF32(t.values(), 0.01);
       ws.Put(info.name, std::move(t));
       continue;
     }
@@ -59,8 +58,7 @@ WeightStore InitializeWeights(const graph::Graph& g, std::uint64_t seed) {
       fan_in *= info.shape.dim(d);
     if (fan_in == 0) fan_in = 1;
     const double scale = std::sqrt(2.0 / static_cast<double>(fan_in));
-    for (auto& x : t.values())
-      x = static_cast<float>(rng.NextGaussian() * scale);
+    rng.FillGaussianF32(t.values(), scale);
     ws.Put(info.name, std::move(t));
   }
   return ws;

@@ -2,10 +2,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <set>
+#include <span>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "common/box_muller.h"
 #include "common/check.h"
 #include "common/fp16.h"
 #include "common/rng.h"
@@ -141,6 +148,201 @@ TEST(Rng, SampleWithoutReplacementFullPopulation) {
 TEST(Rng, SampleWithoutReplacementRejectsOversample) {
   Rng rng(23);
   EXPECT_THROW(rng.SampleWithoutReplacement(5, 6), CheckError);
+}
+
+// ---- Gaussian fill (box_muller.h) ----
+
+std::uint32_t FloatBits(float f) { return std::bit_cast<std::uint32_t>(f); }
+std::uint64_t DoubleBits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+// The scales the generators use: image and speech noise, biases, and He
+// weights for a 3x3x3 stem and a 1x1 conv over 144 channels.
+const double kFillScales[] = {1.0, 0.01, std::sqrt(2.0 / 27.0),
+                              std::sqrt(2.0 / 144.0)};
+
+TEST(Rng, FillGaussianF32MatchesTheNextGaussianLoop) {
+  for (const std::uint64_t seed : {1ull, 7ull, 0x3Eull, 0xC0FFEEull}) {
+    for (const double scale : kFillScales) {
+      for (const bool cached : {false, true}) {
+        for (std::size_t n = 0; n <= 67; ++n) {
+          SCOPED_TRACE("seed " + std::to_string(seed) + " scale " +
+                       std::to_string(scale) + " n " + std::to_string(n) +
+                       (cached ? " cached" : ""));
+          Rng loop(seed), fill(seed);
+          if (cached) {
+            ASSERT_EQ(DoubleBits(loop.NextGaussian()),
+                      DoubleBits(fill.NextGaussian()));
+          }
+          std::vector<float> want(n), got(n);
+          for (float& v : want)
+            v = static_cast<float>(loop.NextGaussian() * scale);
+          fill.FillGaussianF32(got, scale);
+          for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(FloatBits(want[i]), FloatBits(got[i])) << "at " << i;
+          // The cached value and the stream position carry over.
+          ASSERT_EQ(DoubleBits(loop.NextGaussian()),
+                    DoubleBits(fill.NextGaussian()));
+          ASSERT_EQ(loop.NextU64(), fill.NextU64());
+        }
+      }
+    }
+  }
+}
+
+// Box-Muller inputs where the fast path is weakest: θ = 2π·u2 within
+// 2·10^5 steps of 2^-53 of each quadrant edge, u1 within as many steps of 1
+// (log u1 near 0, u1 = 1 itself giving r = ±0) and of 0 (the largest r),
+// every power of two down to 2^-53, and u2 = 0.  Each list is paired with
+// seeded draws for the other input.
+struct BoxMullerInputs {
+  std::vector<double> u1, u2;
+};
+
+BoxMullerInputs AdversarialBoxMullerInputs(std::uint64_t seed) {
+  constexpr std::int64_t kSteps = 200000;
+  Rng rng(seed);
+  BoxMullerInputs in;
+  const auto add = [&](double u1, double u2) {
+    in.u1.push_back(u1);
+    in.u2.push_back(u2);
+  };
+  for (int edge = 0; edge <= 4; ++edge)
+    for (std::int64_t j = -kSteps; j <= kSteps; ++j) {
+      const double u2 = 0.25 * edge + static_cast<double>(j) * 0x1p-53;
+      if (u2 >= 0.0 && u2 < 1.0) add(1.0 - rng.NextDouble(), u2);
+    }
+  for (std::int64_t j = 0; j < kSteps; ++j) {
+    add(1.0 - static_cast<double>(j) * 0x1p-53, rng.NextDouble());
+    add(static_cast<double>(j + 1) * 0x1p-53, rng.NextDouble());
+  }
+  for (int e = 0; e <= 53; ++e) add(std::ldexp(1.0, -e), rng.NextDouble());
+  for (const double u2 : {0.0, 0.1, 0.3, 0.6, 0.9}) add(1.0, u2);
+  for (int i = 0; i < 8; ++i) add(1.0 - rng.NextDouble(), 0.0);
+  while (in.u1.size() % box_muller::kPairs != 0) add(0.5, 0.5);
+  return in;
+}
+
+// Relative distance of the fast value from libm's; both zero counts as 0.
+double RelativeError(double fast, double libm) {
+  if (libm == 0.0) return fast == 0.0 ? 0.0 : 1.0;
+  return std::fabs((fast - libm) / libm);
+}
+
+TEST(BoxMuller, ApproxIsWellInsideTheBracketOfLibm) {
+  const BoxMullerInputs in = AdversarialBoxMullerInputs(0xB0);
+  constexpr std::size_t kP = box_muller::kPairs;
+  double worst = 0.0;
+  for (std::size_t b = 0; b < in.u1.size(); b += kP) {
+    double c[kP], s[kP];
+    box_muller::Approx(std::span<const double, kP>(&in.u1[b], kP),
+                       std::span<const double, kP>(&in.u2[b], kP), c, s);
+    for (std::size_t l = 0; l < kP; ++l) {
+      const box_muller::Pair p = box_muller::Libm(in.u1[b + l], in.u2[b + l]);
+      worst = std::max({worst, RelativeError(c[l], p.cos),
+                        RelativeError(s[l], p.sin)});
+    }
+  }
+  // The bracket is 2^-40; measured about 2^-50.4 against glibc 2.36.
+  EXPECT_LE(worst, 0x1p-49) << "log2 " << std::log2(worst);
+}
+
+// A scale that puts a float rounding boundary strictly between the fast
+// value and libm's, so only the bracket can tell them apart; 0 if the two
+// are the same double.
+double StraddlingScale(double fast, double libm) {
+  if (DoubleBits(fast) == DoubleBits(libm) || libm == 0.0) return 0.0;
+  const double midpoint = 1.5 + 0x1p-24;  // halfway between two floats
+  double scale = midpoint / std::fabs(libm);
+  for (int i = 0; i < 8; ++i) scale = std::nextafter(scale, 0.0);
+  for (int i = 0; i < 16; ++i, scale = std::nextafter(scale, 2.0 * scale))
+    if (FloatBits(static_cast<float>(fast * scale)) !=
+        FloatBits(static_cast<float>(libm * scale)))
+      return scale;
+  return 0.0;
+}
+
+// Every value of BlockF32 is float(Libm · scale), on the inputs above, at
+// the generators' scales and at scales that make the fast value round to
+// another float than libm's.
+TEST(BoxMuller, BlockF32HasLibmBitsEvenWhereTheFastValueRoundsElsewhere) {
+  const BoxMullerInputs in = AdversarialBoxMullerInputs(0xB1);
+  constexpr std::size_t kP = box_muller::kPairs;
+  std::size_t straddles = 0;
+  for (std::size_t b = 0; b < in.u1.size(); b += kP) {
+    const std::span<const double, kP> u1(&in.u1[b], kP), u2(&in.u2[b], kP);
+    double c[kP], s[kP];
+    box_muller::Approx(u1, u2, c, s);
+    std::vector<double> scales(std::begin(kFillScales), std::end(kFillScales));
+    for (std::size_t l = 0; l < kP; ++l) {
+      const box_muller::Pair p = box_muller::Libm(u1[l], u2[l]);
+      for (const double scale :
+           {StraddlingScale(c[l], p.cos), StraddlingScale(s[l], p.sin)})
+        if (scale != 0.0) {
+          scales.push_back(scale);
+          ++straddles;
+        }
+    }
+    for (const double scale : scales) {
+      float got[2 * kP];
+      box_muller::BlockF32(u1, u2, scale, got);
+      for (std::size_t l = 0; l < kP; ++l) {
+        const box_muller::Pair p = box_muller::Libm(u1[l], u2[l]);
+        ASSERT_EQ(FloatBits(got[2 * l]),
+                  FloatBits(static_cast<float>(p.cos * scale)))
+            << "cos, u1 " << u1[l] << " u2 " << u2[l] << " scale " << scale;
+        ASSERT_EQ(FloatBits(got[2 * l + 1]),
+                  FloatBits(static_cast<float>(p.sin * scale)))
+            << "sin, u1 " << u1[l] << " u2 " << u2[l] << " scale " << scale;
+      }
+    }
+  }
+  // The straddling scales are what hold the bracket to its width.
+  EXPECT_GE(straddles, 1000u);
+}
+
+// BlockF32 against libm on 10^9 values of the generator's own draws, on
+// four threads (25-40 s on a 4-core x86 host).  Run with
+// --gtest_also_run_disabled_tests --gtest_filter='*Billion*'.
+TEST(BoxMuller, DISABLED_BlockF32HasLibmBitsOnABillionValues) {
+  constexpr std::size_t kP = box_muller::kPairs;
+  constexpr std::uint64_t kThreads = 4;
+  constexpr std::uint64_t kBlocksPerThread =
+      (1'000'000'000 / (2 * kP) + kThreads - 1) / kThreads;
+  std::vector<std::uint64_t> mismatches(kThreads, 0);
+  std::vector<double> worst(kThreads, 0.0);
+  std::vector<std::thread> workers;
+  for (std::uint64_t w = 0; w < kThreads; ++w)
+    workers.emplace_back([&, w] {
+      Rng rng(0xB111 + w);
+      for (std::uint64_t b = 0; b < kBlocksPerThread; ++b) {
+        double u1[kP], u2[kP], c[kP], s[kP];
+        for (std::size_t l = 0; l < kP; ++l) {
+          u1[l] = 1.0 - rng.NextDouble();
+          u2[l] = rng.NextDouble();
+        }
+        const double scale = kFillScales[b % std::size(kFillScales)];
+        float got[2 * kP];
+        box_muller::Approx(u1, u2, c, s);
+        box_muller::BlockF32(u1, u2, scale, got);
+        for (std::size_t l = 0; l < kP; ++l) {
+          const box_muller::Pair p = box_muller::Libm(u1[l], u2[l]);
+          worst[w] = std::max({worst[w], RelativeError(c[l], p.cos),
+                               RelativeError(s[l], p.sin)});
+          if (FloatBits(got[2 * l]) !=
+              FloatBits(static_cast<float>(p.cos * scale)))
+            ++mismatches[w];
+          if (FloatBits(got[2 * l + 1]) !=
+              FloatBits(static_cast<float>(p.sin * scale)))
+            ++mismatches[w];
+        }
+      }
+    });
+  for (std::thread& t : workers) t.join();
+  for (std::uint64_t w = 0; w < kThreads; ++w) {
+    EXPECT_EQ(mismatches[w], 0u) << "thread " << w;
+    EXPECT_LE(worst[w], 0x1p-49) << "thread " << w << " log2 "
+                                 << std::log2(worst[w]);
+  }
 }
 
 // ---- fp16 ----
