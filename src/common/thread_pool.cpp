@@ -43,7 +43,7 @@ void ThreadPool::WorkerLoop() {
       job = job_;
       ++job->entered;
     }
-    RunChunks(*job);
+    TakeLanes(*job);
     {
       std::scoped_lock lock(mu_);
       ++job->exited;
@@ -52,19 +52,12 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::RunChunks(Job& job) const {
-  const std::int64_t len = job.end - job.begin;
-  const auto total = static_cast<std::int64_t>(job.chunk_count);
-  for (;;) {
-    const std::size_t c = job.next_chunk.fetch_add(1, std::memory_order_relaxed);
-    if (c >= job.chunk_count) return;
-    const std::int64_t lo =
-        job.begin + len * static_cast<std::int64_t>(c) / total;
-    const std::int64_t hi =
-        job.begin + len * (static_cast<std::int64_t>(c) + 1) / total;
+void ThreadPool::TakeLanes(Job& job) const {
+  while (job.next_lane.fetch_add(1, std::memory_order_relaxed) <
+         job.lane_count) {
     t_in_parallel_region = true;
     try {
-      if (lo < hi) (*job.body)(lo, hi);
+      (*job.lane)();
     } catch (...) {
       std::scoped_lock lock(mu_);
       if (!job.first_error) job.first_error = std::current_exception();
@@ -72,34 +65,22 @@ void ThreadPool::RunChunks(Job& job) const {
     t_in_parallel_region = false;
     {
       std::scoped_lock lock(mu_);
-      ++job.chunks_done;
+      ++job.lanes_done;
     }
     done_cv_.notify_all();
   }
 }
 
-void ThreadPool::ParallelFor(std::int64_t begin, std::int64_t end,
-                             const RangeBody& body) const {
-  if (begin >= end) return;
-  // Inline fast paths: no workers, trivial range, or already inside a
-  // parallel region (nested submit would deadlock on the worker set).
-  if (lanes_ <= 1 || end - begin <= 1 || t_in_parallel_region) {
-    body(begin, end);
-    return;
-  }
-
+void ThreadPool::RunLanes(std::size_t lane_count, const LaneBody& lane) const {
   std::scoped_lock submit(submit_mu_);
   Job job;
-  job.body = &body;
-  job.begin = begin;
-  job.end = end;
-  job.chunk_count =
-      std::min<std::size_t>(lanes_, static_cast<std::size_t>(end - begin));
+  job.lane = &lane;
+  job.lane_count = lane_count;
   jobs_dispatched_.fetch_add(1, std::memory_order_relaxed);
-  std::uint64_t peak = peak_chunks_.load(std::memory_order_relaxed);
-  while (peak < job.chunk_count &&
-         !peak_chunks_.compare_exchange_weak(peak, job.chunk_count,
-                                             std::memory_order_relaxed)) {
+  std::uint64_t peak = peak_lanes_.load(std::memory_order_relaxed);
+  while (peak < lane_count &&
+         !peak_lanes_.compare_exchange_weak(peak, lane_count,
+                                            std::memory_order_relaxed)) {
   }
   {
     std::scoped_lock lock(mu_);
@@ -108,14 +89,14 @@ void ThreadPool::ParallelFor(std::int64_t begin, std::int64_t end,
     ++job.entered;  // the caller participates
   }
   work_cv_.notify_all();
-  RunChunks(job);
+  TakeLanes(job);
   {
     std::unique_lock lock(mu_);
     ++job.exited;
-    // Wait until all chunks ran AND every participant left the job, so no
+    // Wait until all lanes ran AND every participant left the job, so no
     // worker can touch the stack-allocated Job after we return.
     done_cv_.wait(lock, [&] {
-      return job.chunks_done == job.chunk_count && job.entered == job.exited;
+      return job.lanes_done == job.lane_count && job.entered == job.exited;
     });
     job_ = nullptr;
   }
@@ -125,17 +106,19 @@ void ThreadPool::ParallelFor(std::int64_t begin, std::int64_t end,
 void ParallelForEachItem(const ThreadPool* pool, std::size_t count,
                          const std::function<void(ItemClaims&)>& lane_body) {
   if (count == 0) return;
-  const std::size_t lanes =
-      pool == nullptr || ThreadPool::InParallelRegion()
-          ? 1
-          : std::min(pool->thread_count(), count);
   ItemClaims next(count);
-  // Each chunk of [0, lanes) is one lane.  A lane that starts after the
-  // others drained the items makes no per-lane state.
-  ParallelForRange(pool, 0, static_cast<std::int64_t>(lanes),
-                   [&](std::int64_t, std::int64_t) {
-                     if (!next.exhausted()) lane_body(next);
-                   });
+  // Inline: no pool, one lane, or already inside a parallel region (a
+  // nested dispatch would deadlock on the worker set).
+  if (pool == nullptr || pool->thread_count() <= 1 || count == 1 ||
+      ThreadPool::InParallelRegion()) {
+    lane_body(next);
+    return;
+  }
+  // A lane that starts after the others drained the items makes no
+  // per-lane state.
+  pool->RunLanes(std::min(pool->thread_count(), count), [&] {
+    if (!next.exhausted()) lane_body(next);
+  });
 }
 
 }  // namespace mlpm

@@ -1,22 +1,23 @@
-// Fixed-size worker pool with a deterministic parallel-for.
+// Fixed-size worker pool with one way to hand out work: lanes claim items.
 //
 // There is one level of parallelism: independent work items (accuracy
 // samples, calibration and staging inputs, tasks, checker items, fleet
 // shards) run on the pool's lanes, and each inference runs whole on the
-// lane that took it.  Every item writes its own slot with the same serial
-// code and callers fold in index order, so results are bit-identical
-// regardless of thread count; no cross-thread reductions exist.
-// ParallelFor statically partitions an index range into contiguous chunks
-// (fleet shards, the lanes of a task fan-out); sample-level fan-outs use
-// ParallelForEachItem, whose lanes claim one item at a time.
+// lane that took it.  ParallelForEachItem starts up to min(lanes, count)
+// lanes, and each lane claims one item index at a time from a counter they
+// share.  Every item writes its own slot with the same serial code and
+// callers fold in index order, so results are bit-identical regardless of
+// thread count or claim order; no cross-thread reductions exist.
 //
 // Guarantees:
-//   - Exceptions thrown by the body are captured and rethrown on the
-//     calling thread (first one wins); the pool stays usable afterwards.
-//   - Nested ParallelFor calls (a fan-out inside an already-parallel
-//     region, e.g. a task's accuracy samples under the task fan-out) run
-//     inline on the calling thread, so they can never deadlock.
-//   - Concurrent ParallelFor calls from different threads serialize.
+//   - The calling thread runs lanes too.
+//   - Exceptions thrown by a lane are captured and rethrown on the calling
+//     thread (first one wins); the pool stays usable afterwards.
+//   - A nested ParallelForEachItem (a fan-out inside an already-parallel
+//     region, e.g. a task's accuracy samples under the task fan-out) runs
+//     one lane inline on the calling thread, so it can never deadlock.
+//   - Concurrent callers from different threads serialize.
+//   - A null or one-lane pool runs one lane inline.
 #pragma once
 
 #include <atomic>
@@ -31,6 +32,8 @@
 
 namespace mlpm {
 
+class ItemClaims;
+
 class ThreadPool {
  public:
   // `thread_count` of 0 picks std::thread::hardware_concurrency().
@@ -43,47 +46,47 @@ class ThreadPool {
   [[nodiscard]] std::size_t thread_count() const { return lanes_; }
 
   // Observability (DESIGN.md §11): parallel jobs dispatched to the worker
-  // set (inline fast paths excluded) and the largest chunk fan-out seen —
-  // the static-partition pool's analog of a queue depth.  Plain relaxed
-  // atomics; snapshotted into the obs::MetricsRegistry by the harness.
+  // set (inline fast paths excluded) and the most lanes one job started.
+  // Plain relaxed atomics; snapshotted into the obs::MetricsRegistry by the
+  // harness.
   [[nodiscard]] std::uint64_t jobs_dispatched() const {
     return jobs_dispatched_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t peak_chunks() const {
-    return peak_chunks_.load(std::memory_order_relaxed);
+  [[nodiscard]] std::uint64_t peak_lanes() const {
+    return peak_lanes_.load(std::memory_order_relaxed);
   }
 
-  // body(chunk_begin, chunk_end) over a static partition of [begin, end)
-  // into at most thread_count() contiguous chunks.  The calling thread
-  // participates.  Blocks until every chunk has finished.
-  using RangeBody = std::function<void(std::int64_t, std::int64_t)>;
-  void ParallelFor(std::int64_t begin, std::int64_t end,
-                   const RangeBody& body) const;
-
-  // True while the calling thread is executing a ParallelFor chunk (of any
+  // True while the calling thread runs a lane of a dispatched job (of any
   // pool).  Nested calls detect this and run inline.
   [[nodiscard]] static bool InParallelRegion();
 
  private:
+  friend void ParallelForEachItem(
+      const ThreadPool* pool, std::size_t count,
+      const std::function<void(ItemClaims&)>& lane_body);
+
+  using LaneBody = std::function<void()>;
+
   struct Job {
-    const RangeBody* body = nullptr;
-    std::int64_t begin = 0;
-    std::int64_t end = 0;
-    std::size_t chunk_count = 0;
-    std::atomic<std::size_t> next_chunk{0};
+    const LaneBody* lane = nullptr;
+    std::size_t lane_count = 0;
+    std::atomic<std::size_t> next_lane{0};
     // Guarded by the pool mutex.
-    std::size_t chunks_done = 0;
+    std::size_t lanes_done = 0;
     std::size_t entered = 0;
     std::size_t exited = 0;
     std::exception_ptr first_error;
   };
 
+  // Runs `lane` `lane_count` times across the workers and the calling
+  // thread; blocks until every run has finished.
+  void RunLanes(std::size_t lane_count, const LaneBody& lane) const;
   void WorkerLoop();
-  void RunChunks(Job& job) const;
+  void TakeLanes(Job& job) const;
 
   std::size_t lanes_ = 1;
   mutable std::atomic<std::uint64_t> jobs_dispatched_{0};
-  mutable std::atomic<std::uint64_t> peak_chunks_{0};
+  mutable std::atomic<std::uint64_t> peak_lanes_{0};
   mutable std::mutex mu_;
   mutable std::condition_variable work_cv_;  // workers wait for a job
   mutable std::condition_variable done_cv_;  // the caller waits for finish
@@ -93,19 +96,6 @@ class ThreadPool {
   bool stop_ = false;                        // guarded by mu_
   std::vector<std::thread> workers_;
 };
-
-// ParallelFor on an optional pool: runs inline when `pool` is null,
-// single-threaded, or the range is trivial.
-inline void ParallelForRange(const ThreadPool* pool, std::int64_t begin,
-                             std::int64_t end,
-                             const ThreadPool::RangeBody& body) {
-  if (begin >= end) return;
-  if (pool == nullptr || pool->thread_count() <= 1 || end - begin <= 1) {
-    body(begin, end);
-    return;
-  }
-  pool->ParallelFor(begin, end, body);
-}
 
 // The item indices of one ParallelForEachItem call, handed out one per
 // call from a counter every lane shares.

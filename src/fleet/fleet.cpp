@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <utility>
 
 #include "backends/simulated_backend.h"
@@ -18,10 +17,9 @@
 #include "core/dataset_qsl.h"
 #include "datasets/stub_dataset.h"
 #include "fleet/journal.h"
-#include "fleet/prepared.h"
-#include "infer/prepared_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "soc/compile.h"
 #include "soc/simulator.h"
 
 namespace mlpm::fleet {
@@ -30,10 +28,29 @@ namespace {
 // One shard's static identity, fixed before any worker runs.
 struct ShardSpec {
   std::size_t id = 0;
+  std::size_t config = 0;  // index of its config_key, in first-shard order
   soc::ChipsetDesc chipset;
   models::BenchmarkEntry entry;
   std::string config_key;
   std::uint64_t seed = 0;  // per-shard LoadGen seed
+};
+
+// The immutable artifact every shard of one (version, task, chipset) config
+// shares: the vendor submission and its compiled single-stream plan
+// (prepacked weights live inside the compiled segments).
+struct PreparedShardModel {
+  backends::SubmissionConfig sub;
+  soc::CompiledModel single_stream;
+};
+
+// One distinct config's model, built lazily by the first of its shards to
+// start.  That shard builds under `mu`; the config's other shards wait on
+// `mu`, then read the model, which nothing writes again.  A build that
+// throws leaves the slot empty, and the next shard of the config retries.
+// Fleet memory thus scales with distinct configs, not devices.
+struct ConfigSlot {
+  std::mutex mu;
+  std::optional<PreparedShardModel> model;
 };
 
 [[nodiscard]] std::uint64_t DeriveSeed(std::uint64_t base, std::uint64_t tag,
@@ -42,27 +59,33 @@ struct ShardSpec {
   return r.NextU64();
 }
 
-[[nodiscard]] ShardResult RunOneShard(
-    const ShardSpec& spec, const FleetOptions& options,
-    infer::PreparedCache<PreparedShardModel>& cache) {
+// The model of `spec`'s config, built into `slot` if no shard has yet.
+[[nodiscard]] const PreparedShardModel& PreparedModelFor(
+    const ShardSpec& spec, const FleetOptions& options, ConfigSlot& slot,
+    std::atomic<std::uint64_t>& builds) {
+  std::scoped_lock lock(slot.mu);
+  if (!slot.model.has_value()) {
+    PreparedShardModel m;
+    m.sub = backends::GetSubmission(spec.chipset, spec.entry.task,
+                                    options.version);
+    const graph::Graph full = models::BuildReferenceGraph(
+        spec.entry, options.version, models::ModelScale::kFull);
+    m.single_stream = backends::CompileSubmission(spec.chipset, m.sub, full);
+    slot.model = std::move(m);
+    builds.fetch_add(1, std::memory_order_relaxed);
+  }
+  return *slot.model;
+}
+
+[[nodiscard]] ShardResult RunOneShard(const ShardSpec& spec,
+                                      const FleetOptions& options,
+                                      const PreparedShardModel& model) {
   ShardResult out;
   out.shard_id = spec.id;
   out.chipset = spec.chipset.name;
   out.task_id = spec.entry.id;
   out.config_key = spec.config_key;
-
-  const std::shared_ptr<const PreparedShardModel> model =
-      cache.Acquire(spec.config_key, [&] {
-        PreparedShardModel m;
-        m.sub = backends::GetSubmission(spec.chipset, spec.entry.task,
-                                        options.version);
-        const graph::Graph full = models::BuildReferenceGraph(
-            spec.entry, options.version, models::ModelScale::kFull);
-        m.single_stream =
-            backends::CompileSubmission(spec.chipset, m.sub, full);
-        return m;
-      });
-  out.numerics = model->sub.numerics;
+  out.numerics = model.sub.numerics;
 
   loadgen::TestSettings settings = options.settings;
   settings.mode = loadgen::TestMode::kPerformanceOnly;
@@ -79,12 +102,12 @@ struct ShardSpec {
     sim.InjectFaults(std::move(plan));
   }
 
-  // Each shard runs its own copy of the cached plan (a few KB of segment
+  // Each shard runs its own copy of the shared plan (a few KB of segment
   // records) on its own simulator: shards share the compile, not the
   // thermal/DVFS state.
   backends::SimulatedBackend sut(
-      spec.chipset.name + "/" + model->sub.framework.name, std::move(sim),
-      model->single_stream, {}, clock);
+      spec.chipset.name + "/" + model.sub.framework.name, std::move(sim),
+      model.single_stream, {}, clock);
   // Sample contents never reach the simulated plane, so a stub source keeps
   // the shard latency-identical to RunSubmission for the same seed.
   const datasets::StubDataset stub;
@@ -188,9 +211,11 @@ FleetReport RunFleet(const FleetOptions& options) {
       AssignShardCounts(mix, options.shard_count);
 
   // Shards 0..N-1 in mix order; each knows its config and derived seed
-  // before any worker runs, so nothing depends on scheduling.
+  // before any worker runs, so nothing depends on scheduling.  Configs are
+  // numbered in the order their first shard appears.
   std::vector<ShardSpec> specs;
   specs.reserve(options.shard_count);
+  std::map<std::string, std::size_t> config_ids;
   for (std::size_t m = 0; m < resolved.size(); ++m) {
     for (std::size_t k = 0; k < counts[m]; ++k) {
       ShardSpec spec;
@@ -199,6 +224,9 @@ FleetReport RunFleet(const FleetOptions& options) {
       spec.entry = resolved[m].entry;
       spec.config_key = std::string(ToString(options.version)) + "|" +
                         spec.entry.id + "|" + spec.chipset.name;
+      spec.config =
+          config_ids.try_emplace(spec.config_key, config_ids.size())
+              .first->second;
       spec.seed = DeriveSeed(options.settings.seed, 0xF1EE7, spec.id);
       specs.push_back(std::move(spec));
     }
@@ -241,7 +269,8 @@ FleetReport RunFleet(const FleetOptions& options) {
                                                        meta);
   }
 
-  infer::PreparedCache<PreparedShardModel> cache;
+  std::vector<ConfigSlot> configs(config_ids.size());
+  std::atomic<std::uint64_t> builds{0};
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
   std::atomic<std::size_t> active{0};
@@ -256,48 +285,47 @@ FleetReport RunFleet(const FleetOptions& options) {
   metrics.SetGauge("fleet.queue_depth",
                    static_cast<double>(options.shard_count));
 
+  // Lanes claim shards one at a time in shard order, so a slow config
+  // holds up only the lane running it.
   const ThreadPool pool(options.workers);
-  pool.ParallelFor(
-      0, static_cast<std::int64_t>(options.shard_count),
-      [&](std::int64_t begin, std::int64_t end) {
-        for (std::int64_t i = begin; i < end; ++i) {
-          const ShardSpec& spec = specs[static_cast<std::size_t>(i)];
-          if (slots[spec.id].has_value()) continue;  // replayed
-          if (interrupted.load(std::memory_order_relaxed) || cancelled()) {
-            interrupted.store(true, std::memory_order_relaxed);
-            continue;
-          }
-          const std::size_t now_started =
-              started.fetch_add(1, std::memory_order_relaxed) + 1;
-          metrics.SetGauge(
-              "fleet.queue_depth",
-              static_cast<double>(options.shard_count - now_started));
-          const std::size_t now_active =
-              active.fetch_add(1, std::memory_order_relaxed) + 1;
-          metrics.SetGauge("fleet.shards.active",
-                           static_cast<double>(now_active));
-          metrics.MaxGauge("fleet.shards.active.peak",
-                           static_cast<double>(now_active));
+  ParallelForEachItem(&pool, options.shard_count, [&](ItemClaims& next) {
+    while (const std::optional<std::size_t> i = next()) {
+      const ShardSpec& spec = specs[*i];
+      if (slots[spec.id].has_value()) continue;  // replayed
+      if (interrupted.load(std::memory_order_relaxed) || cancelled()) {
+        interrupted.store(true, std::memory_order_relaxed);
+        continue;
+      }
+      const std::size_t now_started =
+          started.fetch_add(1, std::memory_order_relaxed) + 1;
+      metrics.SetGauge("fleet.queue_depth",
+                       static_cast<double>(options.shard_count - now_started));
+      const std::size_t now_active =
+          active.fetch_add(1, std::memory_order_relaxed) + 1;
+      metrics.SetGauge("fleet.shards.active", static_cast<double>(now_active));
+      metrics.MaxGauge("fleet.shards.active.peak",
+                       static_cast<double>(now_active));
 
-          const std::uint64_t span_id = recorder.NextAsyncId();
-          const std::string span_name = "shard-" + std::to_string(spec.id);
-          recorder.AddAsyncBegin(obs::Domain::kHost, "fleet", span_name,
-                                 "fleet", span_id, recorder.NowUs());
-          ShardResult shard = RunOneShard(spec, options, cache);
-          recorder.AddAsyncEnd(obs::Domain::kHost, "fleet", span_name,
-                               "fleet", span_id, recorder.NowUs());
+      const std::uint64_t span_id = recorder.NextAsyncId();
+      const std::string span_name = "shard-" + std::to_string(spec.id);
+      recorder.AddAsyncBegin(obs::Domain::kHost, "fleet", span_name, "fleet",
+                             span_id, recorder.NowUs());
+      ShardResult shard = RunOneShard(
+          spec, options,
+          PreparedModelFor(spec, options, configs[spec.config], builds));
+      recorder.AddAsyncEnd(obs::Domain::kHost, "fleet", span_name, "fleet",
+                           span_id, recorder.NowUs());
 
-          // Shards journal as they finish unless the accuracy plane still
-          // has fields to stamp (then the coordinator journals after it).
-          if (journal != nullptr && !options.accuracy)
-            journal->Append(shard);
-          slots[spec.id] = std::move(shard);
-          metrics.SetGauge(
-              "fleet.shards.active",
-              static_cast<double>(
-                  active.fetch_sub(1, std::memory_order_relaxed) - 1));
-        }
-      });
+      // Shards journal as they finish unless the accuracy plane still has
+      // fields to stamp (then the coordinator journals after it).
+      if (journal != nullptr && !options.accuracy) journal->Append(shard);
+      slots[spec.id] = std::move(shard);
+      metrics.SetGauge(
+          "fleet.shards.active",
+          static_cast<double>(
+              active.fetch_sub(1, std::memory_order_relaxed) - 1));
+    }
+  });
 
   report.interrupted = interrupted.load();
   if (options.accuracy && !report.interrupted)
@@ -311,10 +339,8 @@ FleetReport RunFleet(const FleetOptions& options) {
   // identically to an uninterrupted one.  Each finished slot moves into the
   // report (the journal above was its last reader), so the report owns the
   // only copy of every shard's summary and latencies.
-  std::set<std::string> distinct;
-  for (const ShardSpec& spec : specs) distinct.insert(spec.config_key);
-  report.distinct_configs = distinct.size();
-  report.prepared_models_built = cache.builds();
+  report.distinct_configs = configs.size();
+  report.prepared_models_built = builds.load();
 
   std::size_t slo_met = 0;
   std::size_t latency_count = 0;

@@ -2,8 +2,8 @@
 // driven by its own LoadGen Server-scenario instance with seeded Poisson
 // arrivals and a per-shard latency SLO, executed concurrently on a bounded
 // worker pool.  Shards that reference the same (chipset, task, version)
-// configuration share one immutable prepared model through a refcounted
-// PreparedCache, so fleet memory scales with distinct configs, not devices.
+// configuration share one immutable prepared model, built once in that
+// config's slot, so fleet memory scales with distinct configs, not devices.
 //
 // Determinism contract: for a fixed seed, mix and shard count the aggregated
 // FleetReport is byte-identical across runs and worker counts.  Each shard

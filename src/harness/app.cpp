@@ -35,12 +35,17 @@ std::string FormatProfileTables(const RunOptions& options) {
   if (!options.profile && options.trace_path.empty()) return {};
   const OpProfile ops = CollectOpProfile();
   std::string text;
-  if (!ops.host.empty())
-    text += "\n" + obs::RenderAggregateTable(ops.host, "executor ops (host)");
-  if (!ops.sim.empty())
-    text += "\n" + obs::RenderAggregateTable(ops.sim, "simulated IP steps");
-  return text + "\n" +
-         obs::RenderMetricsTable(obs::MetricsRegistry::Global().Snap());
+  if (!ops.host.empty()) {
+    text += '\n';
+    text += obs::RenderAggregateTable(ops.host, "executor ops (host)");
+  }
+  if (!ops.sim.empty()) {
+    text += '\n';
+    text += obs::RenderAggregateTable(ops.sim, "simulated IP steps");
+  }
+  text += '\n';
+  text += obs::RenderMetricsTable(obs::MetricsRegistry::Global().Snap());
+  return text;
 }
 
 }  // namespace mlpm::harness

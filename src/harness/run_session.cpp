@@ -242,21 +242,22 @@ SubmissionResult RunSubmission(const soc::ChipsetDesc& chipset,
       if (journal && finished[journaled] == Slot::kRan)
         journal->Append(result.tasks[journaled]);
   };
-  const auto claim_and_run = [&] {
+  ParallelForEachItem(task_pool, suite.size(), [&](ItemClaims& next) {
     for (;;) {
       std::size_t i = 0;
       bool replayed = false;
       const TaskBundle* bundle = nullptr;  // null: replayed or lookup threw
       {
         std::scoped_lock lock(claim_mu);
-        if (claimed == suite.size() || result.interrupted) return;
+        if (next.exhausted() || result.interrupted) return;
         if (options.cancel && options.cancel()) {
           // Cooperative interruption: stop cleanly between tasks.  Tasks
           // already running finish and are journaled.
           result.interrupted = true;
           return;
         }
-        i = claimed++;
+        i = *next();
+        claimed = i + 1;
         const models::BenchmarkEntry& entry = suite[i];
         TaskRunResult& tr = result.tasks[i];
         if (const auto it = replayable.find(entry.id);
@@ -278,15 +279,7 @@ SubmissionResult RunSubmission(const soc::ChipsetDesc& chipset,
         });
       finish(i, replayed ? Slot::kReplayed : Slot::kRan);
     }
-  };
-  const std::size_t lanes =
-      task_pool == nullptr ? 1 : std::min(task_pool->thread_count(),
-                                          suite.size());
-  ParallelForRange(task_pool, 0, static_cast<std::int64_t>(lanes),
-                   [&](std::int64_t begin, std::int64_t end) {
-                     for (std::int64_t l = begin; l < end; ++l)
-                       claim_and_run();
-                   });
+  });
   result.tasks.resize(claimed);
 
   // Snapshot the worker pool's counters into the metrics registry (pool
@@ -298,8 +291,8 @@ SubmissionResult RunSubmission(const soc::ChipsetDesc& chipset,
     mr.MaxGauge("threadpool.lanes", static_cast<double>(used->thread_count()));
     mr.MaxGauge("threadpool.jobs_dispatched",
                 static_cast<double>(used->jobs_dispatched()));
-    mr.MaxGauge("threadpool.peak_chunks",
-                static_cast<double>(used->peak_chunks()));
+    mr.MaxGauge("threadpool.peak_lanes",
+                static_cast<double>(used->peak_lanes()));
   }
   return result;
 }

@@ -10,6 +10,7 @@
 // the reference below is compiled with other code than the engine's own.
 #include <bit>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <variant>
 #include <vector>
@@ -227,17 +228,14 @@ TEST(ConvFcExecution, ConvMatchesPerTapReference) {
                     b.Input("in", graph::TensorShape({batch, 11, width, ic}));
                 b.MarkOutput(b.Conv2d(in, oc, kernel, stride, act, pad,
                                       dilation));
-                const std::string what =
-                    "k" + std::to_string(kernel) + " s" +
-                    std::to_string(stride) + " d" + std::to_string(dilation) +
-                    (pad == Padding::kSame ? " same" : " valid") + " w" +
-                    std::to_string(width) + " ic" + std::to_string(ic) +
-                    " oc" + std::to_string(oc) + " act" +
-                    std::to_string(static_cast<int>(act)) + " n" +
-                    std::to_string(batch);
+                std::ostringstream what;
+                what << "k" << kernel << " s" << stride << " d" << dilation
+                     << (pad == Padding::kSame ? " same" : " valid") << " w"
+                     << width << " ic" << ic << " oc" << oc << " act"
+                     << static_cast<int>(act) << " n" << batch;
                 ASSERT_NO_FATAL_FAILURE(ExpectExecutorMatchesReference(
                     std::move(b).Build(), static_cast<std::uint64_t>(index),
-                    {}, what));
+                    {}, what.str()));
               }
   graph::GraphBuilder b("conv7");
   const auto in = b.Input("in", graph::TensorShape({1, 9, 8, 8}));

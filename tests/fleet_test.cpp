@@ -1,4 +1,4 @@
-// Fleet serving mode (DESIGN.md §16): prepared-model cache semantics,
+// Fleet serving mode (DESIGN.md §16): one prepared-model build per config,
 // seeded determinism of the aggregated report, query-accounting
 // conformance under overload, equivalence with the legacy single-stream
 // path, and crash-safe journal resume.  Also pins loadgen::FindMaxServerQps
@@ -9,7 +9,6 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,7 +24,6 @@
 #include "fleet/mix.h"
 #include "fleet/report.h"
 #include "harness/run_session.h"
-#include "infer/prepared_cache.h"
 #include "models/zoo.h"
 #include "obs/metrics.h"
 #include "soc/chipset.h"
@@ -33,83 +31,14 @@
 namespace mlpm {
 namespace {
 
-// ---------------------------------------------------------------------------
-// PreparedCache (unit)
-
-TEST(PreparedCache, BuildsOnceUnderConcurrency) {
-  infer::PreparedCache<int> cache;
-  std::atomic<int> built{0};
-  constexpr int kThreads = 16;
-  std::vector<std::shared_ptr<const int>> held(kThreads);
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t)
-      threads.emplace_back([&, t] {
-        held[static_cast<std::size_t>(t)] = cache.Acquire("shared", [&] {
-          built.fetch_add(1);
-          return 42;
-        });
-      });
-    for (std::thread& th : threads) th.join();
-  }
-  EXPECT_EQ(built.load(), 1);
-  EXPECT_EQ(cache.builds(), 1u);
-  EXPECT_EQ(cache.hits(), static_cast<std::uint64_t>(kThreads - 1));
-  for (const auto& p : held) {
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(*p, 42);
-  }
-  EXPECT_EQ(cache.UseCount("shared"), static_cast<std::size_t>(kThreads));
-}
-
-TEST(PreparedCache, RefcountTracksHoldersAndEvictionSparesThem) {
-  infer::PreparedCache<std::string> cache;
-  auto a = cache.Acquire("k", [] { return std::string("v"); });
-  EXPECT_EQ(cache.UseCount("k"), 1u);
-  auto b = a;
-  EXPECT_EQ(cache.UseCount("k"), 2u);
-
-  // A held entry survives eviction; releasing every holder frees it.
-  EXPECT_EQ(cache.EvictUnused(), 0u);
-  EXPECT_TRUE(cache.Contains("k"));
-  a.reset();
-  b.reset();
-  EXPECT_EQ(cache.UseCount("k"), 0u);
-  EXPECT_EQ(cache.EvictUnused(), 1u);
-  EXPECT_FALSE(cache.Contains("k"));
-
-  // Re-acquire after eviction is a fresh build, not a stale hit.
-  const std::uint64_t builds_before = cache.builds();
-  auto c = cache.Acquire("k", [] { return std::string("v2"); });
-  EXPECT_EQ(*c, "v2");
-  EXPECT_EQ(cache.builds(), builds_before + 1);
-}
-
-TEST(PreparedCache, DistinctKeysBuildIndependently) {
-  infer::PreparedCache<int> cache;
-  auto a = cache.Acquire("a", [] { return 1; });
-  auto b = cache.Acquire("b", [] { return 2; });
-  EXPECT_EQ(cache.builds(), 2u);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.UseCount("a"), 1u);
-  EXPECT_EQ(cache.UseCount("b"), 1u);
-}
-
-TEST(PreparedCache, FailedBuildCachesNothing) {
-  infer::PreparedCache<int> cache;
-  EXPECT_THROW(
-      {
-        auto p = cache.Acquire("k", []() -> int {
-          throw CheckError("build exploded");
-        });
-      },
-      CheckError);
-  EXPECT_FALSE(cache.Contains("k"));
-  EXPECT_EQ(cache.builds(), 0u);
-  auto p = cache.Acquire("k", [] { return 7; });
-  EXPECT_EQ(*p, 7);
-  EXPECT_EQ(cache.builds(), 1u);
+// A scratch file named after the running test, so test cases that run at
+// the same time never share one.
+std::string TmpPath(const std::string& name) {
+  const testing::TestInfo* info =
+      testing::UnitTest::GetInstance()->current_test_info();
+  std::string p = testing::TempDir();
+  if (!p.empty() && p.back() != '/') p += '/';
+  return p + info->test_suite_name() + "_" + info->name() + "_" + name;
 }
 
 // ---------------------------------------------------------------------------
@@ -156,6 +85,16 @@ TEST(Fleet, SharesPreparedModelsAcrossShardsOfOneConfig) {
   // shards — and exactly one build per distinct config.
   EXPECT_GT(r.shard_count, r.distinct_configs);
   EXPECT_EQ(r.prepared_models_built, r.distinct_configs);
+}
+
+TEST(Fleet, MixNamingOneConfigTwiceBuildsOneModel) {
+  fleet::FleetOptions fo = SmallFleet(8);
+  fo.mix = fleet::ParseFleetMix("Dimensity 1100:ic;Dimensity 1100:ic");
+  fo.workers = 4;
+  const fleet::FleetReport r = fleet::RunFleet(fo);
+  EXPECT_EQ(r.shards.size(), 8u);
+  EXPECT_EQ(r.distinct_configs, 1u);
+  EXPECT_EQ(r.prepared_models_built, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -359,7 +298,7 @@ TEST(Fleet, AccuracyPlaneMatchesTaskBundleScores) {
 // Journal kill-and-resume (property)
 
 TEST(Fleet, KillAndResumeReplaysIntactShardsToIdenticalReport) {
-  const std::string path = testing::TempDir() + "/fleet_resume.journal";
+  const std::string path = TmpPath("fleet_resume.journal");
 
   fleet::FleetOptions fo = SmallFleet(8);
   fo.workers = 1;  // deterministic interruption point
@@ -394,13 +333,30 @@ TEST(Fleet, KillAndResumeReplaysIntactShardsToIdenticalReport) {
   EXPECT_EQ(fleet::FormatFleetReport(full), reference);
 }
 
+TEST(Fleet, ResumeThatReplaysEveryShardBuildsNoModel) {
+  // Models build lazily, for shards that start: a resume with nothing
+  // left to run builds none and still prints the first run's report.
+  fleet::FleetOptions fo = SmallFleet(8);
+  fo.workers = 4;
+  fo.journal_path = TmpPath("fleet_full.journal");
+  const fleet::FleetReport first = fleet::RunFleet(fo);
+  EXPECT_EQ(first.prepared_models_built, first.distinct_configs);
+
+  fo.resume = true;
+  const fleet::FleetReport replayed = fleet::RunFleet(fo);
+  EXPECT_EQ(replayed.resumed_shards, 8u);
+  EXPECT_EQ(replayed.prepared_models_built, 0u);
+  EXPECT_EQ(fleet::FormatFleetReport(replayed),
+            fleet::FormatFleetReport(first));
+}
+
 TEST(Fleet, ResumesJournalWhoseShardFramesCarryTheQueryRecord) {
   // Shard frames written before shards dropped the per-query record carry
   // log events and one error line per anomaly.  Such a journal still
   // decodes and resumes to the report of an uninterrupted run; frames
   // written now carry neither.
-  const std::string fresh = testing::TempDir() + "/fleet_fresh.journal";
-  const std::string old = testing::TempDir() + "/fleet_old.journal";
+  const std::string fresh = TmpPath("fleet_fresh.journal");
+  const std::string old = TmpPath("fleet_old.journal");
   fleet::FleetOptions fo = SmallFleet(8);
   fo.settings.server_max_queue_depth = 8;  // heavy shards shed
   fo.workers = 1;
@@ -472,7 +428,7 @@ TEST(Fleet, ResumesJournalWhoseShardFramesCarryTheQueryRecord) {
 }
 
 TEST(Fleet, ResumeIgnoresJournalOfDifferentConfiguration) {
-  const std::string path = testing::TempDir() + "/fleet_mismatch.journal";
+  const std::string path = TmpPath("fleet_mismatch.journal");
   fleet::FleetOptions fo = SmallFleet(4);
   fo.journal_path = path;
   const fleet::FleetReport first = fleet::RunFleet(fo);
@@ -488,7 +444,7 @@ TEST(Fleet, ResumeIgnoresJournalOfDifferentConfiguration) {
 }
 
 TEST(Fleet, LoadCutsTheJournalAtAShardWithAnOutOfRangeEnum) {
-  const std::string path = testing::TempDir() + "/fleet_bad_enum.journal";
+  const std::string path = TmpPath("fleet_bad_enum.journal");
   fleet::FleetJournalMeta meta;
   meta.version = "v1.0";
   meta.shard_count = 2;

@@ -21,10 +21,14 @@
 namespace mlpm::harness {
 namespace {
 
+// A scratch file named after the running test, so test cases that run at
+// the same time never share one.
 std::string TmpPath(const std::string& name) {
+  const testing::TestInfo* info =
+      testing::UnitTest::GetInstance()->current_test_info();
   std::string p = testing::TempDir();
   if (!p.empty() && p.back() != '/') p += '/';
-  return p + name;
+  return p + info->test_suite_name() + "_" + info->name() + "_" + name;
 }
 
 std::string ReadFile(const std::string& path) {

@@ -535,8 +535,9 @@ TEST(KernelDispatch, ConvBlockIsBitExactToItsTablesDot4) {
       table.conv_block_f32(taps[0].data(), x1, woff.data(), ntaps, w.data(),
                            wstride, len, oc4, bias.data(), got[0].data(),
                            got[1].data());
+      std::vector<float> want;
       for (int p = 0; p < 2; ++p) {
-        std::vector<float> want(got[p].size(), kUntouched);
+        want.assign(got[p].size(), kUntouched);
         if (p == 0 || x1 != nullptr)
           for (std::int64_t oc = 0; oc < oc4; oc += 4) {
             float acc[4];

@@ -5,6 +5,7 @@
 // bit-identical executor outputs), and the cross-layer property that traced
 // per-IP self times reconstruct the simulator's reported latency.
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -110,11 +111,11 @@ TEST(TraceRecorderProperty, ConcurrentNestedSpansProduceAValidTrace) {
   TraceRecorder rec;
   rec.Enable();
   ThreadPool pool(4);
-  constexpr std::int64_t kIterations = 200;
-  pool.ParallelFor(0, kIterations, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
+  constexpr std::size_t kIterations = 200;
+  ParallelForEachItem(&pool, kIterations, [&](ItemClaims& next) {
+    while (const std::optional<std::size_t> i = next()) {
       TraceRecorder::Span outer(rec, "outer",
-                                {obs::Arg("i", static_cast<int>(i))}, "work");
+                                {obs::Arg("i", static_cast<int>(*i))}, "work");
       {
         TraceRecorder::Span mid(rec, "mid", {}, "work");
         TraceRecorder::Span inner(rec, "inner", {}, "work");
@@ -123,15 +124,15 @@ TEST(TraceRecorderProperty, ConcurrentNestedSpansProduceAValidTrace) {
     }
   });
   rec.Disable();
-  EXPECT_EQ(rec.event_count(), static_cast<std::size_t>(kIterations) * 4);
+  EXPECT_EQ(rec.event_count(), kIterations * 4);
 
   // Structural validity: every thread's spans nest on its own lane.
   obs::TraceCheckStats stats;
   const std::vector<std::string> problems =
       obs::ValidateChromeTrace(rec.ToChromeJson(), &stats);
   for (const std::string& p : problems) ADD_FAILURE() << p;
-  EXPECT_EQ(stats.per_phase["X"], static_cast<std::size_t>(kIterations) * 3);
-  EXPECT_EQ(stats.per_phase["C"], static_cast<std::size_t>(kIterations));
+  EXPECT_EQ(stats.per_phase["X"], kIterations * 3);
+  EXPECT_EQ(stats.per_phase["C"], kIterations);
 
   // Nesting invariant, checked directly on the snapshot as well: within a
   // lane, spans either nest or are disjoint, and "inner" sits inside "mid"
@@ -170,18 +171,18 @@ TEST(TraceRecorderProperty, ConcurrentWritersLoseNoEvents) {
   TraceRecorder rec;
   rec.Enable();
   ThreadPool pool(8);
-  constexpr std::int64_t kEvents = 5000;
-  pool.ParallelFor(0, kEvents, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
+  constexpr std::size_t kEvents = 5000;
+  ParallelForEachItem(&pool, kEvents, [&](ItemClaims& next) {
+    while (const std::optional<std::size_t> i = next()) {
       std::string name = "e";
-      name += std::to_string(i);
+      name += std::to_string(*i);
       rec.AddComplete(Domain::kHost, {}, std::move(name),
-                      static_cast<double>(i), 0.5);
+                      static_cast<double>(*i), 0.5);
     }
   });
   rec.Disable();
-  EXPECT_EQ(rec.event_count(), static_cast<std::size_t>(kEvents));
-  EXPECT_EQ(rec.Snapshot().size(), static_cast<std::size_t>(kEvents));
+  EXPECT_EQ(rec.event_count(), kEvents);
+  EXPECT_EQ(rec.Snapshot().size(), kEvents);
 }
 
 // ---- Chrome JSON schema ----
@@ -296,11 +297,9 @@ TEST(MetricsRegistry, CountersAndGaugesBehave) {
 TEST(MetricsRegistry, ConcurrentIncrementsAreLossless) {
   obs::MetricsRegistry reg;
   ThreadPool pool(8);
-  pool.ParallelFor(0, 10000,
-                   [&](std::int64_t lo, std::int64_t hi) {
-                     for (std::int64_t i = lo; i < hi; ++i)
-                       reg.Increment("n");
-                   });
+  ParallelForEachItem(&pool, 10000, [&](ItemClaims& next) {
+    while (next()) reg.Increment("n");
+  });
   EXPECT_EQ(reg.counter("n"), 10000u);
 }
 

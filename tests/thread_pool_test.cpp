@@ -1,16 +1,15 @@
-// ThreadPool contract tests: startup/shutdown, full-coverage static
-// partitioning, exception propagation, nested-submit safety, concurrent
-// callers, determinism of chunk boundaries across thread counts, and the
-// one-item-per-claim fan-out (ParallelForEachItem).
+// ThreadPool contract tests, all through its one entry, the
+// one-item-per-claim fan-out (ParallelForEachItem): startup/shutdown,
+// every item run exactly once, exception propagation, nested-submit
+// safety, concurrent callers, the inline null and one-lane pools, and the
+// dispatch counters.
 #include "common/thread_pool.h"
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,98 +31,80 @@ TEST(ThreadPool, IdlePoolDestructsWithoutWork) {
   ThreadPool pool(4);  // never submits; destructor must not hang
 }
 
+// Every item of one ParallelForEachItem call adds its index to `sum`.
+void SumItems(const ThreadPool* pool, std::size_t count,
+              std::atomic<std::int64_t>& sum) {
+  ParallelForEachItem(pool, count, [&](ItemClaims& next) {
+    std::int64_t local = 0;
+    while (const std::optional<std::size_t> i = next())
+      local += static_cast<std::int64_t>(*i);
+    sum.fetch_add(local);
+  });
+}
+
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
-  for (const std::int64_t len : {1, 2, 3, 4, 5, 63, 64, 1000}) {
-    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(len));
-    pool.ParallelFor(0, len, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t i = lo; i < hi; ++i)
-        hits[static_cast<std::size_t>(i)].fetch_add(1);
+  for (const std::size_t len : {1u, 2u, 3u, 4u, 5u, 63u, 64u, 1000u}) {
+    std::vector<std::atomic<int>> hits(len);
+    ParallelForEachItem(&pool, len, [&](ItemClaims& next) {
+      while (const std::optional<std::size_t> i = next()) hits[*i].fetch_add(1);
     });
-    for (std::int64_t i = 0; i < len; ++i)
-      EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "index " << i;
+    for (std::size_t i = 0; i < len; ++i)
+      EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 
 TEST(ThreadPool, EmptyAndNegativeRangesAreNoops) {
+  // An item count cannot be negative; an empty one starts no lane, on a
+  // pool or inline.
   ThreadPool pool(2);
   int calls = 0;
-  pool.ParallelFor(5, 5, [&](std::int64_t, std::int64_t) { ++calls; });
-  pool.ParallelFor(7, 3, [&](std::int64_t, std::int64_t) { ++calls; });
+  ParallelForEachItem(&pool, 0, [&](ItemClaims&) { ++calls; });
+  ParallelForEachItem(nullptr, 0, [&](ItemClaims&) { ++calls; });
   EXPECT_EQ(calls, 0);
-}
-
-TEST(ThreadPool, StaticPartitionIsDeterministic) {
-  // The chunk boundaries depend only on (range, chunk_count), never on
-  // scheduling: collect them twice and compare.
-  const auto boundaries = [](ThreadPool& pool, std::int64_t len) {
-    std::mutex mu;
-    std::vector<std::pair<std::int64_t, std::int64_t>> chunks;
-    pool.ParallelFor(0, len, [&](std::int64_t lo, std::int64_t hi) {
-      std::scoped_lock lock(mu);
-      chunks.emplace_back(lo, hi);
-    });
-    std::sort(chunks.begin(), chunks.end());
-    return chunks;
-  };
-  ThreadPool pool(3);
-  const auto a = boundaries(pool, 100);
-  const auto b = boundaries(pool, 100);
-  EXPECT_EQ(a, b);
-  // Chunks tile the range contiguously.
-  std::int64_t expect_lo = 0;
-  for (const auto& [lo, hi] : a) {
-    EXPECT_EQ(lo, expect_lo);
-    EXPECT_LT(lo, hi);
-    expect_lo = hi;
-  }
-  EXPECT_EQ(expect_lo, 100);
 }
 
 TEST(ThreadPool, ExceptionPropagatesToCaller) {
   ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.ParallelFor(0, 100,
-                       [&](std::int64_t lo, std::int64_t) {
-                         if (lo == 0) throw std::runtime_error("boom");
-                       }),
-      std::runtime_error);
+  EXPECT_THROW(ParallelForEachItem(&pool, 100,
+                                   [&](ItemClaims& next) {
+                                     while (const auto i = next())
+                                       if (*i == 0)
+                                         throw std::runtime_error("boom");
+                                   }),
+               std::runtime_error);
 }
 
 TEST(ThreadPool, PoolStaysUsableAfterException) {
   ThreadPool pool(4);
   try {
-    pool.ParallelFor(0, 100, [&](std::int64_t, std::int64_t) {
+    ParallelForEachItem(&pool, 100, [&](ItemClaims&) {
       throw std::runtime_error("boom");
     });
   } catch (const std::runtime_error&) {
   }
   std::atomic<std::int64_t> sum{0};
-  pool.ParallelFor(0, 100, [&](std::int64_t lo, std::int64_t hi) {
-    std::int64_t local = 0;
-    for (std::int64_t i = lo; i < hi; ++i) local += i;
-    sum.fetch_add(local);
-  });
+  SumItems(&pool, 100, sum);
   EXPECT_EQ(sum.load(), 100 * 99 / 2);
 }
 
 TEST(ThreadPool, NestedParallelForRunsInline) {
   ThreadPool pool(4);
-  std::atomic<int> outer_chunks{0};
+  std::atomic<int> outer_items{0};
   std::atomic<int> inner_total{0};
-  pool.ParallelFor(0, 8, [&](std::int64_t lo, std::int64_t hi) {
-    outer_chunks.fetch_add(1);
-    EXPECT_TRUE(ThreadPool::InParallelRegion());
-    // A nested submit must not deadlock; it runs inline on this thread.
-    pool.ParallelFor(0, 10, [&](std::int64_t ilo, std::int64_t ihi) {
-      inner_total.fetch_add(static_cast<int>(ihi - ilo));
-    });
-    (void)lo;
-    (void)hi;
+  ParallelForEachItem(&pool, 8, [&](ItemClaims& next) {
+    while (next()) {
+      outer_items.fetch_add(1);
+      EXPECT_TRUE(ThreadPool::InParallelRegion());
+      // A nested submit must not deadlock; it runs inline on this thread.
+      ParallelForEachItem(&pool, 10, [&](ItemClaims& inner) {
+        while (inner()) inner_total.fetch_add(1);
+      });
+    }
   });
   EXPECT_FALSE(ThreadPool::InParallelRegion());
-  EXPECT_GT(outer_chunks.load(), 0);
-  EXPECT_EQ(inner_total.load(), outer_chunks.load() * 10);
+  EXPECT_EQ(outer_items.load(), 8);
+  EXPECT_EQ(inner_total.load(), 8 * 10);
 }
 
 TEST(ThreadPool, ConcurrentCallersSerialize) {
@@ -131,8 +112,8 @@ TEST(ThreadPool, ConcurrentCallersSerialize) {
   std::atomic<std::int64_t> total{0};
   const auto submit = [&] {
     for (int rep = 0; rep < 20; ++rep)
-      pool.ParallelFor(0, 50, [&](std::int64_t lo, std::int64_t hi) {
-        total.fetch_add(hi - lo);
+      ParallelForEachItem(&pool, 50, [&](ItemClaims& next) {
+        while (next()) total.fetch_add(1);
       });
   };
   std::thread t1(submit), t2(submit);
@@ -142,31 +123,49 @@ TEST(ThreadPool, ConcurrentCallersSerialize) {
   EXPECT_EQ(total.load(), 3 * 20 * 50);
 }
 
-TEST(ThreadPool, ParallelForRangeHelperFallsBackInline) {
-  // Null pool and single-thread pool both run the body once, inline.
-  int calls = 0;
-  ParallelForRange(nullptr, 0, 10, [&](std::int64_t lo, std::int64_t hi) {
-    ++calls;
-    EXPECT_EQ(lo, 0);
-    EXPECT_EQ(hi, 10);
-  });
-  EXPECT_EQ(calls, 1);
+TEST(ThreadPool, NullAndOneLanePoolsRunOneLaneInline) {
+  // A null pool and a one-lane pool both run one lane, on the calling
+  // thread and outside any parallel region, and it claims every item.
   ThreadPool serial(1);
-  ParallelForRange(&serial, 0, 10, [&](std::int64_t lo, std::int64_t hi) {
-    ++calls;
-    EXPECT_EQ(hi - lo, 10);
-  });
-  EXPECT_EQ(calls, 2);
+  for (const ThreadPool* pool : {static_cast<const ThreadPool*>(nullptr),
+                                 static_cast<const ThreadPool*>(&serial)}) {
+    int lanes = 0;
+    std::size_t items = 0;
+    const std::thread::id caller = std::this_thread::get_id();
+    ParallelForEachItem(pool, 10, [&](ItemClaims& next) {
+      ++lanes;
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      EXPECT_FALSE(ThreadPool::InParallelRegion());
+      while (next()) ++items;
+    });
+    EXPECT_EQ(lanes, 1);
+    EXPECT_EQ(items, 10u);
+  }
+  EXPECT_EQ(serial.jobs_dispatched(), 0u);
 }
 
 TEST(ThreadPool, StressManySmallSubmits) {
   ThreadPool pool(4);
   std::atomic<std::int64_t> total{0};
   for (int rep = 0; rep < 500; ++rep)
-    pool.ParallelFor(0, 7, [&](std::int64_t lo, std::int64_t hi) {
-      total.fetch_add(hi - lo);
+    ParallelForEachItem(&pool, 7, [&](ItemClaims& next) {
+      while (next()) total.fetch_add(1);
     });
   EXPECT_EQ(total.load(), 500 * 7);
+}
+
+TEST(ThreadPool, CountsDispatchedJobsAndTheirPeakLanes) {
+  ThreadPool pool(4);
+  std::atomic<std::int64_t> sum{0};
+  SumItems(&pool, 1, sum);  // one item: inline, not dispatched
+  EXPECT_EQ(pool.jobs_dispatched(), 0u);
+  SumItems(&pool, 3, sum);
+  EXPECT_EQ(pool.jobs_dispatched(), 1u);
+  EXPECT_EQ(pool.peak_lanes(), 3u);
+  SumItems(&pool, 100, sum);
+  EXPECT_EQ(pool.jobs_dispatched(), 2u);
+  EXPECT_EQ(pool.peak_lanes(), 4u);
+  EXPECT_EQ(sum.load(), 3 + 100 * 99 / 2);
 }
 
 // Runs ParallelForEachItem over `count` items and returns how many times
@@ -218,20 +217,22 @@ TEST(ParallelForEachItem, ExceptionReachesCallerAndPoolStaysUsable) {
 
 TEST(ParallelForEachItem, NestedCallRunsOneLaneInline) {
   ThreadPool pool(4);
-  std::atomic<int> outer_chunks{0};
+  std::atomic<int> outer_items{0};
   std::atomic<int> inner_lanes{0};
   std::atomic<int> inner_items{0};
-  pool.ParallelFor(0, 4, [&](std::int64_t, std::int64_t) {
-    outer_chunks.fetch_add(1);
-    const std::thread::id caller = std::this_thread::get_id();
-    ParallelForEachItem(&pool, 10, [&](ItemClaims& next) {
-      inner_lanes.fetch_add(1);
-      EXPECT_EQ(std::this_thread::get_id(), caller);
-      while (next()) inner_items.fetch_add(1);
-    });
+  ParallelForEachItem(&pool, 4, [&](ItemClaims& outer) {
+    while (outer()) {
+      outer_items.fetch_add(1);
+      const std::thread::id caller = std::this_thread::get_id();
+      ParallelForEachItem(&pool, 10, [&](ItemClaims& next) {
+        inner_lanes.fetch_add(1);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        while (next()) inner_items.fetch_add(1);
+      });
+    }
   });
-  EXPECT_EQ(inner_lanes.load(), outer_chunks.load());
-  EXPECT_EQ(inner_items.load(), outer_chunks.load() * 10);
+  EXPECT_EQ(inner_lanes.load(), 4);
+  EXPECT_EQ(inner_items.load(), 4 * 10);
 }
 
 }  // namespace
