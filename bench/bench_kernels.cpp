@@ -32,7 +32,6 @@
 #include "infer/executor.h"
 #include "infer/kernels/registry.h"
 #include "infer/memory_plan.h"
-#include "infer/prepared_model.h"
 #include "infer/tile_planner.h"
 #include "infer/weights.h"
 #include "models/mobilenet_edgetpu.h"

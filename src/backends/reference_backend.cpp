@@ -4,7 +4,7 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "infer/prepared_model.h"
+#include "infer/executor.h"
 
 namespace mlpm::backends {
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/thread_pool.h"
-#include "infer/prepared_model.h"
+#include "infer/executor.h"
 #include "obs/trace.h"
 
 namespace mlpm::datasets {

@@ -248,25 +248,19 @@ FleetReport RunFleet(const FleetOptions& options) {
   meta.config_hash = HashFleetConfig(options, mix);
 
   std::vector<std::optional<ShardResult>> slots(options.shard_count);
-  std::unique_ptr<FleetJournalWriter> journal;
+  std::unique_ptr<harness::JournalWriter<ShardResult>> journal;
   if (!options.journal_path.empty()) {
-    bool resumed = false;
-    if (options.resume) {
-      FleetJournalLoad existing = LoadFleetJournal(options.journal_path);
-      if (existing.meta_valid && existing.meta.Matches(meta)) {
-        for (auto& [id, shard] : existing.shards) {
-          if (id >= options.shard_count) continue;
-          shard.resumed = true;
-          slots[id] = std::move(shard);
-          ++report.resumed_shards;
-        }
-        journal = FleetJournalWriter::Resume(options.journal_path,
-                                             existing.valid_prefix_bytes);
-        resumed = true;
-      }
+    harness::OpenedJournal<ShardResult> opened =
+        harness::OpenJournal<ShardResult>(options.journal_path, meta,
+                                          kShardRecordKind, options.resume);
+    for (ShardResult& shard : opened.replay) {
+      if (shard.shard_id >= options.shard_count) continue;
+      std::optional<ShardResult>& slot = slots[shard.shard_id];
+      if (!slot.has_value()) ++report.resumed_shards;
+      slot = std::move(shard);  // a later frame wins
+      slot->resumed = true;
     }
-    if (!resumed) journal = FleetJournalWriter::Create(options.journal_path,
-                                                       meta);
+    journal = std::move(opened.writer);
   }
 
   std::vector<ConfigSlot> configs(config_ids.size());

@@ -1,8 +1,5 @@
 #include "fleet/journal.h"
 
-#include <utility>
-
-#include "common/check.h"
 #include "harness/journal.h"
 
 namespace mlpm::fleet {
@@ -20,60 +17,6 @@ std::uint64_t HashFleetConfig(const FleetOptions& options,
   Put(canon, "accuracy", options.accuracy);
   Put(canon, "kernel_isa", ToString(options.kernel_isa));
   return harness::Fnv1a64(canon);
-}
-
-using harness::schema::Decode;
-using harness::schema::Encode;
-
-std::string EncodeFleetMeta(const FleetJournalMeta& m) { return Encode(m); }
-FleetJournalMeta DecodeFleetMeta(const std::string& payload) {
-  return Decode<FleetJournalMeta>(payload);
-}
-std::string EncodeShardResult(const ShardResult& s) { return Encode(s); }
-ShardResult DecodeShardResult(const std::string& payload) {
-  return Decode<ShardResult>(payload);
-}
-
-FleetJournalLoad LoadFleetJournal(const std::string& path) {
-  harness::FrameLogLoad raw = harness::LoadFrameLog(path);
-  FleetJournalLoad load;
-  // The submission journal's policy: a meta frame, then shard frames.
-  harness::InterpretFrames(
-      raw, [&load](const harness::RawFrame& frame, std::size_t index) {
-        const std::string expected = index == 0 ? "meta" : "shard";
-        Expects(frame.kind == expected,
-                "fleet journal: expected a '" + expected + "' frame");
-        if (index == 0) {
-          load.meta = DecodeFleetMeta(frame.payload);
-          load.meta_valid = true;
-        } else {
-          ShardResult shard = DecodeShardResult(frame.payload);
-          load.shards[shard.shard_id] = std::move(shard);
-        }
-      });
-  load.valid_prefix_bytes = raw.valid_prefix_bytes;
-  load.torn_tail = raw.torn_tail;
-  load.notes = std::move(raw.notes);
-  return load;
-}
-
-std::unique_ptr<FleetJournalWriter> FleetJournalWriter::Create(
-    const std::string& path, const FleetJournalMeta& meta) {
-  harness::FrameLogWriter log = harness::FrameLogWriter::Create(path);
-  log.AppendFrame("meta", EncodeFleetMeta(meta));
-  return std::unique_ptr<FleetJournalWriter>(
-      new FleetJournalWriter(std::move(log)));
-}
-
-std::unique_ptr<FleetJournalWriter> FleetJournalWriter::Resume(
-    const std::string& path, std::size_t valid_prefix_bytes) {
-  return std::unique_ptr<FleetJournalWriter>(new FleetJournalWriter(
-      harness::FrameLogWriter::OpenAt(path, valid_prefix_bytes)));
-}
-
-void FleetJournalWriter::Append(const ShardResult& shard) {
-  std::scoped_lock lock(mu_);
-  log_.AppendFrame("shard", EncodeShardResult(shard));
 }
 
 }  // namespace mlpm::fleet

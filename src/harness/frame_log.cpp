@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -144,14 +145,14 @@ std::string PayloadParser::TakeBlock(std::uint64_t len) {
 
 }  // namespace wire
 
-// ---- frame-level loader ------------------------------------------------
+// ---- journal loader ------------------------------------------------------
 
 namespace {
 
 // One frame header line: "<kind> <len> <hash-hex>".  Returns false when
 // the bytes at `pos` cannot possibly be an intact frame.  The kind is any
-// short lowercase word — which kinds are *meaningful* is the caller's
-// business, but arbitrary binary garbage must not parse as a header.
+// short lowercase word (where each kind may stand is checked by the
+// scan), but arbitrary binary garbage must not parse as a header.
 struct FrameHeader {
   std::string kind;
   std::uint64_t len = 0;
@@ -202,91 +203,76 @@ bool ParseFrameHeader(const std::string& data, std::size_t pos,
 
 }  // namespace
 
-FrameLogLoad LoadFrameLog(const std::string& path) {
-  FrameLogLoad load;
+JournalScan ScanJournal(
+    const std::string& path, std::string_view record_kind,
+    const std::function<void(const std::string& payload, std::size_t index)>&
+        take) {
+  JournalScan scan;
   std::ifstream in(path, std::ios::binary);
   if (!in) {
-    load.notes.push_back("cannot open journal: " + path);
-    return load;
+    scan.notes.push_back("cannot open journal: " + path);
+    return scan;
   }
   std::ostringstream buf;
   buf << in.rdbuf();
   const std::string data = buf.str();
-  load.file_size = data.size();
 
   // Header line.
   const std::size_t header_end = data.find('\n');
   if (header_end == std::string::npos ||
       data.substr(0, header_end) != kHeader) {
-    load.notes.push_back("not a journal: missing '" + std::string(kHeader) +
+    scan.notes.push_back("not a journal: missing '" + std::string(kHeader) +
                          "' header");
-    load.torn_tail = !data.empty();
-    load.torn_bytes = data.size();
-    return load;
+    scan.torn_tail = !data.empty();
+    scan.torn_bytes = data.size();
+    return scan;
   }
-  load.header_valid = true;
 
   std::size_t pos = header_end + 1;
-  while (pos < data.size()) {
+  for (std::size_t index = 0; pos < data.size(); ++index) {
     FrameHeader frame;
     std::string why;
     if (!ParseFrameHeader(data, pos, frame, why)) {
-      load.notes.push_back("torn tail at byte " + std::to_string(pos) + ": " +
+      scan.notes.push_back("torn tail at byte " + std::to_string(pos) + ": " +
                            why);
       break;
     }
     // Payload must be fully present, terminated, and checksum-clean.
     if (frame.payload_pos + frame.len + 1 > data.size()) {
-      load.notes.push_back("torn tail at byte " + std::to_string(pos) +
+      scan.notes.push_back("torn tail at byte " + std::to_string(pos) +
                            ": frame truncated mid-payload");
       break;
     }
     if (data[frame.payload_pos + frame.len] != '\n') {
-      load.notes.push_back("torn tail at byte " + std::to_string(pos) +
+      scan.notes.push_back("torn tail at byte " + std::to_string(pos) +
                            ": frame payload unterminated");
       break;
     }
-    std::string payload = data.substr(frame.payload_pos, frame.len);
+    const std::string payload = data.substr(frame.payload_pos, frame.len);
     if (Fnv1a64(payload) != frame.hash) {
-      load.notes.push_back("torn tail at byte " + std::to_string(pos) +
+      scan.notes.push_back("torn tail at byte " + std::to_string(pos) +
                            ": checksum mismatch on '" + frame.kind +
                            "' frame");
       break;
     }
-    RawFrame raw;
-    raw.kind = frame.kind;
-    raw.payload = std::move(payload);
-    raw.offset = pos;
-    raw.end = frame.payload_pos + frame.len + 1;
-    pos = raw.end;
-    load.frames.push_back(std::move(raw));
-  }
-
-  load.valid_prefix_bytes = pos;
-  load.torn_bytes = data.size() - pos;
-  load.torn_tail = load.torn_bytes > 0;
-  return load;
-}
-
-void InterpretFrames(
-    FrameLogLoad& load,
-    const std::function<void(const RawFrame& frame, std::size_t index)>&
-        take) {
-  for (std::size_t i = 0; i < load.frames.size(); ++i) {
+    // An intact frame that is misplaced or does not decode is cut too.
     try {
-      take(load.frames[i], i);
+      const std::string_view expected = index == 0 ? "meta" : record_kind;
+      Expects(frame.kind == expected,
+              "expected a '" + std::string(expected) + "' frame");
+      take(payload, index);
     } catch (const std::exception& e) {
-      const std::size_t cut = load.frames[i].offset;
-      load.notes = {"undecodable '" + load.frames[i].kind +
-                    "' frame at byte " + std::to_string(cut) + ": " +
-                    e.what()};
-      load.frames.resize(i);
-      load.valid_prefix_bytes = cut;
-      load.torn_bytes = load.file_size - cut;
-      load.torn_tail = true;
-      return;
+      scan.notes.push_back("undecodable '" + frame.kind + "' frame at byte " +
+                           std::to_string(pos) + ": " + e.what());
+      break;
     }
+    pos = frame.payload_pos + frame.len + 1;
   }
+
+  scan.valid_prefix_bytes = pos;
+  scan.torn_bytes = data.size() - pos;
+  scan.torn_tail = scan.torn_bytes > 0;
+  return scan;
 }
 
 // ---- writer ------------------------------------------------------------
@@ -304,23 +290,9 @@ FrameLogWriter FrameLogWriter::Create(const std::string& path) {
 
 FrameLogWriter FrameLogWriter::OpenAt(const std::string& path,
                                       std::size_t valid_prefix_bytes) {
-  // Cut anything past the valid prefix so the next append starts on a
-  // frame boundary.  Rewriting the prefix is equivalent to (and simpler
-  // than) platform truncate(), and the prefix is small — a handful of
-  // records.
-  std::ifstream in(path, std::ios::binary);
-  Expects(static_cast<bool>(in), "cannot reopen journal: " + path);
-  std::string prefix(valid_prefix_bytes, '\0');
-  in.read(prefix.data(), static_cast<std::streamsize>(prefix.size()));
-  Expects(static_cast<std::size_t>(in.gcount()) == prefix.size(),
-          "journal shrank while truncating: " + path);
-  in.close();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  Expects(static_cast<bool>(out), "cannot truncate journal: " + path);
-  out.write(prefix.data(), static_cast<std::streamsize>(prefix.size()));
-  Expects(static_cast<bool>(out), "cannot rewrite journal: " + path);
-  out.close();
-
+  std::error_code ec;
+  std::filesystem::resize_file(path, valid_prefix_bytes, ec);
+  Expects(!ec, "cannot truncate journal: " + path + ": " + ec.message());
   std::unique_ptr<std::FILE, FileCloser> file(std::fopen(path.c_str(), "ab"));
   Expects(file != nullptr, "cannot append to journal: " + path);
   return FrameLogWriter(path, std::move(file));

@@ -1,18 +1,23 @@
-// Generic crash-safe frame log: the storage layer under the submission
-// journal (DESIGN.md §12) and the fleet journal (§16).  A frame log is an
-// append-only text file of checksummed frames,
+// Generic crash-safe frame log and the journal built on it: the storage
+// layer under the submission journal (DESIGN.md §12) and the fleet journal
+// (§16).  A frame log is an append-only text file of checksummed frames,
 //
 //   mlpm_journal v1\n
 //   <kind> <len> <fnv64-hex>\n
 //   <len bytes of payload>\n
 //   ...
 //
-// where `kind` names the frame type (the *interpretation* of kinds — which
-// one must come first, what a payload decodes to — belongs to the caller).
-// `len` counts the payload bytes excluding the trailing newline and the
-// checksum is FNV-1a 64 over exactly those bytes.  Appends are flushed and
-// fsync'd before returning; the loader never throws on damage, it recovers
-// the longest physically-valid prefix and describes what it cut.
+// where `kind` names the frame type.  `len` counts the payload bytes
+// excluding the trailing newline and the checksum is FNV-1a 64 over
+// exactly those bytes.  Appends are flushed and fsync'd before returning;
+// the loader never throws on damage, it recovers the longest valid prefix
+// and describes what it cut.
+//
+// A journal is a frame log whose first frame is a `meta` frame (the
+// identity of the run it belongs to) and whose later frames each hold one
+// record of the caller's kind: `rec` for a submission's tasks, `shard` for
+// a fleet's shards.  Payloads are schema::Encode of the meta and record
+// types.
 //
 // The `wire` namespace holds the payload syntax: line-oriented
 // tag/key/value entries with length-prefixed byte blocks (arbitrary bytes
@@ -25,8 +30,11 @@
 #include <functional>
 #include <istream>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace mlpm::harness {
@@ -92,46 +100,12 @@ class PayloadParser {
 
 }  // namespace wire
 
-// ---- frame-level loader ------------------------------------------------
-
-struct RawFrame {
-  std::string kind;
-  std::string payload;
-  std::size_t offset = 0;  // byte offset of the frame header line
-  std::size_t end = 0;     // one past the payload terminator
-};
-
-struct FrameLogLoad {
-  bool header_valid = false;  // file starts with the mlpm_journal header
-  std::vector<RawFrame> frames;
-  std::size_t file_size = 0;
-  // Bytes past the last intact frame (a torn append, or corruption).
-  bool torn_tail = false;
-  std::size_t torn_bytes = 0;
-  // Offset where the physically-valid prefix ends.
-  std::size_t valid_prefix_bytes = 0;
-  // Human-readable findings (torn record, checksum mismatch, ...).
-  std::vector<std::string> notes;
-};
-
-// Reads every physically intact frame (header parses, payload present and
-// terminated, checksum matches).  Never throws on damaged or missing files.
-[[nodiscard]] FrameLogLoad LoadFrameLog(const std::string& path);
-
-// Passes the intact frames in order to `take(frame, index)`.  The first one
-// it throws on (misplaced, or checksum-clean but undecodable) is cut like a
-// torn tail; its note replaces the notes on bytes past the cut.
-void InterpretFrames(
-    FrameLogLoad& load,
-    const std::function<void(const RawFrame& frame, std::size_t index)>&
-        take);
-
 // Append-side handle.  Create() starts a fresh log (truncating whatever was
 // at `path` and writing the header); OpenAt() re-opens an existing one for
-// append after rewriting its first `valid_prefix_bytes` bytes (cutting any
-// torn tail so the next append lands on a frame boundary).  AppendFrame is
-// flushed and fsync'd before returning, and is NOT thread-safe — callers
-// appending from several threads serialize externally.
+// append after cutting it to its first `valid_prefix_bytes` bytes (so a
+// torn tail goes and the next append lands on a frame boundary).
+// AppendFrame is flushed and fsync'd before returning, and is NOT
+// thread-safe: JournalWriter serializes its appends.
 class FrameLogWriter {
  public:
   [[nodiscard]] static FrameLogWriter Create(const std::string& path);
@@ -139,7 +113,6 @@ class FrameLogWriter {
                                              std::size_t valid_prefix_bytes);
 
   void AppendFrame(std::string_view kind, const std::string& payload);
-  [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
   struct FileCloser {
@@ -155,5 +128,109 @@ class FrameLogWriter {
   std::string path_;
   std::unique_ptr<std::FILE, FileCloser> file_;
 };
+
+// ---- journal -------------------------------------------------------------
+
+namespace schema {
+// The field-table codecs (defined in harness/record_schema.h, which every
+// header declaring a journaled type includes).
+template <class T>
+[[nodiscard]] std::string Encode(const T& record);
+template <class T>
+[[nodiscard]] T Decode(const std::string& payload);
+}  // namespace schema
+
+// What reading a journal found besides its meta and records.
+struct JournalScan {
+  // Bytes past the intact prefix: a torn append, damage, or a frame that
+  // is misplaced or does not decode.
+  bool torn_tail = false;
+  std::size_t torn_bytes = 0;
+  // Offset where the intact prefix ends; a resuming writer cuts here.
+  std::size_t valid_prefix_bytes = 0;
+  // Human-readable findings (torn record, checksum mismatch, ...).
+  std::vector<std::string> notes;
+};
+
+// Reads the journal at `path` and passes each intact frame's payload to
+// `take(payload, index)`: index 0 is the `meta` frame, later ones are
+// `record_kind` frames.  The first frame that is misplaced, or that `take`
+// throws on, is cut like a torn tail.  Never throws on a damaged or
+// missing file.
+[[nodiscard]] JournalScan ScanJournal(
+    const std::string& path, std::string_view record_kind,
+    const std::function<void(const std::string& payload, std::size_t index)>&
+        take);
+
+template <class Meta, class Record>
+struct JournalLoad : JournalScan {
+  std::optional<Meta> meta;     // set when the header and meta are intact
+  std::vector<Record> records;  // the intact records, in file order
+};
+
+template <class Meta, class Record>
+[[nodiscard]] JournalLoad<Meta, Record> LoadJournal(
+    const std::string& path, std::string_view record_kind) {
+  JournalLoad<Meta, Record> load;
+  static_cast<JournalScan&>(load) = ScanJournal(
+      path, record_kind,
+      [&load](const std::string& payload, std::size_t index) {
+        if (index == 0) load.meta = schema::Decode<Meta>(payload);
+        else load.records.push_back(schema::Decode<Record>(payload));
+      });
+  return load;
+}
+
+// Append side of a journal.  Append is thread-safe, and a record is on disk
+// (flushed and fsync'd) when it returns.
+template <class Record>
+class JournalWriter {
+ public:
+  JournalWriter(FrameLogWriter log, std::string_view record_kind)
+      : log_(std::move(log)), record_kind_(record_kind) {}
+
+  void Append(const Record& record) {
+    const std::string payload = schema::Encode(record);
+    std::scoped_lock lock(mu_);
+    log_.AppendFrame(record_kind_, payload);
+  }
+
+ private:
+  std::mutex mu_;
+  FrameLogWriter log_;
+  std::string record_kind_;
+};
+
+template <class Record>
+struct OpenedJournal {
+  std::vector<Record> replay;  // intact records of the run, in file order
+  std::unique_ptr<JournalWriter<Record>> writer;
+};
+
+// Opens the journal at `path` for the run `meta` identifies, reading the
+// file at most once.  With `resume`, when the file's meta frame is intact
+// and equal to `meta`, its intact records come back to replay and the
+// writer appends after them, cutting any torn tail.  Otherwise (no file,
+// damage in the meta frame, another run's journal, or no `resume`) the
+// writer starts a fresh journal holding `meta`, truncating what was there.
+template <class Record, class Meta>
+[[nodiscard]] OpenedJournal<Record> OpenJournal(const std::string& path,
+                                                const Meta& meta,
+                                                std::string_view record_kind,
+                                                bool resume) {
+  if (resume) {
+    JournalLoad<Meta, Record> prior =
+        LoadJournal<Meta, Record>(path, record_kind);
+    if (prior.meta == meta)
+      return {std::move(prior.records),
+              std::make_unique<JournalWriter<Record>>(
+                  FrameLogWriter::OpenAt(path, prior.valid_prefix_bytes),
+                  record_kind)};
+  }
+  FrameLogWriter log = FrameLogWriter::Create(path);
+  log.AppendFrame("meta", schema::Encode(meta));
+  return {{}, std::make_unique<JournalWriter<Record>>(std::move(log),
+                                                      record_kind)};
+}
 
 }  // namespace mlpm::harness

@@ -133,20 +133,6 @@ template <> Table<TestSettings> FieldsOf<TestSettings>() {
 
 }  // namespace schema
 
-using schema::Decode;
-using schema::Encode;
-
-std::string EncodeTestResult(const loadgen::TestResult& r) { return Encode(r); }
-loadgen::TestResult DecodeTestResult(const std::string& payload) {
-  return Decode<loadgen::TestResult>(payload);
-}
-std::string EncodeTaskRecord(const TaskRunResult& t) { return Encode(t); }
-TaskRunResult DecodeTaskRecord(const std::string& payload) {
-  return Decode<TaskRunResult>(payload);
-}
-std::string EncodeMeta(const JournalMeta& meta) { return Encode(meta); }
-JournalMeta DecodeMeta(const std::string& p) { return Decode<JournalMeta>(p); }
-
 // ---- run-config digest ------------------------------------------------
 
 std::string CanonicalSettings(
@@ -219,52 +205,6 @@ std::uint64_t HashRunConfig(const soc::ChipsetDesc& chipset,
   // threads / profile / trace_path / journal_path are excluded: they do
   // not change any result field.
   return Fnv1a64(canon);
-}
-
-// ---- loader -----------------------------------------------------------
-
-JournalLoad LoadJournal(const std::string& path) {
-  FrameLogLoad raw = LoadFrameLog(path);
-  JournalLoad load;
-  // The first frame must be the meta frame, the rest task records.
-  InterpretFrames(raw, [&load](const RawFrame& frame, std::size_t index) {
-    const std::string expected = index == 0 ? "meta" : "rec";
-    Expects(frame.kind == expected, "expected a '" + expected + "' frame");
-    if (index == 0) {
-      load.meta = DecodeMeta(frame.payload);
-      load.meta_valid = true;
-    } else {
-      load.tasks.push_back(DecodeTaskRecord(frame.payload));
-    }
-  });
-  load.intact_records = load.tasks.size();
-  load.torn_tail = raw.torn_tail;
-  load.torn_bytes = raw.torn_bytes;
-  load.valid_prefix_bytes = raw.valid_prefix_bytes;
-  load.notes = std::move(raw.notes);
-  return load;
-}
-
-// ---- writer -----------------------------------------------------------
-
-JournalWriter JournalWriter::Open(const std::string& path,
-                                  const JournalMeta& meta, bool resume) {
-  if (resume) {
-    const JournalLoad existing = LoadJournal(path);
-    if (existing.meta_valid && existing.meta.Matches(meta)) {
-      return JournalWriter(
-          FrameLogWriter::OpenAt(path, existing.valid_prefix_bytes));
-    }
-    // Missing, damaged beyond the meta frame, or a different run's
-    // journal: fall through and start fresh.
-  }
-  JournalWriter writer(FrameLogWriter::Create(path));
-  writer.log_.AppendFrame("meta", EncodeMeta(meta));
-  return writer;
-}
-
-void JournalWriter::Append(const TaskRunResult& tr) {
-  log_.AppendFrame("rec", EncodeTaskRecord(tr));
 }
 
 }  // namespace mlpm::harness

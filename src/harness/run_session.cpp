@@ -60,24 +60,6 @@ const TaskBundle& SuiteBundles::Get(const models::BenchmarkEntry& e,
   return *it->second;
 }
 
-loadgen::TestResult RunSingleStreamPerformance(
-    const soc::ChipsetDesc& chipset, const backends::SubmissionConfig& config,
-    const graph::Graph& full_graph, const datasets::TaskDataset& dataset,
-    const loadgen::TestSettings& settings) {
-  loadgen::TestSettings s = settings;
-  s.scenario = loadgen::TestScenario::kSingleStream;
-  s.mode = loadgen::TestMode::kPerformanceOnly;
-
-  loadgen::VirtualClock clock;
-  backends::SimulatedBackend sut(
-      chipset.name + "/" + config.framework.name,
-      soc::SocSimulator(chipset),
-      backends::CompileSubmission(chipset, config, full_graph),
-      backends::CompileOfflineReplicas(chipset, config, full_graph), clock);
-  loadgen::DatasetQsl qsl(dataset);
-  return loadgen::RunTest(sut, qsl, s, clock);
-}
-
 namespace {
 
 // One full performance attempt (single-stream + optional offline) on a
@@ -200,22 +182,19 @@ SubmissionResult RunSubmission(const soc::ChipsetDesc& chipset,
   // run of the identical configuration are replayed instead of re-run.  An
   // errored record is never replayed — a resumed run retries it.
   std::map<std::string, TaskRunResult> replayable;
-  std::optional<JournalWriter> journal;
+  std::unique_ptr<JournalWriter<TaskRunResult>> journal;
   if (!options.journal_path.empty()) {
     JournalMeta meta;
     meta.chipset = chipset.name;
     meta.version = std::string(ToString(version));
     meta.seed = options.performance_settings.seed;
     meta.config_hash = HashRunConfig(chipset, version, options);
-    if (options.resume) {
-      JournalLoad prior = LoadJournal(options.journal_path);
-      if (prior.meta_valid && prior.meta.Matches(meta))
-        for (TaskRunResult& t : prior.tasks)
-          if (t.status != TaskStatus::kErrored)
-            replayable.insert_or_assign(t.entry.id, std::move(t));
-    }
-    journal.emplace(
-        JournalWriter::Open(options.journal_path, meta, options.resume));
+    OpenedJournal<TaskRunResult> opened = OpenJournal<TaskRunResult>(
+        options.journal_path, meta, kTaskRecordKind, options.resume);
+    for (TaskRunResult& t : opened.replay)
+      if (t.status != TaskStatus::kErrored)
+        replayable.insert_or_assign(t.entry.id, std::move(t));
+    journal = std::move(opened.writer);
   }
 
   // The prescribed task order is the suite order (§6.1), and tasks are

@@ -285,11 +285,4 @@ struct SubmissionResult {
 // The pool for RunOptions::threads: null when it would have one lane.
 [[nodiscard]] std::unique_ptr<ThreadPool> MakeRunPool(int threads);
 
-// Performance-only single-task run (used by the delegate-comparison and
-// ablation benches).  Returns the LoadGen result for the compiled plan.
-[[nodiscard]] loadgen::TestResult RunSingleStreamPerformance(
-    const soc::ChipsetDesc& chipset, const backends::SubmissionConfig& config,
-    const graph::Graph& full_graph, const datasets::TaskDataset& dataset,
-    const loadgen::TestSettings& settings = {});
-
 }  // namespace mlpm::harness

@@ -196,13 +196,13 @@ TaskBundle::PreparedModel TaskBundle::Prepare(
                                            p.calibration_indices, pool);
     const infer::QuantParams qp =
         quant::CalibratePtq(*graph_, *weights, samples, {}, pool);
-    p.model = std::make_shared<infer::PreparedModel>(*graph_, *weights, mode,
-                                                     &qp, isa, tiling);
+    p.model = std::make_shared<infer::Executor>(*graph_, *weights, mode, &qp,
+                                                isa, tiling);
   } else {
-    p.model = std::make_shared<infer::PreparedModel>(*graph_, *weights, mode,
-                                                     nullptr, isa, tiling);
+    p.model = std::make_shared<infer::Executor>(*graph_, *weights, mode,
+                                                nullptr, isa, tiling);
   }
-  p.executor = &p.model->executor();
+  p.executor = p.model.get();
   prepared_cache_.emplace(key, p);
   return p;
 }
@@ -255,14 +255,13 @@ TaskBundle::PreparedModel TaskBundle::PrepareTransformed(
                                            p.calibration_indices, pool);
     const infer::QuantParams qp =
         quant::CalibratePtq(tr->graph, tr->weights, samples, {}, pool);
-    p.model = std::make_shared<infer::PreparedModel>(tr->graph, tr->weights,
-                                                     mode, &qp, isa, tiling);
+    p.model = std::make_shared<infer::Executor>(tr->graph, tr->weights,
+                                                mode, &qp, isa, tiling);
   } else {
-    p.model = std::make_shared<infer::PreparedModel>(tr->graph, tr->weights,
-                                                     mode, nullptr, isa,
-                                                     tiling);
+    p.model = std::make_shared<infer::Executor>(tr->graph, tr->weights,
+                                                mode, nullptr, isa, tiling);
   }
-  p.executor = &p.model->executor();
+  p.executor = p.model.get();
   p.transformed = tr;  // keeps the graph/weights alive for p.model
   p.transform = info;
 

@@ -14,7 +14,6 @@
 #include "common/check.h"
 #include "datasets/task_dataset.h"
 #include "infer/executor.h"
-#include "infer/prepared_model.h"
 #include "models/ssd.h"
 #include "models/zoo.h"
 #include "transform/pass_manager.h"
@@ -102,8 +101,8 @@ class TaskBundle {
   struct PreparedModel {
     // Shared so repeated Prepare() calls at the same numerics reuse one
     // prepack (weight transform + PTQ) instead of redoing it.
-    std::shared_ptr<const infer::PreparedModel> model;
-    // Convenience view of model->executor(); never null.
+    std::shared_ptr<const infer::Executor> model;
+    // Convenience view of model.get(); never null.
     const infer::Executor* executor = nullptr;
     // Calibration sample indices consumed (for the checker); empty unless
     // INT8.

@@ -7,6 +7,7 @@
 #include <variant>
 
 #include "common/fp16.h"
+#include "common/thread_pool.h"
 #include "graph/bounds.h"
 #include "infer/node_runner.h"
 #include "infer/op_math.h"
@@ -816,6 +817,28 @@ std::vector<Tensor> Executor::Run(std::span<const Tensor> inputs,
   outputs.reserve(graph_.output_ids().size());
   for (TensorId id : graph_.output_ids()) outputs.push_back(fetch(id).Clone());
   return outputs;
+}
+
+std::vector<std::vector<Tensor>> RunSamplesParallel(
+    const Executor& executor, std::size_t count,
+    const std::function<SampleInputs(std::size_t)>& inputs_for,
+    const ThreadPool* pool) {
+  std::vector<std::vector<Tensor>> results(count);
+  // One arena context per lane: each lane allocates its arena once and
+  // reuses it for every sample it claims, so the steady state does no
+  // per-sample activation allocation.
+  ParallelForEachItem(pool, count, [&](ItemClaims& next) {
+    ExecutionContext ctx = executor.CreateContext();
+    while (const std::optional<std::size_t> i = next()) {
+      const SampleInputs inputs = inputs_for(*i);
+      results[*i] = executor.Run(
+          std::visit(
+              [](const auto& v) { return std::span<const Tensor>(v); },
+              inputs),
+          ctx);
+    }
+  });
+  return results;
 }
 
 }  // namespace mlpm::infer

@@ -23,6 +23,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "graph/graph.h"
@@ -32,6 +33,10 @@
 #include "infer/tensor.h"
 #include "infer/tile_planner.h"
 #include "infer/weights.h"
+
+namespace mlpm {
+class ThreadPool;
+}
 
 namespace mlpm::infer {
 
@@ -173,5 +178,22 @@ class Executor {
   // conv2d / depthwise / fully-connected node executions, in that order.
   mutable std::array<std::atomic<std::uint64_t>, 3> dispatch_counts_{};
 };
+
+// A sample's input tensors as RunSamplesParallel's callback hands them
+// over: built for the call (owned), or a view of tensors staged elsewhere
+// that outlive the run (a QSL's staged samples), so those are not copied.
+using SampleInputs =
+    std::variant<std::vector<Tensor>, std::span<const Tensor>>;
+
+// Evaluates `count` independent samples, parallelized over samples when
+// `pool` is non-null: each lane runs the samples it claims in one arena
+// context of its own.  `inputs_for(i)` must be safe to call concurrently
+// and returns the sample's input tensors, owned or as a view.  Output order
+// matches sample order and every tensor is bit-identical to a serial loop
+// (samples are independent; no shared mutable state).
+[[nodiscard]] std::vector<std::vector<Tensor>> RunSamplesParallel(
+    const Executor& executor, std::size_t count,
+    const std::function<SampleInputs(std::size_t)>& inputs_for,
+    const ThreadPool* pool);
 
 }  // namespace mlpm::infer

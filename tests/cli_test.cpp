@@ -5,10 +5,14 @@
 //     given last) exits 2 with the usage, which lists every flag once;
 //   * flag semantics the goldens do not reach: the last of --accuracy and
 //     --performance-only wins, and --task keeps a traced run's profile
-//     tables.
+//     tables;
+//   * mlpm_journal on the journals the CLI writes: a clean journal exits 0,
+//     one with a torn tail exits 1 and names the bytes a resume would cut,
+//     and a file that is not a journal exits 2.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -43,13 +47,7 @@ class CliRun {
             info->name());
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
-    const std::string command = "cd '" + dir_.string() + "' && '" +
-                                MLPM_HEADLESS_CLI + "' " + args +
-                                " > stdout.txt 2> stderr.txt";
-    const int rc = std::system(command.c_str());
-    status_ = rc != -1 && WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
-    out_ = File("stdout.txt");
-    err_ = File("stderr.txt");
+    status_ = Run(MLPM_HEADLESS_CLI, args, out_, err_);
   }
   ~CliRun() {
     std::error_code ignored;
@@ -64,6 +62,21 @@ class CliRun {
   // A file the run wrote into its working directory.
   [[nodiscard]] std::string File(const std::string& name) const {
     return Slurp(dir_ / name);
+  }
+  void WriteFile(const std::string& name, const std::string& bytes) const {
+    std::ofstream(dir_ / name, std::ios::binary) << bytes;
+  }
+
+  // Runs `binary` with shell words `args` in the run's directory; returns
+  // its exit status (-1 when it did not exit) and what it printed.
+  int Run(const std::string& binary, const std::string& args,
+          std::string& out, std::string& err) const {
+    const std::string command = "cd '" + dir_.string() + "' && '" + binary +
+                                "' " + args + " > stdout.txt 2> stderr.txt";
+    const int rc = std::system(command.c_str());
+    out = File("stdout.txt");
+    err = File("stderr.txt");
+    return rc != -1 && WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
   }
 
  private:
@@ -190,6 +203,77 @@ TEST(CliProfile, TaskFilterKeepsTheProfileTablesOfATracedRun) {
   EXPECT_EQ(run.out().find("executor ops (host)"), std::string::npos)
       << run.out();
   EXPECT_NE(run.File("run.trace.json").find("traceEvents"), std::string::npos);
+}
+
+// ---- mlpm_journal -----------------------------------------------------------
+
+struct Inspection {
+  int status = -1;
+  std::string out;
+  std::string err;
+};
+
+Inspection InspectJournal(const CliRun& run, const std::string& file) {
+  Inspection i;
+  i.status = run.Run(MLPM_JOURNAL_TOOL, "--verbose " + file, i.out, i.err);
+  return i;
+}
+
+// Checks the tool on the journal `run` wrote to `file`: clean, then with
+// its last 5 bytes cut (a torn append), then replaced by garbage.
+void ExpectJournalInspection(const CliRun& run, const std::string& file,
+                             const std::string& heading,
+                             const std::string& replayable) {
+  const std::string bytes = run.File(file);
+  ASSERT_GT(bytes.size(), 5u);
+
+  const Inspection clean = InspectJournal(run, file);
+  EXPECT_EQ(clean.status, 0) << clean.out << clean.err;
+  EXPECT_EQ(clean.out.rfind(heading + file + "\n", 0), 0u) << clean.out;
+  EXPECT_NE(clean.out.find(replayable), std::string::npos) << clean.out;
+  EXPECT_EQ(clean.out.find("torn tail"), std::string::npos) << clean.out;
+
+  // The cut leaves the last frame torn: everything from its header line
+  // on goes, and the line says how many bytes that is.
+  const std::size_t cut_size = bytes.size() - 5;
+  run.WriteFile("torn.mjl", bytes.substr(0, cut_size));
+  const Inspection torn = InspectJournal(run, "torn.mjl");
+  EXPECT_EQ(torn.status, 1) << torn.out << torn.err;
+  const std::size_t at = torn.out.find("  torn tail: ");
+  ASSERT_NE(at, std::string::npos) << torn.out;
+  std::size_t cut_bytes = 0;
+  std::size_t offset = 0;
+  ASSERT_EQ(std::sscanf(torn.out.c_str() + at,
+                        "  torn tail: %zu byte(s) after offset %zu would be "
+                        "truncated on resume",
+                        &cut_bytes, &offset),
+            2)
+      << torn.out;
+  EXPECT_GT(cut_bytes, 0u);
+  EXPECT_EQ(offset + cut_bytes, cut_size);
+  EXPECT_EQ(bytes[offset - 1], '\n');
+  EXPECT_EQ(torn.out.find(replayable), std::string::npos) << torn.out;
+
+  run.WriteFile("garbage.mjl", "not a journal\n\x01\x02\x03");
+  const Inspection garbage = InspectJournal(run, "garbage.mjl");
+  EXPECT_EQ(garbage.status, 2) << garbage.out;
+  EXPECT_EQ(garbage.out, "");
+  EXPECT_NE(garbage.err.find("not a readable journal"), std::string::npos)
+      << garbage.err;
+}
+
+TEST(CliJournal, InspectsASubmissionJournal) {
+  const CliRun run("--performance-only --cooldown 0 --journal run.mjl");
+  ASSERT_EQ(run.status(), 0) << run.err();
+  ExpectJournalInspection(run, "run.mjl", "journal: ",
+                          "resume: 4 of 4 suite task(s) replayable\n");
+}
+
+TEST(CliJournal, InspectsAFleetJournal) {
+  const CliRun run("--fleet 2 --fleet-queries 64 --journal fleet.mjl");
+  ASSERT_EQ(run.status(), 0) << run.err();
+  ExpectJournalInspection(run, "fleet.mjl", "fleet journal: ",
+                          "resume: 2 of 2 shard(s) replayable\n");
 }
 
 }  // namespace

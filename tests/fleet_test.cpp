@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "models/zoo.h"
 #include "obs/metrics.h"
 #include "soc/chipset.h"
+#include "oracle.h"
 
 namespace mlpm {
 namespace {
@@ -251,7 +253,7 @@ TEST(Fleet, SingleShardMatchesLegacySingleStreamPath) {
   const graph::Graph full =
       models::BuildReferenceGraph(entry, version, models::ModelScale::kFull);
   const datasets::StubDataset stub;
-  const loadgen::TestResult oracle = harness::RunSingleStreamPerformance(
+  const loadgen::TestResult oracle = testutil::RunSingleStreamPerformance(
       chipset, config, full, stub, fo.settings);
 
   ASSERT_EQ(via_fleet.latencies_s.size(), oracle.latencies_s.size());
@@ -297,6 +299,30 @@ TEST(Fleet, AccuracyPlaneMatchesTaskBundleScores) {
 // ---------------------------------------------------------------------------
 // Journal kill-and-resume (property)
 
+using FleetLoad =
+    harness::JournalLoad<fleet::FleetJournalMeta, fleet::ShardResult>;
+
+FleetLoad LoadShards(const std::string& path) {
+  return harness::LoadJournal<fleet::FleetJournalMeta, fleet::ShardResult>(
+      path, fleet::kShardRecordKind);
+}
+
+// A load's shard records keyed by shard id, a later frame winning, as a
+// resume keys them.
+std::map<std::size_t, fleet::ShardResult> ById(const FleetLoad& load) {
+  std::map<std::size_t, fleet::ShardResult> shards;
+  for (const fleet::ShardResult& shard : load.records)
+    shards.insert_or_assign(shard.shard_id, shard);
+  return shards;
+}
+
+std::unique_ptr<harness::JournalWriter<fleet::ShardResult>> CreateJournal(
+    const std::string& path, const fleet::FleetJournalMeta& meta) {
+  return harness::OpenJournal<fleet::ShardResult>(
+             path, meta, fleet::kShardRecordKind, /*resume=*/false)
+      .writer;
+}
+
 TEST(Fleet, KillAndResumeReplaysIntactShardsToIdenticalReport) {
   const std::string path = TmpPath("fleet_resume.journal");
 
@@ -318,10 +344,10 @@ TEST(Fleet, KillAndResumeReplaysIntactShardsToIdenticalReport) {
   ASSERT_LT(partial.shards.size(), 8u);
 
   // The journal holds exactly the finished shards, intact.
-  const fleet::FleetJournalLoad load = fleet::LoadFleetJournal(path);
-  ASSERT_TRUE(load.meta_valid);
+  const FleetLoad load = LoadShards(path);
+  ASSERT_TRUE(load.meta.has_value());
   EXPECT_FALSE(load.torn_tail);
-  EXPECT_EQ(load.shards.size(), partial.shards.size());
+  EXPECT_EQ(ById(load).size(), partial.shards.size());
 
   // Resumed run: replays the journal, runs the rest, matches byte-for-byte.
   fleet::FleetOptions resumed = fo;
@@ -364,11 +390,12 @@ TEST(Fleet, ResumesJournalWhoseShardFramesCarryTheQueryRecord) {
   const std::string reference =
       fleet::FormatFleetReport(fleet::RunFleet(fo));
 
-  const fleet::FleetJournalLoad load = fleet::LoadFleetJournal(fresh);
-  ASSERT_TRUE(load.meta_valid);
-  ASSERT_EQ(load.shards.size(), 8u);
+  const FleetLoad load = LoadShards(fresh);
+  ASSERT_TRUE(load.meta.has_value());
+  const std::map<std::size_t, fleet::ShardResult> shards = ById(load);
+  ASSERT_EQ(shards.size(), 8u);
   std::size_t anomalies = 0;
-  for (const auto& [id, shard] : load.shards) {
+  for (const auto& [id, shard] : shards) {
     EXPECT_TRUE(shard.result.log.events().empty()) << "shard " << id;
     EXPECT_TRUE(shard.result.error_log.empty()) << "shard " << id;
     anomalies += shard.result.AnomalyCount();
@@ -379,9 +406,8 @@ TEST(Fleet, ResumesJournalWhoseShardFramesCarryTheQueryRecord) {
   // a completion per completed query, a shed event per shed one, and an
   // error line per anomaly.
   {
-    const std::unique_ptr<fleet::FleetJournalWriter> writer =
-        fleet::FleetJournalWriter::Create(old, load.meta);
-    for (const auto& [id, shard] : load.shards) {
+    const auto writer = CreateJournal(old, *load.meta);
+    for (const auto& [id, shard] : shards) {
       if (id >= 5) break;
       fleet::ShardResult with_record = shard;
       loadgen::TestResult& t = with_record.result;
@@ -402,10 +428,10 @@ TEST(Fleet, ResumesJournalWhoseShardFramesCarryTheQueryRecord) {
       writer->Append(with_record);
     }
   }
-  const fleet::FleetJournalLoad old_load = fleet::LoadFleetJournal(old);
-  ASSERT_EQ(old_load.shards.size(), 5u);
+  const FleetLoad old_load = LoadShards(old);
+  ASSERT_EQ(ById(old_load).size(), 5u);
   EXPECT_FALSE(old_load.torn_tail);
-  for (const auto& [id, shard] : old_load.shards) {
+  for (const auto& [id, shard] : ById(old_load)) {
     EXPECT_FALSE(shard.result.log.events().empty()) << "shard " << id;
     EXPECT_EQ(shard.result.error_log.size(), shard.result.AnomalyCount())
         << "shard " << id;
@@ -418,9 +444,10 @@ TEST(Fleet, ResumesJournalWhoseShardFramesCarryTheQueryRecord) {
   EXPECT_EQ(full.resumed_shards, 5u);
   EXPECT_EQ(fleet::FormatFleetReport(full), reference);
   // The three shards run on resume are journaled without the record.
-  const fleet::FleetJournalLoad after = fleet::LoadFleetJournal(old);
-  ASSERT_EQ(after.shards.size(), 8u);
-  for (const auto& [id, shard] : after.shards) {
+  const std::map<std::size_t, fleet::ShardResult> after =
+      ById(LoadShards(old));
+  ASSERT_EQ(after.size(), 8u);
+  for (const auto& [id, shard] : after) {
     if (id < 5) continue;
     EXPECT_TRUE(shard.result.log.events().empty()) << "shard " << id;
     EXPECT_TRUE(shard.result.error_log.empty()) << "shard " << id;
@@ -452,21 +479,22 @@ TEST(Fleet, LoadCutsTheJournalAtAShardWithAnOutOfRangeEnum) {
   good.numerics = DataType::kInt8;
   fleet::ShardResult bad = good;
   bad.shard_id = 1;
-  { fleet::FleetJournalWriter::Create(path, meta)->Append(good); }
-  const std::size_t good_end = fleet::LoadFleetJournal(path).valid_prefix_bytes;
+  CreateJournal(path, meta)->Append(good);
+  const std::size_t good_end = LoadShards(path).valid_prefix_bytes;
 
   // A checksum-clean frame whose numerics value names no DataType.
-  std::string payload = fleet::EncodeShardResult(bad);
+  std::string payload = harness::schema::Encode(bad);
   const std::string int8 = "u numerics 2\n";
   ASSERT_NE(payload.find(int8), std::string::npos);
   payload.replace(payload.find(int8), int8.size(), "u numerics 9\n");
-  EXPECT_THROW((void)fleet::DecodeShardResult(payload), CheckError);
+  EXPECT_THROW((void)harness::schema::Decode<fleet::ShardResult>(payload),
+               CheckError);
   harness::FrameLogWriter::OpenAt(path, good_end).AppendFrame("shard", payload);
 
-  const fleet::FleetJournalLoad load = fleet::LoadFleetJournal(path);
-  EXPECT_TRUE(load.meta_valid);
-  ASSERT_EQ(load.shards.size(), 1u);
-  EXPECT_EQ(load.shards.begin()->first, 0u);
+  const FleetLoad load = LoadShards(path);
+  EXPECT_TRUE(load.meta.has_value());
+  ASSERT_EQ(load.records.size(), 1u);
+  EXPECT_EQ(load.records[0].shard_id, 0u);
   EXPECT_TRUE(load.torn_tail);
   EXPECT_EQ(load.valid_prefix_bytes, good_end);
   ASSERT_EQ(load.notes.size(), 1u);

@@ -19,6 +19,7 @@
 #include "harness/result_store.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "oracle.h"
 
 namespace mlpm::harness {
 namespace {
@@ -114,7 +115,7 @@ SampledRun RunSampled(const models::BenchmarkEntry& e,
       e, models::SuiteVersion::kV1_0, models::ModelScale::kFull);
   obs::TraceRecorder& rec = obs::TraceRecorder::Global();
   rec.Enable();
-  const loadgen::TestResult r = RunSingleStreamPerformance(
+  const loadgen::TestResult r = testutil::RunSingleStreamPerformance(
       chip,
       backends::GetSubmission(chip, e.task, models::SuiteVersion::kV1_0),
       full, source, FastOptions().performance_settings);

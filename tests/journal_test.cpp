@@ -1,14 +1,16 @@
-// Tests for the crash-safe submission journal (harness/journal.h): codec
-// round trips (bit-exact doubles), writer/loader file round trips, the
-// torn-write property (truncation at every byte offset of the last record
-// recovers the longest valid prefix), corruption containment, and the
-// headline crash/resume contract — a killed-and-resumed submission report
-// is byte-identical to an uninterrupted same-seed run.
+// Tests for the crash-safe submission journal (harness/journal.h over the
+// journal of harness/frame_log.h): codec round trips (bit-exact doubles),
+// writer/loader file round trips, the torn-write property (truncation at
+// every byte offset of the last record recovers the longest valid prefix),
+// corruption containment, and the headline crash/resume contract — a
+// killed-and-resumed submission report is byte-identical to an
+// uninterrupted same-seed run.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -41,6 +43,19 @@ std::string ReadFile(const std::string& path) {
 void WriteFile(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+using TaskJournal = JournalLoad<JournalMeta, TaskRunResult>;
+
+TaskJournal Load(const std::string& path) {
+  return LoadJournal<JournalMeta, TaskRunResult>(path, kTaskRecordKind);
+}
+
+std::unique_ptr<JournalWriter<TaskRunResult>> Open(const std::string& path,
+                                                   const JournalMeta& meta,
+                                                   bool resume = false) {
+  return OpenJournal<TaskRunResult>(path, meta, kTaskRecordKind, resume)
+      .writer;
 }
 
 JournalMeta TestMeta() {
@@ -123,7 +138,8 @@ TEST(Journal, Fnv1a64MatchesKnownVectors) {
 
 TEST(Journal, TaskRecordRoundTripsBitExact) {
   const TaskRunResult original = HostileTask("ic_tf");
-  const TaskRunResult decoded = DecodeTaskRecord(EncodeTaskRecord(original));
+  const TaskRunResult decoded =
+      schema::Decode<TaskRunResult>(schema::Encode(original));
 
   EXPECT_EQ(decoded.entry.id, original.entry.id);
   EXPECT_EQ(decoded.numerics, original.numerics);
@@ -175,38 +191,40 @@ TEST(Journal, TaskRecordRoundTripsBitExact) {
 
 TEST(Journal, MetaRoundTrips) {
   const JournalMeta m = TestMeta();
-  const JournalMeta back = DecodeMeta(EncodeMeta(m));
-  EXPECT_TRUE(back.Matches(m));
+  const JournalMeta back = schema::Decode<JournalMeta>(schema::Encode(m));
+  EXPECT_TRUE(back == m);
 }
 
 TEST(Journal, DecodeRejectsGarbage) {
-  EXPECT_THROW((void)DecodeTaskRecord("not a record"), CheckError);
-  EXPECT_THROW((void)DecodeMeta("u seed not-a-number\n"), CheckError);
+  EXPECT_THROW((void)schema::Decode<TaskRunResult>("not a record"),
+               CheckError);
+  EXPECT_THROW((void)schema::Decode<JournalMeta>("u seed not-a-number\n"),
+               CheckError);
 }
 
 TEST(Journal, WriterThenLoaderRoundTripsAFile) {
   const std::string path = TmpPath("journal_roundtrip.mjl");
   std::remove(path.c_str());
   {
-    JournalWriter w = JournalWriter::Open(path, TestMeta());
-    w.Append(HostileTask("ic_tf"));
-    w.Append(HostileTask("od_ssd"));
+    const auto w = Open(path, TestMeta());
+    w->Append(HostileTask("ic_tf"));
+    w->Append(HostileTask("od_ssd"));
   }
-  const JournalLoad load = LoadJournal(path);
-  EXPECT_TRUE(load.meta_valid);
-  EXPECT_TRUE(load.meta.Matches(TestMeta()));
-  EXPECT_EQ(load.intact_records, 2u);
+  const TaskJournal load = Load(path);
+  ASSERT_TRUE(load.meta.has_value());
+  EXPECT_TRUE(*load.meta == TestMeta());
+  EXPECT_EQ(load.records.size(), 2u);
   EXPECT_FALSE(load.torn_tail);
-  ASSERT_EQ(load.tasks.size(), 2u);
-  EXPECT_EQ(load.tasks[0].entry.id, "ic_tf");
-  EXPECT_EQ(load.tasks[1].entry.id, "od_ssd");
+  ASSERT_EQ(load.records.size(), 2u);
+  EXPECT_EQ(load.records[0].entry.id, "ic_tf");
+  EXPECT_EQ(load.records[1].entry.id, "od_ssd");
   std::remove(path.c_str());
 }
 
 TEST(Journal, MissingFileIsNotValid) {
-  const JournalLoad load = LoadJournal(TmpPath("does_not_exist.mjl"));
-  EXPECT_FALSE(load.meta_valid);
-  EXPECT_EQ(load.intact_records, 0u);
+  const TaskJournal load = Load(TmpPath("does_not_exist.mjl"));
+  EXPECT_FALSE(load.meta.has_value());
+  EXPECT_EQ(load.records.size(), 0u);
 }
 
 // The torn-write property: truncate the file at *every* byte offset inside
@@ -218,10 +236,10 @@ TEST(Journal, TruncationAtEveryByteOffsetOfLastRecordRecovers) {
   std::remove(path.c_str());
   std::size_t first_record_end = 0;
   {
-    JournalWriter w = JournalWriter::Open(path, TestMeta());
-    w.Append(HostileTask("ic_tf"));
+    const auto w = Open(path, TestMeta());
+    w->Append(HostileTask("ic_tf"));
     first_record_end = ReadFile(path).size();
-    w.Append(HostileTask("od_ssd"));
+    w->Append(HostileTask("od_ssd"));
   }
   const std::string full = ReadFile(path);
   ASSERT_GT(full.size(), first_record_end);
@@ -229,20 +247,20 @@ TEST(Journal, TruncationAtEveryByteOffsetOfLastRecordRecovers) {
   const std::string torn_path = TmpPath("journal_torn_cut.mjl");
   for (std::size_t cut = first_record_end; cut < full.size(); ++cut) {
     WriteFile(torn_path, full.substr(0, cut));
-    const JournalLoad load = LoadJournal(torn_path);
-    ASSERT_TRUE(load.meta_valid) << "cut at " << cut;
-    ASSERT_EQ(load.intact_records, 1u) << "cut at " << cut;
-    ASSERT_EQ(load.tasks[0].entry.id, "ic_tf") << "cut at " << cut;
+    const TaskJournal load = Load(torn_path);
+    ASSERT_TRUE(load.meta.has_value()) << "cut at " << cut;
+    ASSERT_EQ(load.records.size(), 1u) << "cut at " << cut;
+    ASSERT_EQ(load.records[0].entry.id, "ic_tf") << "cut at " << cut;
     ASSERT_EQ(load.torn_tail, cut != first_record_end) << "cut at " << cut;
     ASSERT_EQ(load.valid_prefix_bytes, first_record_end) << "cut at " << cut;
 
     // A resuming writer cuts the tail and appends cleanly.
     {
-      JournalWriter w = JournalWriter::Open(torn_path, TestMeta(), true);
-      w.Append(HostileTask("od_ssd"));
+      const auto w = Open(torn_path, TestMeta(), true);
+      w->Append(HostileTask("od_ssd"));
     }
-    const JournalLoad healed = LoadJournal(torn_path);
-    ASSERT_EQ(healed.intact_records, 2u) << "cut at " << cut;
+    const TaskJournal healed = Load(torn_path);
+    ASSERT_EQ(healed.records.size(), 2u) << "cut at " << cut;
     ASSERT_FALSE(healed.torn_tail) << "cut at " << cut;
   }
   std::remove(path.c_str());
@@ -254,18 +272,18 @@ TEST(Journal, CorruptedRecordInvalidatesOnlyTheSuffix) {
   std::remove(path.c_str());
   std::size_t first_record_end = 0;
   {
-    JournalWriter w = JournalWriter::Open(path, TestMeta());
-    w.Append(HostileTask("ic_tf"));
+    const auto w = Open(path, TestMeta());
+    w->Append(HostileTask("ic_tf"));
     first_record_end = ReadFile(path).size();
-    w.Append(HostileTask("od_ssd"));
+    w->Append(HostileTask("od_ssd"));
   }
   std::string bytes = ReadFile(path);
   // Flip one byte inside the *second* record's frame.
   bytes[first_record_end + 1] ^= 0x01;
   WriteFile(path, bytes);
-  const JournalLoad load = LoadJournal(path);
-  EXPECT_TRUE(load.meta_valid);
-  EXPECT_EQ(load.intact_records, 1u);
+  const TaskJournal load = Load(path);
+  EXPECT_TRUE(load.meta.has_value());
+  EXPECT_EQ(load.records.size(), 1u);
   EXPECT_TRUE(load.torn_tail);
   EXPECT_FALSE(load.notes.empty());
   std::remove(path.c_str());
@@ -275,16 +293,16 @@ TEST(Journal, ResumeWithMismatchedMetaStartsFresh) {
   const std::string path = TmpPath("journal_mismatch.mjl");
   std::remove(path.c_str());
   {
-    JournalWriter w = JournalWriter::Open(path, TestMeta());
-    w.Append(HostileTask("ic_tf"));
+    const auto w = Open(path, TestMeta());
+    w->Append(HostileTask("ic_tf"));
   }
   JournalMeta other = TestMeta();
   other.seed = 999;  // different run configuration
-  { JournalWriter w = JournalWriter::Open(path, other, true); }
-  const JournalLoad load = LoadJournal(path);
-  EXPECT_TRUE(load.meta_valid);
-  EXPECT_TRUE(load.meta.Matches(other));
-  EXPECT_EQ(load.intact_records, 0u);  // old records discarded
+  { const auto w = Open(path, other, true); }
+  const TaskJournal load = Load(path);
+  ASSERT_TRUE(load.meta.has_value());
+  EXPECT_TRUE(*load.meta == other);
+  EXPECT_EQ(load.records.size(), 0u);  // old records discarded
   std::remove(path.c_str());
 }
 
@@ -385,7 +403,7 @@ TEST(JournalResume, CancelStopsTheRunOnceTheFirstRecordIsDurable) {
       if (++polls < 2) return false;
       const auto deadline =
           std::chrono::steady_clock::now() + std::chrono::minutes(1);
-      while (LoadJournal(path).tasks.empty()) {
+      while (Load(path).records.empty()) {
         if (std::chrono::steady_clock::now() > deadline) {
           waited_out = true;
           break;
@@ -401,9 +419,9 @@ TEST(JournalResume, CancelStopsTheRunOnceTheFirstRecordIsDurable) {
     EXPECT_EQ(polls, 2);
     ASSERT_EQ(r.tasks.size(), 1u);
     EXPECT_EQ(r.tasks[0].entry.id, "image_classification");
-    const JournalLoad load = LoadJournal(path);
-    ASSERT_EQ(load.tasks.size(), 1u);
-    EXPECT_EQ(load.tasks[0].entry.id, "image_classification");
+    const TaskJournal load = Load(path);
+    ASSERT_EQ(load.records.size(), 1u);
+    EXPECT_EQ(load.records[0].entry.id, "image_classification");
     EXPECT_FALSE(load.torn_tail);
     std::remove(path.c_str());
   }

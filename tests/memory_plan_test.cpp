@@ -22,7 +22,6 @@
 #include "harness/task_bundle.h"
 #include "infer/executor.h"
 #include "infer/memory_plan.h"
-#include "infer/prepared_model.h"
 #include "infer/weights.h"
 #include "models/zoo.h"
 #include "quant/calibration.h"
@@ -280,17 +279,17 @@ TEST(ArenaExecution, ContextReuseAcrossDistinctSamples) {
   }
 }
 
-TEST(ArenaExecution, PreparedModelMatchesLegacyExecutor) {
+TEST(ArenaExecution, ExecutorRunMatchesLegacyOracleWithEitherContext) {
   const auto e = models::SuiteFor(models::SuiteVersion::kV1_0)[0];
   const graph::Graph g = models::BuildReferenceGraph(
       e, models::SuiteVersion::kV1_0, models::ModelScale::kMini);
   const infer::WeightStore w = infer::InitializeWeights(g, 7);
-  const infer::PreparedModel prepared(g, w);
+  const infer::Executor exec(g, w);
   const auto inputs = GraphInputs(g, 9);
-  const auto oracle = testutil::RunOracle(prepared.executor(), inputs);
-  ExpectBitIdentical(oracle, prepared.Run(inputs), "per-call context");
-  infer::ExecutionContext ctx = prepared.CreateContext();
-  ExpectBitIdentical(oracle, prepared.Run(inputs, ctx), "reused context");
+  const auto oracle = testutil::RunOracle(exec, inputs);
+  ExpectBitIdentical(oracle, exec.Run(inputs), "per-call context");
+  infer::ExecutionContext ctx = exec.CreateContext();
+  ExpectBitIdentical(oracle, exec.Run(inputs, ctx), "reused context");
 }
 
 // Harness level: the serial ReferenceBackend must reproduce the accuracy

@@ -1,16 +1,29 @@
-// The allocate-per-node reference loop that the bit-identity suites compare
-// the executor against.  Every node gets a fresh output tensor (no arena,
-// no aliasing, no tile segments — the executor's tile plan is ignored) and
-// runs through the engine's own per-node step, so a difference from
-// Executor::Run isolates the arena plan, in-place aliasing or tiling.
+// Reference paths the suites compare production code against.
+//
+// RunOracle is the allocate-per-node reference loop that the bit-identity
+// suites compare the executor against.  Every node gets a fresh output
+// tensor (no arena, no aliasing, no tile segments — the executor's tile
+// plan is ignored) and runs through the engine's own per-node step, so a
+// difference from Executor::Run isolates the arena plan, in-place aliasing
+// or tiling.
+//
+// RunSingleStreamPerformance is one task's single-stream performance test
+// on a fresh simulator and virtual clock, with none of the harness's
+// retries, fault handling or admission layers: the path the harness and
+// fleet runs must reproduce query for query.
 #pragma once
 
 #include <span>
 #include <vector>
 
+#include "backends/simulated_backend.h"
+#include "backends/vendor_policy.h"
 #include "common/check.h"
+#include "core/dataset_qsl.h"
+#include "core/loadgen.h"
 #include "infer/executor.h"
 #include "infer/node_runner.h"
+#include "soc/simulator.h"
 
 namespace mlpm::testutil {
 
@@ -44,6 +57,24 @@ inline std::vector<infer::Tensor> RunOracle(
   outputs.reserve(g.output_ids().size());
   for (const graph::TensorId id : g.output_ids()) outputs.push_back(fetch(id));
   return outputs;
+}
+
+inline loadgen::TestResult RunSingleStreamPerformance(
+    const soc::ChipsetDesc& chipset, const backends::SubmissionConfig& config,
+    const graph::Graph& full_graph, const datasets::TaskDataset& dataset,
+    const loadgen::TestSettings& settings = {}) {
+  loadgen::TestSettings s = settings;
+  s.scenario = loadgen::TestScenario::kSingleStream;
+  s.mode = loadgen::TestMode::kPerformanceOnly;
+
+  loadgen::VirtualClock clock;
+  backends::SimulatedBackend sut(
+      chipset.name + "/" + config.framework.name,
+      soc::SocSimulator(chipset),
+      backends::CompileSubmission(chipset, config, full_graph),
+      backends::CompileOfflineReplicas(chipset, config, full_graph), clock);
+  loadgen::DatasetQsl qsl(dataset);
+  return loadgen::RunTest(sut, qsl, s, clock);
 }
 
 }  // namespace mlpm::testutil

@@ -22,7 +22,6 @@
 #include "harness/run_session.h"
 #include "harness/task_bundle.h"
 #include "infer/executor.h"
-#include "infer/prepared_model.h"
 #include "infer/weights.h"
 #include "models/zoo.h"
 #include "obs/trace.h"

@@ -25,6 +25,8 @@
 namespace mlpm {
 namespace {
 
+using harness::JournalMeta;
+using harness::TaskRunResult;
 using harness::schema::Decode;
 using harness::schema::Encode;
 using harness::schema::FieldDesc;
@@ -51,18 +53,14 @@ fleet::FleetJournalMeta GoldenFleetMeta() {
 // ---- golden bytes ----------------------------------------------------------
 
 TEST(RecordGolden, JournalEncodingsAreByteIdentical) {
-  EXPECT_EQ(harness::EncodeTaskRecord(testutil::HostileTask("ic_tf")),
-            Golden("task_record.txt"));
-  EXPECT_EQ(harness::EncodeTaskRecord(testutil::PopulatedTask()),
+  EXPECT_EQ(Encode(testutil::HostileTask("ic_tf")), Golden("task_record.txt"));
+  EXPECT_EQ(Encode(testutil::PopulatedTask()),
             Golden("task_record_populated.txt"));
-  EXPECT_EQ(
-      harness::EncodeTestResult(*testutil::HostileTask("ic_tf").single_stream),
-      Golden("test_result.txt"));
-  EXPECT_EQ(harness::EncodeMeta(testutil::TestMeta()), Golden("meta.txt"));
-  EXPECT_EQ(fleet::EncodeFleetMeta(GoldenFleetMeta()),
-            Golden("fleet_meta.txt"));
-  EXPECT_EQ(fleet::EncodeShardResult(testutil::PopulatedShard()),
-            Golden("shard_record.txt"));
+  EXPECT_EQ(Encode(*testutil::HostileTask("ic_tf").single_stream),
+            Golden("test_result.txt"));
+  EXPECT_EQ(Encode(testutil::TestMeta()), Golden("meta.txt"));
+  EXPECT_EQ(Encode(GoldenFleetMeta()), Golden("fleet_meta.txt"));
+  EXPECT_EQ(Encode(testutil::PopulatedShard()), Golden("shard_record.txt"));
 }
 
 TEST(RecordGolden, CsvExportsAreByteIdentical) {
@@ -71,16 +69,14 @@ TEST(RecordGolden, CsvExportsAreByteIdentical) {
 }
 
 TEST(RecordGolden, GoldenRecordsDecodeToTheirFixtures) {
-  EXPECT_EQ(harness::EncodeTaskRecord(
-                harness::DecodeTaskRecord(Golden("task_record_populated.txt"))),
+  EXPECT_EQ(Encode(Decode<TaskRunResult>(Golden("task_record_populated.txt"))),
             Golden("task_record_populated.txt"));
-  EXPECT_EQ(fleet::EncodeShardResult(
-                fleet::DecodeShardResult(Golden("shard_record.txt"))),
+  EXPECT_EQ(Encode(Decode<fleet::ShardResult>(Golden("shard_record.txt"))),
             Golden("shard_record.txt"));
-  EXPECT_TRUE(harness::DecodeMeta(Golden("meta.txt"))
-                  .Matches(testutil::TestMeta()));
-  EXPECT_TRUE(fleet::DecodeFleetMeta(Golden("fleet_meta.txt"))
-                  .Matches(GoldenFleetMeta()));
+  EXPECT_TRUE(Decode<JournalMeta>(Golden("meta.txt")) ==
+              testutil::TestMeta());
+  EXPECT_TRUE(Decode<fleet::FleetJournalMeta>(Golden("fleet_meta.txt")) ==
+              GoldenFleetMeta());
 }
 
 // ---- per-table property ----------------------------------------------------
@@ -196,52 +192,51 @@ TEST(RecordSchema, TestSettingsTable) {
 // ---- decode hygiene --------------------------------------------------------
 
 TEST(RecordSchema, EnumsPastTheirLastEnumeratorAreRejected) {
-  EXPECT_THROW((void)harness::DecodeTaskRecord("s task 2\nic\nu numerics 5\n"),
+  EXPECT_THROW((void)Decode<TaskRunResult>("s task 2\nic\nu numerics 5\n"),
                CheckError);
-  EXPECT_THROW((void)harness::DecodeTaskRecord("s task 2\nic\nu status 4\n"),
+  EXPECT_THROW((void)Decode<TaskRunResult>("s task 2\nic\nu status 4\n"),
                CheckError);
-  EXPECT_THROW((void)harness::DecodeTestResult("u scenario 4\n"), CheckError);
-  EXPECT_THROW((void)harness::DecodeTestResult("u mode 2\n"), CheckError);
-  EXPECT_THROW((void)fleet::DecodeShardResult("u numerics 9\n"), CheckError);
-  EXPECT_THROW((void)fleet::DecodeShardResult("u state 4\n"), CheckError);
-  EXPECT_EQ(fleet::DecodeShardResult("u numerics 4\n").numerics,
+  EXPECT_THROW((void)Decode<loadgen::TestResult>("u scenario 4\n"), CheckError);
+  EXPECT_THROW((void)Decode<loadgen::TestResult>("u mode 2\n"), CheckError);
+  EXPECT_THROW((void)Decode<fleet::ShardResult>("u numerics 9\n"), CheckError);
+  EXPECT_THROW((void)Decode<fleet::ShardResult>("u state 4\n"), CheckError);
+  EXPECT_EQ(Decode<fleet::ShardResult>("u numerics 4\n").numerics,
             DataType::kInt32);
 }
 
 TEST(RecordSchema, NarrowIntegersAreRangeChecked) {
   const std::string task = "s task 2\nic\n";
-  EXPECT_EQ(harness::DecodeTaskRecord(task + "u performance_attempts " +
-                                      std::to_string(INT_MAX) + "\n")
+  EXPECT_EQ(Decode<TaskRunResult>(task + "u performance_attempts " +
+                                  std::to_string(INT_MAX) + "\n")
                 .performance_attempts,
             INT_MAX);
-  EXPECT_THROW((void)harness::DecodeTaskRecord(
+  EXPECT_THROW((void)Decode<TaskRunResult>(
                    task + "u performance_attempts 2147483648\n"),
                CheckError);
-  EXPECT_THROW((void)harness::DecodeTaskRecord(
+  EXPECT_THROW((void)Decode<TaskRunResult>(
                    task + "u performance_attempts 4294967297\n"),
                CheckError);
   // Signed fields carry the two's-complement image, so -1 round-trips.
-  EXPECT_EQ(harness::DecodeTaskRecord(
-                task + "u tile_rows 18446744073709551615\n")
-                .tile_rows,
-            -1);
+  EXPECT_EQ(
+      Decode<TaskRunResult>(task + "u tile_rows 18446744073709551615\n")
+          .tile_rows,
+      -1);
 }
 
 TEST(RecordSchema, WrongTagsAndMissingRequiredKeysAreRejected) {
   const std::string task = "s task 2\nic\n";
-  EXPECT_THROW((void)harness::DecodeTaskRecord(task + "s accuracy 1\nx\n"),
+  EXPECT_THROW((void)Decode<TaskRunResult>(task + "s accuracy 1\nx\n"),
                CheckError);
-  EXPECT_THROW((void)harness::DecodeTaskRecord(task + "b quality_passed 2\n"),
+  EXPECT_THROW((void)Decode<TaskRunResult>(task + "b quality_passed 2\n"),
                CheckError);
-  EXPECT_THROW((void)harness::DecodeTaskRecord("u fault_count 1\n"),
+  EXPECT_THROW((void)Decode<TaskRunResult>("u fault_count 1\n"),
                CheckError);
-  EXPECT_THROW((void)harness::DecodeMeta("s chipset 1\nx\n"), CheckError);
+  EXPECT_THROW((void)Decode<JournalMeta>("s chipset 1\nx\n"), CheckError);
   // A submission meta is not a fleet meta and vice versa.
-  EXPECT_THROW((void)fleet::DecodeFleetMeta(
-                   harness::EncodeMeta(testutil::TestMeta())),
-               CheckError);
-  EXPECT_THROW((void)harness::DecodeMeta(
-                   fleet::EncodeFleetMeta(GoldenFleetMeta())),
+  EXPECT_THROW(
+      (void)Decode<fleet::FleetJournalMeta>(Encode(testutil::TestMeta())),
+      CheckError);
+  EXPECT_THROW((void)Decode<JournalMeta>(Encode(GoldenFleetMeta())),
                CheckError);
 }
 
@@ -267,12 +262,13 @@ TEST(PayloadParser, HugeCountsAndLengthsAreCheckErrors) {
   ExpectParseError("s k 18446744073709551614\n");
   ExpectParseError("L k 1\n18446744073709551615\n");
   // The same inputs reach the record decoders as CheckErrors too.
-  EXPECT_THROW((void)harness::DecodeTaskRecord("L k 4000000000\n"), CheckError);
+  EXPECT_THROW((void)Decode<TaskRunResult>("L k 4000000000\n"),
+               CheckError);
   EXPECT_THROW(
-      (void)harness::DecodeTestResult("D latencies_s 18446744073709551615\n"),
+      (void)Decode<loadgen::TestResult>("D latencies_s 18446744073709551615\n"),
       CheckError);
   EXPECT_THROW(
-      (void)fleet::DecodeShardResult("s chipset 18446744073709551615\n"),
+      (void)Decode<fleet::ShardResult>("s chipset 18446744073709551615\n"),
       CheckError);
 }
 

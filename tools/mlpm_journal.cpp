@@ -14,6 +14,7 @@
 //   1  journal is damaged but resumable (torn tail / bad records were cut)
 //   2  journal is unreadable (missing file, bad header or meta frame)
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,9 @@
 namespace {
 
 using namespace mlpm;
+
+using FleetLoad =
+    harness::JournalLoad<fleet::FleetJournalMeta, fleet::ShardResult>;
 
 int Usage() {
   std::fprintf(stderr, "usage: mlpm_journal [--verbose] FILE\n");
@@ -40,21 +44,36 @@ std::vector<models::BenchmarkEntry> SuiteForVersionName(
   return {};
 }
 
-// Fleet-journal path (DESIGN.md §16): shard frames keyed by id, resume
-// replays intact shards and re-runs the rest.
-int InspectFleetJournal(const std::string& path,
-                        const fleet::FleetJournalLoad& load, bool verbose) {
-  std::printf("fleet journal: %s\n", path.c_str());
-  std::printf("  version:     %s\n", load.meta.version.c_str());
-  std::printf("  seed:        %llu\n",
-              static_cast<unsigned long long>(load.meta.seed));
-  std::printf("  shards:      %llu\n",
-              static_cast<unsigned long long>(load.meta.shard_count));
-  std::printf("  config hash: %016llx\n",
-              static_cast<unsigned long long>(load.meta.config_hash));
-  std::printf("  records:     %zu intact shard(s)\n", load.shards.size());
+// Notes on what the load cut, then the torn tail a resume would truncate.
+void PrintDamage(const harness::JournalScan& scan) {
+  for (const std::string& n : scan.notes)
+    std::printf("  note: %s\n", n.c_str());
+  if (scan.torn_tail)
+    std::printf("  torn tail: %zu byte(s) after offset %zu would be "
+                "truncated on resume\n",
+                scan.torn_bytes, scan.valid_prefix_bytes);
+}
 
-  for (const auto& [id, shard] : load.shards) {
+// Fleet-journal path (DESIGN.md §16): shard frames keyed by id (a later
+// frame wins), resume replays intact shards and re-runs the rest.
+int InspectFleetJournal(const std::string& path, const FleetLoad& load,
+                        bool verbose) {
+  const fleet::FleetJournalMeta& meta = *load.meta;
+  std::map<std::size_t, const fleet::ShardResult*> shards;
+  for (const fleet::ShardResult& shard : load.records)
+    shards[shard.shard_id] = &shard;
+  std::printf("fleet journal: %s\n", path.c_str());
+  std::printf("  version:     %s\n", meta.version.c_str());
+  std::printf("  seed:        %llu\n",
+              static_cast<unsigned long long>(meta.seed));
+  std::printf("  shards:      %llu\n",
+              static_cast<unsigned long long>(meta.shard_count));
+  std::printf("  config hash: %016llx\n",
+              static_cast<unsigned long long>(meta.config_hash));
+  std::printf("  records:     %zu intact shard(s)\n", shards.size());
+
+  for (const auto& [id, record] : shards) {
+    const fleet::ShardResult& shard = *record;
     const std::string status{ToString(shard.state)};
     std::printf("  shard %-4zu %-15s slo=%s %s\n", id, status.c_str(),
                 shard.slo_met ? "yes" : "no", shard.config_key.c_str());
@@ -65,17 +84,12 @@ int InspectFleetJournal(const std::string& path,
     }
   }
 
-  for (const std::string& n : load.notes)
-    std::printf("  note: %s\n", n.c_str());
-  if (load.torn_tail)
-    std::printf("  torn tail: byte(s) after offset %zu would be truncated "
-                "on resume\n",
-                load.valid_prefix_bytes);
+  PrintDamage(load);
 
   std::string pending;
   std::size_t missing = 0;
-  for (std::size_t id = 0; id < load.meta.shard_count; ++id) {
-    if (load.shards.count(id) != 0) continue;
+  for (std::size_t id = 0; id < meta.shard_count; ++id) {
+    if (shards.count(id) != 0) continue;
     ++missing;
     if (missing <= 8) {
       if (!pending.empty()) pending += ", ";
@@ -84,8 +98,8 @@ int InspectFleetJournal(const std::string& path,
   }
   if (missing > 8) pending += ", ...";
   std::printf("  resume: %zu of %llu shard(s) replayable%s%s\n",
-              load.shards.size(),
-              static_cast<unsigned long long>(load.meta.shard_count),
+              shards.size(),
+              static_cast<unsigned long long>(meta.shard_count),
               pending.empty() ? "" : "; pending: ", pending.c_str());
 
   return load.torn_tail ? 1 : 0;
@@ -110,27 +124,32 @@ int main(int argc, char** argv) {
   }
   if (path.empty()) return Usage();
 
-  const harness::JournalLoad load = harness::LoadJournal(path);
-  if (!load.meta_valid) {
+  const auto load =
+      harness::LoadJournal<harness::JournalMeta, harness::TaskRunResult>(
+          path, harness::kTaskRecordKind);
+  if (!load.meta) {
     // Same file format, different meta: maybe it's a fleet journal.
-    const fleet::FleetJournalLoad fload = fleet::LoadFleetJournal(path);
-    if (fload.meta_valid) return InspectFleetJournal(path, fload, verbose);
+    const FleetLoad fload =
+        harness::LoadJournal<fleet::FleetJournalMeta, fleet::ShardResult>(
+            path, fleet::kShardRecordKind);
+    if (fload.meta) return InspectFleetJournal(path, fload, verbose);
     std::fprintf(stderr, "%s: not a readable journal\n", path.c_str());
     for (const std::string& n : load.notes)
       std::fprintf(stderr, "  %s\n", n.c_str());
     return 2;
   }
 
+  const harness::JournalMeta& meta = *load.meta;
   std::printf("journal: %s\n", path.c_str());
-  std::printf("  chipset:     %s\n", load.meta.chipset.c_str());
-  std::printf("  version:     %s\n", load.meta.version.c_str());
+  std::printf("  chipset:     %s\n", meta.chipset.c_str());
+  std::printf("  version:     %s\n", meta.version.c_str());
   std::printf("  seed:        %llu\n",
-              static_cast<unsigned long long>(load.meta.seed));
+              static_cast<unsigned long long>(meta.seed));
   std::printf("  config hash: %016llx\n",
-              static_cast<unsigned long long>(load.meta.config_hash));
-  std::printf("  records:     %zu intact\n", load.intact_records);
+              static_cast<unsigned long long>(meta.config_hash));
+  std::printf("  records:     %zu intact\n", load.records.size());
 
-  for (const harness::TaskRunResult& t : load.tasks) {
+  for (const harness::TaskRunResult& t : load.records) {
     const std::string status{ToString(t.status)};
     std::printf("  rec %-24s status=%s accuracy=%.4f quality=%s\n",
                 t.entry.id.c_str(), status.c_str(), t.accuracy,
@@ -143,23 +162,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  for (const std::string& n : load.notes)
-    std::printf("  note: %s\n", n.c_str());
-  if (load.torn_tail)
-    std::printf("  torn tail: %zu byte(s) after offset %zu would be "
-                "truncated on resume\n",
-                load.torn_bytes, load.valid_prefix_bytes);
+  PrintDamage(load);
 
   // What a --resume run would actually do: errored records re-run, intact
   // non-errored ones replay, anything absent from the file runs fresh.
   const std::vector<models::BenchmarkEntry> suite =
-      SuiteForVersionName(load.meta.version);
+      SuiteForVersionName(meta.version);
   if (!suite.empty()) {
     std::size_t replayable = 0;
     std::string pending;
     for (const models::BenchmarkEntry& entry : suite) {
       bool done = false;
-      for (const harness::TaskRunResult& t : load.tasks)
+      for (const harness::TaskRunResult& t : load.records)
         done |= t.entry.id == entry.id &&
                 t.status != harness::TaskStatus::kErrored;
       if (done) {
