@@ -1,8 +1,7 @@
 // Engineering microbenchmarks for the execution engine: one inference and
 // the sample-level accuracy fan-out, the GELU table entry, the Gaussian
 // input-noise fill, trace-recorder
-// overhead, static memory plans, the transform pipeline, and tiled
-// execution.
+// overhead, static memory plans, and tiled execution.
 //
 // Standalone (no benchmark framework): adaptive wall-clock timing, a table
 // on stdout, and a machine-readable BENCH_kernels.json for CI artifacts.
@@ -37,7 +36,6 @@
 #include "models/mobilenet_edgetpu.h"
 #include "models/zoo.h"
 #include "obs/trace.h"
-#include "transform/pass_manager.h"
 
 namespace {
 
@@ -281,69 +279,6 @@ void BenchMemoryPlans() {
   }
 }
 
-// Verified transform pipeline (DESIGN.md §14) over every mini reference
-// model at FP32: the fused graph must execute strictly fewer nodes than the
-// canonical (split) form, produce bit-identical outputs, and not regress
-// single-sample latency grossly (a median paired ratio above 2x is a hard
-// CI failure; the speedup itself is recorded so smaller drifts show up in
-// the artifact).
-void BenchTransform() {
-  std::printf("graph-transform pipeline (mini reference models, fp32):\n");
-  std::vector<std::string> seen;
-  for (const auto version :
-       {models::SuiteVersion::kV1_0, models::SuiteVersion::kV0_7}) {
-    for (const models::BenchmarkEntry& entry : models::SuiteFor(version)) {
-      bool dup = false;
-      for (const std::string& s : seen) dup = dup || s == entry.model_name;
-      if (dup) continue;
-      seen.push_back(entry.model_name);
-
-      const graph::Graph g = models::BuildReferenceGraph(
-          entry, version, models::ModelScale::kMini);
-      const infer::WeightStore w = infer::InitializeWeights(g, 13);
-      const transform::TransformResult res =
-          transform::MakeDefaultPipeline(
-              transform::TransformOptions{.mode = infer::NumericsMode::kFp32})
-              .Run(g, w);
-      Check(!res.diagnostics.HasErrors() && !res.AnyRolledBack(),
-            "transform pipeline reported errors on a reference model");
-      Check(res.nodes_after < res.nodes_canonical,
-            "fusion did not reduce executed node count");
-
-      const infer::Executor base(g, w);
-      const infer::Executor fused(res.graph, res.weights);
-      Rng rng(17);
-      std::vector<infer::Tensor> inputs;
-      for (const graph::TensorId id : g.input_ids()) {
-        infer::Tensor t(g.tensor(id).shape);
-        for (auto& v : t.values())
-          v = static_cast<float>(rng.NextUniform(-1, 1));
-        inputs.push_back(std::move(t));
-      }
-      const auto out_base = base.Run(inputs);
-      const auto out_fused = fused.Run(inputs);
-      Check(out_base.size() == out_fused.size(),
-            "transformed output count != untransformed");
-      for (std::size_t o = 0; o < out_base.size(); ++o)
-        for (std::size_t i = 0; i < out_base[o].size(); ++i)
-          Check(out_base[o].at(i) == out_fused[o].at(i),
-                "transformed graph != untransformed (fp32 must be bit-exact)");
-
-      const PairedTimes t = TimePaired([&] { auto out = base.Run(inputs); },
-                                       [&] { auto out = fused.Run(inputs); });
-      Check(t.ratio <= 2.0,
-            "fused path grossly slower than untransformed graph");
-      const std::string tag = "transform_" + entry.model_name;
-      Record(tag + "_nodes_removed",
-             static_cast<double>(res.nodes_canonical - res.nodes_after),
-             "nodes");
-      Record(tag + "_base_ms", t.a_s * 1e3, "ms");
-      Record(tag + "_fused_ms", t.b_s * 1e3, "ms");
-      Record(tag + "_speedup", 1.0 / t.ratio, "x");
-    }
-  }
-}
-
 // Tiled, fused pipeline execution (DESIGN.md §15).  Three hard CI gates:
 // the tile-aware plan must strictly shrink the packed arena on every
 // full-scale reference model that has a fusable segment; tiled execution
@@ -562,7 +497,6 @@ int main(int argc, char** argv) {
   BenchGaussian();
   BenchTraceOverhead();
   BenchMemoryPlans();
-  BenchTransform();
   BenchTiledPlans();
   BenchTiledExecution();
   BenchTileSweep();

@@ -206,9 +206,6 @@ constexpr Flag kFlags[] = {
                                       {"report", LintMode::kReport},
                                       {"strict", LintMode::kStrict}});
      }},
-    // Verified graph-transform stage (DESIGN.md §14).
-    {"--transform", nullptr,
-     [](Cli& c, const Flag&, const std::string&) { c.run.transform = true; }},
     // Tiled, fused execution (DESIGN.md §15): auto sizes row bands against
     // the cache budget, N forces N output rows per tile.
     {"--tile", "auto|off|N",

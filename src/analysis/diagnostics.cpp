@@ -11,7 +11,7 @@ namespace {
 
 // Sorted by code.  Codes are append-only across releases: a code is never
 // renumbered or reused, so downstream tooling can key on them.
-constexpr std::array<CodeInfo, 38> kCatalogue{{
+constexpr std::array<CodeInfo, 30> kCatalogue{{
     {"GRAPH001", Severity::kWarning,
      "dead tensor: produced but never consumed nor marked as output"},
     {"GRAPH002", Severity::kWarning,
@@ -69,28 +69,9 @@ constexpr std::array<CodeInfo, 38> kCatalogue{{
     {"SOC004", Severity::kWarning,
      "policy declares CPU-fallback op-coverage holes"},
     {"SOC005", Severity::kError, "malformed execution policy"},
-    {"XFM001", Severity::kError,
-     "rewrite left a dangling edge: node references a removed or "
-     "out-of-range tensor"},
-    {"XFM002", Severity::kError,
-     "rewrite broke the shape contract: a surviving tensor changed shape"},
-    {"XFM003", Severity::kError,
-     "rewrite lost or reordered a graph output"},
-    {"XFM004", Severity::kNote,
-     "rewrite skipped: it would move a quantization point under the "
-     "submission numerics"},
-    {"XFM005", Severity::kError,
-     "alias-unsafe rewrite: memory plan aliases a buffer for an op outside "
-     "the planner's in-place set"},
-    {"XFM006", Severity::kError,
-     "rewrite modified nodes outside its matched subgraph"},
-    {"XFM007", Severity::kError,
-     "rewrite introduced new analysis diagnostics on the transformed graph"},
-    {"XFM008", Severity::kWarning,
-     "pass rolled back: its rewrites failed post-pass verification"},
 }};
 
-static_assert(kCatalogue.size() == 38);
+static_assert(kCatalogue.size() == 30);
 
 }  // namespace
 
@@ -131,7 +112,7 @@ void DiagnosticEngine::Report(std::string_view code, Severity severity,
                std::move(message)};
   // Keep the list ordered by (code, source id), stable for ties: pass
   // output then never depends on pass-internal iteration order, so golden
-  // JSON tests and the transform layer's pre/post-pass diffs cannot flake.
+  // JSON tests cannot flake.
   const auto pos = std::upper_bound(
       diagnostics_.begin(), diagnostics_.end(), d,
       [](const Diagnostic& a, const Diagnostic& b) {

@@ -364,12 +364,6 @@ void CheckLstm(NodeChecker& c) {
   c.Infer(TensorShape({in.dim(0), h}));
 }
 
-void CheckConstant(NodeChecker& c) {
-  if (c.RequireAttrs<graph::EmptyAttrs>() == nullptr || !c.RequireArity(0, 1))
-    return;
-  c.Infer(c.Weight(0));
-}
-
 }  // namespace
 
 void CheckShapeDataflow(const Graph& g, DiagnosticEngine& de) {
@@ -398,7 +392,6 @@ void CheckShapeDataflow(const Graph& g, DiagnosticEngine& de) {
       case OpType::kEmbeddingLookup: CheckEmbedding(c); break;
       case OpType::kMultiHeadAttention: CheckAttention(c); break;
       case OpType::kLstm: CheckLstm(c); break;
-      case OpType::kConstant: CheckConstant(c); break;
     }
   }
 }

@@ -97,7 +97,6 @@ NodeCost AnalyzeNode(const Graph& g, const Node& n) {
     case OpType::kConcat:
     case OpType::kReshape:
     case OpType::kEmbeddingLookup:
-    case OpType::kConstant:
       c.macs = 0;  // pure data movement
       break;
   }

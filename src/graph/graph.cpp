@@ -36,7 +36,6 @@ std::string_view ToString(OpType t) {
     case OpType::kEmbeddingLookup: return "EmbeddingLookup";
     case OpType::kMultiHeadAttention: return "MultiHeadAttention";
     case OpType::kLstm: return "Lstm";
-    case OpType::kConstant: return "Constant";
   }
   return "?";
 }
@@ -79,7 +78,6 @@ OpClass ClassOf(OpType t) {
     case OpType::kReshape:
     case OpType::kConcat:
     case OpType::kEmbeddingLookup:
-    case OpType::kConstant:
       return OpClass::kMemory;
     case OpType::kInput:
     case OpType::kAdd:
@@ -191,15 +189,6 @@ TensorId GraphBuilder::Input(const std::string& name, TensorShape shape) {
                                TensorKind::kActivation);
   g_.inputs_.push_back(t);
   return t;
-}
-
-TensorId GraphBuilder::Constant(TensorShape shape, const std::string& name) {
-  Expects(shape.rank() > 0, "Constant needs a shaped value");
-  const std::string node_name = AutoName(OpType::kConstant, name);
-  const TensorId value =
-      AddTensor(node_name + "/value", shape, TensorKind::kWeight);
-  return AddNode(OpType::kConstant, EmptyAttrs{}, {}, {value},
-                 std::move(shape), node_name);
 }
 
 TensorId GraphBuilder::Conv2d(TensorId in, std::int64_t out_channels,
@@ -459,19 +448,6 @@ Graph GraphBuilder::Build() && {
   Expects(!g_.inputs_.empty(), "graph has no inputs");
   Expects(!g_.outputs_.empty(), "graph has no outputs");
   return std::move(g_);
-}
-
-Graph AssembleGraphUnchecked(std::string name, std::vector<Node> nodes,
-                             std::vector<TensorInfo> tensors,
-                             std::vector<TensorId> inputs,
-                             std::vector<TensorId> outputs) {
-  Graph g;
-  g.name_ = std::move(name);
-  g.nodes_ = std::move(nodes);
-  g.tensors_ = std::move(tensors);
-  g.inputs_ = std::move(inputs);
-  g.outputs_ = std::move(outputs);
-  return g;
 }
 
 }  // namespace mlpm::graph

@@ -71,10 +71,6 @@ class Graph {
   friend class GraphBuilder;
   friend Graph ParseGraph(const std::string& text);
   friend Graph ParseGraphUnchecked(const std::string& text);
-  friend Graph AssembleGraphUnchecked(std::string name, std::vector<Node> nodes,
-                                      std::vector<TensorInfo> tensors,
-                                      std::vector<TensorId> inputs,
-                                      std::vector<TensorId> outputs);
   std::string name_;
   std::vector<Node> nodes_;  // already in topological (construction) order
   std::vector<TensorInfo> tensors_;
@@ -90,11 +86,6 @@ class GraphBuilder {
   explicit GraphBuilder(std::string graph_name);
 
   TensorId Input(const std::string& name, TensorShape shape);
-
-  // A materialized constant (OpType::kConstant): one weight tensor named
-  // `<node>/value` holds the payload; the node copies it to its output.
-  // Used by transform-layer tests; reference models never call this.
-  TensorId Constant(TensorShape shape, const std::string& name = {});
 
   TensorId Conv2d(TensorId in, std::int64_t out_channels, int kernel,
                   int stride, Activation act = Activation::kNone,
@@ -160,16 +151,5 @@ class GraphBuilder {
 // Output spatial size for a conv/pool window in one dimension.
 [[nodiscard]] std::int64_t ConvOutDim(std::int64_t in, int kernel, int stride,
                                       int dilation, Padding pad);
-
-// Assembles a Graph directly from its parts, without shape inference or
-// structural validation.  This is the freeze step of the transform layer's
-// MutableGraph (src/transform/ir_edit.h): the PassManager re-runs the full
-// analysis suite on the result, so validation happens there, not here.
-// Producer fields in `tensors` must already be consistent with `nodes`.
-[[nodiscard]] Graph AssembleGraphUnchecked(std::string name,
-                                           std::vector<Node> nodes,
-                                           std::vector<TensorInfo> tensors,
-                                           std::vector<TensorId> inputs,
-                                           std::vector<TensorId> outputs);
 
 }  // namespace mlpm::graph

@@ -34,12 +34,6 @@ enum class OpType : std::uint8_t {
   kEmbeddingLookup,
   kMultiHeadAttention,
   kLstm,  // fused unidirectional LSTM layer over a sequence
-  // A materialized compile-time value: no activation inputs, one weight
-  // tensor holding the value, output copies it verbatim.  Produced by the
-  // transform layer's constant-folding pass (src/transform); reference
-  // models never contain one.  Appended last so existing serialized graphs
-  // and fingerprints are unaffected.
-  kConstant,
 };
 
 // Activations that may be fused into conv / fc nodes (TFLite-style).

@@ -31,7 +31,6 @@ const char* OpToken(OpType t) {
     case OpType::kEmbeddingLookup: return "embedding";
     case OpType::kMultiHeadAttention: return "mha";
     case OpType::kLstm: return "lstm";
-    case OpType::kConstant: return "const";
   }
   return "?";
 }
@@ -56,7 +55,6 @@ OpType OpFromToken(const std::string& s) {
       {"embedding", OpType::kEmbeddingLookup},
       {"mha", OpType::kMultiHeadAttention},
       {"lstm", OpType::kLstm},
-      {"const", OpType::kConstant},
   };
   const auto it = map.find(s);
   Expects(it != map.end(), "unknown op token: " + s);
@@ -140,7 +138,6 @@ void WriteAttrs(std::ostream& os, const Node& n) {
     case OpType::kMul:
     case OpType::kGlobalAvgPool:
     case OpType::kLayerNorm:
-    case OpType::kConstant:
       break;  // no attrs
   }
 }
@@ -244,7 +241,6 @@ OpAttrs ReadAttrs(OpType op, LineTokens& attrs) {
     case OpType::kMul:
     case OpType::kGlobalAvgPool:
     case OpType::kLayerNorm:
-    case OpType::kConstant:
       return EmptyAttrs{};
   }
   return EmptyAttrs{};

@@ -100,9 +100,6 @@ constexpr Column kColumns[] = {
     Col<&T::rejected_count>("rejected"),
     Col<&T::breaker_trips>("breaker_trips"),
     Col<&T::kernel_isa>("kernel_isa"),
-    Col<&T::transform_applied>("transform_applied"),
-    Col<&T::transform_passes>("transform_passes"),
-    Col<&T::transform_rewrites>("transform_rewrites"),
     Col<&T::tiling_applied>("tiling_applied"),
     Col<&T::tile_segments>("tile_segments"),
     Col<&T::tile_rows>("tile_rows"),

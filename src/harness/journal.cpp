@@ -78,13 +78,6 @@ template <> Table<T> FieldsOf<T>() {
       Member<&T::lint_warning_count>("lint_warning_count"),
       Member<&T::lint_log>("lint_log"),
       Member<&T::kernel_isa>("kernel_isa"),
-      Member<&T::transform_requested>("transform_requested"),
-      Member<&T::transform_applied>("transform_applied"),
-      Member<&T::transform_passes>("transform_passes"),
-      Member<&T::transform_rewrites>("transform_rewrites"),
-      Member<&T::transform_nodes_before>("transform_nodes_before"),
-      Member<&T::transform_nodes_after>("transform_nodes_after"),
-      Member<&T::transform_detail>("transform_detail"),
       Member<&T::tiling_requested>("tiling_requested"),
       Member<&T::tiling_applied>("tiling_applied"),
       Member<&T::tile_segments>("tile_segments"),
@@ -183,9 +176,8 @@ std::uint64_t HashRunConfig(const soc::ChipsetDesc& chipset,
   // mixing journals from differently-configured runs, and f32 accuracy
   // results differ across kernel tables.
   Put(canon, "kernel_isa", ToString(o.kernel_isa));
-  // The transform stage changes the executed graph, so resumed accuracy
-  // results are only interchangeable within one setting of it.
-  Put(canon, "transform", o.transform);
+  // The removed transform stage's key, kept so earlier journals resume.
+  Put(canon, "transform", false);
   // Tiling is bit-identical to whole-op execution, but the memory-plan
   // figures and applied/segment fields in each record depend on it, so
   // journals are only interchangeable within one tiling configuration.

@@ -139,30 +139,6 @@ std::string FormatSubmission(const SubmissionResult& result) {
     out += l.Render();
   }
 
-  // Transform-stage transparency (DESIGN.md §14): when the verified rewrite
-  // pipeline was requested, the report shows per task whether the rewritten
-  // graph actually ran, how much smaller it got, and — on fallback — why.
-  bool any_transform = false;
-  for (const TaskRunResult& task : result.tasks)
-    any_transform |= task.transform_requested;
-  if (any_transform) {
-    TextTable x("graph transforms");
-    x.SetHeader({"Task", "Applied", "Rewrites", "Nodes", "Passes / detail"});
-    for (const TaskRunResult& task : result.tasks) {
-      if (!task.transform_requested) continue;
-      std::string tail = task.transform_applied ? task.transform_passes
-                                                : task.transform_detail;
-      if (tail.size() > 72) tail = tail.substr(0, 69) + "...";
-      x.AddRow({task.entry.id, task.transform_applied ? "yes" : "FALLBACK",
-                std::to_string(task.transform_rewrites),
-                std::to_string(task.transform_nodes_before) + " -> " +
-                    std::to_string(task.transform_nodes_after),
-                std::move(tail)});
-    }
-    out += "\n";
-    out += x.Render();
-  }
-
   // Tiled-execution transparency (DESIGN.md §15): when tiling was
   // requested, the report shows per task whether the accuracy executors
   // actually ran fused tile segments, how many chains fused, the tile

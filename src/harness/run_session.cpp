@@ -390,17 +390,10 @@ void RunTask(const soc::ChipsetDesc& chipset, models::SuiteVersion version,
         bundle.Prepare(mode,
                        options.use_qat_weights &&
                            mode == infer::NumericsMode::kInt8,
-                       options.kernel_isa, options.transform, tile_opt, pool);
+                       options.kernel_isa, false, tile_opt, pool);
     tr.calibration_indices = prepared.calibration_indices;
     tr.tiling_applied = prepared.executor != nullptr &&
                         prepared.executor->tiled();
-    tr.transform_requested = prepared.transform.requested;
-    tr.transform_applied = prepared.transform.applied;
-    tr.transform_passes = prepared.transform.passes;
-    tr.transform_rewrites = prepared.transform.rewrites;
-    tr.transform_nodes_before = prepared.transform.nodes_before;
-    tr.transform_nodes_after = prepared.transform.nodes_after;
-    tr.transform_detail = prepared.transform.detail;
 
     // The whole validation set is staged before the run, on the pool.
     loadgen::DatasetQsl qsl(bundle.dataset(pool), 0, pool);

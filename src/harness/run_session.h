@@ -92,15 +92,6 @@ struct RunOptions {
   // numerics, not kernels.
   infer::kernels::KernelIsa kernel_isa = infer::kernels::KernelIsa::kAuto;
 
-  // Opt-in verified graph-transform stage (DESIGN.md §14).  The accuracy
-  // executors run the rewrite pipeline's output instead of the raw reference
-  // graph; every rewrite is invariant-checked before commit and the prepared
-  // model is probe-checked for equivalence against the untransformed one
-  // (TaskBundle::Prepare), falling back transparently on any disagreement.
-  // The FP32 reference score stays untransformed, so ratio_to_fp32 keeps
-  // its meaning.  Off by default: scores are byte-identical to prior runs.
-  bool transform = false;
-
   // Opt-in tiled, fused pipeline execution (DESIGN.md §15).  When
   // `tiling.enabled`, the accuracy-plane executors run fusable conv/dw
   // chains crop-by-crop through a tile slab instead of materializing full
@@ -234,18 +225,6 @@ struct TaskRunResult {
   std::size_t lint_warning_count = 0;
   // ToText() rendering of the diagnostics, empty when the task lints clean.
   std::string lint_log;
-
-  // Verified graph-transform stage (DESIGN.md §14).  `transform_applied`
-  // means the accuracy executor actually ran the rewritten graph;
-  // requested-but-fallen-back runs keep it false and explain why in
-  // `transform_detail`.  All zero/empty when RunOptions::transform is off.
-  bool transform_requested = false;
-  bool transform_applied = false;
-  std::string transform_passes;  // resolved pass list, comma-joined
-  std::size_t transform_rewrites = 0;
-  std::size_t transform_nodes_before = 0;  // canonical-form node count
-  std::size_t transform_nodes_after = 0;   // executed node count
-  std::string transform_detail;            // fallback reason, if any
 };
 
 // One LoadGen counter summed over a task's performance tests (either may be

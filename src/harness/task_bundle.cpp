@@ -1,7 +1,5 @@
 #include "harness/task_bundle.h"
 
-#include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "datasets/calibration_set.h"
@@ -12,43 +10,10 @@
 #include "models/deeplab.h"
 #include "models/mobilebert.h"
 #include "models/mobilenet_edgetpu.h"
-#include "obs/metrics.h"
 #include "quant/calibration.h"
 
 namespace mlpm::harness {
 namespace {
-
-// Probe-sample equivalence gate for the transform stage (DESIGN.md §14):
-// the rewritten executor must reproduce the untransformed one on real
-// dataset inputs before the transformed model is allowed to score.  INT8's
-// simulated quantization is deterministic, so it must match bit for bit;
-// FP32/FP16 rewrites all commute exactly with their roundings, so the
-// tolerance only absorbs compiler-level FP reassociation.
-constexpr std::size_t kTransformProbeSamples = 4;
-constexpr float kTransformProbeTolerance = 1e-6f;
-
-// Empty string = outputs agree; otherwise a one-line description of the
-// first disagreement.
-std::string CompareProbeOutputs(const std::vector<infer::Tensor>& want,
-                                const std::vector<infer::Tensor>& got,
-                                infer::NumericsMode mode) {
-  if (want.size() != got.size()) return "output count mismatch";
-  const float tol =
-      mode == infer::NumericsMode::kInt8 ? 0.0f : kTransformProbeTolerance;
-  for (std::size_t o = 0; o < want.size(); ++o) {
-    const std::span<const float> a = want[o].values();
-    const std::span<const float> b = got[o].values();
-    if (a.size() != b.size())
-      return "output " + std::to_string(o) + " size mismatch";
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      // Negated comparison so a NaN on either side counts as disagreement.
-      if (!(std::fabs(a[i] - b[i]) <= tol))
-        return "output " + std::to_string(o) + "[" + std::to_string(i) +
-               "]: " + std::to_string(a[i]) + " vs " + std::to_string(b[i]);
-    }
-  }
-  return {};
-}
 
 double ScoreOn(const datasets::TaskDataset& ds,
                const infer::Executor& executor, const ThreadPool* pool) {
@@ -168,19 +133,11 @@ TaskBundle::PreparedModel TaskBundle::Prepare(
     infer::NumericsMode mode, bool use_qat_weights,
     infer::kernels::KernelIsa isa, bool transform,
     const infer::TileOptions& tiling, const ThreadPool* pool) const {
-  const std::pair<int, std::int64_t> key{
-      (static_cast<int>(mode) * 2 + (use_qat_weights ? 1 : 0)) * 8 +
-          static_cast<int>(isa) + (transform ? 64 : 0),
-      tiling.enabled ? tiling.rows : -2};
+  Expects(!transform, "the graph-transform stage was removed");
+  const auto key = std::make_tuple(mode, use_qat_weights, isa,
+                                   tiling.enabled ? tiling.rows : -2);
   if (const auto it = prepared_cache_.find(key); it != prepared_cache_.end())
     return it->second;
-
-  if (transform) {
-    PreparedModel p =
-        PrepareTransformed(mode, use_qat_weights, isa, tiling, pool);
-    prepared_cache_.emplace(key, p);
-    return p;
-  }
 
   PreparedModel p;
   const infer::WeightStore* weights = &weights_;
@@ -204,83 +161,6 @@ TaskBundle::PreparedModel TaskBundle::Prepare(
   }
   p.executor = p.model.get();
   prepared_cache_.emplace(key, p);
-  return p;
-}
-
-TaskBundle::PreparedModel TaskBundle::PrepareTransformed(
-    infer::NumericsMode mode, bool use_qat_weights,
-    infer::kernels::KernelIsa isa, const infer::TileOptions& tiling,
-    const ThreadPool* pool) const {
-  // The untransformed model at identical numerics is both the equivalence
-  // baseline and the fallback if any gate trips; the regular cache shares
-  // its prepack with non-transform runs.
-  PreparedModel base = Prepare(mode, use_qat_weights, isa,
-                               /*transform=*/false, tiling, pool);
-  base.transform.requested = true;
-
-  // Base Prepare() materialized qat_weights_ when requested.
-  const infer::WeightStore* weights =
-      use_qat_weights ? &*qat_weights_ : &weights_;
-
-  auto tr = std::make_shared<transform::TransformResult>(
-      transform::MakeDefaultPipeline(
-          {.mode = mode, .metrics = &obs::MetricsRegistry::Global()})
-          .Run(*graph_, *weights));
-
-  TransformInfo info;
-  info.requested = true;
-  info.passes = tr->PassList();
-  info.rewrites = tr->TotalRewrites();
-  info.nodes_before = tr->nodes_canonical;
-  info.nodes_after = tr->nodes_after;
-
-  if (tr->diagnostics.HasErrors()) {
-    // Every failing pass was rolled back, so the result graph is still
-    // executable — but an error means a pass misbehaved; run the
-    // untransformed graph and say so.
-    base.transform = std::move(info);
-    base.transform.detail =
-        "transform verification reported errors; ran untransformed graph";
-    return base;
-  }
-
-  PreparedModel p;
-  if (mode == infer::NumericsMode::kInt8) {
-    // Re-run PTQ over the same approved calibration subset, against the
-    // rewritten graph: fused nodes removed intermediate tensors, so the
-    // untransformed ranges no longer line up one-to-one.
-    p.calibration_indices = base.calibration_indices;
-    const std::vector<quant::CalibrationSample> samples =
-        datasets::GatherCalibrationSamples(dataset(pool),
-                                           p.calibration_indices, pool);
-    const infer::QuantParams qp =
-        quant::CalibratePtq(tr->graph, tr->weights, samples, {}, pool);
-    p.model = std::make_shared<infer::Executor>(tr->graph, tr->weights,
-                                                mode, &qp, isa, tiling);
-  } else {
-    p.model = std::make_shared<infer::Executor>(tr->graph, tr->weights,
-                                                mode, nullptr, isa, tiling);
-  }
-  p.executor = p.model.get();
-  p.transformed = tr;  // keeps the graph/weights alive for p.model
-  p.transform = info;
-
-  const datasets::TaskDataset& ds = dataset(pool);
-  const std::size_t probes =
-      std::min<std::size_t>(kTransformProbeSamples, ds.size());
-  for (std::size_t i = 0; i < probes; ++i) {
-    const std::vector<infer::Tensor> inputs = ds.InputsFor(i);
-    const std::string mismatch = CompareProbeOutputs(
-        base.executor->Run(inputs), p.executor->Run(inputs), mode);
-    if (!mismatch.empty()) {
-      base.transform = std::move(info);
-      base.transform.detail = "equivalence probe failed on sample " +
-                              std::to_string(i) + " (" + mismatch +
-                              "); ran untransformed graph";
-      return base;
-    }
-  }
-  p.transform.applied = true;
   return p;
 }
 

@@ -8,7 +8,7 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <utility>
+#include <tuple>
 #include <vector>
 
 #include "common/check.h"
@@ -16,7 +16,6 @@
 #include "infer/executor.h"
 #include "models/ssd.h"
 #include "models/zoo.h"
-#include "transform/pass_manager.h"
 
 namespace mlpm {
 class ThreadPool;
@@ -85,19 +84,6 @@ class TaskBundle {
   // performance plane sizes its sample source by, without labelling.
   [[nodiscard]] std::size_t dataset_size() const { return dataset_size_; }
 
-  // Outcome of the opt-in transform stage for one prepared model.
-  struct TransformInfo {
-    bool requested = false;  // Prepare() was asked to transform
-    bool applied = false;    // executor runs the transformed graph
-    std::string passes;      // resolved pass list (comma-joined)
-    std::size_t rewrites = 0;
-    std::size_t nodes_before = 0;  // canonical-form input node count
-    std::size_t nodes_after = 0;   // executed node count
-    // Why the stage fell back to the untransformed graph ("" when applied
-    // or never requested).
-    std::string detail;
-  };
-
   struct PreparedModel {
     // Shared so repeated Prepare() calls at the same numerics reuse one
     // prepack (weight transform + PTQ) instead of redoing it.
@@ -107,28 +93,18 @@ class TaskBundle {
     // Calibration sample indices consumed (for the checker); empty unless
     // INT8.
     std::vector<std::size_t> calibration_indices;
-    // Owns the rewritten graph + weights `model` references when the
-    // transform stage applied; null otherwise.  Must live as long as
-    // `model`, which is why it rides in the same cache entry.
-    std::shared_ptr<const transform::TransformResult> transformed;
-    TransformInfo transform;
   };
 
   // Prepares an executor at the given numerics.  INT8 runs PTQ over the
   // approved calibration subset; `use_qat_weights` selects the
   // mutually-agreed QAT-equivalent weights instead of the plain frozen ones.
   // `isa` forces the kernel table (kAuto = best available).  Results are
-  // cached per (mode, qat, isa, transform) tuple: weights are
+  // cached per (mode, qat, isa, tile rows) tuple: weights are
   // quantized/packed once per graph and reused across runs.
   //
-  // With `transform` set, the verified rewrite pipeline (DESIGN.md §14) runs
-  // on the reference graph first and the executor is built over the rewritten
-  // graph.  Equivalence is enforced, not assumed: probe samples run through
-  // both executors and must agree bit-for-bit under INT8's u8-stable
-  // simulated quantization, and within 1e-6 max-abs under FP32/FP16 (the
-  // committed rewrites commute exactly with those roundings; the tolerance
-  // absorbs only compiler-level FP reassociation).  Any disagreement falls
-  // back to the untransformed model and records why in `transform.detail`.
+  // `transform` must be false: the graph-transform stage was removed, and
+  // the slot stays only because the benchmark's replay (perfbench/op.cpp)
+  // passes it; it leaves with the next change to the benchmark.
   //
   // `tiling` opts the prepared executors into fused tiled segment execution
   // (DESIGN.md §15) — bit-identical to whole-op execution, so accuracy
@@ -160,15 +136,6 @@ class TaskBundle {
  private:
   TaskBundle() = default;
 
-  // Transform-enabled arm of Prepare(): runs the pipeline, rebuilds INT8
-  // calibration on the rewritten graph, and gates on the probe-sample
-  // equivalence check.  Falls back to the untransformed model on any
-  // disagreement.
-  [[nodiscard]] PreparedModel PrepareTransformed(
-      infer::NumericsMode mode, bool use_qat_weights,
-      infer::kernels::KernelIsa isa, const infer::TileOptions& tiling,
-      const ThreadPool* pool) const;
-
   models::BenchmarkEntry entry_;
   models::SuiteVersion version_ = models::SuiteVersion::kV1_0;
   // For detection tasks the graph lives inside detection_model_.
@@ -183,10 +150,12 @@ class TaskBundle {
   mutable std::unique_ptr<datasets::TaskDataset> dataset_;  // lazy
   // FP32 reference scores keyed by kernel ISA.
   mutable std::map<int, double> fp32_scores_;
-  // Prepack cache, keyed by ((mode, use_qat_weights, isa, transform),
-  // tile-rows) — the second component is the tiling request (-2 = untiled),
-  // so differently-tiled executors never share an entry.
-  mutable std::map<std::pair<int, std::int64_t>, PreparedModel>
+  // Prepack cache, keyed by (mode, use_qat_weights, isa, tile rows); the
+  // tile rows are the tiling request (-2 = untiled), so differently-tiled
+  // executors never share an entry.
+  mutable std::map<std::tuple<infer::NumericsMode, bool,
+                              infer::kernels::KernelIsa, std::int64_t>,
+                   PreparedModel>
       prepared_cache_;
 };
 

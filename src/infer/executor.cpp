@@ -617,13 +617,6 @@ void NodeRunner::Run(const Executor& exec, const Node& n,
       RunLstm(std::get<graph::LstmAttrs>(n.attrs), fetch(n.inputs[0]),
               weight(0), weight(1), weight(2), out);
       break;
-    case OpType::kConstant: {
-      // Materialized constant (transform-layer constant folding): the value
-      // lives in the node's single weight tensor.
-      const Tensor& value = weight(0);
-      std::copy_n(value.data(), value.size(), out.data());
-      break;
-    }
   }
   if (observer) observer(n.output, out);
   ApplyOutputNumerics(exec.mode_, exec.quant_, n.output, out.values(),

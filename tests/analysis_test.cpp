@@ -42,7 +42,7 @@ bool Has(const DiagnosticEngine& de, std::string_view code) {
 
 TEST(DiagnosticEngine, CatalogueIsSortedAndComplete) {
   const auto cat = analysis::DiagnosticCatalogue();
-  EXPECT_EQ(cat.size(), 38u);  // +1: tiled-execution config RUN008
+  EXPECT_EQ(cat.size(), 30u);  // XFM001-XFM008 left with graph rewriting
   EXPECT_TRUE(std::is_sorted(
       cat.begin(), cat.end(),
       [](const auto& a, const auto& b) { return a.code < b.code; }));
@@ -53,6 +53,7 @@ TEST(DiagnosticEngine, CatalogueIsSortedAndComplete) {
     EXPECT_FALSE(info.summary.empty()) << info.code;
   }
   EXPECT_EQ(analysis::FindCode("NOPE999"), nullptr);
+  EXPECT_EQ(analysis::FindCode("XFM001"), nullptr);
 }
 
 TEST(DiagnosticEngine, DefaultSeverityComesFromCatalogue) {

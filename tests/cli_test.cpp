@@ -2,7 +2,8 @@
 //   * goldens: five invocations covering both modes and every flag family
 //     reproduce stdout (and the CSV) committed from an earlier release;
 //   * bad input (malformed numbers and enums, unknown flags, a value flag
-//     given last) exits 2 with the usage, which lists every flag once;
+//     given last) exits 2 with the usage, which lists every flag once; so
+//     does the removed --transform, in mlpm_lint too;
 //   * flag semantics the goldens do not reach: the last of --accuracy and
 //     --performance-only wins, and --task keeps a traced run's profile
 //     tables;
@@ -109,7 +110,7 @@ TEST(CliGolden, V07SegmentationWithEveryAccuracyPlaneFlag) {
   const CliRun run(
       "--version v0.7 --chipset \"Snapdragon 865+\" --performance-only "
       "--cooldown 0 --kernel-isa scalar --e2e --lint strict --tile 8 "
-      "--transform --task is");
+      "--task is");
   EXPECT_EQ(run.status(), 0) << run.err();
   EXPECT_EQ(run.out(), Golden("cli_v07_is.txt"));
 }
@@ -168,20 +169,36 @@ TEST(CliFlags, UsageListsEveryFlagOnce) {
   for (std::size_t at = usage.find("[--"); at != std::string::npos;
        at = usage.find("[--", at + 1))
     ++listed;
-  EXPECT_EQ(listed, 27u) << usage;
+  EXPECT_EQ(listed, 26u) << usage;
   for (const char* flag :
        {"--chipset", "--version", "--task", "--accuracy", "--performance-only",
         "--e2e", "--cooldown", "--csv", "--log", "--faults", "--fault-seed",
-        "--threads", "--kernel-isa", "--lint", "--transform", "--tile",
+        "--threads", "--kernel-isa", "--lint", "--tile",
         "--trace", "--profile", "--journal", "--resume", "--fleet",
         "--fleet-mix", "--fleet-qps", "--fleet-slo-ms", "--fleet-queries",
         "--fleet-depth", "--fleet-workers"}) {
-    // 27 entries naming 27 distinct flags: each is listed exactly once.
+    // 26 entries naming 26 distinct flags: each is listed exactly once.
     const std::string entry = std::string("[") + flag;
     EXPECT_TRUE(usage.find(entry + " ") != std::string::npos ||
                 usage.find(entry + "]") != std::string::npos)
         << flag << " missing from\n" << usage;
   }
+}
+
+// The graph-transform stage and its flag were removed from both tools; a
+// script still passing --transform is told so rather than silently ignored.
+TEST(CliFlags, RemovedTransformFlagIsAUsageErrorInBothTools) {
+  const CliRun run("--transform");
+  EXPECT_EQ(run.status(), 2);
+  EXPECT_EQ(run.out(), "");
+  EXPECT_NE(run.err().find("usage: headless_cli"), std::string::npos);
+
+  std::string out;
+  std::string err;
+  EXPECT_EQ(run.Run(MLPM_LINT_TOOL, "--transform", out, err), 2);
+  EXPECT_EQ(out, "");
+  EXPECT_NE(err.find("usage: "), std::string::npos) << err;
+  EXPECT_EQ(err.find("--transform"), std::string::npos) << err;
 }
 
 // ---- flag semantics --------------------------------------------------------

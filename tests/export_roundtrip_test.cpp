@@ -29,10 +29,8 @@ const std::vector<std::string> kColumns = {
     "peak_arena_bytes", "naive_activation_bytes",
     "shed",           "rejected",
     "breaker_trips",  "kernel_isa",
-    "transform_applied", "transform_passes",
-    "transform_rewrites", "tiling_applied",
-    "tile_segments",  "tile_rows",
-    "tile_slab_bytes"};
+    "tiling_applied", "tile_segments",
+    "tile_rows",      "tile_slab_bytes"};
 
 // A submission whose string fields exercise every character RFC 4180
 // forces into quotes: commas, double quotes, LF, CR and CRLF.
@@ -69,11 +67,7 @@ SubmissionResult HostileResult() {
   task.shed_count = 7;
   task.rejected_count = 4;
   task.breaker_trips = 2;
-  task.kernel_isa = "avx2,\"simd\"";
-  task.transform_requested = true;
-  task.transform_applied = true;
-  task.transform_passes = "split-activations,\"fuse\",\r\nconstant-fold";
-  task.transform_rewrites = 9;
+  task.kernel_isa = "avx2,\"simd\",\r\nfma";
   task.tiling_requested = true;
   task.tiling_applied = true;
   task.tile_segments = 19;
@@ -120,13 +114,10 @@ TEST(ExportCsv, HostileFieldsRoundTripByteForByte) {
   EXPECT_EQ(row[25], "4");   // rejected
   EXPECT_EQ(row[26], "2");   // breaker_trips
   EXPECT_EQ(row[27], result.tasks[0].kernel_isa);
-  EXPECT_EQ(row[28], "true");  // transform_applied
-  EXPECT_EQ(row[29], result.tasks[0].transform_passes);
-  EXPECT_EQ(row[30], "9");   // transform_rewrites
-  EXPECT_EQ(row[31], "true");    // tiling_applied
-  EXPECT_EQ(row[32], "19");      // tile_segments
-  EXPECT_EQ(row[33], "-1");      // tile_rows (auto)
-  EXPECT_EQ(row[34], "465920");  // tile_slab_bytes
+  EXPECT_EQ(row[28], "true");    // tiling_applied
+  EXPECT_EQ(row[29], "19");      // tile_segments
+  EXPECT_EQ(row[30], "-1");      // tile_rows (auto)
+  EXPECT_EQ(row[31], "465920");  // tile_slab_bytes
 }
 
 TEST(ExportCsv, EveryRowHasHeaderWidth) {

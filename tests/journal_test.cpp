@@ -19,6 +19,8 @@
 #include "harness/export.h"
 #include "harness/journal.h"
 #include "harness/report.h"
+#include "soc/chipset.h"
+#include "soc/faults.h"
 
 namespace mlpm::harness {
 namespace {
@@ -102,7 +104,7 @@ TaskRunResult HostileTask(const std::string& id) {
   t.peak_arena_bytes = 1 << 20;
   t.naive_activation_bytes = 1 << 22;
   t.status = TaskStatus::kValidDegraded;
-  t.status_detail = "retried twice";
+  t.status_detail = "retried twice,\nwith\nbreaks";
   t.fault_count = 5;
   t.degradation_count = 2;
   t.shed_count = 7;
@@ -113,15 +115,8 @@ TaskRunResult HostileTask(const std::string& id) {
   t.fault_log = "fault stall q=1\nbreaker closed->open query=9\n";
   t.lint_error_count = 0;
   t.lint_warning_count = 4;
-  t.lint_log = "warning: something\n";
+  t.lint_log = "warning: something\nnote: probe failed on sample 0\n";
   t.kernel_isa = "avx2";
-  t.transform_requested = true;
-  t.transform_applied = false;
-  t.transform_passes = "split-activations,constant-fold\nwith\nbreaks";
-  t.transform_rewrites = 42;
-  t.transform_nodes_before = 103;
-  t.transform_nodes_after = 70;
-  t.transform_detail = "equivalence probe failed on sample 0";
   t.tiling_requested = true;
   t.tiling_applied = true;
   t.tile_segments = 19;
@@ -175,18 +170,34 @@ TEST(Journal, TaskRecordRoundTripsBitExact) {
   EXPECT_EQ(decoded.lint_warning_count, original.lint_warning_count);
   EXPECT_EQ(decoded.lint_log, original.lint_log);
   EXPECT_EQ(decoded.kernel_isa, original.kernel_isa);
-  EXPECT_EQ(decoded.transform_requested, original.transform_requested);
-  EXPECT_EQ(decoded.transform_applied, original.transform_applied);
-  EXPECT_EQ(decoded.transform_passes, original.transform_passes);
-  EXPECT_EQ(decoded.transform_rewrites, original.transform_rewrites);
-  EXPECT_EQ(decoded.transform_nodes_before, original.transform_nodes_before);
-  EXPECT_EQ(decoded.transform_nodes_after, original.transform_nodes_after);
-  EXPECT_EQ(decoded.transform_detail, original.transform_detail);
   EXPECT_EQ(decoded.tiling_requested, original.tiling_requested);
   EXPECT_EQ(decoded.tiling_applied, original.tiling_applied);
   EXPECT_EQ(decoded.tile_segments, original.tile_segments);
   EXPECT_EQ(decoded.tile_rows, original.tile_rows);
   EXPECT_EQ(decoded.tile_slab_bytes, original.tile_slab_bytes);
+}
+
+// A journal resumes only under the config hash it was written with.  These
+// values were recorded from a build that still had the graph-transform
+// option, which it hashed as "transform" = false; journals written by such
+// a build without that option must keep resuming.
+TEST(Journal, ConfigHashesMatchJournalsOfEarlierBuilds) {
+  const soc::ChipsetDesc chipset = soc::Dimensity1100();
+  constexpr models::SuiteVersion kV1_0 = models::SuiteVersion::kV1_0;
+  EXPECT_EQ(HashRunConfig(chipset, kV1_0, RunOptions{}),
+            0xa8904ac08d11423cULL);
+
+  // headless_cli --kernel-isa scalar --tile 8 --faults 0.2 --fault-seed 7
+  RunOptions o;
+  o.kernel_isa = infer::kernels::KernelIsa::kScalar;
+  o.tiling.enabled = true;
+  o.tiling.rows = 8;
+  soc::FaultPlan plan;
+  plan.seed = 7;
+  plan.DriverCrashes(0.2);
+  o.fault_plan = plan;
+  o.performance_settings.query_timeout = loadgen::Seconds{10.0};
+  EXPECT_EQ(HashRunConfig(chipset, kV1_0, o), 0x800fab452d88aecfULL);
 }
 
 TEST(Journal, MetaRoundTrips) {

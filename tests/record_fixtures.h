@@ -64,7 +64,7 @@ inline harness::TaskRunResult HostileTask(const std::string& id) {
   t.peak_arena_bytes = 1 << 20;
   t.naive_activation_bytes = 1 << 22;
   t.status = harness::TaskStatus::kValidDegraded;
-  t.status_detail = "retried twice";
+  t.status_detail = "retried twice,\nwith\nbreaks";
   t.fault_count = 5;
   t.degradation_count = 2;
   t.shed_count = 7;
@@ -75,15 +75,8 @@ inline harness::TaskRunResult HostileTask(const std::string& id) {
   t.fault_log = "fault stall q=1\nbreaker closed->open query=9\n";
   t.lint_error_count = 0;
   t.lint_warning_count = 4;
-  t.lint_log = "warning: something\n";
+  t.lint_log = "warning: something\nnote: probe failed on sample 0\n";
   t.kernel_isa = "avx2";
-  t.transform_requested = true;
-  t.transform_applied = false;
-  t.transform_passes = "split-activations,constant-fold\nwith\nbreaks";
-  t.transform_rewrites = 42;
-  t.transform_nodes_before = 103;
-  t.transform_nodes_after = 70;
-  t.transform_detail = "equivalence probe failed on sample 0";
   t.tiling_requested = true;
   t.tiling_applied = true;
   t.tile_segments = 19;
@@ -121,7 +114,6 @@ inline harness::TaskRunResult PopulatedTask() {
   t.offline = PopulatedTestResult();
   t.offline->scenario = loadgen::TestScenario::kOffline;
   t.lint_error_count = 2;
-  t.transform_applied = true;
   return t;
 }
 
@@ -182,11 +174,7 @@ inline harness::SubmissionResult HostileResult() {
   task.shed_count = 7;
   task.rejected_count = 4;
   task.breaker_trips = 2;
-  task.kernel_isa = "avx2,\"simd\"";
-  task.transform_requested = true;
-  task.transform_applied = true;
-  task.transform_passes = "split-activations,\"fuse\",\r\nconstant-fold";
-  task.transform_rewrites = 9;
+  task.kernel_isa = "avx2,\"simd\",\r\nfma";
   task.tiling_requested = true;
   task.tiling_applied = true;
   task.tile_segments = 19;

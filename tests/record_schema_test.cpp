@@ -77,6 +77,17 @@ TEST(RecordGolden, GoldenRecordsDecodeToTheirFixtures) {
               testutil::TestMeta());
   EXPECT_TRUE(Decode<fleet::FleetJournalMeta>(Golden("fleet_meta.txt")) ==
               GoldenFleetMeta());
+
+  // HostileTask's record as written by a build that still journaled the
+  // removed graph-transform stage's seven transform_* keys, before the
+  // fixture's multi-line strings moved onto status_detail and lint_log.
+  // Journals from that build must still resume: the keys are skipped.
+  TaskRunResult then = testutil::HostileTask("ic_tf");
+  then.status_detail = "retried twice";
+  then.lint_log = "warning: something\n";
+  EXPECT_EQ(Encode(Decode<TaskRunResult>(
+                Golden("task_record_with_transform_keys.txt"))),
+            Encode(then));
 }
 
 // ---- per-table property ----------------------------------------------------

@@ -87,7 +87,12 @@ TEST(GraphSerialize, RejectsTamperedStructure) {
 
 // A hostile or damaged model file must fail as a CheckError (the audit's
 // rejection path), never as a library exception or an unbounded allocation.
+// kConstNode is a well-formed graph text around the materialized-constant
+// op that graph rewriting once produced; the format no longer has it.
 TEST(GraphSerialize, HostileInputsThrowCheckError) {
+  const char* const kConstNode =
+      "tensor 0 w 1 4 c/value\ntensor 1 a 1 4 c\n"
+      "node c const [] in 0 w 1 0 out 1\ngraph_output 1";
   for (const char* body : {
            "node n act [a=abc] in 0 w 0 out 0",          // non-numeric attr
            "node n fc [of=99999999999999999999 a=0] in 0 w 0 out 0",
@@ -98,11 +103,20 @@ TEST(GraphSerialize, HostileInputsThrowCheckError) {
            "node n reshape [rank=-1] in 0 w 0 out 0",
            "tensor 0 a 1 5x x",                          // trailing garbage
            "graph_input 2147483648",                     // overflows TensorId
+           kConstNode,                                   // removed op
        }) {
     EXPECT_THROW((void)graph::ParseGraphUnchecked(
                      std::string("mlpm_graph v1\n") + body + "\n"),
                  CheckError)
         << body;
+  }
+  try {
+    (void)graph::ParseGraphUnchecked(std::string("mlpm_graph v1\n") +
+                                     kConstNode + "\n");
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown op token: const"),
+              std::string::npos)
+        << e.what();
   }
 }
 

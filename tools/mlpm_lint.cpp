@@ -20,11 +20,6 @@
 //                                  kernel ISA NAME against this host's
 //                                  kernel registry (RUN007 when unknown or
 //                                  unavailable)
-//   mlpm_lint --transform          dry-run the verified transform pipeline
-//                                  (src/transform, FP32) over the reference
-//                                  models: per-pass rewrite counts and
-//                                  verification timings, plus any XFM
-//                                  diagnostics as lint findings
 //   mlpm_lint --tile auto|N        lint a run configuration that requests
 //                                  tiled execution with the given tile
 //                                  height against every selected reference
@@ -48,10 +43,8 @@
 #include "infer/kernels/registry.h"
 #include "infer/memory_plan.h"
 #include "infer/tile_planner.h"
-#include "infer/weights.h"
 #include "models/zoo.h"
 #include "soc/chipset.h"
-#include "transform/pass_manager.h"
 
 namespace {
 
@@ -67,7 +60,6 @@ struct Options {
   bool lint_models = false;
   bool print_codes = false;
   bool memory_summary = false;
-  bool transform_summary = false;
   std::string chipset;     // empty = none, "all" = every catalog chipset
   std::string kernel_isa;  // empty = not requested
   std::string tile;        // empty = not requested; "auto" or a row count
@@ -79,7 +71,7 @@ struct Options {
 int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--json] [--version v0.7|v1.0|all] [--models]"
-               " [--chipset NAME|all] [--codes] [--memory] [--transform]"
+               " [--chipset NAME|all] [--codes] [--memory]"
                " [--kernel-isa auto|scalar|avx2|neon] [--tile auto|N]"
                " [FILE.graph ...]\n";
   return 2;
@@ -255,31 +247,6 @@ void LintTileConfig(const Options& opt, const std::string& value,
   }
 }
 
-// Dry-runs the default transform pipeline over every selected reference
-// model.  Nothing outside this process is affected: the transformed graph
-// is discarded, only the per-pass summary and the XFM diagnostics remain.
-// Weights use the harness's default seed so constant folding sees the same
-// values a run would.
-void DryRunTransforms(const Options& opt, std::vector<TargetReport>& reports) {
-  for (const models::SuiteVersion v : opt.versions) {
-    for (const models::BenchmarkEntry& e : models::SuiteFor(v)) {
-      TargetReport r;
-      r.name = std::string(ToString(v)) + "/" + e.id + " (" + e.model_name +
-               ")";
-      const graph::Graph g =
-          models::BuildReferenceGraph(e, v, models::ModelScale::kFull);
-      const infer::WeightStore weights = infer::InitializeWeights(g, 1u);
-      const transform::PassManager pm = transform::MakeDefaultPipeline(
-          {.mode = infer::NumericsMode::kFp32, .metrics = nullptr});
-      transform::TransformResult res = pm.Run(g, weights);
-      if (!opt.json)
-        std::cout << "== transform " << r.name << " ==\n" << res.Summary();
-      r.engine = std::move(res.diagnostics);
-      reports.push_back(std::move(r));
-    }
-  }
-}
-
 void PrintCodes() {
   for (const analysis::CodeInfo& c : analysis::DiagnosticCatalogue())
     std::cout << c.code << "  " << ToString(c.default_severity) << "  "
@@ -310,8 +277,6 @@ int main(int argc, char** argv) {
       opt.print_codes = true;
     } else if (arg == "--memory") {
       opt.memory_summary = true;
-    } else if (arg == "--transform") {
-      opt.transform_summary = true;
     } else if (arg == "--chipset") {
       if (++i >= argc) return Usage(argv[0]);
       opt.chipset = argv[i];
@@ -351,7 +316,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (!opt.lint_models && opt.chipset.empty() && opt.kernel_isa.empty() &&
-      opt.tile.empty() && !opt.transform_summary && opt.files.empty())
+      opt.tile.empty() && opt.files.empty())
     return Usage(argv[0]);
 
   std::vector<TargetReport> reports;
@@ -361,7 +326,6 @@ int main(int argc, char** argv) {
     if (!opt.chipset.empty()) LintSubmissions(opt, reports);
     if (!opt.kernel_isa.empty()) LintKernelIsa(opt.kernel_isa, reports);
     if (!opt.tile.empty()) LintTileConfig(opt, opt.tile, reports);
-    if (opt.transform_summary) DryRunTransforms(opt, reports);
   } catch (const std::exception& e) {
     std::cerr << "mlpm_lint: " << e.what() << '\n';
     return 2;
