@@ -144,8 +144,9 @@ inline PerfOutcome RunOffline(const soc::ChipsetDesc& chipset,
       *entry, version, models::ModelScale::kFull);
   const backends::SubmissionConfig sub =
       backends::GetSubmission(chipset, task, version);
-  Expects(!sub.offline_replicas.empty(),
-          chipset.name + " has no offline submission for this task");
+  Expects(!sub.offline_replicas.empty(), [&] {
+    return chipset.name + " has no offline submission for this task";
+  });
 
   loadgen::VirtualClock clock;
   backends::SimulatedBackend sut(

@@ -102,7 +102,7 @@ void DiagnosticEngine::Report(std::string_view code, SourceRef source,
                               std::string message) {
   const CodeInfo* info = FindCode(code);
   Expects(info != nullptr,
-          "unregistered diagnostic code: " + std::string(code));
+          [&] { return "unregistered diagnostic code: " + std::string(code); });
   Report(code, info->default_severity, std::move(source), std::move(message));
 }
 

@@ -222,7 +222,8 @@ SubmissionConfig GetSubmission(const soc::ChipsetDesc& chipset,
       replica.toolchain_efficiency = 1.0;
     return s;
   } else {
-    Expects(false, "no vendor policy for chipset " + chipset.name);
+    Expects(false,
+            [&] { return "no vendor policy for chipset " + chipset.name; });
   }
   s.chipset_name = chipset.name;
   const double tau = TaskTau(TauFor(vendor, version), task);

@@ -23,8 +23,9 @@ template <class T>
   T v{};
   const char* const end = token.data() + token.size();
   const auto [stop, ec] = std::from_chars(token.data(), end, v);
-  Expects(ec == std::errc{} && stop == end,
-          "bad " + std::string(what) + ": '" + std::string(token) + "'");
+  Expects(ec == std::errc{} && stop == end, [&] {
+    return "bad " + std::string(what) + ": '" + std::string(token) + "'";
+  });
   return v;
 }
 
@@ -43,7 +44,7 @@ class LineTokens {
   [[nodiscard]] std::size_t left() const { return tokens_.size() - next_; }
 
   [[nodiscard]] std::string_view Next(std::string_view what) {
-    Expects(left() > 0, "missing " + std::string(what));
+    Expects(left() > 0, [&] { return "missing " + std::string(what); });
     return tokens_[next_++];
   }
 
@@ -59,9 +60,10 @@ class LineTokens {
 
   // `n` if the line still holds at least `n` tokens.
   [[nodiscard]] std::size_t Bound(std::size_t n, std::string_view what) const {
-    Expects(n <= left(), std::string(what) + " " + std::to_string(n) +
-                             " exceeds the " + std::to_string(left()) +
-                             " tokens left on the line");
+    Expects(n <= left(), [&] {
+      return std::string(what) + " " + std::to_string(n) + " exceeds the " +
+             std::to_string(left()) + " tokens left on the line";
+    });
     return n;
   }
 

@@ -40,8 +40,9 @@ void DatasetQsl::UnloadSamplesFromRam(std::span<const std::size_t> indices) {
 
 const std::vector<infer::Tensor>& DatasetQsl::Loaded(std::size_t index) const {
   const auto it = loaded_.find(index);
-  Expects(it != loaded_.end(),
-          "sample " + std::to_string(index) + " not staged in RAM");
+  Expects(it != loaded_.end(), [&] {
+    return "sample " + std::to_string(index) + " not staged in RAM";
+  });
   return it->second;
 }
 

@@ -168,7 +168,8 @@ std::string TestLog::Serialize() const {
 TestLog TestLog::Parse(std::string_view text) {
   Expects(!text.empty(), "empty log");
   if (const std::string_view header = TakeLine(text); header != kHeader)
-    Expects(false, "unknown log format: " + std::string(header));
+    Expects(false,
+            [&] { return "unknown log format: " + std::string(header); });
   TestLog log;
   // At most one event per line: the reservation is bounded by the input.
   log.events_.reserve(
@@ -185,18 +186,21 @@ TestLog TestLog::Parse(std::string_view text) {
       std::uint64_t id = 0;
       double t = 0.0;
       if (!ParseEventBody(body, id, t)) [[unlikely]]
-        Expects(false, "malformed log event: " + std::string(line));
+        Expects(false,
+                [&] { return "malformed log event: " + std::string(line); });
       log.events_.push_back(LogEvent{event->kind, id, Seconds{t}});
     } else if (tag == kFieldTag) {
       // `field <key> <value>`: the key is non-empty and space-free, the
       // value is the rest of the line verbatim (possibly empty).
       const std::size_t key_end = body.find(' ');
       if (key_end == 0 || key_end == std::string_view::npos) [[unlikely]]
-        Expects(false, "malformed log field: " + std::string(line));
+        Expects(false,
+                [&] { return "malformed log field: " + std::string(line); });
       log.fields_.insert_or_assign(std::string(body.substr(0, key_end)),
                                    std::string(body.substr(key_end + 1)));
     } else {
-      Expects(false, "unknown log line tag: " + std::string(tag));
+      Expects(false,
+              [&] { return "unknown log line tag: " + std::string(tag); });
     }
   }
   return log;

@@ -39,8 +39,9 @@ std::vector<FleetMixEntry> ParseFleetMix(const std::string& spec) {
     if (part.empty()) continue;
 
     const std::size_t c1 = part.find(':');
-    Expects(c1 != std::string::npos,
-            "fleet mix entry needs '<chipset>:<task>[:<weight>]': " + part);
+    Expects(c1 != std::string::npos, [&] {
+      return "fleet mix entry needs '<chipset>:<task>[:<weight>]': " + part;
+    });
     const std::size_t c2 = part.find(':', c1 + 1);
 
     FleetMixEntry e;
@@ -48,15 +49,19 @@ std::vector<FleetMixEntry> ParseFleetMix(const std::string& spec) {
     e.task_id = CanonicalTaskId(
         Trim(part.substr(c1 + 1, (c2 == std::string::npos ? part.size() : c2) -
                                      c1 - 1)));
-    Expects(!e.chipset.empty(), "empty chipset in fleet mix entry: " + part);
-    Expects(!e.task_id.empty(), "empty task in fleet mix entry: " + part);
+    Expects(!e.chipset.empty(),
+            [&] { return "empty chipset in fleet mix entry: " + part; });
+    Expects(!e.task_id.empty(),
+            [&] { return "empty task in fleet mix entry: " + part; });
     if (c2 != std::string::npos) {
       const std::string w = Trim(part.substr(c2 + 1));
       char* rest = nullptr;
       e.weight = std::strtod(w.c_str(), &rest);
       Expects(rest != nullptr && *rest == '\0' && std::isfinite(e.weight) &&
                   e.weight > 0.0,
-              "fleet mix weight must be a positive number: " + part);
+              [&] {
+                return "fleet mix weight must be a positive number: " + part;
+              });
     }
     mix.push_back(std::move(e));
   }
@@ -135,15 +140,17 @@ std::vector<ResolvedMixEntry> ResolveMix(
     const auto chip = std::find_if(
         catalog.begin(), catalog.end(),
         [&](const soc::ChipsetDesc& c) { return c.name == e.chipset; });
-    Expects(chip != catalog.end(), "chipset not in the " +
-                                       std::string(ToString(version)) +
-                                       " catalog: " + e.chipset);
+    Expects(chip != catalog.end(), [&] {
+      return "chipset not in the " + std::string(ToString(version)) +
+             " catalog: " + e.chipset;
+    });
     const auto entry = std::find_if(
         suite.begin(), suite.end(),
         [&](const models::BenchmarkEntry& s) { return s.id == e.task_id; });
-    Expects(entry != suite.end(), "task not in the " +
-                                      std::string(ToString(version)) +
-                                      " suite: " + e.task_id);
+    Expects(entry != suite.end(), [&] {
+      return "task not in the " + std::string(ToString(version)) + " suite: " +
+             e.task_id;
+    });
     r.chipset = *chip;
     r.entry = *entry;
     out.push_back(std::move(r));

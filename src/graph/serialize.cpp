@@ -57,7 +57,7 @@ OpType OpFromToken(const std::string& s) {
       {"lstm", OpType::kLstm},
   };
   const auto it = map.find(s);
-  Expects(it != map.end(), "unknown op token: " + s);
+  Expects(it != map.end(), [&] { return "unknown op token: " + s; });
   return it->second;
 }
 
@@ -151,15 +151,16 @@ class AttrScanner {
   std::int64_t Expect(const std::string& key) {
     const std::string_view tok = attrs_.Next("attr " + key);
     const auto eq = tok.find('=');
-    Expects(eq != std::string_view::npos && tok.substr(0, eq) == key,
-            "expected attr " + key + ", got " + std::string(tok));
+    Expects(eq != std::string_view::npos && tok.substr(0, eq) == key, [&] {
+      return "expected attr " + key + ", got " + std::string(tok);
+    });
     return ParseInteger<std::int64_t>(tok.substr(eq + 1), "attr " + key);
   }
 
   // Reads "key=n" where n counts the attrs that follow.
   std::size_t Count(const std::string& key) {
     const std::int64_t n = Expect(key);
-    Expects(n >= 0, "negative attr " + key);
+    Expects(n >= 0, [&] { return "negative attr " + key; });
     return attrs_.Bound(static_cast<std::size_t>(n), "attr " + key);
   }
 
@@ -292,7 +293,8 @@ Graph ParseGraphUnchecked(const std::string& text) {
       Expects(ls.Int<std::size_t>("tensor id") == g.tensors_.size(),
               "tensor ids must be dense");
       const std::string_view kind = ls.Next("tensor kind");
-      Expects(kind == "w" || kind == "a", "malformed tensor line: " + line);
+      Expects(kind == "w" || kind == "a",
+              [&] { return "malformed tensor line: " + line; });
       std::vector<std::int64_t> dims(ls.Count("tensor rank"));
       for (auto& d : dims) d = ls.Int<std::int64_t>("tensor dim");
       TensorInfo info;
@@ -312,7 +314,7 @@ Graph ParseGraphUnchecked(const std::string& text) {
       const auto close = rest.find(']');
       Expects(open != std::string_view::npos &&
                   close != std::string_view::npos && open < close,
-              "malformed node line: " + line);
+              [&] { return "malformed node line: " + line; });
       LineTokens attrs(rest.substr(open + 1, close - open - 1));
       n.attrs = ReadAttrs(n.op, attrs);
       LineTokens tail(rest.substr(close + 1));
@@ -334,7 +336,7 @@ Graph ParseGraphUnchecked(const std::string& text) {
     } else if (tag == "graph_output") {
       g.outputs_.push_back(ls.Int<TensorId>("graph output"));
     } else {
-      Expects(false, "unknown line tag: " + std::string(tag));
+      Expects(false, [&] { return "unknown line tag: " + std::string(tag); });
     }
   }
   return g;
@@ -343,9 +345,10 @@ Graph ParseGraphUnchecked(const std::string& text) {
 Graph ParseGraph(const std::string& text) {
   Graph g = ParseGraphUnchecked(text);
   const ValidationReport report = Validate(g);
-  Expects(report.valid, "parsed graph failed validation: " +
-                            (report.problems.empty() ? std::string{}
-                                                     : report.problems[0]));
+  Expects(report.valid, [&] {
+    return "parsed graph failed validation: " +
+           (report.problems.empty() ? std::string{} : report.problems[0]);
+  });
   return g;
 }
 

@@ -48,7 +48,7 @@ std::uint64_t ParseU64(const std::string& text) {
   char* end = nullptr;
   const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
   Expects(errno == 0 && end != text.c_str() && *end == '\0',
-          "journal: bad integer '" + text + "'");
+          [&] { return "journal: bad integer '" + text + "'"; });
   return v;
 }
 
@@ -56,7 +56,7 @@ double ParseDouble(const std::string& text) {
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
   Expects(end != text.c_str() && *end == '\0',
-          "journal: bad double '" + text + "'");
+          [&] { return "journal: bad double '" + text + "'"; });
   return v;
 }
 
@@ -66,7 +66,8 @@ bool PayloadParser::Next(Field& f) {
   std::istringstream ls(line);
   std::string tag;
   ls >> tag;
-  Expects(tag.size() == 1, "journal: bad entry tag '" + tag + "'");
+  Expects(tag.size() == 1,
+          [&] { return "journal: bad entry tag '" + tag + "'"; });
   f = Field{};
   f.tag = tag[0];
   ls >> f.key;
@@ -76,7 +77,8 @@ bool PayloadParser::Next(Field& f) {
     case 'd':
     case 'b': {
       ls >> f.scalar;
-      Expects(!ls.fail(), "journal: missing value for key " + f.key);
+      Expects(!ls.fail(),
+              [&] { return "journal: missing value for key " + f.key; });
       break;
     }
     case 's': {
@@ -92,7 +94,7 @@ bool PayloadParser::Next(Field& f) {
       for (std::uint64_t i = 0; i < n; ++i) {
         std::string v;
         ls >> v;
-        Expects(!ls.fail(), "journal: short list for " + f.key);
+        Expects(!ls.fail(), [&] { return "journal: short list for " + f.key; });
         if (f.tag == 'D') f.doubles.push_back(ParseDouble(v));
         else f.uints.push_back(ParseU64(v));
       }
@@ -108,8 +110,9 @@ bool PayloadParser::Next(Field& f) {
       break;
     }
     default:
-      Expects(false,
-              "journal: unknown entry tag '" + std::string(1, f.tag) + "'");
+      Expects(false, [&] {
+        return "journal: unknown entry tag '" + std::string(1, f.tag) + "'";
+      });
   }
   return true;
 }
@@ -127,8 +130,9 @@ std::uint64_t PayloadParser::TakeCount(std::istream& line,
   std::string n_text;
   line >> n_text;
   const std::uint64_t n = ParseU64(n_text);
-  Expects(n <= limit, "journal: list of " + n_text +
-                          " entries runs past the payload");
+  Expects(n <= limit, [&] {
+    return "journal: list of " + n_text + " entries runs past the payload";
+  });
   return n;
 }
 
@@ -258,8 +262,9 @@ JournalScan ScanJournal(
     // An intact frame that is misplaced or does not decode is cut too.
     try {
       const std::string_view expected = index == 0 ? "meta" : record_kind;
-      Expects(frame.kind == expected,
-              "expected a '" + std::string(expected) + "' frame");
+      Expects(frame.kind == expected, [&] {
+        return "expected a '" + std::string(expected) + "' frame";
+      });
       take(payload, index);
     } catch (const std::exception& e) {
       scan.notes.push_back("undecodable '" + frame.kind + "' frame at byte " +
@@ -279,12 +284,12 @@ JournalScan ScanJournal(
 
 FrameLogWriter FrameLogWriter::Create(const std::string& path) {
   std::unique_ptr<std::FILE, FileCloser> file(std::fopen(path.c_str(), "wb"));
-  Expects(file != nullptr, "cannot create journal: " + path);
+  Expects(file != nullptr, [&] { return "cannot create journal: " + path; });
   FrameLogWriter writer(path, std::move(file));
   const std::string header = std::string(kHeader) + "\n";
   Expects(std::fwrite(header.data(), 1, header.size(), writer.file_.get()) ==
               header.size(),
-          "journal header write failed: " + path);
+          [&] { return "journal header write failed: " + path; });
   return writer;
 }
 
@@ -292,9 +297,11 @@ FrameLogWriter FrameLogWriter::OpenAt(const std::string& path,
                                       std::size_t valid_prefix_bytes) {
   std::error_code ec;
   std::filesystem::resize_file(path, valid_prefix_bytes, ec);
-  Expects(!ec, "cannot truncate journal: " + path + ": " + ec.message());
+  Expects(!ec, [&] {
+    return "cannot truncate journal: " + path + ": " + ec.message();
+  });
   std::unique_ptr<std::FILE, FileCloser> file(std::fopen(path.c_str(), "ab"));
-  Expects(file != nullptr, "cannot append to journal: " + path);
+  Expects(file != nullptr, [&] { return "cannot append to journal: " + path; });
   return FrameLogWriter(path, std::move(file));
 }
 
@@ -309,15 +316,16 @@ void FrameLogWriter::AppendFrame(std::string_view kind,
   frame += '\n';
   Expects(std::fwrite(frame.data(), 1, frame.size(), file_.get()) ==
               frame.size(),
-          "journal write failed: " + path_);
+          [&] { return "journal write failed: " + path_; });
 
   // Durability point: the record is not "appended" until it has hit the
   // disk.  fsync latency is the price of crash safety — surface it.
   const auto t0 = std::chrono::steady_clock::now();
-  Expects(std::fflush(file_.get()) == 0, "journal flush failed: " + path_);
+  Expects(std::fflush(file_.get()) == 0,
+          [&] { return "journal flush failed: " + path_; });
 #if MLPM_JOURNAL_HAS_FSYNC
   Expects(::fsync(::fileno(file_.get())) == 0,
-          "journal fsync failed: " + path_);
+          [&] { return "journal fsync failed: " + path_; });
 #endif
   const double fsync_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

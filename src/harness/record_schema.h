@@ -71,15 +71,17 @@ template <class T>
         fields.begin(), fields.end(),
         [&entry](const FieldDesc<T>& f) { return f.key == entry.key; });
     if (it == fields.end()) continue;
-    Expects(entry.tag == it->tag, "journal: key '" + entry.key +
-                                      "' has tag '" + entry.tag +
-                                      "', expected '" + it->tag + "'");
+    Expects(entry.tag == it->tag, [&] {
+      return "journal: key '" + entry.key + "' has tag '" + entry.tag +
+             "', expected '" + it->tag + "'";
+    });
     it->get(entry, record);
     seen[static_cast<std::size_t>(it - fields.begin())] = true;
   }
   for (std::size_t i = 0; i < fields.size(); ++i)
-    Expects(!fields[i].required || seen[i],
-            "journal: record has no '" + std::string(fields[i].key) + "'");
+    Expects(!fields[i].required || seen[i], [&] {
+      return "journal: record has no '" + std::string(fields[i].key) + "'";
+    });
   return record;
 }
 
@@ -173,18 +175,18 @@ void Get(wire::Field& f, V& v) {
                   "an enum field names its last enumerator");
     const std::uint64_t u = wire::ParseU64(f.scalar);
     Expects(u <= static_cast<std::uint64_t>(Last),
-            "journal: bad " + f.key + " " + f.scalar);
+            [&] { return "journal: bad " + f.key + " " + f.scalar; });
     v = static_cast<V>(u);
   } else if constexpr (std::is_same_v<V, bool>) {
     Expects(f.scalar == "0" || f.scalar == "1",
-            "journal: bad bool " + f.key + " " + f.scalar);
+            [&] { return "journal: bad bool " + f.key + " " + f.scalar; });
     v = f.scalar == "1";
   } else if constexpr (std::is_integral_v<V>) {
     using Wide = std::conditional_t<std::is_signed_v<V>, std::int64_t,
                                     std::uint64_t>;
     const auto w = static_cast<Wide>(wire::ParseU64(f.scalar));
     Expects(std::in_range<V>(w),
-            "journal: " + f.key + " out of range: " + f.scalar);
+            [&] { return "journal: " + f.key + " out of range: " + f.scalar; });
     v = static_cast<V>(w);
   } else if constexpr (std::is_same_v<V, double>) {
     v = wire::ParseDouble(f.scalar);

@@ -123,8 +123,9 @@ const datasets::TaskDataset& TaskBundle::dataset(
     const ThreadPool* pool) const {
   if (!dataset_) {
     dataset_ = make_dataset_(pool);
-    Ensures(dataset_->size() == dataset_size_,
-            entry_.id + ": labelled data set size differs from its config");
+    Ensures(dataset_->size() == dataset_size_, [&] {
+      return entry_.id + ": labelled data set size differs from its config";
+    });
   }
   return *dataset_;
 }

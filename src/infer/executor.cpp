@@ -755,8 +755,9 @@ std::vector<Tensor> Executor::Run(std::span<const Tensor> inputs,
   std::fill(ctx.external_.begin(), ctx.external_.end(), nullptr);
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     const TensorId id = graph_.input_ids()[i];
-    Expects(inputs[i].shape() == graph_.tensor(id).shape,
-            "input shape mismatch for " + graph_.tensor(id).name);
+    Expects(inputs[i].shape() == graph_.tensor(id).shape, [&] {
+      return "input shape mismatch for " + graph_.tensor(id).name;
+    });
     ctx.external_[static_cast<std::size_t>(id)] = &inputs[i];
   }
 
@@ -764,8 +765,9 @@ std::vector<Tensor> Executor::Run(std::span<const Tensor> inputs,
     if (const Tensor* ext = ctx.external_[static_cast<std::size_t>(id)])
       return *ext;
     const Tensor& slot = ctx.slots_[static_cast<std::size_t>(id)];
-    Expects(slot.is_view(),
-            "use of unplanned tensor " + graph_.tensor(id).name);
+    Expects(slot.is_view(), [&] {
+      return "use of unplanned tensor " + graph_.tensor(id).name;
+    });
     return slot;
   };
 

@@ -45,12 +45,16 @@ void RunConv2dRows(const graph::Conv2dAttrs& a, const RowBand& in,
                              a.kernel_w;
   const std::int64_t wstride = ntaps * IC;
   const std::int64_t oc4 = OC - OC % kernels::kF32RowBlock;
-  std::vector<std::int64_t> woff(static_cast<std::size_t>(ntaps));
+  // `woff` holds each tap's weight offset, `taps` one pixel pair's input
+  // pointers per tap: [0, ntaps) for the first, [ntaps, 2 * ntaps) for the
+  // second.  Both are per-thread scratch that only grows, so a conv node
+  // allocates nothing once its thread has run a kernel at least as large.
+  thread_local std::vector<std::int64_t> woff;
+  thread_local std::vector<const float*> taps;
+  woff.resize(static_cast<std::size_t>(ntaps));
+  taps.resize(static_cast<std::size_t>(2 * ntaps));
   for (std::int64_t t = 0; t < ntaps; ++t)
     woff[static_cast<std::size_t>(t)] = t * IC;
-  // One pixel pair's input pointers per tap: [0, ntaps) for the first,
-  // [ntaps, 2 * ntaps) for the second.
-  std::vector<const float*> taps(static_cast<std::size_t>(2 * ntaps));
 
   // Gathers the taps of the band's next pixel, row-major from global row
   // out.origin.  Taps are null outside the *logical* bounds [0, IH) x

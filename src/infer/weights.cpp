@@ -14,7 +14,7 @@ namespace mlpm::infer {
 
 const Tensor& WeightStore::Get(const std::string& name) const {
   const auto it = store_.find(name);
-  Expects(it != store_.end(), "weight not found: " + name);
+  Expects(it != store_.end(), [&] { return "weight not found: " + name; });
   return it->second;
 }
 
@@ -97,7 +97,7 @@ WeightStore ParseWeights(const std::string& text) {
     LineTokens header(line);
     if (header.left() == 0) continue;
     Expects(header.Next("weight header") == "tensor",
-            "malformed weight header: " + line);
+            [&] { return "malformed weight header: " + line; });
     std::vector<std::int64_t> dims(header.Count("weight rank"));
     // Element count, checked for overflow before anything is allocated.
     std::size_t count = 1;
@@ -105,16 +105,18 @@ WeightStore ParseWeights(const std::string& text) {
       d = header.Int<std::int64_t>("weight dim");
       const auto extent = static_cast<std::size_t>(d);
       Expects(d >= 0 && (extent == 0 || count <= SIZE_MAX / extent),
-              "weight shape out of range: " + line);
+              [&] { return "weight shape out of range: " + line; });
       count *= extent;
     }
     const std::string name(header.Next("weight name"));
 
     Expects(static_cast<bool>(std::getline(is, line)),
-            "missing values for weight " + name);
+            [&] { return "missing values for weight " + name; });
     LineTokens values(line);
-    Expects(values.left() >= count, "too few values for weight " + name);
-    Expects(values.left() == count, "too many values for weight " + name);
+    Expects(values.left() >= count,
+            [&] { return "too few values for weight " + name; });
+    Expects(values.left() == count,
+            [&] { return "too many values for weight " + name; });
     Tensor t{graph::TensorShape(std::move(dims))};
     for (float& v : t.values())
       v = std::strtof(std::string(values.Next("weight value")).c_str(),

@@ -11,7 +11,7 @@ const AcceleratorDesc& ChipsetDesc::Engine(std::string_view engine) const {
       engines.begin(), engines.end(),
       [&](const AcceleratorDesc& a) { return a.name == engine; });
   Expects(it != engines.end(),
-          name + " has no engine named " + std::string(engine));
+          [&] { return name + " has no engine named " + std::string(engine); });
   return *it;
 }
 

@@ -9,13 +9,15 @@ LayerTiming LayerCost(const graph::NodeCost& cost, DataType numerics,
                       double weight_traffic_scale) {
   LayerTiming t;
   const double peak = engine.PeakFor(numerics);
-  Expects(peak > 0.0, engine.name + " does not support " +
-                          std::string(ToString(numerics)));
+  Expects(peak > 0.0, [&] {
+    return engine.name + " does not support " + std::string(ToString(numerics));
+  });
   double eff = engine.efficiency.For(cost.op_class);
   if (cost.dilated) eff *= engine.efficiency.dilated_scale;
   double compute_s = 0.0;
   if (cost.macs > 0) {
-    Expects(eff > 0.0, "op class disabled on engine " + engine.name);
+    Expects(eff > 0.0,
+            [&] { return "op class disabled on engine " + engine.name; });
     compute_s = static_cast<double>(cost.macs) / (peak * 1e9 * eff);
   }
   const double elem_sz = static_cast<double>(ByteSize(numerics));
@@ -51,7 +53,7 @@ CompiledModel Compile(const graph::Graph& graph, DataType numerics,
         std::find_if(engines.begin(), engines.end(),
                      [&](const AcceleratorDesc& a) { return a.name == name; });
     Expects(it != engines.end(),
-            chipset.name + " has no engine named " + name);
+            [&] { return chipset.name + " has no engine named " + name; });
     engine_idx.push_back(
         static_cast<std::size_t>(std::distance(engines.begin(), it)));
   }
@@ -65,7 +67,7 @@ CompiledModel Compile(const graph::Graph& graph, DataType numerics,
                  a.cls == EngineClass::kCpuLittle;
         });
     Expects(it != chipset.engines.end(),
-            chipset.name + " needs a CPU engine for fallback");
+            [&] { return chipset.name + " needs a CPU engine for fallback"; });
     cpu_idx = static_cast<std::size_t>(
         std::distance(chipset.engines.begin(), it));
   }

@@ -7,8 +7,10 @@
 #include <cstring>
 #include <iterator>
 #include <set>
+#include <source_location>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -38,6 +40,108 @@ TEST(Check, EnsuresThrowsWithMessage) {
               std::string::npos);
   }
 }
+
+// What a failing check threw, or "" when it did not throw.
+template <class F>
+std::string WhatOf(const F& f) {
+  try {
+    f();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The text every failed check has always carried:
+// "<Kind> failed at <file>:<line> in <function>: <message>".
+std::string CheckText(std::string_view kind, const std::source_location& at,
+                      std::string_view message) {
+  return std::string(kind) + " failed at " + at.file_name() + ":" +
+         std::to_string(at.line()) + " in " + at.function_name() + ": " +
+         std::string(message);
+}
+
+// Runs `check`, which stores the source location of the line its failing
+// check is on, inside the same lambda, so file, line and function match the
+// check's own; the thrown text must be CheckText's.
+template <class F>
+void ExpectCheckText(std::string_view kind, std::string_view message,
+                     const F& check) {
+  std::source_location at;
+  const std::string what = WhatOf([&] { check(at); });
+  EXPECT_EQ(what, CheckText(kind, at, message));
+}
+
+TEST(Check, FailedCheckTextInEveryForm) {
+  using SL = std::source_location;
+  const std::string name = "tensor_with_a_long_name";
+  int* null = nullptr;
+  // Literal messages.
+  ExpectCheckText("Expects", "boom", [&](SL& at) {
+    at = SL::current(); Expects(false, "boom");
+  });
+  ExpectCheckText("Ensures", "boom", [&](SL& at) {
+    at = SL::current(); Ensures(false, "boom");
+  });
+  ExpectCheckText("NotNull", "boom", [&](SL& at) {
+    at = SL::current(); (void)NotNull(null, "boom");
+  });
+  // Default messages.
+  ExpectCheckText("Expects", "precondition", [&](SL& at) {
+    at = SL::current(); Expects(false);
+  });
+  ExpectCheckText("Ensures", "invariant", [&](SL& at) {
+    at = SL::current(); Ensures(false);
+  });
+  ExpectCheckText("NotNull", "pointer must not be null", [&](SL& at) {
+    at = SL::current(); (void)NotNull(null);
+  });
+  // Messages built by a callable on failure; one returns a literal.
+  const auto msg = [&] { return "use of unplanned tensor " + name; };
+  const std::string built = "use of unplanned tensor " + name;
+  ExpectCheckText("Expects", built, [&](SL& at) {
+    at = SL::current(); Expects(false, msg);
+  });
+  ExpectCheckText("Ensures", built, [&](SL& at) {
+    at = SL::current(); Ensures(false, msg);
+  });
+  ExpectCheckText("NotNull", built, [&](SL& at) {
+    at = SL::current(); (void)NotNull(null, msg);
+  });
+  ExpectCheckText("Expects", "lit", [&](SL& at) {
+    at = SL::current(); Expects(false, [] { return "lit"; });
+  });
+}
+
+TEST(Check, CallableMessageRunsOnlyOnFailure) {
+  int calls = 0;
+  const auto msg = [&] {
+    ++calls;
+    return std::string("built");
+  };
+  int x = 0;
+  for (int i = 0; i < 100; ++i) {
+    Expects(true, msg);
+    Ensures(true, msg);
+    EXPECT_EQ(NotNull(&x, msg), &x);
+  }
+  EXPECT_EQ(calls, 0);
+  EXPECT_THROW(Expects(false, msg), CheckError);
+  EXPECT_EQ(calls, 1);
+  EXPECT_THROW(Ensures(false, msg), CheckError);
+  EXPECT_EQ(calls, 2);
+  EXPECT_THROW((void)NotNull(static_cast<int*>(nullptr), msg), CheckError);
+  EXPECT_EQ(calls, 3);
+}
+
+// A message built eagerly (a std::string) does not compile: only a
+// literal or a callable binds, so no caller builds text on every pass.
+template <class M>
+concept CompilesAsMessage = requires(M m) { Expects(true, m); };
+static_assert(CompilesAsMessage<const char*>);
+static_assert(!CompilesAsMessage<std::string>);
+static_assert(!CompilesAsMessage<const std::string&>);
+static_assert(CompilesAsMessage<std::string (*)()>);
 
 TEST(Types, ByteSizes) {
   EXPECT_EQ(ByteSize(DataType::kFloat32), 4u);

@@ -43,7 +43,8 @@ inline std::vector<infer::Tensor> RunOracle(
   const infer::internal::TensorFetch fetch =
       [&](graph::TensorId id) -> const infer::Tensor& {
     const infer::Tensor* t = ready[static_cast<std::size_t>(id)];
-    Expects(t != nullptr, "use of unready tensor " + g.tensor(id).name);
+    Expects(t != nullptr,
+            [&] { return "use of unready tensor " + g.tensor(id).name; });
     return *t;
   };
   for (const graph::Node& n : g.nodes()) {
