@@ -8,6 +8,8 @@
 
 namespace mlpm {
 
+class ThreadPool;
+
 // Percentile with linear interpolation between closest ranks; `p` in [0,100].
 // The input need not be sorted: a copy is partitioned around the two order
 // statistics the interpolation reads (O(n)), never fully sorted.  Empty
@@ -23,14 +25,23 @@ namespace mlpm {
 // order; `ps` may be unsorted and may repeat a p.  Bit-identical to
 // PercentileOfSorted on a sorted copy, but nothing is sorted: the order
 // statistics the interpolations read (`lo` and `lo + 1` of each p) are
-// selected in ascending rank order, each selection confined to the part
-// above the previous one.  Percentiles works on a copy of `values`;
-// PercentilesInPlace permutes `values` itself and allocates no copy, for a
-// caller that owns a large scratch buffer (the fleet's merged latencies).
+// selected on a copy of `values` in ascending rank order, each selection
+// confined to the part above the previous one.
 [[nodiscard]] std::vector<double> Percentiles(std::span<const double> values,
                                               std::span<const double> ps);
-[[nodiscard]] std::vector<double> PercentilesInPlace(
-    std::span<double> values, std::span<const double> ps);
+
+// Percentiles of the concatenation of `runs` (empty runs allowed), bit for
+// bit what Percentiles returns on that concatenation, without building it.
+// A count pass over the runs buckets every value by the top 16 bits of an
+// order-preserving key; a gather pass copies out only the values of the
+// buckets that hold the ranks the interpolations read, and the ranks are
+// selected among those.  Both passes claim runs on `pool` (null runs
+// inline); the lanes fold nothing but integer counts.  Scratch memory stays
+// within 8 bytes per value, the cost of the concatenation, at any pool
+// size.  All runs empty throws CheckError.
+[[nodiscard]] std::vector<double> PercentilesOfRuns(
+    std::span<const std::span<const double>> runs, std::span<const double> ps,
+    const ThreadPool* pool);
 
 // Geometric mean; all values must be positive.
 [[nodiscard]] double GeometricMean(std::span<const double> values);

@@ -7,7 +7,9 @@
 // lanes, and each lane claims one item index at a time from a counter they
 // share.  Every item writes its own slot with the same serial code and
 // callers fold in index order, so results are bit-identical regardless of
-// thread count or claim order; no cross-thread reductions exist.
+// thread count or claim order.  The one fold across lanes is of integer
+// counts (PercentilesOfRuns' bucket histograms and gather cursors), which
+// is exact in any order; no floating-point value is reduced across lanes.
 //
 // Guarantees:
 //   - The calling thread runs lanes too.

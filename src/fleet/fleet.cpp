@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "backends/simulated_backend.h"
@@ -285,42 +286,53 @@ FleetReport RunFleet(const FleetOptions& options) {
   ParallelForEachItem(&pool, options.shard_count, [&](ItemClaims& next) {
     while (const std::optional<std::size_t> i = next()) {
       const ShardSpec& spec = specs[*i];
-      if (slots[spec.id].has_value()) continue;  // replayed
-      if (interrupted.load(std::memory_order_relaxed) || cancelled()) {
-        interrupted.store(true, std::memory_order_relaxed);
-        continue;
-      }
-      const std::size_t now_started =
-          started.fetch_add(1, std::memory_order_relaxed) + 1;
-      metrics.SetGauge("fleet.queue_depth",
-                       static_cast<double>(options.shard_count - now_started));
-      const std::size_t now_active =
-          active.fetch_add(1, std::memory_order_relaxed) + 1;
-      metrics.SetGauge("fleet.shards.active", static_cast<double>(now_active));
-      metrics.MaxGauge("fleet.shards.active.peak",
-                       static_cast<double>(now_active));
+      std::optional<ShardResult>& slot = slots[spec.id];
+      if (!slot.has_value()) {  // not replayed
+        if (interrupted.load(std::memory_order_relaxed) || cancelled()) {
+          interrupted.store(true, std::memory_order_relaxed);
+          continue;
+        }
+        const std::size_t now_started =
+            started.fetch_add(1, std::memory_order_relaxed) + 1;
+        metrics.SetGauge(
+            "fleet.queue_depth",
+            static_cast<double>(options.shard_count - now_started));
+        const std::size_t now_active =
+            active.fetch_add(1, std::memory_order_relaxed) + 1;
+        metrics.SetGauge("fleet.shards.active",
+                         static_cast<double>(now_active));
+        metrics.MaxGauge("fleet.shards.active.peak",
+                         static_cast<double>(now_active));
 
-      const std::uint64_t span_id = recorder.NextAsyncId();
-      const std::string span_name = "shard-" + std::to_string(spec.id);
-      recorder.AddAsyncBegin(obs::Domain::kHost, "fleet", span_name, "fleet",
+        const std::uint64_t span_id = recorder.NextAsyncId();
+        const std::string span_name = "shard-" + std::to_string(spec.id);
+        recorder.AddAsyncBegin(obs::Domain::kHost, "fleet", span_name, "fleet",
+                               span_id, recorder.NowUs());
+        ShardResult shard = RunOneShard(
+            spec, options,
+            PreparedModelFor(spec, options, configs[spec.config], builds));
+        recorder.AddAsyncEnd(obs::Domain::kHost, "fleet", span_name, "fleet",
                              span_id, recorder.NowUs());
-      ShardResult shard = RunOneShard(
-          spec, options,
-          PreparedModelFor(spec, options, configs[spec.config], builds));
-      recorder.AddAsyncEnd(obs::Domain::kHost, "fleet", span_name, "fleet",
-                           span_id, recorder.NowUs());
 
-      // Shards journal as they finish unless the accuracy plane still has
-      // fields to stamp (then the coordinator journals after it).
-      if (journal != nullptr && !options.accuracy) journal->Append(shard);
-      slots[spec.id] = std::move(shard);
-      metrics.SetGauge(
-          "fleet.shards.active",
-          static_cast<double>(
-              active.fetch_sub(1, std::memory_order_relaxed) - 1));
+        // Shards journal as they finish unless the accuracy plane still has
+        // fields to stamp (then the coordinator journals after it).
+        if (journal != nullptr && !options.accuracy) journal->Append(shard);
+        slot = std::move(shard);
+        metrics.SetGauge(
+            "fleet.shards.active",
+            static_cast<double>(
+                active.fetch_sub(1, std::memory_order_relaxed) - 1));
+      }
+      // Fresh or replayed, a shard's p99 is taken once, on its lane.
+      const std::vector<double>& latencies = slot->result.latencies_s;
+      if (!latencies.empty())
+        slot->p99_latency_s = Percentile(latencies, 99.0);
     }
   });
 
+  // Everything after the shards is one span, so a trace shows the tail.
+  const obs::TraceRecorder::Span aggregate_span(recorder, "fleet.aggregate",
+                                                {}, "fleet");
   report.interrupted = interrupted.load();
   if (options.accuracy && !report.interrupted)
     RunAccuracyPlane(options, specs, slots);
@@ -338,6 +350,9 @@ FleetReport RunFleet(const FleetOptions& options) {
 
   std::size_t slo_met = 0;
   std::size_t latency_count = 0;
+  // Each shard's latencies, read in place: nothing merges them.
+  std::vector<std::span<const double>> latencies;
+  latencies.reserve(slots.size());
   report.shards.reserve(slots.size());
   for (std::optional<ShardResult>& slot : slots) {
     if (!slot.has_value()) continue;
@@ -352,6 +367,7 @@ FleetReport RunFleet(const FleetOptions& options) {
     report.dropped += r.dropped_count;
     report.breaker_trips += s.breaker_trips;
     report.fleet_qps += r.throughput_sps;
+    latencies.emplace_back(r.latencies_s);
     latency_count += r.latencies_s.size();
     if (s.slo_met) ++slo_met;
     switch (s.state) {
@@ -365,18 +381,12 @@ FleetReport RunFleet(const FleetOptions& options) {
   if (!report.shards.empty())
     report.slo_met_fraction = static_cast<double>(slo_met) /
                               static_cast<double>(report.shards.size());
+  // Counted from the latencies themselves, not from `sample_count`, which
+  // a replayed journal record carries as a separate field.
   if (latency_count > 0) {
-    // The fleet's own buffer, so the percentiles are selected in place.
-    // Sized from the latencies themselves, not from `sample_count`, which
-    // a replayed journal record carries as a separate field.
-    std::vector<double> merged_latencies;
-    merged_latencies.reserve(latency_count);
-    for (const ShardResult& s : report.shards)
-      merged_latencies.insert(merged_latencies.end(),
-                              s.result.latencies_s.begin(),
-                              s.result.latencies_s.end());
+    // Selected on the fleet's pool, which the shards have finished with.
     const double ps[] = {50.0, 90.0, 99.0};
-    const std::vector<double> v = PercentilesInPlace(merged_latencies, ps);
+    const std::vector<double> v = PercentilesOfRuns(latencies, ps, &pool);
     report.p50_ms = v[0] * 1e3;
     report.p90_ms = v[1] * 1e3;
     report.p99_ms = v[2] * 1e3;

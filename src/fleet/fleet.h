@@ -112,6 +112,10 @@ struct ShardResult {
 
   // Replayed from the journal instead of executed this run.
   bool resumed = false;
+  // Percentile(result.latencies_s, 99), 0 without latencies; taken on the
+  // lane that ran or replayed the shard.  Derived, so like `resumed` it is
+  // not journaled.
+  double p99_latency_s = 0.0;
 };
 
 // Aggregated outcome of a fleet run.  All derived figures are recomputed
@@ -144,7 +148,7 @@ struct FleetReport {
   std::size_t dropped = 0;
   std::size_t breaker_trips = 0;
 
-  // Percentiles over the merged per-sample latency distribution.
+  // Percentiles over all shards' per-sample latencies as one distribution.
   double p50_ms = 0.0;
   double p90_ms = 0.0;
   double p99_ms = 0.0;

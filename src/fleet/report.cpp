@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "common/statistics.h"
-
 namespace mlpm::fleet {
 namespace {
 
@@ -67,10 +65,7 @@ std::string FormatFleetReport(const FleetReport& report) {
   out += "\n  shard  state           slo  qps        p99_ms   issued  shed  "
          "config\n";
   for (const ShardResult& s : report.shards) {
-    const double p99_ms =
-        s.result.latencies_s.empty()
-            ? 0.0
-            : Percentile(s.result.latencies_s, 99.0) * 1e3;
+    const double p99_ms = s.p99_latency_s * 1e3;
     std::snprintf(line, sizeof line,
                   "  %-6zu %-15s %-4s %-10s %-8s %-7zu %-5zu %s\n",
                   s.shard_id, std::string(ToString(s.state)).c_str(),

@@ -71,8 +71,9 @@ std::string FormatSubmission(const SubmissionResult& result) {
 
   // Latency distribution: the paper's headline metric is the 90th
   // percentile, but tail behaviour (p97/p99) distinguishes thermally
-  // stable chipsets from ones coasting on burst clocks.  One sort per
-  // task via Percentiles.
+  // stable chipsets from ones coasting on burst clocks.  Percentiles
+  // selects a task's four order-statistic pairs from one copy; nothing is
+  // sorted.
   bool any_latencies = false;
   for (const TaskRunResult& task : result.tasks)
     any_latencies |=

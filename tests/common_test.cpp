@@ -12,6 +12,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/box_muller.h"
@@ -21,6 +22,7 @@
 #include "common/statistics.h"
 #include "common/barchart.h"
 #include "common/table.h"
+#include "common/thread_pool.h"
 #include "common/types.h"
 
 namespace mlpm {
@@ -595,23 +597,97 @@ TEST(Statistics, PercentileSelectionMatchesSortedBitwise) {
             << " vs " << want;
       }
       const std::vector<double> copied = Percentiles(v, shuffled_ps);
-      std::vector<double> permuted = v;
-      const std::vector<double> in_place =
-          PercentilesInPlace(permuted, shuffled_ps);
       ASSERT_EQ(copied.size(), std::size(shuffled_ps));
-      ASSERT_EQ(in_place.size(), std::size(shuffled_ps));
       for (std::size_t i = 0; i < std::size(shuffled_ps); ++i) {
         const double want = PercentileOfSorted(sorted, shuffled_ps[i]);
         EXPECT_TRUE(same_bits(copied[i], want))
             << "n=" << n << " kind=" << kind << " p=" << shuffled_ps[i];
-        EXPECT_TRUE(same_bits(in_place[i], want))
-            << "n=" << n << " kind=" << kind << " p=" << shuffled_ps[i];
       }
-      // Selecting in place only reorders: the same multiset remains.
-      std::sort(permuted.begin(), permuted.end());
-      EXPECT_EQ(permuted, sorted) << "n=" << n << " kind=" << kind;
     }
   }
+}
+
+TEST(Statistics, PercentilesOfRunsMatchConcatenation) {
+  // PercentilesOfRuns returns the very bits Percentiles returns on the
+  // concatenated runs, at any pool size, below 32768 values (where it
+  // gathers every value) and above, where it counts buckets first and
+  // gathers only the buckets that hold a rank, or every value when those
+  // buckets hold nearly all of them (all equal, ties, one bucket, zeros).
+  Rng rng(0x0F4E75);
+  const double ps[] = {99.0, 0.0, 50.0, 100.0, 50.0, 90.0, 99.9, 0.5, 99.0};
+  const double kSigned[] = {-0.0, 0.0, -1.5, -1e-300, 2.0, -7.25};
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  using Runs = std::vector<std::vector<double>>;
+  // `count` runs of up to `max_len` values each; every third run is empty.
+  const auto draw = [&](std::size_t count, std::size_t max_len,
+                        const auto& value) {
+    Runs runs(count);
+    for (std::size_t r = 0; r < count; ++r) {
+      if (r % 3 == 1) continue;
+      runs[r].resize(1 + rng.NextBelow(max_len));
+      for (double& x : runs[r]) x = value();
+    }
+    return runs;
+  };
+  const auto latency = [&] {
+    return 1e-3 + rng.NextDouble() * 0.02 * double(1 + rng.NextBelow(3));
+  };
+  const auto ties = [&] { return std::floor(rng.NextDouble() * 8.0) * 1e-3; };
+  // [1, 1 + 1/32): one bucket of the top 16 key bits.
+  const auto one_bucket = [&] { return 1.0 + rng.NextDouble() / 32.0; };
+  const auto signed_values = [&] {
+    return rng.NextBelow(2) == 0 ? kSigned[rng.NextBelow(std::size(kSigned))]
+                                 : -rng.NextDouble() * 4.0;
+  };
+  const auto zeros = [&] { return rng.NextBelow(2) == 0 ? -0.0 : 0.0; };
+  const auto equal = [] { return 0.004; };
+
+  std::vector<std::pair<std::string, Runs>> cases;
+  cases.emplace_back("single value", Runs{{}, {0.125}, {}});
+  cases.emplace_back("single negative zero", Runs{{-0.0}});
+  for (const auto& [count, max_len] :
+       {std::pair<std::size_t, std::size_t>{5, 40}, {64, 2000}}) {
+    const std::string size = " x" + std::to_string(count);
+    cases.emplace_back("latencies" + size, draw(count, max_len, latency));
+    cases.emplace_back("all equal" + size, draw(count, max_len, equal));
+    cases.emplace_back("heavy ties" + size, draw(count, max_len, ties));
+    cases.emplace_back("one bucket" + size, draw(count, max_len, one_bucket));
+    cases.emplace_back("signed" + size, draw(count, max_len, signed_values));
+    cases.emplace_back("zeros" + size, draw(count, max_len, zeros));
+  }
+  cases.emplace_back("200 runs", draw(200, 600, latency));
+
+  const ThreadPool one_lane(1);
+  const ThreadPool four_lanes(4);
+  for (const auto& [name, runs] : cases) {
+    std::vector<double> concatenated;
+    for (const std::vector<double>& run : runs)
+      concatenated.insert(concatenated.end(), run.begin(), run.end());
+    if (name.find("x64") != std::string::npos || name == "200 runs") {
+      EXPECT_GT(concatenated.size(), 32768u) << name << " counts no buckets";
+    }
+    const std::vector<double> want = Percentiles(concatenated, ps);
+    const std::vector<std::span<const double>> spans(runs.begin(),
+                                                     runs.end());
+    for (const ThreadPool* pool : {static_cast<const ThreadPool*>(nullptr),
+                                   &one_lane, &four_lanes}) {
+      const std::vector<double> got = PercentilesOfRuns(spans, ps, pool);
+      ASSERT_EQ(got.size(), std::size(ps)) << name;
+      for (std::size_t i = 0; i < std::size(ps); ++i)
+        EXPECT_TRUE(same_bits(got[i], want[i]))
+            << name << " (" << concatenated.size() << " values, "
+            << (pool == nullptr ? 0 : pool->thread_count())
+            << " lanes) p=" << ps[i] << ": " << got[i] << " vs " << want[i];
+    }
+  }
+
+  const std::vector<std::span<const double>> no_runs;
+  const std::vector<std::span<const double>> empty_runs(3);
+  EXPECT_THROW((void)PercentilesOfRuns(no_runs, ps, nullptr), CheckError);
+  EXPECT_THROW((void)PercentilesOfRuns(empty_runs, ps, &four_lanes),
+               CheckError);
 }
 
 TEST(Statistics, PercentilesRejectEmptyInput) {

@@ -55,6 +55,21 @@ fleet::FleetOptions SmallFleet(std::size_t shards) {
   return fo;
 }
 
+// Every shard's reported p99 is the bits of Percentile over its own
+// latencies (0 without any), whether it ran or was replayed.
+void ExpectShardP99sAreTheirLatencies(const fleet::FleetReport& r) {
+  ASSERT_FALSE(r.shards.empty());
+  for (const fleet::ShardResult& s : r.shards) {
+    const std::vector<double>& latencies = s.result.latencies_s;
+    const double want =
+        latencies.empty() ? 0.0 : Percentile(latencies, 99.0);
+    EXPECT_EQ(std::memcmp(&s.p99_latency_s, &want, sizeof want), 0)
+        << "shard " << s.shard_id << ": " << s.p99_latency_s << " vs "
+        << want;
+    EXPECT_GT(s.p99_latency_s, 0.0) << "shard " << s.shard_id;
+  }
+}
+
 TEST(Fleet, SameSeedSixtyFourShardsIsByteIdentical) {
   const fleet::FleetOptions fo = SmallFleet(64);
   const fleet::FleetReport a = fleet::RunFleet(fo);
@@ -62,6 +77,7 @@ TEST(Fleet, SameSeedSixtyFourShardsIsByteIdentical) {
   EXPECT_EQ(fleet::FormatFleetReport(a), fleet::FormatFleetReport(b));
   EXPECT_EQ(a.shards.size(), 64u);
   EXPECT_FALSE(a.interrupted);
+  ExpectShardP99sAreTheirLatencies(a);
 }
 
 TEST(Fleet, ReportInvariantUnderWorkerCount) {
@@ -357,6 +373,8 @@ TEST(Fleet, KillAndResumeReplaysIntactShardsToIdenticalReport) {
   EXPECT_FALSE(full.interrupted);
   EXPECT_EQ(full.resumed_shards, partial.shards.size());
   EXPECT_EQ(fleet::FormatFleetReport(full), reference);
+  ExpectShardP99sAreTheirLatencies(partial);
+  ExpectShardP99sAreTheirLatencies(full);
 }
 
 TEST(Fleet, ResumeThatReplaysEveryShardBuildsNoModel) {
@@ -443,6 +461,7 @@ TEST(Fleet, ResumesJournalWhoseShardFramesCarryTheQueryRecord) {
   const fleet::FleetReport full = fleet::RunFleet(resumed);
   EXPECT_EQ(full.resumed_shards, 5u);
   EXPECT_EQ(fleet::FormatFleetReport(full), reference);
+  ExpectShardP99sAreTheirLatencies(full);
   // The three shards run on resume are journaled without the record.
   const std::map<std::size_t, fleet::ShardResult> after =
       ById(LoadShards(old));
