@@ -50,10 +50,11 @@ class Collector final : public ResponseSink {
         timeout_(query_timeout),
         test_sequence_(test_sequence) {}
 
-  // Sizes the table up front: the test's query count, or its floor when
-  // the count depends on the run.
+  // Sizes the slot table and the latencies for `expected_queries`: the
+  // test's query count, or an estimate when the count depends on the run.
   void Reserve(std::size_t expected_queries) {
     queries_.reserve(expected_queries);
+    latencies_s_.reserve(expected_queries);
   }
 
   void ExpectSample(const QuerySample& s) { ExpectSampleAt(s, clock_.Now()); }
@@ -363,6 +364,30 @@ void FinalizeErrors(TestResult& r, Collector& collector) {
     metrics.Increment("loadgen.queries_rejected", r.rejected_count);
 }
 
+// The most queries a single-stream test sizes its tables for from its
+// first query's latency: 2^20 queries reserve about 72 MiB of log, slots
+// and latencies, untouched until used, and a test that runs on past the
+// estimate grows them.
+constexpr std::size_t kSingleStreamReserveCap = std::size_t{1} << 20;
+
+// How many query ids a single-stream test will use, estimated from the
+// latency of its first query: enough queries of that length to fill the
+// duration floor, never below the query floor.  Later queries run no
+// faster on a device that only warms up, so the estimate rarely falls
+// short; a zero or tiny first latency is capped.
+std::size_t SingleStreamQueryEstimate(const TestSettings& settings,
+                                      Seconds first_query) {
+  // A zero first latency gives infinity, which is capped below, or NaN
+  // when the duration floor is zero too, which reads as 0.
+  const double by_duration =
+      std::max(0.0, settings.min_duration / first_query);
+  const std::size_t estimate =
+      by_duration < static_cast<double>(kSingleStreamReserveCap)
+          ? static_cast<std::size_t>(by_duration) + 2
+          : kSingleStreamReserveCap;
+  return std::max(settings.min_query_count, estimate);
+}
+
 // How many query ids a test will use: exact for accuracy mode, offline,
 // multi-stream and server (shed queries included), the query floor for
 // single-stream, which runs on until its duration floor is met too.  A
@@ -437,8 +462,9 @@ TestResult RunTest(SystemUnderTest& sut, QuerySampleLibrary& qsl,
                       g_test_sequence.fetch_add(1) + 1);
   // A query logs at most two events (its issue, then its completion or
   // rejection; a shed query logs one), so twice the query count bounds
-  // every test's log but single-stream's, where it is a floor.  A table
-  // the allocator refuses fails the test before anything runs.
+  // every test's log but single-stream's, where it is a floor until the
+  // first query sizes the tables again.  A table the allocator refuses
+  // here fails the test before anything runs.
   try {
     if (record == QueryRecord::kKeep) log.Reserve(2 * expected_queries);
     collector.Reserve(expected_queries);
@@ -536,6 +562,18 @@ TestResult RunTest(SystemUnderTest& sut, QuerySampleLibrary& qsl,
             "SUT stalled: no completion and no clock progress after query " +
             std::to_string(s.id);
         break;
+      }
+      if (issued == 1) {
+        // Size the tables once for the whole run, from the first query,
+        // instead of doubling them up from the floor.  A reservation the
+        // allocator refuses leaves them to grow as they go.
+        const std::size_t queries =
+            SingleStreamQueryEstimate(settings, clock.Now() - before);
+        try {
+          if (record == QueryRecord::kKeep) log.Reserve(2 * queries);
+          collector.Reserve(queries);
+        } catch (const std::bad_alloc&) {
+        }
       }
     }
   } else if (settings.scenario == TestScenario::kOffline) {

@@ -54,21 +54,22 @@ std::unique_ptr<TaskBundle> TaskBundle::Create(
   auto b = std::unique_ptr<TaskBundle>(new TaskBundle());
   b->entry_ = e;
   b->version_ = version;
+  b->weight_seed_ = weight_seed;
 
-  // Each case builds the graph and weights now and leaves the labelling to
-  // dataset(); the size comes from the same config the labelling uses.
+  // Each case builds the graph now and leaves the weights to weights() and
+  // the labelling to dataset(); the size comes from the same config the
+  // labelling uses.
   const TaskBundle* self = b.get();
   switch (e.task) {
     case models::TaskType::kImageClassification: {
       b->owned_graph_ = std::make_unique<graph::Graph>(
           models::BuildMobileNetEdgeTpu(models::ModelScale::kMini));
       b->graph_ = b->owned_graph_.get();
-      b->weights_ = infer::InitializeWeights(*b->graph_, weight_seed);
       const datasets::ClassificationDatasetConfig cfg;
       b->dataset_size_ = cfg.num_samples;
       b->make_dataset_ = [self, cfg](const ThreadPool* pool) {
         return std::make_unique<datasets::ClassificationDataset>(
-            *self->graph_, self->weights_, cfg, pool);
+            *self->graph_, self->weights(), cfg, pool);
       };
       break;
     }
@@ -78,12 +79,11 @@ std::unique_ptr<TaskBundle> TaskBundle::Create(
               ? models::BuildSsdMobileNetV2(models::ModelScale::kMini)
               : models::BuildMobileDetSsd(models::ModelScale::kMini));
       b->graph_ = &b->detection_model_->graph;
-      b->weights_ = infer::InitializeWeights(*b->graph_, weight_seed);
       const datasets::DetectionDatasetConfig cfg;
       b->dataset_size_ = cfg.num_samples;
       b->make_dataset_ = [self, cfg](const ThreadPool* pool) {
         return std::make_unique<datasets::DetectionDataset>(
-            *self->detection_model_, self->weights_, cfg, pool);
+            *self->detection_model_, self->weights(), cfg, pool);
       };
       break;
     }
@@ -91,12 +91,11 @@ std::unique_ptr<TaskBundle> TaskBundle::Create(
       b->owned_graph_ = std::make_unique<graph::Graph>(
           models::BuildDeepLabV3Plus(models::ModelScale::kMini));
       b->graph_ = b->owned_graph_.get();
-      b->weights_ = infer::InitializeWeights(*b->graph_, weight_seed);
       const datasets::SegmentationDatasetConfig cfg;
       b->dataset_size_ = cfg.num_samples;
       b->make_dataset_ = [self, cfg](const ThreadPool* pool) {
         return std::make_unique<datasets::SegmentationDataset>(
-            *self->graph_, self->weights_, cfg, pool);
+            *self->graph_, self->weights(), cfg, pool);
       };
       break;
     }
@@ -106,17 +105,21 @@ std::unique_ptr<TaskBundle> TaskBundle::Create(
       b->owned_graph_ = std::make_unique<graph::Graph>(
           models::BuildMobileBert(model_cfg));
       b->graph_ = b->owned_graph_.get();
-      b->weights_ = infer::InitializeWeights(*b->graph_, weight_seed);
       const datasets::QaDatasetConfig cfg;
       b->dataset_size_ = cfg.num_samples;
       b->make_dataset_ = [self, model_cfg, cfg](const ThreadPool* pool) {
         return std::make_unique<datasets::QaDataset>(
-            *self->graph_, self->weights_, model_cfg, cfg, pool);
+            *self->graph_, self->weights(), model_cfg, cfg, pool);
       };
       break;
     }
   }
   return b;
+}
+
+const infer::WeightStore& TaskBundle::weights() const {
+  if (!weights_) weights_ = infer::InitializeWeights(*graph_, weight_seed_);
+  return *weights_;
 }
 
 const datasets::TaskDataset& TaskBundle::dataset(
@@ -141,11 +144,11 @@ TaskBundle::PreparedModel TaskBundle::Prepare(
     return it->second;
 
   PreparedModel p;
-  const infer::WeightStore* weights = &weights_;
+  const infer::WeightStore* store = &weights();
   if (use_qat_weights) {
     if (!qat_weights_)
-      qat_weights_ = quant::RefineWeightsMseOptimal(*graph_, weights_);
-    weights = &*qat_weights_;
+      qat_weights_ = quant::RefineWeightsMseOptimal(*graph_, *store);
+    store = &*qat_weights_;
   }
   if (mode == infer::NumericsMode::kInt8) {
     p.calibration_indices = OfficialCalibrationIndices();
@@ -153,11 +156,11 @@ TaskBundle::PreparedModel TaskBundle::Prepare(
         datasets::GatherCalibrationSamples(dataset(pool),
                                            p.calibration_indices, pool);
     const infer::QuantParams qp =
-        quant::CalibratePtq(*graph_, *weights, samples, {}, pool);
-    p.model = std::make_shared<infer::Executor>(*graph_, *weights, mode, &qp,
+        quant::CalibratePtq(*graph_, *store, samples, {}, pool);
+    p.model = std::make_shared<infer::Executor>(*graph_, *store, mode, &qp,
                                                 isa, tiling);
   } else {
-    p.model = std::make_shared<infer::Executor>(*graph_, *weights, mode,
+    p.model = std::make_shared<infer::Executor>(*graph_, *store, mode,
                                                 nullptr, isa, tiling);
   }
   p.executor = p.model.get();
@@ -177,7 +180,7 @@ double TaskBundle::Fp32Score(const ThreadPool* pool,
   if (const auto it = fp32_scores_.find(key); it != fp32_scores_.end())
     return it->second;
   const double score =
-      Fp32ReferenceScore(dataset(pool), *graph_, weights_, pool, isa);
+      Fp32ReferenceScore(dataset(pool), *graph_, weights(), pool, isa);
   fp32_scores_.emplace(key, score);
   return score;
 }

@@ -62,9 +62,10 @@ inline constexpr std::uint64_t kCalibrationSeed = 0xCA11B;
 
 class TaskBundle {
  public:
-  // Builds the mini reference model for a suite entry; its data set is
-  // labelled on the first dataset() call.  `weight_seed` is the
-  // frozen-checkpoint seed (fixed per suite release).
+  // Builds the mini reference model for a suite entry; its weights are
+  // built on the first weights() call and its data set labelled on the
+  // first dataset() call, so a performance-only run makes neither.
+  // `weight_seed` is the frozen-checkpoint seed (fixed per suite release).
   static std::unique_ptr<TaskBundle> Create(const models::BenchmarkEntry& e,
                                             models::SuiteVersion version,
                                             std::uint64_t weight_seed = 7);
@@ -73,7 +74,9 @@ class TaskBundle {
   [[nodiscard]] const graph::Graph& mini_graph() const {
     return *NotNull(graph_, "task bundle has no model graph");
   }
-  [[nodiscard]] const infer::WeightStore& weights() const { return weights_; }
+  // The frozen synthetic weights, built on the first call; like dataset(),
+  // not safe to race with itself.
+  [[nodiscard]] const infer::WeightStore& weights() const;
   // The teacher-labelled validation set.  Labelling runs the FP32 teacher
   // over the candidates, so it happens on the first call, fanned out over
   // `pool` when given (the labelled set is the same for any pool; the pool
@@ -142,7 +145,8 @@ class TaskBundle {
   std::unique_ptr<models::DetectionModel> detection_model_;
   std::unique_ptr<graph::Graph> owned_graph_;
   const graph::Graph* graph_ = nullptr;
-  infer::WeightStore weights_;
+  std::uint64_t weight_seed_ = 0;
+  mutable std::optional<infer::WeightStore> weights_;      // lazy
   mutable std::optional<infer::WeightStore> qat_weights_;  // lazy
   std::size_t dataset_size_ = 0;
   std::function<std::unique_ptr<datasets::TaskDataset>(const ThreadPool*)>

@@ -1,6 +1,7 @@
 #include "soc/compile.h"
 
 #include <algorithm>
+#include <atomic>
 
 namespace mlpm::soc {
 
@@ -74,7 +75,9 @@ CompiledModel Compile(const graph::Graph& graph, DataType numerics,
 
   const graph::GraphCost gc = graph::AnalyzeGraph(graph);
 
+  static std::atomic<std::uint64_t> last_plan_id{0};
   CompiledModel m;
+  m.plan_id = last_plan_id.fetch_add(1, std::memory_order_relaxed) + 1;
   m.model_name = graph.name();
   m.chipset_name = chipset.name;
   m.numerics = numerics;

@@ -10,6 +10,7 @@
 // synchronization; buggy delegates force op fallbacks onto the CPU.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,11 @@ struct CompiledModel {
   double interconnect_gbps = 8.0;
   std::size_t node_count = 0;
   double total_macs = 0.0;
+  // Names this plan's contents: distinct for every Compile call, shared by
+  // copies, 0 for a plan not made by Compile.  The simulator derives a
+  // plan's constants once per id (SocSimulator::RunInference), so a plan
+  // must not be edited after Compile.
+  std::uint64_t plan_id = 0;
 
   // Single-inference latency at a given thermal throttle factor.
   // `dispatch_scale` discounts per-layer dispatch overhead (batched offline

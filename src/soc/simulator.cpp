@@ -74,11 +74,31 @@ bool SocSimulator::IsCpuOnly(const CompiledModel& model) const {
   return true;
 }
 
+const SocSimulator::PlanMemo& SocSimulator::Memo(const CompiledModel& model,
+                                                 double throttle_factor) {
+  if (model.plan_id == 0 || model.plan_id != memo_.plan_id) {
+    // Power is capped by the chipset TDP (Appendix E: ~3 W ceiling); the
+    // cap manifests as extra heat-limited time already captured by
+    // throttling, so it only bounds the dissipation fed to the thermal
+    // mass.
+    memo_.plan_id = model.plan_id;
+    memo_.energy_j = model.EnergyJoules();
+    memo_.power_w = std::min(model.AveragePowerWatts(), chipset_.tdp_w);
+    memo_.throttle_factor = 0.0;  // a factor is in (0, 1]
+  }
+  if (memo_.throttle_factor != throttle_factor) {
+    memo_.latency_s = model.LatencySeconds(throttle_factor);
+    memo_.throttle_factor = throttle_factor;
+  }
+  return memo_;
+}
+
 InferenceResult SocSimulator::RunInference(const CompiledModel& model) {
   InferenceResult r;
   r.throttle_factor = thermal_.ThrottleFactor();
-  r.latency_s = model.LatencySeconds(r.throttle_factor);
-  r.energy_j = model.EnergyJoules();
+  const PlanMemo& plan = Memo(model, r.throttle_factor);
+  r.latency_s = plan.latency_s;
+  r.energy_j = plan.energy_j;
 
   // Fault decision: one draw per attempt, accelerator plans only (a pure
   // CPU plan has no driver to crash — that is what fallback relies on).
@@ -119,12 +139,7 @@ InferenceResult SocSimulator::RunInference(const CompiledModel& model) {
     }
   }
 
-  // Power is capped by the chipset TDP (Appendix E: ~3 W ceiling); the cap
-  // manifests as extra heat-limited time already captured by throttling, so
-  // here it only bounds the dissipation fed to the thermal mass.
-  const double power =
-      std::min(model.AveragePowerWatts(), chipset_.tdp_w);
-  thermal_.Step(power, r.latency_s);
+  thermal_.Step(plan.power_w, r.latency_s);
   if (r.outcome == InferenceOutcome::kThermalEmergency)
     thermal_.ForceTemperature(thermal_.throttle_limit_c());
   r.temperature_c = thermal_.temperature_c();

@@ -89,7 +89,10 @@ class SocSimulator {
 
   // Runs one single-stream inference; advances the thermal state.  With a
   // fault plan installed, the attempt may stall, crash, overheat, or lose
-  // its completion — see InferenceResult::outcome.
+  // its completion — see InferenceResult::outcome.  The plan's energy and
+  // TDP-capped power are derived once per CompiledModel::plan_id, and its
+  // latency once per run of calls at one throttle factor; the result is
+  // bit for bit the direct computation's.
   InferenceResult RunInference(const CompiledModel& model);
 
   // Runs `sample_count` samples split across the given replicas with
@@ -149,6 +152,22 @@ class SocSimulator {
   // The given lane with this simulator's prefix applied.
   [[nodiscard]] std::string Lane(std::string_view lane) const;
 
+  // The constants RunInference reads of the last plan it ran.  A single
+  // stream runs one plan tens of thousands of times, and the throttle
+  // factor holds still below the throttle band, between the stepped
+  // governor's trip points and at the floor, so each is derived again only
+  // when its plan or its throttle factor changes.
+  struct PlanMemo {
+    std::uint64_t plan_id = 0;     // 0: nothing memoised
+    double energy_j = 0.0;         // CompiledModel::EnergyJoules()
+    double power_w = 0.0;          // AveragePowerWatts(), capped at the TDP
+    double throttle_factor = 0.0;  // of latency_s; 0: not derived yet
+    double latency_s = 0.0;        // LatencySeconds(throttle_factor)
+  };
+  // The memo of `model` at `throttle_factor`, derived where it is stale.
+  // A plan with id 0 is derived on every call.
+  const PlanMemo& Memo(const CompiledModel& model, double throttle_factor);
+
   // Plain per-simulator counts of the six soc.* metrics.  RunInference
   // runs once per simulated query, on every fleet worker at once, so the
   // counts reach the shared registry once, when the simulator is destroyed
@@ -183,6 +202,7 @@ class SocSimulator {
   ThermalModel thermal_;
   Counters counters_;
   std::optional<FaultInjector> injector_;
+  PlanMemo memo_;
   double busy_time_s_ = 0.0;
   double trace_epoch_s_ = -1.0;  // <0: not claimed yet
   std::string trace_lane_prefix_;

@@ -20,9 +20,13 @@ ThermalModel::ThermalModel(ThermalParams params)
 void ThermalModel::Step(double power_w, double dt_s) {
   Expects(dt_s >= 0 && power_w >= 0, "negative time or power");
   // Exact solution of the first-order RC response over dt.
-  const double tau = p_.resistance_c_per_w * p_.capacitance_j_per_c;
+  if (dt_s != decay_dt_s_) {
+    const double tau = p_.resistance_c_per_w * p_.capacitance_j_per_c;
+    decay_dt_s_ = dt_s;
+    decay_ = std::exp(-dt_s / tau);
+  }
   const double steady = p_.ambient_c + power_w * p_.resistance_c_per_w;
-  temp_c_ = steady + (temp_c_ - steady) * std::exp(-dt_s / tau);
+  temp_c_ = steady + (temp_c_ - steady) * decay_;
 }
 
 double ThermalModel::ThrottleFactor() const {

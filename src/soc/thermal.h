@@ -54,6 +54,10 @@ class ThermalModel {
  private:
   ThermalParams p_;
   double temp_c_;
+  // exp(-dt/tau) of the last Step, for the dt it was taken at: a single
+  // stream steps by one latency over and over.  dt < 0: none yet.
+  double decay_dt_s_ = -1.0;
+  double decay_ = 0.0;
 };
 
 }  // namespace mlpm::soc

@@ -4,9 +4,11 @@
 //
 // Pinned: a passing Expects / Ensures / NotNull in every message form; the
 // simulated inference path (SocSimulator::RunInference and what it calls);
-// a conv node's row kernel; and a server-scenario LoadGen test on the
-// simulated backend without the per-query record, whose allocations must
-// not grow with the query count.
+// a conv node's row kernel; a server-scenario LoadGen test on the
+// simulated backend without the per-query record, and a single-stream one
+// with it, whose allocations must not grow with the query count; and the
+// check of a recorded single-stream log, whose allocations must not grow
+// with its events.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,6 +28,8 @@
 #include "core/dataset_qsl.h"
 #include "core/loadgen.h"
 #include "datasets/stub_dataset.h"
+#include "harness/checker.h"
+#include "harness/run_session.h"
 #include "infer/kernels/registry.h"
 #include "infer/tensor.h"
 #include "infer/tiled_ops.h"
@@ -223,6 +227,72 @@ TEST(AllocFree, ServerTestAllocationsDoNotGrowWithQueries) {
         << qps << " QPS, queue bound " << depth << ": " << small
         << " allocations at 1,024 queries, " << large << " at 8,192";
   }
+}
+
+// One single-stream test on the simulated backend, keeping the per-query
+// record, with its duration floor set for about `queries` queries at the
+// plan's cool latency, and the operator new calls RunTest made.
+std::pair<loadgen::TestResult, std::size_t> SingleStreamTest(
+    std::size_t queries) {
+  const soc::ChipsetDesc chip = soc::Dimensity1100();
+  const soc::CompiledModel plan = ClassificationPlan(chip);
+  loadgen::VirtualClock clock;
+  backends::SimulatedBackend sut("alloc", soc::SocSimulator(chip), plan, {},
+                                 clock);
+  const datasets::StubDataset stub;
+  loadgen::DatasetQsl qsl(stub);
+  loadgen::TestSettings s;
+  s.min_duration =
+      loadgen::Seconds{plan.LatencySeconds() * static_cast<double>(queries)};
+  std::pair<loadgen::TestResult, std::size_t> out;
+  out.second = AllocationsIn([&] {
+    out.first = loadgen::RunTest(sut, qsl, s, clock);
+  });
+  EXPECT_FALSE(out.first.Errored()) << out.first.invalid_reason;
+  EXPECT_TRUE(out.first.min_duration_met);
+  EXPECT_EQ(out.first.log.events().size(), 2 * out.first.sample_count);
+  return out;
+}
+
+TEST(AllocFree, SingleStreamTestAllocationsDoNotGrowWithQueries) {
+  // The first test adds the LoadGen's metric keys to the registry.
+  (void)SingleStreamTest(2000);
+  const auto [small, small_calls] = SingleStreamTest(2000);
+  const auto [large, large_calls] = SingleStreamTest(40000);
+  EXPECT_GT(small.sample_count, 1500u);
+  EXPECT_GT(large.sample_count, 30000u);
+  EXPECT_EQ(small_calls, large_calls)
+      << small.sample_count << " and " << large.sample_count << " queries";
+}
+
+// operator new calls of CheckSubmission on a one-task submission holding
+// `single_stream` as its single-stream test.
+std::size_t CheckAllocations(const loadgen::TestResult& single_stream) {
+  harness::SubmissionResult submission;
+  harness::TaskRunResult& task = submission.tasks.emplace_back();
+  task.entry.id = "task";
+  task.numerics = DataType::kFloat16;  // no calibration set to check
+  task.single_stream = single_stream;
+  // The official seed and query floor, and no duration floor: these tests
+  // run for less than the rules' 60 s.
+  loadgen::TestSettings expected;
+  expected.min_duration = loadgen::Seconds{0.0};
+  harness::CheckReport report;
+  const std::size_t n = AllocationsIn(
+      [&] { report = harness::CheckSubmission(submission, expected); });
+  EXPECT_TRUE(report.problems.empty()) << report.problems.front();
+  return n;
+}
+
+TEST(AllocFree, RecordedLogCheckAllocationsAreBounded) {
+  // The check reads the log's events into a slot table and the latencies,
+  // each sized once; a 40k-query log costs what a 2k-query one does.
+  const loadgen::TestResult small = SingleStreamTest(2000).first;
+  const loadgen::TestResult large = SingleStreamTest(40000).first;
+  const std::size_t small_calls = CheckAllocations(small);
+  const std::size_t large_calls = CheckAllocations(large);
+  EXPECT_EQ(small_calls, large_calls);
+  EXPECT_LE(large_calls, 32u) << large.log.events().size() << " events";
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <tuple>
 #include <utility>
 
+#include "common/statistics.h"
 #include "core/dataset_qsl.h"
 #include "core/loadgen.h"
 #include "core/logging.h"
@@ -857,6 +858,75 @@ TEST(LoadGen, LogReservationBoundsEveryTestButSingleStream) {
     }
     if (c.act != nullptr) {
       EXPECT_GT(r.rejected_count, 0u);
+    }
+  }
+}
+
+// Runs its first query at `first_s` and every later one at `rest_s`, and
+// keeps each query's issue time and latency as the clock measured them.
+class FirstQuerySut final : public SystemUnderTest {
+ public:
+  FirstQuerySut(VirtualClock& clock, double first_s, double rest_s)
+      : clock_(clock), first_s_(first_s), rest_s_(rest_s) {}
+  [[nodiscard]] std::string_view name() const override { return "first"; }
+  void IssueQuery(std::span<const QuerySample> samples,
+                  ResponseSink& sink) override {
+    for (const QuerySample& s : samples) {
+      const Seconds before = clock_.Now();
+      clock_.Advance(Seconds{issues_.empty() ? first_s_ : rest_s_});
+      issues_.push_back(before.count());
+      latencies_.push_back((clock_.Now() - before).count());
+      sink.Complete(QuerySampleResponse{s.id, {}});
+    }
+  }
+  std::vector<double> issues_, latencies_;
+
+ private:
+  VirtualClock& clock_;
+  double first_s_, rest_s_;
+};
+
+TEST(LoadGen, SingleStreamSizedFromAnyFirstQueryRunsTheSameTest) {
+  // A single-stream test sizes its tables from its first query's latency.
+  // A zero first latency, one far below the rest (both past the sizing
+  // cap) and one far above them (an estimate below the query floor, so
+  // the tables grow) must all run the test the rules describe: valid,
+  // every latency as the clock measured it, and stopped at the first query
+  // that meets both floors.
+  const TestSettings s = [] {
+    TestSettings t = FastSettings();
+    t.min_query_count = 32;
+    t.min_duration = Seconds{1.0};
+    return t;
+  }();
+  for (const double first_s : {0.0, 1e-9, 0.5}) {
+    SCOPED_TRACE(first_s);
+    VirtualClock clock;
+    FirstQuerySut sut(clock, first_s, 0.001);
+    FakeQsl qsl(16);
+    const TestResult r = RunTest(sut, qsl, s, clock);
+    EXPECT_FALSE(r.Errored()) << r.invalid_reason;
+    EXPECT_TRUE(r.min_query_count_met);
+    EXPECT_TRUE(r.min_duration_met);
+    EXPECT_EQ(r.AnomalyCount(), 0u);
+    ASSERT_EQ(r.latencies_s, sut.latencies_);
+    const std::size_t n = sut.latencies_.size();
+    EXPECT_EQ(r.sample_count, n);
+    // The last query was issued while the duration floor was still unmet.
+    EXPECT_LT(Seconds{sut.issues_.back() - sut.issues_.front()},
+              s.min_duration);
+    EXPECT_GT(n, 500u);
+    EXPECT_EQ(r.percentile_latency_s,
+              Percentile(sut.latencies_, s.latency_percentile));
+    ASSERT_EQ(r.log.events().size(), 2 * n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const LogEvent& issue = r.log.events()[2 * i];
+      const LogEvent& done = r.log.events()[2 * i + 1];
+      EXPECT_EQ(issue.kind, LogEventKind::kQueryIssued);
+      EXPECT_EQ(done.kind, LogEventKind::kQueryCompleted);
+      EXPECT_EQ(issue.query_id, i + 1);
+      EXPECT_EQ(done.query_id, i + 1);
+      EXPECT_EQ(issue.timestamp.count(), sut.issues_[i]);
     }
   }
 }

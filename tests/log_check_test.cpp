@@ -401,5 +401,67 @@ TEST(RecordedCheck, MultiStreamSingleWalkEqualsTheTwoWalks) {
   }
 }
 
+TEST(RecordedCheck, HostileIdsKeepTheirProblemTexts) {
+  // The slot table holds the largest id in [1, events]: each id outside
+  // that range is a `query <N> out of range` problem in log order, and
+  // sparse ids up to the top of the range are ordinary queries.  Each log
+  // is checked on both paths.
+  using K = LogEventKind;
+  struct Case {
+    std::string name;
+    std::vector<LogEvent> events;
+    std::vector<std::string> problems;
+  };
+  const auto at = [](K kind, std::uint64_t id, double t) {
+    return LogEvent{kind, id, Seconds{t}};
+  };
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::vector<Case> cases = {
+      {"sparse ids at the top of the range",
+       {at(K::kQueryIssued, 6, 0.0), at(K::kQueryCompleted, 6, 0.001),
+        at(K::kQueryIssued, 5, 0.002), at(K::kQueryCompleted, 5, 0.003),
+        at(K::kQueryIssued, 3, 0.004), at(K::kQueryCompleted, 3, 0.005)},
+       {}},
+      {"id 0, events + 1 and u64 max",
+       {at(K::kQueryIssued, 1, 0.0), at(K::kQueryCompleted, 0, 0.001),
+        at(K::kQueryCompleted, 1, 0.002), at(K::kQueryIssued, 7, 0.003),
+        at(K::kQueryShed, kMax, 0.004), at(K::kQueryCompleted, 7, 0.005)},
+       {"query 0 out of range", "query 7 out of range",
+        "query 18446744073709551615 out of range", "query 7 out of range"}},
+      {"only out-of-range ids",
+       {at(K::kQueryIssued, 3, 0.0), at(K::kQueryCompleted, kMax, 0.001)},
+       {"query 3 out of range", "query 18446744073709551615 out of range",
+        "log contains no completed queries"}},
+      {"unknown ids inside the range",
+       {at(K::kQueryIssued, 2, 0.0), at(K::kQueryCompleted, 2, 0.001),
+        at(K::kQueryCompleted, 6, 0.002), at(K::kQueryRejected, 5, 0.003),
+        at(K::kQueryIssued, 4, 0.004), at(K::kQueryCompleted, 4, 0.005)},
+       {"completion for unknown query 6", "rejection for unknown query 5"}},
+  };
+  TestSettings expected = BaseSettings();
+  expected.min_query_count = 1;
+  expected.min_duration = Seconds{0.0};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    TestLog log;
+    log.SetField("seed", std::to_string(expected.seed));
+    log.SetField("scenario", "single_stream");
+    log.SetField("mode", "performance");
+    for (const LogEvent& e : c.events)
+      log.Record(e.kind, e.query_id, e.timestamp);
+    TestSettings single_stream = expected;
+    single_stream.scenario = TestScenario::kSingleStream;
+    EXPECT_EQ(CheckPerformanceLog(log.Serialize(), single_stream).problems,
+              c.problems);
+    TaskRunResult task;
+    task.entry.id = "t";
+    task.numerics = DataType::kFloat16;
+    task.single_stream.emplace().log = log;
+    std::vector<std::string> recorded;
+    for (const std::string& p : c.problems) recorded.push_back("t: " + p);
+    EXPECT_EQ(CheckTaskRun(task, expected).problems, recorded);
+  }
+}
+
 }  // namespace
 }  // namespace mlpm::harness

@@ -2,13 +2,19 @@
 // compilation (segments, partitions, fallbacks), and batch execution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/cost.h"
 #include "obs/metrics.h"
 #include "soc/chipset.h"
 #include "soc/compile.h"
+#include "soc/faults.h"
 #include "soc/simulator.h"
 #include "soc/thermal.h"
 
@@ -424,6 +430,184 @@ TEST(Simulator, BatchEnergyPositiveAndTdpBounded) {
   const BatchResult r = sim.RunBatch({&m, 1}, 200);
   EXPECT_GT(r.energy_j, 0.0);
   EXPECT_LE(r.energy_j, sim.chipset().tdp_w * r.makespan_s + 1e-9);
+}
+
+// ---- memoised per-plan constants ----
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// The thermal step computed directly, with std::exp on every call.
+double DirectStep(const ThermalParams& p, double temp_c, double power_w,
+                  double dt_s) {
+  const double tau = p.resistance_c_per_w * p.capacitance_j_per_c;
+  const double steady = p.ambient_c + power_w * p.resistance_c_per_w;
+  return steady + (temp_c - steady) * std::exp(-dt_s / tau);
+}
+
+TEST(ThermalMemo, StepsEqualDirectRecomputation) {
+  // Repeated, changing and zero steps, cooling, a forced temperature and a
+  // reset, against the direct formula from the same temperatures.
+  for (const GovernorMode governor :
+       {GovernorMode::kLinear, GovernorMode::kStepped}) {
+    ThermalParams p;
+    p.governor = governor;
+    ThermalModel t{p};
+    double direct = p.ambient_c;
+    const auto step = [&](double power_w, double dt_s) {
+      t.Step(power_w, dt_s);
+      direct = DirectStep(p, direct, power_w, dt_s);
+      ASSERT_TRUE(SameBits(t.temperature_c(), direct))
+          << power_w << " W for " << dt_s << " s";
+    };
+    for (int i = 0; i < 200; ++i) step(3.0, 0.25);
+    step(3.0, 0.0);
+    step(2.5, 0.25);
+    for (int i = 0; i < 50; ++i) step(3.0, 1e-3 * (i % 3 + 1));
+    t.Cool(30.0);
+    direct = DirectStep(p, direct, 0.0, 30.0);
+    ASSERT_TRUE(SameBits(t.temperature_c(), direct));
+    step(3.0, 30.0);  // the cooldown's dt, now under power
+    t.ForceTemperature(p.throttle_limit_c);
+    direct = p.throttle_limit_c;
+    for (int i = 0; i < 20; ++i) step(1.0, 0.25);
+    t.Reset();
+    direct = p.ambient_c;
+    for (int i = 0; i < 20; ++i) step(3.0, 0.25);
+  }
+}
+
+// A simulated inference computed directly: every plan constant derived on
+// every call, the thermal step through std::exp, and fault draws of its
+// own from the same plan.  The oracle for SocSimulator::RunInference.
+class DirectSimulator {
+ public:
+  DirectSimulator(ChipsetDesc chip, FaultPlan faults)
+      : chip_(std::move(chip)),
+        temp_c_(chip_.thermal.ambient_c),
+        injector_(std::move(faults)) {}
+
+  InferenceResult Run(const CompiledModel& m, bool cpu_only) {
+    ThermalModel probe(chip_.thermal);
+    probe.ForceTemperature(temp_c_);
+    InferenceResult r;
+    r.throttle_factor = probe.ThrottleFactor();
+    r.latency_s = m.LatencySeconds(r.throttle_factor);
+    r.energy_j = m.EnergyJoules();
+    if (const FaultSpec* f = cpu_only ? nullptr : injector_.NextAttempt()) {
+      switch (f->kind) {
+        case FaultKind::kTransientStall:
+          r.latency_s *= f->stall_scale;
+          r.outcome = InferenceOutcome::kStalledRetryable;
+          r.completed = false;
+          break;
+        case FaultKind::kDriverCrash:
+          r.latency_s *= f->crash_latency_fraction;
+          r.energy_j *= f->crash_latency_fraction;
+          r.outcome = InferenceOutcome::kDriverCrash;
+          r.completed = false;
+          break;
+        case FaultKind::kThermalEmergency:
+          r.outcome = InferenceOutcome::kThermalEmergency;
+          break;
+        case FaultKind::kSampleDrop:
+          r.outcome = InferenceOutcome::kDropped;
+          r.completed = false;
+          break;
+      }
+    }
+    temp_c_ = DirectStep(chip_.thermal, temp_c_,
+                         std::min(m.AveragePowerWatts(), chip_.tdp_w),
+                         r.latency_s);
+    if (r.outcome == InferenceOutcome::kThermalEmergency)
+      temp_c_ = chip_.thermal.throttle_limit_c;
+    r.temperature_c = temp_c_;
+    return r;
+  }
+
+  void Cooldown(double seconds) {
+    temp_c_ = DirectStep(chip_.thermal, temp_c_, 0.0, seconds);
+  }
+
+ private:
+  ChipsetDesc chip_;
+  double temp_c_;
+  FaultInjector injector_;
+};
+
+TEST(SimulatorMemo, InferencesEqualDirectRecomputation) {
+  // A small, fast-heating die: the plans cross the throttle band within a
+  // few hundred inferences, and the TDP cap binds on both.  Each governor
+  // runs the primary plan into throttling, then alternates it with the CPU
+  // fallback and with an uncompiled copy (plan id 0), then runs the
+  // fallback with cooldowns, all under seeded faults of every kind
+  // (thermal emergencies force the die to its limit).
+  for (const GovernorMode governor :
+       {GovernorMode::kLinear, GovernorMode::kStepped}) {
+    SCOPED_TRACE(governor == GovernorMode::kLinear ? "linear" : "stepped");
+    ChipsetDesc chip = TwoEngineChip();
+    chip.tdp_w = 1.8;
+    chip.thermal.throttle_start_c = 23.0;
+    chip.thermal.throttle_limit_c = 30.0;
+    chip.thermal.capacitance_j_per_c = 1e-4;
+    chip.thermal.governor = governor;
+    const graph::Graph g = FourConvNet();
+    ExecutionPolicy npu;
+    npu.engines = {"npu"};
+    ExecutionPolicy cpu;
+    cpu.engines = {"cpu"};
+    const CompiledModel primary =
+        Compile(g, DataType::kInt8, chip, npu, RuntimeOverheads{});
+    const CompiledModel fallback =
+        Compile(g, DataType::kInt8, chip, cpu, RuntimeOverheads{});
+    CompiledModel uncompiled = primary;
+    uncompiled.plan_id = 0;
+    ASSERT_NE(primary.plan_id, 0u);
+    ASSERT_NE(primary.plan_id, fallback.plan_id);
+
+    const FaultPlan faults = FaultPlan{}
+                                 .TransientStalls(0.02)
+                                 .DriverCrashes(0.01)
+                                 .ThermalEmergencies(0.01)
+                                 .SampleDrops(0.01);
+    SocSimulator sim(chip);
+    sim.InjectFaults(faults);
+    DirectSimulator direct(chip, faults);
+    std::size_t throttled = 0, repeated_throttle = 0, emergencies = 0;
+    double last_throttle = 0.0;
+    for (int i = 0; i < 3000; ++i) {
+      const CompiledModel* plan = &primary;
+      if (i >= 1000 && i < 2000)
+        plan = i % 3 == 0 ? &fallback : i % 3 == 1 ? &uncompiled : &primary;
+      if (i >= 2000) {
+        plan = &fallback;
+        if (i % 250 == 0) {
+          sim.Cooldown(1e-3);
+          direct.Cooldown(1e-3);
+        }
+      }
+      const InferenceResult got = sim.RunInference(*plan);
+      const InferenceResult want = direct.Run(*plan, plan == &fallback);
+      ASSERT_TRUE(SameBits(got.latency_s, want.latency_s)) << "inference " << i;
+      ASSERT_TRUE(SameBits(got.energy_j, want.energy_j)) << "inference " << i;
+      ASSERT_TRUE(SameBits(got.throttle_factor, want.throttle_factor))
+          << "inference " << i;
+      ASSERT_TRUE(SameBits(got.temperature_c, want.temperature_c))
+          << "inference " << i;
+      ASSERT_EQ(got.outcome, want.outcome) << "inference " << i;
+      ASSERT_EQ(got.completed, want.completed) << "inference " << i;
+      throttled += got.throttle_factor < 1.0;
+      repeated_throttle += got.throttle_factor < 1.0 &&
+                           got.throttle_factor == last_throttle;
+      emergencies += got.outcome == InferenceOutcome::kThermalEmergency;
+      last_throttle = got.throttle_factor;
+    }
+    EXPECT_GT(throttled, 1000u);
+    EXPECT_GT(repeated_throttle, 100u);
+    EXPECT_GT(emergencies, 0u);
+    EXPECT_GT(sim.fault_count(), emergencies);
+  }
 }
 
 // ---- metrics ----
