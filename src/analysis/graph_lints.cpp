@@ -1,11 +1,10 @@
 // Graph structure lints (GRAPH001-GRAPH005).
 //
-// graph/validate.cpp answers "is this graph acceptable" with one bool; this
-// pass answers "what exactly is wrong" with coded, severity-graded
-// diagnostics, and adds the checks validate cannot express: true cycle
-// detection over the producer/consumer relation (validate only catches
-// use-before-definition in storage order) and reachability from the graph
-// outputs.
+// Answers "what exactly is wrong" with a graph read from a submitted file
+// with coded, severity-graded diagnostics: id ranges and tensor kinds,
+// aliasing writes, true cycle detection over the producer/consumer relation
+// (a storage order with forward references is not a cycle), dead tensors
+// and reachability from the graph outputs.
 #include <cstddef>
 #include <queue>
 #include <unordered_set>

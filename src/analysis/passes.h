@@ -25,9 +25,8 @@ namespace mlpm::analysis {
 // --- Model IR passes -------------------------------------------------------
 
 // Graph structure lints (GRAPH001-GRAPH005): id ranges and tensor kinds,
-// aliasing writes, dataflow cycles, dead tensors, unreachable nodes.  Goes
-// beyond graph/validate by accepting any input and by classifying findings
-// by severity instead of collapsing them into one bool.
+// aliasing writes, dataflow cycles, dead tensors, unreachable nodes.
+// Accepts any input and classifies each finding by severity.
 void CheckGraphStructure(const graph::Graph& g, DiagnosticEngine& de);
 
 // Shape dataflow inference (SHAPE001-SHAPE004): recomputes every node's

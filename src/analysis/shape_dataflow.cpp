@@ -189,25 +189,6 @@ void CheckElementwiseBinary(NodeChecker& c) {
   c.Infer(c.In(0));
 }
 
-void CheckPool(NodeChecker& c) {
-  const auto* a = c.RequireAttrs<graph::PoolAttrs>();
-  if (a == nullptr || !c.RequireArity(1, 0)) return;
-  const TensorShape& in = c.In(0);
-  c.Constraint(in.rank() == 4, "pool input must be NHWC, got rank " +
-                                   std::to_string(in.rank()));
-  c.Constraint(a->kernel > 0 && a->stride > 0,
-               "pool kernel and stride must be positive");
-  if (!c.ok()) return;
-  const auto oh =
-      SafeConvOutDim(in.height(), a->kernel, a->stride, 1, a->padding);
-  const auto ow =
-      SafeConvOutDim(in.width(), a->kernel, a->stride, 1, a->padding);
-  c.Constraint(oh.has_value() && ow.has_value(),
-               "valid padding requires input >= kernel");
-  if (!c.ok()) return;
-  c.Infer(TensorShape({in.batch(), *oh, *ow, in.channels()}));
-}
-
 void CheckGlobalAvgPool(NodeChecker& c) {
   if (!c.RequireArity(1, 0)) return;
   const TensorShape& in = c.In(0);
@@ -280,17 +261,6 @@ void CheckReshape(NodeChecker& c) {
                    std::to_string(elements) + ")");
   if (!c.ok()) return;
   c.Infer(TensorShape(a->new_dims));
-}
-
-void CheckSoftmax(NodeChecker& c) {
-  const auto* a = c.RequireAttrs<graph::SoftmaxAttrs>();
-  if (a == nullptr || !c.RequireArity(1, 0)) return;
-  const auto rank = static_cast<int>(c.In(0).rank());
-  c.Constraint(a->axis >= -rank && a->axis < rank,
-               "Softmax axis " + std::to_string(a->axis) +
-                   " out of range for rank " + std::to_string(rank));
-  if (!c.ok()) return;
-  c.Infer(c.In(0));
 }
 
 void CheckActivation(NodeChecker& c) {
@@ -378,15 +348,11 @@ void CheckShapeDataflow(const Graph& g, DiagnosticEngine& de) {
       case OpType::kConv2d: CheckConv2d(c); break;
       case OpType::kDepthwiseConv2d: CheckDepthwiseConv2d(c); break;
       case OpType::kFullyConnected: CheckFullyConnected(c); break;
-      case OpType::kAdd:
-      case OpType::kMul: CheckElementwiseBinary(c); break;
-      case OpType::kAvgPool:
-      case OpType::kMaxPool: CheckPool(c); break;
+      case OpType::kAdd: CheckElementwiseBinary(c); break;
       case OpType::kGlobalAvgPool: CheckGlobalAvgPool(c); break;
       case OpType::kResizeBilinear: CheckResize(c); break;
       case OpType::kConcat: CheckConcat(c, n); break;
       case OpType::kReshape: CheckReshape(c); break;
-      case OpType::kSoftmax: CheckSoftmax(c); break;
       case OpType::kActivation: CheckActivation(c); break;
       case OpType::kLayerNorm: CheckLayerNorm(c); break;
       case OpType::kEmbeddingLookup: CheckEmbedding(c); break;

@@ -1,8 +1,8 @@
 // Strict reader for the line-oriented text artifacts a submission carries
-// (.graph model files, weight files).  A line is split into whitespace-
-// separated tokens and consumed front to back; a missing token, a number
-// that does not parse in full or overflows its type, and a count larger
-// than the tokens left on the line are each a CheckError.  Callers take
+// (.graph model files).  A line is split into whitespace-separated tokens
+// and consumed front to back; a missing token, a number that does not
+// parse in full or overflows its type, and a count larger than the tokens
+// left on the line are each a CheckError.  Callers take
 // counts through Count() before they allocate or loop, so a hostile file
 // can never ask for more than its own length.
 #pragma once

@@ -83,10 +83,10 @@ struct TestResult {
 
 // Whether RunTest builds the per-query record: the log's issue,
 // completion, shed and rejection events plus one error_log line per
-// anomaly.  The submission checker, the package and the submission journal
-// read it; a caller that reads none of it (fleet shards) passes kNone, and
-// gets a result whose log holds only its header and summary fields and
-// whose error_log is empty.  Counters, latencies, summary fields, metrics
+// anomaly.  The submission checker and the submission journal read it; a
+// caller that reads none of it (fleet shards) passes kNone, and gets a
+// result whose log holds only its header and summary fields and whose
+// error_log is empty.  Counters, latencies, summary fields, metrics
 // and trace events are the same either way.
 enum class QueryRecord : std::uint8_t { kKeep, kNone };
 

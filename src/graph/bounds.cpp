@@ -53,10 +53,7 @@ bool SupportsBoundsInference(OpType op) {
   switch (op) {
     case OpType::kConv2d:
     case OpType::kDepthwiseConv2d:
-    case OpType::kAvgPool:
-    case OpType::kMaxPool:
     case OpType::kAdd:
-    case OpType::kMul:
     case OpType::kActivation:
     case OpType::kResizeBilinear:
       return true;
@@ -76,7 +73,6 @@ Box InferInputBounds(const Node& n, const TensorShape& in_shape,
 
   switch (n.op) {
     case OpType::kAdd:
-    case OpType::kMul:
     case OpType::kActivation:
       // Elementwise: the input box is the crop itself.
       return crop;
@@ -117,20 +113,6 @@ Box InferInputBounds(const Node& n, const TensorShape& in_shape,
       in.dims[2] =
           ResizeSpan(crop.dims[2], in_shape.width(), out_shape.width());
       // Channels map 1:1; the crop's channel span carries over.
-      return in;
-    }
-
-    case OpType::kAvgPool:
-    case OpType::kMaxPool: {
-      // The pool kernel anchors windows at oh*stride with no pad offset and
-      // skips taps past the end (executor RunPool); the span math matches.
-      const auto& a = std::get<PoolAttrs>(n.attrs);
-      Box in = crop;
-      in.dims[1] =
-          WindowSpan(crop.dims[1], in_shape.height(), a.kernel, a.stride,
-                     /*dilation=*/1, /*pad_begin=*/0);
-      in.dims[2] = WindowSpan(crop.dims[2], in_shape.width(), a.kernel,
-                              a.stride, /*dilation=*/1, /*pad_begin=*/0);
       return in;
     }
 

@@ -14,8 +14,8 @@
 //     second operand at the *same* coordinates as the output crop, so the
 //     required box of input[1] equals the crop itself.
 //   * The returned box is clamped to the input shape.  Padding (SAME conv
-//     edges, pool edge windows) is handled by the kernels skipping taps
-//     outside the logical tensor, which the clamped box always covers.
+//     edges) is handled by the kernels skipping taps outside the logical
+//     tensor, which the clamped box always covers.
 //   * Crops split N and H only; inference keeps W and C spans full-range
 //     in the same spirit, but the math is exact for W crops too.
 #pragma once

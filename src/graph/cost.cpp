@@ -69,13 +69,6 @@ NodeCost AnalyzeNode(const Graph& g, const Node& n) {
       c.macs = proj + scores;
       break;
     }
-    case OpType::kAvgPool:
-    case OpType::kMaxPool: {
-      const auto& a = std::get<PoolAttrs>(n.attrs);
-      // Window reductions counted as one op per window element.
-      c.macs = out.elements() * a.kernel * a.kernel;
-      break;
-    }
     case OpType::kGlobalAvgPool:
       c.macs = c.input_elems;
       break;
@@ -85,11 +78,7 @@ NodeCost AnalyzeNode(const Graph& g, const Node& n) {
     case OpType::kLayerNorm:
       c.macs = 4 * c.input_elems;  // mean, var, scale, shift
       break;
-    case OpType::kSoftmax:
-      c.macs = 3 * c.input_elems;  // exp, sum, divide
-      break;
     case OpType::kAdd:
-    case OpType::kMul:
     case OpType::kActivation:
       c.macs = c.output_elems;
       break;

@@ -23,14 +23,10 @@ std::string_view ToString(OpType t) {
     case OpType::kDepthwiseConv2d: return "DepthwiseConv2d";
     case OpType::kFullyConnected: return "FullyConnected";
     case OpType::kAdd: return "Add";
-    case OpType::kMul: return "Mul";
-    case OpType::kAvgPool: return "AvgPool";
-    case OpType::kMaxPool: return "MaxPool";
     case OpType::kGlobalAvgPool: return "GlobalAvgPool";
     case OpType::kResizeBilinear: return "ResizeBilinear";
     case OpType::kConcat: return "Concat";
     case OpType::kReshape: return "Reshape";
-    case OpType::kSoftmax: return "Softmax";
     case OpType::kActivation: return "Activation";
     case OpType::kLayerNorm: return "LayerNorm";
     case OpType::kEmbeddingLookup: return "EmbeddingLookup";
@@ -52,18 +48,6 @@ std::string_view ToString(OpClass c) {
   return "?";
 }
 
-std::string_view ToString(Activation a) {
-  switch (a) {
-    case Activation::kNone: return "none";
-    case Activation::kRelu: return "relu";
-    case Activation::kRelu6: return "relu6";
-    case Activation::kSigmoid: return "sigmoid";
-    case Activation::kTanh: return "tanh";
-    case Activation::kGelu: return "gelu";
-  }
-  return "?";
-}
-
 OpClass ClassOf(OpType t) {
   switch (t) {
     case OpType::kConv2d:
@@ -81,12 +65,8 @@ OpClass ClassOf(OpType t) {
       return OpClass::kMemory;
     case OpType::kInput:
     case OpType::kAdd:
-    case OpType::kMul:
-    case OpType::kAvgPool:
-    case OpType::kMaxPool:
     case OpType::kGlobalAvgPool:
     case OpType::kResizeBilinear:
-    case OpType::kSoftmax:
     case OpType::kActivation:
     case OpType::kLayerNorm:
       return OpClass::kElementwise;
@@ -105,26 +85,6 @@ std::int64_t Graph::ParameterCount() const {
   for (const auto& t : tensors_)
     if (t.kind == TensorKind::kWeight) n += t.shape.elements();
   return n;
-}
-
-std::uint64_t Graph::StructuralFingerprint() const {
-  // FNV-1a over op types, tensor shapes and connectivity.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  for (const auto& n : nodes_) {
-    mix(static_cast<std::uint64_t>(n.op));
-    for (auto in : n.inputs) mix(static_cast<std::uint64_t>(in) + 1);
-    for (auto w : n.weights) {
-      const auto& t = tensors_[static_cast<std::size_t>(w)];
-      for (auto d : t.shape.dims()) mix(static_cast<std::uint64_t>(d));
-    }
-    const auto& out = tensors_[static_cast<std::size_t>(n.output)];
-    for (auto d : out.shape.dims()) mix(static_cast<std::uint64_t>(d) << 32);
-  }
-  return h;
 }
 
 std::int64_t ConvOutDim(std::int64_t in, int kernel, int stride, int dilation,
@@ -274,35 +234,6 @@ TensorId GraphBuilder::Add(TensorId a, TensorId b, const std::string& name) {
   return AddNode(OpType::kAdd, EmptyAttrs{}, {a, b}, {}, ShapeOf(a), name);
 }
 
-TensorId GraphBuilder::Mul(TensorId a, TensorId b, const std::string& name) {
-  Expects(ShapeOf(a) == ShapeOf(b), "Mul requires equal shapes");
-  return AddNode(OpType::kMul, EmptyAttrs{}, {a, b}, {}, ShapeOf(a), name);
-}
-
-TensorId GraphBuilder::AvgPool(TensorId in, int kernel, int stride,
-                               const std::string& name) {
-  const TensorShape s = ShapeOf(in);
-  Expects(s.rank() == 4, "AvgPool input must be NHWC");
-  PoolAttrs a{kernel, stride, Padding::kValid};
-  TensorShape out({s.batch(),
-                   ConvOutDim(s.height(), kernel, stride, 1, a.padding),
-                   ConvOutDim(s.width(), kernel, stride, 1, a.padding),
-                   s.channels()});
-  return AddNode(OpType::kAvgPool, a, {in}, {}, std::move(out), name);
-}
-
-TensorId GraphBuilder::MaxPool(TensorId in, int kernel, int stride,
-                               const std::string& name) {
-  const TensorShape s = ShapeOf(in);
-  Expects(s.rank() == 4, "MaxPool input must be NHWC");
-  PoolAttrs a{kernel, stride, Padding::kValid};
-  TensorShape out({s.batch(),
-                   ConvOutDim(s.height(), kernel, stride, 1, a.padding),
-                   ConvOutDim(s.width(), kernel, stride, 1, a.padding),
-                   s.channels()});
-  return AddNode(OpType::kMaxPool, a, {in}, {}, std::move(out), name);
-}
-
 TensorId GraphBuilder::GlobalAvgPool(TensorId in, const std::string& name) {
   const TensorShape s = ShapeOf(in);
   Expects(s.rank() == 4, "GlobalAvgPool input must be NHWC");
@@ -357,12 +288,6 @@ TensorId GraphBuilder::Reshape(TensorId in, std::vector<std::int64_t> dims,
   ReshapeAttrs a{std::move(dims)};
   return AddNode(OpType::kReshape, std::move(a), {in}, {}, std::move(out),
                  name);
-}
-
-TensorId GraphBuilder::Softmax(TensorId in, int axis,
-                               const std::string& name) {
-  SoftmaxAttrs a{axis};
-  return AddNode(OpType::kSoftmax, a, {in}, {}, ShapeOf(in), name);
 }
 
 TensorId GraphBuilder::Activate(TensorId in, Activation act,

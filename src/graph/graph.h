@@ -1,9 +1,9 @@
 // Graph IR: a static dataflow graph of tensors and nodes.
 //
 // A Graph is immutable once built (paper §5.1: submissions must start from
-// the frozen reference graph; the submission checker compares structural
-// fingerprints).  Construction goes through GraphBuilder, which performs
-// shape inference eagerly so any malformed model fails at build time.
+// the frozen reference graph).  Construction goes through GraphBuilder, which
+// performs shape inference eagerly so any malformed model fails at build
+// time.
 //
 // Weights are *described* in the graph (shape, dtype, parameter count) but
 // their values live in a WeightStore owned by the executor layer; the timing
@@ -62,14 +62,8 @@ class Graph {
   // Total trainable parameter count (elements of all weight tensors).
   [[nodiscard]] std::int64_t ParameterCount() const;
 
-  // A structural fingerprint: hashes op types, attrs-relevant dims and
-  // connectivity.  Used by the submission checker to verify that a submitted
-  // model is the frozen reference graph (rules forbid pruning etc., §5.1).
-  [[nodiscard]] std::uint64_t StructuralFingerprint() const;
-
  private:
   friend class GraphBuilder;
-  friend Graph ParseGraph(const std::string& text);
   friend Graph ParseGraphUnchecked(const std::string& text);
   std::string name_;
   std::vector<Node> nodes_;  // already in topological (construction) order
@@ -99,11 +93,6 @@ class GraphBuilder {
                           Activation act = Activation::kNone,
                           const std::string& name = {});
   TensorId Add(TensorId a, TensorId b, const std::string& name = {});
-  TensorId Mul(TensorId a, TensorId b, const std::string& name = {});
-  TensorId AvgPool(TensorId in, int kernel, int stride,
-                   const std::string& name = {});
-  TensorId MaxPool(TensorId in, int kernel, int stride,
-                   const std::string& name = {});
   TensorId GlobalAvgPool(TensorId in, const std::string& name = {});
   TensorId ResizeBilinear(TensorId in, std::int64_t out_h, std::int64_t out_w,
                           const std::string& name = {});
@@ -111,7 +100,6 @@ class GraphBuilder {
                   const std::string& name = {});
   TensorId Reshape(TensorId in, std::vector<std::int64_t> dims,
                    const std::string& name = {});
-  TensorId Softmax(TensorId in, int axis = -1, const std::string& name = {});
   TensorId Activate(TensorId in, Activation act,
                     const std::string& name = {});
   TensorId LayerNorm(TensorId in, const std::string& name = {});
@@ -148,7 +136,7 @@ class GraphBuilder {
   std::int32_t op_counter_ = 0;
 };
 
-// Output spatial size for a conv/pool window in one dimension.
+// Output spatial size for a conv window in one dimension.
 [[nodiscard]] std::int64_t ConvOutDim(std::int64_t in, int kernel, int stride,
                                       int dilation, Padding pad);
 

@@ -21,14 +21,10 @@ enum class OpType : std::uint8_t {
   kDepthwiseConv2d,
   kFullyConnected,
   kAdd,            // elementwise, used for residual connections
-  kMul,            // elementwise
-  kAvgPool,
-  kMaxPool,
   kGlobalAvgPool,
   kResizeBilinear,
   kConcat,
   kReshape,
-  kSoftmax,
   kActivation,     // standalone activation
   kLayerNorm,
   kEmbeddingLookup,
@@ -54,7 +50,7 @@ enum class OpClass : std::uint8_t {
   kConvDepthwise,  // depthwise convolution (bandwidth-bound)
   kGemm,           // fully connected / attention projections
   kAttention,      // softmax(QK^T)V core
-  kElementwise,    // add/mul/activation/norm/softmax/resize/pool
+  kElementwise,    // add/activation/norm/resize/global pool
   kMemory,         // reshape/concat/embedding (pure data movement)
 };
 
@@ -84,12 +80,6 @@ struct FullyConnectedAttrs {
   Activation activation = Activation::kNone;
 };
 
-struct PoolAttrs {
-  int kernel = 2;
-  int stride = 2;
-  Padding padding = Padding::kValid;
-};
-
 struct ResizeAttrs {
   std::int64_t out_h = 0;
   std::int64_t out_w = 0;
@@ -101,10 +91,6 @@ struct ConcatAttrs {
 
 struct ReshapeAttrs {
   std::vector<std::int64_t> new_dims;
-};
-
-struct SoftmaxAttrs {
-  int axis = -1;
 };
 
 struct ActivationAttrs {
@@ -133,13 +119,12 @@ struct EmptyAttrs {};
 
 using OpAttrs =
     std::variant<EmptyAttrs, Conv2dAttrs, DepthwiseConv2dAttrs,
-                 FullyConnectedAttrs, PoolAttrs, ResizeAttrs, ConcatAttrs,
-                 ReshapeAttrs, SoftmaxAttrs, ActivationAttrs, LayerNormAttrs,
-                 EmbeddingAttrs, AttentionAttrs, LstmAttrs>;
+                 FullyConnectedAttrs, ResizeAttrs, ConcatAttrs, ReshapeAttrs,
+                 ActivationAttrs, LayerNormAttrs, EmbeddingAttrs,
+                 AttentionAttrs, LstmAttrs>;
 
 [[nodiscard]] std::string_view ToString(OpType t);
 [[nodiscard]] std::string_view ToString(OpClass c);
-[[nodiscard]] std::string_view ToString(Activation a);
 
 // The coarse class an op belongs to for cost-model purposes.  Depthwise and
 // dense convolutions are split because their arithmetic intensity differs by

@@ -6,34 +6,9 @@
 #include <variant>
 
 #include "common/line_tokens.h"
-#include "graph/validate.h"
 
 namespace mlpm::graph {
 namespace {
-
-const char* OpToken(OpType t) {
-  switch (t) {
-    case OpType::kInput: return "input_op";
-    case OpType::kConv2d: return "conv2d";
-    case OpType::kDepthwiseConv2d: return "dwconv2d";
-    case OpType::kFullyConnected: return "fc";
-    case OpType::kAdd: return "add";
-    case OpType::kMul: return "mul";
-    case OpType::kAvgPool: return "avgpool";
-    case OpType::kMaxPool: return "maxpool";
-    case OpType::kGlobalAvgPool: return "gap";
-    case OpType::kResizeBilinear: return "resize";
-    case OpType::kConcat: return "concat";
-    case OpType::kReshape: return "reshape";
-    case OpType::kSoftmax: return "softmax";
-    case OpType::kActivation: return "act";
-    case OpType::kLayerNorm: return "layernorm";
-    case OpType::kEmbeddingLookup: return "embedding";
-    case OpType::kMultiHeadAttention: return "mha";
-    case OpType::kLstm: return "lstm";
-  }
-  return "?";
-}
 
 OpType OpFromToken(const std::string& s) {
   static const std::unordered_map<std::string, OpType> map = {
@@ -42,14 +17,10 @@ OpType OpFromToken(const std::string& s) {
       {"dwconv2d", OpType::kDepthwiseConv2d},
       {"fc", OpType::kFullyConnected},
       {"add", OpType::kAdd},
-      {"mul", OpType::kMul},
-      {"avgpool", OpType::kAvgPool},
-      {"maxpool", OpType::kMaxPool},
       {"gap", OpType::kGlobalAvgPool},
       {"resize", OpType::kResizeBilinear},
       {"concat", OpType::kConcat},
       {"reshape", OpType::kReshape},
-      {"softmax", OpType::kSoftmax},
       {"act", OpType::kActivation},
       {"layernorm", OpType::kLayerNorm},
       {"embedding", OpType::kEmbeddingLookup},
@@ -61,85 +32,10 @@ OpType OpFromToken(const std::string& s) {
   return it->second;
 }
 
-int ActToInt(Activation a) { return static_cast<int>(a); }
 Activation ActFromInt(int v) {
   Expects(v >= 0 && v <= static_cast<int>(Activation::kGelu),
           "bad activation code");
   return static_cast<Activation>(v);
-}
-
-void WriteAttrs(std::ostream& os, const Node& n) {
-  switch (n.op) {
-    case OpType::kConv2d: {
-      const auto& a = std::get<Conv2dAttrs>(n.attrs);
-      os << "oc=" << a.out_channels << " k=" << a.kernel_h
-         << " s=" << a.stride << " d=" << a.dilation
-         << " p=" << (a.padding == Padding::kSame ? 1 : 0)
-         << " a=" << ActToInt(a.activation);
-      break;
-    }
-    case OpType::kDepthwiseConv2d: {
-      const auto& a = std::get<DepthwiseConv2dAttrs>(n.attrs);
-      os << "k=" << a.kernel_h << " s=" << a.stride << " d=" << a.dilation
-         << " p=" << (a.padding == Padding::kSame ? 1 : 0)
-         << " a=" << ActToInt(a.activation);
-      break;
-    }
-    case OpType::kFullyConnected: {
-      const auto& a = std::get<FullyConnectedAttrs>(n.attrs);
-      os << "of=" << a.out_features << " a=" << ActToInt(a.activation);
-      break;
-    }
-    case OpType::kAvgPool:
-    case OpType::kMaxPool: {
-      const auto& a = std::get<PoolAttrs>(n.attrs);
-      os << "k=" << a.kernel << " s=" << a.stride;
-      break;
-    }
-    case OpType::kResizeBilinear: {
-      const auto& a = std::get<ResizeAttrs>(n.attrs);
-      os << "h=" << a.out_h << " w=" << a.out_w;
-      break;
-    }
-    case OpType::kConcat: {
-      os << "axis=" << std::get<ConcatAttrs>(n.attrs).axis;
-      break;
-    }
-    case OpType::kReshape: {
-      const auto& a = std::get<ReshapeAttrs>(n.attrs);
-      os << "rank=" << a.new_dims.size();
-      for (auto d : a.new_dims) os << " dim=" << d;
-      break;
-    }
-    case OpType::kSoftmax: {
-      os << "axis=" << std::get<SoftmaxAttrs>(n.attrs).axis;
-      break;
-    }
-    case OpType::kActivation: {
-      os << "a=" << ActToInt(std::get<ActivationAttrs>(n.attrs).activation);
-      break;
-    }
-    case OpType::kEmbeddingLookup: {
-      const auto& a = std::get<EmbeddingAttrs>(n.attrs);
-      os << "vocab=" << a.vocab_size << " dim=" << a.embed_dim;
-      break;
-    }
-    case OpType::kMultiHeadAttention: {
-      const auto& a = std::get<AttentionAttrs>(n.attrs);
-      os << "heads=" << a.num_heads << " hd=" << a.head_dim;
-      break;
-    }
-    case OpType::kLstm: {
-      os << "hidden=" << std::get<LstmAttrs>(n.attrs).hidden_dim;
-      break;
-    }
-    case OpType::kInput:
-    case OpType::kAdd:
-    case OpType::kMul:
-    case OpType::kGlobalAvgPool:
-    case OpType::kLayerNorm:
-      break;  // no attrs
-  }
 }
 
 // Key=value attribute scanner.
@@ -196,13 +92,6 @@ OpAttrs ReadAttrs(OpType op, LineTokens& attrs) {
       a.activation = ActFromInt(static_cast<int>(scan.Expect("a")));
       return a;
     }
-    case OpType::kAvgPool:
-    case OpType::kMaxPool: {
-      PoolAttrs a;
-      a.kernel = static_cast<int>(scan.Expect("k"));
-      a.stride = static_cast<int>(scan.Expect("s"));
-      return a;
-    }
     case OpType::kResizeBilinear: {
       ResizeAttrs a;
       a.out_h = scan.Expect("h");
@@ -218,8 +107,6 @@ OpAttrs ReadAttrs(OpType op, LineTokens& attrs) {
         a.new_dims.push_back(scan.Expect("dim"));
       return a;
     }
-    case OpType::kSoftmax:
-      return SoftmaxAttrs{static_cast<int>(scan.Expect("axis"))};
     case OpType::kActivation:
       return ActivationAttrs{
           ActFromInt(static_cast<int>(scan.Expect("a")))};
@@ -237,43 +124,17 @@ OpAttrs ReadAttrs(OpType op, LineTokens& attrs) {
     }
     case OpType::kLstm:
       return LstmAttrs{scan.Expect("hidden")};
+    case OpType::kLayerNorm:
+      return LayerNormAttrs{};  // the builder's epsilon; the text has none
     case OpType::kInput:
     case OpType::kAdd:
-    case OpType::kMul:
     case OpType::kGlobalAvgPool:
-    case OpType::kLayerNorm:
       return EmptyAttrs{};
   }
   return EmptyAttrs{};
 }
 
 }  // namespace
-
-std::string SerializeGraph(const Graph& g) {
-  std::ostringstream os;
-  os << "mlpm_graph v1\n";
-  os << "name " << g.name() << '\n';
-  for (std::size_t i = 0; i < g.tensors().size(); ++i) {
-    const TensorInfo& t = g.tensors()[i];
-    os << "tensor " << i << ' '
-       << (t.kind == TensorKind::kWeight ? 'w' : 'a') << ' '
-       << t.shape.rank();
-    for (auto d : t.shape.dims()) os << ' ' << d;
-    os << ' ' << t.name << '\n';
-  }
-  for (const Node& n : g.nodes()) {
-    os << "node " << n.name << ' ' << OpToken(n.op) << " [";
-    WriteAttrs(os, n);
-    os << "] in " << n.inputs.size();
-    for (auto id : n.inputs) os << ' ' << id;
-    os << " w " << n.weights.size();
-    for (auto id : n.weights) os << ' ' << id;
-    os << " out " << n.output << '\n';
-  }
-  for (auto id : g.input_ids()) os << "graph_input " << id << '\n';
-  for (auto id : g.output_ids()) os << "graph_output " << id << '\n';
-  return os.str();
-}
 
 Graph ParseGraphUnchecked(const std::string& text) {
   std::istringstream is(text);
@@ -339,16 +200,6 @@ Graph ParseGraphUnchecked(const std::string& text) {
       Expects(false, [&] { return "unknown line tag: " + std::string(tag); });
     }
   }
-  return g;
-}
-
-Graph ParseGraph(const std::string& text) {
-  Graph g = ParseGraphUnchecked(text);
-  const ValidationReport report = Validate(g);
-  Expects(report.valid, [&] {
-    return "parsed graph failed validation: " +
-           (report.problems.empty() ? std::string{} : report.problems[0]);
-  });
   return g;
 }
 

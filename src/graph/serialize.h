@@ -1,13 +1,16 @@
-// Frozen-model serialization (paper §5.1: "the reference models are frozen
-// TensorFlow FP32 checkpoints, and valid submissions must begin from these
-// frozen graphs").  This is the repo's checkpoint format: a line-oriented
-// text encoding of the graph structure that round-trips exactly, so the
-// audit can load a submitted model file and fingerprint-compare it against
-// the reference.
+// Reader for submitted model files (paper §5.1: "the reference models are
+// frozen TensorFlow FP32 checkpoints, and valid submissions must begin from
+// these frozen graphs").  mlpm_lint loads `.graph` files through it and
+// diagnoses them with the analysis passes (src/analysis).
 //
-// Weights are serialized separately (infer/weights.h side); the graph file
-// carries structure only — which is precisely what the equivalence rules
-// constrain.
+// The format is line-oriented text that carries the graph structure only:
+//
+//   mlpm_graph v1
+//   name <graph name>
+//   tensor <id> <w|a> <rank> <dim>... <tensor name>
+//   node <name> <op token> [<key>=<int> ...] in <n> <id>... w <n> <id>... out <id>
+//   graph_input <id>
+//   graph_output <id>
 #pragma once
 
 #include <string>
@@ -16,21 +19,13 @@
 
 namespace mlpm::graph {
 
-// Serializes the full structure: tensors (name/shape/kind), nodes
-// (op/attrs/inputs/weights/output), graph inputs/outputs.
-[[nodiscard]] std::string SerializeGraph(const Graph& g);
-
-// Parses a serialized graph; throws CheckError on malformed input.  The
-// result satisfies Validate() and has the same StructuralFingerprint() as
-// the original.
-[[nodiscard]] Graph ParseGraph(const std::string& text);
-
-// As ParseGraph, but skips the Validate() gate: the text must be
-// syntactically well-formed, but the resulting graph may violate any
-// structural invariant (dangling ids, cycles, dead tensors, ...).  This is
-// the loader for the static-analysis layer (src/analysis), which needs to
-// ingest defective submitted models and *diagnose* them rather than throw
-// at the first problem.  Never feed an unchecked graph to an executor.
+// Parses a graph text.  The text must be syntactically well-formed (known
+// line tags and op tokens, integer fields, attrs in the op's order, counts
+// that fit the line); anything else throws CheckError.  The resulting graph
+// may violate any structural invariant (dangling ids, cycles, dead tensors,
+// ...): the analysis passes ingest defective submitted models and
+// *diagnose* them rather than throw at the first problem.  Never feed an
+// unchecked graph to an executor.
 [[nodiscard]] Graph ParseGraphUnchecked(const std::string& text);
 
 }  // namespace mlpm::graph

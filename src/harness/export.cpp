@@ -106,100 +106,26 @@ constexpr Column kColumns[] = {
     Col<&T::tile_slab_bytes>("tile_slab_bytes"),
 };
 
-void AppendHeader(std::ostream& os) {
-  for (const Column& c : kColumns) {
-    if (&c != &kColumns[0]) os << ',';
-    os << c.header;
-  }
-  os << '\n';
-}
+}  // namespace
 
-void AppendRows(std::ostream& os, const S& result,
-                const std::string& date_prefix) {
+std::string ToCsv(const SubmissionResult& result, bool include_header) {
+  std::ostringstream os;
+  if (include_header) {
+    for (const Column& c : kColumns) {
+      if (&c != &kColumns[0]) os << ',';
+      os << c.header;
+    }
+    os << '\n';
+  }
   os.precision(6);
   for (const TaskRunResult& t : result.tasks) {
-    os << date_prefix;
     for (const Column& c : kColumns) {
       if (&c != &kColumns[0]) os << ',';
       c.cell(os, result, t);
     }
     os << '\n';
   }
-}
-
-}  // namespace
-
-std::string ToCsv(const SubmissionResult& result, bool include_header) {
-  std::ostringstream os;
-  if (include_header) AppendHeader(os);
-  AppendRows(os, result, "");
   return os.str();
-}
-
-std::string ToCsv(const ResultStore& store) {
-  std::ostringstream os;
-  os << "date,";
-  AppendHeader(os);
-  for (const DatedSubmission& s : store.all())
-    AppendRows(os, s.result, s.date_iso + ",");
-  return os.str();
-}
-
-std::vector<std::vector<std::string>> ParseCsv(const std::string& text) {
-  std::vector<std::vector<std::string>> records;
-  std::vector<std::string> record;
-  std::string field;
-  bool in_quotes = false;
-  bool field_started = false;  // distinguishes "" (one empty field) from EOF
-  const auto end_field = [&] {
-    record.push_back(std::move(field));
-    field.clear();
-    field_started = false;
-  };
-  const auto end_record = [&] {
-    end_field();
-    records.push_back(std::move(record));
-    record.clear();
-  };
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field += '"';  // doubled quote = literal quote
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field += c;  // commas and line breaks are data inside quotes
-      }
-      continue;
-    }
-    switch (c) {
-      case '"':
-        in_quotes = true;
-        field_started = true;
-        break;
-      case ',':
-        end_field();
-        break;
-      case '\r':
-        if (i + 1 < text.size() && text[i + 1] == '\n') ++i;
-        end_record();
-        break;
-      case '\n':
-        end_record();
-        break;
-      default:
-        field += c;
-        field_started = true;
-        break;
-    }
-  }
-  // Final record when the text does not end in a newline.
-  if (field_started || !record.empty()) end_record();
-  return records;
 }
 
 }  // namespace mlpm::harness

@@ -23,9 +23,6 @@ class ResultStore {
   void Add(std::string date_iso, SubmissionResult result);
 
   [[nodiscard]] std::size_t size() const { return submissions_.size(); }
-  [[nodiscard]] const std::vector<DatedSubmission>& all() const {
-    return submissions_;
-  }
 
   // Latest submission per (chipset, version) by date — the rolling view.
   [[nodiscard]] std::vector<DatedSubmission> LatestPerDevice() const;

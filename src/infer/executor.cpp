@@ -110,27 +110,6 @@ void RunConcat(const Node& n, const std::vector<const Tensor*>& ins,
   }
 }
 
-void RunSoftmaxLastDim(const Tensor& in, Tensor& out) {
-  const TensorShape& s = in.shape();
-  const std::int64_t d = s.dim(s.rank() - 1);
-  const std::int64_t rows = s.elements() / d;
-  const float* ip = in.data();
-  float* op = out.data();
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* row = ip + r * d;
-    float* orow = op + r * d;
-    float m = row[0];
-    for (std::int64_t i = 1; i < d; ++i) m = std::max(m, row[i]);
-    double sum = 0.0;
-    for (std::int64_t i = 0; i < d; ++i) {
-      orow[i] = std::exp(row[i] - m);
-      sum += orow[i];
-    }
-    const auto inv = static_cast<float>(1.0 / sum);
-    for (std::int64_t i = 0; i < d; ++i) orow[i] *= inv;
-  }
-}
-
 void RunLayerNorm(const graph::LayerNormAttrs& a, const Tensor& in,
                   const Tensor& gamma, const Tensor& beta, Tensor& out) {
   const TensorShape& s = in.shape();
@@ -514,13 +493,8 @@ void NodeRunner::RunBand(const Executor& exec, const Node& n,
                              in, exec.PackedWeightFor(n.weights[0]),
                              exec.WeightFor(n.weights[1]), out, kt);
       break;
-    case OpType::kAvgPool:
-    case OpType::kMaxPool:
-      RunPoolRows(n.op, std::get<graph::PoolAttrs>(n.attrs), in, out);
-      break;
     case OpType::kAdd:
-    case OpType::kMul:
-      RunBinaryRows(n.op, in, y, out);
+      RunAddRows(in, y, out);
       break;
     case OpType::kActivation:
       RunActivationRows(std::get<graph::ActivationAttrs>(n.attrs).activation,
@@ -547,8 +521,6 @@ void NodeRunner::Run(const Executor& exec, const Node& n,
       break;
     case OpType::kConv2d:
     case OpType::kDepthwiseConv2d:
-    case OpType::kAvgPool:
-    case OpType::kMaxPool:
     case OpType::kResizeBilinear: {
       const Tensor& in = fetch(n.inputs[0]);
       RunBands(out.data(), out.shape(),
@@ -558,7 +530,6 @@ void NodeRunner::Run(const Executor& exec, const Node& n,
       break;
     }
     case OpType::kAdd:
-    case OpType::kMul:
     case OpType::kActivation: {
       const RowBand x = FlatBand(fetch(n.inputs[0]));
       const RowBand y = n.op == OpType::kActivation
@@ -588,14 +559,6 @@ void NodeRunner::Run(const Executor& exec, const Node& n,
       // Aliased reshape: the output *is* the input buffer.
       if (x.data() != out.data())
         std::copy_n(x.data(), x.size(), out.data());
-      break;
-    }
-    case OpType::kSoftmax: {
-      const auto& a = std::get<graph::SoftmaxAttrs>(n.attrs);
-      const auto rank = static_cast<int>(out.shape().rank());
-      Expects(a.axis == -1 || a.axis == rank - 1,
-              "softmax supported on last axis only");
-      RunSoftmaxLastDim(fetch(n.inputs[0]), out);
       break;
     }
     case OpType::kLayerNorm:
@@ -691,11 +654,11 @@ void NodeRunner::RunSegment(const Executor& exec, std::size_t seg_idx,
                                   rows.begin, rows.length(), osh.height(),
                                   osh.width(), osh.channels()};
       }
-      // A binary node's second operand is exterior to the segment and
-      // fully materialized.
-      const bool binary = n.op == OpType::kAdd || n.op == OpType::kMul;
+      // An add's second operand is exterior to the segment and fully
+      // materialized.
       RunBand(exec, n, in_band,
-              binary ? FullBand(fetch(n.inputs[1])) : RowBand{}, out_band);
+              n.op == OpType::kAdd ? FullBand(fetch(n.inputs[1])) : RowBand{},
+              out_band);
       ApplyOutputNumerics(
           exec.mode_, exec.quant_, n.output,
           {out_band.data, static_cast<std::size_t>(

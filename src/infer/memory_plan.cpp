@@ -26,7 +26,6 @@ bool SupportsInPlace(graph::OpType op) {
     case OpType::kReshape:     // pure view: the copy is skipped entirely
     case OpType::kActivation:  // out[i] = f(in[i])
     case OpType::kAdd:         // out[i] = a[i] + b[i]: reads precede the write
-    case OpType::kMul:
       return true;
     default:
       return false;

@@ -39,7 +39,7 @@ struct NodeRunner {
   static void CountDispatch(const Executor& exec, graph::OpType op);
 
   // Computes output band `out` of band-kernel node `n` from `in` (its
-  // first input) and, for add/mul, `y` (its second input).
+  // first input) and, for add, `y` (its second input).
   static void RunBand(const Executor& exec, const graph::Node& n,
                       const RowBand& in, const RowBand& y,
                       const MutableRowBand& out);

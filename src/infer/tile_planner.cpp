@@ -59,13 +59,6 @@ std::int64_t RowsIn(const Node& n, std::int64_t rows_out,
       dilation = a.dilation;
       break;
     }
-    case OpType::kAvgPool:
-    case OpType::kMaxPool: {
-      const auto& a = std::get<graph::PoolAttrs>(n.attrs);
-      kernel = a.kernel;
-      stride = a.stride;
-      break;
-    }
     case OpType::kResizeBilinear:
       // Half-pixel bilinear: a band of `rows_out` output rows spans at most
       // floor((rows_out - 1) * in/out) + 1 source starts plus the second

@@ -1,7 +1,6 @@
 #include "infer/tiled_ops.h"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 #include "common/check.h"
@@ -12,7 +11,6 @@ namespace mlpm::infer {
 namespace {
 
 using graph::Activation;
-using graph::OpType;
 
 }  // namespace
 
@@ -151,52 +149,14 @@ void RunDepthwiseConv2dRows(const graph::DepthwiseConv2dAttrs& a,
   }
 }
 
-void RunPoolRows(OpType op, const graph::PoolAttrs& a, const RowBand& in,
-                 const MutableRowBand& out) {
-  const std::int64_t IH = in.height, IW = in.width, C = in.channels;
-  const std::int64_t OW = out.width;
-  const float* ip = in.data;
-  float* opd = out.data;
-  const bool is_max = op == OpType::kMaxPool;
-  for (std::int64_t oh = out.origin; oh < out.origin + out.rows; ++oh) {
-    for (std::int64_t ow = 0; ow < OW; ++ow) {
-      for (std::int64_t c = 0; c < C; ++c) {
-        float acc = is_max ? -std::numeric_limits<float>::infinity() : 0.0f;
-        int count = 0;
-        for (int kh = 0; kh < a.kernel; ++kh) {
-          const std::int64_t ih = oh * a.stride + kh;
-          if (ih >= IH) continue;
-          for (int kw = 0; kw < a.kernel; ++kw) {
-            const std::int64_t iw = ow * a.stride + kw;
-            if (iw >= IW) continue;
-            const float v = ip[((ih - in.origin) * IW + iw) * C + c];
-            if (is_max)
-              acc = std::max(acc, v);
-            else
-              acc += v;
-            ++count;
-          }
-        }
-        opd[((oh - out.origin) * OW + ow) * C + c] =
-            is_max ? acc : acc / static_cast<float>(std::max(count, 1));
-      }
-    }
-  }
-}
-
 // Band rows are contiguous, so both elementwise runners treat the band as
 // one flat range of elements.
-void RunBinaryRows(OpType op, const RowBand& x, const RowBand& y,
-                   const MutableRowBand& out) {
+void RunAddRows(const RowBand& x, const RowBand& y, const MutableRowBand& out) {
   const std::int64_t row_elems = out.width * out.channels;
   const std::int64_t n = out.rows * row_elems;
   const float* xp = x.data + (out.origin - x.origin) * row_elems;
   const float* yp = y.data + (out.origin - y.origin) * row_elems;
-  if (op == OpType::kAdd) {
-    for (std::int64_t i = 0; i < n; ++i) out.data[i] = xp[i] + yp[i];
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) out.data[i] = xp[i] * yp[i];
-  }
+  for (std::int64_t i = 0; i < n; ++i) out.data[i] = xp[i] + yp[i];
 }
 
 void RunActivationRows(Activation act, const RowBand& in,

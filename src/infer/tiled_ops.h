@@ -62,14 +62,9 @@ void RunDepthwiseConv2dRows(const graph::DepthwiseConv2dAttrs& a,
                             const Tensor& bias, const MutableRowBand& out,
                             const kernels::KernelTable& kt);
 
-// Max / average pool (op is kMaxPool or kAvgPool).
-void RunPoolRows(graph::OpType op, const graph::PoolAttrs& a,
-                 const RowBand& in, const MutableRowBand& out);
-
-// Elementwise add / mul (op is kAdd or kMul); `y` is the second operand,
-// read at the same global rows as the output band.  `out` may alias `x`.
-void RunBinaryRows(graph::OpType op, const RowBand& x, const RowBand& y,
-                   const MutableRowBand& out);
+// Elementwise add; `y` is the second operand, read at the same global rows
+// as the output band.  `out` may alias `x`.
+void RunAddRows(const RowBand& x, const RowBand& y, const MutableRowBand& out);
 
 // Standalone activation; `out` may alias `in`.
 void RunActivationRows(graph::Activation act, const RowBand& in,

@@ -21,16 +21,10 @@ class WeightStore {
  public:
   // Returns the weight tensor registered under `name`; throws if absent.
   [[nodiscard]] const Tensor& Get(const std::string& name) const;
-  [[nodiscard]] bool Contains(const std::string& name) const;
 
   void Put(std::string name, Tensor t);
 
   [[nodiscard]] std::size_t size() const { return store_.size(); }
-
-  // Read-only view of the underlying map (serialization / inspection).
-  [[nodiscard]] const std::unordered_map<std::string, Tensor>& raw() const {
-    return store_;
-  }
 
  private:
   std::unordered_map<std::string, Tensor> store_;
@@ -41,12 +35,5 @@ class WeightStore {
 // repo's stand-in for the frozen reference checkpoint.
 [[nodiscard]] WeightStore InitializeWeights(const graph::Graph& g,
                                             std::uint64_t seed);
-
-// Checkpoint (de)serialization: a text format whose float values round-trip
-// exactly (hexfloat).  Together with graph::SerializeGraph this makes the
-// frozen reference checkpoint a pair of files the audit can inspect.
-[[nodiscard]] std::string SerializeWeights(const WeightStore& store);
-// Throws CheckError on malformed input.
-[[nodiscard]] WeightStore ParseWeights(const std::string& text);
 
 }  // namespace mlpm::infer

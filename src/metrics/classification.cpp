@@ -13,17 +13,6 @@ int ArgMax(std::span<const float> logits) {
       std::max_element(logits.begin(), logits.end()) - logits.begin());
 }
 
-bool InTopK(std::span<const float> logits, int label, int k) {
-  Expects(label >= 0 && static_cast<std::size_t>(label) < logits.size(),
-          "label out of range");
-  Expects(k > 0, "k must be positive");
-  const float lv = logits[static_cast<std::size_t>(label)];
-  int strictly_higher = 0;
-  for (float v : logits)
-    if (v > lv) ++strictly_higher;
-  return strictly_higher < k;
-}
-
 double TopOneAccuracy(std::span<const int> predictions,
                       std::span<const int> labels) {
   Expects(predictions.size() == labels.size(), "size mismatch");

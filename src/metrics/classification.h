@@ -1,4 +1,4 @@
-// Top-1 / Top-K classification accuracy (ImageNet task metric, Table 1).
+// Top-1 classification accuracy (ImageNet task metric, Table 1).
 #pragma once
 
 #include <cstdint>
@@ -8,9 +8,6 @@ namespace mlpm::metrics {
 
 // Index of the maximum logit (ties broken toward the lower index).
 [[nodiscard]] int ArgMax(std::span<const float> logits);
-
-// True if `label` is among the k highest logits.
-[[nodiscard]] bool InTopK(std::span<const float> logits, int label, int k);
 
 // Fraction of samples whose prediction equals the label.
 [[nodiscard]] double TopOneAccuracy(std::span<const int> predictions,

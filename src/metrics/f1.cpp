@@ -28,18 +28,6 @@ double MeanSpanF1(std::span<const TokenSpan> predictions,
   return sum / static_cast<double>(predictions.size());
 }
 
-double ExactMatch(std::span<const TokenSpan> predictions,
-                  std::span<const TokenSpan> truths) {
-  Expects(predictions.size() == truths.size(), "size mismatch");
-  Expects(!predictions.empty(), "empty evaluation set");
-  std::size_t hits = 0;
-  for (std::size_t i = 0; i < predictions.size(); ++i)
-    if (predictions[i].start == truths[i].start &&
-        predictions[i].end == truths[i].end)
-      ++hits;
-  return static_cast<double>(hits) / static_cast<double>(predictions.size());
-}
-
 TokenSpan BestSpan(std::span<const float> start_logits,
                    std::span<const float> end_logits, int max_length) {
   Expects(start_logits.size() == end_logits.size(), "logit size mismatch");

@@ -25,10 +25,6 @@ struct TokenSpan {
 [[nodiscard]] double MeanSpanF1(std::span<const TokenSpan> predictions,
                                 std::span<const TokenSpan> truths);
 
-// Exact-match rate (secondary SQuAD metric).
-[[nodiscard]] double ExactMatch(std::span<const TokenSpan> predictions,
-                                std::span<const TokenSpan> truths);
-
 // Picks the best (start, end) span from per-position start/end logits with
 // the standard constraints: end >= start, span length <= max_length.
 // `start_logits` / `end_logits` have one entry per sequence position.

@@ -5,20 +5,6 @@
 
 namespace mlpm::quant {
 
-LegalityReport CheckModelEquivalence(const graph::Graph& reference,
-                                     const graph::Graph& submitted) {
-  LegalityReport r;
-  if (reference.nodes().size() != submitted.nodes().size())
-    r.Violate("node count differs from frozen reference (" +
-              std::to_string(reference.nodes().size()) + " vs " +
-              std::to_string(submitted.nodes().size()) + ")");
-  if (reference.ParameterCount() != submitted.ParameterCount())
-    r.Violate("parameter count differs from frozen reference");
-  if (reference.StructuralFingerprint() != submitted.StructuralFingerprint())
-    r.Violate("structural fingerprint mismatch (pruning / op substitution)");
-  return r;
-}
-
 LegalityReport CheckCalibrationSet(std::span<const std::size_t> approved,
                                    std::span<const std::size_t> used) {
   LegalityReport r;

@@ -1,18 +1,12 @@
-// Model-equivalence and numerics legality checks (paper §5.1, §6.2).
-//
-// The run rules forbid altering model computational complexity (channel /
-// filter pruning, weight skipping) and forbid quantization-aware retraining
-// by submitters; submissions must start from the frozen reference graph and
-// may only use the approved calibration subset.  The audit re-runs these
-// checks over submitted artifacts.
+// Calibration legality (paper §5.1): submitters may only use the approved
+// calibration subset.  The submission checker runs this over every task's
+// calibration indices.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
-
-#include "graph/graph.h"
 
 namespace mlpm::quant {
 
@@ -25,12 +19,6 @@ struct LegalityReport {
     violations.push_back(std::move(what));
   }
 };
-
-// A submitted model is legal iff its structural fingerprint matches the
-// frozen reference graph (same ops, shapes, connectivity — catches pruning
-// and weight skipping, which change shapes or drop nodes).
-[[nodiscard]] LegalityReport CheckModelEquivalence(
-    const graph::Graph& reference, const graph::Graph& submitted);
 
 // Calibration legality: every index used must come from the approved set
 // (paper: "submitters can only use the approved calibration data set",

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "soc/trace.h"
 
 namespace mlpm::soc {
 
@@ -43,12 +42,6 @@ std::string FaultInjector::EventLogText() const {
     out += line;
   }
   return out;
-}
-
-void FaultInjector::AppendToTrace(ExecutionTrace& trace) const {
-  for (const FaultEvent& e : events_)
-    trace.Add(TraceEvent{std::string(ToString(e.kind)), "faults", e.time_s,
-                         e.penalty_s});
 }
 
 }  // namespace mlpm::soc

@@ -18,8 +18,6 @@
 
 namespace mlpm::soc {
 
-class ExecutionTrace;  // soc/trace.h
-
 enum class FaultKind : std::uint8_t {
   // The accelerator hangs; the runtime watchdog kills the attempt after
   // `stall_scale` x the nominal latency.  Transient: a retry may succeed.
@@ -118,11 +116,6 @@ class FaultInjector {
 
   // One line per fault event; byte-identical across same-seed runs.
   [[nodiscard]] std::string EventLogText() const;
-
-  // Appends the fault events to an execution trace on a dedicated "faults"
-  // lane, so injected pathologies show up in chrome://tracing next to the
-  // engine lanes.
-  void AppendToTrace(ExecutionTrace& trace) const;
 
  private:
   FaultPlan plan_;

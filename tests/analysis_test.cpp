@@ -22,8 +22,8 @@ namespace {
 using analysis::DiagnosticEngine;
 using analysis::Severity;
 
-// Parses an adversarial fixture via the syntax-only loader (the validating
-// ParseGraph would throw on exactly the defects the linter must report).
+// Parses an adversarial fixture via the syntax-only loader, which keeps
+// exactly the defects the linter must report.
 graph::Graph G(const std::string& body) {
   return graph::ParseGraphUnchecked("mlpm_graph v1\nname fixture\n" + body);
 }

@@ -1,5 +1,5 @@
 // Unit + property tests for the graph IR: shapes, builder invariants, shape
-// inference, structural fingerprints, and cost analysis.
+// inference and cost analysis.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -186,45 +186,6 @@ TEST(GraphBuilder, ResizeBilinearShape) {
             TensorShape({1, 16, 16, 3}));
 }
 
-TEST(GraphBuilder, PoolShapes) {
-  GraphBuilder b("t");
-  TensorId x = b.Input("a", {1, 8, 8, 4});
-  EXPECT_EQ(b.ShapeOf(b.MaxPool(x, 2, 2)), TensorShape({1, 4, 4, 4}));
-  EXPECT_EQ(b.ShapeOf(b.AvgPool(x, 2, 2)), TensorShape({1, 4, 4, 4}));
-}
-
-// ---- fingerprint ----
-
-Graph TwoLayerNet(std::int64_t mid) {
-  GraphBuilder b("t");
-  TensorId x = b.Input("in", {1, 8, 8, 3});
-  x = b.Conv2d(x, mid, 3, 1, Activation::kRelu);
-  x = b.Conv2d(x, 4, 1, 1);
-  b.MarkOutput(x);
-  return std::move(b).Build();
-}
-
-TEST(Fingerprint, StableAcrossIdenticalBuilds) {
-  EXPECT_EQ(TwoLayerNet(8).StructuralFingerprint(),
-            TwoLayerNet(8).StructuralFingerprint());
-}
-
-TEST(Fingerprint, DetectsChannelPruning) {
-  // Pruning channels (the banned optimization, §5.1) changes the print.
-  EXPECT_NE(TwoLayerNet(8).StructuralFingerprint(),
-            TwoLayerNet(6).StructuralFingerprint());
-}
-
-TEST(Fingerprint, DetectsDroppedNode) {
-  GraphBuilder b("t");
-  TensorId x = b.Input("in", {1, 8, 8, 3});
-  x = b.Conv2d(x, 4, 1, 1);
-  b.MarkOutput(x);
-  const Graph one = std::move(b).Build();
-  EXPECT_NE(one.StructuralFingerprint(),
-            TwoLayerNet(8).StructuralFingerprint());
-}
-
 // ---- cost ----
 
 TEST(Cost, ConvMacsMatchFormula) {
@@ -303,7 +264,6 @@ TEST(OpClass, Classification) {
   EXPECT_EQ(ClassOf(OpType::kFullyConnected), OpClass::kGemm);
   EXPECT_EQ(ClassOf(OpType::kMultiHeadAttention), OpClass::kAttention);
   EXPECT_EQ(ClassOf(OpType::kReshape), OpClass::kMemory);
-  EXPECT_EQ(ClassOf(OpType::kSoftmax), OpClass::kElementwise);
 }
 
 }  // namespace

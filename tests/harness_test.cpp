@@ -15,7 +15,6 @@
 #include "core/dataset_qsl.h"
 #include "datasets/calibration_set.h"
 #include "datasets/stub_dataset.h"
-#include "harness/package.h"
 #include "harness/result_store.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -149,7 +148,7 @@ TEST(RunSingleStreamPerformance, SizedStubStandsInForTheLabelledSet) {
 TEST(RunSubmission, PerformanceOnlyRunCreatesNoExecutor) {
   // Every ExecutionContext records the infer.arena_bytes gauge, and the
   // teacher that labels a data set runs through one.  A performance-only
-  // submission, its package and the package audit need neither.
+  // submission and its check need neither.
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   metrics.Reset();
   SuiteBundles fresh;
@@ -157,10 +156,8 @@ TEST(RunSubmission, PerformanceOnlyRunCreatesNoExecutor) {
   o.run_accuracy = false;
   const SubmissionResult r = RunSubmission(
       soc::Dimensity1100(), models::SuiteVersion::kV1_0, fresh, o);
-  const SubmissionPackage pkg = PackageSubmission(r, fresh);
-  const CheckReport audit =
-      AuditPackage(pkg, fresh, o.performance_settings);
-  EXPECT_TRUE(audit.valid) << FormatCheckReport(audit);
+  const CheckReport check = CheckSubmission(r, o.performance_settings);
+  EXPECT_TRUE(check.valid) << FormatCheckReport(check);
   const obs::MetricsRegistry::Snapshot snap = metrics.Snap();
   for (const auto& gauge : snap.gauges)
     EXPECT_NE(gauge.first, "infer.arena_bytes");
@@ -538,97 +535,45 @@ TEST(Audit, WrongAccuracyClaimRejected) {
 }
 
 
-// ---- submission package ----
+// ---- hostile single-stream logs ----
 
-TEST(Package, ValidPackagePassesAudit) {
-  const harness::SubmissionPackage pkg =
-      PackageSubmission(CachedD1100Run(), Bundles());
-  EXPECT_TRUE(pkg.files.contains("MANIFEST"));
-  EXPECT_TRUE(pkg.files.contains("results.csv"));
-  EXPECT_TRUE(pkg.files.contains("models/image_classification.graph"));
-  EXPECT_TRUE(
-      pkg.files.contains("logs/image_classification.single_stream.log"));
-  const CheckReport r =
-      AuditPackage(pkg, Bundles(), FastOptions().performance_settings);
-  EXPECT_TRUE(r.valid) << FormatCheckReport(r);
+// The serialized single-stream log of the cached image-classification run,
+// and the settings CheckPerformanceLog judges it against.
+const std::string& ImageClassificationLog() {
+  static const std::string log = [] {
+    for (const TaskRunResult& t : CachedD1100Run().tasks)
+      if (t.entry.id == "image_classification")
+        return t.single_stream->log.Serialize();
+    return std::string();
+  }();
+  return log;
 }
 
-TEST(Package, TamperedModelFileRejected) {
-  harness::SubmissionPackage pkg =
-      PackageSubmission(CachedD1100Run(), Bundles());
-  // Swap the classification model for the (differently-shaped) detection
-  // model — the paper's pruning/substitution scenario.
-  pkg.files["models/image_classification.graph"] =
-      pkg.files["models/object_detection.graph"];
-  // Keep MANIFEST consistent so only the fingerprint check fires... the
-  // sizes differ, so both checks fire; either must reject.
-  const CheckReport r =
-      AuditPackage(pkg, Bundles(), FastOptions().performance_settings);
-  EXPECT_FALSE(r.valid);
+loadgen::TestSettings SingleStreamSettings() {
+  loadgen::TestSettings ss = FastOptions().performance_settings;
+  ss.scenario = loadgen::TestScenario::kSingleStream;
+  ss.mode = loadgen::TestMode::kPerformanceOnly;
+  return ss;
 }
 
-TEST(Package, UnparseableModelFileRejected) {
-  harness::SubmissionPackage pkg =
-      PackageSubmission(CachedD1100Run(), Bundles());
-  std::string& model = pkg.files["models/image_classification.graph"];
-  const auto pos = model.find("oc=");
-  ASSERT_NE(pos, std::string::npos);
-  model.replace(pos, model.find(' ', pos) - pos, "oc=abc");
-  const CheckReport r =
-      AuditPackage(pkg, Bundles(), FastOptions().performance_settings);
-  EXPECT_FALSE(r.valid);
-  EXPECT_TRUE(std::any_of(r.problems.begin(), r.problems.end(),
-                          [](const std::string& p) {
-                            return p.find("unparseable model file") !=
-                                   std::string::npos;
-                          }));
-}
-
-TEST(Package, EditedLogRejectedBySizeOrContent) {
-  harness::SubmissionPackage pkg =
-      PackageSubmission(CachedD1100Run(), Bundles());
-  auto& log = pkg.files["logs/image_classification.single_stream.log"];
+TEST(Checker, ForgedCompletionRejected) {
+  std::string log = ImageClassificationLog();
   const auto pos = log.find("complete ");
   ASSERT_NE(pos, std::string::npos);
   log.insert(pos, "complete 99999 0.0\n");  // forged completion
-  const CheckReport r =
-      AuditPackage(pkg, Bundles(), FastOptions().performance_settings);
-  EXPECT_FALSE(r.valid);
+  EXPECT_FALSE(CheckPerformanceLog(log, SingleStreamSettings()).valid);
 }
 
-TEST(Package, MissingLogRejected) {
-  harness::SubmissionPackage pkg =
-      PackageSubmission(CachedD1100Run(), Bundles());
-  pkg.files.erase("logs/question_answering.single_stream.log");
-  const CheckReport r =
-      AuditPackage(pkg, Bundles(), FastOptions().performance_settings);
-  EXPECT_FALSE(r.valid);
-}
-
-// Rewrites the MANIFEST so every file's listed size is its current size:
-// the edit then shows only to the content checks.
-void ResealManifest(harness::SubmissionPackage& pkg) {
-  std::string manifest;
-  for (const auto& [path, contents] : pkg.files)
-    if (path != "MANIFEST")
-      manifest += path + ' ' + std::to_string(contents.size()) + '\n';
-  pkg.files["MANIFEST"] = manifest;
-}
-
-TEST(Package, UnparseableSummaryFieldRejected) {
-  harness::SubmissionPackage pkg =
-      PackageSubmission(CachedD1100Run(), Bundles());
-  std::string& log = pkg.files["logs/image_classification.single_stream.log"];
+TEST(Checker, UnparseableSummaryFieldRejected) {
+  std::string log = ImageClassificationLog();
   const std::string key = "field result_throughput_sps ";
   const auto pos = log.find(key);
   ASSERT_NE(pos, std::string::npos);
   const auto begin = pos + key.size();
   const auto eol = log.find('\n', begin);
   ASSERT_GT(eol, begin);
-  // Same byte length, so the MANIFEST still agrees with the file.
   log.replace(begin, eol - begin, std::string(eol - begin, 'x'));
-  const CheckReport r =
-      AuditPackage(pkg, Bundles(), FastOptions().performance_settings);
+  const CheckReport r = CheckPerformanceLog(log, SingleStreamSettings());
   EXPECT_FALSE(r.valid);
   EXPECT_TRUE(std::any_of(r.problems.begin(), r.problems.end(),
                           [](const std::string& p) {
@@ -639,20 +584,13 @@ TEST(Package, UnparseableSummaryFieldRejected) {
       << FormatCheckReport(r);
 }
 
-TEST(Package, SeededLogMutationsAlwaysYieldAReport) {
+TEST(Checker, SeededLogMutationsAlwaysYieldAReport) {
   // Hostile-input property for the LoadGen log boundary: 2,000 seeded
   // 1-4 byte edits of a real single-stream log (overwrite, insert or
   // delete; bytes biased toward the grammar's own separators, digits and
-  // number spellings).  Each edited log goes to the checker directly and
-  // to the package audit with its MANIFEST resealed; both must return a
-  // report, and a log the checker rejects must fail the audit too.
-  const std::string path = "logs/image_classification.single_stream.log";
-  harness::SubmissionPackage pkg =
-      PackageSubmission(CachedD1100Run(), Bundles());
-  const std::string original = pkg.files.at(path);
-  loadgen::TestSettings ss = FastOptions().performance_settings;
-  ss.scenario = loadgen::TestScenario::kSingleStream;
-  ss.mode = loadgen::TestMode::kPerformanceOnly;
+  // number spellings).  The checker must return a report for each.
+  const std::string& original = ImageClassificationLog();
+  const loadgen::TestSettings ss = SingleStreamSettings();
   ASSERT_TRUE(CheckPerformanceLog(original, ss).valid);
 
   constexpr std::string_view kAlphabet = "0123456789 \n\r\t.-+eEnaif\0x";
@@ -678,29 +616,11 @@ TEST(Package, SeededLogMutationsAlwaysYieldAReport) {
     }
     CheckReport direct;
     ASSERT_NO_THROW(direct = CheckPerformanceLog(log, ss)) << trial;
-    pkg.files[path] = log;
-    ResealManifest(pkg);
-    CheckReport audit;
-    ASSERT_NO_THROW(
-        audit = AuditPackage(pkg, Bundles(), FastOptions().performance_settings))
-        << trial;
-    if (!direct.valid) {
-      ++rejected;
-      EXPECT_FALSE(audit.valid) << trial;
-    }
+    if (!direct.valid) ++rejected;
   }
   // Most edits land in event lines and must be caught (1,858 of 2,000
   // at this seed).
   EXPECT_GT(rejected, 1500u);
-}
-
-TEST(Package, GarbageModelFileRejectedGracefully) {
-  harness::SubmissionPackage pkg =
-      PackageSubmission(CachedD1100Run(), Bundles());
-  pkg.files["models/image_classification.graph"] = "not a graph at all";
-  const CheckReport r =
-      AuditPackage(pkg, Bundles(), FastOptions().performance_settings);
-  EXPECT_FALSE(r.valid);
 }
 
 // ---- result store ----

@@ -107,54 +107,6 @@ TEST(Executor, Relu6Caps) {
   EXPECT_FLOAT_EQ(out[0].data()[2], 6.0f);
 }
 
-TEST(Executor, SoftmaxSumsToOne) {
-  GraphBuilder b("t");
-  TensorId x = b.Input("in", {2, 4});
-  b.MarkOutput(b.Softmax(x));
-  SingleOpRig rig{std::move(b).Build(), {}};
-  Tensor in(TensorShape({2, 4}));
-  Rng rng(3);
-  for (auto& v : in.values()) v = static_cast<float>(rng.NextGaussian() * 5);
-  const auto out = rig.Run(std::move(in));
-  for (int row = 0; row < 2; ++row) {
-    double sum = 0.0;
-    for (int i = 0; i < 4; ++i) sum += out[0].data()[row * 4 + i];
-    EXPECT_NEAR(sum, 1.0, 1e-5);
-  }
-}
-
-TEST(Executor, SoftmaxIsShiftInvariant) {
-  GraphBuilder b("t");
-  TensorId x = b.Input("in", {1, 3});
-  b.MarkOutput(b.Softmax(x));
-  SingleOpRig rig{std::move(b).Build(), {}};
-  const auto out1 = rig.Run(Tensor(TensorShape({1, 3}), {1.0f, 2.0f, 3.0f}));
-  const auto out2 =
-      rig.Run(Tensor(TensorShape({1, 3}), {101.0f, 102.0f, 103.0f}));
-  for (int i = 0; i < 3; ++i)
-    EXPECT_NEAR(out1[0].data()[i], out2[0].data()[i], 1e-5);
-}
-
-TEST(Executor, MaxPoolTakesMaxima) {
-  GraphBuilder b("t");
-  TensorId x = b.Input("in", {1, 2, 2, 1});
-  b.MarkOutput(b.MaxPool(x, 2, 2));
-  SingleOpRig rig{std::move(b).Build(), {}};
-  const auto out =
-      rig.Run(Tensor(TensorShape({1, 2, 2, 1}), {1.0f, 7.0f, 3.0f, 2.0f}));
-  EXPECT_FLOAT_EQ(out[0].data()[0], 7.0f);
-}
-
-TEST(Executor, AvgPoolAverages) {
-  GraphBuilder b("t");
-  TensorId x = b.Input("in", {1, 2, 2, 1});
-  b.MarkOutput(b.AvgPool(x, 2, 2));
-  SingleOpRig rig{std::move(b).Build(), {}};
-  const auto out =
-      rig.Run(Tensor(TensorShape({1, 2, 2, 1}), {1.0f, 7.0f, 3.0f, 1.0f}));
-  EXPECT_FLOAT_EQ(out[0].data()[0], 3.0f);
-}
-
 TEST(Executor, GlobalAvgPool) {
   GraphBuilder b("t");
   TensorId x = b.Input("in", {1, 2, 2, 2});
@@ -349,24 +301,6 @@ TEST(Executor, ObserverSeesEveryNodeOutput) {
   ExecutionContext ctx(exec);
   (void)exec.Run(in, ctx, [&](graph::TensorId, const Tensor&) { ++observed; });
   EXPECT_EQ(observed, 2);
-}
-
-
-TEST(Executor, MulIsElementwise) {
-  GraphBuilder b("t");
-  TensorId x = b.Input("a", {3});
-  TensorId y = b.Input("bb", {3});
-  b.MarkOutput(b.Mul(x, y));
-  const graph::Graph g = std::move(b).Build();
-  const WeightStore ws;
-  const Executor exec(g, ws);
-  std::vector<Tensor> in;
-  in.emplace_back(TensorShape({3}), std::vector<float>{1.0f, 2.0f, -3.0f});
-  in.emplace_back(TensorShape({3}), std::vector<float>{4.0f, -5.0f, 6.0f});
-  const auto out = exec.Run(in);
-  EXPECT_FLOAT_EQ(out[0].data()[0], 4.0f);
-  EXPECT_FLOAT_EQ(out[0].data()[1], -10.0f);
-  EXPECT_FLOAT_EQ(out[0].data()[2], -18.0f);
 }
 
 TEST(Executor, DilatedConvSkipsNeighbors) {

@@ -1179,7 +1179,7 @@ TEST(TestLog, ParseRejectsGarbage) {
   EXPECT_THROW((void)TestLog::Parse("mlpm_loadgen_log v1\nbogus line here"),
                CheckError);
   // Each kind of error names itself and the offending text: these messages
-  // reach the problem lists of packaged logs.
+  // reach the problem lists of CheckPerformanceLog.
   const auto says = [](const std::string& text, const std::string& what) {
     const std::string error = ParseError(text);
     EXPECT_NE(error.find(what), std::string::npos)

@@ -1,10 +1,10 @@
 // The recorded-log check against its text oracle.  The checker judges a
 // recorded log from its events (CheckTaskRun), reading each timestamp as
 // the double its written text parses to, and sends a log with a timestamp
-// off that exact path through its text; a packaged log is parsed from its
-// text (CheckPerformanceLog).  Both must give the same problems, in the
-// same order, for every scenario's log, for hostile edits of it and for
-// timestamps on either side of the exact path's edges.  Also pinned: the
+// off that exact path through its text (CheckPerformanceLog).  Both must
+// give the same problems, in the same order, for every scenario's log, for
+// hostile edits of it and for timestamps on either side of the exact path's
+// edges.  Also pinned: the
 // multi-stream check's single walk against the former two-walk derivation
 // kept here.
 #include <gtest/gtest.h>

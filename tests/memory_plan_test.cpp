@@ -129,7 +129,7 @@ void CheckPlanInvariants(const graph::Graph& g, const infer::MemoryPlan& plan) {
             plan.naive_bytes() + bufs.size() * kAlign * sizeof(float));
 }
 
-// Random graphs over shape-preserving ops: conv, depthwise, add, mul,
+// Random graphs over shape-preserving ops: conv, depthwise, add,
 // activation, same-shape reshape, concat+conv (channel merge).  Every op
 // keeps {1, 8, 8, 4} so any earlier tensor is a legal operand, which is
 // exactly the regime where lifetime mistakes would overlap buffers.
@@ -144,15 +144,14 @@ graph::Graph RandomGraph(std::uint64_t seed) {
         pool[static_cast<std::size_t>(rng.NextBelow(pool.size()))];
     const graph::TensorId c =
         pool[static_cast<std::size_t>(rng.NextBelow(pool.size()))];
-    switch (rng.NextBelow(6)) {
+    switch (rng.NextBelow(5)) {
       case 0: pool.push_back(b.Conv2d(a, 4, 3, 1)); break;
       case 1: pool.push_back(b.DepthwiseConv2d(a, 3, 1)); break;
       case 2: pool.push_back(b.Add(a, c)); break;
-      case 3: pool.push_back(b.Mul(a, c)); break;
-      case 4:
+      case 3:
         pool.push_back(b.Activate(a, graph::Activation::kRelu));
         break;
-      case 5: pool.push_back(b.Reshape(a, {1, 8, 8, 4})); break;
+      case 4: pool.push_back(b.Reshape(a, {1, 8, 8, 4})); break;
     }
   }
   // One or two outputs, always including the last tensor.

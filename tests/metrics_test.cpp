@@ -24,15 +24,6 @@ TEST(Classification, ArgMaxTieBreaksLow) {
   EXPECT_EQ(ArgMax(logits), 0);
 }
 
-TEST(Classification, TopKMembership) {
-  const float logits[] = {0.1f, 0.9f, 0.3f, 0.05f};
-  EXPECT_TRUE(InTopK(logits, 1, 1));
-  EXPECT_FALSE(InTopK(logits, 2, 1));
-  EXPECT_TRUE(InTopK(logits, 2, 2));
-  EXPECT_FALSE(InTopK(logits, 3, 3));
-  EXPECT_TRUE(InTopK(logits, 3, 4));
-}
-
 TEST(Classification, AccuracyCounts) {
   const int preds[] = {1, 2, 3, 4};
   const int labels[] = {1, 2, 0, 0};
@@ -232,11 +223,10 @@ TEST(SpanF1, AsymmetricLengths) {
   EXPECT_NEAR(SpanF1({2, 2}, {0, 9}), 2 * 1.0 * 0.1 / 1.1, 1e-9);
 }
 
-TEST(SpanF1, MeanAndExactMatch) {
+TEST(SpanF1, MeanOverASet) {
   const std::vector<TokenSpan> preds{{0, 1}, {4, 6}};
   const std::vector<TokenSpan> truths{{0, 1}, {0, 1}};
   EXPECT_DOUBLE_EQ(MeanSpanF1(preds, truths), 0.5);
-  EXPECT_DOUBLE_EQ(ExactMatch(preds, truths), 0.5);
 }
 
 TEST(BestSpan, PicksArgmaxPair) {

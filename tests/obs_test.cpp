@@ -455,14 +455,13 @@ graph::Graph RandomGraph(std::uint64_t seed) {
         pool[static_cast<std::size_t>(rng.NextBelow(pool.size()))];
     const graph::TensorId c =
         pool[static_cast<std::size_t>(rng.NextBelow(pool.size()))];
-    switch (rng.NextBelow(5)) {
+    switch (rng.NextBelow(4)) {
       case 0: pool.push_back(b.Conv2d(a, 4, 3, 1)); break;
       case 1: pool.push_back(b.DepthwiseConv2d(a, 3, 1)); break;
       case 2: pool.push_back(b.Add(a, c)); break;
       case 3:
         pool.push_back(b.Activate(a, graph::Activation::kRelu));
         break;
-      case 4: pool.push_back(b.Mul(a, c)); break;
     }
   }
   b.MarkOutput(pool.back());

@@ -15,7 +15,7 @@
 
 #include "fleet/fleet.h"
 #include "harness/journal.h"
-#include "harness/result_store.h"
+#include "harness/run_session.h"
 #include "models/zoo.h"
 
 namespace mlpm::testutil {
@@ -204,13 +204,6 @@ inline harness::SubmissionResult SparseResult() {
   one_test.offline = dropped;
   result.tasks.push_back(std::move(one_test));
   return result;
-}
-
-inline harness::ResultStore HostileStore() {
-  harness::ResultStore store;
-  store.Add("2021-04-28", HostileResult());
-  store.Add("2021-09-22", SparseResult());
-  return store;
 }
 
 }  // namespace mlpm::testutil

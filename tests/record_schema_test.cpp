@@ -65,7 +65,7 @@ TEST(RecordGolden, JournalEncodingsAreByteIdentical) {
 
 TEST(RecordGolden, CsvExportsAreByteIdentical) {
   EXPECT_EQ(harness::ToCsv(testutil::HostileResult()), Golden("hostile.csv"));
-  EXPECT_EQ(harness::ToCsv(testutil::HostileStore()), Golden("store.csv"));
+  EXPECT_EQ(harness::ToCsv(testutil::SparseResult()), Golden("sparse.csv"));
 }
 
 TEST(RecordGolden, GoldenRecordsDecodeToTheirFixtures) {

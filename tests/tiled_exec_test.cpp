@@ -125,17 +125,19 @@ TEST(BoundsInference, ElementwiseAndActivationCropsPassThrough) {
   }
 }
 
-TEST(BoundsInference, PoolWindowHasNoPadding) {
-  graph::GraphBuilder b("pool");
+TEST(BoundsInference, ValidWindowHasNoPadding) {
+  graph::GraphBuilder b("valid");
   const auto in = b.Input("in", graph::TensorShape({1, 8, 8, 4}));
-  const auto pool = b.MaxPool(in, 2, 2);  // out H = 4, window starts at 2*oh
-  b.MarkOutput(pool);
+  // out H = 4, window starts at 2*oh
+  const auto dw = b.DepthwiseConv2d(in, 2, 2, graph::Activation::kNone,
+                                    graph::Padding::kValid);
+  b.MarkOutput(dw);
   const graph::Graph g = std::move(b).Build();
   const graph::Node& n = g.nodes()[0];
-  graph::Box crop = graph::Box::FromShape(g.tensor(pool).shape);
+  graph::Box crop = graph::Box::FromShape(g.tensor(dw).shape);
   crop.dims[1] = {1, 2};
   const graph::Box box = graph::InferInputBounds(
-      n, g.tensor(in).shape, g.tensor(pool).shape, crop);
+      n, g.tensor(in).shape, g.tensor(dw).shape, crop);
   EXPECT_EQ(box.dims[1], (graph::Interval{2, 4}));
 }
 
@@ -422,10 +424,10 @@ TEST(TiledExecution, ObserverOnTiledExecutorIsCheckError) {
 // --- Whole-op nodes as full-height bands ------------------------------------
 
 // Untiled nodes run every band kernel as one full-height band per batch
-// image.  A batch-2 chain of conv, depthwise, both pools, resize and the
-// elementwise ops must match the oracle on the scalar and auto tables, and
-// each image must equal the batch-1 graph run on that image alone, which
-// pins the per-image band offsets.
+// image.  A batch-2 chain of conv, strided and unstrided depthwise, resize
+// and the elementwise ops must match the oracle on the scalar and auto
+// tables, and each image must equal the batch-1 graph run on that image
+// alone, which pins the per-image band offsets.
 TEST(BandExecution, BatchTwoMatchesOracleAndPerImageRuns) {
   const auto build = [](std::int64_t batch) {
     graph::GraphBuilder b("band_batch");
@@ -434,9 +436,11 @@ TEST(BandExecution, BatchTwoMatchesOracleAndPerImageRuns) {
                  1, "conv");
     x = b.DepthwiseConv2d(x, 3, 2, graph::Activation::kNone,
                           graph::Padding::kSame, 1, "dw");
-    x = b.MaxPool(x, 2, 2, "max");
+    x = b.DepthwiseConv2d(x, 2, 2, graph::Activation::kNone,
+                          graph::Padding::kValid, 1, "dw_strided");
     x = b.ResizeBilinear(x, 7, 5, "resize");
-    x = b.AvgPool(x, 3, 1, "avg");
+    x = b.DepthwiseConv2d(x, 3, 1, graph::Activation::kNone,
+                          graph::Padding::kValid, 1, "dw_unstrided");
     x = b.Add(x, b.Activate(x, graph::Activation::kRelu6, "act"), "add");
     b.MarkOutput(x);
     return std::move(b).Build();

@@ -1,33 +1,12 @@
-// Tests for the tooling layer: model summaries and CSV result export.
+// Tests for the CSV result export.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "graph/summary.h"
 #include "harness/export.h"
-#include "models/mobilenet_edgetpu.h"
 
 namespace mlpm {
 namespace {
-
-TEST(Summary, ContainsLayersAndTotals) {
-  const graph::Graph g =
-      models::BuildMobileNetEdgeTpu(models::ModelScale::kMini);
-  const std::string s = graph::Summarize(g);
-  EXPECT_NE(s.find("mobilenet_edgetpu"), std::string::npos);
-  EXPECT_NE(s.find("Conv2d"), std::string::npos);
-  EXPECT_NE(s.find("total"), std::string::npos);
-  EXPECT_NE(s.find(std::to_string(g.ParameterCount())), std::string::npos);
-}
-
-TEST(Summary, OneLineFormat) {
-  const graph::Graph g =
-      models::BuildMobileNetEdgeTpu(models::ModelScale::kFull);
-  const std::string s = graph::OneLineSummary(g);
-  EXPECT_NE(s.find("mobilenet_edgetpu:"), std::string::npos);
-  EXPECT_NE(s.find("GMACs"), std::string::npos);
-  EXPECT_NE(s.find("3.95M params"), std::string::npos);
-}
 
 harness::SubmissionResult FakeResult() {
   harness::SubmissionResult r;
@@ -78,14 +57,6 @@ TEST(Csv, MissingOfflineLeavesEmptyField) {
   const std::string csv = harness::ToCsv(FakeResult(), false);
   // ...,p90,mean,<empty offline>,energy
   EXPECT_NE(csv.find(",,4"), std::string::npos);
-}
-
-TEST(Csv, StoreExportPrependsDate) {
-  harness::ResultStore store;
-  store.Add("2021-04-01", FakeResult());
-  const std::string csv = harness::ToCsv(store);
-  EXPECT_EQ(csv.substr(0, 5), "date,");
-  EXPECT_NE(csv.find("2021-04-01,"), std::string::npos);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
-// Tests for graph validation and execution traces.
+// Tests for graph structure lints (analysis::CheckGraphStructure) and
+// execution traces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "analysis/passes.h"
 #include "models/ssd.h"
-#include "graph/validate.h"
 #include "models/mobilenet_edgetpu.h"
 #include "models/zoo.h"
 #include "backends/vendor_policy.h"
@@ -13,15 +14,26 @@
 namespace mlpm {
 namespace {
 
-// ---- graph validation ----
+// ---- graph structure ----
+
+// The GRAPH001-GRAPH005 findings CheckGraphStructure reports for `g`.
+analysis::DiagnosticEngine StructureOf(const graph::Graph& g) {
+  analysis::DiagnosticEngine de;
+  analysis::CheckGraphStructure(g, de);
+  return de;
+}
 
 TEST(Validate, WellFormedGraphsPass) {
-  for (const auto& e : models::SuiteFor(models::SuiteVersion::kV1_0)) {
-    const graph::Graph g = models::BuildReferenceGraph(
-        e, models::SuiteVersion::kV1_0, models::ModelScale::kMini);
-    const graph::ValidationReport r = graph::Validate(g);
-    EXPECT_TRUE(r.valid) << e.id << ": "
-                         << (r.problems.empty() ? "" : r.problems[0]);
+  for (const models::ModelScale scale :
+       {models::ModelScale::kMini, models::ModelScale::kFull}) {
+    for (const models::SuiteVersion version :
+         {models::SuiteVersion::kV0_7, models::SuiteVersion::kV1_0}) {
+      for (const auto& e : models::SuiteFor(version)) {
+        const analysis::DiagnosticEngine de = StructureOf(
+            models::BuildReferenceGraph(e, version, scale));
+        EXPECT_TRUE(de.empty()) << e.id << ": " << de.ToText();
+      }
+    }
   }
 }
 
@@ -30,7 +42,7 @@ TEST(Validate, BuilderGraphHasNoDeadEnds) {
   graph::TensorId x = b.Input("in", {4});
   graph::TensorId used = b.Activate(x, graph::Activation::kRelu);
   b.MarkOutput(used);
-  EXPECT_TRUE(graph::Validate(std::move(b).Build()).valid);
+  EXPECT_TRUE(StructureOf(std::move(b).Build()).empty());
 }
 
 TEST(Validate, DetectsDeadEndActivation) {
@@ -38,17 +50,16 @@ TEST(Validate, DetectsDeadEndActivation) {
   graph::TensorId x = b.Input("in", {4});
   (void)b.Activate(x, graph::Activation::kRelu);  // dangling branch
   b.MarkOutput(b.Activate(x, graph::Activation::kTanh));
-  const graph::ValidationReport r = graph::Validate(std::move(b).Build());
-  EXPECT_FALSE(r.valid);
-  ASSERT_FALSE(r.problems.empty());
-  EXPECT_NE(r.problems[0].find("never used"), std::string::npos);
+  const analysis::DiagnosticEngine de = StructureOf(std::move(b).Build());
+  ASSERT_FALSE(de.empty());
+  EXPECT_EQ(de.diagnostics()[0].code, "GRAPH001") << de.ToText();
 }
 
 TEST(Validate, MultiOutputGraphsPass) {
   // Detection models have two outputs; neither is a dead end.
   const models::DetectionModel m =
       models::BuildMobileDetSsd(models::ModelScale::kMini);
-  EXPECT_TRUE(graph::Validate(m.graph).valid);
+  EXPECT_TRUE(StructureOf(m.graph).empty());
 }
 
 // ---- execution traces ----
